@@ -1,11 +1,22 @@
 """Finite colimits in Set: coproducts, coequalizers, coends.
 
-A coend over a finite category is computed as an explicit quotient: the
-carrier is the tagged union of the diagonal value sets, elements are
-(tag object, element) pairs, and the equivalence is generated by the usual
-left-action/right-action relation pairs, closed with union-find.  Classes
-are named by their order-minimal member, so results are canonical and every
+Every colimit here is a quotient of an explicit carrier, computed by one
+kernel, `quotient(carrier, pairs)`: the equivalence relation generated by the
+given pairs, closed with an index-ordered union-find over positions in
+`carrier.elements`.  That order is the canonical label order (`FinSet` sorts
+by `label_key`), so naming each class by its minimum position names it by
+its order-minimal member, and the classes come out in canonical order
+without comparing labels again.  Results are therefore canonical, and every
 downstream map on quotients can be checked elementwise for well-definedness.
+
+A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
+composite f = g . k follows from those along k and g: the k-relation at
+H(g, 1)w and the g-relation at H(1, k)w chain up, because the interchange law
+makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
+`coend` relates only along a generating set of the base (`FinCat.generators`).
+That needs the integrand to be a bifunctor: `coend(check=True)` verifies it,
+and with check=False the caller vouches for it, as the internal callers do by
+building their integrands from functorial data.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from .fincat import (
     FinSet,
     Label,
     NonInvertible,
-    label_key,
     product,
 )
 
@@ -29,48 +39,31 @@ class BifunctorialityViolation(ValueError):
     """Coend input failed the bifunctor laws; names the offending morphism pair."""
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[Label]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: Label) -> Label:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: Label, b: Label) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the order-minimal label as the root
-            if label_key(rb) < label_key(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def classes(self) -> list[tuple[Label, ...]]:
-        groups: dict[Label, list[Label]] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        out = [tuple(sorted(g, key=label_key)) for g in groups.values()]
-        return sorted(out, key=lambda c: label_key(c[0]))
-
-
 @dataclass(frozen=True)
 class QuotientSet:
-    """A quotient of a carrier set; classes are named by their minimal member."""
+    """A quotient of a carrier set; classes are named by their minimal member.
+
+    `classes` may list the blocks of the partition in any order; they are
+    stored in canonical order (members and classes by carrier position).
+    """
 
     carrier: FinSet
     classes: tuple[tuple[Label, ...], ...]
     projection: FinFn = field(compare=False)
 
     def __init__(self, carrier: FinSet, classes):
-        classes = tuple(tuple(sorted(c, key=label_key)) for c in classes)
-        classes = tuple(sorted(classes, key=lambda c: label_key(c[0])))
-        seen = [x for c in classes for x in c]
-        if sorted(seen, key=label_key) != list(carrier.elements):
+        block_of: dict[Label, int] = {}
+        count = 0
+        for i, block in enumerate(classes):
+            for x in block:
+                block_of[x] = i
+            count += len(block)
+        if count != len(carrier) or block_of.keys() != carrier._index:
             raise ValueError("classes do not partition the carrier")
+        groups: dict[int, list[Label]] = {}
+        for x in carrier.elements:
+            groups.setdefault(block_of[x], []).append(x)
+        classes = tuple(map(tuple, groups.values()))
         proj = FinFn(
             carrier,
             FinSet(c[0] for c in classes),
@@ -89,6 +82,36 @@ class QuotientSet:
         return self.projection(element)
 
 
+def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientSet:
+    """The carrier modulo the equivalence relation generated by `pairs`.
+
+    Union-find over carrier positions: the root of a class is always its
+    minimum position, i.e. its minimal member in canonical order, and classes
+    are emitted by scanning positions, so they arrive in canonical order.
+    Pass generating relations only; the closure supplies the rest.
+    """
+    elems = carrier.elements
+    pos = {x: i for i, x in enumerate(elems)}
+    parent = list(range(len(elems)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(pos[a]), find(pos[b])
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    classes: dict[int, list[Label]] = {}
+    for i, x in enumerate(elems):
+        classes.setdefault(find(i), []).append(x)
+    return QuotientSet(carrier, classes.values())
+
+
 def coproduct(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
     """Tagged union; element of the i-th summand x becomes (i, x)."""
     total = FinSet((i, x) for i, s in enumerate(sets) for x in s)
@@ -102,10 +125,7 @@ def coequalizer(f: FinFn, g: FinFn) -> QuotientSet:
     """Quotient of the shared codomain by the equivalence generated by f(a) ~ g(a)."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise EndpointMismatch("coequalizer needs a parallel pair")
-    uf = _UnionFind(f.codomain)
-    for a in f.domain:
-        uf.union(f(a), g(a))
-    return QuotientSet(f.codomain, uf.classes())
+    return quotient(f.codomain, ((f(a), g(a)) for a in f.domain))
 
 
 def factor_through_quotient(q: QuotientSet, h: FinFn) -> FinFn:
@@ -223,8 +243,11 @@ class CoendResult:
 def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
     """Quotient of the diagonal union by the generated coend relation.
 
-    For every f: y -> y' and w in H(y', y) the pair
-    (y, H(f, id)(w)) ~ (y', H(id, f)(w)) is a generator.
+    For every generator f: y -> y' of the base (`FinCat.generators`) and
+    w in H(y', y) the pair (y, H(f, id)(w)) ~ (y', H(id, f)(w)) is related;
+    relations along composites follow when H is a bifunctor, which
+    check=True verifies and check=False takes on trust.  Classes are named
+    by their minimal member (minimum carrier position).
     """
     if h.contra != base or h.co != base:
         raise EndpointMismatch("coend needs a bifunctor over the base on both sides")
@@ -233,23 +256,25 @@ def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
         if bad:
             raise BifunctorialityViolation(bad[0])
     carrier = FinSet((y, w) for y in base.objects for w in h.value(y, y))
-    uf = _UnionFind(carrier)
-    for f in base.morphisms():
-        y, y1 = base.src(f), base.tgt(f)
-        left = h.act_contra(f, y)   # H(y', y) -> H(y, y)
-        right = h.act_co(y1, f)     # H(y', y) -> H(y', y')
-        for w in h.value(y1, y):
-            uf.union((y, left(w)), (y1, right(w)))
-    quotient = QuotientSet(carrier, uf.classes())
+
+    def relations():
+        for f in base.generators():
+            y, y1 = base.src(f), base.tgt(f)
+            left = h.act_contra(f, y)   # H(y', y) -> H(y, y)
+            right = h.act_co(y1, f)     # H(y', y) -> H(y', y')
+            for w in h.value(y1, y):
+                yield (y, left(w)), (y1, right(w))
+
+    q = quotient(carrier, relations())
     injections = {
         y: FinFn(
             h.value(y, y),
-            quotient.quotient,
-            {w: quotient.representative((y, w)) for w in h.value(y, y)},
+            q.quotient,
+            {w: q.representative((y, w)) for w in h.value(y, y)},
         )
         for y in base.objects
     }
-    return CoendResult(h, quotient, injections)
+    return CoendResult(h, q, injections)
 
 
 def induced_map(

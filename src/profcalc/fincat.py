@@ -13,7 +13,6 @@ and independent of construction order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -130,14 +129,6 @@ class FinFn:
         return FinFn(domain, codomain, {x: value for x in domain})
 
 
-def compose_fns(*fns: FinFn) -> FinFn:
-    """Compose left-to-right: compose_fns(f, g, h) = h . g . f pointwise."""
-    out = fns[0]
-    for fn in fns[1:]:
-        out = out.then(fn)
-    return out
-
-
 @dataclass(frozen=True)
 class FinCat:
     """A finite category: object set, hom tables, identities, composition table.
@@ -151,6 +142,7 @@ class FinCat:
     ids: dict[Label, Label]
     comp: dict[tuple[Label, Label], Label]
     _mor_endpoints: dict[Label, tuple[Label, Label]] = field(compare=False, repr=False)
+    _generators: tuple | None = field(compare=False, repr=False)
 
     def __init__(self, objects, hom, ids, comp):
         objects = objects if isinstance(objects, FinSet) else FinSet(objects)
@@ -173,6 +165,7 @@ class FinCat:
         object.__setattr__(self, "ids", dict(ids))
         object.__setattr__(self, "comp", dict(comp))
         object.__setattr__(self, "_mor_endpoints", endpoints)
+        object.__setattr__(self, "_generators", None)
 
     # -- morphism bookkeeping ------------------------------------------------
 
@@ -192,6 +185,38 @@ class FinCat:
         for a in self.objects:
             for b in self.objects:
                 yield from self.hom[(a, b)]
+
+    def generators(self) -> tuple[Label, ...]:
+        """A generating set: every morphism is an identity or a composite of these.
+
+        Greedy over the non-identity morphisms in canonical order, irreducible
+        ones (no factorisation into two non-identities) first: a morphism is
+        picked unless it is already reachable by composing earlier picks.
+        Irreducibles go first because every generating set contains them, and
+        in a poset they generate the rest.  Cached on the instance.
+        """
+        if self._generators is None:
+            composite = {
+                self.comp[(g, f)]
+                for g, f in self.composable_pairs()
+                if not (self.is_identity(g) or self.is_identity(f))
+            }
+            nonid = [m for m in self.morphisms() if not self.is_identity(m)]
+            picks: list[Label] = []
+            reached = set(self.ids.values())
+            for m in sorted(nonid, key=lambda m: m in composite):  # stable: irreducibles first
+                if m in reached:
+                    continue
+                picks.append(m)
+                # the new words are m . r for r already reached, extended on the left by picks
+                work = [self.comp[(m, r)] for r in reached if self.tgt(r) == self.src(m)]
+                while work:
+                    r = work.pop()
+                    if r not in reached:
+                        reached.add(r)
+                        work.extend(self.comp[(p, r)] for p in picks if self.src(p) == self.tgt(r))
+            object.__setattr__(self, "_generators", tuple(picks))
+        return self._generators
 
     def compose(self, g: Label, f: Label) -> Label:
         """g after f; raises on non-composable or missing table entries."""
@@ -460,14 +485,6 @@ def twocell_vcompose(beta: TwoCell, alpha: TwoCell) -> TwoCell:
     return TwoCell(comps, source=alpha.source, target=beta.target)
 
 
-def twocell_identity(value_sets: dict[Any, FinSet], endpoint=None) -> TwoCell:
-    return TwoCell(
-        {k: FinFn.identity(s) for k, s in value_sets.items()},
-        source=endpoint,
-        target=endpoint,
-    )
-
-
 def twocell_whisker_right(alpha: TwoCell, reindex: Callable[[Any], Any], keys) -> TwoCell:
     """Precompose the index: component at k is alpha at reindex(k)."""
     return TwoCell({k: alpha.components[reindex(k)] for k in keys})
@@ -487,14 +504,3 @@ def twocell_invert(alpha: TwoCell) -> TwoCell:
         source=alpha.target,
         target=alpha.source,
     )
-
-
-def fn_product(f: FinFn, g: FinFn) -> FinFn:
-    """Cartesian product of functions on lexicographic pair sets."""
-    dom = FinSet((a, b) for a in f.domain for b in g.domain)
-    cod = FinSet((a, b) for a in f.codomain for b in g.codomain)
-    return FinFn(dom, cod, {(a, b): (f(a), g(b)) for (a, b) in dom})
-
-
-def cartesian(*sets: FinSet) -> FinSet:
-    return FinSet(tuple(combo) for combo in itertools.product(*sets))

@@ -345,10 +345,6 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
     return KanPresheaf(target, values, restriction, coends)
 
 
-def as_kan(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
-    return p if isinstance(p, KanPresheaf) else kan_extend(f, p)
-
-
 def kan_extend_map(
     f: PshValuedFunctor,
     phi: PshMap,
@@ -472,7 +468,8 @@ def psh_pair(cone1: PshMap, cone2: PshMap, prod_data=None) -> PshMap:
         for a in prod.base.objects
     }
     factor = PshMap(cone1.source, prod, comps, check=False)
-    assert factor.then(pi1) == cone1 and factor.then(pi2) == cone2
+    if factor.then(pi1) != cone1 or factor.then(pi2) != cone2:
+        raise ValueError("pairing does not factor the cone through the product")
     return factor
 
 
@@ -518,7 +515,8 @@ def psh_equalizer_factor(eq_data: tuple[Presheaf, PshMap], cone: PshMap) -> PshM
             table[w] = image
         comps[a] = FinFn(cone.source.values[a], eq.values[a], table)
     factor = PshMap(cone.source, eq, comps, check=False)
-    assert factor.then(incl) == cone
+    if factor.then(incl) != cone:
+        raise ValueError("factor does not recover the cone through the equalizer")
     return factor
 
 
@@ -604,7 +602,8 @@ def psh_copair(leg1: PshMap, leg2: PshMap, cop_data=None) -> PshMap:
             table[(tag, u)] = (leg1 if tag == 0 else leg2).components[a](u)
         comps[a] = FinFn(cop.values[a], leg1.target.values[a], table)
     out = PshMap(cop, leg1.target, comps, check=False)
-    assert in1.then(out) == leg1 and in2.then(out) == leg2
+    if in1.then(out) != leg1 or in2.then(out) != leg2:
+        raise ValueError("copairing does not factor the cocone through the coproduct")
     return out
 
 
@@ -768,7 +767,8 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
         cmp_map = psh_pair(
             f.on_mor[pi1], f.on_mor[pi2], psh_product(f.on_obj[a], f.on_obj[b])
         )
-        assert cmp_map.source == f.on_obj[axb] and cmp_map.target == prod
+        if cmp_map.source != f.on_obj[axb] or cmp_map.target != prod:
+            raise ValueError(f"comparison map at {axb!r} has the wrong endpoints")
         report.add(
             "comparison-iso",
             cmp_map.is_iso(),

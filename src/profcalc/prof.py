@@ -459,17 +459,6 @@ def theta_map(
     return PshMap(kp, p, comps, check=False)
 
 
-def theta_cell(
-    base: FinCat,
-    p: Presheaf,
-    source_kan: KanPresheaf | None = None,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
-) -> PshMap:
-    """Alias matching the paper-facing name: the left unit at argument p."""
-    return theta_map(base, p, source_kan=source_kan, mutate=mutate, tag=tag)
-
-
 def eta_cell(
     f: PshValuedFunctor,
     f_unit: PshValuedFunctor | None = None,

@@ -11,7 +11,7 @@ reports carry that restriction in their metadata.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fincat import FinCat, FinFn, FinSet, Label, label_key
 from .presheaf import (
@@ -79,17 +79,6 @@ class TestFamily:
         cop, _, _ = psh_coproduct(yoneda(base, a), yoneda(base, b))
         members.append((("coprod", a, b), cop))
         return TestFamily(base, members)
-
-
-@dataclass
-class RelPsmInstance:
-    """One randomized instance of the axiom data: a composable Kleisli chain."""
-
-    f: PshValuedFunctor
-    g: PshValuedFunctor
-    h: PshValuedFunctor
-    family: TestFamily
-    description: str = ""
 
 
 def _pshmap_equal_witness(a: PshMap, b: PshMap) -> str | None:

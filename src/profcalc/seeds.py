@@ -11,7 +11,6 @@ chain posets of length <= 3.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .fincat import FinCat, FinSet, Functor, Label
 
@@ -208,8 +207,3 @@ def all_functors(source: FinCat, target: FinCat, limit: int | None = None) -> li
     except StopIteration:
         pass
     return out
-
-
-def pick(rng: random.Random, items):
-    items = list(items)
-    return items[rng.randrange(len(items))]

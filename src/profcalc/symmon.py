@@ -7,13 +7,14 @@ rather than silently truncate.  With no nullary support, the number of outer
 blocks needed at output arity k is at most k; with nullary support a block
 count must be declared and results are stamped as bounded searches.
 
-The substitution composite is one union-find quotient of a tagged carrier
-{(m, ys, blocks, gamma, vs, h)} with two families of generating relations:
-block relations (a base-level morphism moves between a block value,
-contravariantly, and the gluing morphism, covariantly) and outer relations
-(a morphism of tuples acts on gamma contravariantly and, covariantly,
-permutes the blocks, pushes the block values, and twists the gluing
-morphism by a block permutation).
+The substitution composite is one quotient (`colim.quotient`) of a tagged
+carrier {(m, ys, blocks, gamma, vs, h)} with two families of generating
+relations: block relations (a generator of the tuple category moves between
+a block value, contravariantly, and the gluing morphism, covariantly) and
+outer relations (a generator of the middle tuple category acts on gamma
+contravariantly and, covariantly, permutes the blocks, pushes the block
+values, and twists the gluing morphism by a block permutation).  Both are
+functorial in the moving morphism, so relations along composites follow.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import QuotientSet, _UnionFind, induced_map
+from .colim import QuotientSet, induced_map, quotient
 from .fincat import (
     BoundExceeded,
     EndpointMismatch,
@@ -395,92 +396,83 @@ def _compositions(total: int, m: int, allow_zero: bool) -> list[tuple[int, ...]]
     return out
 
 
-def _carrier_elements(g: SymSeq, f: SymSeq, xs: tuple, z: Label, m: int):
-    sym_x = f.source_sym
-    y_cat = f.target
-    out = []
-    allow_zero = f.has_nullary_support()
-    objects_by_len: dict[int, list] = {}
-    for t in sym_x.cat.objects:
-        objects_by_len.setdefault(len(t), []).append(t)
-    for lengths in _compositions(len(xs), m, allow_zero):
-        for blocks in itertools.product(*[objects_by_len[l] for l in lengths]):
-            concat = tuple(x for b in blocks for x in b)
-            homs = sym_x.cat.hom[(xs, concat)]
-            if len(homs) == 0:
-                continue
-            for ys in itertools.product(list(y_cat.objects), repeat=m):
-                gamma_pool = g.values[(ys, z)]
-                if len(gamma_pool) == 0:
-                    continue
-                v_pools = [list(f.values[(blocks[i], ys[i])]) for i in range(m)]
-                if any(len(p) == 0 for p in v_pools):
-                    continue
-                for gamma in gamma_pool:
-                    for vs in itertools.product(*v_pools):
-                        for h in homs:
-                            out.append((m, ys, blocks, gamma, vs, h))
+def _block_rows(f: SymSeq, xs: tuple, ys: tuple, allow_zero: bool):
+    """Every (blocks, vs, h): len(ys) tuples `blocks`, a value vs[i] in
+    f[blocks[i]; ys[i]] for each, and h: xs -> blocks[0] + ... + blocks[-1]."""
+    cat = f.source_sym.cat
+    by_len: dict[int, list] = {}
+    for t in cat.objects:
+        by_len.setdefault(len(t), []).append(t)
+    for lengths in _compositions(len(xs), len(ys), allow_zero):
+        for blocks in itertools.product(*[by_len[n] for n in lengths]):
+            homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
+            for vs in itertools.product(*[f.values[(b, y)] for b, y in zip(blocks, ys)]):
+                for h in homs:
+                    yield blocks, vs, h
+
+
+def _generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
+    out: dict[Label, list[Label]] = {a: [] for a in cat.objects}
+    for mu in cat.generators():
+        out[cat.src(mu)].append(mu)
     return out
 
 
-def _add_block_relations(uf, g: SymSeq, f: SymSeq, carrier):
-    """Generators: one base-level tuple morphism moved between a block value
-    (contravariant side) and the gluing morphism (covariant side)."""
+def _block_pairs(f: SymSeq, gens_x: dict, ys: tuple, blocks: tuple, vs: tuple, h: Label):
+    """Block relations at one (blocks, vs, h) over ys: a generator mu: blocks[i] -> t
+    of the tuple category moves between the i-th block value (contravariant
+    side) and the gluing morphism (covariant side).  The relation does not
+    read vs[i], so it is emitted only where vs[i] is the first of its value
+    set, once per relation."""
     sym_x = f.source_sym
-    objects_by_len: dict[int, list] = {}
-    for t in sym_x.cat.objects:
-        objects_by_len.setdefault(len(t), []).append(t)
-    for elem in carrier:
-        m, ys, blocks, gamma, vs, h = elem
-        for i in range(m):
-            s = blocks[i]
-            for t in objects_by_len[len(s)]:
-                for mu in sym_x.cat.hom[(s, t)]:
-                    if sym_x.cat.is_identity(mu):
-                        continue
-                    for v_prime in f.values[(t, ys[i])]:
-                        moved = f.left_act[(mu, ys[i])](v_prime)
-                        lhs = (m, ys, blocks, gamma,
-                               vs[:i] + (moved,) + vs[i + 1:], h)
-                        embed = sym_x.concat_mor(
-                            *[mu if j == i else sym_x.cat.id_of(blocks[j])
-                              for j in range(m)]
-                        )
-                        rhs = (m, ys, blocks[:i] + (t,) + blocks[i + 1:], gamma,
-                               vs[:i] + (v_prime,) + vs[i + 1:],
-                               sym_x.cat.comp[(embed, h)])
-                        uf.union(lhs, rhs)
-
-
-def _add_outer_relations(uf, g: SymSeq, f: SymSeq, z, carrier):
-    """Generators: a tuple morphism acts on the outer value contravariantly
-    and on the block row covariantly (permuting blocks, pushing values,
-    twisting the gluing by a block permutation)."""
-    sym_x = f.source_sym
-    sym_y = g.source_sym
-    for elem in carrier:
-        m, ys, blocks, _, vs, h = elem
-        if m == 0:
+    for i, s in enumerate(blocks):
+        if vs[i] != f.values[(s, ys[i])].elements[0]:
             continue
-        for ys_tgt in itertools.product(list(f.target.objects), repeat=m):
-            for phi in sym_y.cat.hom[(ys, ys_tgt)]:
-                if sym_y.cat.is_identity(phi):
-                    continue
-                _, _, sigma, gbar = phi
-                inv = perm_inverse(sigma)
-                new_blocks = tuple(blocks[inv[j]] for j in range(m))
-                new_vs = tuple(
-                    f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]])
-                    for j in range(m)
+        for mu in gens_x[s]:
+            t = sym_x.cat.tgt(mu)
+            embed = sym_x.concat_mor(
+                *[mu if j == i else sym_x.cat.id_of(b) for j, b in enumerate(blocks)]
+            )
+            glued = sym_x.cat.comp[(embed, h)]
+            moved_blocks = blocks[:i] + (t,) + blocks[i + 1:]
+            pull = f.left_act[(mu, ys[i])]
+            for v_prime in f.values[(t, ys[i])]:
+                yield (
+                    (blocks, vs[:i] + (pull(v_prime),) + vs[i + 1:], h),
+                    (moved_blocks, vs[:i] + (v_prime,) + vs[i + 1:], glued),
                 )
-                mover = sym_x.block_perm_mor(blocks, sigma)
-                glued = sym_x.cat.comp[(mover, h)]
-                for gamma in g.values[(ys_tgt, z)]:
-                    pulled = g.left_act[(phi, z)](gamma)
-                    uf.union(
-                        (m, ys, blocks, pulled, vs, h),
-                        (m, ys_tgt, new_blocks, gamma, new_vs, glued),
-                    )
+
+
+def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: dict, gens_y: dict):
+    """Generating relations of the substitution quotient at (xs, z).
+
+    Block relations come from `_block_pairs`.  Outer relations: a generator
+    phi: ys -> ys' of the middle tuple category acts on the outer value
+    contravariantly and on the block row covariantly (permuting blocks,
+    pushing values, twisting the gluing by a block permutation); they do not
+    read gamma, so they are emitted only where gamma is the first of its
+    value set.
+    """
+    sym_x = f.source_sym
+    for m, ys, blocks, gamma, vs, h in carrier:
+        for (b0, v0, h0), (b1, v1, h1) in _block_pairs(f, gens_x, ys, blocks, vs, h):
+            yield (m, ys, b0, gamma, v0, h0), (m, ys, b1, gamma, v1, h1)
+        if m == 0 or gamma != g.values[(ys, z)].elements[0]:
+            continue
+        for phi in gens_y[ys]:
+            _, ys_tgt, sigma, gbar = phi
+            inv = perm_inverse(sigma)
+            new_blocks = tuple(blocks[inv[j]] for j in range(m))
+            new_vs = tuple(
+                f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m)
+            )
+            glued = sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), h)]
+            pull = g.left_act[(phi, z)]
+            for gamma_tgt in g.values[(ys_tgt, z)]:
+                yield (
+                    (m, ys, blocks, pull(gamma_tgt), vs, h),
+                    (m, ys_tgt, new_blocks, gamma_tgt, new_vs, glued),
+                )
 
 
 def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
@@ -520,18 +512,23 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
             )
         return range(0, k + 1)
 
+    gens_x = _generators_by_source(sym_x.cat)
+    gens_y = _generators_by_source(sym_y.cat)
     quotients: dict[tuple[tuple, Label], QuotientSet] = {}
     values: dict[tuple[tuple, Label], FinSet] = {}
     for xs in sym_x.cat.objects:
         for z in z_cat.objects:
-            elems: list = []
-            for m in m_range(len(xs)):
-                elems.extend(_carrier_elements(g, f, xs, z, m))
-            carrier = FinSet(elems)
-            uf = _UnionFind(carrier)
-            _add_block_relations(uf, g, f, carrier)
-            _add_outer_relations(uf, g, f, z, carrier)
-            quotients[(xs, z)] = QuotientSet(carrier, uf.classes())
+            carrier = FinSet(
+                (m, ys, blocks, gamma, vs, h)
+                for m in m_range(len(xs))
+                for ys in itertools.product(f.target.objects, repeat=m)
+                if len(g.values[(ys, z)]) > 0
+                for blocks, vs, h in _block_rows(f, xs, ys, nullary)
+                for gamma in g.values[(ys, z)]
+            )
+            quotients[(xs, z)] = quotient(
+                carrier, _subst_relations(g, f, z, carrier, gens_x, gens_y)
+            )
             values[(xs, z)] = quotients[(xs, z)].quotient
 
     left_act = {}
@@ -899,51 +896,16 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
         raise BoundExceeded(
             "nonempty nullary values make block decompositions unbounded; declare m_bound"
         )
+    gens_x = _generators_by_source(sym_x.cat)
     quotients: dict[tuple[tuple, tuple], QuotientSet] = {}
-    objects_by_len: dict[int, list] = {}
-    for t in sym_x.cat.objects:
-        objects_by_len.setdefault(len(t), []).append(t)
     for xs in sym_x.cat.objects:
         for ys in sym_y.cat.objects:
-            m = len(ys)
-            if not nullary and m > sym_y.max_len:
-                raise BoundExceeded("middle tuple longer than its bound")
-            elems = []
-            allow_zero = nullary
-            for lengths in _compositions(len(xs), m, allow_zero):
-                for blocks in itertools.product(*[objects_by_len[l] for l in lengths]):
-                    concat = tuple(x for b in blocks for x in b)
-                    homs = sym_x.cat.hom[(xs, concat)]
-                    if len(homs) == 0:
-                        continue
-                    v_pools = [list(f.values[(blocks[i], ys[i])]) for i in range(m)]
-                    if any(len(p) == 0 for p in v_pools):
-                        continue
-                    for vs in itertools.product(*v_pools):
-                        for h in homs:
-                            elems.append((blocks, vs, h))
-            carrier = FinSet(elems)
-            uf = _UnionFind(carrier)
-            for elem in carrier:
-                blocks, vs, h = elem
-                for i in range(m):
-                    for t in objects_by_len[len(blocks[i])]:
-                        for mu in sym_x.cat.hom[(blocks[i], t)]:
-                            if sym_x.cat.is_identity(mu):
-                                continue
-                            for v_prime in f.values[(t, ys[i])]:
-                                moved = f.left_act[(mu, ys[i])](v_prime)
-                                embed = sym_x.concat_mor(
-                                    *[mu if j == i else sym_x.cat.id_of(blocks[j])
-                                      for j in range(m)]
-                                )
-                                uf.union(
-                                    (blocks, vs[:i] + (moved,) + vs[i + 1:], h),
-                                    (blocks[:i] + (t,) + blocks[i + 1:],
-                                     vs[:i] + (v_prime,) + vs[i + 1:],
-                                     sym_x.cat.comp[(embed, h)]),
-                                )
-            quotients[(xs, ys)] = QuotientSet(carrier, uf.classes())
+            carrier = FinSet(_block_rows(f, xs, ys, nullary))
+            quotients[(xs, ys)] = quotient(
+                carrier,
+                (pair for blocks, vs, h in carrier
+                 for pair in _block_pairs(f, gens_x, ys, blocks, vs, h)),
+            )
     values = {key: q.quotient for key, q in quotients.items()}
     left_act = {}
     for rho in sym_x.cat.morphisms():

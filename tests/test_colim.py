@@ -12,8 +12,9 @@ from profcalc.colim import (
     coyoneda_iso,
     factor_through_quotient,
     fubini_iso,
+    quotient,
 )
-from profcalc.fincat import FinCat, FinFn, FinSet, opposite, product
+from profcalc.fincat import FinCat, FinFn, FinSet, label_key, opposite, product
 from profcalc.presheaf import yoneda
 from profcalc.seeds import arrow_category, discrete, seed_library, terminal_category
 
@@ -85,6 +86,9 @@ def test_coequalizer_matches_naive_closure(data):
     f = FinFn(dom, cod, {i: data.draw(st.integers(0, n - 1)) for i in range(k)})
     g = FinFn(dom, cod, {i: data.draw(st.integers(0, n - 1)) for i in range(k)})
     q = coequalizer(f, g)
+    # the kernel on its own, with the relation pairs in reverse order
+    q_kernel = quotient(cod, [(g(i), f(i)) for i in reversed(dom.elements)])
+    assert q_kernel.classes == q.classes
     # naive reflexive-symmetric-transitive closure
     related = {(x, x) for x in cod}
     related |= {(f(i), g(i)) for i in dom} | {(g(i), f(i)) for i in dom}
@@ -99,6 +103,10 @@ def test_coequalizer_matches_naive_closure(data):
         for y in cod:
             same = q.representative(x) == q.representative(y)
             assert same == ((x, y) in related)
+    for x in cod:
+        assert q.representative(x) == min(
+            (y for y in cod if (x, y) in related), key=label_key
+        )
 
 
 def _product_bifunctor(cat, left_values, right_presheaf):
@@ -324,3 +332,86 @@ def test_fubini_arrow_arrow_double_brute_force():
     # composite: outer(a-first) -> joint -> joint-transposed -> outer(b-first)
     assert all(composite(x) is not None for x in composite.domain)
     assert composite.is_bijective()
+
+
+# -- coend against a reference that relates along every morphism ---------------
+
+
+def _reference_coend_classes(base, h):
+    """Classes of the diagonal union closed under the coend relation along
+    *all* morphisms, with a plain dictionary union-find."""
+    carrier = [(y, w) for y in base.objects for w in h.value(y, y)]
+    parent = {x: x for x in carrier}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f in base.morphisms():
+        y, y1 = base.src(f), base.tgt(f)
+        for w in h.value(y1, y):
+            a = find((y, h.act_contra(f, y)(w)))
+            b = find((y1, h.act_co(y1, f)(w)))
+            parent[a] = b
+    groups = {}
+    for x in carrier:
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _tensor_plus_hom(cat, p, q, with_hom):
+    """H(a, b) = P(a) x Q(b), plus cat(a, b) when with_hom: a bifunctor for any
+    presheaf P and covariant Q (a presheaf on the opposite category)."""
+    values = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            elems = [(0, (u, v)) for u in p.values[a] for v in q.values[b]]
+            if with_hom:
+                elems += [(1, k) for k in cat.hom[(a, b)]]
+            values[(a, b)] = FinSet(elems)
+
+    def move(tagged, on_pair, on_hom):
+        tag, x = tagged
+        return (0, on_pair(*x)) if tag == 0 else (1, on_hom(x))
+
+    contra, co = {}, {}
+    for m in cat.morphisms():
+        s, t = cat.src(m), cat.tgt(m)
+        for b in cat.objects:
+            dom = values[(t, b)]
+            contra[(m, b)] = FinFn(dom, values[(s, b)], {
+                x: move(x, lambda u, v: (p.restriction[m](u), v), lambda k: cat.comp[(k, m)])
+                for x in dom
+            })
+        for a in cat.objects:
+            dom = values[(a, s)]
+            co[(a, m)] = FinFn(dom, values[(a, t)], {
+                x: move(x, lambda u, v: (u, q.restriction[m](v)), lambda k: cat.comp[(m, k)])
+                for x in dom
+            })
+    return Bifunctor(cat, cat, values, contra, co)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(SEEDS)),
+    st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
+)
+def test_coend_matches_all_morphism_reference(name, seed, with_hom):
+    import random
+
+    from profcalc.suites import random_presheaf
+
+    cat = SEEDS[name]
+    rng = random.Random(seed)
+    p = random_presheaf(rng, cat, 3)
+    q = random_presheaf(rng, opposite(cat), 3)
+    h = _tensor_plus_hom(cat, p, q, with_hom)
+    result = coend(cat, h, check=True)
+    assert {frozenset(c) for c in result.quotient.classes} == _reference_coend_classes(cat, h)
+    for c in result.quotient.classes:
+        assert list(c) == sorted(c, key=label_key)
+    names = [c[0] for c in result.quotient.classes]
+    assert names == sorted(names, key=label_key)

@@ -260,3 +260,77 @@ def test_all_composable_scans_pass_on_seeds(name):
     cat = SEEDS[name]
     report = validate_category(cat)
     assert report.ok
+
+
+# -- generating sets ---------------------------------------------------------------
+
+
+def _closure(cat, gens):
+    """Identities plus every composite of generators, by plain fixpoint iteration."""
+    reached = set(cat.ids.values()) | set(gens)
+    while True:
+        new = {
+            cat.comp[(g, f)]
+            for g in reached
+            for f in reached
+            if cat.tgt(f) == cat.src(g)
+        } - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def _generator_cases():
+    from profcalc.day import one_object_group_monoidal
+    from profcalc.seeds import chain, idempotent_monoid_category
+    from profcalc.symmon import free_sym_cat
+
+    cases = {f"seed:{name}": cat for name, cat in SEEDS.items()}
+    cases.update({f"chain({n})": chain(n) for n in (1, 2, 4, 6)})
+    cases.update({f"Z{n}": one_object_group_monoidal(n).base for n in (2, 3, 5, 6)})
+    cases["E2"] = idempotent_monoid_category()
+    cases["sym(1 colour, 4)"] = free_sym_cat(discrete(1), 4).cat
+    cases["sym(arrow, 2)"] = free_sym_cat(arrow_category(), 2).cat
+    cases["chain(2) x Z3"] = product(SEEDS["chain2"], SEEDS["Z3"])
+    return cases
+
+
+GENERATOR_CASES = _generator_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generators_close_to_every_morphism(name):
+    cat = GENERATOR_CASES[name]
+    gens = cat.generators()
+    assert len(set(gens)) == len(gens)
+    assert not any(cat.is_identity(g) for g in gens)
+    assert _closure(cat, gens) == set(cat.morphisms())
+    assert cat.generators() is gens  # cached on the instance
+
+
+def test_generators_of_a_chain_are_its_covering_relations():
+    from profcalc.seeds import chain
+
+    cat = chain(6)
+    assert {(cat.src(g), cat.tgt(g)) for g in cat.generators()} == {
+        (str(i), str(i + 1)) for i in range(6)
+    }
+
+
+def test_generators_of_groups_and_idempotents():
+    from profcalc.day import one_object_group_monoidal
+    from profcalc.seeds import idempotent_monoid_category
+
+    # no morphism of Z5 is irreducible (each is a composite of two
+    # non-identities), yet a single element generates it
+    z5 = one_object_group_monoidal(5).base
+    assert len(z5.generators()) == 1
+    # a = a . a is composite, but nothing else reaches it
+    e2 = idempotent_monoid_category()
+    assert e2.generators() == ("E2:a",)
+    # S4 needs three generators under the greedy rule, not all 23 non-identities
+    from profcalc.symmon import free_sym_cat
+
+    sym = free_sym_cat(discrete(1), 4).cat
+    four = ("d0",) * 4
+    assert len([g for g in sym.generators() if sym.src(g) == four]) == 3

@@ -430,3 +430,36 @@ def test_pvf_combinators_are_functorial():
     from profcalc.presheaf import pvf_product
 
     assert pvf_violations(pvf_product(a, b)) == []
+
+
+def test_universal_property_checks_survive_python_O():
+    """psh_pair verifies its factorisation with a raise, not an assert, so a
+    mismatched product (projections swapped) is caught under python -O."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = """
+import sys
+from profcalc.presheaf import psh_pair, psh_product, yoneda
+from profcalc.seeds import parallel_pair
+
+assert False, "asserts must be stripped in this run"
+p = yoneda(parallel_pair(), "b")
+prod, pi1, pi2 = psh_product(p, p)
+try:
+    psh_pair(pi1, pi2, (prod, pi2, pi1))
+except ValueError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(3)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONOPTIMIZE", None)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "raised:" in done.stdout

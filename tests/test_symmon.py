@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from profcalc.fincat import BoundExceeded, FinFn, FinSet, validate_category
+from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, validate_category
 from profcalc.prof import profunctor_violations
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
@@ -407,3 +407,116 @@ def test_esp_round_trip_label_exact():
     assert profunctor_violations(view) == []
     back = esp_unview(view, s)
     assert back == f
+
+
+# -- substitution against a reference that relates along every morphism ----------
+
+
+def _reference_partition(carrier, relations):
+    parent = {x: x for x in carrier}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in relations:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+    groups = {}
+    for x in carrier:
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(c) for c in groups.values()}
+
+
+def _all_block_moves(f, ys, blocks, vs, h):
+    """Block relations along every tuple morphism out of every block."""
+    sym_x = f.source_sym
+    for i in range(len(blocks)):
+        for mu in sym_x.cat.morphisms():
+            if sym_x.cat.src(mu) != blocks[i]:
+                continue
+            t = sym_x.cat.tgt(mu)
+            embed = sym_x.concat_mor(
+                *[mu if j == i else sym_x.cat.id_of(b) for j, b in enumerate(blocks)]
+            )
+            for v_prime in f.values[(t, ys[i])]:
+                yield (
+                    (blocks, vs[:i] + (f.left_act[(mu, ys[i])](v_prime),) + vs[i + 1:], h),
+                    (blocks[:i] + (t,) + blocks[i + 1:], vs[:i] + (v_prime,) + vs[i + 1:],
+                     sym_x.cat.comp[(embed, h)]),
+                )
+
+
+def _all_subst_moves(g, f, z, carrier):
+    sym_x, sym_y = f.source_sym, g.source_sym
+    for m, ys, blocks, gamma, vs, h in carrier:
+        for (b0, v0, h0), (b1, v1, h1) in _all_block_moves(f, ys, blocks, vs, h):
+            yield (m, ys, b0, gamma, v0, h0), (m, ys, b1, gamma, v1, h1)
+        for phi in sym_y.cat.morphisms():
+            if m == 0 or sym_y.cat.src(phi) != ys:
+                continue
+            _, ys_tgt, sigma, gbar = phi
+            inv = perm_inverse(sigma)
+            new_blocks = tuple(blocks[inv[j]] for j in range(m))
+            new_vs = tuple(f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m))
+            glued = sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), h)]
+            for gamma_tgt in g.values[(ys_tgt, z)]:
+                yield (
+                    (m, ys, blocks, g.left_act[(phi, z)](gamma_tgt), vs, h),
+                    (m, ys_tgt, new_blocks, gamma_tgt, new_vs, glued),
+                )
+
+
+def _assert_canonical(q):
+    for c in q.classes:
+        assert list(c) == sorted(c, key=label_key)
+    names = [c[0] for c in q.classes]
+    assert names == sorted(names, key=label_key)
+
+
+def _subst_reference_cases():
+    s1 = free_sym_cat(D1, 3)
+    ass = associative_operad(3).seq
+    f1 = seq_coproduct(
+        representable_seq(s1, D1, {"d0": ("d0",)}),
+        representable_seq(s1, D1, {"d0": ("d0", "d0")}),
+    )
+    s2 = free_sym_cat(discrete(2), 2)
+    f2 = representable_seq(s2, discrete(2), {"d0": ("d0", "d1"), "d1": ("d1",)})
+    g2 = representable_seq(s2, discrete(2), {"d0": ("d1",), "d1": ("d0", "d0")})
+    unit_pp = subst_identity(free_sym_cat(parallel_pair(), 2))
+    unit_arrow = subst_identity(free_sym_cat(arrow_category(), 2))
+    return {
+        "Ass o Ass": (ass, ass),
+        "Ass o (y + y^2)": (ass, f1),
+        "two colours": (g2, f2),
+        "unit o unit, parallel pair": (unit_pp, unit_pp),
+        "unit o unit, arrow": (unit_arrow, unit_arrow),
+    }
+
+
+SUBST_REFERENCE_CASES = _subst_reference_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUBST_REFERENCE_CASES))
+def test_subst_compose_matches_all_morphism_reference(name):
+    g, f = SUBST_REFERENCE_CASES[name]
+    gf = subst_compose(g, f)
+    for (xs, z), q in gf.quotients.items():
+        expected = _reference_partition(q.carrier, _all_subst_moves(g, f, z, q.carrier))
+        assert {frozenset(c) for c in q.classes} == expected, (xs, z)
+        _assert_canonical(q)
+
+
+@pytest.mark.parametrize("name", sorted(SUBST_REFERENCE_CASES))
+def test_subst_extension_matches_all_morphism_reference(name):
+    g, f = SUBST_REFERENCE_CASES[name]
+    ext = subst_extension(f, g.source_sym)
+    for (xs, ys), q in ext.coends.items():
+        relations = (
+            pair for blocks, vs, h in q.carrier
+            for pair in _all_block_moves(f, ys, blocks, vs, h)
+        )
+        assert {frozenset(c) for c in q.classes} == _reference_partition(q.carrier, relations)
+        _assert_canonical(q)
