@@ -367,7 +367,7 @@ def coyoneda_iso(
         return act(g)(v)
 
     fn = induced_map(result.quotient, value_at(x), rule)
-    if not fn.is_bijective():
+    if not fn.is_iso():
         raise NonInvertible(f"co-Yoneda comparison at {x!r} is not a bijection")
     return result, fn
 
@@ -455,6 +455,6 @@ def fubini_iso(
         return outer_result.cls(a, inner_results[(a, a)].cls(b, w))
 
     fn = induced_map(joint_result.quotient, outer_result.value, comparison)
-    if not fn.is_bijective():
+    if not fn.is_iso():
         raise NonInvertible("Fubini comparison is not a bijection")
     return joint_result, outer_result, fn

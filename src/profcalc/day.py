@@ -20,7 +20,7 @@ from .fincat import (
     Functor,
     Label,
     NonInvertible,
-    label_key,
+    cell_difference,
     product,
 )
 from .presheaf import (
@@ -289,7 +289,7 @@ def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> PshM
             return f.restriction[collapse](t)
 
         fn = induced_map(src.coends[a].quotient, f.values[a], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"unit comparison at {a!r} is not a bijection")
         comps[a] = fn
     return PshMap(src, f, comps, check=True)
@@ -307,7 +307,7 @@ def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> Psh
             return f.restriction[collapse](s)
 
         fn = induced_map(src.coends[a].quotient, f.values[a], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"unit comparison at {a!r} is not a bijection")
         comps[a] = fn
     return PshMap(src, f, comps, check=True)
@@ -334,7 +334,7 @@ def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label
             ok = False
             witness = str(exc)
             break
-        if not fn.is_bijective():
+        if not fn.is_iso():
             ok = False
             witness = f"comparison at {a!r} not bijective"
             break
@@ -377,7 +377,7 @@ def day_assoc_iso(
             return tgt.cls(a, b1, d, s, eta, moved)
 
         fn = induced_map(src.coends[a].quotient, tgt.values[a], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"associator at {a!r} is not a bijection")
         comps[a] = fn
     return PshMap(src, tgt, comps, check=False)
@@ -436,14 +436,7 @@ def check_convolution_pentagon(
         target_conv=a2.target,
     )
     right = b1.then(b2).then(b3)
-    witness = None
-    for a in sorted(left.components, key=label_key):
-        if left.components[a] != right.components[a]:
-            for e in left.components[a].domain:
-                if left.components[a](e) != right.components[a](e):
-                    witness = f"object {a!r}, element {e!r}"
-                    break
-            break
+    witness = cell_difference(left, right)
     report.add("pentagon-equality", witness is None, witness)
     return report
 
@@ -468,7 +461,7 @@ def day_symmetry_iso(
             return tgt.cls(a, b2, b1, t, s, base.comp[(mon.symmetry[(b1, b2)], h)])
 
         fn = induced_map(src.coends[a].quotient, tgt.values[a], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"symmetry comparison at {a!r} is not a bijection")
         comps[a] = fn
     return PshMap(src, tgt, comps, check=False)
@@ -489,12 +482,7 @@ def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Pres
         report.add("braiding-iso", False, str(exc))
         return report
     report.add("braiding-iso", True)
-    round_trip = braid.then(braid_back)
-    witness = None
-    for a in sorted(round_trip.components, key=label_key):
-        if round_trip.components[a] != FinFn.identity(c12.values[a]):
-            witness = f"round trip not the identity at {a!r}"
-            break
+    witness = cell_difference(braid.then(braid_back), PshMap.identity(c12))
     report.add("braiding-involutive", witness is None, witness)
     from .presheaf import pshmap_violations
 
@@ -612,7 +600,7 @@ def check_kan_monoidal(
             ok = False
             witness = str(exc)
             break
-        if not fn.is_bijective():
+        if not fn.is_iso():
             ok = False
             witness = f"comparison at {b!r} not bijective"
             break

@@ -2,8 +2,10 @@
 
 Everything downstream (coends, presheaves, profunctors, operads) is built on
 the types here: finite sets of labels, functions between them, categories
-with total composition tables, functors, natural transformations, and a
-small algebra of object-indexed families of functions ("two-cells").
+with total composition tables, functors, natural transformations, and the
+one algebra every 2-cell of the engine shares: `Cell`, a key-indexed family
+of components composed vertically component by component, with
+`cell_difference` naming the first place two cells disagree.
 
 Labels are ints, strings, or (nested) tuples of labels.  A single global
 total order on labels (`label_key`) makes every downstream choice --
@@ -14,7 +16,7 @@ and independent of construction order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 Label = Any  # int | str | tuple of Label
 
@@ -112,11 +114,11 @@ class FinFn:
         table = other.as_dict()
         return FinFn(self.domain, other.codomain, {k: table[v] for k, v in self.mapping})
 
-    def is_bijective(self) -> bool:
+    def is_iso(self) -> bool:
         return len({v for _, v in self.mapping}) == len(self.codomain) == len(self.domain)
 
     def inverse(self) -> FinFn:
-        if not self.is_bijective():
+        if not self.is_iso():
             raise NonInvertible("function is not a bijection")
         return FinFn(self.codomain, self.domain, {v: k for k, v in self.mapping})
 
@@ -419,9 +421,6 @@ class NatTrans:
             if bad:
                 raise ValueError("not natural: " + "; ".join(bad))
 
-    def at(self, a: Label) -> Label:
-        return self.components[a]
-
 
 def nat_trans_violations(nt: NatTrans) -> list[str]:
     out = []
@@ -445,62 +444,97 @@ def nat_trans_violations(nt: NatTrans) -> list[str]:
     return out
 
 
-# -- generic two-cells -------------------------------------------------------
-#
-# A TwoCell is an index-labelled family of FinFns between the value sets of
-# two parallel set-valued constructions.  The endpoints are kept only as
-# opaque references; shape agreement is checked against the components
-# themselves.  Specialized cells (PshMap, ProfCell, ...) add their own
-# naturality checks; the algebra below is shared.
+# -- 2-cells ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoCell:
-    components: dict[Any, FinFn]
-    source: Any = None
-    target: Any = None
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """A 2-cell: a key-indexed family of components between two endpoints.
 
-    def __init__(self, components, source=None, target=None):
-        object.__setattr__(self, "components", dict(components))
+    Every component must provide `then`, `is_iso`, `inverse` and equality;
+    `FinFn`s and cells both do, so a cell may have cells as components.
+    Subclasses fix the endpoint types and override `violations()`, which
+    lists how the family fails the laws of its kind; `invalid` prefixes the
+    error raised when a checked construction has violations.  A bare `Cell`
+    imposes no law.
+    """
+
+    source: Any
+    target: Any
+    components: dict
+
+    invalid = "not a cell"
+
+    def __init__(self, source, target, components, check: bool = True):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", dict(components))
+        if check:
+            bad = self.violations()
+            if bad:
+                raise ValueError(f"{self.invalid}: {bad[0]}")
 
-    def at(self, key) -> FinFn:
-        return self.components[key]
+    def violations(self) -> list[str]:
+        return []
 
-    def keys(self):
-        return self.components.keys()
+    def then(self, other: Cell) -> Cell:
+        """Vertical composite: self first, then other, component by component."""
+        if self.target != other.source:
+            raise EndpointMismatch(f"{type(self).__name__} endpoints do not match")
+        return type(self)(
+            self.source,
+            other.target,
+            {k: c.then(other.components[k]) for k, c in self.components.items()},
+            check=False,
+        )
+
+    def is_iso(self) -> bool:
+        return all(c.is_iso() for c in self.components.values())
+
+    def iso_witness(self) -> str | None:
+        """The first non-invertible leaf component in `label_key` order, or None."""
+        for key in sorted(self.components, key=label_key):
+            c = self.components[key]
+            if isinstance(c, Cell):
+                inner = c.iso_witness()
+                if inner is not None:
+                    return f"at {key!r}, {inner}"
+            elif not c.is_iso():
+                return (
+                    f"component at {key!r} has |dom|={len(c.domain)}, "
+                    f"|image|={len({v for _, v in c.mapping})}, |cod|={len(c.codomain)}"
+                )
+        return None
+
+    def inverse(self) -> Cell:
+        if not self.is_iso():
+            raise NonInvertible(self.iso_witness())
+        return type(self)(
+            self.target,
+            self.source,
+            {k: c.inverse() for k, c in self.components.items()},
+            check=False,
+        )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoCell) and self.components == other.components
+        return type(other) is type(self) and self.components == other.components
 
 
-def twocell_vcompose(beta: TwoCell, alpha: TwoCell) -> TwoCell:
-    """beta after alpha, componentwise."""
-    if set(beta.components) != set(alpha.components):
-        raise EndpointMismatch("two-cells indexed by different families")
-    comps = {}
-    for key, fn in alpha.components.items():
-        comps[key] = fn.then(beta.components[key])
-    return TwoCell(comps, source=alpha.source, target=beta.target)
-
-
-def twocell_whisker_right(alpha: TwoCell, reindex: Callable[[Any], Any], keys) -> TwoCell:
-    """Precompose the index: component at k is alpha at reindex(k)."""
-    return TwoCell({k: alpha.components[reindex(k)] for k in keys})
-
-
-def twocell_whisker_left(op: Callable[[FinFn], FinFn], alpha: TwoCell) -> TwoCell:
-    """Apply a function-level operation (e.g. a functor's action) to every component."""
-    return TwoCell({k: op(fn) for k, fn in alpha.components.items()})
-
-
-def twocell_invert(alpha: TwoCell) -> TwoCell:
-    for key in sorted(alpha.components, key=lambda k: label_key(k if isinstance(k, (int, str, tuple)) else str(k))):
-        if not alpha.components[key].is_bijective():
-            raise NonInvertible(f"component at {key!r} is not a bijection")
-    return TwoCell(
-        {k: fn.inverse() for k, fn in alpha.components.items()},
-        source=alpha.target,
-        target=alpha.source,
-    )
+def cell_difference(a: Cell, b: Cell) -> str | None:
+    """Where b first differs from a, walking nested components in `label_key`
+    order; None when they agree on every component of a."""
+    for key in sorted(a.components, key=label_key):
+        ca, cb = a.components[key], b.components.get(key)
+        if cb is None:
+            return f"missing component at {key!r}"
+        if isinstance(ca, Cell):
+            inner = cell_difference(ca, cb)
+            if inner is not None:
+                return f"at {key!r}, {inner}"
+        elif ca != cb:
+            if ca.domain == cb.domain:
+                for e in ca.domain:
+                    if ca(e) != cb(e):
+                        return f"at {key!r}, element {e!r}: {ca(e)!r} vs {cb(e)!r}"
+            return f"at {key!r}: domains differ"
+    return None

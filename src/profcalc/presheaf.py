@@ -19,6 +19,8 @@ from typing import Callable, Iterator
 
 from .colim import Bifunctor, CoendResult, coend, induced_map
 from .fincat import (
+    BoundExceeded,
+    Cell,
     EndpointMismatch,
     FinCat,
     FinFn,
@@ -26,7 +28,6 @@ from .fincat import (
     Functor,
     Label,
     NonInvertible,
-    label_key,
 )
 from .report import CheckReport
 
@@ -87,62 +88,22 @@ def presheaf_violations(p: Presheaf) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class PshMap:
+class PshMap(Cell):
     """Natural transformation between presheaves on the same base."""
 
     source: Presheaf
     target: Presheaf
     components: dict[Label, FinFn]
 
+    invalid = "not natural"
+
     def __init__(self, source, target, components, check: bool = True):
         if source.base != target.base:
             raise EndpointMismatch("presheaves live on different bases")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
-        if check:
-            bad = pshmap_violations(self)
-            if bad:
-                raise ValueError("not natural: " + bad[0])
+        Cell.__init__(self, source, target, components, check)
 
-    def at(self, a: Label) -> FinFn:
-        return self.components[a]
-
-    def then(self, other: PshMap) -> PshMap:
-        if self.target != other.source:
-            raise EndpointMismatch("PshMap endpoints do not match")
-        return PshMap(
-            self.source,
-            other.target,
-            {a: fn.then(other.components[a]) for a, fn in self.components.items()},
-            check=False,
-        )
-
-    def is_iso(self) -> bool:
-        return all(fn.is_bijective() for fn in self.components.values())
-
-    def inverse(self) -> PshMap:
-        if not self.is_iso():
-            bad = next(
-                a for a in sorted(self.components, key=label_key)
-                if not self.components[a].is_bijective()
-            )
-            raise NonInvertible(f"component at {bad!r} is not a bijection")
-        return PshMap(
-            self.target,
-            self.source,
-            {a: fn.inverse() for a, fn in self.components.items()},
-            check=False,
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PshMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
+    def violations(self) -> list[str]:
+        return pshmap_violations(self)
 
     @staticmethod
     def identity(p: Presheaf) -> PshMap:
@@ -671,56 +632,66 @@ def pvf_product(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
 
 # -- exhaustive enumeration of natural maps -------------------------------------
 
+NODE_BUDGET = 2_000_000  # candidate components tried per enumeration
 
-def all_psh_maps(p: Presheaf, q: Presheaf, node_budget: int = 2_000_000) -> list[PshMap]:
-    """Every natural transformation p -> q, by backtracking over components.
+
+def enumerate_families(slots, constraints) -> list[dict]:
+    """Every assignment of one FinFn per slot that satisfies the constraints.
+
+    slots: list of (key, domain FinSet, codomain FinSet), assigned in order;
+    constraints: list of (keys_involved, predicate(assignment) -> bool);
+      a predicate runs as soon as all its keys are assigned.
+    Candidates are streamed in canonical order; trying more than NODE_BUDGET
+    of them raises BoundExceeded.
+    """
+    results = []
+    assignment: dict = {}
+    by_key: dict = {}
+    for keys, pred in constraints:
+        for k in keys:
+            by_key.setdefault(k, []).append((set(keys), pred))
+    nodes = 0
+
+    def extend(i):
+        nonlocal nodes
+        if i == len(slots):
+            results.append(dict(assignment))
+            return
+        key, dom, cod = slots[i]
+        for images in itertools.product(cod.elements, repeat=len(dom)):
+            nodes += 1
+            if nodes > NODE_BUDGET:
+                raise BoundExceeded(
+                    f"enumeration tried more than {NODE_BUDGET} candidate components"
+                )
+            assignment[key] = FinFn(dom, cod, zip(dom.elements, images))
+            if all(pred(assignment) for keys, pred in by_key.get(key, []) if keys <= set(assignment)):
+                extend(i + 1)
+            del assignment[key]
+
+    extend(0)
+    return results
+
+
+def all_psh_maps(p: Presheaf, q: Presheaf) -> list[PshMap]:
+    """Every natural transformation p -> q, one component per base object.
 
     Naturality squares are checked as soon as both endpoints are assigned,
     which prunes the search enough for desk-scale value sets.
     """
     base = p.base
-    objs = list(base.objects)
-    mors = [m for m in base.morphisms() if not base.is_identity(m)]
-    results: list[PshMap] = []
-    assigned: dict[Label, FinFn] = {}
-    nodes = 0
+    slots = [(a, p.values[a], q.values[a]) for a in base.objects]
+    constraints = []
+    for m in base.morphisms():
+        if base.is_identity(m):
+            continue
+        s, t = base.src(m), base.tgt(m)
 
-    def consistent(a: Label) -> bool:
-        for m in mors:
-            s, t = base.src(m), base.tgt(m)
-            if s in assigned and t in assigned and (s == a or t == a):
-                lhs = p.restriction[m].then(assigned[s])
-                rhs = assigned[t].then(q.restriction[m])
-                if lhs != rhs:
-                    return False
-        return True
+        def natural(asg, m=m, s=s, t=t):
+            return p.restriction[m].then(asg[s]) == asg[t].then(q.restriction[m])
 
-    def extend(i: int) -> None:
-        nonlocal nodes
-        if i == len(objs):
-            results.append(PshMap(p, q, dict(assigned), check=False))
-            return
-        a = objs[i]
-        dom, cod = p.values[a], q.values[a]
-        if len(dom) == 0:
-            assigned[a] = FinFn(dom, cod, {})
-            if consistent(a):
-                extend(i + 1)
-            del assigned[a]
-            return
-        if len(cod) == 0:
-            return  # no map from nonempty into empty
-        for images in itertools.product(list(cod), repeat=len(dom)):
-            nodes += 1
-            if nodes > node_budget:
-                raise RuntimeError("natural-map enumeration budget exceeded")
-            assigned[a] = FinFn(dom, cod, dict(zip(dom.elements, images)))
-            if consistent(a):
-                extend(i + 1)
-            del assigned[a]
-
-    extend(0)
-    return results
+        constraints.append(([s, t], natural))
+    return [PshMap(p, q, fam, check=False) for fam in enumerate_families(slots, constraints)]
 
 
 # -- preservation checks ---------------------------------------------------------
@@ -788,7 +759,7 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
             kan_extend_map(f, pi2, source_kan=kprod),
             target_prod_data,
         )
-        report.add("comparison-iso", cmp_map.is_iso(), _iso_witness(cmp_map))
+        report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
     elif kind == "kan_equalizer":
         phi, psi = instance
         eq, incl = psh_equalizer(phi, psi)
@@ -816,7 +787,7 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
         report.add("comparison-defined", ok, witness)
         if ok:
             cmp_map = PshMap(keq, target_eq, comps, check=False)
-            report.add("comparison-iso", cmp_map.is_iso(), _iso_witness(cmp_map))
+            report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
     elif kind == "kan_pullback":
         phi, psi = instance
         pb, pr1, pr2 = psh_pullback(phi, psi)
@@ -844,18 +815,8 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
         report.add("comparison-defined", ok, witness)
         if ok:
             cmp_map = PshMap(kpb, tgt_pb, comps, check=False)
-            report.add("comparison-iso", cmp_map.is_iso(), _iso_witness(cmp_map))
+            report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
     else:
         raise ValueError(f"unknown preservation kind {kind!r}")
     return report
 
-
-def _iso_witness(phi: PshMap) -> str | None:
-    for a in sorted(phi.components, key=label_key):
-        fn = phi.components[a]
-        if not fn.is_bijective():
-            return (
-                f"component at {a!r} has |dom|={len(fn.domain)}, "
-                f"|image|={len({v for _, v in fn.mapping})}, |cod|={len(fn.codomain)}"
-            )
-    return None

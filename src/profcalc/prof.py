@@ -24,13 +24,14 @@ from typing import Callable
 
 from .colim import Bifunctor, CoendResult, coend, induced_map
 from .fincat import (
+    Cell,
     EndpointMismatch,
     FinCat,
     FinFn,
     FinSet,
     Label,
     NonInvertible,
-    label_key,
+    cell_difference,
 )
 from .presheaf import (
     KanPresheaf,
@@ -105,31 +106,17 @@ def profunctor_violations(p: Profunctor) -> list[str]:
     return bifunctor_violations(p.as_bifunctor())
 
 
-@dataclass(frozen=True)
-class ProfCell:
+class ProfCell(Cell):
     """2-cell of Prof: a family of functions commuting with both actions."""
 
     source: Profunctor
     target: Profunctor
     components: dict[tuple[Label, Label], FinFn]
 
-    def __init__(self, source, target, components, check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
-        if check:
-            bad = profcell_violations(self)
-            if bad:
-                raise ValueError("not a profunctor cell: " + bad[0])
+    invalid = "not a profunctor cell"
 
-    def at(self, y: Label, x: Label) -> FinFn:
-        return self.components[(y, x)]
-
-    def is_iso(self) -> bool:
-        return all(fn.is_bijective() for fn in self.components.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProfCell) and self.components == other.components
+    def violations(self) -> list[str]:
+        return profcell_violations(self)
 
 
 def profcell_violations(cell: ProfCell) -> list[str]:
@@ -290,56 +277,17 @@ def tau_inv(k: PshValuedFunctor) -> Profunctor:
 # -- Kleisli 1- and 2-cells ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KleisliCell:
+class KleisliCell(Cell):
     """2-cell between parallel Kleisli morphisms: an object-indexed family of PshMaps."""
 
     source: PshValuedFunctor
     target: PshValuedFunctor
     components: dict[Label, PshMap]
 
-    def __init__(self, source, target, components, check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
-        if check:
-            bad = kleisli_cell_violations(self)
-            if bad:
-                raise ValueError("not a Kleisli 2-cell: " + bad[0])
+    invalid = "not a Kleisli 2-cell"
 
-    def at(self, x: Label) -> PshMap:
-        return self.components[x]
-
-    def is_iso(self) -> bool:
-        return all(phi.is_iso() for phi in self.components.values())
-
-    def then(self, other: KleisliCell) -> KleisliCell:
-        return KleisliCell(
-            self.source,
-            other.target,
-            {x: phi.then(other.components[x]) for x, phi in self.components.items()},
-            check=False,
-        )
-
-    def invert(self) -> KleisliCell:
-        for x in sorted(self.components, key=label_key):
-            if not self.components[x].is_iso():
-                raise NonInvertible(f"component at {x!r} is not invertible")
-        return KleisliCell(
-            self.target,
-            self.source,
-            {x: phi.inverse() for x, phi in self.components.items()},
-            check=False,
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KleisliCell) and self.components == other.components
-
-    @staticmethod
-    def identity(k: PshValuedFunctor) -> KleisliCell:
-        return KleisliCell(
-            k, k, {x: PshMap.identity(p) for x, p in k.on_obj.items()}, check=False
-        )
+    def violations(self) -> list[str]:
+        return kleisli_cell_violations(self)
 
 
 def kleisli_cell_violations(cell: KleisliCell) -> list[str]:
@@ -453,7 +401,7 @@ def theta_map(
             return p.restriction[h](v)
 
         fn = induced_map(kp.coends[a].quotient, p.values[a], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"theta component at {a!r} is not a bijection")
         comps[a] = _mut(mutate, "theta", tag + (a,), fn)
     return PshMap(kp, p, comps, check=False)
@@ -515,7 +463,7 @@ def mu_map(
             return rhs.cls(z, y, u, fp.cls(y, x, v, w))
 
         fn = induced_map(lhs.coends[z].quotient, rhs.values[z], rule)
-        if not fn.is_bijective():
+        if not fn.is_iso():
             raise NonInvertible(f"mu component at {z!r} is not a bijection")
         comps[z] = _mut(mutate, "mu", tag + (z,), fn)
     return PshMap(lhs, rhs, comps, check=False)
@@ -582,28 +530,10 @@ def kleisli_right_unitor(
     """rho_f: f o i -> f, the inverse of the unit comparison eta_f."""
     f_i = source_comp if source_comp is not None else kleisli_compose(f, yoneda_embedding(f.source))
     eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=tag)
-    return eta.invert()
+    return eta.inverse()
 
 
 # -- coherence checks --------------------------------------------------------------------
-
-
-def _cells_equal_witness(a: KleisliCell, b: KleisliCell) -> str | None:
-    for x in sorted(a.components, key=label_key):
-        pa, pb = a.components[x], b.components.get(x)
-        if pb is None:
-            return f"missing component at {x!r}"
-        for obj in sorted(pa.components, key=label_key):
-            if pa.components[obj] != pb.components[obj]:
-                fa, fb = pa.components[obj], pb.components[obj]
-                for e in fa.domain:
-                    if fa(e) != fb(e):
-                        return (
-                            f"at object {x!r}, value object {obj!r}, element {e!r}: "
-                            f"{fa(e)!r} vs {fb(e)!r}"
-                        )
-                return f"at object {x!r}, value object {obj!r}: domains differ"
-    return None
 
 
 def check_pentagon(
@@ -649,7 +579,7 @@ def check_pentagon(
     )
     left = a1.then(a2).then(a3)
     right = b1.then(b2)
-    witness = _cells_equal_witness(left, right)
+    witness = cell_difference(left, right)
     report.add("pentagon-equality", witness is None, witness)
     return report
 
@@ -676,7 +606,7 @@ def check_triangle(
     )
     path1 = whisker_right(rho_g, f, source_comp=gi_f, target_comp=gf)
     path2 = alpha.then(whisker_left(g, lam_f, source_comp=alpha.target, target_comp=gf))
-    witness = _cells_equal_witness(path1, path2)
+    witness = cell_difference(path1, path2)
     report.add("triangle-middle", witness is None, witness)
 
     # left: lambda_{g o f} . alpha_{i, g, f} = lambda_g * 1_f
@@ -690,7 +620,7 @@ def check_triangle(
     lam_gf = kleisli_left_unitor(gf, source_comp=alpha_l.target, mutate=mutate, tag=("lam_gf",))
     lhs = alpha_l.then(lam_gf)
     rhs = whisker_right(lam_g, f, source_comp=ig_f, target_comp=gf)
-    witness = _cells_equal_witness(lhs, rhs)
+    witness = cell_difference(lhs, rhs)
     report.add("triangle-left", witness is None, witness)
 
     # right: rho_{g o f} = (1_g * rho_f) . alpha_{g, f, i}
@@ -703,7 +633,7 @@ def check_triangle(
     )
     rho_f = kleisli_right_unitor(f, source_comp=f_i, mutate=mutate, tag=("rho_f",))
     rhs2 = alpha_r.then(whisker_left(g, rho_f, source_comp=alpha_r.target, target_comp=gf))
-    witness = _cells_equal_witness(rho_gf, rhs2)
+    witness = cell_difference(rho_gf, rhs2)
     report.add("triangle-right", witness is None, witness)
 
     # unit laws: the unitors are invertible cells Id o f ~ f and f o Id ~ f

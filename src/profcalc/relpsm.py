@@ -10,15 +10,15 @@ reports carry that restriction in their metadata.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, FinFn, FinSet, Label, label_key
+from .fincat import FinCat, cell_difference
 from .presheaf import (
     KanPresheaf,
     Presheaf,
     PshMap,
     PshValuedFunctor,
+    enumerate_families,
     kan_extend,
     kan_extend_map,
     psh_coproduct,
@@ -81,17 +81,6 @@ class TestFamily:
         return TestFamily(base, members)
 
 
-def _pshmap_equal_witness(a: PshMap, b: PshMap) -> str | None:
-    for obj in sorted(a.components, key=label_key):
-        fa, fb = a.components[obj], b.components[obj]
-        if fa != fb:
-            for e in fa.domain:
-                if fa(e) != fb(e):
-                    return f"object {obj!r}, element {e!r}: {fa(e)!r} vs {fb(e)!r}"
-            return f"object {obj!r}: domains differ"
-    return None
-
-
 def check_assoc_axiom(
     f: PshValuedFunctor,
     g: PshValuedFunctor,
@@ -129,7 +118,7 @@ def check_assoc_axiom(
             h, g, fp, lhs_kan=step4.target, mutate=mutate, tag=("h,g", name)
         )
         right = step4.then(step5)
-        witness = _pshmap_equal_witness(left, right)
+        witness = cell_difference(left, right)
         report.add(f"hexagon@{name}", witness is None, witness)
     return report
 
@@ -156,7 +145,7 @@ def check_unit_axiom(
         theta = theta_map(base, p, source_kan=ip, mutate=mutate, tag=("theta", name))
         step3 = kan_extend_map(f, theta, source_kan=step2.target, target_kan=fp)
         composite = step1.then(step2).then(step3)
-        witness = _pshmap_equal_witness(composite, PshMap.identity(fp))
+        witness = cell_difference(composite, PshMap.identity(fp))
         report.add(f"unit-triangle@{name}", witness is None, witness)
     return report
 
@@ -185,12 +174,7 @@ def check_derived_coherences(
     path1 = eta_gf.then(mu_whiskered)
     eta_f = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
     path2 = whisker_left(g, eta_f, source_comp=gf, target_comp=g_fi)
-    witness = None
-    for x in sorted(path1.components, key=label_key):
-        witness = _pshmap_equal_witness(path1.components[x], path2.components[x])
-        if witness is not None:
-            witness = f"object {x!r}: " + witness
-            break
+    witness = cell_difference(path1, path2)
     report.add("part-i", witness is None, witness)
 
     # (ii) mu_{i,f} then theta at f*(p) equals (theta f)* at p
@@ -206,7 +190,7 @@ def check_derived_coherences(
         step2 = theta_map(f.target_base, fp, source_kan=step1.target, mutate=mutate, tag=("theta_fstar", name))
         lhs = step1.then(step2)
         rhs = star_cell(lam, p, source_kan=iyfp, target_kan=fp)
-        witness = _pshmap_equal_witness(lhs, rhs)
+        witness = cell_difference(lhs, rhs)
         report.add(f"part-ii@{name}", witness is None, witness)
 
     # (iii) eta_{i} then theta whiskered by i equals the identity on i
@@ -216,7 +200,7 @@ def check_derived_coherences(
         rep = yoneda(base, x)
         theta = theta_map(base, rep, source_kan=i_i.on_obj[x], mutate=mutate, tag=("theta_rep", x))
         composite = eta_i.components[x].then(theta)
-        witness = _pshmap_equal_witness(composite, PshMap.identity(rep))
+        witness = cell_difference(composite, PshMap.identity(rep))
         report.add(f"part-iii@{x!r}", witness is None, witness)
     return report
 
@@ -243,11 +227,7 @@ def epsilon_cell(
         step2 = kan_extend_map(g, theta, source_kan=step1.target, target_kan=gp)
         eps = step1.then(step2)
         cells[name] = eps
-        bad = None
-        for obj in sorted(eps.components, key=label_key):
-            if not eps.components[obj].is_bijective():
-                bad = f"component at {obj!r} not bijective"
-                break
+        bad = eps.iso_witness()
         report.add(f"invertible@{name}", bad is None, bad)
     return cells, report
 
@@ -300,14 +280,14 @@ def check_cell_naturality(
         i_phi = kan_extend_map(i_x, phi, source_kan=kans[src_name][0], target_kan=kans[tgt_name][0])
         lhs = i_phi.then(thetas[tgt_name])
         rhs = thetas[src_name].then(phi)
-        witness = _pshmap_equal_witness(lhs, rhs)
+        witness = cell_difference(lhs, rhs)
         report.add(f"theta-arg-natural@{src_name}->{tgt_name}", witness is None, witness)
         gf_phi = kan_extend_map(gf, phi, source_kan=kans[src_name][2], target_kan=kans[tgt_name][2])
         f_phi = kan_extend_map(f, phi, source_kan=kans[src_name][1], target_kan=kans[tgt_name][1])
         gff_phi = kan_extend_map(g, f_phi, source_kan=mus[src_name].target, target_kan=mus[tgt_name].target)
         lhs = gf_phi.then(mus[tgt_name])
         rhs = mus[src_name].then(gff_phi)
-        witness = _pshmap_equal_witness(lhs, rhs)
+        witness = cell_difference(lhs, rhs)
         report.add(f"mu-arg-natural@{src_name}->{tgt_name}", witness is None, witness)
     return report
 
@@ -336,58 +316,7 @@ def _canonical_family_maps(family: TestFamily) -> list[tuple[tuple, tuple, PshMa
 # -- exhaustive 2-cell enumeration for the universal property ------------------------
 
 
-def _enumerate_families(slots, constraints, node_budget=2_000_000):
-    """Backtracking enumeration of FinFn families.
-
-    slots: list of (key, domain FinSet, codomain FinSet)
-    constraints: list of (keys_involved, predicate(assignment) -> bool);
-      a predicate runs as soon as all its keys are assigned.
-    """
-    results = []
-    assignment: dict = {}
-    by_key: dict = {}
-    for idx, (keys, pred) in enumerate(constraints):
-        for k in keys:
-            by_key.setdefault(k, []).append((set(keys), pred))
-    nodes = 0
-
-    def extend(i):
-        nonlocal nodes
-        if i == len(slots):
-            results.append(dict(assignment))
-            return
-        key, dom, cod = slots[i]
-        if len(dom) == 0:
-            candidates = [FinFn(dom, cod, {})]
-        elif len(cod) == 0:
-            return
-        else:
-            candidates = [
-                FinFn(dom, cod, dict(zip(dom.elements, images)))
-                for images in itertools.product(list(cod), repeat=len(dom))
-            ]
-        for fn in candidates:
-            nodes += 1
-            if nodes > node_budget:
-                raise RuntimeError("2-cell enumeration budget exceeded")
-            assignment[key] = fn
-            ok = True
-            for keys, pred in by_key.get(key, []):
-                if keys <= set(assignment):
-                    if not pred(assignment):
-                        ok = False
-                        break
-            if ok:
-                extend(i + 1)
-            del assignment[key]
-
-    extend(0)
-    return results
-
-
-def enumerate_kleisli_cells(
-    u: PshValuedFunctor, v: PshValuedFunctor, node_budget=2_000_000
-) -> list[KleisliCell]:
+def enumerate_kleisli_cells(u: PshValuedFunctor, v: PshValuedFunctor) -> list[KleisliCell]:
     """All 2-cells u -> v between parallel Kleisli morphisms, exhaustively."""
     base = u.source
     tgt = u.target_base
@@ -422,7 +351,7 @@ def enumerate_kleisli_cells(
                 return lhs == rhs
 
             constraints.append(([(x0, a), (x1, a)], pred))
-    families = _enumerate_families(slots, constraints, node_budget)
+    families = enumerate_families(slots, constraints)
     out = []
     for fam in families:
         comps = {
@@ -442,7 +371,6 @@ def enumerate_modifications(
     f: PshValuedFunctor,
     h: PshValuedFunctor,
     family: TestFamily,
-    node_budget=2_000_000,
 ) -> list[dict]:
     """All families of maps f*(p) -> h*(p), p in the family, natural in p.
 
@@ -484,7 +412,7 @@ def enumerate_modifications(
                 return lhs == rhs
 
             constraints.append(([(src_name, a), (tgt_name, a)], pred))
-    return _enumerate_families(slots, constraints, node_budget)
+    return enumerate_families(slots, constraints)
 
 
 def check_lax_idempotent(
@@ -493,7 +421,6 @@ def check_lax_idempotent(
     family: TestFamily,
     competitors: list[PshValuedFunctor] | None = None,
     mutate: MutateHook | None = None,
-    node_budget: int = 2_000_000,
 ) -> CheckReport:
     """Lax idempotency at an instance.
 
@@ -522,8 +449,8 @@ def check_lax_idempotent(
     eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
     for h in competitors or []:
         h_i = kleisli_compose(h, i_x)
-        cellset_b = enumerate_kleisli_cells(f, h_i, node_budget)
-        modifications = enumerate_modifications(f, h, family, node_budget)
+        cellset_b = enumerate_kleisli_cells(f, h_i)
+        modifications = enumerate_modifications(f, h, family)
         # precompose with eta: a modification psi restricts to representables
         kh = {name: kan_extend(h, p) for name, p in family.named()}
         images = []

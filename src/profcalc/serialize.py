@@ -12,7 +12,7 @@ from typing import Any
 
 from .day import StrictMonoidalFinCat
 from .colim import QuotientSet
-from .fincat import FinCat, FinFn, FinSet, Functor, Label, NatTrans, label_key
+from .fincat import FinCat, FinFn, FinSet, Functor, Label, NatTrans, label_key, validate_category
 from .presheaf import Presheaf, PshMap
 from .prof import Profunctor
 from .symmon import SymSeq, TruncatedSymCat, free_sym_cat
@@ -91,6 +91,17 @@ def fincat_from_dict(d: dict) -> FinCat:
     return FinCat(objects, hom, ids, comp)
 
 
+def _category_from_dict(d: dict) -> FinCat:
+    """Decode a category embedded in a larger payload, rejecting one that
+    breaks a category law (the bare fincat schema loads unchecked, so that
+    `validate` can list every violation)."""
+    cat = fincat_from_dict(d)
+    report = validate_category(cat)
+    if not report.ok:
+        raise ValueError(f"embedded category is invalid: {report.violations[0]}")
+    return cat
+
+
 def functor_to_dict(fun: Functor) -> dict:
     return {
         "schema": SCHEMAS["functor"],
@@ -103,8 +114,8 @@ def functor_to_dict(fun: Functor) -> dict:
 
 def functor_from_dict(d: dict) -> Functor:
     return Functor(
-        fincat_from_dict(d["source"]),
-        fincat_from_dict(d["target"]),
+        _category_from_dict(d["source"]),
+        _category_from_dict(d["target"]),
         {_dec(a): _dec(b) for a, b in d["obj_map"]},
         {_dec(m): _dec(n) for m, n in d["mor_map"]},
         check=True,
@@ -146,7 +157,7 @@ def presheaf_to_dict(p: Presheaf) -> dict:
 
 
 def presheaf_from_dict(d: dict) -> Presheaf:
-    base = fincat_from_dict(d["base"])
+    base = _category_from_dict(d["base"])
     values = {_dec(a): FinSet(_dec(x) for x in xs) for a, xs in d["values"]}
     restriction = {}
     for m, table in d["restriction"]:
@@ -203,8 +214,8 @@ def profunctor_to_dict(p: Profunctor) -> dict:
 
 
 def profunctor_from_dict(d: dict) -> Profunctor:
-    source = fincat_from_dict(d["source"])
-    target = fincat_from_dict(d["target"])
+    source = _category_from_dict(d["source"])
+    target = _category_from_dict(d["target"])
     values = {
         (y, x): FinSet()
         for y in target.objects
@@ -271,7 +282,7 @@ def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
 def monoidal_from_dict(d: dict) -> StrictMonoidalFinCat:
     from .fincat import product
 
-    base = fincat_from_dict(d["base"])
+    base = _category_from_dict(d["base"])
     prod = product(base, base)
     obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in d["tensor_obj"]}
     mor_map = {(_dec(m), _dec(n)): _dec(k) for m, n, k in d["tensor_mor"]}
@@ -314,8 +325,8 @@ def symseq_to_dict(seq: SymSeq) -> dict:
 
 
 def symseq_from_dict(d: dict) -> SymSeq:
-    colours = fincat_from_dict(d["colours"])
-    target = fincat_from_dict(d["target"])
+    colours = _category_from_dict(d["colours"])
+    target = _category_from_dict(d["target"])
     sym = free_sym_cat(colours, d["max_arity"])
     values = {
         (xs, y): FinSet()

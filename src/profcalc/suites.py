@@ -109,6 +109,14 @@ class SuiteConfig:
         }
 
 
+def swap_first_two(fn: FinFn) -> FinFn:
+    """fn with the images of its first two domain elements exchanged."""
+    a, b = fn.domain.elements[0], fn.domain.elements[1]
+    table = fn.as_dict()
+    table[a], table[b] = table[b], table[a]
+    return FinFn(fn.domain, fn.codomain, table)
+
+
 def make_swap_mutate(kind: str, index: int):
     """Corrupt the index-th corruptible component of the named cell family.
 
@@ -129,10 +137,7 @@ def make_swap_mutate(kind: str, index: int):
         elif key != state["applied"]:
             return fn
         # corrupt this key consistently on every construction
-        a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
-        table[a], table[b] = table[b], table[a]
-        return FinFn(fn.domain, fn.codomain, table)
+        return swap_first_two(fn)
 
     mutate.state = state
     return mutate
@@ -162,10 +167,7 @@ def make_key_mutate(kind: str, key: tuple):
         if k != kind or key2 != key or len(fn.domain) < 2:
             return fn
         state["hits"] += 1
-        a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
-        table[a], table[b] = table[b], table[a]
-        return FinFn(fn.domain, fn.codomain, table)
+        return swap_first_two(fn)
 
     mutate.state = state
     return mutate
@@ -411,10 +413,7 @@ def suite_operad(config: SuiteConfig) -> dict:
             if len(fn.domain) < 2:
                 continue
             if count == index:
-                a, b = fn.domain.elements[0], fn.domain.elements[1]
-                table = fn.as_dict()
-                table[a], table[b] = table[b], table[a]
-                out[key] = FinFn(fn.domain, fn.codomain, table)
+                out[key] = swap_first_two(fn)
                 return out
             count += 1
         return out

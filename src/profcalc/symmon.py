@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .colim import QuotientSet, induced_map, quotient
 from .fincat import (
     BoundExceeded,
+    Cell,
     EndpointMismatch,
     FinCat,
     FinFn,
@@ -32,6 +33,7 @@ from .fincat import (
     Functor,
     Label,
     NonInvertible,
+    cell_difference,
     label_key,
     opposite,
 )
@@ -304,39 +306,17 @@ def symseq_violations(seq: SymSeq) -> list[str]:
     return bifunctor_violations(seq.as_profunctor().as_bifunctor())
 
 
-@dataclass(frozen=True)
-class SymSeqCell:
+class SymSeqCell(Cell):
     """Equivariant family of functions between parallel symmetric sequences."""
 
     source: SymSeq
     target: SymSeq
     components: dict[tuple[tuple, Label], FinFn]
 
-    def __init__(self, source, target, components, check=True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
-        if check:
-            bad = symseqcell_violations(self)
-            if bad:
-                raise ValueError("not equivariant: " + bad[0])
+    invalid = "not equivariant"
 
-    def at(self, xs: tuple, y: Label) -> FinFn:
-        return self.components[(xs, y)]
-
-    def is_iso(self) -> bool:
-        return all(fn.is_bijective() for fn in self.components.values())
-
-    def then(self, other: "SymSeqCell") -> "SymSeqCell":
-        return SymSeqCell(
-            self.source,
-            other.target,
-            {k: fn.then(other.components[k]) for k, fn in self.components.items()},
-            check=False,
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, SymSeqCell) and self.components == other.components
+    def violations(self) -> list[str]:
+        return symseqcell_violations(self)
 
 
 def symseqcell_violations(cell: SymSeqCell) -> list[str]:
@@ -751,12 +731,12 @@ def check_operad(operad: ColouredOperad) -> CheckReport:
     # the unit cell applied on the *outer* factor of unit-then-o)
     left_path = subst_whisker_outer(unit_cell, o_unit, oo).then(comp_cell)
     left_iso = subst_left_unit_iso(o, o_unit)
-    witness = _symcell_witness(left_path, left_iso)
+    witness = cell_difference(left_path, left_iso)
     report.add("left-unit", witness is None, witness)
     # right unit: comp . (1 o unit)
     right_path = subst_whisker_inner(unit_cell, unit_o, oo).then(comp_cell)
     right_iso = subst_right_unit_iso(o, unit_o)
-    witness = _symcell_witness(right_path, right_iso)
+    witness = cell_difference(right_path, right_iso)
     report.add("right-unit", witness is None, witness)
 
     oo_o = subst_compose(oo, o, operad.m_bound)
@@ -765,20 +745,9 @@ def check_operad(operad: ColouredOperad) -> CheckReport:
     assoc = subst_assoc_iso(o, o, o, left=oo_o, right=o_oo, hg=oo, gf=oo,
                             m_bound=operad.m_bound)
     path2 = assoc.then(subst_whisker_inner(comp_cell, o_oo, oo)).then(comp_cell)
-    witness = _symcell_witness(path1, path2)
+    witness = cell_difference(path1, path2)
     report.add("associativity", witness is None, witness)
     return report
-
-
-def _symcell_witness(a: SymSeqCell, b: SymSeqCell) -> str | None:
-    for key in sorted(a.components, key=label_key):
-        fa, fb = a.components[key], b.components[key]
-        if fa != fb:
-            for e in fa.domain:
-                if fa(e) != fb(e):
-                    return f"at {key!r}, element {e!r}: {fa(e)!r} vs {fb(e)!r}"
-            return f"at {key!r}: domains differ"
-    return None
 
 
 def terminal_operad(colours: FinCat, max_arity: int) -> ColouredOperad:
@@ -1034,7 +1003,7 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
             continue
         report.add(
             f"bijective@{key}",
-            fn.is_bijective(),
+            fn.is_iso(),
             f"|subst| = {len(fn.domain)}, |kleisli| = {len(fn.codomain)}",
         )
     return report

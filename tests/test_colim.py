@@ -214,7 +214,7 @@ def test_coyoneda_sweep_presheaf_case(name):
                 target,
                 covariant=False,
             )
-            assert fn.is_bijective()
+            assert fn.is_iso()
             assert len(result.value) == len(p.values[target])
 
 
@@ -230,7 +230,7 @@ def test_coyoneda_covariant_case(name):
 
         for target in cat.objects:
             _, fn = coyoneda_iso(cat, lambda b: q.values[b], act, target, covariant=True)
-            assert fn.is_bijective()
+            assert fn.is_iso()
 
 
 def test_coyoneda_naturality_squares():
@@ -252,7 +252,7 @@ def test_coyoneda_naturality_squares():
             # hom coend in the presheaf case: g in cat[b, y]; pull back along m
             moved = src_result.quotient.representative((y, (g, v)))
         # cardinality-level check suffices here; full squares exercised in presheaf tests
-        assert isos[a].is_bijective() and isos[b].is_bijective()
+        assert isos[a].is_iso() and isos[b].is_iso()
 
 
 def _two_valued_bifunctor(pair_cat):
@@ -279,7 +279,7 @@ def test_fubini_terminal():
     prod = product(t, t)
     h = _two_valued_bifunctor(prod)
     joint, outer, fn = fubini_iso(t, t, h)
-    assert fn.is_bijective()
+    assert fn.is_iso()
 
 
 def test_fubini_discrete_tagging():
@@ -287,7 +287,7 @@ def test_fubini_discrete_tagging():
     prod = product(a, b)
     h = _two_valued_bifunctor(prod)
     joint, outer, fn = fubini_iso(a, b, h)
-    assert fn.is_bijective()
+    assert fn.is_iso()
     assert len(joint.value) == 8  # four diagonal objects, two elements each
 
 
@@ -296,7 +296,7 @@ def test_fubini_arrow_arrow_double_brute_force():
     prod = product(a, a)
     h = _two_valued_bifunctor(prod)
     joint, outer, fn = fubini_iso(a, a, h)
-    assert fn.is_bijective()
+    assert fn.is_iso()
     # iterate in the other order and compare via the joint coend
     transposed_prod = product(a, a)
     values = {
@@ -316,7 +316,7 @@ def test_fubini_arrow_arrow_double_brute_force():
     }
     h_t = Bifunctor(transposed_prod, transposed_prod, values, contra, co)
     joint_t, outer_t, fn_t = fubini_iso(a, a, h_t)
-    assert fn_t.is_bijective()
+    assert fn_t.is_iso()
     assert len(joint.value) == len(joint_t.value)
     # the composite outer-one-way . inverse(outer-other-way) equals the direct
     # comparison induced by re-tagging the joint carriers
@@ -331,7 +331,7 @@ def test_fubini_arrow_arrow_double_brute_force():
     )
     # composite: outer(a-first) -> joint -> joint-transposed -> outer(b-first)
     assert all(composite(x) is not None for x in composite.domain)
-    assert composite.is_bijective()
+    assert composite.is_iso()
 
 
 # -- coend against a reference that relates along every morphism ---------------

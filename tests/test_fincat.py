@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from profcalc.fincat import (
+    Cell,
     EndpointMismatch,
     FinCat,
     FinFn,
@@ -9,16 +10,12 @@ from profcalc.fincat import (
     Functor,
     NatTrans,
     NonInvertible,
-    TwoCell,
+    cell_difference,
     functor_compose,
     identity_functor,
     label_key,
     opposite,
     product,
-    twocell_invert,
-    twocell_vcompose,
-    twocell_whisker_left,
-    twocell_whisker_right,
     validate_category,
 )
 from profcalc.seeds import (
@@ -177,54 +174,32 @@ def test_nat_trans_naturality_enforced():
         NatTrans(ident, ident, {"a": "id_a", "b": "u"})
 
 
-# -- two-cell algebra --------------------------------------------------------
+# -- cell algebra ------------------------------------------------------------
 
 
 def _cell(mapping_by_key):
     comps = {}
     for key, (dom, cod, table) in mapping_by_key.items():
         comps[key] = FinFn(FinSet(dom), FinSet(cod), table)
-    return TwoCell(comps)
+    return Cell(None, None, comps)
 
 
 def test_invert_identity_cell():
     cell = _cell({"k": ([0, 1], [0, 1], {0: 0, 1: 1})})
-    assert twocell_invert(cell) == cell
+    assert cell.inverse() == cell
 
 
 def test_vcompose_inverse_law():
     cell = _cell({"k": ([0, 1], [0, 1], {0: 1, 1: 0})})
-    composed = twocell_vcompose(twocell_invert(cell), cell)
+    composed = cell.then(cell.inverse())
     assert composed == _cell({"k": ([0, 1], [0, 1], {0: 0, 1: 1})})
 
 
 def test_invert_names_bad_component():
     cell = _cell({"bad": ([0, 1], [0, 1], {0: 0, 1: 0})})
     with pytest.raises(NonInvertible) as err:
-        twocell_invert(cell)
+        cell.inverse()
     assert "bad" in str(err.value)
-
-
-def test_whisker_right_matches_elementwise_oracle():
-    # a 2-component cell reindexed along a functor with 3 source objects
-    cell = _cell(
-        {
-            "a": ([0, 1], ["x", "y"], {0: "x", 1: "y"}),
-            "b": ([2], ["z"], {2: "z"}),
-        }
-    )
-    reindex = {"p": "a", "q": "a", "r": "b"}
-    whiskered = twocell_whisker_right(cell, lambda k: reindex[k], ["p", "q", "r"])
-    for key in ["p", "q", "r"]:
-        expected = cell.components[reindex[key]]
-        assert whiskered.components[key] == expected
-
-
-def test_whisker_left_applies_operation():
-    cell = _cell({"k": ([0, 1], [0, 1], {0: 1, 1: 0})})
-    post = FinFn(FinSet([0, 1]), FinSet(["even", "odd"]), {0: "even", 1: "odd"})
-    out = twocell_whisker_left(lambda fn: fn.then(post), cell)
-    assert out.components["k"](0) == "odd"
 
 
 @st.composite
@@ -235,9 +210,9 @@ def random_cells(draw):
     table2 = {i: draw(st.integers(min_value=0, max_value=2)) for i in range(3)}
     table3 = {i: draw(st.integers(min_value=0, max_value=2)) for i in range(3)}
     rng = FinSet([0, 1, 2])
-    a = TwoCell({"k": FinFn(FinSet(dom), rng, table1)})
-    b = TwoCell({"k": FinFn(rng, rng, table2)})
-    c = TwoCell({"k": FinFn(rng, rng, table3)})
+    a = Cell(None, None, {"k": FinFn(FinSet(dom), rng, table1)})
+    b = Cell(None, None, {"k": FinFn(rng, rng, table2)})
+    c = Cell(None, None, {"k": FinFn(rng, rng, table3)})
     return a, b, c
 
 
@@ -245,13 +220,51 @@ def random_cells(draw):
 @given(random_cells())
 def test_vcompose_associative_and_unital(cells):
     a, b, c = cells
-    left = twocell_vcompose(c, twocell_vcompose(b, a))
-    right = twocell_vcompose(twocell_vcompose(c, b), a)
-    assert left == right
-    ident = TwoCell({"k": FinFn.identity(a.components["k"].codomain)})
-    assert twocell_vcompose(ident, a) == a
-    ident_dom = TwoCell({"k": FinFn.identity(a.components["k"].domain)})
-    assert twocell_vcompose(a, ident_dom) == a
+    assert a.then(b).then(c) == a.then(b.then(c))
+    ident = Cell(None, None, {"k": FinFn.identity(a.components["k"].codomain)})
+    assert a.then(ident) == a
+    ident_dom = Cell(None, None, {"k": FinFn.identity(a.components["k"].domain)})
+    assert ident_dom.then(a) == a
+
+
+def _nested(tables):
+    """A Kleisli-shaped cell: outer keys map to cells of FinFns on {0, 1}."""
+    s = FinSet([0, 1])
+    comps = {
+        x: Cell(None, None, {obj: FinFn(s, s, t) for obj, t in inner.items()})
+        for x, inner in tables.items()
+    }
+    return Cell(None, None, comps)
+
+
+def test_cell_difference_names_key_path_and_element():
+    a = _nested({"x": {"p": {0: 0, 1: 1}}, "y": {"p": {0: 0, 1: 1}, "q": {0: 1, 1: 0}}})
+    b = _nested({"x": {"p": {0: 0, 1: 1}}, "y": {"p": {0: 0, 1: 1}, "q": {0: 1, 1: 1}}})
+    assert cell_difference(a, a) is None
+    assert cell_difference(a, b) == "at 'y', at 'q', element 1: 0 vs 1"
+
+
+def test_cell_difference_missing_component():
+    a = _nested({"x": {"p": {0: 0, 1: 1}, "q": {0: 0, 1: 1}}})
+    b = _nested({"x": {"p": {0: 0, 1: 1}}})
+    assert cell_difference(a, b) == "at 'x', missing component at 'q'"
+    assert cell_difference(_nested({"z": {}}), b) == "missing component at 'z'"
+
+
+def test_cell_difference_domains_differ():
+    a = _nested({"x": {"p": {0: 0, 1: 1}}})
+    shorter = FinFn(FinSet([0]), FinSet([0, 1]), {0: 0})
+    b = Cell(None, None, {"x": Cell(None, None, {"p": shorter})})
+    assert cell_difference(a, b) == "at 'x', at 'p': domains differ"
+
+
+def test_iso_witness_at_non_bijective_leaf():
+    a = _nested({"x": {"p": {0: 1, 1: 0}}, "y": {"p": {0: 0, 1: 1}, "q": {0: 1, 1: 1}}})
+    assert a.iso_witness() == "at 'y', component at 'q' has |dom|=2, |image|=1, |cod|=2"
+    assert not a.is_iso()
+    with pytest.raises(NonInvertible, match="at 'y', component at 'q'"):
+        a.inverse()
+    assert _nested({"x": {"p": {0: 1, 1: 0}}}).iso_witness() is None
 
 
 @settings(max_examples=20, deadline=None)

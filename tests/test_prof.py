@@ -116,7 +116,7 @@ def test_identity_composition_isomorphic():
             return f.left_act[(h, x)](v)
 
         fn = induced_map(composed.coends[key].quotient, f.values[key], rule)
-        assert fn.is_bijective()
+        assert fn.is_iso()
 
 
 def test_compose_with_empty_profunctor():
@@ -162,7 +162,7 @@ def test_tau_respects_composition():
             kleisli_route.values[key],
             {v: v for v in coend_route.values[key]},
         )
-        assert fn.is_bijective()
+        assert fn.is_iso()
 
 
 def test_mu_reduces_on_unit_composite():
@@ -171,7 +171,7 @@ def test_mu_reduces_on_unit_composite():
     i = kleisli_identity(cat)
     p = yoneda(cat, "0")
     cell = mu_map(f, i, p)
-    assert all(fn.is_bijective() for fn in cell.components.values())
+    assert all(fn.is_iso() for fn in cell.components.values())
 
 
 def test_theta_on_representable_and_constant():

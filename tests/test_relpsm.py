@@ -1,7 +1,9 @@
 import pytest
 
-from profcalc.fincat import FinFn
+from profcalc import presheaf
+from profcalc.fincat import BoundExceeded, FinFn
 from profcalc.presheaf import (
+    all_psh_maps,
     functor_into_presheaves,
     pvf_coproduct,
     yoneda,
@@ -166,6 +168,16 @@ def test_enumerate_kleisli_cells_matches_hom_count():
     # for the Yoneda embedding to itself these are generated by identities
     cells = enumerate_kleisli_cells(emb, emb)
     assert len(cells) >= 1
+
+
+def test_enumeration_budget_raises_bound_exceeded(monkeypatch):
+    monkeypatch.setattr(presheaf, "NODE_BUDGET", 3)
+    emb = yoneda_embedding(arrow_category())
+    doubled = pvf_coproduct(emb, emb)  # two-element value sets: four candidates per slot
+    with pytest.raises(BoundExceeded, match="more than 3 "):
+        all_psh_maps(doubled.on_obj["1"], doubled.on_obj["1"])
+    with pytest.raises(BoundExceeded, match="more than 3 "):
+        enumerate_kleisli_cells(doubled, doubled)
 
 
 def test_lax_idempotent_terminal_base():

@@ -5,10 +5,10 @@ import pytest
 from profcalc import serialize
 from profcalc.cli import main
 from profcalc.fincat import FinCat, FinFn, FinSet
-from profcalc.presheaf import psh_coproduct, yoneda
+from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
-from profcalc.seeds import arrow_category, discrete, fork, parallel_pair
+from profcalc.seeds import arrow_category, chain, discrete, fork, parallel_pair
 from profcalc.symmon import free_sym_cat, subst_identity, representable_seq
 
 
@@ -83,6 +83,28 @@ def test_cmd_validate_broken_composition(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "violation" in err
+
+
+def test_embedded_category_is_validated_on_load():
+    data = serialize.to_dict(psh_terminal(arrow_category()))
+    for row in data["base"]["comp"]:
+        if row[:2] == [["le", "0", "1"], ["le", "0", "0"]]:
+            row[2] = ["le", "0", "0"]  # lands in the wrong hom set
+    with pytest.raises(ValueError, match="lands outside hom set") as err:
+        serialize.loads(json.dumps(data))
+    assert not isinstance(err.value, serialize.ParseError)
+
+
+def test_cmd_compose_rejects_category_missing_a_composite(tmp_path, capsys):
+    data = serialize.to_dict(prof_identity(chain(3)))
+    for side in ("source", "target"):
+        data[side]["comp"] = [
+            row for row in data[side]["comp"] if row[:2] != [["le", "2", "2"], ["le", "2", "2"]]
+        ]
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(data))
+    assert main(["compose", "--kind", "prof", str(path), str(path)]) == 1
+    assert "missing composite (('le', '2', '2'), ('le', '2', '2'))" in capsys.readouterr().err
 
 
 def test_cmd_validate_malformed(tmp_path, capsys):
