@@ -18,7 +18,7 @@ from .fincat import BoundExceeded, EndpointMismatch, FinCat, NonInvertible, vali
 from .presheaf import Presheaf, kan_extend
 from .prof import Profunctor, kleisli_compose, prof_compose, tau, tau_inv
 from .suites import SUITE_NAMES, SuiteConfig, format_suite_text, run_suite
-from .symmon import SymSeq, subst_compose
+from .symmon import subst_compose
 
 
 def _load(path: str):

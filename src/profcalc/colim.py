@@ -17,12 +17,23 @@ makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
 That needs the integrand to be a bifunctor: `coend(check=True)` verifies it,
 and with check=False the caller vouches for it, as the internal callers do by
 building their integrands from functorial data.
+
+Integrands are evaluated on demand: a `Bifunctor` may take each of its
+tables as a function of the key, and the integrand builders (`_kan_bifunctor`,
+`_compose_bifunctor`, `_day_bifunctor`, `hom_bifunctor_with`,
+`restrict_bifunctor`) all do.  `coend(check=False)` then builds only the
+diagonal H(y, y) and, for each generator f: y -> y', the slice H(y', y) with
+its two actions H(f, 1) and H(1, f); the |ob|^2 value sets and |mor| x |ob|
+action tables of a full integrand are built only when a law check asks for
+them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .fincat import (
     EndpointMismatch,
@@ -144,36 +155,60 @@ def factor_through_quotient(q: QuotientSet, h: FinFn) -> FinFn:
     return FinFn(q.quotient, h.codomain, table)
 
 
-@dataclass(frozen=True)
 class Bifunctor:
     """Set-valued bifunctor, contravariant in `contra` and covariant in `co`.
 
     values[(a, b)] with a from contra, b from co;
     contra_act[(m, b)]: values[(tgt m, b)] -> values[(src m, b)];
     co_act[(a, m)]:     values[(a, src m)] -> values[(a, tgt m)].
+
+    Each table is given either as a mapping or as a function of its key, and
+    is evaluated on demand: `value`, `act_contra` and `act_co` compute an entry
+    on first use and memoise it.  The `values`, `contra_act` and `co_act`
+    properties materialise a whole table, for the law checks and equality;
+    `coend(check=False)` never does.
     """
 
-    contra: FinCat
-    co: FinCat
-    values: dict[tuple[Label, Label], FinSet]
-    contra_act: dict[tuple[Label, Label], FinFn]
-    co_act: dict[tuple[Label, Label], FinFn]
+    def __init__(self, contra: FinCat, co: FinCat, values, contra_act, co_act):
+        self.contra = contra
+        self.co = co
+        tables = (values, contra_act, co_act)
+        # per table: the memo, and the function still to fill it (None once complete)
+        self._memo = [{} if callable(t) else dict(t) for t in tables]
+        self._fill = [t if callable(t) else None for t in tables]
 
-    def __init__(self, contra, co, values, contra_act, co_act):
-        object.__setattr__(self, "contra", contra)
-        object.__setattr__(self, "co", co)
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "contra_act", dict(contra_act))
-        object.__setattr__(self, "co_act", dict(co_act))
+    def _entry(self, which: int, key):
+        memo = self._memo[which]
+        if key not in memo and self._fill[which] is not None:
+            memo[key] = self._fill[which](key)
+        return memo[key]
+
+    def _table(self, which: int, keys: Iterable) -> Mapping:
+        if self._fill[which] is not None:
+            self._memo[which] = {k: self._entry(which, k) for k in keys}
+            self._fill[which] = None
+        return MappingProxyType(self._memo[which])
 
     def value(self, a: Label, b: Label) -> FinSet:
-        return self.values[(a, b)]
+        return self._entry(0, (a, b))
 
     def act_contra(self, m: Label, b: Label) -> FinFn:
-        return self.contra_act[(m, b)]
+        return self._entry(1, (m, b))
 
     def act_co(self, a: Label, m: Label) -> FinFn:
-        return self.co_act[(a, m)]
+        return self._entry(2, (a, m))
+
+    @property
+    def values(self) -> Mapping[tuple[Label, Label], FinSet]:
+        return self._table(0, ((a, b) for a in self.contra.objects for b in self.co.objects))
+
+    @property
+    def contra_act(self) -> Mapping[tuple[Label, Label], FinFn]:
+        return self._table(1, ((m, b) for m in self.contra.morphisms() for b in self.co.objects))
+
+    @property
+    def co_act(self) -> Mapping[tuple[Label, Label], FinFn]:
+        return self._table(2, ((a, m) for a in self.contra.objects for m in self.co.morphisms()))
 
     def __eq__(self, other):
         return (
@@ -191,28 +226,28 @@ def bifunctor_violations(h: Bifunctor) -> list[str]:
     contra, co = h.contra, h.co
     for (a, b), s in h.values.items():
         ia, ib = contra.id_of(a), co.id_of(b)
-        if h.contra_act[(ia, b)] != FinFn.identity(s):
+        if h.act_contra(ia, b) != FinFn.identity(s):
             out.append(f"contra identity fails at ({a!r}, {b!r})")
-        if h.co_act[(a, ib)] != FinFn.identity(s):
+        if h.act_co(a, ib) != FinFn.identity(s):
             out.append(f"co identity fails at ({a!r}, {b!r})")
     for g, f in contra.composable_pairs():
         for b in co.objects:
-            lhs = h.contra_act[(contra.comp[(g, f)], b)]
-            rhs = h.contra_act[(g, b)].then(h.contra_act[(f, b)])
+            lhs = h.act_contra(contra.comp[(g, f)], b)
+            rhs = h.act_contra(g, b).then(h.act_contra(f, b))
             if lhs != rhs:
                 out.append(f"contra composition fails at ({g!r}, {f!r}) with {b!r}")
     for g, f in co.composable_pairs():
         for a in contra.objects:
-            lhs = h.co_act[(a, co.comp[(g, f)])]
-            rhs = h.co_act[(a, f)].then(h.co_act[(a, g)])
+            lhs = h.act_co(a, co.comp[(g, f)])
+            rhs = h.act_co(a, f).then(h.act_co(a, g))
             if lhs != rhs:
                 out.append(f"co composition fails at ({g!r}, {f!r}) with {a!r}")
     for m in contra.morphisms():
         for n in co.morphisms():
             # interchange: the two ways around the square agree
             a0, a1 = contra.src(m), contra.tgt(m)
-            lhs = h.contra_act[(m, co.src(n))].then(h.co_act[(a0, n)])
-            rhs = h.co_act[(a1, n)].then(h.contra_act[(m, co.tgt(n))])
+            lhs = h.act_contra(m, co.src(n)).then(h.act_co(a0, n))
+            rhs = h.act_co(a1, n).then(h.act_contra(m, co.tgt(n)))
             if lhs != rhs:
                 out.append(f"interchange fails at ({m!r}, {n!r})")
     return out
@@ -222,12 +257,10 @@ def bifunctor_violations(h: Bifunctor) -> list[str]:
 class CoendResult:
     """Coend of a bifunctor with contra == co: a quotient of the diagonal union."""
 
-    bifunctor: Bifunctor
     quotient: QuotientSet
     injections: dict[Label, FinFn]  # object y -> H(y, y) -> quotient
 
-    def __init__(self, bifunctor, quotient, injections):
-        object.__setattr__(self, "bifunctor", bifunctor)
+    def __init__(self, quotient, injections):
         object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "injections", dict(injections))
 
@@ -274,7 +307,7 @@ def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
         )
         for y in base.objects
     }
-    return CoendResult(h, q, injections)
+    return CoendResult(q, injections)
 
 
 def induced_map(
@@ -312,36 +345,35 @@ def hom_bifunctor_with(
     covariant=False: B(y', y) = F(y') x base[x, y], F a presheaf
                      (F is the contravariant factor, hom the covariant one)
     """
-    values = {}
-    contra_act = {}
-    co_act = {}
-    for a in base.objects:
-        for b in base.objects:
-            hom = base.hom[(a, x)] if covariant else base.hom[(x, b)]
-            val = value_at(b) if covariant else value_at(a)
-            values[(a, b)] = FinSet((m, v) for m in hom for v in val)
-    for f in base.morphisms():
-        src, tgt = base.src(f), base.tgt(f)
-        for b in base.objects:
-            dom = values[(tgt, b)]
-            cod = values[(src, b)]
-            if covariant:
-                table = {(m, v): (base.comp[(m, f)], v) for (m, v) in dom}
-            else:
-                fn = act(f)  # restriction F(tgt f) -> F(src f)
-                table = {(m, v): (m, fn(v)) for (m, v) in dom}
-            contra_act[(f, b)] = FinFn(dom, cod, table)
-    for f in base.morphisms():
-        for a in base.objects:
-            dom = values[(a, base.src(f))]
-            cod = values[(a, base.tgt(f))]
-            if covariant:
-                fn = act(f)  # action F(src f) -> F(tgt f)
-                table = {(m, v): (m, fn(v)) for (m, v) in dom}
-            else:
-                table = {(m, v): (base.comp[(f, m)], v) for (m, v) in dom}
-            co_act[(a, f)] = FinFn(dom, cod, table)
-    return Bifunctor(base, base, values, contra_act, co_act)
+
+    @functools.cache
+    def value(key):
+        a, b = key
+        hom = base.hom[(a, x)] if covariant else base.hom[(x, b)]
+        val = value_at(b) if covariant else value_at(a)
+        return FinSet((m, v) for m in hom for v in val)
+
+    def contra(key):
+        f, b = key
+        dom = value((base.tgt(f), b))
+        if covariant:
+            table = {(m, v): (base.comp[(m, f)], v) for (m, v) in dom}
+        else:
+            fn = act(f)  # restriction F(tgt f) -> F(src f)
+            table = {(m, v): (m, fn(v)) for (m, v) in dom}
+        return FinFn(dom, value((base.src(f), b)), table)
+
+    def co(key):
+        a, f = key
+        dom = value((a, base.src(f)))
+        if covariant:
+            fn = act(f)  # action F(src f) -> F(tgt f)
+            table = {(m, v): (m, fn(v)) for (m, v) in dom}
+        else:
+            table = {(m, v): (base.comp[(f, m)], v) for (m, v) in dom}
+        return FinFn(dom, value((a, base.tgt(f))), table)
+
+    return Bifunctor(base, base, value, contra, co)
 
 
 def coyoneda_iso(
@@ -374,24 +406,17 @@ def coyoneda_iso(
 
 def restrict_bifunctor(joint: Bifunctor, base_left: FinCat, base_right: FinCat):
     """Split a bifunctor over a product category into slice data for iteration."""
-    # For fixed outer pair (a-, a+) in base_left, the inner bifunctor over base_right.
+    # For fixed outer pair (a-, a+) in base_left, the inner bifunctor over base_right,
+    # reading the joint tables on demand.
     def inner(a_minus: Label, a_plus: Label) -> Bifunctor:
-        values = {
-            (b1, b2): joint.value((a_minus, b1), (a_plus, b2))
-            for b1 in base_right.objects
-            for b2 in base_right.objects
-        }
-        contra_act = {
-            (m, b): joint.act_contra((base_left.id_of(a_minus), m), (a_plus, b))
-            for m in base_right.morphisms()
-            for b in base_right.objects
-        }
-        co_act = {
-            (b, m): joint.act_co((a_minus, b), (base_left.id_of(a_plus), m))
-            for m in base_right.morphisms()
-            for b in base_right.objects
-        }
-        return Bifunctor(base_right, base_right, values, contra_act, co_act)
+        id_minus, id_plus = base_left.id_of(a_minus), base_left.id_of(a_plus)
+        return Bifunctor(
+            base_right,
+            base_right,
+            lambda key: joint.value((a_minus, key[0]), (a_plus, key[1])),
+            lambda key: joint.act_contra((id_minus, key[0]), (a_plus, key[1])),
+            lambda key: joint.act_co((a_minus, key[0]), (id_plus, key[1])),
+        )
 
     return inner
 
@@ -414,45 +439,40 @@ def fubini_iso(
     joint_result = coend(prod, joint, check=False)
 
     inner_of = restrict_bifunctor(joint, base_left, base_right)
-    inner_results: dict[tuple[Label, Label], CoendResult] = {}
-    for a_minus in base_left.objects:
-        for a_plus in base_left.objects:
-            inner_results[(a_minus, a_plus)] = coend(
-                base_right, inner_of(a_minus, a_plus), check=False
-            )
+
+    @functools.cache
+    def inner(key: tuple[Label, Label]) -> CoendResult:
+        return coend(base_right, inner_of(*key), check=False)
 
     # outer bifunctor over base_left: K(a-, a+) = inner coend, actions induced
-    values = {key: res.value for key, res in inner_results.items()}
-    contra_act = {}
-    co_act = {}
-    for m in base_left.morphisms():
-        a0, a1 = base_left.src(m), base_left.tgt(m)
-        for b in base_left.objects:
-            dom_res = inner_results[(a1, b)]
-            cod_res = inner_results[(a0, b)]
+    def contra(key):
+        m, b = key
+        cod_res = inner((base_left.src(m), b))
 
-            def rule(pair, m=m, b=b, cod_res=cod_res):
-                y, w = pair
-                moved = joint.act_contra((m, base_right.id_of(y)), (b, y))(w)
-                return cod_res.cls(y, moved)
+        def rule(pair):
+            y, w = pair
+            moved = joint.act_contra((m, base_right.id_of(y)), (b, y))(w)
+            return cod_res.cls(y, moved)
 
-            contra_act[(m, b)] = induced_map(dom_res.quotient, cod_res.value, rule)
-        for a in base_left.objects:
-            dom_res = inner_results[(a, a0)]
-            cod_res = inner_results[(a, a1)]
+        return induced_map(inner((base_left.tgt(m), b)).quotient, cod_res.value, rule)
 
-            def rule(pair, m=m, a=a, cod_res=cod_res):
-                y, w = pair
-                moved = joint.act_co((a, y), (m, base_right.id_of(y)))(w)
-                return cod_res.cls(y, moved)
+    def co(key):
+        a, m = key
+        cod_res = inner((a, base_left.tgt(m)))
 
-            co_act[(a, m)] = induced_map(dom_res.quotient, cod_res.value, rule)
-    outer = Bifunctor(base_left, base_left, values, contra_act, co_act)
+        def rule(pair):
+            y, w = pair
+            moved = joint.act_co((a, y), (m, base_right.id_of(y)))(w)
+            return cod_res.cls(y, moved)
+
+        return induced_map(inner((a, base_left.src(m))).quotient, cod_res.value, rule)
+
+    outer = Bifunctor(base_left, base_left, lambda key: inner(key).value, contra, co)
     outer_result = coend(base_left, outer, check=False)
 
     def comparison(pair: Label) -> Label:
         (a, b), w = pair
-        return outer_result.cls(a, inner_results[(a, a)].cls(b, w))
+        return outer_result.cls(a, inner((a, a)).cls(b, w))
 
     fn = induced_map(joint_result.quotient, outer_result.value, comparison)
     if not fn.is_iso():

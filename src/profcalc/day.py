@@ -9,6 +9,7 @@ nose and coherence comparisons can be tested for exact equality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .colim import Bifunctor, CoendResult, coend, induced_map
@@ -24,14 +25,11 @@ from .fincat import (
     product,
 )
 from .presheaf import (
-    KanPresheaf,
     Presheaf,
     PshMap,
     PshValuedFunctor,
     kan_extend,
-    kan_extend_map,
     yoneda,
-    yoneda_embedding,
 )
 from .report import CheckReport
 
@@ -198,35 +196,32 @@ class ConvolutionPresheaf(Presheaf):
 def _day_bifunctor(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Label) -> Bifunctor:
     base = mon.base
     prod = product(base, base)
-    values = {}
-    for pm in prod.objects:
-        for pp in prod.objects:
-            a1m, a2m = pm
-            b1, b2 = pp
-            values[(pm, pp)] = FinSet(
-                (s, t, h)
-                for s in f1.values[a1m]
-                for t in f2.values[a2m]
-                for h in base.hom[(a, mon.ob(b1, b2))]
-            )
-    contra_act = {}
-    co_act = {}
-    for (m1, m2) in prod.morphisms():
-        src = (base.src(m1), base.src(m2))
-        tgt = (base.tgt(m1), base.tgt(m2))
+
+    @functools.cache
+    def value(key):
+        (a1m, a2m), (b1, b2) = key
+        return FinSet(
+            (s, t, h)
+            for s in f1.values[a1m]
+            for t in f2.values[a2m]
+            for h in base.hom[(a, mon.ob(b1, b2))]
+        )
+
+    def contra(key):
+        (m1, m2), pp = key
         r1, r2 = f1.restriction[m1], f2.restriction[m2]
-        for pp in prod.objects:
-            dom = values[(tgt, pp)]
-            contra_act[((m1, m2), pp)] = FinFn(
-                dom, values[(src, pp)], {(s, t, h): (r1(s), r2(t), h) for (s, t, h) in dom}
-            )
+        dom = value(((base.tgt(m1), base.tgt(m2)), pp))
+        cod = value(((base.src(m1), base.src(m2)), pp))
+        return FinFn(dom, cod, {(s, t, h): (r1(s), r2(t), h) for (s, t, h) in dom})
+
+    def co(key):
+        pm, (m1, m2) = key
         tm = mon.mor(m1, m2)
-        for pm in prod.objects:
-            dom = values[(pm, src)]
-            co_act[(pm, (m1, m2))] = FinFn(
-                dom, values[(pm, tgt)], {(s, t, h): (s, t, base.comp[(tm, h)]) for (s, t, h) in dom}
-            )
-    return Bifunctor(prod, prod, values, contra_act, co_act)
+        dom = value((pm, (base.src(m1), base.src(m2))))
+        cod = value((pm, (base.tgt(m1), base.tgt(m2))))
+        return FinFn(dom, cod, {(s, t, h): (s, t, base.comp[(tm, h)]) for (s, t, h) in dom})
+
+    return Bifunctor(prod, prod, value, contra, co)
 
 
 def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> ConvolutionPresheaf:

@@ -13,9 +13,9 @@ structure strict on the nose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from .colim import Bifunctor, CoendResult, coend, induced_map
 from .fincat import (
@@ -263,27 +263,25 @@ class KanPresheaf(Presheaf):
 
 def _kan_bifunctor(f: PshValuedFunctor, p: Presheaf, y: Label) -> Bifunctor:
     src = f.source
-    values = {}
-    for xm in src.objects:
-        for xp in src.objects:
-            values[(xm, xp)] = FinSet(
-                (u, v) for u in f.on_obj[xp].values[y] for v in p.values[xm]
-            )
-    contra_act = {}
-    co_act = {}
-    for m in src.morphisms():
-        x0, x1 = src.src(m), src.tgt(m)
+
+    @functools.cache
+    def value(key):
+        xm, xp = key
+        return FinSet((u, v) for u in f.on_obj[xp].values[y] for v in p.values[xm])
+
+    def contra(key):
+        m, xp = key
         pm = p.restriction[m]
-        for xp in src.objects:
-            dom = values[(x1, xp)]
-            cod = values[(x0, xp)]
-            contra_act[(m, xp)] = FinFn(dom, cod, {(u, v): (u, pm(v)) for (u, v) in dom})
-        for xm in src.objects:
-            fn = f.on_mor[m].components[y]
-            dom = values[(xm, x0)]
-            cod = values[(xm, x1)]
-            co_act[(xm, m)] = FinFn(dom, cod, {(u, v): (fn(u), v) for (u, v) in dom})
-    return Bifunctor(src, src, values, contra_act, co_act)
+        dom = value((src.tgt(m), xp))
+        return FinFn(dom, value((src.src(m), xp)), {(u, v): (u, pm(v)) for (u, v) in dom})
+
+    def co(key):
+        xm, m = key
+        fn = f.on_mor[m].components[y]
+        dom = value((xm, src.src(m)))
+        return FinFn(dom, value((xm, src.tgt(m))), {(u, v): (fn(u), v) for (u, v) in dom})
+
+    return Bifunctor(src, src, value, contra, co)
 
 
 def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
@@ -648,8 +646,8 @@ def enumerate_families(slots, constraints) -> list[dict]:
     assignment: dict = {}
     by_key: dict = {}
     for keys, pred in constraints:
-        for k in keys:
-            by_key.setdefault(k, []).append((set(keys), pred))
+        for k in dict.fromkeys(keys):  # once per distinct key
+            by_key.setdefault(k, []).append((keys, pred))
     nodes = 0
 
     def extend(i):
@@ -665,7 +663,11 @@ def enumerate_families(slots, constraints) -> list[dict]:
                     f"enumeration tried more than {NODE_BUDGET} candidate components"
                 )
             assignment[key] = FinFn(dom, cod, zip(dom.elements, images))
-            if all(pred(assignment) for keys, pred in by_key.get(key, []) if keys <= set(assignment)):
+            if all(
+                pred(assignment)
+                for keys, pred in by_key.get(key, [])
+                if all(k in assignment for k in keys)
+            ):
                 extend(i + 1)
             del assignment[key]
 

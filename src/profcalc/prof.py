@@ -19,6 +19,7 @@ demonstrate that the checkers notice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +42,6 @@ from .presheaf import (
     eta_iso,
     kan_extend,
     kan_extend_map,
-    yoneda,
     yoneda_embedding,
 )
 from .report import CheckReport
@@ -167,29 +167,25 @@ def prof_identity(base: FinCat) -> Profunctor:
 
 def _compose_bifunctor(g: Profunctor, f: Profunctor, z: Label, x: Label) -> Bifunctor:
     mid = f.target
-    values = {}
-    for ym in mid.objects:
-        for yp in mid.objects:
-            values[(ym, yp)] = FinSet(
-                (u, v) for u in g.values[(z, yp)] for v in f.values[(ym, x)]
-            )
-    contra_act = {}
-    co_act = {}
-    for m in mid.morphisms():
-        y0, y1 = mid.src(m), mid.tgt(m)
+
+    @functools.cache
+    def value(key):
+        ym, yp = key
+        return FinSet((u, v) for u in g.values[(z, yp)] for v in f.values[(ym, x)])
+
+    def contra(key):
+        m, yp = key
         fv = f.left_act[(m, x)]
-        for yp in mid.objects:
-            dom = values[(y1, yp)]
-            contra_act[(m, yp)] = FinFn(
-                dom, values[(y0, yp)], {(u, v): (u, fv(v)) for (u, v) in dom}
-            )
+        dom = value((mid.tgt(m), yp))
+        return FinFn(dom, value((mid.src(m), yp)), {(u, v): (u, fv(v)) for (u, v) in dom})
+
+    def co(key):
+        ym, m = key
         gv = g.right_act[(z, m)]
-        for ym in mid.objects:
-            dom = values[(ym, y0)]
-            co_act[(ym, m)] = FinFn(
-                dom, values[(ym, y1)], {(u, v): (gv(u), v) for (u, v) in dom}
-            )
-    return Bifunctor(mid, mid, values, contra_act, co_act)
+        dom = value((ym, mid.src(m)))
+        return FinFn(dom, value((ym, mid.tgt(m))), {(u, v): (gv(u), v) for (u, v) in dom})
+
+    return Bifunctor(mid, mid, value, contra, co)
 
 
 def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:

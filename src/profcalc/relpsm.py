@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .fincat import FinCat, cell_difference
 from .presheaf import (
-    KanPresheaf,
     Presheaf,
     PshMap,
     PshValuedFunctor,
@@ -40,7 +39,6 @@ from .prof import (
     star_cell,
     theta_map,
     whisker_left,
-    whisker_right,
 )
 from .report import CheckReport
 
@@ -451,7 +449,8 @@ def check_lax_idempotent(
         h_i = kleisli_compose(h, i_x)
         cellset_b = enumerate_kleisli_cells(f, h_i)
         modifications = enumerate_modifications(f, h, family)
-        # precompose with eta: a modification psi restricts to representables
+        # precompose with eta: a modification psi restricts to representables,
+        # where eta's components already end at f's extension of each one
         kh = {name: kan_extend(h, p) for name, p in family.named()}
         images = []
         for psi in modifications:
@@ -459,7 +458,7 @@ def check_lax_idempotent(
             for x in base.objects:
                 rep_name = ("rep", x)
                 psi_rep = PshMap(
-                    kan_extend(f, yoneda(base, x)),
+                    eta.components[x].target,
                     kh[rep_name],
                     {a: psi[(rep_name, a)] for a in f.target_base.objects},
                     check=False,

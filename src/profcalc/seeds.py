@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import FinCat, FinSet, Functor, Label
+from .fincat import FinCat, Functor, Label
 
 
 def terminal_category() -> FinCat:

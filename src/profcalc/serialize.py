@@ -15,7 +15,7 @@ from .colim import QuotientSet
 from .fincat import FinCat, FinFn, FinSet, Functor, Label, NatTrans, label_key, validate_category
 from .presheaf import Presheaf, PshMap
 from .prof import Profunctor
-from .symmon import SymSeq, TruncatedSymCat, free_sym_cat
+from .symmon import SymSeq, free_sym_cat
 
 SCHEMAS = {
     "finset": "profcalc/finset@1",

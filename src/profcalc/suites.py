@@ -16,24 +16,20 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .day import (
     StrictMonoidalFinCat,
     check_convolution_assoc,
-    check_convolution_pentagon,
     check_convolution_symmetry,
-    check_kan_monoidal,
     check_yoneda_strong_monoidal,
-    day_convolve,
     day_unit_left_iso,
     day_unit_right_iso,
     monoidal_from_monoid,
-    monoidal_from_strict_functor,
     one_object_group_monoidal,
     terminal_monoidal,
 )
-from .fincat import FinCat, FinFn, FinSet, Functor, NonInvertible
+from .fincat import FinCat, FinFn, NonInvertible
 from .colim import BifunctorialityViolation
 from .presheaf import (
     Presheaf,
@@ -48,7 +44,7 @@ from .presheaf import (
     pvf_product,
     yoneda,
 )
-from .prof import check_pentagon, check_triangle, prof_compose, tau, tau_inv
+from .prof import check_pentagon, check_triangle
 from .relpsm import (
     TestFamily,
     check_assoc_axiom,
@@ -58,7 +54,7 @@ from .relpsm import (
     check_unit_axiom,
     epsilon_cell,
 )
-from .report import CheckItem, CheckReport
+from .report import CheckReport
 from .seeds import all_functors, discrete, seed_library
 from .symmon import (
     ColouredOperad,

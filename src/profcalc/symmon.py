@@ -980,7 +980,6 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
     and the presheaf machinery; an explicit bijection is exhibited on every
     carrier element and verified well-defined and bijective.
     """
-    from .presheaf import kan_extend
     from .prof import kleisli_compose, tau
 
     report = CheckReport("tau-compatibility")

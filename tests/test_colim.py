@@ -12,11 +12,12 @@ from profcalc.colim import (
     coyoneda_iso,
     factor_through_quotient,
     fubini_iso,
+    hom_bifunctor_with,
     quotient,
 )
 from profcalc.fincat import FinCat, FinFn, FinSet, label_key, opposite, product
 from profcalc.presheaf import yoneda
-from profcalc.seeds import arrow_category, discrete, seed_library, terminal_category
+from profcalc.seeds import arrow_category, chain, discrete, seed_library, terminal_category
 
 SEEDS = seed_library()
 
@@ -415,3 +416,135 @@ def test_coend_matches_all_morphism_reference(name, seed, with_hom):
         assert list(c) == sorted(c, key=label_key)
     names = [c[0] for c in result.quotient.classes]
     assert names == sorted(names, key=label_key)
+
+
+# -- lazy integrands ---------------------------------------------------------------
+
+
+def _max_monoidal(cat):
+    """A chain ("0" < "1" < ...) under max: a strict monoidal poset, unit "0"."""
+    from profcalc.day import StrictMonoidalFinCat
+    from profcalc.fincat import Functor
+
+    prod = product(cat, cat)
+
+    def top(a, b):
+        return max(a, b, key=int)
+
+    tensor = Functor(
+        prod,
+        cat,
+        {(a, b): top(a, b) for (a, b) in prod.objects},
+        {(m, n): ("le", top(m[1], n[1]), top(m[2], n[2])) for (m, n) in prod.morphisms()},
+    )
+    return StrictMonoidalFinCat(cat, tensor, "0")
+
+
+def _integrands(name):
+    """(base, fresh-bifunctor thunk) for every integrand builder over a small seed."""
+    from profcalc.day import _day_bifunctor, one_object_group_monoidal
+    from profcalc.presheaf import _kan_bifunctor, psh_coproduct, pvf_coproduct, yoneda_embedding
+    from profcalc.prof import _compose_bifunctor, prof_identity, tau_inv
+
+    if name == "Z3":
+        mon = one_object_group_monoidal(3)
+        cat = mon.base
+    else:
+        cat = chain(3) if name == "chain3" else arrow_category()
+        mon = _max_monoidal(cat)
+    objs = cat.objects.elements
+    emb = yoneda_embedding(cat)
+    doubled = pvf_coproduct(emb, emb)
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    g, f = tau_inv(doubled), prof_identity(cat)
+    q = yoneda(opposite(cat), objs[0])  # covariant on cat
+    out = []
+    for y in objs:
+        out.append((cat, lambda y=y: _kan_bifunctor(doubled, p, y)))
+        out.append((cat, lambda y=y: _compose_bifunctor(g, f, objs[-1], y)))
+        out.append((product(cat, cat), lambda y=y: _day_bifunctor(mon, p, p, y)))
+        out.append((cat, lambda y=y: hom_bifunctor_with(
+            cat, lambda b: p.values[b], lambda m: p.restriction[m], y, covariant=False
+        )))
+        out.append((cat, lambda y=y: hom_bifunctor_with(
+            cat, lambda b: q.values[b], lambda m: q.restriction[m], y, covariant=True
+        )))
+    return out
+
+
+@pytest.mark.parametrize("name", ["chain3", "arrow", "Z3"])
+def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
+    for base, build in _integrands(name):
+        full = build()
+        # check=True materialises every table and raises on any bifunctor violation
+        checked = coend(base, full, check=True)
+        assert len(full.values) == len(base.objects) ** 2
+        lazy = coend(base, build(), check=False)
+        assert lazy.quotient == checked.quotient
+        assert lazy.injections == checked.injections
+
+
+def test_lazy_bifunctor_memoises_and_materialises():
+    cat = arrow_category()
+    calls = []
+
+    def value(key):  # H(a, b) = {(a, b)}, a terminal bifunctor
+        calls.append(key)
+        return FinSet([key])
+
+    def to_point(dom_key, cod_key):
+        return FinFn(FinSet([dom_key]), FinSet([cod_key]), {dom_key: cod_key})
+
+    h = Bifunctor(
+        cat,
+        cat,
+        value,
+        lambda key: to_point((cat.tgt(key[0]), key[1]), (cat.src(key[0]), key[1])),
+        lambda key: to_point((key[0], cat.src(key[1])), (key[0], cat.tgt(key[1]))),
+    )
+    assert h.value("0", "1") is h.value("0", "1")
+    assert calls == [("0", "1")]
+    assert len(h.values) == 4 and len(calls) == 4  # the rest, each once
+    assert h.values == {(a, b): FinSet([(a, b)]) for a in cat.objects for b in cat.objects}
+    with pytest.raises(TypeError):
+        h.values[("0", "0")] = FinSet()
+    assert coend(cat, h, check=True).quotient.classes == ((("0", ("0", "0")), ("1", ("1", "1"))),)
+    dict_given = Bifunctor(cat, cat, h.values, h.contra_act, h.co_act)
+    assert dict_given == h
+    with pytest.raises(KeyError):
+        dict_given.value("0", "2")
+
+
+def test_coend_reads_only_the_diagonal_and_generator_slices():
+    cat = chain(5)
+    asked = {"value": [], "contra": [], "co": []}
+
+    def value(key):
+        asked["value"].append(key)
+        return FinSet([(key, 0), (key, 1)])
+
+    def contra(key):
+        asked["contra"].append(key)
+        m, b = key
+        dom = value((cat.tgt(m), b))
+        return FinFn(dom, value((cat.src(m), b)), {(k, i): ((cat.src(m), b), i) for (k, i) in dom})
+
+    def co(key):
+        asked["co"].append(key)
+        a, m = key
+        dom = value((a, cat.src(m)))
+        return FinFn(dom, value((a, cat.tgt(m))), {(k, i): ((a, cat.tgt(m)), i) for (k, i) in dom})
+
+    lazy = coend(cat, Bifunctor(cat, cat, value, contra, co), check=False)
+    gens = cat.generators()
+    assert len(gens) == 5
+    diagonal = {(y, y) for y in cat.objects}
+    slices = {(cat.tgt(f), cat.src(f)) for f in gens}
+    # value requests, from coend and from the actions for their endpoints,
+    # stay on the diagonal and the generator slices; each action is built once
+    assert set(asked["value"]) == diagonal | slices
+    assert sorted(asked["contra"]) == sorted((f, cat.src(f)) for f in gens)
+    assert sorted(asked["co"]) == sorted((cat.tgt(f), f) for f in gens)
+    full = Bifunctor(cat, cat, value, contra, co)
+    assert coend(cat, full, check=True).quotient == lazy.quotient
+    assert len(lazy.value) == 2

@@ -8,6 +8,7 @@ from profcalc.presheaf import (
     all_psh_maps,
     apply_P_functor,
     check_preserves,
+    enumerate_families,
     eta_iso,
     functor_into_presheaves,
     kan_extend,
@@ -72,6 +73,24 @@ def test_yoneda_fully_faithful(name):
         for b in cat.objects:
             maps = all_psh_maps(yoneda(cat, a), yoneda(cat, b))
             assert len(maps) == len(cat.hom[(a, b)])
+
+
+def test_enumerate_families_checks_an_endomorphism_square_once():
+    cat = SEEDS["Z2"]
+    (obj,) = cat.objects
+    (m,) = [k for k in cat.morphisms() if not cat.is_identity(k)]
+    p = yoneda(cat, obj)
+    calls = []
+
+    def natural(asg):
+        calls.append(asg[obj])
+        return p.restriction[m].then(asg[obj]) == asg[obj].then(p.restriction[m])
+
+    slot = (obj, p.values[obj], p.values[obj])
+    families = enumerate_families([slot], [([obj, obj], natural)])
+    assert len(calls) == len(p.values[obj]) ** len(p.values[obj])  # one per candidate
+    assert len(set(calls)) == len(calls)
+    assert len(families) == len(all_psh_maps(p, p)) == len(cat.hom[(obj, obj)])
 
 
 def test_kan_extend_of_representable_is_eta_iso():
