@@ -3,11 +3,15 @@
 Every colimit here is a quotient of an explicit carrier, computed by one
 kernel, `quotient(carrier, pairs)`: the equivalence relation generated by the
 given pairs, closed with an index-ordered union-find over positions in
-`carrier.elements`.  That order is the canonical label order (`FinSet` sorts
-by `label_key`), so naming each class by its minimum position names it by
-its order-minimal member, and the classes come out in canonical order
-without comparing labels again.  Results are therefore canonical, and every
-downstream map on quotients can be checked elementwise for well-definedness.
+`carrier.elements`.  That order is the canonical label order, so naming each
+class by its minimum position names it by its order-minimal member, and the
+classes come out in canonical order without comparing labels again.  Results
+are therefore canonical, and every downstream map on quotients can be checked
+elementwise for well-definedness.
+
+No set built here is sorted; each is canonical by construction: carriers
+and coproducts are `FinSet.sigma`s, integrand values `FinSet.product`s, and
+class names the `FinSet.subset` of a carrier that heads a class.
 
 A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
@@ -77,7 +81,7 @@ class QuotientSet:
         classes = tuple(map(tuple, groups.values()))
         proj = FinFn(
             carrier,
-            FinSet(c[0] for c in classes),
+            carrier.subset({c[0] for c in classes}.__contains__),
             {x: c[0] for c in classes for x in c},
         )
         object.__setattr__(self, "carrier", carrier)
@@ -125,7 +129,7 @@ def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientS
 
 def coproduct(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
     """Tagged union; element of the i-th summand x becomes (i, x)."""
-    total = FinSet((i, x) for i, s in enumerate(sets) for x in s)
+    total = FinSet.sigma(range(len(sets)), sets.__getitem__)
     injections = [
         FinFn(s, total, {x: (i, x) for x in s}) for i, s in enumerate(sets)
     ]
@@ -222,6 +226,14 @@ class Bifunctor:
 
 
 def bifunctor_violations(h: Bifunctor) -> list[str]:
+    """The identity, composition and interchange laws that h fails.
+
+    Functoriality is checked on every morphism, interchange on pairs of
+    generators (`FinCat.generators`) only.  That suffices: given
+    functoriality, an identity's square commutes and the square of g . f
+    pastes from those of f and g.  So this finds a violation exactly when an
+    all-pairs check would, though it may name a different pair.
+    """
     out: list[str] = []
     contra, co = h.contra, h.co
     for (a, b), s in h.values.items():
@@ -242,8 +254,8 @@ def bifunctor_violations(h: Bifunctor) -> list[str]:
             rhs = h.act_co(a, f).then(h.act_co(a, g))
             if lhs != rhs:
                 out.append(f"co composition fails at ({g!r}, {f!r}) with {a!r}")
-    for m in contra.morphisms():
-        for n in co.morphisms():
+    for m in contra.generators():
+        for n in co.generators():
             # interchange: the two ways around the square agree
             a0, a1 = contra.src(m), contra.tgt(m)
             lhs = h.act_contra(m, co.src(n)).then(h.act_co(a0, n))
@@ -288,7 +300,7 @@ def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
         bad = bifunctor_violations(h)
         if bad:
             raise BifunctorialityViolation(bad[0])
-    carrier = FinSet((y, w) for y in base.objects for w in h.value(y, y))
+    carrier = FinSet.sigma(base.objects, lambda y: h.value(y, y))
 
     def relations():
         for f in base.generators():
@@ -351,7 +363,7 @@ def hom_bifunctor_with(
         a, b = key
         hom = base.hom[(a, x)] if covariant else base.hom[(x, b)]
         val = value_at(b) if covariant else value_at(a)
-        return FinSet((m, v) for m in hom for v in val)
+        return FinSet.product(hom, val)
 
     def contra(key):
         f, b = key

@@ -200,12 +200,7 @@ def _day_bifunctor(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Lab
     @functools.cache
     def value(key):
         (a1m, a2m), (b1, b2) = key
-        return FinSet(
-            (s, t, h)
-            for s in f1.values[a1m]
-            for t in f2.values[a2m]
-            for h in base.hom[(a, mon.ob(b1, b2))]
-        )
+        return FinSet.product(f1.values[a1m], f2.values[a2m], base.hom[(a, mon.ob(b1, b2))])
 
     def contra(key):
         (m1, m2), pp = key

@@ -11,12 +11,18 @@ Labels are ints, strings, or (nested) tuples of labels.  A single global
 total order on labels (`label_key`) makes every downstream choice --
 quotient representatives, coproduct tags, enumeration order -- deterministic
 and independent of construction order.
+
+Every `FinSet` lists its elements in that order.  `FinSet(labels)` sorts.
+`FinSet.product` (lexicographic), `FinSet.sigma` (dependent sum) and
+`FinSet.subset` (order-preserving) do not need to: `label_key` compares
+tuples entry by entry, so from canonical inputs they are canonical.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 Label = Any  # int | str | tuple of Label
 
@@ -50,6 +56,10 @@ def sort_labels(labels: Iterable[Label]) -> tuple[Label, ...]:
     return tuple(sorted(labels, key=label_key))
 
 
+class _Canonical(tuple):
+    """Labels that a `FinSet` constructor produced in canonical order."""
+
+
 @dataclass(frozen=True)
 class FinSet:
     """An ordered finite set of pairwise-distinct labels (canonical order)."""
@@ -58,11 +68,27 @@ class FinSet:
     _index: frozenset = field(compare=False, repr=False)
 
     def __init__(self, elements: Iterable[Label] = ()):
-        elems = sort_labels(elements)
-        if len(set(elems)) != len(elems):
+        elems = tuple(elements) if isinstance(elements, _Canonical) else sort_labels(elements)
+        index = frozenset(elems)
+        if len(index) != len(elems):
             raise ValueError("FinSet labels must be pairwise distinct")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_index", frozenset(elems))
+        object.__setattr__(self, "_index", index)
+
+    @staticmethod
+    def product(*factors: FinSet) -> FinSet:
+        """Flat tuples (x1, ..., xn) with xi in factors[i], lexicographically."""
+        return FinSet(_Canonical(itertools.product(*(f.elements for f in factors))))
+
+    @staticmethod
+    def sigma(index: Iterable[Label], fibre: Callable[[Label], FinSet]) -> FinSet:
+        """Pairs (i, x) with x in fibre(i), i running through `index` in
+        canonical order (a FinSet, or a range of ints)."""
+        return FinSet(_Canonical((i, x) for i in index for x in fibre(i)))
+
+    def subset(self, keep: Callable[[Label], bool]) -> FinSet:
+        """The members x with keep(x), in this set's order."""
+        return FinSet(_Canonical(x for x in self.elements if keep(x)))
 
     def __iter__(self) -> Iterator[Label]:
         return iter(self.elements)
@@ -88,17 +114,16 @@ class FinFn:
 
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
         items = dict(mapping)
-        if set(items) != set(domain.elements):
+        if items.keys() != domain._index:
             raise ValueError("mapping must be total on the domain")
-        codomain_set = set(codomain.elements)
-        for value in items.values():
-            if value not in codomain_set:
-                raise ValueError(f"image label {value!r} not in codomain")
+        if not codomain._index.issuperset(items.values()):
+            for value in items.values():
+                if value not in codomain:
+                    raise ValueError(f"image label {value!r} not in codomain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(
-            self, "mapping", tuple((k, items[k]) for k in domain.elements)
-        )
+        elems = domain.elements
+        object.__setattr__(self, "mapping", tuple(zip(elems, map(items.__getitem__, elems))))
         object.__setattr__(self, "_table", items)
 
     def __call__(self, label: Label) -> Label:
@@ -305,13 +330,11 @@ def opposite(cat: FinCat) -> FinCat:
 
 def product(c: FinCat, d: FinCat) -> FinCat:
     """Product category: pair objects, pair morphisms, componentwise composition."""
-    objects = FinSet((a, b) for a in c.objects for b in d.objects)
+    objects = FinSet.product(c.objects, d.objects)
     hom: dict[tuple[Label, Label], FinSet] = {}
     for (a1, b1) in objects:
         for (a2, b2) in objects:
-            hom[((a1, b1), (a2, b2))] = FinSet(
-                (m, n) for m in c.hom[(a1, a2)] for n in d.hom[(b1, b2)]
-            )
+            hom[((a1, b1), (a2, b2))] = FinSet.product(c.hom[(a1, a2)], d.hom[(b1, b2)])
     ids = {(a, b): (c.ids[a], d.ids[b]) for (a, b) in objects}
     comp = {}
     for (g1, f1), h1 in c.comp.items():

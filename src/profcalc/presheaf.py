@@ -267,7 +267,7 @@ def _kan_bifunctor(f: PshValuedFunctor, p: Presheaf, y: Label) -> Bifunctor:
     @functools.cache
     def value(key):
         xm, xp = key
-        return FinSet((u, v) for u in f.on_obj[xp].values[y] for v in p.values[xm])
+        return FinSet.product(f.on_obj[xp].values[y], p.values[xm])
 
     def contra(key):
         m, xp = key
@@ -386,10 +386,7 @@ def psh_product(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
     """Pointwise product on lexicographic pair sets, with projections."""
     if p.base != q.base:
         raise EndpointMismatch("presheaves live on different bases")
-    values = {
-        a: FinSet((u, v) for u in p.values[a] for v in q.values[a])
-        for a in p.base.objects
-    }
+    values = {a: FinSet.product(p.values[a], q.values[a]) for a in p.base.objects}
     restriction = {}
     for m in p.base.morphisms():
         a, b = p.base.src(m), p.base.tgt(m)
@@ -438,7 +435,7 @@ def psh_equalizer(phi: PshMap, psi: PshMap) -> tuple[Presheaf, PshMap]:
         raise EndpointMismatch("equalizer needs a parallel pair")
     p = phi.source
     values = {
-        a: FinSet(u for u in p.values[a] if phi.components[a](u) == psi.components[a](u))
+        a: p.values[a].subset(lambda u, a=a: phi.components[a](u) == psi.components[a](u))
         for a in p.base.objects
     }
     restriction = {}
@@ -521,9 +518,7 @@ def psh_coproduct(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
     if p.base != q.base:
         raise EndpointMismatch("presheaves live on different bases")
     values = {
-        a: FinSet(
-            [(0, u) for u in p.values[a]] + [(1, v) for v in q.values[a]]
-        )
+        a: FinSet.sigma(range(2), (p.values[a], q.values[a]).__getitem__)
         for a in p.base.objects
     }
     restriction = {}

@@ -171,7 +171,7 @@ def _compose_bifunctor(g: Profunctor, f: Profunctor, z: Label, x: Label) -> Bifu
     @functools.cache
     def value(key):
         ym, yp = key
-        return FinSet((u, v) for u in g.values[(z, yp)] for v in f.values[(ym, x)])
+        return FinSet.product(g.values[(z, yp)], f.values[(ym, x)])
 
     def contra(key):
         m, yp = key

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from profcalc.colim import (
     Bifunctor,
     BifunctorialityViolation,
+    bifunctor_violations,
     coend,
     coequalizer,
     coproduct,
@@ -548,3 +549,118 @@ def test_coend_reads_only_the_diagonal_and_generator_slices():
     full = Bifunctor(cat, cat, value, contra, co)
     assert coend(cat, full, check=True).quotient == lazy.quotient
     assert len(lazy.value) == 2
+
+
+def test_coend_and_kan_extend_never_sort_labels(monkeypatch):
+    from profcalc import fincat
+    from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda_embedding
+
+    cat = chain(5)
+    top = cat.objects.elements[-1]
+    p = yoneda(cat, top)
+    h = hom_bifunctor_with(cat, p.values.__getitem__, p.restriction.__getitem__, top, covariant=False)
+    z2 = SEEDS["Z2"]
+    emb = yoneda_embedding(z2)
+    doubled = pvf_coproduct(emb, emb)
+    star = z2.objects.elements[0]
+    q, _, _ = psh_coproduct(yoneda(z2, star), yoneda(z2, star))
+    calls = []
+    real = fincat.label_key
+    monkeypatch.setattr(fincat, "label_key", lambda label: calls.append(label) or real(label))
+    result = coend(cat, h, check=False)
+    kp = kan_extend(doubled, q)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(result.value) == 1  # co-Yoneda: p(top) is a point
+    assert len(kp.values[star]) == 8  # two copies of q, each |Z2| + |Z2|
+
+
+def _all_pairs_violations(h: Bifunctor) -> list[str]:
+    """Reference check: every law on every morphism and every pair of
+    morphisms, comparing composites elementwise."""
+    c = h.contra
+    values, contra, co = h.values, h.contra_act, h.co_act
+    out = []
+    for (a, b), s in values.items():
+        for fn in (contra[(c.id_of(a), b)], co[(a, c.id_of(b))]):
+            if any(fn(w) != w for w in s):
+                out.append(("identity", a, b))
+    for g, f in c.composable_pairs():
+        gf = c.comp[(g, f)]
+        for b in c.objects:
+            if any(contra[(gf, b)](w) != contra[(f, b)](contra[(g, b)](w)) for w in values[(c.tgt(g), b)]):
+                out.append(("contra", g, f, b))
+            if any(co[(b, gf)](w) != co[(b, g)](co[(b, f)](w)) for w in values[(b, c.src(f))]):
+                out.append(("co", g, f, b))
+    for m in c.morphisms():
+        for n in c.morphisms():
+            a0, a1 = c.src(m), c.tgt(m)
+            for w in values[(a1, c.src(n))]:
+                lhs = co[(a0, n)](contra[(m, c.src(n))](w))
+                rhs = contra[(m, c.tgt(n))](co[(a1, n)](w))
+                if lhs != rhs:
+                    out.append(("interchange", m, n))
+                    break
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["arrow", "chain3", "Z2", "parallel_pair"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_generator_interchange_check_agrees_with_all_pairs(name, on_contra, at, elem, shift):
+    from profcalc.presheaf import psh_coproduct
+
+    cat = chain(3) if name == "chain3" else arrow_category() if name == "arrow" else SEEDS[name]
+    objs = cat.objects.elements
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    h = hom_bifunctor_with(cat, p.values.__getitem__, p.restriction.__getitem__, objs[-1], covariant=False)
+    assert bifunctor_violations(h) == [] == _all_pairs_violations(h)
+    values, contra, co = dict(h.values), dict(h.contra_act), dict(h.co_act)
+    table = contra if on_contra else co
+    key = sorted(table, key=label_key)[at % len(table)]
+    fn = table[key]
+    if len(fn.domain) == 0 or len(fn.codomain) < 2:
+        return
+    mapping = fn.as_dict()
+    x = fn.domain.elements[elem % len(fn.domain)]
+    cod = fn.codomain.elements
+    mapping[x] = cod[(cod.index(mapping[x]) + shift % (len(cod) - 1) + 1) % len(cod)]
+    table[key] = FinFn(fn.domain, fn.codomain, mapping)
+    perturbed = Bifunctor(cat, cat, values, contra, co)
+    # some entries are unconstrained (nothing composes through them), so
+    # either verdict can be right; the two checks must reach the same one
+    assert bool(bifunctor_violations(perturbed)) == bool(_all_pairs_violations(perturbed))
+
+
+def test_interchange_alone_failing_is_found_on_generators():
+    # both actions of Z2's generator are involutions, so both functoriality
+    # laws hold, but the transpositions (0 1) and (1 2) do not commute
+    z2 = SEEDS["Z2"]
+    star = z2.objects.elements[0]
+    three = FinSet([0, 1, 2])
+    g = z2.generators()[0]
+
+    def action(swapped):
+        return {
+            m: FinFn(three, three, {x: swapped.get(x, x) for x in three}) if m == g else FinFn.identity(three)
+            for m in z2.morphisms()
+        }
+
+    contra, co = action({0: 1, 1: 0}), action({1: 2, 2: 1})
+    h = Bifunctor(
+        z2,
+        z2,
+        {(star, star): three},
+        {(m, star): fn for m, fn in contra.items()},
+        {(star, m): fn for m, fn in co.items()},
+    )
+    reference = _all_pairs_violations(h)
+    assert reference and all(v[0] == "interchange" for v in reference)
+    assert bifunctor_violations(h) == [f"interchange fails at ({g!r}, {g!r})"]
+    with pytest.raises(BifunctorialityViolation, match="interchange"):
+        coend(z2, h)

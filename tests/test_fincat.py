@@ -39,6 +39,39 @@ def test_finset_is_canonically_ordered():
     assert t.elements == (3, "a", ("x", 1))
 
 
+labels = st.recursive(
+    st.integers(min_value=-3, max_value=3) | st.text(alphabet="ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+finsets = st.lists(labels, max_size=4, unique=True).map(FinSet)
+
+
+@settings(max_examples=80, deadline=None)
+@given(finsets, finsets, finsets, st.lists(st.booleans(), min_size=4, max_size=4))
+def test_constructors_match_sorting_over_the_same_elements(a, b, c, keep):
+    assert FinSet.product(a, b).elements == FinSet((x, y) for x in a for y in b).elements
+    assert (
+        FinSet.product(a, b, c).elements
+        == FinSet((x, y, z) for x in a for y in b for z in c).elements
+    )
+    fibres = (b, c, a, FinSet())
+
+    def fibre(i):
+        return fibres[a.elements.index(i) % len(fibres)]
+
+    assert FinSet.sigma(a, fibre).elements == FinSet((i, x) for i in a for x in fibre(i)).elements
+    chosen = {x for x, k in zip(a, keep) if k}
+    assert a.subset(chosen.__contains__).elements == FinSet(chosen).elements
+    assert FinSet.sigma(range(2), (a, b).__getitem__).elements == FinSet(
+        [(0, x) for x in a] + [(1, y) for y in b]
+    ).elements
+    if len(b):
+        # an index that repeats a label gives repeated pairs
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            FinSet.sigma([0, 0], lambda i: b)
+
+
 def test_finset_rejects_duplicates():
     with pytest.raises(ValueError):
         FinSet(["a", "a"])
