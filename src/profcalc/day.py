@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .colim import Bifunctor, CoendResult, coend, induced_map
+from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
 from .fincat import (
     EndpointMismatch,
     FinCat,
@@ -228,15 +228,12 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Convo
         a: coend(prod, _day_bifunctor(mon, f1, f2, a), check=False) for a in base.objects
     }
     values = {a: coends[a].value for a in base.objects}
-    restriction = {}
-    for m in base.morphisms():
-        a0, a1 = base.src(m), base.tgt(m)
 
-        def rule(pair, m=m, a0=a0):
-            (b1, b2), (s, t, h) = pair
-            return coends[a0].quotient.representative(((b1, b2), (s, t, base.comp[(h, m)])))
+    def rule(m, pair):
+        bb, (s, t, h) = pair
+        return coends[base.src(m)].quotient.representative((bb, (s, t, base.comp[(h, m)])))
 
-        restriction[m] = induced_map(coends[a1].quotient, values[a0], rule)
+    restriction = induced_actions(base, lambda a: coends[a].quotient, rule, contravariant=True)
     return ConvolutionPresheaf(base, values, restriction, coends)
 
 

@@ -136,8 +136,8 @@ class FinFn:
         """Post-compose: (self.then(other))(x) = other(self(x))."""
         if self.codomain != other.domain:
             raise EndpointMismatch("composition endpoints do not match")
-        table = other.as_dict()
-        return FinFn(self.domain, other.codomain, {k: table[v] for k, v in self.mapping})
+        table = other._table
+        return FinFn(self.domain, other.codomain, {k: table[v] for k, v in self._table.items()})
 
     def is_iso(self) -> bool:
         return len({v for _, v in self.mapping}) == len(self.codomain) == len(self.domain)
@@ -269,6 +269,14 @@ class FinCat:
 
     def __hash__(self):
         return hash((self.objects, tuple(sorted(self.ids.items(), key=lambda kv: label_key(kv[0])))))
+
+
+def generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
+    """`cat.generators()` grouped by source object."""
+    out: dict[Label, list[Label]] = {a: [] for a in cat.objects}
+    for g in cat.generators():
+        out[cat.src(g)].append(g)
+    return out
 
 
 @dataclass

@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import Bifunctor, CoendResult, coend, induced_map
+from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -292,15 +292,12 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
     target = f.target_base
     coends = {y: coend(f.source, _kan_bifunctor(f, p, y), check=False) for y in target.objects}
     values = {y: coends[y].value for y in target.objects}
-    restriction = {}
-    for g in target.morphisms():
-        y0, y1 = target.src(g), target.tgt(g)
 
-        def rule(pair, g=g, y0=y0):
-            x, (u, v) = pair
-            return coends[y0].quotient.representative((x, (f.on_obj[x].restriction[g](u), v)))
+    def rule(g, pair):
+        x, (u, v) = pair
+        return coends[target.src(g)].quotient.representative((x, (f.on_obj[x].restriction[g](u), v)))
 
-        restriction[g] = induced_map(coends[y1].quotient, values[y0], rule)
+    restriction = induced_actions(target, lambda y: coends[y].quotient, rule, contravariant=True)
     return KanPresheaf(target, values, restriction, coends)
 
 
@@ -698,6 +695,23 @@ def comparison_to_terminal(f: PshValuedFunctor, t: Label) -> PshMap:
     return psh_terminal_map(f.on_obj[t])
 
 
+def _add_comparison(report: CheckReport, source: Presheaf, target: Presheaf, image, missing: str):
+    """Report whether u -> image(a, u) maps source into target pointwise
+    ("comparison-defined", naming the first u whose image is missing) and,
+    if it does, whether that map is invertible ("comparison-iso")."""
+    comps = {}
+    for a in source.base.objects:
+        table = {u: image(a, u) for u in source.values[a]}
+        for u, v in table.items():
+            if v not in target.values[a]:
+                report.add("comparison-defined", False, f"image of {u!r} at {a!r} {missing}")
+                return
+        comps[a] = FinFn(source.values[a], target.values[a], table)
+    report.add("comparison-defined", True)
+    cmp_map = PshMap(source, target, comps, check=False)
+    report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
+
+
 def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
     """Does f (or its Kan extension) send the given (co)limit instance to one?
 
@@ -761,58 +775,23 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
         phi, psi = instance
         eq, incl = psh_equalizer(phi, psi)
         keq = kan_extend(f, eq)
-        kphi = kan_extend_map(f, phi)
-        kpsi = kan_extend_map(f, psi)
-        target_eq, target_incl = psh_equalizer(kphi, kpsi)
+        target, _ = psh_equalizer(kan_extend_map(f, phi), kan_extend_map(f, psi))
         kincl = kan_extend_map(f, incl, source_kan=keq)
         # the comparison lands in the pointwise equalizer of the extended pair
-        comps = {}
-        ok = True
-        witness = None
-        for a in f.target_base.objects:
-            table = {}
-            for u in keq.values[a]:
-                image = kincl.components[a](u)
-                if kphi.components[a](image) != kpsi.components[a](image):
-                    ok = False
-                    witness = f"image of {u!r} at {a!r} is not equalized"
-                    break
-                table[u] = image
-            if not ok:
-                break
-            comps[a] = FinFn(keq.values[a], target_eq.values[a], table)
-        report.add("comparison-defined", ok, witness)
-        if ok:
-            cmp_map = PshMap(keq, target_eq, comps, check=False)
-            report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
+        _add_comparison(
+            report, keq, target, lambda a, u: kincl.components[a](u), "is not equalized"
+        )
     elif kind == "kan_pullback":
         phi, psi = instance
         pb, pr1, pr2 = psh_pullback(phi, psi)
         kpb = kan_extend(f, pb)
-        kphi = kan_extend_map(f, phi)
-        kpsi = kan_extend_map(f, psi)
-        tgt_pb, tgt_pr1, tgt_pr2 = psh_pullback(kphi, kpsi)
+        target, _, _ = psh_pullback(kan_extend_map(f, phi), kan_extend_map(f, psi))
         k1 = kan_extend_map(f, pr1, source_kan=kpb)
         k2 = kan_extend_map(f, pr2, source_kan=kpb)
-        comps = {}
-        ok = True
-        witness = None
-        for a in f.target_base.objects:
-            table = {}
-            for u in kpb.values[a]:
-                pair = (k1.components[a](u), k2.components[a](u))
-                if pair not in tgt_pb.values[a]:
-                    ok = False
-                    witness = f"image of {u!r} at {a!r} not in the pullback"
-                    break
-                table[u] = pair
-            if not ok:
-                break
-            comps[a] = FinFn(kpb.values[a], tgt_pb.values[a], table)
-        report.add("comparison-defined", ok, witness)
-        if ok:
-            cmp_map = PshMap(kpb, tgt_pb, comps, check=False)
-            report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
+        _add_comparison(
+            report, kpb, target,
+            lambda a, u: (k1.components[a](u), k2.components[a](u)), "not in the pullback",
+        )
     else:
         raise ValueError(f"unknown preservation kind {kind!r}")
     return report

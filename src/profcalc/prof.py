@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .colim import Bifunctor, CoendResult, coend, induced_map
+from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -202,28 +202,26 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
     values = {key: res.value for key, res in coends.items()}
     left_act = {}
     right_act = {}
-    for m in g.target.morphisms():
-        z0, z1 = g.target.src(m), g.target.tgt(m)
-        for x in f.source.objects:
+    for x in f.source.objects:
 
-            def rule(pair, m=m, z0=z0, x=x):
-                y, (u, v) = pair
-                return coends[(z0, x)].cls(y, (g.left_act[(m, y)](u), v))
+        def rule(m, pair, x=x):
+            y, (u, v) = pair
+            return coends[(g.target.src(m), x)].cls(y, (g.left_act[(m, y)](u), v))
 
-            left_act[(m, x)] = induced_map(
-                coends[(z1, x)].quotient, values[(z0, x)], rule
-            )
+        acts = induced_actions(
+            g.target, lambda z, x=x: coends[(z, x)].quotient, rule, contravariant=True
+        )
+        left_act.update(((m, x), fn) for m, fn in acts.items())
     for z in g.target.objects:
-        for m in f.source.morphisms():
-            x0, x1 = f.source.src(m), f.source.tgt(m)
 
-            def rule(pair, m=m, z=z, x1=x1):
-                y, (u, v) = pair
-                return coends[(z, x1)].cls(y, (u, f.right_act[(y, m)](v)))
+        def rule(m, pair, z=z):
+            y, (u, v) = pair
+            return coends[(z, f.source.tgt(m))].cls(y, (u, f.right_act[(y, m)](v)))
 
-            right_act[(z, m)] = induced_map(
-                coends[(z, x0)].quotient, values[(z, x1)], rule
-            )
+        acts = induced_actions(
+            f.source, lambda x, z=z: coends[(z, x)].quotient, rule, contravariant=False
+        )
+        right_act.update(((z, m), fn) for m, fn in acts.items())
     return Profunctor(
         f.source, g.target, values, left_act, right_act, check=False, coends=coends
     )

@@ -53,12 +53,3 @@ class CheckReport:
             "meta": {k: self.meta[k] for k in sorted(self.meta)},
             "checks": [item.to_dict() for item in self.items],
         }
-
-    def format_text(self, show_witnesses: bool = True) -> str:
-        lines = [f"[{'PASS' if self.ok else 'FAIL'}] {self.name}"]
-        for item in self.items:
-            mark = "ok  " if item.passed else "FAIL"
-            lines.append(f"  {mark} {item.name}")
-            if show_witnesses and item.witness:
-                lines.append(f"       witness: {item.witness}")
-        return "\n".join(lines)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import QuotientSet, induced_map, quotient
+from .colim import QuotientSet, induced_actions, induced_map, quotient
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -33,7 +33,9 @@ from .fincat import (
     Functor,
     Label,
     NonInvertible,
+    _Canonical,
     cell_difference,
+    generators_by_source,
     label_key,
     opposite,
 )
@@ -365,37 +367,31 @@ def subst_identity(sym: TruncatedSymCat) -> SymSeq:
 # -- substitution composition -------------------------------------------------------------
 
 
-def _compositions(total: int, m: int, allow_zero: bool) -> list[tuple[int, ...]]:
+def _blockings(objects: FinSet, total: int, m: int, lo: int):
+    """Tuples of m blocks from `objects`, each of length >= lo, of total length
+    `total`, in canonical order: the first block varies slowest, and each
+    runs through `objects` in its own (canonical) order."""
     if m == 0:
-        return [()] if total == 0 else []
-    out = []
-    lo = 0 if allow_zero else 1
-    for first in range(lo, total + 1):
-        for rest in _compositions(total - first, m - 1, allow_zero):
-            out.append((first,) + rest)
-    return out
+        if total == 0:
+            yield ()
+        return
+    for b in objects:
+        if lo <= len(b) <= total - lo * (m - 1) and (m > 1 or len(b) == total):
+            for rest in _blockings(objects, total - len(b), m - 1, lo):
+                yield (b,) + rest
 
 
 def _block_rows(f: SymSeq, xs: tuple, ys: tuple, allow_zero: bool):
-    """Every (blocks, vs, h): len(ys) tuples `blocks`, a value vs[i] in
-    f[blocks[i]; ys[i]] for each, and h: xs -> blocks[0] + ... + blocks[-1]."""
+    """Every (blocks, rows): len(ys) tuples `blocks`, and the list of (vs, h)
+    with a value vs[i] in f[blocks[i]; ys[i]] for each block and
+    h: xs -> blocks[0] + ... + blocks[-1].  Both come in canonical order, so
+    the flat tuples built from them need no sorting."""
     cat = f.source_sym.cat
-    by_len: dict[int, list] = {}
-    for t in cat.objects:
-        by_len.setdefault(len(t), []).append(t)
-    for lengths in _compositions(len(xs), len(ys), allow_zero):
-        for blocks in itertools.product(*[by_len[n] for n in lengths]):
-            homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
-            for vs in itertools.product(*[f.values[(b, y)] for b, y in zip(blocks, ys)]):
-                for h in homs:
-                    yield blocks, vs, h
-
-
-def _generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
-    out: dict[Label, list[Label]] = {a: [] for a in cat.objects}
-    for mu in cat.generators():
-        out[cat.src(mu)].append(mu)
-    return out
+    for blocks in _blockings(cat.objects, len(xs), len(ys), 0 if allow_zero else 1):
+        homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
+        yield blocks, list(itertools.product(
+            itertools.product(*[f.values[(b, y)] for b, y in zip(blocks, ys)]), homs
+        ))
 
 
 def _block_pairs(f: SymSeq, gens_x: dict, ys: tuple, blocks: tuple, vs: tuple, h: Label):
@@ -423,35 +419,51 @@ def _block_pairs(f: SymSeq, gens_x: dict, ys: tuple, blocks: tuple, vs: tuple, h
                 )
 
 
+def _act_on_row(f: SymSeq, phi: Label, blocks: tuple, vs: tuple, h: Label):
+    """A middle tuple morphism phi: ys -> ys' acting covariantly on a block row
+    over ys: it permutes the blocks, pushes each value along its component of
+    phi, and twists the gluing morphism by the block permutation."""
+    _, _, sigma, gbar = phi
+    inv = perm_inverse(sigma)
+    sym_x = f.source_sym
+    return (
+        tuple(blocks[j] for j in inv),
+        tuple(f.right_act[(blocks[j], gbar[j])](vs[j]) for j in inv),
+        sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), h)],
+    )
+
+
+def _gluing_actions(cat: FinCat, quotient_at) -> dict[Label, FinFn]:
+    """Left actions of substitution values: precompose the gluing morphism,
+    the last entry of every carrier element."""
+
+    def rule(mor, elem):
+        return quotient_at(mor[0]).representative(elem[:-1] + (cat.comp[(elem[-1], mor)],))
+
+    return induced_actions(cat, quotient_at, rule, contravariant=True)
+
+
 def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: dict, gens_y: dict):
     """Generating relations of the substitution quotient at (xs, z).
 
     Block relations come from `_block_pairs`.  Outer relations: a generator
     phi: ys -> ys' of the middle tuple category acts on the outer value
-    contravariantly and on the block row covariantly (permuting blocks,
-    pushing values, twisting the gluing by a block permutation); they do not
-    read gamma, so they are emitted only where gamma is the first of its
-    value set.
+    contravariantly and on the block row covariantly (`_act_on_row`); they
+    do not read gamma, so they are emitted only where gamma is the first of
+    its value set.
     """
-    sym_x = f.source_sym
     for m, ys, blocks, gamma, vs, h in carrier:
         for (b0, v0, h0), (b1, v1, h1) in _block_pairs(f, gens_x, ys, blocks, vs, h):
             yield (m, ys, b0, gamma, v0, h0), (m, ys, b1, gamma, v1, h1)
         if m == 0 or gamma != g.values[(ys, z)].elements[0]:
             continue
         for phi in gens_y[ys]:
-            _, ys_tgt, sigma, gbar = phi
-            inv = perm_inverse(sigma)
-            new_blocks = tuple(blocks[inv[j]] for j in range(m))
-            new_vs = tuple(
-                f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m)
-            )
-            glued = sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), h)]
+            new_blocks, new_vs, glued = _act_on_row(f, phi, blocks, vs, h)
             pull = g.left_act[(phi, z)]
-            for gamma_tgt in g.values[(ys_tgt, z)]:
+            for gamma_tgt in g.values[(phi[1], z)]:
                 yield (
                     (m, ys, blocks, pull(gamma_tgt), vs, h),
-                    (m, ys_tgt, new_blocks, gamma_tgt, new_vs, glued),
+                    (m, phi[1], new_blocks, gamma_tgt, new_vs, glued),
                 )
 
 
@@ -492,50 +504,42 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
             )
         return range(0, k + 1)
 
-    gens_x = _generators_by_source(sym_x.cat)
-    gens_y = _generators_by_source(sym_y.cat)
+    gens_x = generators_by_source(sym_x.cat)
+    gens_y = generators_by_source(sym_y.cat)
     quotients: dict[tuple[tuple, Label], QuotientSet] = {}
     values: dict[tuple[tuple, Label], FinSet] = {}
     for xs in sym_x.cat.objects:
         for z in z_cat.objects:
-            carrier = FinSet(
+            carrier = FinSet(_Canonical(
                 (m, ys, blocks, gamma, vs, h)
                 for m in m_range(len(xs))
                 for ys in itertools.product(f.target.objects, repeat=m)
                 if len(g.values[(ys, z)]) > 0
-                for blocks, vs, h in _block_rows(f, xs, ys, nullary)
+                for blocks, rows in _block_rows(f, xs, ys, nullary)
                 for gamma in g.values[(ys, z)]
-            )
+                for vs, h in rows
+            ))
             quotients[(xs, z)] = quotient(
                 carrier, _subst_relations(g, f, z, carrier, gens_x, gens_y)
             )
             values[(xs, z)] = quotients[(xs, z)].quotient
 
-    left_act = {}
-    for mor in sym_x.cat.morphisms():
-        src = mor[0]
-        tgt = mor[1]
-        for z in z_cat.objects:
-
-            def rule(elem, mor=mor, src=src, z=z):
-                m, ys, blocks, gamma, vs, h = elem
-                return quotients[(src, z)].representative(
-                    (m, ys, blocks, gamma, vs, sym_x.cat.comp[(h, mor)])
-                )
-
-            left_act[(mor, z)] = induced_map(quotients[(tgt, z)], values[(src, z)], rule)
-    right_act = {}
+    left_act, right_act = {}, {}
+    for z in z_cat.objects:
+        acts = _gluing_actions(sym_x.cat, lambda xs, z=z: quotients[(xs, z)])
+        left_act.update(((mor, z), fn) for mor, fn in acts.items())
     for xs in sym_x.cat.objects:
-        for zm in z_cat.morphisms():
-            z0, z1 = z_cat.src(zm), z_cat.tgt(zm)
 
-            def rule(elem, xs=xs, zm=zm, z1=z1):
-                m, ys, blocks, gamma, vs, h = elem
-                return quotients[(xs, z1)].representative(
-                    (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
-                )
+        def rule(zm, elem, xs=xs):
+            m, ys, blocks, gamma, vs, h = elem
+            return quotients[(xs, z_cat.tgt(zm))].representative(
+                (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
+            )
 
-            right_act[(xs, zm)] = induced_map(quotients[(xs, z0)], values[(xs, z1)], rule)
+        acts = induced_actions(
+            z_cat, lambda z, xs=xs: quotients[(xs, z)], rule, contravariant=False
+        )
+        right_act.update(((xs, zm), fn) for zm, fn in acts.items())
     return SymSeq(
         sym_x, z_cat, values, left_act, right_act,
         check=False, quotients=quotients, bounded_search=nullary,
@@ -865,53 +869,33 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
         raise BoundExceeded(
             "nonempty nullary values make block decompositions unbounded; declare m_bound"
         )
-    gens_x = _generators_by_source(sym_x.cat)
+    gens_x = generators_by_source(sym_x.cat)
     quotients: dict[tuple[tuple, tuple], QuotientSet] = {}
     for xs in sym_x.cat.objects:
         for ys in sym_y.cat.objects:
-            carrier = FinSet(_block_rows(f, xs, ys, nullary))
+            carrier = FinSet(_Canonical(
+                (blocks, vs, h) for blocks, rows in _block_rows(f, xs, ys, nullary)
+                for vs, h in rows
+            ))
             quotients[(xs, ys)] = quotient(
                 carrier,
                 (pair for blocks, vs, h in carrier
                  for pair in _block_pairs(f, gens_x, ys, blocks, vs, h)),
             )
     values = {key: q.quotient for key, q in quotients.items()}
-    left_act = {}
-    for rho in sym_x.cat.morphisms():
-        src, tgt = rho[0], rho[1]
-        for ys in sym_y.cat.objects:
-
-            def rule(elem, rho=rho, src=src, ys=ys):
-                blocks, vs, h = elem
-                return quotients[(src, ys)].representative(
-                    (blocks, vs, sym_x.cat.comp[(h, rho)])
-                )
-
-            left_act[(rho, ys)] = induced_map(
-                quotients[(tgt, ys)], values[(src, ys)], rule
-            )
-    right_act = {}
+    left_act, right_act = {}, {}
+    for ys in sym_y.cat.objects:
+        acts = _gluing_actions(sym_x.cat, lambda xs, ys=ys: quotients[(xs, ys)])
+        left_act.update(((rho, ys), fn) for rho, fn in acts.items())
     for xs in sym_x.cat.objects:
-        for phi in sym_y.cat.morphisms():
-            ys0, ys1, sigma, gbar = phi
-            inv = perm_inverse(sigma)
 
-            def rule(elem, xs=xs, ys1=ys1, sigma=sigma, gbar=gbar, inv=inv):
-                blocks, vs, h = elem
-                m = len(blocks)
-                new_blocks = tuple(blocks[inv[j]] for j in range(m))
-                new_vs = tuple(
-                    f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]])
-                    for j in range(m)
-                )
-                mover = sym_x.block_perm_mor(blocks, sigma)
-                return quotients[(xs, ys1)].representative(
-                    (new_blocks, new_vs, sym_x.cat.comp[(mover, h)])
-                )
+        def rule(phi, elem, xs=xs):
+            return quotients[(xs, phi[1])].representative(_act_on_row(f, phi, *elem))
 
-            right_act[(xs, phi)] = induced_map(
-                quotients[(xs, ys0)], values[(xs, ys1)], rule
-            )
+        acts = induced_actions(
+            sym_y.cat, lambda ys, xs=xs: quotients[(xs, ys)], rule, contravariant=False
+        )
+        right_act.update(((xs, phi), fn) for phi, fn in acts.items())
     return Profunctor(
         sym_y.cat, sym_x.cat, values, left_act, right_act, check=False,
         coends=quotients,

@@ -1,0 +1,210 @@
+"""The actions of coends with parameters, derived along generators only
+(`colim.induced_actions`), against `induced_map` run on every morphism.
+
+Each reference below restates the elementwise rule of its construction and
+applies it to every morphism of the parameter category, checking every
+member of every class; the derived tables must equal these exactly.
+"""
+
+import functools
+
+import pytest
+
+from profcalc.colim import induced_actions, induced_map, quotient
+from profcalc.day import day_convolve, one_object_group_monoidal
+from profcalc.fincat import FinSet
+from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
+from profcalc.prof import prof_compose, prof_identity, tau_inv
+from profcalc.seeds import arrow_category, chain, discrete, seed_library
+from profcalc.symmon import (
+    associative_operad,
+    free_sym_cat,
+    perm_inverse,
+    representable_seq,
+    seq_coproduct,
+    subst_compose,
+    subst_extension,
+    subst_identity,
+    terminal_operad,
+)
+from tests.test_colim import _max_monoidal
+
+SEEDS = seed_library()
+
+
+def _inputs(cat):
+    objs = cat.objects.elements
+    emb = yoneda_embedding(cat)
+    doubled = pvf_coproduct(emb, emb)
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    return doubled, p
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_kan_extend_restriction_matches_all_morphism_reference(name):
+    cat = SEEDS[name]
+    f, p = _inputs(cat)
+    kp = kan_extend(f, p)
+    for g in cat.morphisms():
+        y0, y1 = cat.src(g), cat.tgt(g)
+
+        def rule(pair, g=g, y0=y0):
+            x, (u, v) = pair
+            return kp.cls(y0, x, f.on_obj[x].restriction[g](u), v)
+
+        assert kp.restriction[g] == induced_map(kp.coends[y1].quotient, kp.values[y0], rule), g
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_prof_compose_actions_match_all_morphism_reference(name):
+    cat = SEEDS[name]
+    g, f = tau_inv(_inputs(cat)[0]), prof_identity(cat)
+    gf = prof_compose(g, f)
+    for m in cat.morphisms():
+        a0, a1 = cat.src(m), cat.tgt(m)
+        for x in cat.objects:
+
+            def left(pair, m=m, a0=a0, x=x):
+                y, (u, v) = pair
+                return gf.coends[(a0, x)].cls(y, (g.left_act[(m, y)](u), v))
+
+            def right(pair, m=m, a1=a1, z=x):
+                y, (u, v) = pair
+                return gf.coends[(z, a1)].cls(y, (u, f.right_act[(y, m)](v)))
+
+            expected = induced_map(gf.coends[(a1, x)].quotient, gf.values[(a0, x)], left)
+            assert gf.left_act[(m, x)] == expected, (m, x)
+            expected = induced_map(gf.coends[(x, a0)].quotient, gf.values[(x, a1)], right)
+            assert gf.right_act[(x, m)] == expected, (x, m)
+
+
+@pytest.mark.parametrize(
+    "mon",
+    [one_object_group_monoidal(3), _max_monoidal(chain(3)), _max_monoidal(arrow_category())],
+    ids=["Z3", "max chain3", "max arrow"],
+)
+def test_day_convolve_restriction_matches_all_morphism_reference(mon):
+    base = mon.base
+    _, p = _inputs(base)
+    conv = day_convolve(mon, p, p)
+    for m in base.morphisms():
+        a0, a1 = base.src(m), base.tgt(m)
+
+        def rule(pair, m=m, a0=a0):
+            (b1, b2), (s, t, h) = pair
+            return conv.cls(a0, b1, b2, s, t, base.comp[(h, m)])
+
+        assert conv.restriction[m] == induced_map(conv.coends[a1].quotient, conv.values[a0], rule)
+
+
+SUBST_CASES = [
+    "Ass o Ass, arity 4",
+    "Ass o (y + y^2), arity 4",
+    "terminal o terminal, two colours",
+    "unit o unit, arrow",
+]
+
+
+@functools.cache
+def _subst_case(name):
+    """(g, f) for g o f; built on first use, so a failing build fails its test."""
+    if name.startswith("Ass"):
+        ass = associative_operad(4).seq
+        if name == "Ass o Ass, arity 4":
+            return ass, ass
+        s4, d1 = ass.source_sym, discrete(1)
+        return ass, seq_coproduct(
+            representable_seq(s4, d1, {"d0": ("d0",)}),
+            representable_seq(s4, d1, {"d0": ("d0", "d0")}),
+        )
+    if name == "terminal o terminal, two colours":
+        two = terminal_operad(discrete(2), 3).seq
+        return two, two
+    unit_arrow = subst_identity(free_sym_cat(arrow_category(), 2))
+    return unit_arrow, unit_arrow
+
+
+@pytest.mark.parametrize("name", SUBST_CASES)
+def test_subst_compose_actions_match_all_morphism_reference(name):
+    g, f = _subst_case(name)
+    gf = subst_compose(g, f)
+    sym_x, z_cat = f.source_sym.cat, g.target
+    for mor in sym_x.morphisms():
+        for z in z_cat.objects:
+
+            def left(elem, mor=mor, z=z):
+                m, ys, blocks, gamma, vs, h = elem
+                return gf.quotients[(mor[0], z)].representative(
+                    (m, ys, blocks, gamma, vs, sym_x.comp[(h, mor)])
+                )
+
+            expected = induced_map(gf.quotients[(mor[1], z)], gf.values[(mor[0], z)], left)
+            assert gf.left_act[(mor, z)] == expected, (mor, z)
+    for xs in sym_x.objects:
+        for zm in z_cat.morphisms():
+            z0, z1 = z_cat.src(zm), z_cat.tgt(zm)
+
+            def right(elem, xs=xs, zm=zm, z1=z1):
+                m, ys, blocks, gamma, vs, h = elem
+                return gf.quotients[(xs, z1)].representative(
+                    (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
+                )
+
+            expected = induced_map(gf.quotients[(xs, z0)], gf.values[(xs, z1)], right)
+            assert gf.right_act[(xs, zm)] == expected, (xs, zm)
+
+
+@pytest.mark.parametrize("name", SUBST_CASES)
+def test_subst_extension_actions_match_all_morphism_reference(name):
+    g, f = _subst_case(name)
+    sym_x, sym_y = f.source_sym, g.source_sym
+    ext = subst_extension(f, sym_y)
+    for rho in sym_x.cat.morphisms():
+        for ys in sym_y.cat.objects:
+
+            def left(elem, rho=rho, ys=ys):
+                blocks, vs, h = elem
+                return ext.coends[(rho[0], ys)].representative(
+                    (blocks, vs, sym_x.cat.comp[(h, rho)])
+                )
+
+            expected = induced_map(ext.coends[(rho[1], ys)], ext.values[(rho[0], ys)], left)
+            assert ext.left_act[(rho, ys)] == expected, (rho, ys)
+    for xs in sym_x.cat.objects:
+        for phi in sym_y.cat.morphisms():
+            ys0, ys1, sigma, gbar = phi
+            inv = perm_inverse(sigma)
+
+            def right(elem, xs=xs, ys1=ys1, sigma=sigma, gbar=gbar, inv=inv):
+                blocks, vs, h = elem
+                m = len(blocks)
+                new_blocks = tuple(blocks[inv[j]] for j in range(m))
+                new_vs = tuple(
+                    f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m)
+                )
+                mover = sym_x.block_perm_mor(blocks, sigma)
+                return ext.coends[(xs, ys1)].representative(
+                    (new_blocks, new_vs, sym_x.cat.comp[(mover, h)])
+                )
+
+            expected = induced_map(ext.coends[(xs, ys0)], ext.values[(xs, ys1)], right)
+            assert ext.right_act[(xs, phi)] == expected, (xs, phi)
+
+
+def test_a_rule_not_constant_on_classes_along_a_generator_raises():
+    cat = chain(2)
+    pq = FinSet(["p", "q"])
+    quotients = {a: quotient(pq, [("p", "q")] if a == "0" else []) for a in cat.objects}
+
+    def constant(m, x):
+        return "p"
+
+    acts = induced_actions(cat, quotients.__getitem__, constant, contravariant=True)
+    assert list(acts) == list(cat.morphisms())
+    for m, fn in acts.items():
+        src, tgt = quotients[cat.tgt(m)], quotients[cat.src(m)]
+        rule = src.representative if cat.is_identity(m) else (lambda x: "p")
+        assert fn == induced_map(src, tgt.quotient, rule)
+    # covariantly, x -> x splits the class {p, q} at "0" along the generator "0" -> "1"
+    with pytest.raises(ValueError, match="not constant on class"):
+        induced_actions(cat, quotients.__getitem__, lambda m, x: x, contravariant=False)

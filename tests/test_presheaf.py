@@ -378,9 +378,8 @@ def test_fork_functor_preserves_the_source_equalizer():
     assert len(f.on_obj["e"].values["*"]) == 0
 
 
-def test_fork_counterexample_breaks_equalizer_preservation():
-    f = fork_counterexample_functor()
-    cat = f.source
+def _fork_parallel_pair(cat):
+    """phi, psi: y(y) -> Q, differing only at y, over the fork."""
     # Q has a two-element value at y whose points are merged over x
     qy = FinSet(["q0", "q1"])
     qx = FinSet(["q"])
@@ -415,8 +414,29 @@ def test_fork_counterexample_breaks_equalizer_preservation():
             "y": FinFn(p.values["y"], qy, {"id_y": "q1"}),
         },
     )
-    report = check_preserves("kan_equalizer", f, (phi, psi))
+    return phi, psi
+
+
+def test_fork_counterexample_breaks_equalizer_preservation():
+    f = fork_counterexample_functor()
+    report = check_preserves("kan_equalizer", f, _fork_parallel_pair(f.source))
     assert not report.ok
+
+
+def test_kan_pullback_preservation_holds_for_yoneda_and_fails_for_the_fork_functor():
+    f = fork_counterexample_functor()
+    cat = f.source
+    phi, psi = _fork_parallel_pair(cat)
+    square = check_preserves("kan_pullback", yoneda_embedding(cat), (phi, psi))
+    assert square.ok and [i.name for i in square.items] == ["comparison-defined", "comparison-iso"]
+    product = (psh_terminal_map(yoneda(cat, "y")), psh_terminal_map(yoneda(cat, "x")))
+    assert check_preserves("kan_pullback", f, product).ok
+    report = check_preserves("kan_pullback", f, (phi, psi))
+    assert [(i.name, i.passed) for i in report.items] == [
+        ("comparison-defined", True),
+        ("comparison-iso", False),
+    ]
+    assert report.items[1].witness == "component at '*' has |dom|=8, |image|=4, |cod|=4"
 
 
 def test_kan_extension_preserves_coproducts():

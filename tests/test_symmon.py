@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, validate_category
+from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, sort_labels, validate_category
 from profcalc.prof import profunctor_violations
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
@@ -319,6 +319,41 @@ def test_species_substitution_matches_oracle():
         got = len(gf.values[(obj, "d0")])
         expected = species_oracle(g_sizes, f_sizes, k)
         assert got == expected, (k, got, expected)
+
+
+def test_ass_ass_counts_match_the_closed_form():
+    # Ass(n) = n! has EGF x/(1-x), so Ass o Ass has EGF x/(1-2x): n! 2^(n-1) at n >= 1
+    operad = associative_operad(4)
+    sizes = [0] * 5
+    for (xs, _), fn in operad.comp_components.items():
+        sizes[len(xs)] += len(fn.domain)
+    assert sizes == [0] + [math.factorial(n) * 2 ** (n - 1) for n in range(1, 5)]
+
+
+def test_subst_carriers_are_built_in_canonical_order_without_sorting(monkeypatch):
+    from profcalc import fincat
+
+    two = terminal_operad(discrete(2), 3).seq
+    calls = []
+    real = fincat.label_key
+    monkeypatch.setattr(fincat, "label_key", lambda label: calls.append(label) or real(label))
+    gf = subst_compose(two, two)
+    ext = subst_extension(two, two.source_sym)
+    assert calls == []
+    monkeypatch.undo()
+    carriers = [q.carrier.elements for q in [*gf.quotients.values(), *ext.coends.values()]]
+    assert all(c == sort_labels(c) for c in carriers)
+
+    # over two colours, ordering blocks by length first is not canonical:
+    # ('d0',) < ('d0', 'd0') < ('d1',)
+    def lengths_first(elem):
+        m, ys, blocks, *rest = elem
+        return label_key((m, ys, tuple(map(len, blocks)), blocks, *rest))
+
+    assert any(
+        list(q.carrier.elements) != sorted(q.carrier.elements, key=lengths_first)
+        for q in gf.quotients.values()
+    )
 
 
 # -- associativity, operads, tau, duality ------------------------------------------
