@@ -1,7 +1,7 @@
 """Exact computational engine for finite-scale profunctor calculus.
 
 Modules:
-  fincat   finite sets/categories/functors and the generic 2-cell algebra
+  fincat   finite sets/categories/functors, the generic 2-cell algebra, the call-tree memo
   colim    coproducts, coequalizers, coends, co-Yoneda and Fubini bijections
   presheaf presheaves, Yoneda, left Kan extension along Yoneda, pointwise limits
   prof     profunctors, the tau correspondence, Kleisli coherence cells

@@ -22,6 +22,8 @@ from .fincat import (
     Label,
     NonInvertible,
     cell_difference,
+    memo_scope,
+    memoised,
     product,
 )
 from .presheaf import (
@@ -219,6 +221,7 @@ def _day_bifunctor(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Lab
     return Bifunctor(prod, prod, value, contra, co)
 
 
+@memoised
 def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> ConvolutionPresheaf:
     base = mon.base
     if f1.base != base or f2.base != base:
@@ -241,16 +244,11 @@ def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:
     return yoneda(mon.base, mon.unit)
 
 
-def day_convolve_map(
-    mon: StrictMonoidalFinCat,
-    phi: PshMap,
-    psi: PshMap,
-    source_conv: ConvolutionPresheaf | None = None,
-    target_conv: ConvolutionPresheaf | None = None,
-) -> PshMap:
+@memo_scope()
+def day_convolve_map(mon: StrictMonoidalFinCat, phi: PshMap, psi: PshMap) -> PshMap:
     """Functoriality of convolution in both arguments."""
-    src = source_conv if source_conv is not None else day_convolve(mon, phi.source, psi.source)
-    tgt = target_conv if target_conv is not None else day_convolve(mon, phi.target, psi.target)
+    src = day_convolve(mon, phi.source, psi.source)
+    tgt = day_convolve(mon, phi.target, psi.target)
     comps = {}
     for a in mon.base.objects:
 
@@ -262,9 +260,10 @@ def day_convolve_map(
     return PshMap(src, tgt, comps, check=False)
 
 
-def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> PshMap:
+@memo_scope()
+def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
     """Unit law: y(I) (x) F -> F by acting with (u (x) 1) . h."""
-    src = conv if conv is not None else day_convolve(mon, day_unit(mon), f)
+    src = day_convolve(mon, day_unit(mon), f)
     base = mon.base
     comps = {}
     for a in base.objects:
@@ -282,8 +281,9 @@ def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> PshM
     return PshMap(src, f, comps, check=True)
 
 
-def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> PshMap:
-    src = conv if conv is not None else day_convolve(mon, f, day_unit(mon))
+@memo_scope()
+def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
+    src = day_convolve(mon, f, day_unit(mon))
     base = mon.base
     comps = {}
     for a in base.objects:
@@ -300,35 +300,35 @@ def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf, conv=None) -> Psh
     return PshMap(src, f, comps, check=True)
 
 
+def _yoneda_comparison(mon: StrictMonoidalFinCat, b1: Label, b2: Label) -> PshMap:
+    """y(b1) (x) y(b2) -> y(b1 (x) b2): the class of (u, v, h) goes to (u (x) v) . h."""
+    base = mon.base
+    conv = day_convolve(mon, yoneda(base, b1), yoneda(base, b2))
+    target = yoneda(base, mon.ob(b1, b2))
+
+    def rule(pair):
+        _, (u, v, h) = pair
+        return base.comp[(mon.mor(u, v), h)]
+
+    comps = {
+        a: induced_map(conv.coends[a].quotient, target.values[a], rule) for a in base.objects
+    }
+    return PshMap(conv, target, comps, check=False)
+
+
+@memo_scope()
 def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label) -> CheckReport:
     """Exhibit and verify y(a1) (x) y(a2) = y(a1 (x) a2)."""
     report = CheckReport("yoneda-strong-monoidal")
-    base = mon.base
-    conv = day_convolve(mon, yoneda(base, a1), yoneda(base, a2))
-    target = yoneda(base, mon.ob(a1, a2))
-    comps = {}
-    ok = True
-    witness = None
-    for a in base.objects:
-
-        def rule(pair, a=a):
-            (b1, b2), (u, v, h) = pair
-            return base.comp[(mon.mor(u, v), h)]
-
-        try:
-            fn = induced_map(conv.coends[a].quotient, target.values[a], rule)
-        except ValueError as exc:
-            ok = False
-            witness = str(exc)
-            break
-        if not fn.is_iso():
-            ok = False
-            witness = f"comparison at {a!r} not bijective"
-            break
-        comps[a] = fn
-    report.add("comparison-bijective", ok, witness)
-    if ok:
-        cmp_map = PshMap(conv, target, comps, check=False)
+    try:
+        cmp_map = _yoneda_comparison(mon, a1, a2)
+    except ValueError as exc:
+        report.add("comparison-bijective", False, str(exc))
+        return report
+    bad = [a for a, fn in cmp_map.components.items() if not fn.is_iso()]
+    witness = f"comparison at {bad[0]!r} not bijective" if bad else None
+    report.add("comparison-bijective", not bad, witness)
+    if not bad:
         from .presheaf import pshmap_violations
 
         bad = pshmap_violations(cmp_map)
@@ -336,22 +336,15 @@ def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label
     return report
 
 
+@memo_scope()
 def day_assoc_iso(
-    mon: StrictMonoidalFinCat,
-    f1: Presheaf,
-    f2: Presheaf,
-    f3: Presheaf,
-    source_conv: ConvolutionPresheaf | None = None,
-    target_conv: ConvolutionPresheaf | None = None,
-    inner_left: ConvolutionPresheaf | None = None,
-    inner_right: ConvolutionPresheaf | None = None,
+    mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, f3: Presheaf
 ) -> PshMap:
     """(F1 (x) F2) (x) F3 -> F1 (x) (F2 (x) F3), re-tagging on representatives."""
     base = mon.base
-    c12 = inner_left if inner_left is not None else day_convolve(mon, f1, f2)
-    c23 = inner_right if inner_right is not None else day_convolve(mon, f2, f3)
-    src = source_conv if source_conv is not None else day_convolve(mon, c12, f3)
-    tgt = target_conv if target_conv is not None else day_convolve(mon, f1, c23)
+    src = day_convolve(mon, day_convolve(mon, f1, f2), f3)
+    c23 = day_convolve(mon, f2, f3)
+    tgt = day_convolve(mon, f1, c23)
     comps = {}
     for a in base.objects:
 
@@ -370,6 +363,7 @@ def day_assoc_iso(
     return PshMap(src, tgt, comps, check=False)
 
 
+@memo_scope()
 def check_convolution_assoc(
     mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, f3: Presheaf
 ) -> CheckReport:
@@ -387,6 +381,7 @@ def check_convolution_assoc(
     return report
 
 
+@memo_scope()
 def check_convolution_pentagon(
     mon: StrictMonoidalFinCat,
     f1: Presheaf,
@@ -399,47 +394,25 @@ def check_convolution_pentagon(
     c12 = day_convolve(mon, f1, f2)
     c23 = day_convolve(mon, f2, f3)
     c34 = day_convolve(mon, f3, f4)
-    c12_3 = day_convolve(mon, c12, f3)
-    c1_23 = day_convolve(mon, f1, c23)
-    c23_4 = day_convolve(mon, c23, f4)
-    c2_34 = day_convolve(mon, f2, c34)
-    src = day_convolve(mon, c12_3, f4)
-    a1 = day_assoc_iso(mon, c12, f3, f4, source_conv=src, inner_left=c12_3, inner_right=c34)
-    a2 = day_assoc_iso(mon, f1, f2, c34, source_conv=a1.target, inner_left=c12, inner_right=c2_34)
+    a1 = day_assoc_iso(mon, c12, f3, f4)
+    a2 = day_assoc_iso(mon, f1, f2, c34)
     left = a1.then(a2)
-    b1 = day_convolve_map(
-        mon,
-        day_assoc_iso(mon, f1, f2, f3, source_conv=c12_3, target_conv=c1_23, inner_left=c12, inner_right=c23),
-        PshMap.identity(f4),
-        source_conv=src,
-        target_conv=day_convolve(mon, c1_23, f4),
-    )
-    b2 = day_assoc_iso(mon, f1, c23, f4, source_conv=b1.target, inner_left=c1_23, inner_right=c23_4)
-    b3 = day_convolve_map(
-        mon,
-        PshMap.identity(f1),
-        day_assoc_iso(mon, f2, f3, f4, source_conv=c23_4, target_conv=c2_34, inner_left=c23, inner_right=c34),
-        source_conv=b2.target,
-        target_conv=a2.target,
-    )
+    b1 = day_convolve_map(mon, day_assoc_iso(mon, f1, f2, f3), PshMap.identity(f4))
+    b2 = day_assoc_iso(mon, f1, c23, f4)
+    b3 = day_convolve_map(mon, PshMap.identity(f1), day_assoc_iso(mon, f2, f3, f4))
     right = b1.then(b2).then(b3)
     witness = cell_difference(left, right)
     report.add("pentagon-equality", witness is None, witness)
     return report
 
 
-def day_symmetry_iso(
-    mon: StrictMonoidalFinCat,
-    f1: Presheaf,
-    f2: Presheaf,
-    source_conv=None,
-    target_conv=None,
-) -> PshMap:
+@memo_scope()
+def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> PshMap:
     if mon.symmetry is None:
         raise ValueError("base category carries no symmetry")
     base = mon.base
-    src = source_conv if source_conv is not None else day_convolve(mon, f1, f2)
-    tgt = target_conv if target_conv is not None else day_convolve(mon, f2, f1)
+    src = day_convolve(mon, f1, f2)
+    tgt = day_convolve(mon, f2, f1)
     comps = {}
     for a in base.objects:
 
@@ -454,6 +427,7 @@ def day_symmetry_iso(
     return PshMap(src, tgt, comps, check=False)
 
 
+@memo_scope()
 def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> CheckReport:
     report = CheckReport("convolution-symmetry")
     if mon.symmetry is None:
@@ -461,10 +435,9 @@ def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Pres
         report.meta["skipped"] = "base category carries no symmetry"
         return report
     c12 = day_convolve(mon, f1, f2)
-    c21 = day_convolve(mon, f2, f1)
     try:
-        braid = day_symmetry_iso(mon, f1, f2, source_conv=c12, target_conv=c21)
-        braid_back = day_symmetry_iso(mon, f2, f1, source_conv=c21, target_conv=c12)
+        braid = day_symmetry_iso(mon, f1, f2)
+        braid_back = day_symmetry_iso(mon, f2, f1)
     except (NonInvertible, ValueError) as exc:
         report.add("braiding-iso", False, str(exc))
         return report
@@ -528,6 +501,7 @@ def monoidal_functor_violations(mf: MonoidalPshFunctor) -> list[str]:
     return out
 
 
+@memo_scope()
 def monoidal_from_strict_functor(
     source_mon: StrictMonoidalFinCat, target_mon: StrictMonoidalFinCat, g: Functor
 ) -> MonoidalPshFunctor:
@@ -535,25 +509,16 @@ def monoidal_from_strict_functor(
     from .presheaf import functor_into_presheaves
 
     f = functor_into_presheaves(g)
-    b_base = target_mon.base
-    constraint = {}
-    for a1 in source_mon.base.objects:
-        for a2 in source_mon.base.objects:
-            conv = day_convolve(mon := target_mon, yoneda(b_base, g.obj_map[a1]), yoneda(b_base, g.obj_map[a2]))
-            target = yoneda(b_base, mon.ob(g.obj_map[a1], g.obj_map[a2]))
-            comps = {}
-            for b in b_base.objects:
-
-                def rule(pair, b=b):
-                    (c1, c2), (u, v, h) = pair
-                    return b_base.comp[(mon.mor(u, v), h)]
-
-                comps[b] = induced_map(conv.coends[b].quotient, target.values[b], rule)
-            constraint[(a1, a2)] = PshMap(conv, target, comps, check=False)
-    unit_cell = PshMap.identity(yoneda(b_base, g.obj_map[source_mon.unit]))
+    constraint = {
+        (a1, a2): _yoneda_comparison(target_mon, g.obj_map[a1], g.obj_map[a2])
+        for a1 in source_mon.base.objects
+        for a2 in source_mon.base.objects
+    }
+    unit_cell = PshMap.identity(yoneda(target_mon.base, g.obj_map[source_mon.unit]))
     return MonoidalPshFunctor(source_mon, target_mon, f, constraint, unit_cell, check=True)
 
 
+@memo_scope()
 def check_kan_monoidal(
     mf: MonoidalPshFunctor, p: Presheaf, q: Presheaf
 ) -> CheckReport:

@@ -16,10 +16,19 @@ Every `FinSet` lists its elements in that order.  `FinSet(labels)` sorts.
 `FinSet.product` (lexicographic), `FinSet.sigma` (dependent sum) and
 `FinSet.subset` (order-preserving) do not need to: `label_key` compares
 tuples entry by entry, so from canonical inputs they are canonical.
+
+The engine builds the same composites again and again inside one check, so
+the builders that produce them are `memoised`: inside a `memo_scope` each is
+computed once per identity of its arguments, and the memo is dropped when
+the scope closes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -37,6 +46,55 @@ class EndpointMismatch(ValueError):
 
 class BoundExceeded(Exception):
     """A truncated construction was asked for data above its declared bound."""
+
+
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("profcalc_memo", default=None)
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Share one memo among the `memoised` calls made inside; also a decorator.
+
+    Re-entrant: a nested scope joins the open one.  The memo is dropped, with
+    every result and argument it holds, when the outermost scope closes.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def memoised(fn):
+    """Inside a `memo_scope`, compute fn once per identity of its arguments.
+
+    The key is fn with the `id()` of each argument, defaults filled in, so a
+    parameter gives one key by position or by keyword.  The entry keeps the
+    arguments, so no id is reused while the scope is open.  Outside a scope
+    every call computes, inside a scope of its own.
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None:
+            with memo_scope():
+                return fn(*args, **kwargs)
+        if kwargs or len(args) != len(sig.parameters):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        key = (fn, *map(id, args))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (fn(*args), args)
+        return entry[0]
+
+    return wrapper
 
 
 def label_key(label: Label):

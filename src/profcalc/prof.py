@@ -12,6 +12,16 @@ verified bijective.  Equality of composite cells is label-exact equality of
 component functions, so a commuting diagram means exact equality, not
 isomorphism-up-to-renaming.
 
+Every cell is built from the extension operation applied to composites, so
+the builders take only their mathematical arguments and call
+`kleisli_compose`, `kan_extend` and `yoneda_embedding` for the composites
+and extensions they need.  All three are `fincat.memoised`.  Each builder and
+each check opens a `fincat.memo_scope` (re-entrant, so a check and all the
+builders it calls share one memo), inside which each such call is computed
+once per identity of its arguments; the memo is dropped when the outermost
+scope closes.  The builders that take `mutate` are not memoised, so fault
+injection counts components in construction order.
+
 Corruptible construction: the cell builders accept an optional `mutate`
 hook, used by the fault-injection suites to corrupt single components and
 demonstrate that the checkers notice.
@@ -33,9 +43,10 @@ from .fincat import (
     Label,
     NonInvertible,
     cell_difference,
+    memo_scope,
+    memoised,
 )
 from .presheaf import (
-    KanPresheaf,
     Presheaf,
     PshMap,
     PshValuedFunctor,
@@ -307,29 +318,21 @@ def kleisli_identity(base: FinCat) -> PshValuedFunctor:
     return yoneda_embedding(base)
 
 
+@memoised
 def kleisli_compose(g: PshValuedFunctor, f: PshValuedFunctor) -> PshValuedFunctor:
     """Extension-then-apply composition: x goes to the extension of g at f(x)."""
     if f.target_base != g.source:
         raise EndpointMismatch("Kleisli morphisms do not compose")
     on_obj = {x: kan_extend(g, f.on_obj[x]) for x in f.source.objects}
-    on_mor = {}
-    for m in f.source.morphisms():
-        x0, x1 = f.source.src(m), f.source.tgt(m)
-        on_mor[m] = kan_extend_map(
-            g, f.on_mor[m], source_kan=on_obj[x0], target_kan=on_obj[x1]
-        )
+    on_mor = {m: kan_extend_map(g, f.on_mor[m]) for m in f.source.morphisms()}
     return PshValuedFunctor(f.source, g.target_base, on_obj, on_mor, check=False)
 
 
-def star_cell(
-    psi: KleisliCell,
-    q: Presheaf,
-    source_kan: KanPresheaf | None = None,
-    target_kan: KanPresheaf | None = None,
-) -> PshMap:
+@memo_scope()
+def star_cell(psi: KleisliCell, q: Presheaf) -> PshMap:
     """The extension operation applied to a 2-cell, evaluated at the argument q."""
-    kp = source_kan if source_kan is not None else kan_extend(psi.source, q)
-    kq = target_kan if target_kan is not None else kan_extend(psi.target, q)
+    kp = kan_extend(psi.source, q)
+    kq = kan_extend(psi.target, q)
     comps = {}
     for v in psi.source.target_base.objects:
 
@@ -341,52 +344,33 @@ def star_cell(
     return PshMap(kp, kq, comps, check=False)
 
 
-def whisker_right(
-    psi: KleisliCell,
-    f: PshValuedFunctor,
-    source_comp: PshValuedFunctor | None = None,
-    target_comp: PshValuedFunctor | None = None,
-) -> KleisliCell:
+@memo_scope()
+def whisker_right(psi: KleisliCell, f: PshValuedFunctor) -> KleisliCell:
     """psi * 1_f: precompose both sides with f; components are starred cells."""
-    uf = source_comp if source_comp is not None else kleisli_compose(psi.source, f)
-    vf = target_comp if target_comp is not None else kleisli_compose(psi.target, f)
-    comps = {
-        x: star_cell(psi, f.on_obj[x], source_kan=uf.on_obj[x], target_kan=vf.on_obj[x])
-        for x in f.source.objects
-    }
-    return KleisliCell(uf, vf, comps, check=False)
+    comps = {x: star_cell(psi, f.on_obj[x]) for x in f.source.objects}
+    return KleisliCell(
+        kleisli_compose(psi.source, f), kleisli_compose(psi.target, f), comps, check=False
+    )
 
 
-def whisker_left(
-    g: PshValuedFunctor,
-    phi: KleisliCell,
-    source_comp: PshValuedFunctor | None = None,
-    target_comp: PshValuedFunctor | None = None,
-) -> KleisliCell:
+@memo_scope()
+def whisker_left(g: PshValuedFunctor, phi: KleisliCell) -> KleisliCell:
     """1_g * phi: apply the extension of g to every component of phi."""
-    gf = source_comp if source_comp is not None else kleisli_compose(g, phi.source)
-    gf2 = target_comp if target_comp is not None else kleisli_compose(g, phi.target)
-    comps = {
-        x: kan_extend_map(
-            g, phi.components[x], source_kan=gf.on_obj[x], target_kan=gf2.on_obj[x]
-        )
-        for x in phi.source.source.objects
-    }
-    return KleisliCell(gf, gf2, comps, check=False)
+    comps = {x: kan_extend_map(g, phi.components[x]) for x in phi.source.source.objects}
+    return KleisliCell(
+        kleisli_compose(g, phi.source), kleisli_compose(g, phi.target), comps, check=False
+    )
 
 
 # -- the structural cells: theta, eta, mu ----------------------------------------------
 
 
+@memo_scope()
 def theta_map(
-    base: FinCat,
-    p: Presheaf,
-    source_kan: KanPresheaf | None = None,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
+    base: FinCat, p: Presheaf, mutate: MutateHook | None = None, tag: tuple = ()
 ) -> PshMap:
     """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
-    kp = source_kan if source_kan is not None else kan_extend(yoneda_embedding(base), p)
+    kp = kan_extend(yoneda_embedding(base), p)
     comps = {}
     for a in base.objects:
 
@@ -401,18 +385,16 @@ def theta_map(
     return PshMap(kp, p, comps, check=False)
 
 
+@memo_scope()
 def eta_cell(
-    f: PshValuedFunctor,
-    f_unit: PshValuedFunctor | None = None,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
+    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
 ) -> KleisliCell:
     """eta_f: f -> f o i, the invertible unit comparison, componentwise co-Yoneda."""
     base = f.source
-    fi = f_unit if f_unit is not None else kleisli_compose(f, yoneda_embedding(base))
+    fi = kleisli_compose(f, yoneda_embedding(base))
     comps = {}
     for x in base.objects:
-        phi = eta_iso(f, x, target_kan=fi.on_obj[x])
+        phi = eta_iso(f, x)
         if mutate is not None:
             phi = PshMap(
                 phi.source,
@@ -427,14 +409,11 @@ def eta_cell(
     return KleisliCell(f, fi, comps, check=False)
 
 
+@memo_scope()
 def mu_map(
     g: PshValuedFunctor,
     f: PshValuedFunctor,
     p: Presheaf,
-    lhs_kan: KanPresheaf | None = None,
-    f_kan: KanPresheaf | None = None,
-    rhs_kan: KanPresheaf | None = None,
-    gf: PshValuedFunctor | None = None,
     mutate: MutateHook | None = None,
     tag: tuple = (),
 ) -> PshMap:
@@ -444,10 +423,9 @@ def mu_map(
     class of (y, (u, class of (x, (v, w)))).  Verified well-defined and
     bijective.
     """
-    gf = gf if gf is not None else kleisli_compose(g, f)
-    lhs = lhs_kan if lhs_kan is not None else kan_extend(gf, p)
-    fp = f_kan if f_kan is not None else kan_extend(f, p)
-    rhs = rhs_kan if rhs_kan is not None else kan_extend(g, fp)
+    lhs = kan_extend(kleisli_compose(g, f), p)
+    fp = kan_extend(f, p)
+    rhs = kan_extend(g, fp)
     comps = {}
     for z in g.target_base.objects:
 
@@ -466,70 +444,52 @@ def mu_map(
 # -- associator and unitors ------------------------------------------------------------
 
 
+@memo_scope()
 def kleisli_associator(
     h: PshValuedFunctor,
     g: PshValuedFunctor,
     f: PshValuedFunctor,
     mutate: MutateHook | None = None,
     tag: tuple = (),
-    hg: PshValuedFunctor | None = None,
-    gf: PshValuedFunctor | None = None,
-    source_comp: PshValuedFunctor | None = None,
-    target_comp: PshValuedFunctor | None = None,
 ) -> KleisliCell:
     """alpha_{h,g,f}: (h o g) o f -> h o (g o f), i.e. mu_{h,g} whiskered by f."""
-    hg = hg if hg is not None else kleisli_compose(h, g)
-    gf = gf if gf is not None else kleisli_compose(g, f)
-    src = source_comp if source_comp is not None else kleisli_compose(hg, f)
-    tgt = target_comp if target_comp is not None else kleisli_compose(h, gf)
-    comps = {}
-    for x in f.source.objects:
-        comps[x] = mu_map(
-            h,
-            g,
-            f.on_obj[x],
-            lhs_kan=src.on_obj[x],
-            f_kan=gf.on_obj[x],
-            rhs_kan=tgt.on_obj[x],
-            gf=hg,
-            mutate=mutate,
-            tag=tag + (x,),
-        )
-    return KleisliCell(src, tgt, comps, check=False)
+    comps = {
+        x: mu_map(h, g, f.on_obj[x], mutate=mutate, tag=tag + (x,))
+        for x in f.source.objects
+    }
+    return KleisliCell(
+        kleisli_compose(kleisli_compose(h, g), f),
+        kleisli_compose(h, kleisli_compose(g, f)),
+        comps,
+        check=False,
+    )
 
 
+@memo_scope()
 def kleisli_left_unitor(
-    f: PshValuedFunctor,
-    source_comp: PshValuedFunctor | None = None,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
+    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
 ) -> KleisliCell:
     """lambda_f: i o f -> f, componentwise co-Yoneda reduction."""
     base_t = f.target_base
-    i_f = source_comp if source_comp is not None else kleisli_compose(yoneda_embedding(base_t), f)
     comps = {
-        x: theta_map(base_t, f.on_obj[x], source_kan=i_f.on_obj[x], mutate=mutate,
-                     tag=tag + (x,))
+        x: theta_map(base_t, f.on_obj[x], mutate=mutate, tag=tag + (x,))
         for x in f.source.objects
     }
-    return KleisliCell(i_f, f, comps, check=False)
+    return KleisliCell(kleisli_compose(yoneda_embedding(base_t), f), f, comps, check=False)
 
 
+@memo_scope()
 def kleisli_right_unitor(
-    f: PshValuedFunctor,
-    source_comp: PshValuedFunctor | None = None,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
+    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
 ) -> KleisliCell:
     """rho_f: f o i -> f, the inverse of the unit comparison eta_f."""
-    f_i = source_comp if source_comp is not None else kleisli_compose(f, yoneda_embedding(f.source))
-    eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=tag)
-    return eta.inverse()
+    return eta_cell(f, mutate=mutate, tag=tag).inverse()
 
 
 # -- coherence checks --------------------------------------------------------------------
 
 
+@memo_scope()
 def check_pentagon(
     k: PshValuedFunctor,
     h: PshValuedFunctor,
@@ -539,38 +499,11 @@ def check_pentagon(
 ) -> CheckReport:
     """Both composite associator paths around the pentagon, compared exactly."""
     report = CheckReport("pentagon")
-    kh = kleisli_compose(k, h)
-    hg = kleisli_compose(h, g)
-    gf = kleisli_compose(g, f)
-    kh_g = kleisli_compose(kh, g)
-    h_gf = kleisli_compose(h, gf)
-    k_hg = kleisli_compose(k, hg)
-    khg_f = kleisli_compose(kh_g, f)
-    k_h_gf = kleisli_compose(k, h_gf)
-
-    a1 = whisker_right(
-        kleisli_associator(k, h, g, mutate=mutate, tag=("khg",), hg=kh, gf=hg,
-                           source_comp=kh_g, target_comp=k_hg),
-        f,
-        source_comp=khg_f,
-    )
-    a2 = kleisli_associator(
-        k, hg, f, mutate=mutate, tag=("k,hg,f",), hg=k_hg, source_comp=a1.target
-    )
-    a3 = whisker_left(
-        k,
-        kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",), hg=hg, gf=gf,
-                           source_comp=kleisli_compose(hg, f), target_comp=h_gf),
-        source_comp=a2.target,
-        target_comp=k_h_gf,
-    )
-    b1 = kleisli_associator(
-        kh, g, f, mutate=mutate, tag=("kh,g,f",), gf=gf, source_comp=khg_f
-    )
-    b2 = kleisli_associator(
-        k, h, gf, mutate=mutate, tag=("k,h,gf",), hg=kh, source_comp=b1.target,
-        target_comp=k_h_gf,
-    )
+    a1 = whisker_right(kleisli_associator(k, h, g, mutate=mutate, tag=("khg",)), f)
+    a2 = kleisli_associator(k, kleisli_compose(h, g), f, mutate=mutate, tag=("k,hg,f",))
+    a3 = whisker_left(k, kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",)))
+    b1 = kleisli_associator(kleisli_compose(k, h), g, f, mutate=mutate, tag=("kh,g,f",))
+    b2 = kleisli_associator(k, h, kleisli_compose(g, f), mutate=mutate, tag=("k,h,gf",))
     left = a1.then(a2).then(a3)
     right = b1.then(b2)
     witness = cell_difference(left, right)
@@ -578,6 +511,7 @@ def check_pentagon(
     return report
 
 
+@memo_scope()
 def check_triangle(
     g: PshValuedFunctor,
     f: PshValuedFunctor,
@@ -585,48 +519,37 @@ def check_triangle(
 ) -> CheckReport:
     """The unit coherence triangle plus the derived left/right unit triangles."""
     report = CheckReport("triangle")
-    mid = g.source
-    i_mid = yoneda_embedding(mid)
-    gf = kleisli_compose(g, f)
 
     # middle: (rho_g * 1_f) = (1_g * lambda_f) . alpha_{g, i, f}
-    g_i = kleisli_compose(g, i_mid)
-    gi_f = kleisli_compose(g_i, f)
-    i_f = kleisli_compose(i_mid, f)
-    rho_g = kleisli_right_unitor(g, source_comp=g_i, mutate=mutate, tag=("rho_g",))
-    lam_f = kleisli_left_unitor(f, source_comp=i_f, mutate=mutate, tag=("lam_f",))
+    rho_g = kleisli_right_unitor(g, mutate=mutate, tag=("rho_g",))
+    lam_f = kleisli_left_unitor(f, mutate=mutate, tag=("lam_f",))
     alpha = kleisli_associator(
-        g, i_mid, f, mutate=mutate, tag=("g,i,f",), hg=g_i, gf=i_f, source_comp=gi_f
+        g, yoneda_embedding(g.source), f, mutate=mutate, tag=("g,i,f",)
     )
-    path1 = whisker_right(rho_g, f, source_comp=gi_f, target_comp=gf)
-    path2 = alpha.then(whisker_left(g, lam_f, source_comp=alpha.target, target_comp=gf))
+    path1 = whisker_right(rho_g, f)
+    path2 = alpha.then(whisker_left(g, lam_f))
     witness = cell_difference(path1, path2)
     report.add("triangle-middle", witness is None, witness)
 
     # left: lambda_{g o f} . alpha_{i, g, f} = lambda_g * 1_f
-    i_tgt = yoneda_embedding(g.target_base)
-    ig = kleisli_compose(i_tgt, g)
-    ig_f = kleisli_compose(ig, f)
-    lam_g = kleisli_left_unitor(g, source_comp=ig, mutate=mutate, tag=("lam_g",))
+    gf = kleisli_compose(g, f)
+    lam_g = kleisli_left_unitor(g, mutate=mutate, tag=("lam_g",))
     alpha_l = kleisli_associator(
-        i_tgt, g, f, mutate=mutate, tag=("i,g,f",), hg=ig, gf=gf, source_comp=ig_f
+        yoneda_embedding(g.target_base), g, f, mutate=mutate, tag=("i,g,f",)
     )
-    lam_gf = kleisli_left_unitor(gf, source_comp=alpha_l.target, mutate=mutate, tag=("lam_gf",))
+    lam_gf = kleisli_left_unitor(gf, mutate=mutate, tag=("lam_gf",))
     lhs = alpha_l.then(lam_gf)
-    rhs = whisker_right(lam_g, f, source_comp=ig_f, target_comp=gf)
+    rhs = whisker_right(lam_g, f)
     witness = cell_difference(lhs, rhs)
     report.add("triangle-left", witness is None, witness)
 
     # right: rho_{g o f} = (1_g * rho_f) . alpha_{g, f, i}
-    i_src = yoneda_embedding(f.source)
-    f_i = kleisli_compose(f, i_src)
-    gf_i = kleisli_compose(gf, i_src)
-    rho_gf = kleisli_right_unitor(gf, source_comp=gf_i, mutate=mutate, tag=("rho_gf",))
+    rho_gf = kleisli_right_unitor(gf, mutate=mutate, tag=("rho_gf",))
     alpha_r = kleisli_associator(
-        g, f, i_src, mutate=mutate, tag=("g,f,i",), hg=gf, gf=f_i, source_comp=gf_i
+        g, f, yoneda_embedding(f.source), mutate=mutate, tag=("g,f,i",)
     )
-    rho_f = kleisli_right_unitor(f, source_comp=f_i, mutate=mutate, tag=("rho_f",))
-    rhs2 = alpha_r.then(whisker_left(g, rho_f, source_comp=alpha_r.target, target_comp=gf))
+    rho_f = kleisli_right_unitor(f, mutate=mutate, tag=("rho_f",))
+    rhs2 = alpha_r.then(whisker_left(g, rho_f))
     witness = cell_difference(rho_gf, rhs2)
     report.add("triangle-right", witness is None, witness)
 

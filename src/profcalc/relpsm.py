@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FinCat, cell_difference
+from .fincat import FinCat, cell_difference, memo_scope
 from .presheaf import (
     Presheaf,
     PshMap,
@@ -79,6 +79,7 @@ class TestFamily:
         return TestFamily(base, members)
 
 
+@memo_scope()
 def check_assoc_axiom(
     f: PshValuedFunctor,
     g: PshValuedFunctor,
@@ -89,38 +90,24 @@ def check_assoc_axiom(
     """Both hexagon paths ((h g)* f)* -> h*(g* f*), elementwise on the family."""
     report = CheckReport("assoc-axiom")
     gf = kleisli_compose(g, f)
-    hg = kleisli_compose(h, g)
-    alpha = kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",), hg=hg, gf=gf)
-    hgf_left = alpha.source   # (h o g) o f
-    hgf_right = alpha.target  # h o (g o f)
+    alpha = kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",))
     for name, p in family.named():
-        fp = kan_extend(f, p)
-        gfp = kan_extend(gf, p)
-        hgfp = kan_extend(hgf_right, p)
-        lhs_kan = kan_extend(hgf_left, p)
         # left path: (mu_{h,g} f)* then mu_{h, g f} then h* mu_{g,f}
-        step1 = star_cell(alpha, p, source_kan=lhs_kan, target_kan=hgfp)
-        step2 = mu_map(
-            h, gf, p, lhs_kan=hgfp, f_kan=gfp, mutate=mutate, tag=("h,gf", name)
-        )
-        inner = mu_map(
-            g, f, p, lhs_kan=gfp, f_kan=fp, mutate=mutate, tag=("g,f", name)
-        )
-        step3 = kan_extend_map(h, inner, source_kan=step2.target)
+        step1 = star_cell(alpha, p)
+        step2 = mu_map(h, gf, p, mutate=mutate, tag=("h,gf", name))
+        inner = mu_map(g, f, p, mutate=mutate, tag=("g,f", name))
+        step3 = kan_extend_map(h, inner)
         left = step1.then(step2).then(step3)
         # right path: mu_{h g, f} then mu_{h,g} at f*(p)
-        step4 = mu_map(
-            hg, f, p, lhs_kan=lhs_kan, f_kan=fp, mutate=mutate, tag=("hg,f", name)
-        )
-        step5 = mu_map(
-            h, g, fp, lhs_kan=step4.target, mutate=mutate, tag=("h,g", name)
-        )
+        step4 = mu_map(kleisli_compose(h, g), f, p, mutate=mutate, tag=("hg,f", name))
+        step5 = mu_map(h, g, kan_extend(f, p), mutate=mutate, tag=("h,g", name))
         right = step4.then(step5)
         witness = cell_difference(left, right)
         report.add(f"hexagon@{name}", witness is None, witness)
     return report
 
 
+@memo_scope()
 def check_unit_axiom(
     f: PshValuedFunctor,
     family: TestFamily,
@@ -130,24 +117,19 @@ def check_unit_axiom(
     report = CheckReport("unit-axiom")
     base = f.source
     i_x = yoneda_embedding(base)
-    f_i = kleisli_compose(f, i_x)
-    eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
     for name, p in family.named():
-        fp = kan_extend(f, p)
-        fip = kan_extend(f_i, p)
-        step1 = star_cell(eta, p, source_kan=fp, target_kan=fip)
-        ip = kan_extend(i_x, p)
-        step2 = mu_map(
-            f, i_x, p, lhs_kan=fip, f_kan=ip, mutate=mutate, tag=("f,i", name)
-        )
-        theta = theta_map(base, p, source_kan=ip, mutate=mutate, tag=("theta", name))
-        step3 = kan_extend_map(f, theta, source_kan=step2.target, target_kan=fp)
+        step1 = star_cell(eta, p)
+        step2 = mu_map(f, i_x, p, mutate=mutate, tag=("f,i", name))
+        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
+        step3 = kan_extend_map(f, theta)
         composite = step1.then(step2).then(step3)
-        witness = cell_difference(composite, PshMap.identity(fp))
+        witness = cell_difference(composite, PshMap.identity(kan_extend(f, p)))
         report.add(f"unit-triangle@{name}", witness is None, witness)
     return report
 
 
+@memo_scope()
 def check_derived_coherences(
     f: PshValuedFunctor,
     g: PshValuedFunctor,
@@ -158,51 +140,41 @@ def check_derived_coherences(
     report = CheckReport("derived-coherences")
     base = f.source
     i_x = yoneda_embedding(base)
-    gf = kleisli_compose(g, f)
 
     # (i) eta_{g f} then (mu_{g,f} whiskered by i) equals g whiskered over eta_f
-    gf_i = kleisli_compose(gf, i_x)
-    f_i = kleisli_compose(f, i_x)
-    g_fi = kleisli_compose(g, f_i)
-    eta_gf = eta_cell(gf, f_unit=gf_i, mutate=mutate, tag=("eta_gf",))
-    mu_whiskered = kleisli_associator(
-        g, f, i_x, mutate=mutate, tag=("g,f,i",), gf=f_i, source_comp=gf_i,
-        target_comp=g_fi,
-    )
+    eta_gf = eta_cell(kleisli_compose(g, f), mutate=mutate, tag=("eta_gf",))
+    mu_whiskered = kleisli_associator(g, f, i_x, mutate=mutate, tag=("g,f,i",))
     path1 = eta_gf.then(mu_whiskered)
-    eta_f = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
-    path2 = whisker_left(g, eta_f, source_comp=gf, target_comp=g_fi)
+    eta_f = eta_cell(f, mutate=mutate, tag=("eta_f",))
+    path2 = whisker_left(g, eta_f)
     witness = cell_difference(path1, path2)
     report.add("part-i", witness is None, witness)
 
     # (ii) mu_{i,f} then theta at f*(p) equals (theta f)* at p
     i_y = yoneda_embedding(f.target_base)
-    iy_f = kleisli_compose(i_y, f)
-    lam = kleisli_left_unitor(f, source_comp=iy_f, mutate=mutate, tag=("lam_f",))
+    lam = kleisli_left_unitor(f, mutate=mutate, tag=("lam_f",))
     for name, p in family.named():
-        fp = kan_extend(f, p)
-        iyfp = kan_extend(iy_f, p)
-        step1 = mu_map(
-            i_y, f, p, lhs_kan=iyfp, f_kan=fp, mutate=mutate, tag=("i,f", name)
+        step1 = mu_map(i_y, f, p, mutate=mutate, tag=("i,f", name))
+        step2 = theta_map(
+            f.target_base, kan_extend(f, p), mutate=mutate, tag=("theta_fstar", name)
         )
-        step2 = theta_map(f.target_base, fp, source_kan=step1.target, mutate=mutate, tag=("theta_fstar", name))
         lhs = step1.then(step2)
-        rhs = star_cell(lam, p, source_kan=iyfp, target_kan=fp)
+        rhs = star_cell(lam, p)
         witness = cell_difference(lhs, rhs)
         report.add(f"part-ii@{name}", witness is None, witness)
 
     # (iii) eta_{i} then theta whiskered by i equals the identity on i
-    i_i = kleisli_compose(i_x, i_x)
-    eta_i = eta_cell(i_x, f_unit=i_i, mutate=mutate, tag=("eta_i",))
+    eta_i = eta_cell(i_x, mutate=mutate, tag=("eta_i",))
     for x in base.objects:
         rep = yoneda(base, x)
-        theta = theta_map(base, rep, source_kan=i_i.on_obj[x], mutate=mutate, tag=("theta_rep", x))
+        theta = theta_map(base, rep, mutate=mutate, tag=("theta_rep", x))
         composite = eta_i.components[x].then(theta)
         witness = cell_difference(composite, PshMap.identity(rep))
         report.add(f"part-iii@{x!r}", witness is None, witness)
     return report
 
 
+@memo_scope()
 def epsilon_cell(
     g: PshValuedFunctor,
     family: TestFamily,
@@ -212,17 +184,11 @@ def epsilon_cell(
     report = CheckReport("epsilon")
     base = g.source
     i_x = yoneda_embedding(base)
-    g_i = kleisli_compose(g, i_x)
     cells = {}
     for name, p in family.named():
-        gp = kan_extend(g, p)
-        gip = kan_extend(g_i, p)
-        ip = kan_extend(i_x, p)
-        step1 = mu_map(
-            g, i_x, p, lhs_kan=gip, f_kan=ip, mutate=mutate, tag=("eps", name)
-        )
-        theta = theta_map(base, p, source_kan=ip, mutate=mutate, tag=("theta", name))
-        step2 = kan_extend_map(g, theta, source_kan=step1.target, target_kan=gp)
+        step1 = mu_map(g, i_x, p, mutate=mutate, tag=("eps", name))
+        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
+        step2 = kan_extend_map(g, theta)
         eps = step1.then(step2)
         cells[name] = eps
         bad = eps.iso_witness()
@@ -230,6 +196,7 @@ def epsilon_cell(
     return cells, report
 
 
+@memo_scope()
 def check_cell_naturality(
     f: PshValuedFunctor,
     g: PshValuedFunctor,
@@ -248,8 +215,7 @@ def check_cell_naturality(
     report = CheckReport("cell-naturality")
     base = f.source
     i_x = yoneda_embedding(base)
-    f_i = kleisli_compose(f, i_x)
-    eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
     bad = kleisli_cell_violations(eta)
     report.add("eta-kleisli-natural", not bad, bad[0] if bad else None)
     for x in base.objects:
@@ -260,29 +226,23 @@ def check_cell_naturality(
     canonical = _canonical_family_maps(family)
     thetas = {}
     mus = {}
-    kans = {}
     for name, p in family.named():
-        ip = kan_extend(i_x, p)
-        fp = kan_extend(f, p)
-        gfp = kan_extend(gf, p)
-        kans[name] = (ip, fp, gfp)
-        theta = theta_map(base, p, source_kan=ip, mutate=mutate, tag=("theta", name))
+        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
         thetas[name] = theta
         bad = pshmap_violations(theta)
         report.add(f"theta-object-natural@{name}", not bad, bad[0] if bad else None)
-        mu = mu_map(g, f, p, lhs_kan=gfp, f_kan=fp, mutate=mutate, tag=("g,f", name))
+        mu = mu_map(g, f, p, mutate=mutate, tag=("g,f", name))
         mus[name] = mu
         bad = pshmap_violations(mu)
         report.add(f"mu-object-natural@{name}", not bad, bad[0] if bad else None)
     for src_name, tgt_name, phi in canonical:
-        i_phi = kan_extend_map(i_x, phi, source_kan=kans[src_name][0], target_kan=kans[tgt_name][0])
+        i_phi = kan_extend_map(i_x, phi)
         lhs = i_phi.then(thetas[tgt_name])
         rhs = thetas[src_name].then(phi)
         witness = cell_difference(lhs, rhs)
         report.add(f"theta-arg-natural@{src_name}->{tgt_name}", witness is None, witness)
-        gf_phi = kan_extend_map(gf, phi, source_kan=kans[src_name][2], target_kan=kans[tgt_name][2])
-        f_phi = kan_extend_map(f, phi, source_kan=kans[src_name][1], target_kan=kans[tgt_name][1])
-        gff_phi = kan_extend_map(g, f_phi, source_kan=mus[src_name].target, target_kan=mus[tgt_name].target)
+        gf_phi = kan_extend_map(gf, phi)
+        gff_phi = kan_extend_map(g, kan_extend_map(f, phi))
         lhs = gf_phi.then(mus[tgt_name])
         rhs = mus[src_name].then(gff_phi)
         witness = cell_difference(lhs, rhs)
@@ -291,23 +251,31 @@ def check_cell_naturality(
 
 
 def _canonical_family_maps(family: TestFamily) -> list[tuple[tuple, tuple, PshMap]]:
+    """Coproduct injections, maps to the terminal member and maps from the
+    empty member, each between the family's own members, so that a memo
+    scope reuses the members' extensions at their endpoints."""
     out: list[tuple[tuple, tuple, PshMap]] = []
     names = [name for name, _ in family.named()]
     by_name = dict(family.named())
+
+    def add(src_name, tgt_name, phi):
+        phi = PshMap(by_name[src_name], by_name[tgt_name], phi.components, check=False)
+        out.append((src_name, tgt_name, phi))
+
     for name, p in family.named():
         if name[0] == "coprod":
             _, a, b = name
             cop_data = psh_coproduct(yoneda(family.base, a), yoneda(family.base, b))
-            out.append((("rep", a), name, cop_data[1]))
-            out.append((("rep", b), name, cop_data[2]))
+            add(("rep", a), name, cop_data[1])
+            add(("rep", b), name, cop_data[2])
         if name[0] == "terminal":
             for other in names:
                 if other != name:
-                    out.append((other, name, psh_terminal_map(by_name[other])))
+                    add(other, name, psh_terminal_map(by_name[other]))
         if name[0] == "empty":
             for other in names:
                 if other != name:
-                    out.append((name, other, psh_initial_map(by_name[other])))
+                    add(name, other, psh_initial_map(by_name[other]))
     return out
 
 
@@ -365,6 +333,7 @@ def enumerate_kleisli_cells(u: PshValuedFunctor, v: PshValuedFunctor) -> list[Kl
     return out
 
 
+@memo_scope()
 def enumerate_modifications(
     f: PshValuedFunctor,
     h: PshValuedFunctor,
@@ -400,8 +369,8 @@ def enumerate_modifications(
 
             constraints.append(([(name, a), (name, b)], pred))
     for src_name, tgt_name, phi in canonical:
-        kf_phi = kan_extend_map(f, phi, source_kan=kf[src_name], target_kan=kf[tgt_name])
-        kh_phi = kan_extend_map(h, phi, source_kan=kh[src_name], target_kan=kh[tgt_name])
+        kf_phi = kan_extend_map(f, phi)
+        kh_phi = kan_extend_map(h, phi)
         for a in tgt.objects:
 
             def pred(asg, src_name=src_name, tgt_name=tgt_name, a=a, kf_phi=kf_phi, kh_phi=kh_phi):
@@ -413,6 +382,7 @@ def enumerate_modifications(
     return enumerate_families(slots, constraints)
 
 
+@memo_scope()
 def check_lax_idempotent(
     f: PshValuedFunctor,
     g: PshValuedFunctor,
@@ -443,8 +413,7 @@ def check_lax_idempotent(
 
     base = f.source
     i_x = yoneda_embedding(base)
-    f_i = kleisli_compose(f, i_x)
-    eta = eta_cell(f, f_unit=f_i, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
     for h in competitors or []:
         h_i = kleisli_compose(h, i_x)
         cellset_b = enumerate_kleisli_cells(f, h_i)

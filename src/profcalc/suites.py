@@ -29,7 +29,7 @@ from .day import (
     one_object_group_monoidal,
     terminal_monoidal,
 )
-from .fincat import FinCat, FinFn, NonInvertible
+from .fincat import FinCat, FinFn, NonInvertible, memo_scope
 from .colim import BifunctorialityViolation
 from .presheaf import (
     Presheaf,
@@ -170,9 +170,10 @@ def make_key_mutate(kind: str, key: tuple):
 
 
 def _guarded(name: str, thunk) -> CheckReport:
-    """Run a check, converting construction-time errors into failed items."""
+    """Run a check in a memo scope, converting construction-time errors into failed items."""
     try:
-        return thunk()
+        with memo_scope():
+            return thunk()
     except (ValueError, NonInvertible, BifunctorialityViolation) as exc:
         report = CheckReport(name)
         report.add(name + "-construction", False, str(exc))

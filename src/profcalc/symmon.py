@@ -37,6 +37,8 @@ from .fincat import (
     cell_difference,
     generators_by_source,
     label_key,
+    memo_scope,
+    memoised,
     opposite,
 )
 from .prof import Profunctor
@@ -467,6 +469,7 @@ def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: di
                 )
 
 
+@memoised
 def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
     """Substitution composite of symmetric sequences.
 
@@ -620,20 +623,14 @@ def subst_right_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
     return cell
 
 
-def subst_assoc_iso(
-    h: SymSeq, g: SymSeq, f: SymSeq,
-    left: SymSeq | None = None,
-    right: SymSeq | None = None,
-    hg: SymSeq | None = None,
-    gf: SymSeq | None = None,
-    m_bound: int | None = None,
-) -> SymSeqCell:
+@memo_scope()
+def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeqCell:
     """((h o g) o f) -> (h o (g o f)): regroup blocks along the middle gluing morphism."""
     sym_x = f.source_sym
-    hg = hg if hg is not None else subst_compose(h, g, m_bound)
-    gf = gf if gf is not None else subst_compose(g, f, m_bound)
-    left = left if left is not None else subst_compose(hg, f, m_bound)
-    right = right if right is not None else subst_compose(h, gf, m_bound)
+    hg = subst_compose(h, g, m_bound)
+    gf = subst_compose(g, f, m_bound)
+    left = subst_compose(hg, f, m_bound)
+    right = subst_compose(h, gf, m_bound)
     comps = {}
     for (xs, w), quotient in left.quotients.items():
         w_key = w
@@ -674,6 +671,7 @@ def subst_assoc_iso(
     return cell
 
 
+@memo_scope()
 def check_subst_assoc(
     h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None
 ) -> CheckReport:
@@ -691,7 +689,7 @@ def check_subst_assoc(
             f"{len(left.values[key])} vs {len(right.values[key])}",
         )
     try:
-        cell = subst_assoc_iso(h, g, f, left=left, right=right, hg=hg, gf=gf, m_bound=m_bound)
+        cell = subst_assoc_iso(h, g, f, m_bound)
     except (NonInvertible, ValueError) as exc:
         report.add("comparison-bijective", False, str(exc))
         return report
@@ -718,6 +716,7 @@ class ColouredOperad:
     m_bound: int | None = None
 
 
+@memo_scope()
 def check_operad(operad: ColouredOperad) -> CheckReport:
     """Unit triangles and the associativity square, against the canonical isos."""
     report = CheckReport("operad")
@@ -746,8 +745,7 @@ def check_operad(operad: ColouredOperad) -> CheckReport:
     oo_o = subst_compose(oo, o, operad.m_bound)
     o_oo = subst_compose(o, oo, operad.m_bound)
     path1 = subst_whisker_outer(comp_cell, oo_o, oo).then(comp_cell)
-    assoc = subst_assoc_iso(o, o, o, left=oo_o, right=o_oo, hg=oo, gf=oo,
-                            m_bound=operad.m_bound)
+    assoc = subst_assoc_iso(o, o, o, operad.m_bound)
     path2 = assoc.then(subst_whisker_inner(comp_cell, o_oo, oo)).then(comp_cell)
     witness = cell_difference(path1, path2)
     report.add("associativity", witness is None, witness)
@@ -957,6 +955,7 @@ def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
     return SymSeq(a.source_sym, a.target, values, left, right, check=False)
 
 
+@memo_scope()
 def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> CheckReport:
     """Substitution equals extension-then-apply composition, value set by value set.
 

@@ -637,6 +637,40 @@ def test_generator_interchange_check_agrees_with_all_pairs(name, on_contra, at, 
     assert bool(bifunctor_violations(perturbed)) == bool(_all_pairs_violations(perturbed))
 
 
+@pytest.mark.parametrize("on_contra", [True, False])
+def test_composition_check_on_generator_pairs_agrees_with_all_pairs(on_contra):
+    # perturb the action of each composite (neither an identity nor a
+    # generator) in turn; the identity law still holds, so the composition
+    # check must see it, and it sees 0 -> 3 in chain(3) only as (2 -> 3) . (0 -> 2),
+    # a generator after a composite: generator pairs alone would miss it
+    from profcalc.presheaf import psh_coproduct
+
+    cat = chain(3)
+    objs = cat.objects.elements
+    op = opposite(cat)
+    q, _, _ = psh_coproduct(yoneda(op, objs[0]), yoneda(op, objs[0]))  # covariant on cat
+    h = hom_bifunctor_with(cat, q.values.__getitem__, q.restriction.__getitem__, objs[-1], covariant=True)
+    assert bifunctor_violations(h) == [] == _all_pairs_violations(h)
+    values, contra, co = dict(h.values), dict(h.contra_act), dict(h.co_act)
+    table = contra if on_contra else co
+    perturbed_keys = []
+    for key in sorted(table, key=label_key):
+        m = key[0] if on_contra else key[1]
+        fn = table[key]
+        if cat.is_identity(m) or m in cat.generators() or len(fn.domain) == 0:
+            continue
+        mapping = fn.as_dict()
+        x = fn.domain.elements[0]
+        mapping[x] = next(c for c in fn.codomain if c != mapping[x])
+        broken = {**table, key: FinFn(fn.domain, fn.codomain, mapping)}
+        perturbed = Bifunctor(cat, cat, values, *((broken, co) if on_contra else (contra, broken)))
+        reference = _all_pairs_violations(perturbed)
+        assert any(v[0] in ("contra", "co") for v in reference)
+        assert any("composition fails" in v for v in bifunctor_violations(perturbed))
+        perturbed_keys.append(key)
+    assert any(key[0 if on_contra else 1] == ("le", "0", "3") for key in perturbed_keys)
+
+
 def test_interchange_alone_failing_is_found_on_generators():
     # both actions of Z2's generator are involutions, so both functoriality
     # laws hold, but the transpositions (0 1) and (1 2) do not commute

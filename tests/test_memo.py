@@ -1,0 +1,114 @@
+"""The call-tree memo: `fincat.memo_scope` and the `memoised` builders."""
+
+import gc
+import sys
+import weakref
+
+from profcalc.day import day_convolve
+from profcalc.fincat import memo_scope
+from profcalc.presheaf import (
+    functor_into_presheaves,
+    kan_extend,
+    psh_coproduct,
+    pvf_coproduct,
+    yoneda,
+    yoneda_embedding,
+)
+from profcalc.prof import check_pentagon, kleisli_compose
+from profcalc.seeds import all_functors, arrow_category, fork, parallel_pair
+from profcalc.symmon import associative_operad, check_operad, subst_compose
+
+MEMOISED = (kan_extend, kleisli_compose, yoneda, yoneda_embedding, day_convolve, subst_compose)
+
+
+def _kan_args():
+    f = functor_into_presheaves(all_functors(fork(), parallel_pair())[2])
+    p, _, _ = psh_coproduct(yoneda(fork(), "x"), yoneda(fork(), "e"))
+    return f, p
+
+
+def test_inside_a_scope_kan_extend_computes_once():
+    f, p = _kan_args()
+    with memo_scope():
+        first = kan_extend(f, p)
+        assert kan_extend(f, p) is first
+
+
+def test_outside_a_scope_every_call_computes():
+    f, p = _kan_args()
+    first, second = kan_extend(f, p), kan_extend(f, p)
+    assert first is not second and first == second
+
+
+def test_nested_scopes_share_one_memo():
+    f, p = _kan_args()
+    with memo_scope():
+        outer = kan_extend(f, p)
+        with memo_scope():
+            inner = kan_extend(f, p)
+        assert inner is outer
+        assert kan_extend(f, p) is outer
+
+
+def test_a_keyword_argument_gives_the_positional_key():
+    sym_seq = associative_operad(2).seq
+    with memo_scope():
+        by_position = subst_compose(sym_seq, sym_seq, None)
+        assert subst_compose(sym_seq, sym_seq, m_bound=None) is by_position
+        assert subst_compose(sym_seq, sym_seq) is by_position
+
+
+def test_nothing_is_kept_after_the_scope_closes():
+    f, p = _kan_args()
+    with memo_scope():
+        ref = weakref.ref(kan_extend(f, p))
+        gc.collect()
+        assert ref() is not None
+    gc.collect()
+    assert ref() is None
+
+
+def _record_computations(monkeypatch) -> list:
+    """Rebind every memoised builder, in every profcalc module that binds it,
+    to one that records (name, arguments, result) and keeps them alive."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("profcalc.")]
+    for original in MEMOISED:
+
+        def recorder(*args, original=original):
+            result = original(*args)
+            calls.append((original.__name__, args, result))
+            return result
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorder)
+    return calls
+
+
+def _computed_twice(calls) -> list:
+    results: dict = {}
+    for name, args, result in calls:
+        results.setdefault((name, tuple(map(id, args))), set()).add(id(result))
+    return [key for key, ids in results.items() if len(ids) > 1]
+
+
+def test_a_pentagon_check_never_computes_the_same_call_twice(monkeypatch):
+    pool = all_functors(arrow_category(), fork())
+    f = pvf_coproduct(functor_into_presheaves(pool[0]), functor_into_presheaves(pool[3]))
+    g = functor_into_presheaves(all_functors(fork(), parallel_pair())[2])
+    h = functor_into_presheaves(all_functors(parallel_pair(), arrow_category())[1])
+    k = functor_into_presheaves(all_functors(arrow_category(), arrow_category())[1])
+    calls = _record_computations(monkeypatch)
+    assert check_pentagon(k, h, g, f).ok
+    assert {"kan_extend", "kleisli_compose"} <= {name for name, _, _ in calls}
+    assert _computed_twice(calls) == []
+
+
+def test_an_operad_check_never_computes_the_same_call_twice(monkeypatch):
+    operad = associative_operad(3)
+    calls = _record_computations(monkeypatch)
+    assert check_operad(operad).ok
+    assert any(name == "subst_compose" for name, _, _ in calls)
+    assert _computed_twice(calls) == []

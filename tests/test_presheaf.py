@@ -137,8 +137,7 @@ def test_kan_extend_maps_pshmaps():
 def test_eta_naturality_across_fork():
     cat = fork()
     f = functor_into_presheaves(all_functors(cat, parallel_pair())[2])
-    f_unit_composites = {x: kan_extend(f, yoneda(cat, x)) for x in cat.objects}
-    etas = {x: eta_iso(f, x, target_kan=f_unit_composites[x]) for x in cat.objects}
+    etas = {x: eta_iso(f, x) for x in cat.objects}
     from profcalc.prof import eta_cell, kleisli_compose
     from profcalc.prof import kleisli_cell_violations
 
@@ -154,7 +153,8 @@ def test_apply_P_functor_identity_is_iso_to_argument():
     image = apply_P_functor(identity_functor(cat), p)
     from profcalc.prof import theta_map
 
-    th = theta_map(cat, p, source_kan=image)
+    th = theta_map(cat, p)
+    assert th.source == image
     assert th.is_iso()
 
 
@@ -446,8 +446,8 @@ def test_kan_extension_preserves_coproducts():
     q = yoneda(cat, "y")
     cop, in1, in2 = psh_coproduct(p, q)
     kcop = kan_extend(f, cop)
-    k1 = kan_extend_map(f, in1, target_kan=kcop)
-    k2 = kan_extend_map(f, in2, target_kan=kcop)
+    k1 = kan_extend_map(f, in1)
+    k2 = kan_extend_map(f, in2)
     target_cop, j1, j2 = psh_coproduct(kan_extend(f, p), kan_extend(f, q))
     cmp_map = psh_copair(k1, k2, (target_cop, j1, j2)) if False else None
     # compare cardinalities and joint surjectivity elementwise
@@ -502,3 +502,41 @@ sys.exit(3)
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "raised:" in done.stdout
+
+
+def _all_pairs_presheaf_violations(p: Presheaf) -> list[tuple]:
+    """Reference check: the identity and composition laws on every pair."""
+    base, out = p.base, []
+    for a in base.objects:
+        if any(p.restriction[base.id_of(a)](u) != u for u in p.values[a]):
+            out.append(("identity", a))
+    for g, f in base.composable_pairs():
+        gf = p.restriction[base.comp[(g, f)]]
+        if any(gf(u) != p.restriction[f](p.restriction[g](u)) for u in gf.domain):
+            out.append(("composition", g, f))
+    return out
+
+
+def test_presheaf_composition_check_on_generator_pairs_agrees_with_all_pairs():
+    # perturb the restriction along each composite in turn; only the
+    # composition law breaks, and 0 -> 3 is seen only as (2 -> 3) . (0 -> 2)
+    cat = chain(3)
+    objs = cat.objects.elements
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    assert presheaf_violations(p) == [] == _all_pairs_presheaf_violations(p)
+    perturbed = []
+    for m in cat.morphisms():
+        fn = p.restriction[m]
+        if cat.is_identity(m) or m in cat.generators() or len(fn.domain) == 0 or len(fn.codomain) < 2:
+            continue
+        mapping = fn.as_dict()
+        x = fn.domain.elements[0]
+        mapping[x] = next(c for c in fn.codomain if c != mapping[x])
+        restriction = {**p.restriction, m: FinFn(fn.domain, fn.codomain, mapping)}
+        broken = Presheaf(cat, p.values, restriction, check=False)
+        reference = _all_pairs_presheaf_violations(broken)
+        assert reference and all(v[0] == "composition" for v in reference)
+        found = presheaf_violations(broken)
+        assert found and all("composition" in v for v in found)
+        perturbed.append(m)
+    assert ("le", "0", "3") in perturbed

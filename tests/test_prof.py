@@ -3,7 +3,6 @@ import pytest
 from profcalc.fincat import FinFn, FinSet, NonInvertible
 from profcalc.presheaf import (
     functor_into_presheaves,
-    kan_extend,
     psh_coproduct,
     pvf_coproduct,
     pshmap_violations,
@@ -190,13 +189,11 @@ def test_theta_natural_against_random_pshmap():
     p = yoneda(cat, "1")
     cop, in1, _ = psh_coproduct(p, p)
     i = kleisli_identity(cat)
-    kp = kan_extend(i, p)
-    kcop = kan_extend(i, cop)
     from profcalc.presheaf import kan_extend_map
 
-    th_p = theta_map(cat, p, source_kan=kp)
-    th_cop = theta_map(cat, cop, source_kan=kcop)
-    lifted = kan_extend_map(i, in1, source_kan=kp, target_kan=kcop)
+    th_p = theta_map(cat, p)
+    th_cop = theta_map(cat, cop)
+    lifted = kan_extend_map(i, in1)
     assert lifted.then(th_cop) == th_p.then(in1)
 
 
