@@ -38,9 +38,9 @@ generators, composed along the rest.
 Nothing here caches a coend.  The builders that compute them again for the
 same arguments -- `kan_extend`, `kleisli_compose`, `day_convolve` and
 `subst_compose` -- are `fincat.memoised`: inside a `fincat.memo_scope`, which
-every check and cell builder opens (and `suites` opens around each check),
-each is computed once per identity of its arguments, and the memo with its
-coends is dropped when the outermost scope closes.
+every check and cell builder opens (and `suites` around each instance), each
+is computed once per identity of its arguments, and the memo with its coends
+is dropped when the outermost scope closes.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .fincat import (
     FinSet,
     Label,
     NonInvertible,
+    _Canonical,
     generators_by_source,
     product,
 )
@@ -299,15 +300,24 @@ class CoendResult:
     """Coend of a bifunctor with contra == co: a quotient of the diagonal union."""
 
     quotient: QuotientSet
-    injections: dict[Label, FinFn]  # object y -> H(y, y) -> quotient
-
-    def __init__(self, quotient, injections):
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "injections", dict(injections))
+    objects: FinSet  # the base objects y, indexing the summands H(y, y) of the carrier
 
     @property
     def value(self) -> FinSet:
         return self.quotient.quotient
+
+    @property
+    def injections(self) -> dict[Label, FinFn]:
+        """y -> the injection H(y, y) -> quotient for every base object, empty
+        H(y, y) included; built from the carrier on each read."""
+        fibres: dict[Label, list[Label]] = {y: [] for y in self.objects}
+        for y, w in self.quotient.carrier:
+            fibres[y].append(w)
+        rep = self.quotient.representative
+        return {
+            y: FinFn(FinSet(_Canonical(ws)), self.value, {w: rep((y, w)) for w in ws})
+            for y, ws in fibres.items()
+        }
 
     def cls(self, y: Label, w: Label) -> Label:
         """Class of the diagonal element w in H(y, y)."""
@@ -339,16 +349,7 @@ def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
             for w in h.value(y1, y):
                 yield (y, left(w)), (y1, right(w))
 
-    q = quotient(carrier, relations())
-    injections = {
-        y: FinFn(
-            h.value(y, y),
-            q.quotient,
-            {w: q.representative((y, w)) for w in h.value(y, y)},
-        )
-        for y in base.objects
-    }
-    return CoendResult(q, injections)
+    return CoendResult(quotient(carrier, relations()), base.objects)
 
 
 def induced_map(

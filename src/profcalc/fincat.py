@@ -25,7 +25,6 @@ the scope closes.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import inspect
@@ -51,21 +50,29 @@ class BoundExceeded(Exception):
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("profcalc_memo", default=None)
 
 
-@contextlib.contextmanager
-def memo_scope():
+class memo_scope:
     """Share one memo among the `memoised` calls made inside; also a decorator.
 
     Re-entrant: a nested scope joins the open one.  The memo is dropped, with
     every result and argument it holds, when the outermost scope closes.
     """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+
+    def __enter__(self):
+        self._token = _MEMO.set({}) if _MEMO.get() is None else None
+
+    def __exit__(self, *exc):
+        if self._token is not None:
+            _MEMO.reset(self._token)
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if _MEMO.get() is not None:
+                return fn(*args, **kwargs)
+            with memo_scope():
+                return fn(*args, **kwargs)
+
+        return wrapper
 
 
 def memoised(fn):
@@ -171,7 +178,8 @@ class FinFn:
     _table: dict = field(compare=False, repr=False)
 
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
-        items = dict(mapping)
+        # a dict is kept, not copied: callers build one for it and never mutate it
+        items = mapping if type(mapping) is dict else dict(mapping)
         if items.keys() != domain._index:
             raise ValueError("mapping must be total on the domain")
         if not codomain._index.issuperset(items.values()):

@@ -583,14 +583,25 @@ def pvf_constant(source: FinCat, p: Presheaf) -> PshValuedFunctor:
     )
 
 
-def pvf_coproduct(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
-    """Pointwise coproduct; functorial because the injections are natural."""
+def _pointwise(a: PshValuedFunctor, b: PshValuedFunctor, build) -> dict[Label, Presheaf]:
+    """x -> build(a(x), b(x))[0], built once per distinct pair of images (by
+    identity), so objects with the same images share one presheaf."""
     if a.source != b.source or a.target_base != b.target_base:
         raise EndpointMismatch("functors are not parallel")
+    built: dict[tuple[int, int], Presheaf] = {}
     on_obj = {}
     for x in a.source.objects:
-        cop, _, _ = psh_coproduct(a.on_obj[x], b.on_obj[x])
-        on_obj[x] = cop
+        p, q = a.on_obj[x], b.on_obj[x]
+        key = (id(p), id(q))  # a and b keep p and q alive, so ids are not reused
+        if key not in built:
+            built[key] = build(p, q)[0]
+        on_obj[x] = built[key]
+    return on_obj
+
+
+def pvf_coproduct(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
+    """Pointwise coproduct; functorial because the injections are natural."""
+    on_obj = _pointwise(a, b, psh_coproduct)
     on_mor = {}
     for m in a.source.morphisms():
         x0, x1 = a.source.src(m), a.source.tgt(m)
@@ -608,12 +619,7 @@ def pvf_coproduct(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
 
 def pvf_product(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
     """Pointwise product on lexicographic pair sets."""
-    if a.source != b.source or a.target_base != b.target_base:
-        raise EndpointMismatch("functors are not parallel")
-    on_obj = {}
-    for x in a.source.objects:
-        prod, _, _ = psh_product(a.on_obj[x], b.on_obj[x])
-        on_obj[x] = prod
+    on_obj = _pointwise(a, b, psh_product)
     on_mor = {}
     for m in a.source.morphisms():
         x0, x1 = a.source.src(m), a.source.tgt(m)

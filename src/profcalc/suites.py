@@ -6,6 +6,9 @@ pool and reassembled in instance order.  Reports carry no timing or other
 nondeterministic data: identical (seed, config) pairs produce byte-identical
 JSON regardless of worker count.
 
+Each instance runs in one `fincat.memo_scope`, opened in the thread that runs
+it, so all its checks share the extensions and composites they build.
+
 A fault configuration corrupts one component of a named coherence cell
 (mu, eta, theta, or an operad unit/composition witness) before the checks
 run; the corruption is a swap of two values, so invertibility survives and
@@ -170,10 +173,10 @@ def make_key_mutate(kind: str, key: tuple):
 
 
 def _guarded(name: str, thunk) -> CheckReport:
-    """Run a check in a memo scope, converting construction-time errors into failed items."""
+    """Run one check of an instance, converting construction-time errors into
+    failed items.  It opens no memo scope: it runs inside the instance's."""
     try:
-        with memo_scope():
-            return thunk()
+        return thunk()
     except (ValueError, NonInvertible, BifunctorialityViolation) as exc:
         report = CheckReport(name)
         report.add(name + "-construction", False, str(exc))
@@ -493,6 +496,7 @@ def _instance_dict(description: str, sizes: list, reports: list[CheckReport]) ->
 
 
 def _assemble(name: str, config: SuiteConfig, specs: list, run) -> dict:
+    run = memo_scope()(run)  # one memo per instance, in the thread that runs it
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run, specs))

@@ -698,3 +698,18 @@ def test_interchange_alone_failing_is_found_on_generators():
     assert bifunctor_violations(h) == [f"interchange fails at ({g!r}, {g!r})"]
     with pytest.raises(BifunctorialityViolation, match="interchange"):
         coend(z2, h)
+
+
+def test_coend_injections_cover_every_object_an_empty_fibre_included():
+    # H(y', y) = P(y') x arrow[1, y], so the fibre H(0, 0) is empty
+    cat = arrow_category()
+    p = yoneda(cat, "1")
+    h = hom_bifunctor_with(cat, lambda b: p.values[b], lambda m: p.restriction[m], "1", covariant=False)
+    result = coend(cat, h)
+    assert len(h.value("0", "0")) == 0 < len(h.value("1", "1"))
+    injections = result.injections
+    assert list(injections) == list(cat.objects)
+    for y in cat.objects:
+        direct = {w: result.cls(y, w) for w in h.value(y, y)}
+        assert injections[y] == FinFn(h.value(y, y), result.value, direct)
+    assert {c for fn in injections.values() for _, c in fn.mapping} == set(result.value)

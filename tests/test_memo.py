@@ -16,6 +16,7 @@ from profcalc.presheaf import (
 )
 from profcalc.prof import check_pentagon, kleisli_compose
 from profcalc.seeds import all_functors, arrow_category, fork, parallel_pair
+from profcalc.suites import SuiteConfig, run_suite
 from profcalc.symmon import associative_operad, check_operad, subst_compose
 
 MEMOISED = (kan_extend, kleisli_compose, yoneda, yoneda_embedding, day_convolve, subst_compose)
@@ -112,3 +113,12 @@ def test_an_operad_check_never_computes_the_same_call_twice(monkeypatch):
     assert check_operad(operad).ok
     assert any(name == "subst_compose" for name, _, _ in calls)
     assert _computed_twice(calls) == []
+
+
+def test_a_relpsm_instance_computes_each_extension_once_across_its_checks(monkeypatch):
+    calls = _record_computations(monkeypatch)
+    report = run_suite("relpsm-axioms", SuiteConfig(seed=2027, instances=1))
+    (instance,) = report["instances"]
+    assert instance["passed"] and len(instance["reports"]) == 5
+    kan = [call for call in calls if call[0] == "kan_extend"]
+    assert kan and _computed_twice(kan) == []

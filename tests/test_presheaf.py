@@ -27,6 +27,7 @@ from profcalc.presheaf import (
     pshmap_violations,
     pvf_coproduct,
     pvf_constant,
+    pvf_product,
     pvf_violations,
     yoneda,
     yoneda_embedding,
@@ -540,3 +541,18 @@ def test_presheaf_composition_check_on_generator_pairs_agrees_with_all_pairs():
         assert found and all("composition" in v for v in found)
         perturbed.append(m)
     assert ("le", "0", "3") in perturbed
+
+
+def test_pvf_combinators_build_one_presheaf_per_pair_of_images():
+    pool = all_functors(arrow_category(), arrow_category())
+    const = functor_into_presheaves(pool[0])  # both objects go to "0"
+    ident = functor_into_presheaves(pool[1])
+    assert const.on_obj["0"] is const.on_obj["1"]
+    for combine, pointwise in ((pvf_coproduct, psh_coproduct), (pvf_product, psh_product)):
+        shared, mixed = combine(const, const), combine(const, ident)
+        assert shared.on_obj["0"] is shared.on_obj["1"]
+        assert mixed.on_obj["0"] is not mixed.on_obj["1"]
+        for f, second in ((shared, const), (mixed, ident)):
+            assert pvf_violations(f) == []
+            for x in ("0", "1"):
+                assert f.on_obj[x] == pointwise(const.on_obj[x], second.on_obj[x])[0]
