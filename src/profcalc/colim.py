@@ -10,26 +10,24 @@ are therefore canonical, and every downstream map on quotients can be checked
 elementwise for well-definedness.
 
 No set built here is sorted; each is canonical by construction: carriers
-and coproducts are `FinSet.sigma`s, integrand values `FinSet.product`s, and
-class names the `FinSet.subset` of a carrier that heads a class.
+and coproducts are `FinSet.sigma`s, and class names the class minima in
+carrier order.
 
 A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
 H(g, 1)w and the g-relation at H(1, k)w chain up, because the interchange law
 makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
-`coend` relates only along a generating set of the base (`FinCat.generators`).
-That needs the integrand to be a bifunctor: `coend(check=True)` verifies it,
-and with check=False the caller vouches for it, as the internal callers do by
-building their integrands from functorial data.
-
-Integrands are evaluated on demand: a `Bifunctor` may take each of its
-tables as a function of the key, and the integrand builders (`_kan_bifunctor`,
-`_compose_bifunctor`, `_day_bifunctor`, `hom_bifunctor_with`,
-`restrict_bifunctor`) all do.  `coend(check=False)` then builds only the
-diagonal H(y, y) and, for each generator f: y -> y', the slice H(y', y) with
-its two actions H(f, 1) and H(1, f); the |ob|^2 value sets and |mor| x |ob|
-action tables of a full integrand are built only when a law check asks for
-them.
+`coend_from`, the one coend entry, takes the diagonal H(y, y) and, for each
+generator f: y -> y' (`FinCat.generators`) only, the related pairs
+(H(f, 1)w, H(1, f)w); that needs the integrand to be a bifunctor.
+`kan_extend`, `prof_compose` and `day_convolve` read these pairs straight
+off their functorial input tables -- presheaf restrictions, presheaf-map
+components, profunctor actions, the monoidal composition -- so no slice
+H(y', y) and no action map is built.  `coend` adapts a `Bifunctor` to it
+(for the CLI, `coyoneda_iso` and `fubini_iso`), checking the bifunctor laws
+unless check=False.  A `Bifunctor` may give its tables as functions of the
+key, as `hom_bifunctor_with` and `restrict_bifunctor` do; `coend(check=False)`
+then builds only the diagonal and the generator slices.
 
 The actions of a coend with parameters, as in `kan_extend`, `prof_compose`,
 `day_convolve` and substitution, come from `induced_actions`: checked along
@@ -71,32 +69,29 @@ class BifunctorialityViolation(ValueError):
 class QuotientSet:
     """A quotient of a carrier set; classes are named by their minimal member.
 
-    `classes` may list the blocks of the partition in any order; they are
-    stored in canonical order (members and classes by carrier position).
+    Built from `roots`: roots[i] is the carrier position of the minimal member
+    of the class of position i.  Members and classes are stored in canonical
+    order (by carrier position).
     """
 
     carrier: FinSet
     classes: tuple[tuple[Label, ...], ...]
     projection: FinFn = field(compare=False)
 
-    def __init__(self, carrier: FinSet, classes):
-        block_of: dict[Label, int] = {}
-        count = 0
-        for i, block in enumerate(classes):
-            for x in block:
-                block_of[x] = i
-            count += len(block)
-        if count != len(carrier) or block_of.keys() != carrier._index:
-            raise ValueError("classes do not partition the carrier")
+    def __init__(self, carrier: FinSet, roots: list[int]):
+        elems = carrier.elements
         groups: dict[int, list[Label]] = {}
-        for x in carrier.elements:
-            groups.setdefault(block_of[x], []).append(x)
+        table: dict[Label, Label] = {}
+        for i, r in enumerate(roots):
+            if r == i:
+                groups[i] = [elems[i]]
+            elif 0 <= r < i and roots[r] == r:
+                groups[r].append(elems[i])
+            else:
+                raise ValueError(f"position {i} has root {r}, not its class minimum")
+            table[elems[i]] = elems[r]
         classes = tuple(map(tuple, groups.values()))
-        proj = FinFn(
-            carrier,
-            carrier.subset({c[0] for c in classes}.__contains__),
-            {x: c[0] for c in classes for x in c},
-        )
+        proj = FinFn(carrier, FinSet(_Canonical(c[0] for c in classes)), table)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "projection", proj)
@@ -113,10 +108,11 @@ class QuotientSet:
 def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientSet:
     """The carrier modulo the equivalence relation generated by `pairs`.
 
-    Union-find over carrier positions: the root of a class is always its
-    minimum position, i.e. its minimal member in canonical order, and classes
-    are emitted by scanning positions, so they arrive in canonical order.
-    Pass generating relations only; the closure supplies the rest.
+    Union-find over carrier positions: a node's parent is never above it, so
+    the root of a class is its minimum position, i.e. its minimal member in
+    canonical order, and one scan in position order reads every root off its
+    parent's.  Pass generating relations only; the closure supplies the rest.
+    A related label outside the carrier raises ValueError naming it.
     """
     elems = carrier.elements
     pos = {x: i for i, x in enumerate(elems)}
@@ -129,15 +125,18 @@ def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientS
         return i
 
     for a, b in pairs:
-        ra, rb = find(pos[a]), find(pos[b])
+        try:
+            ia, ib = pos[a], pos[b]
+        except KeyError as exc:
+            raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
+        ra, rb = find(ia), find(ib)
         if ra < rb:
             parent[rb] = ra
         elif rb < ra:
             parent[ra] = rb
-    classes: dict[int, list[Label]] = {}
-    for i, x in enumerate(elems):
-        classes.setdefault(find(i), []).append(x)
-    return QuotientSet(carrier, classes.values())
+    for i, p in enumerate(parent):  # parent[p] is already a root, as p <= i
+        parent[i] = parent[p]
+    return QuotientSet(carrier, parent)
 
 
 def coproduct(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
@@ -324,14 +323,32 @@ class CoendResult:
         return self.quotient.representative((y, w))
 
 
-def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
-    """Quotient of the diagonal union by the generated coend relation.
+def coend_from(base: FinCat, diagonal, related) -> CoendResult:
+    """The coend of a bifunctor H over base, given by its generating relations.
 
-    For every generator f: y -> y' of the base (`FinCat.generators`) and
-    w in H(y', y) the pair (y, H(f, id)(w)) ~ (y', H(id, f)(w)) is related;
-    relations along composites follow when H is a bifunctor, which
-    check=True verifies and check=False takes on trust.  Classes are named
-    by their minimal member (minimum carrier position).
+    diagonal(y) lists H(y, y) in canonical order; related(f), for each
+    generator f: y -> y' (`FinCat.generators`), yields the pairs
+    (H(f, 1)w, H(1, f)w) of H(y, y) x H(y', y') for w in H(y', y), in any
+    order.  Relations along composites follow when H is a bifunctor, which
+    the caller vouches for.  Classes are named by their minimal member
+    (minimum carrier position).
+    """
+    carrier = FinSet.sigma(base.objects, diagonal)
+
+    def relations():
+        for f in base.generators():
+            y, y1 = base.src(f), base.tgt(f)
+            for a, b in related(f):
+                yield (y, a), (y1, b)
+
+    return CoendResult(quotient(carrier, relations()), base.objects)
+
+
+def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
+    """`coend_from` for a `Bifunctor`: its diagonal, and the pairs
+    (H(f, id)(w), H(id, f)(w)) for w in H(y', y) along each generator
+    f: y -> y'.  check=True first verifies that h is a bifunctor;
+    check=False takes it on trust.
     """
     if h.contra != base or h.co != base:
         raise EndpointMismatch("coend needs a bifunctor over the base on both sides")
@@ -339,17 +356,13 @@ def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
         bad = bifunctor_violations(h)
         if bad:
             raise BifunctorialityViolation(bad[0])
-    carrier = FinSet.sigma(base.objects, lambda y: h.value(y, y))
 
-    def relations():
-        for f in base.generators():
-            y, y1 = base.src(f), base.tgt(f)
-            left = h.act_contra(f, y)   # H(y', y) -> H(y, y)
-            right = h.act_co(y1, f)     # H(y', y) -> H(y', y')
-            for w in h.value(y1, y):
-                yield (y, left(w)), (y1, right(w))
+    def related(f):
+        y, y1 = base.src(f), base.tgt(f)
+        left, right = h.act_contra(f, y), h.act_co(y1, f)  # H(y', y) -> H(y, y), H(y', y')
+        return ((left(w), right(w)) for w in h.value(y1, y))
 
-    return CoendResult(quotient(carrier, relations()), base.objects)
+    return coend_from(base, lambda y: h.value(y, y), related)
 
 
 def induced_map(

@@ -9,15 +9,13 @@ nose and coherence comparisons can be tested for exact equality.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, field
 
-from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
+from .colim import CoendResult, coend_from, induced_actions, induced_map
 from .fincat import (
     EndpointMismatch,
     FinCat,
-    FinFn,
-    FinSet,
     Functor,
     Label,
     NonInvertible,
@@ -195,41 +193,35 @@ class ConvolutionPresheaf(Presheaf):
         return self.coends[a].quotient.representative(((a1, a2), (s, t, h)))
 
 
-def _day_bifunctor(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Label) -> Bifunctor:
-    base = mon.base
-    prod = product(base, base)
-
-    @functools.cache
-    def value(key):
-        (a1m, a2m), (b1, b2) = key
-        return FinSet.product(f1.values[a1m], f2.values[a2m], base.hom[(a, mon.ob(b1, b2))])
-
-    def contra(key):
-        (m1, m2), pp = key
-        r1, r2 = f1.restriction[m1], f2.restriction[m2]
-        dom = value(((base.tgt(m1), base.tgt(m2)), pp))
-        cod = value(((base.src(m1), base.src(m2)), pp))
-        return FinFn(dom, cod, {(s, t, h): (r1(s), r2(t), h) for (s, t, h) in dom})
-
-    def co(key):
-        pm, (m1, m2) = key
-        tm = mon.mor(m1, m2)
-        dom = value((pm, (base.src(m1), base.src(m2))))
-        cod = value((pm, (base.tgt(m1), base.tgt(m2))))
-        return FinFn(dom, cod, {(s, t, h): (s, t, base.comp[(tm, h)]) for (s, t, h) in dom})
-
-    return Bifunctor(prod, prod, value, contra, co)
-
-
 @memoised
 def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> ConvolutionPresheaf:
+    """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a.
+
+    Each coend comes from `coend_from` over the tensor's source, the product
+    of the base with itself: along a generator (m1, m2): (b1, b2) -> (b1', b2')
+    it relates (F1(m1)s, F2(m2)t, h) ~ (s, t, (m1 (x) m2) . h) for s in
+    F1(b1'), t in F2(b2') and h: a -> b1 (x) b2, read off the restriction
+    tables and the composition of the base.
+    """
     base = mon.base
     if f1.base != base or f2.base != base:
         raise EndpointMismatch("presheaves must live on the monoidal base")
-    prod = product(base, base)
-    coends = {
-        a: coend(prod, _day_bifunctor(mon, f1, f2, a), check=False) for a in base.objects
-    }
+
+    def coend_at(a):
+        def related(mm):
+            m1, m2 = mm
+            r1, r2 = f1.restriction[m1]._table, f2.restriction[m2]._table
+            tm, homs = mon.mor(m1, m2), base.hom[(a, mon.ob(base.src(m1), base.src(m2)))]
+            return (((r1[s], r2[t], h), (s, t, base.comp[(tm, h)])) for s in r1 for t in r2 for h in homs)
+
+        def diagonal(bb):
+            b1, b2 = bb
+            hom = base.hom[(a, mon.ob(b1, b2))]
+            return itertools.product(f1.values[b1].elements, f2.values[b2].elements, hom.elements)
+
+        return coend_from(mon.tensor.source, diagonal, related)
+
+    coends = {a: coend_at(a) for a in base.objects}
     values = {a: coends[a].value for a in base.objects}
 
     def rule(m, pair):

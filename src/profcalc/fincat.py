@@ -165,17 +165,16 @@ class FinSet:
         return label in self._index
 
 
-EMPTY_SET = FinSet()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FinFn:
-    """A total function between finite sets, given by an explicit mapping."""
+    """A total function between finite sets, given by an explicit mapping.
+
+    Only the table is stored; `mapping` (pairs in domain order) is built on read.
+    """
 
     domain: FinSet
     codomain: FinSet
-    mapping: tuple[tuple[Label, Label], ...]
-    _table: dict = field(compare=False, repr=False)
+    _table: dict
 
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
         # a dict is kept, not copied: callers build one for it and never mutate it
@@ -188,9 +187,23 @@ class FinFn:
                     raise ValueError(f"image label {value!r} not in codomain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        elems = domain.elements
-        object.__setattr__(self, "mapping", tuple(zip(elems, map(items.__getitem__, elems))))
         object.__setattr__(self, "_table", items)
+
+    @property
+    def mapping(self) -> tuple[tuple[Label, Label], ...]:
+        elems = self.domain.elements
+        return tuple(zip(elems, map(self._table.__getitem__, elems)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.domain == other.domain and self.codomain == other.codomain and self._table == other._table
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.mapping))
+
+    def __repr__(self):
+        return f"FinFn(domain={self.domain!r}, codomain={self.codomain!r}, mapping={self.mapping!r})"
 
     def __call__(self, label: Label) -> Label:
         return self._table[label]
@@ -206,12 +219,12 @@ class FinFn:
         return FinFn(self.domain, other.codomain, {k: table[v] for k, v in self._table.items()})
 
     def is_iso(self) -> bool:
-        return len({v for _, v in self.mapping}) == len(self.codomain) == len(self.domain)
+        return len(set(self._table.values())) == len(self.codomain) == len(self.domain)
 
     def inverse(self) -> FinFn:
         if not self.is_iso():
             raise NonInvertible("function is not a bijection")
-        return FinFn(self.codomain, self.domain, {v: k for k, v in self.mapping})
+        return FinFn(self.codomain, self.domain, {v: k for k, v in self._table.items()})
 
     @staticmethod
     def identity(s: FinSet) -> FinFn:

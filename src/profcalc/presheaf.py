@@ -13,11 +13,10 @@ structure strict on the nose.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
+from .colim import CoendResult, coend_from, induced_actions, induced_map
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -275,37 +274,30 @@ class KanPresheaf(Presheaf):
         return self.coends[y].quotient.representative((x, (u, v)))
 
 
-def _kan_bifunctor(f: PshValuedFunctor, p: Presheaf, y: Label) -> Bifunctor:
-    src = f.source
-
-    @functools.cache
-    def value(key):
-        xm, xp = key
-        return FinSet.product(f.on_obj[xp].values[y], p.values[xm])
-
-    def contra(key):
-        m, xp = key
-        pm = p.restriction[m]
-        dom = value((src.tgt(m), xp))
-        return FinFn(dom, value((src.src(m), xp)), {(u, v): (u, pm(v)) for (u, v) in dom})
-
-    def co(key):
-        xm, m = key
-        fn = f.on_mor[m].components[y]
-        dom = value((xm, src.src(m)))
-        return FinFn(dom, value((xm, src.tgt(m))), {(u, v): (fn(u), v) for (u, v) in dom})
-
-    return Bifunctor(src, src, value, contra, co)
-
-
 @memoised
 def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
     """Left Kan extension along Yoneda, applied to p: value at y is the coend
-    over x of f(x)(y) x p(x)."""
+    over x of f(x)(y) x p(x).
+
+    Each coend comes from `coend_from`: along a generator m: x -> x' it
+    relates (u, p(m)v) ~ (f(m)_y u, v) for u in f(x)(y) and v in p(x'),
+    read off the restriction table of p and the components of f(m).
+    """
     if p.base != f.source:
         raise EndpointMismatch("argument presheaf must live on the functor's source")
-    target = f.target_base
-    coends = {y: coend(f.source, _kan_bifunctor(f, p, y), check=False) for y in target.objects}
+    src, target = f.source, f.target_base
+
+    def coend_at(y):
+        def related(m):
+            pm, fm = p.restriction[m]._table, f.on_mor[m].components[y]._table
+            return (((u, pm[v]), (fm[u], v)) for u in fm for v in pm)
+
+        def diagonal(x):
+            return itertools.product(f.on_obj[x].values[y].elements, p.values[x].elements)
+
+        return coend_from(src, diagonal, related)
+
+    coends = {y: coend_at(y) for y in target.objects}
     values = {y: coends[y].value for y in target.objects}
 
     def rule(g, pair):

@@ -29,11 +29,11 @@ demonstrate that the checkers notice.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .colim import Bifunctor, CoendResult, coend, induced_actions, induced_map
+from .colim import Bifunctor, coend_from, induced_actions, induced_map
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -176,40 +176,28 @@ def prof_identity(base: FinCat) -> Profunctor:
     return Profunctor(base, base, values, left_act, right_act, check=False)
 
 
-def _compose_bifunctor(g: Profunctor, f: Profunctor, z: Label, x: Label) -> Bifunctor:
-    mid = f.target
-
-    @functools.cache
-    def value(key):
-        ym, yp = key
-        return FinSet.product(g.values[(z, yp)], f.values[(ym, x)])
-
-    def contra(key):
-        m, yp = key
-        fv = f.left_act[(m, x)]
-        dom = value((mid.tgt(m), yp))
-        return FinFn(dom, value((mid.src(m), yp)), {(u, v): (u, fv(v)) for (u, v) in dom})
-
-    def co(key):
-        ym, m = key
-        gv = g.right_act[(z, m)]
-        dom = value((ym, mid.src(m)))
-        return FinFn(dom, value((ym, mid.tgt(m))), {(u, v): (gv(u), v) for (u, v) in dom})
-
-    return Bifunctor(mid, mid, value, contra, co)
-
-
 def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
     """Symmetric coend formula: value at (z, x) is the coend over the middle
-    category of g(z, y) x f(y, x)."""
+    category of g(z, y) x f(y, x).
+
+    Each coend comes from `coend_from`: along a generator m: y -> y' it
+    relates (u, f(m, x)v) ~ (g(z, m)u, v) for u in g(z, y) and v in f(y', x),
+    read off the left action of f and the right action of g.
+    """
     if f.target != g.source:
         raise EndpointMismatch("profunctor endpoints do not match")
-    coends: dict[tuple[Label, Label], CoendResult] = {}
-    for z in g.target.objects:
-        for x in f.source.objects:
-            coends[(z, x)] = coend(
-                f.target, _compose_bifunctor(g, f, z, x), check=False
-            )
+
+    def coend_at(z, x):
+        def related(m):
+            fv, gv = f.left_act[(m, x)]._table, g.right_act[(z, m)]._table
+            return (((u, fv[v]), (gv[u], v)) for u in gv for v in fv)
+
+        def diagonal(y):
+            return itertools.product(g.values[(z, y)].elements, f.values[(y, x)].elements)
+
+        return coend_from(f.target, diagonal, related)
+
+    coends = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
     values = {key: res.value for key, res in coends.items()}
     left_act = {}
     right_act = {}

@@ -78,6 +78,35 @@ def test_factor_through_quotient_unique():
         factor_through_quotient(q, bad)
 
 
+def test_quotient_names_a_related_label_outside_the_carrier():
+    with pytest.raises(ValueError, match="'z' is not in the carrier"):
+        quotient(FinSet(["a", "b"]), [("a", "b"), ("b", "z")])
+
+
+def test_kan_extend_names_a_restriction_image_outside_its_value():
+    from profcalc.presheaf import Presheaf, kan_extend, yoneda_embedding
+
+    cat = arrow_category()
+    gen, = cat.generators()
+    values = {"0": FinSet(["a"]), "1": FinSet(["b"])}
+    restriction = {m: FinFn.identity(values[cat.src(m)]) for m in cat.morphisms() if cat.is_identity(m)}
+    restriction[gen] = FinFn(values["1"], FinSet(["stray"]), {"b": "stray"})  # not into p("0")
+    p = Presheaf(cat, values, restriction, check=False)
+    with pytest.raises(ValueError, match="'stray'"):
+        kan_extend(yoneda_embedding(cat), p)
+
+
+def test_quotient_set_roots_must_be_class_minima():
+    from profcalc.colim import QuotientSet
+
+    carrier = FinSet(["a", "b", "c"])
+    q = QuotientSet(carrier, [0, 0, 2])
+    assert q.classes == (("a", "b"), ("c",)) and q.quotient.elements == ("a", "c")
+    for roots in ([1, 1, 2], [0, 0, 1], [0, 1], [0, -1, 2]):
+        with pytest.raises(ValueError):
+            QuotientSet(carrier, roots)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_coequalizer_matches_naive_closure(data):
@@ -442,10 +471,13 @@ def _max_monoidal(cat):
 
 
 def _integrands(name):
-    """(base, fresh-bifunctor thunk) for every integrand builder over a small seed."""
-    from profcalc.day import _day_bifunctor, one_object_group_monoidal
-    from profcalc.presheaf import _kan_bifunctor, psh_coproduct, pvf_coproduct, yoneda_embedding
-    from profcalc.prof import _compose_bifunctor, prof_identity, tau_inv
+    """(base, fresh-bifunctor thunk, table-read coend or None) for every
+    integrand over a small seed; the engine computes the Kan, composition and
+    Day coends from table reads, the co-Yoneda ones from the bifunctor."""
+    from integrands import compose_bifunctor, day_bifunctor, kan_bifunctor
+    from profcalc.day import day_convolve, one_object_group_monoidal
+    from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda_embedding
+    from profcalc.prof import prof_compose, prof_identity, tau_inv
 
     if name == "Z3":
         mon = one_object_group_monoidal(3)
@@ -459,23 +491,24 @@ def _integrands(name):
     p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
     g, f = tau_inv(doubled), prof_identity(cat)
     q = yoneda(opposite(cat), objs[0])  # covariant on cat
+    kan, composite, conv = kan_extend(doubled, p), prof_compose(g, f), day_convolve(mon, p, p)
     out = []
     for y in objs:
-        out.append((cat, lambda y=y: _kan_bifunctor(doubled, p, y)))
-        out.append((cat, lambda y=y: _compose_bifunctor(g, f, objs[-1], y)))
-        out.append((product(cat, cat), lambda y=y: _day_bifunctor(mon, p, p, y)))
+        out.append((cat, lambda y=y: kan_bifunctor(doubled, p, y), kan.coends[y]))
+        out.append((cat, lambda y=y: compose_bifunctor(g, f, objs[-1], y), composite.coends[(objs[-1], y)]))
+        out.append((product(cat, cat), lambda y=y: day_bifunctor(mon, p, p, y), conv.coends[y]))
         out.append((cat, lambda y=y: hom_bifunctor_with(
             cat, lambda b: p.values[b], lambda m: p.restriction[m], y, covariant=False
-        )))
+        ), None))
         out.append((cat, lambda y=y: hom_bifunctor_with(
             cat, lambda b: q.values[b], lambda m: q.restriction[m], y, covariant=True
-        )))
+        ), None))
     return out
 
 
 @pytest.mark.parametrize("name", ["chain3", "arrow", "Z3"])
 def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
-    for base, build in _integrands(name):
+    for base, build, table_read in _integrands(name):
         full = build()
         # check=True materialises every table and raises on any bifunctor violation
         checked = coend(base, full, check=True)
@@ -483,6 +516,33 @@ def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
         lazy = coend(base, build(), check=False)
         assert lazy.quotient == checked.quotient
         assert lazy.injections == checked.injections
+        if table_read is not None:
+            assert table_read == checked
+            assert table_read.injections == checked.injections
+
+
+@pytest.mark.parametrize("name", ["chain5", "Z4"])
+def test_table_read_coends_build_no_product_sets(name, monkeypatch):
+    from profcalc.day import day_convolve, one_object_group_monoidal
+    from profcalc.presheaf import kan_extend, psh_coproduct, yoneda_embedding
+    from profcalc.prof import prof_compose, prof_identity
+
+    mon = one_object_group_monoidal(4) if name == "Z4" else _max_monoidal(chain(5))
+    cat = mon.base
+    objs = cat.objects.elements
+    emb, ident = yoneda_embedding(cat), prof_identity(cat)
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    calls = []
+
+    def counted(*factors):
+        calls.append(factors)
+        return FinSet(itertools.product(*factors))
+
+    monkeypatch.setattr(FinSet, "product", staticmethod(counted))
+    kan_extend(emb, p)
+    prof_compose(ident, ident)
+    day_convolve(mon, p, p)
+    assert calls == []
 
 
 def test_lazy_bifunctor_memoises_and_materialises():

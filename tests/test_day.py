@@ -177,10 +177,10 @@ def test_double_coend_matches_iterated_computation():
     mon = z_monoidal(2)
     f1 = psh_sizes(mon.base, {"d0": 1, "d1": 2})
     f2 = psh_sizes(mon.base, {"d0": 2, "d1": 1})
-    from profcalc.day import _day_bifunctor
+    from integrands import day_bifunctor
 
     for a in mon.base.objects:
-        h = _day_bifunctor(mon, f1, f2, a)
+        h = day_bifunctor(mon, f1, f2, a)
         joint, outer, fn = fubini_iso(mon.base, mon.base, h)
         assert fn.is_iso()
         conv = day_convolve(mon, f1, f2)
