@@ -42,10 +42,8 @@ def _emit(obj, out: str | None) -> None:
 def _print_witnesses(quotients) -> None:
     # classes listed with representatives first
     for key in sorted(quotients, key=repr):
-        q = quotients[key]
-        classes = q.classes if hasattr(q, "classes") else q.quotient.classes
         print(f"witnesses at {key!r}:", file=sys.stderr)
-        for cls in classes:
+        for cls in quotients[key].classes:
             print("  " + " ~ ".join(repr(x) for x in cls), file=sys.stderr)
 
 
@@ -75,20 +73,23 @@ def cmd_compose(args) -> int:
             result = prof_compose(g, f)
             _emit(result, args.out)
             if args.show_witnesses:
-                _print_witnesses(result.coends)
+                _print_witnesses(result.quotients)
         elif args.kind == "kleisli":
             g, f = _load(args.inputs[0]), _load(args.inputs[1])
             composite = kleisli_compose(tau(g), tau(f))
             result = tau_inv(composite)
             _emit(result, args.out)
             if args.show_witnesses:
-                _print_witnesses({x: composite.on_obj[x].coends for x in composite.on_obj})
+                # keyed (y, x) like the values of the emitted profunctor
+                _print_witnesses(
+                    {(y, x): q for x, kp in composite.on_obj.items() for y, q in kp.quotients.items()}
+                )
         elif args.kind == "day":
             mon, f1, f2 = (_load(p) for p in args.inputs[:3])
             result = day_convolve(mon, f1, f2)
             _emit(result, args.out)
             if args.show_witnesses:
-                _print_witnesses(result.coends)
+                _print_witnesses(result.quotients)
         elif args.kind == "subst":
             g, f = _load(args.inputs[0]), _load(args.inputs[1])
             result = subst_compose(g, f, args.m_bound)
@@ -117,7 +118,7 @@ def cmd_coend(args) -> int:
             print("coend needs a profunctor with matching endpoints", file=sys.stderr)
             return 1
         result = coend(p.source, p.as_bifunctor())
-        _emit(result.quotient, args.out)
+        _emit(result, args.out)
     except serialize.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -29,9 +29,14 @@ unless check=False.  A `Bifunctor` may give its tables as functions of the
 key, as `hom_bifunctor_with` and `restrict_bifunctor` do; `coend(check=False)`
 then builds only the diagonal and the generator slices.
 
-The actions of a coend with parameters, as in `kan_extend`, `prof_compose`,
-`day_convolve` and substitution, come from `induced_actions`: checked along
-generators, composed along the rest.
+A coend is returned as its `QuotientSet`, and everything built from coends
+keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
+`Profunctor`, `SymSeq`).  The actions of a coend with parameters, as in
+`kan_extend`, `prof_compose`, `day_convolve` and substitution, come from
+`induced_actions`: checked along generators, composed along the rest.  Every
+structural cell between coends -- unit, multiplication and theta, the
+associators and unitors, the Day and substitution comparisons -- is induced
+by a map of integrands, and its components come from `induced_components`.
 
 Nothing here caches a coend.  The builders that compute them again for the
 same arguments -- `kan_extend`, `kleisli_compose`, `day_convolve` and
@@ -294,43 +299,15 @@ def bifunctor_violations(h: Bifunctor) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class CoendResult:
-    """Coend of a bifunctor with contra == co: a quotient of the diagonal union."""
-
-    quotient: QuotientSet
-    objects: FinSet  # the base objects y, indexing the summands H(y, y) of the carrier
-
-    @property
-    def value(self) -> FinSet:
-        return self.quotient.quotient
-
-    @property
-    def injections(self) -> dict[Label, FinFn]:
-        """y -> the injection H(y, y) -> quotient for every base object, empty
-        H(y, y) included; built from the carrier on each read."""
-        fibres: dict[Label, list[Label]] = {y: [] for y in self.objects}
-        for y, w in self.quotient.carrier:
-            fibres[y].append(w)
-        rep = self.quotient.representative
-        return {
-            y: FinFn(FinSet(_Canonical(ws)), self.value, {w: rep((y, w)) for w in ws})
-            for y, ws in fibres.items()
-        }
-
-    def cls(self, y: Label, w: Label) -> Label:
-        """Class of the diagonal element w in H(y, y)."""
-        return self.quotient.representative((y, w))
-
-
-def coend_from(base: FinCat, diagonal, related) -> CoendResult:
+def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
     """The coend of a bifunctor H over base, given by its generating relations.
 
     diagonal(y) lists H(y, y) in canonical order; related(f), for each
     generator f: y -> y' (`FinCat.generators`), yields the pairs
     (H(f, 1)w, H(1, f)w) of H(y, y) x H(y', y') for w in H(y', y), in any
     order.  Relations along composites follow when H is a bifunctor, which
-    the caller vouches for.  Classes are named by their minimal member
+    the caller vouches for.  The result is the quotient of the carrier
+    {(y, w) : w in H(y, y)}; classes are named by their minimal member
     (minimum carrier position).
     """
     carrier = FinSet.sigma(base.objects, diagonal)
@@ -341,10 +318,10 @@ def coend_from(base: FinCat, diagonal, related) -> CoendResult:
             for a, b in related(f):
                 yield (y, a), (y1, b)
 
-    return CoendResult(quotient(carrier, relations()), base.objects)
+    return quotient(carrier, relations())
 
 
-def coend(base: FinCat, h: Bifunctor, check: bool = True) -> CoendResult:
+def coend(base: FinCat, h: Bifunctor, check: bool = True) -> QuotientSet:
     """`coend_from` for a `Bifunctor`: its diagonal, and the pairs
     (H(f, id)(w), H(id, f)(w)) for w in H(y', y) along each generator
     f: y -> y'.  check=True first verifies that h is a bifunctor;
@@ -384,6 +361,30 @@ def induced_map(
             )
         table[cls[0]] = next(iter(images))
     return FinFn(source.quotient, target_codomain, table)
+
+
+def induced_components(
+    quotients: Mapping[Label, QuotientSet],
+    codomains: Mapping[Label, FinSet],
+    rule: Callable[[Label, Label], Label],
+    bijection: str | None = None,
+) -> dict[Label, FinFn]:
+    """The components of a map between coends induced by a map of integrands.
+
+    At each key of `quotients`, in its order, `induced_map` sends the classes
+    of quotients[key] into codomains[key] by rule(key, x), checked on every
+    member of every class.  This is exact because a coend is functorial in its
+    integrand (Loregian, *(Co)end Calculus*, LMS LN 468, 2021, sec. 1).  When
+    `bijection` names the comparison, the first component that is not a
+    bijection raises NonInvertible.
+    """
+    comps = {}
+    for key, q in quotients.items():
+        fn = induced_map(q, codomains[key], functools.partial(rule, key))
+        if bijection is not None and not fn.is_iso():
+            raise NonInvertible(f"{bijection} at {key!r} is not a bijection")
+        comps[key] = fn
+    return comps
 
 
 def induced_actions(cat: FinCat, quotient_at, rule, contravariant: bool) -> dict[Label, FinFn]:
@@ -467,7 +468,7 @@ def coyoneda_iso(
     act: Callable[[Label], FinFn],
     x: Label,
     covariant: bool = True,
-) -> tuple[CoendResult, FinFn]:
+) -> tuple[QuotientSet, FinFn]:
     """The density bijection at x.
 
     Covariant F:  int^y base[y, x] x F(y)  -> F(x),   class(y,(g,v)) -> F(g)(v).
@@ -483,7 +484,7 @@ def coyoneda_iso(
         y, (g, v) = pair
         return act(g)(v)
 
-    fn = induced_map(result.quotient, value_at(x), rule)
+    fn = induced_map(result, value_at(x), rule)
     if not fn.is_iso():
         raise NonInvertible(f"co-Yoneda comparison at {x!r} is not a bijection")
     return result, fn
@@ -508,7 +509,7 @@ def restrict_bifunctor(joint: Bifunctor, base_left: FinCat, base_right: FinCat):
 
 def fubini_iso(
     base_left: FinCat, base_right: FinCat, joint: Bifunctor, check: bool = True
-) -> tuple[CoendResult, CoendResult, FinFn]:
+) -> tuple[QuotientSet, QuotientSet, FinFn]:
     """Single coend over base_left x base_right versus iterated (inner right, outer left).
 
     Returns (joint coend, outer coend, bijection joint -> iterated) where the
@@ -526,7 +527,7 @@ def fubini_iso(
     inner_of = restrict_bifunctor(joint, base_left, base_right)
 
     @functools.cache
-    def inner(key: tuple[Label, Label]) -> CoendResult:
+    def inner(key: tuple[Label, Label]) -> QuotientSet:
         return coend(base_right, inner_of(*key), check=False)
 
     # outer bifunctor over base_left: K(a-, a+) = inner coend, actions induced
@@ -537,9 +538,9 @@ def fubini_iso(
         def rule(pair):
             y, w = pair
             moved = joint.act_contra((m, base_right.id_of(y)), (b, y))(w)
-            return cod_res.cls(y, moved)
+            return cod_res.representative((y, moved))
 
-        return induced_map(inner((base_left.tgt(m), b)).quotient, cod_res.value, rule)
+        return induced_map(inner((base_left.tgt(m), b)), cod_res.quotient, rule)
 
     def co(key):
         a, m = key
@@ -548,18 +549,18 @@ def fubini_iso(
         def rule(pair):
             y, w = pair
             moved = joint.act_co((a, y), (m, base_right.id_of(y)))(w)
-            return cod_res.cls(y, moved)
+            return cod_res.representative((y, moved))
 
-        return induced_map(inner((a, base_left.src(m))).quotient, cod_res.value, rule)
+        return induced_map(inner((a, base_left.src(m))), cod_res.quotient, rule)
 
-    outer = Bifunctor(base_left, base_left, lambda key: inner(key).value, contra, co)
+    outer = Bifunctor(base_left, base_left, lambda key: inner(key).quotient, contra, co)
     outer_result = coend(base_left, outer, check=False)
 
     def comparison(pair: Label) -> Label:
         (a, b), w = pair
-        return outer_result.cls(a, inner((a, a)).cls(b, w))
+        return outer_result.representative((a, inner((a, a)).representative((b, w))))
 
-    fn = induced_map(joint_result.quotient, outer_result.value, comparison)
+    fn = induced_map(joint_result, outer_result.quotient, comparison)
     if not fn.is_iso():
         raise NonInvertible("Fubini comparison is not a bijection")
     return joint_result, outer_result, fn

@@ -10,9 +10,9 @@ nose and coherence comparisons can be tested for exact equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .colim import CoendResult, coend_from, induced_actions, induced_map
+from .colim import coend_from, induced_actions, induced_components
 from .fincat import (
     EndpointMismatch,
     FinCat,
@@ -28,10 +28,13 @@ from .presheaf import (
     Presheaf,
     PshMap,
     PshValuedFunctor,
+    functor_into_presheaves,
     kan_extend,
+    pshmap_violations,
     yoneda,
 )
 from .report import CheckReport
+from .seeds import cyclic_group_category, terminal_category
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,6 @@ def monoidal_from_monoid(base: FinCat, mult, unit_obj: Label, commutative: bool 
 
 
 def terminal_monoidal() -> StrictMonoidalFinCat:
-    from .seeds import terminal_category
-
     base = terminal_category()
     prod = product(base, base)
     tensor = Functor(
@@ -158,8 +159,6 @@ def terminal_monoidal() -> StrictMonoidalFinCat:
 
 def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:
     """The cyclic group as a one-object strict monoidal category (tensor = multiplication)."""
-    from .seeds import cyclic_group_category
-
     base = cyclic_group_category(n)
     obj = next(iter(base.objects))
     prod = product(base, base)
@@ -179,23 +178,10 @@ def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:
 # -- convolution --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvolutionPresheaf(Presheaf):
-    """Result of day_convolve, remembering the per-object coends."""
-
-    coends: dict[Label, CoendResult] = field(compare=False, default_factory=dict)
-
-    def __init__(self, base, values, restriction, coends):
-        Presheaf.__init__(self, base, values, restriction, check=False)
-        object.__setattr__(self, "coends", dict(coends))
-
-    def cls(self, a: Label, a1: Label, a2: Label, s: Label, t: Label, h: Label) -> Label:
-        return self.coends[a].quotient.representative(((a1, a2), (s, t, h)))
-
-
 @memoised
-def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> ConvolutionPresheaf:
-    """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a.
+def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presheaf:
+    """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a,
+    kept in `quotients[a]` with carrier elements ((b1, b2), (s, t, h)).
 
     Each coend comes from `coend_from` over the tensor's source, the product
     of the base with itself: along a generator (m1, m2): (b1, b2) -> (b1', b2')
@@ -221,15 +207,15 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Convo
 
         return coend_from(mon.tensor.source, diagonal, related)
 
-    coends = {a: coend_at(a) for a in base.objects}
-    values = {a: coends[a].value for a in base.objects}
+    quotients = {a: coend_at(a) for a in base.objects}
+    values = {a: q.quotient for a, q in quotients.items()}
 
     def rule(m, pair):
         bb, (s, t, h) = pair
-        return coends[base.src(m)].quotient.representative((bb, (s, t, base.comp[(h, m)])))
+        return quotients[base.src(m)].representative((bb, (s, t, base.comp[(h, m)])))
 
-    restriction = induced_actions(base, lambda a: coends[a].quotient, rule, contravariant=True)
-    return ConvolutionPresheaf(base, values, restriction, coends)
+    restriction = induced_actions(base, quotients.__getitem__, rule, contravariant=True)
+    return Presheaf(base, values, restriction, check=False, quotients=quotients)
 
 
 def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:
@@ -241,15 +227,13 @@ def day_convolve_map(mon: StrictMonoidalFinCat, phi: PshMap, psi: PshMap) -> Psh
     """Functoriality of convolution in both arguments."""
     src = day_convolve(mon, phi.source, psi.source)
     tgt = day_convolve(mon, phi.target, psi.target)
-    comps = {}
-    for a in mon.base.objects:
 
-        def rule(pair, a=a):
-            (b1, b2), (s, t, h) = pair
-            return tgt.cls(a, b1, b2, phi.components[b1](s), psi.components[b2](t), h)
+    def rule(a, pair):
+        (b1, b2), (s, t, h) = pair
+        moved = (phi.components[b1](s), psi.components[b2](t), h)
+        return tgt.quotients[a].representative(((b1, b2), moved))
 
-        comps[a] = induced_map(src.coends[a].quotient, tgt.values[a], rule)
-    return PshMap(src, tgt, comps, check=False)
+    return PshMap(src, tgt, induced_components(src.quotients, tgt.values, rule), check=False)
 
 
 @memo_scope()
@@ -257,19 +241,14 @@ def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
     """Unit law: y(I) (x) F -> F by acting with (u (x) 1) . h."""
     src = day_convolve(mon, day_unit(mon), f)
     base = mon.base
-    comps = {}
-    for a in base.objects:
 
-        def rule(pair, a=a):
-            (b1, b2), (u, t, h) = pair
-            # u: b1 -> I, so (u (x) 1_{b2}) . h : a -> b2 by strict unitality
-            collapse = base.comp[(mon.mor(u, base.id_of(b2)), h)]
-            return f.restriction[collapse](t)
+    def rule(a, pair):
+        (b1, b2), (u, t, h) = pair
+        # u: b1 -> I, so (u (x) 1_{b2}) . h : a -> b2 by strict unitality
+        collapse = base.comp[(mon.mor(u, base.id_of(b2)), h)]
+        return f.restriction[collapse](t)
 
-        fn = induced_map(src.coends[a].quotient, f.values[a], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"unit comparison at {a!r} is not a bijection")
-        comps[a] = fn
+    comps = induced_components(src.quotients, f.values, rule, bijection="unit comparison")
     return PshMap(src, f, comps, check=True)
 
 
@@ -277,18 +256,13 @@ def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
 def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
     src = day_convolve(mon, f, day_unit(mon))
     base = mon.base
-    comps = {}
-    for a in base.objects:
 
-        def rule(pair, a=a):
-            (b1, b2), (s, u, h) = pair
-            collapse = base.comp[(mon.mor(base.id_of(b1), u), h)]
-            return f.restriction[collapse](s)
+    def rule(a, pair):
+        (b1, b2), (s, u, h) = pair
+        collapse = base.comp[(mon.mor(base.id_of(b1), u), h)]
+        return f.restriction[collapse](s)
 
-        fn = induced_map(src.coends[a].quotient, f.values[a], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"unit comparison at {a!r} is not a bijection")
-        comps[a] = fn
+    comps = induced_components(src.quotients, f.values, rule, bijection="unit comparison")
     return PshMap(src, f, comps, check=True)
 
 
@@ -298,22 +272,26 @@ def _yoneda_comparison(mon: StrictMonoidalFinCat, b1: Label, b2: Label) -> PshMa
     conv = day_convolve(mon, yoneda(base, b1), yoneda(base, b2))
     target = yoneda(base, mon.ob(b1, b2))
 
-    def rule(pair):
+    def rule(a, pair):
         _, (u, v, h) = pair
         return base.comp[(mon.mor(u, v), h)]
 
-    comps = {
-        a: induced_map(conv.coends[a].quotient, target.values[a], rule) for a in base.objects
-    }
+    comps = induced_components(conv.quotients, target.values, rule)
     return PshMap(conv, target, comps, check=False)
 
 
 @memo_scope()
 def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label) -> CheckReport:
     """Exhibit and verify y(a1) (x) y(a2) = y(a1 (x) a2)."""
-    report = CheckReport("yoneda-strong-monoidal")
+    return _comparison_report("yoneda-strong-monoidal", lambda: _yoneda_comparison(mon, a1, a2))
+
+
+def _comparison_report(name: str, build) -> CheckReport:
+    """Whether the comparison PshMap that build() returns is well defined and
+    bijective, and if so natural; a ValueError from build() is the witness."""
+    report = CheckReport(name)
     try:
-        cmp_map = _yoneda_comparison(mon, a1, a2)
+        cmp_map = build()
     except ValueError as exc:
         report.add("comparison-bijective", False, str(exc))
         return report
@@ -321,8 +299,6 @@ def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label
     witness = f"comparison at {bad[0]!r} not bijective" if bad else None
     report.add("comparison-bijective", not bad, witness)
     if not bad:
-        from .presheaf import pshmap_violations
-
         bad = pshmap_violations(cmp_map)
         report.add("comparison-natural", not bad, bad[0] if bad else None)
     return report
@@ -337,21 +313,16 @@ def day_assoc_iso(
     src = day_convolve(mon, day_convolve(mon, f1, f2), f3)
     c23 = day_convolve(mon, f2, f3)
     tgt = day_convolve(mon, f1, c23)
-    comps = {}
-    for a in base.objects:
 
-        def rule(pair, a=a):
-            (c, b3), (xi, r, h) = pair
-            (b1, b2), (s, t, k) = xi  # k: c -> b1 (x) b2
-            d = mon.ob(b2, b3)
-            eta = c23.cls(d, b2, b3, t, r, base.id_of(d))
-            moved = base.comp[(mon.mor(k, base.id_of(b3)), h)]
-            return tgt.cls(a, b1, d, s, eta, moved)
+    def rule(a, pair):
+        (c, b3), (xi, r, h) = pair
+        (b1, b2), (s, t, k) = xi  # k: c -> b1 (x) b2
+        d = mon.ob(b2, b3)
+        eta = c23.quotients[d].representative(((b2, b3), (t, r, base.id_of(d))))
+        moved = base.comp[(mon.mor(k, base.id_of(b3)), h)]
+        return tgt.quotients[a].representative(((b1, d), (s, eta, moved)))
 
-        fn = induced_map(src.coends[a].quotient, tgt.values[a], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"associator at {a!r} is not a bijection")
-        comps[a] = fn
+    comps = induced_components(src.quotients, tgt.values, rule, bijection="associator")
     return PshMap(src, tgt, comps, check=False)
 
 
@@ -366,8 +337,6 @@ def check_convolution_assoc(
         report.add("associator-iso", False, str(exc))
         return report
     report.add("associator-iso", True)
-    from .presheaf import pshmap_violations
-
     bad = pshmap_violations(iso)
     report.add("associator-natural", not bad, bad[0] if bad else None)
     return report
@@ -405,17 +374,15 @@ def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> P
     base = mon.base
     src = day_convolve(mon, f1, f2)
     tgt = day_convolve(mon, f2, f1)
-    comps = {}
-    for a in base.objects:
 
-        def rule(pair, a=a):
-            (b1, b2), (s, t, h) = pair
-            return tgt.cls(a, b2, b1, t, s, base.comp[(mon.symmetry[(b1, b2)], h)])
+    def rule(a, pair):
+        (b1, b2), (s, t, h) = pair
+        swapped = (t, s, base.comp[(mon.symmetry[(b1, b2)], h)])
+        return tgt.quotients[a].representative(((b2, b1), swapped))
 
-        fn = induced_map(src.coends[a].quotient, tgt.values[a], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"symmetry comparison at {a!r} is not a bijection")
-        comps[a] = fn
+    comps = induced_components(
+        src.quotients, tgt.values, rule, bijection="symmetry comparison"
+    )
     return PshMap(src, tgt, comps, check=False)
 
 
@@ -436,8 +403,6 @@ def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Pres
     report.add("braiding-iso", True)
     witness = cell_difference(braid.then(braid_back), PshMap.identity(c12))
     report.add("braiding-involutive", witness is None, witness)
-    from .presheaf import pshmap_violations
-
     bad = pshmap_violations(braid)
     report.add("braiding-natural", not bad, bad[0] if bad else None)
     return report
@@ -498,8 +463,6 @@ def monoidal_from_strict_functor(
     source_mon: StrictMonoidalFinCat, target_mon: StrictMonoidalFinCat, g: Functor
 ) -> MonoidalPshFunctor:
     """Yoneda after a strict monoidal functor, with the canonical constraints."""
-    from .presheaf import functor_into_presheaves
-
     f = functor_into_presheaves(g)
     constraint = {
         (a1, a2): _yoneda_comparison(target_mon, g.obj_map[a1], g.obj_map[a2])
@@ -515,45 +478,23 @@ def check_kan_monoidal(
     mf: MonoidalPshFunctor, p: Presheaf, q: Presheaf
 ) -> CheckReport:
     """Exhibit and verify F*(p (x) q) = F*(p) (x) F*(q) at the given arguments."""
-    report = CheckReport("kan-monoidal")
     a_mon, b_mon = mf.source_mon, mf.target_mon
     f = mf.functor
-    conv_pq = day_convolve(a_mon, p, q)
-    lhs = kan_extend(f, conv_pq)
+    lhs = kan_extend(f, day_convolve(a_mon, p, q))
     kp, kq = kan_extend(f, p), kan_extend(f, q)
     rhs = day_convolve(b_mon, kp, kq)
     inverted = {key: cell.inverse() for key, cell in mf.constraint.items()}
-    comps = {}
-    ok = True
-    witness = None
-    for b in b_mon.base.objects:
 
-        def rule(pair, b=b):
-            a, (u, xi) = pair
-            (a1, a2), (s, t, h) = xi  # h: a -> a1 (x) a2 in the source base
-            moved = f.on_mor[h].components[b](u)  # now in F(a1 (x) a2)(b)
-            w = inverted[(a1, a2)].components[b](moved)
-            (b1, b2), (u1, u2, k) = w
-            alpha = kp.cls(b1, a1, u1, s)
-            beta = kq.cls(b2, a2, u2, t)
-            return rhs.cls(b, b1, b2, alpha, beta, k)
+    def rule(b, pair):
+        a, (u, xi) = pair
+        (a1, a2), (s, t, h) = xi  # h: a -> a1 (x) a2 in the source base
+        moved = f.on_mor[h].components[b](u)  # now in F(a1 (x) a2)(b)
+        (b1, b2), (u1, u2, k) = inverted[(a1, a2)].components[b](moved)
+        alpha = kp.quotients[b1].representative((a1, (u1, s)))
+        beta = kq.quotients[b2].representative((a2, (u2, t)))
+        return rhs.quotients[b].representative(((b1, b2), (alpha, beta, k)))
 
-        try:
-            fn = induced_map(lhs.coends[b].quotient, rhs.values[b], rule)
-        except ValueError as exc:
-            ok = False
-            witness = str(exc)
-            break
-        if not fn.is_iso():
-            ok = False
-            witness = f"comparison at {b!r} not bijective"
-            break
-        comps[b] = fn
-    report.add("comparison-bijective", ok, witness)
-    if ok:
-        from .presheaf import pshmap_violations
-
-        cmp_map = PshMap(lhs, rhs, comps, check=False)
-        bad = pshmap_violations(cmp_map)
-        report.add("comparison-natural", not bad, bad[0] if bad else None)
-    return report
+    return _comparison_report(
+        "kan-monoidal",
+        lambda: PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.values, rule), check=False),
+    )

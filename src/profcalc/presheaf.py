@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import CoendResult, coend_from, induced_actions, induced_map
+from .colim import QuotientSet, coend_from, induced_actions, induced_components
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -40,11 +40,13 @@ class Presheaf:
     base: FinCat
     values: dict[Label, FinSet]
     restriction: dict[Label, FinFn]  # morphism m -> values[tgt m] -> values[src m]
+    quotients: dict[Label, QuotientSet] = field(compare=False, default_factory=dict, repr=False)
 
-    def __init__(self, base, values, restriction, check: bool = True):
+    def __init__(self, base, values, restriction, check: bool = True, quotients=None):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "values", dict(values))
         object.__setattr__(self, "restriction", dict(restriction))
+        object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         if check:
             bad = presheaf_violations(self)
             if bad:
@@ -255,29 +257,11 @@ def functor_into_presheaves(f: Functor) -> PshValuedFunctor:
 # -- Kan extension -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KanPresheaf(Presheaf):
-    """A presheaf produced by kan_extend, remembering its per-object coends.
-
-    Structurally equal to the plain Presheaf with the same tables; the extra
-    fields only provide class lookups for elements (x, (u, v)).
-    """
-
-    coends: dict[Label, CoendResult] = field(compare=False, default_factory=dict)
-
-    def __init__(self, base, values, restriction, coends):
-        Presheaf.__init__(self, base, values, restriction, check=False)
-        object.__setattr__(self, "coends", dict(coends))
-
-    def cls(self, y: Label, x: Label, u: Label, v: Label) -> Label:
-        """Class name of the carrier element (x, (u, v)) at target object y."""
-        return self.coends[y].quotient.representative((x, (u, v)))
-
-
 @memoised
-def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
+def kan_extend(f: PshValuedFunctor, p: Presheaf) -> Presheaf:
     """Left Kan extension along Yoneda, applied to p: value at y is the coend
-    over x of f(x)(y) x p(x).
+    over x of f(x)(y) x p(x), kept in `quotients[y]` with carrier elements
+    (x, (u, v)).
 
     Each coend comes from `coend_from`: along a generator m: x -> x' it
     relates (u, p(m)v) ~ (f(m)_y u, v) for u in f(x)(y) and v in p(x'),
@@ -297,15 +281,15 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> KanPresheaf:
 
         return coend_from(src, diagonal, related)
 
-    coends = {y: coend_at(y) for y in target.objects}
-    values = {y: coends[y].value for y in target.objects}
+    quotients = {y: coend_at(y) for y in target.objects}
+    values = {y: q.quotient for y, q in quotients.items()}
 
     def rule(g, pair):
         x, (u, v) = pair
-        return coends[target.src(g)].quotient.representative((x, (f.on_obj[x].restriction[g](u), v)))
+        return quotients[target.src(g)].representative((x, (f.on_obj[x].restriction[g](u), v)))
 
-    restriction = induced_actions(target, lambda y: coends[y].quotient, rule, contravariant=True)
-    return KanPresheaf(target, values, restriction, coends)
+    restriction = induced_actions(target, quotients.__getitem__, rule, contravariant=True)
+    return Presheaf(target, values, restriction, check=False, quotients=quotients)
 
 
 @memo_scope()
@@ -313,15 +297,12 @@ def kan_extend_map(f: PshValuedFunctor, phi: PshMap) -> PshMap:
     """Functoriality of the extension in its presheaf argument."""
     kp = kan_extend(f, phi.source)
     kq = kan_extend(f, phi.target)
-    comps = {}
-    for y in f.target_base.objects:
 
-        def rule(pair, y=y):
-            x, (u, v) = pair
-            return kq.cls(y, x, u, phi.components[x](v))
+    def rule(y, pair):
+        x, (u, v) = pair
+        return kq.quotients[y].representative((x, (u, phi.components[x](v))))
 
-        comps[y] = induced_map(kp.coends[y].quotient, kq.values[y], rule)
-    return PshMap(kp, kq, comps, check=False)
+    return PshMap(kp, kq, induced_components(kp.quotients, kq.values, rule), check=False)
 
 
 @memo_scope()
@@ -333,14 +314,15 @@ def eta_iso(f: PshValuedFunctor, x: Label) -> PshMap:
     comps = {}
     for y in f.target_base.objects:
         dom = f.on_obj[x].values[y]
-        comps[y] = FinFn(dom, kp.values[y], {u: kp.cls(y, x, u, idx) for u in dom})
+        rep = kp.quotients[y].representative
+        comps[y] = FinFn(dom, kp.values[y], {u: rep((x, (u, idx))) for u in dom})
     phi = PshMap(f.on_obj[x], kp, comps, check=True)
     if not phi.is_iso():
         raise NonInvertible(f"unit comparison at {x!r} is not invertible")
     return phi
 
 
-def apply_P_functor(f: Functor, p: Presheaf) -> KanPresheaf:
+def apply_P_functor(f: Functor, p: Presheaf) -> Presheaf:
     """Action of the presheaf construction on a functor: extend Yoneda-after-f."""
     return kan_extend(functor_into_presheaves(f), p)
 

@@ -5,10 +5,12 @@ then-apply; the symmetric coend composition of profunctors is a separate
 code path, and the two are *tested* isomorphic rather than identified.
 
 All coherence cells (mu, eta, theta, the associator and unitors) are
-materialized as explicit families of bijections between value sets.  Their
-construction is elementwise on canonical quotient representatives; every
-induced map is verified well-defined, and every cell claimed invertible is
-verified bijective.  Equality of composite cells is label-exact equality of
+materialized as explicit families of bijections between value sets.  A
+Kan extension keeps its coends in `Presheaf.quotients`, and each cell out of
+one is induced by a map of integrands: `colim.induced_components` sends the
+classes of every coend through an elementwise rule on carriers, verifies it
+well-defined on every class, and verifies bijective every cell claimed
+invertible.  Equality of composite cells is label-exact equality of
 component functions, so a commuting diagram means exact equality, not
 isomorphism-up-to-renaming.
 
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .colim import Bifunctor, coend_from, induced_actions, induced_map
+from .colim import Bifunctor, bifunctor_violations, coend_from, induced_actions, induced_components
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -41,7 +43,6 @@ from .fincat import (
     FinFn,
     FinSet,
     Label,
-    NonInvertible,
     cell_difference,
     memo_scope,
     memoised,
@@ -80,15 +81,15 @@ class Profunctor:
     values: dict[tuple[Label, Label], FinSet]
     left_act: dict[tuple[Label, Label], FinFn]   # (target morphism g, x): values[tgt g, x] -> values[src g, x]
     right_act: dict[tuple[Label, Label], FinFn]  # (y, source morphism f): values[y, src f] -> values[y, tgt f]
-    coends: dict = field(compare=False, default_factory=dict, repr=False)
+    quotients: dict = field(compare=False, default_factory=dict, repr=False)
 
-    def __init__(self, source, target, values, left_act, right_act, check=True, coends=None):
+    def __init__(self, source, target, values, left_act, right_act, check=True, quotients=None):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "values", dict(values))
         object.__setattr__(self, "left_act", dict(left_act))
         object.__setattr__(self, "right_act", dict(right_act))
-        object.__setattr__(self, "coends", dict(coends) if coends else {})
+        object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         if check:
             bad = profunctor_violations(self)
             if bad:
@@ -112,8 +113,6 @@ class Profunctor:
 
 
 def profunctor_violations(p: Profunctor) -> list[str]:
-    from .colim import bifunctor_violations
-
     return bifunctor_violations(p.as_bifunctor())
 
 
@@ -197,32 +196,34 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
 
         return coend_from(f.target, diagonal, related)
 
-    coends = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
-    values = {key: res.value for key, res in coends.items()}
+    quotients = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
+    values = {key: q.quotient for key, q in quotients.items()}
     left_act = {}
     right_act = {}
     for x in f.source.objects:
 
         def rule(m, pair, x=x):
             y, (u, v) = pair
-            return coends[(g.target.src(m), x)].cls(y, (g.left_act[(m, y)](u), v))
+            q = quotients[(g.target.src(m), x)]
+            return q.representative((y, (g.left_act[(m, y)](u), v)))
 
         acts = induced_actions(
-            g.target, lambda z, x=x: coends[(z, x)].quotient, rule, contravariant=True
+            g.target, lambda z, x=x: quotients[(z, x)], rule, contravariant=True
         )
         left_act.update(((m, x), fn) for m, fn in acts.items())
     for z in g.target.objects:
 
         def rule(m, pair, z=z):
             y, (u, v) = pair
-            return coends[(z, f.source.tgt(m))].cls(y, (u, f.right_act[(y, m)](v)))
+            q = quotients[(z, f.source.tgt(m))]
+            return q.representative((y, (u, f.right_act[(y, m)](v))))
 
         acts = induced_actions(
-            f.source, lambda x, z=z: coends[(z, x)].quotient, rule, contravariant=False
+            f.source, lambda x, z=z: quotients[(z, x)], rule, contravariant=False
         )
         right_act.update(((z, m), fn) for m, fn in acts.items())
     return Profunctor(
-        f.source, g.target, values, left_act, right_act, check=False, coends=coends
+        f.source, g.target, values, left_act, right_act, check=False, quotients=quotients
     )
 
 
@@ -321,15 +322,12 @@ def star_cell(psi: KleisliCell, q: Presheaf) -> PshMap:
     """The extension operation applied to a 2-cell, evaluated at the argument q."""
     kp = kan_extend(psi.source, q)
     kq = kan_extend(psi.target, q)
-    comps = {}
-    for v in psi.source.target_base.objects:
 
-        def rule(pair, v=v):
-            z, (u, w) = pair
-            return kq.cls(v, z, psi.components[z].components[v](u), w)
+    def rule(v, pair):
+        z, (u, w) = pair
+        return kq.quotients[v].representative((z, (psi.components[z].components[v](u), w)))
 
-        comps[v] = induced_map(kp.coends[v].quotient, kq.values[v], rule)
-    return PshMap(kp, kq, comps, check=False)
+    return PshMap(kp, kq, induced_components(kp.quotients, kq.values, rule), check=False)
 
 
 @memo_scope()
@@ -359,17 +357,13 @@ def theta_map(
 ) -> PshMap:
     """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
     kp = kan_extend(yoneda_embedding(base), p)
-    comps = {}
-    for a in base.objects:
 
-        def rule(pair):
-            x, (h, v) = pair
-            return p.restriction[h](v)
+    def rule(a, pair):
+        x, (h, v) = pair
+        return p.restriction[h](v)
 
-        fn = induced_map(kp.coends[a].quotient, p.values[a], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"theta component at {a!r} is not a bijection")
-        comps[a] = _mut(mutate, "theta", tag + (a,), fn)
+    comps = induced_components(kp.quotients, p.values, rule, bijection="theta component")
+    comps = {a: _mut(mutate, "theta", tag + (a,), fn) for a, fn in comps.items()}
     return PshMap(kp, p, comps, check=False)
 
 
@@ -414,18 +408,15 @@ def mu_map(
     lhs = kan_extend(kleisli_compose(g, f), p)
     fp = kan_extend(f, p)
     rhs = kan_extend(g, fp)
-    comps = {}
-    for z in g.target_base.objects:
 
-        def rule(pair, z=z):
-            x, (xi, w) = pair
-            y, (u, v) = xi
-            return rhs.cls(z, y, u, fp.cls(y, x, v, w))
+    def rule(z, pair):
+        x, (xi, w) = pair
+        y, (u, v) = xi
+        inner = fp.quotients[y].representative((x, (v, w)))
+        return rhs.quotients[z].representative((y, (u, inner)))
 
-        fn = induced_map(lhs.coends[z].quotient, rhs.values[z], rule)
-        if not fn.is_iso():
-            raise NonInvertible(f"mu component at {z!r} is not a bijection")
-        comps[z] = _mut(mutate, "mu", tag + (z,), fn)
+    comps = induced_components(lhs.quotients, rhs.values, rule, bijection="mu component")
+    comps = {z: _mut(mutate, "mu", tag + (z,), fn) for z, fn in comps.items()}
     return PshMap(lhs, rhs, comps, check=False)
 
 

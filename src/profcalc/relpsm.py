@@ -25,6 +25,7 @@ from .presheaf import (
     psh_initial_map,
     psh_terminal,
     psh_terminal_map,
+    pshmap_violations,
     yoneda,
     yoneda_embedding,
 )
@@ -33,6 +34,7 @@ from .prof import (
     MutateHook,
     eta_cell,
     kleisli_associator,
+    kleisli_cell_violations,
     kleisli_compose,
     kleisli_left_unitor,
     mu_map,
@@ -209,9 +211,6 @@ def check_cell_naturality(
     theta and mu in the base object and, modification-style, in the argument
     along the canonical maps between family members.
     """
-    from .presheaf import pshmap_violations
-    from .prof import kleisli_cell_violations
-
     report = CheckReport("cell-naturality")
     base = f.source
     i_x = yoneda_embedding(base)

@@ -12,7 +12,17 @@ from typing import Any
 
 from .day import StrictMonoidalFinCat
 from .colim import QuotientSet
-from .fincat import FinCat, FinFn, FinSet, Functor, Label, NatTrans, label_key, validate_category
+from .fincat import (
+    FinCat,
+    FinFn,
+    FinSet,
+    Functor,
+    Label,
+    NatTrans,
+    label_key,
+    product,
+    validate_category,
+)
 from .presheaf import Presheaf, PshMap
 from .prof import Profunctor
 from .symmon import SymSeq, free_sym_cat
@@ -280,8 +290,6 @@ def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
 
 
 def monoidal_from_dict(d: dict) -> StrictMonoidalFinCat:
-    from .fincat import product
-
     base = _category_from_dict(d["base"])
     prod = product(base, base)
     obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in d["tensor_obj"]}

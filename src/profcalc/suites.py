@@ -58,7 +58,7 @@ from .relpsm import (
     epsilon_cell,
 )
 from .report import CheckReport
-from .seeds import all_functors, discrete, seed_library
+from .seeds import all_functors, discrete, parallel_pair, seed_library
 from .symmon import (
     ColouredOperad,
     associative_operad,
@@ -427,8 +427,6 @@ def suite_operad(config: SuiteConfig) -> dict:
         elif i % 3 == 1:
             operad = associative_operad(arity)
         else:
-            from .seeds import parallel_pair
-
             operad = unit_operad(parallel_pair(), min(arity, 2))
         if config.fault in ("unit", "comp"):
             if config.fault == "unit":

@@ -22,7 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import QuotientSet, induced_actions, induced_map, quotient
+from .colim import (
+    QuotientSet,
+    bifunctor_violations,
+    induced_actions,
+    induced_components,
+    induced_map,
+    quotient,
+)
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -41,8 +48,9 @@ from .fincat import (
     memoised,
     opposite,
 )
-from .prof import Profunctor
+from .prof import ProfCell, Profunctor, kleisli_compose, profcell_violations, tau
 from .report import CheckReport
+from .seeds import discrete
 
 Perm = tuple[int, ...]
 
@@ -305,8 +313,6 @@ class SymSeq:
 
 
 def symseq_violations(seq: SymSeq) -> list[str]:
-    from .colim import bifunctor_violations
-
     return bifunctor_violations(seq.as_profunctor().as_bifunctor())
 
 
@@ -324,8 +330,6 @@ class SymSeqCell(Cell):
 
 
 def symseqcell_violations(cell: SymSeqCell) -> list[str]:
-    from .prof import ProfCell, profcell_violations
-
     probe = ProfCell(
         cell.source.as_profunctor(),
         cell.target.as_profunctor(),
@@ -554,45 +558,37 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
 
 def subst_whisker_outer(cell: SymSeqCell, gf: SymSeq, g2f: SymSeq) -> SymSeqCell:
     """Apply a cell between outer sequences inside composites with a shared inner part."""
-    comps = {}
-    for key, quotient in gf.quotients.items():
 
-        def rule(elem, key=key):
-            m, ys, blocks, gamma, vs, h = elem
-            return g2f.quotients[key].representative(
-                (m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h)
-            )
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return g2f.quotients[key].representative(
+            (m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h)
+        )
 
-        comps[key] = induced_map(quotient, g2f.values[key], rule)
-    return SymSeqCell(gf, g2f, comps, check=False)
+    return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.values, rule), check=False)
 
 
 def subst_whisker_inner(cell: SymSeqCell, gf: SymSeq, gf2: SymSeq) -> SymSeqCell:
     """Apply a cell between inner sequences blockwise inside composites."""
-    comps = {}
-    for key, quotient in gf.quotients.items():
 
-        def rule(elem, key=key):
-            m, ys, blocks, gamma, vs, h = elem
-            new_vs = tuple(cell.components[(blocks[i], ys[i])](vs[i]) for i in range(m))
-            return gf2.quotients[key].representative((m, ys, blocks, gamma, new_vs, h))
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        new_vs = tuple(cell.components[(blocks[i], ys[i])](vs[i]) for i in range(m))
+        return gf2.quotients[key].representative((m, ys, blocks, gamma, new_vs, h))
 
-        comps[key] = induced_map(quotient, gf2.values[key], rule)
-    return SymSeqCell(gf, gf2, comps, check=False)
+    return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.values, rule), check=False)
 
 
 def subst_left_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
     """(unit o g) -> g: act with the gluing morphism and the arity-one outer value."""
-    comps = {}
-    for (xs, z), quotient in composed.quotients.items():
 
-        def rule(elem, xs=xs):
-            m, ys, blocks, gamma, vs, h = elem
-            # composing with the unit forces m == 1 and a single block
-            moved = g.left_act[(h, ys[0])](vs[0])
-            return g.right_act[(xs, gamma)](moved)
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        # composing with the unit forces m == 1 and a single block
+        moved = g.left_act[(h, ys[0])](vs[0])
+        return g.right_act[(key[0], gamma)](moved)
 
-        comps[(xs, z)] = induced_map(quotient, g.values[(xs, z)], rule)
+    comps = induced_components(composed.quotients, g.values, rule)
     cell = SymSeqCell(composed, g, comps, check=False)
     if not cell.is_iso():
         raise NonInvertible("left unit comparison is not a bijection")
@@ -602,21 +598,17 @@ def subst_left_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
 def subst_right_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
     """(g o unit) -> g: fold the arity-one inner data into the gluing morphism."""
     sym = g.source_sym
-    comps = {}
-    for (xs, z), quotient in composed.quotients.items():
 
-        def rule(elem, z=z):
-            m, ys, blocks, gamma, vs, h = elem
-            if m > 0:
-                lift = sym.concat_mor(
-                    *[(blocks[i], (ys[i],), (0,), (vs[i],)) for i in range(m)]
-                )
-                mover = sym.cat.comp[(lift, h)]
-            else:
-                mover = h
-            return g.left_act[(mover, z)](gamma)
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        if m > 0:
+            lift = sym.concat_mor(*[(blocks[i], (ys[i],), (0,), (vs[i],)) for i in range(m)])
+            mover = sym.cat.comp[(lift, h)]
+        else:
+            mover = h
+        return g.left_act[(mover, key[1])](gamma)
 
-        comps[(xs, z)] = induced_map(quotient, g.values[(xs, z)], rule)
+    comps = induced_components(composed.quotients, g.values, rule)
     cell = SymSeqCell(composed, g, comps, check=False)
     if not cell.is_iso():
         raise NonInvertible("right unit comparison is not a bijection")
@@ -631,40 +623,35 @@ def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None)
     gf = subst_compose(g, f, m_bound)
     left = subst_compose(hg, f, m_bound)
     right = subst_compose(h, gf, m_bound)
-    comps = {}
-    for (xs, w), quotient in left.quotients.items():
-        w_key = w
 
-        def rule(elem, xs=xs, w_key=w_key):
-            m, ys, blocks, xi, vs, hmor = elem
-            m2, zs, yblocks, eta, us, k = xi
-            _, _, sigma, gbar = k
-            inv = perm_inverse(sigma)
-            offsets = [0] * m2
-            for j in range(1, m2):
-                offsets[j] = offsets[j - 1] + len(yblocks[j - 1])
-            new_blocks = []
-            omegas = []
-            for j in range(m2):
-                size = len(yblocks[j])
-                srcs = [inv[offsets[j] + r] for r in range(size)]
-                grouped = tuple(blocks[q] for q in srcs)
-                xb = tuple(x for b in grouped for x in b)
-                moved_vs = tuple(
-                    f.right_act[(blocks[q], gbar[q])](vs[q]) for q in srcs
-                )
-                omega = gf.quotients[(xb, zs[j])].representative(
-                    (size, yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
-                )
-                new_blocks.append(xb)
-                omegas.append(omega)
-            mover = sym_x.block_perm_mor(blocks, sigma)
-            glued = sym_x.cat.comp[(mover, hmor)]
-            return right.quotients[(xs, w_key)].representative(
-                (m2, zs, tuple(new_blocks), eta, tuple(omegas), glued)
+    def rule(key, elem):
+        m, ys, blocks, xi, vs, hmor = elem
+        m2, zs, yblocks, eta, us, k = xi
+        _, _, sigma, gbar = k
+        inv = perm_inverse(sigma)
+        offsets = [0] * m2
+        for j in range(1, m2):
+            offsets[j] = offsets[j - 1] + len(yblocks[j - 1])
+        new_blocks = []
+        omegas = []
+        for j in range(m2):
+            size = len(yblocks[j])
+            srcs = [inv[offsets[j] + r] for r in range(size)]
+            grouped = tuple(blocks[q] for q in srcs)
+            xb = tuple(x for b in grouped for x in b)
+            moved_vs = tuple(f.right_act[(blocks[q], gbar[q])](vs[q]) for q in srcs)
+            omega = gf.quotients[(xb, zs[j])].representative(
+                (size, yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
             )
+            new_blocks.append(xb)
+            omegas.append(omega)
+        mover = sym_x.block_perm_mor(blocks, sigma)
+        glued = sym_x.cat.comp[(mover, hmor)]
+        return right.quotients[key].representative(
+            (m2, zs, tuple(new_blocks), eta, tuple(omegas), glued)
+        )
 
-        comps[(xs, w)] = induced_map(quotient, right.values[(xs, w)], rule)
+    comps = induced_components(left.quotients, right.values, rule)
     cell = SymSeqCell(left, right, comps, check=False)
     if not cell.is_iso():
         raise NonInvertible("associativity comparison is not a bijection")
@@ -807,8 +794,6 @@ def unit_operad(colours: FinCat, max_arity: int) -> ColouredOperad:
 
 def associative_operad(max_arity: int) -> ColouredOperad:
     """Single colour, arity-k value set the full permutation group (k >= 1)."""
-    from .seeds import discrete
-
     colours = discrete(1)
     y0 = next(iter(colours.objects))
     sym = free_sym_cat(colours, max_arity)
@@ -896,7 +881,7 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
         right_act.update(((xs, phi), fn) for phi, fn in acts.items())
     return Profunctor(
         sym_y.cat, sym_x.cat, values, left_act, right_act, check=False,
-        coends=quotients,
+        quotients=quotients,
     )
 
 
@@ -963,8 +948,6 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
     and the presheaf machinery; an explicit bijection is exhibited on every
     carrier element and verified well-defined and bijective.
     """
-    from .prof import kleisli_compose, tau
-
     report = CheckReport("tau-compatibility")
     gf = subst_compose(g, f, m_bound)
     ext = subst_extension(f, g.source_sym, m_bound)
@@ -975,8 +958,8 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
 
         def rule(elem, xs=xs, z=z, kan=kan):
             m, ys, blocks, gamma, vs, h = elem
-            u = ext.coends[(xs, ys)].representative((blocks, vs, h))
-            return kan.cls(xs, ys, u, gamma)
+            u = ext.quotients[(xs, ys)].representative((blocks, vs, h))
+            return kan.quotients[xs].representative((ys, (u, gamma)))
 
         try:
             fn = induced_map(gf.quotients[key], kan.values[xs], rule)

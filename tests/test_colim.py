@@ -14,9 +14,10 @@ from profcalc.colim import (
     factor_through_quotient,
     fubini_iso,
     hom_bifunctor_with,
+    induced_components,
     quotient,
 )
-from profcalc.fincat import FinCat, FinFn, FinSet, label_key, opposite, product
+from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
 from profcalc.presheaf import yoneda
 from profcalc.seeds import arrow_category, chain, discrete, seed_library, terminal_category
 
@@ -181,7 +182,7 @@ def test_coend_terminal_category():
         {("*", "id*"): FinFn.identity(vals)},
     )
     result = coend(cat, h)
-    assert len(result.value) == 2
+    assert len(result.quotient) == 2
 
 
 def test_coend_discrete_is_disjoint_union():
@@ -203,7 +204,7 @@ def test_coend_discrete_is_disjoint_union():
         for b in cat.objects
     }
     result = coend(cat, Bifunctor(cat, cat, values, contra, co))
-    assert len(result.value) == 1 + 2 + 3
+    assert len(result.quotient) == 1 + 2 + 3
 
 
 def test_coend_arrow_coyoneda_instance():
@@ -216,7 +217,7 @@ def test_coend_arrow_coyoneda_instance():
     }
     h = _hom_times_functor(cat, lambda b: f_tables[b], lambda m: action[m], "1")
     result = coend(cat, h)
-    assert len(result.value) == len(f_tables["1"])
+    assert len(result.quotient) == len(f_tables["1"])
 
 
 def test_coend_validates_bifunctoriality():
@@ -246,7 +247,7 @@ def test_coyoneda_sweep_presheaf_case(name):
                 covariant=False,
             )
             assert fn.is_iso()
-            assert len(result.value) == len(p.values[target])
+            assert len(result.quotient) == len(p.values[target])
 
 
 @pytest.mark.parametrize("name", ["terminal", "arrow", "fork", "Z2", "chain2"])
@@ -279,9 +280,9 @@ def test_coyoneda_naturality_squares():
         src_result, src_iso = coyoneda_iso(
             cat, lambda c: p.values[c], lambda k: p.restriction[k], b, covariant=False
         )
-        for (y, (g, v)) in src_result.quotient.carrier:
+        for (y, (g, v)) in src_result.carrier:
             # hom coend in the presheaf case: g in cat[b, y]; pull back along m
-            moved = src_result.quotient.representative((y, (g, v)))
+            moved = src_result.representative((y, (g, v)))
         # cardinality-level check suffices here; full squares exercised in presheaf tests
         assert isos[a].is_iso() and isos[b].is_iso()
 
@@ -319,7 +320,7 @@ def test_fubini_discrete_tagging():
     h = _two_valued_bifunctor(prod)
     joint, outer, fn = fubini_iso(a, b, h)
     assert fn.is_iso()
-    assert len(joint.value) == 8  # four diagonal objects, two elements each
+    assert len(joint.quotient) == 8  # four diagonal objects, two elements each
 
 
 def test_fubini_arrow_arrow_double_brute_force():
@@ -348,17 +349,17 @@ def test_fubini_arrow_arrow_double_brute_force():
     h_t = Bifunctor(transposed_prod, transposed_prod, values, contra, co)
     joint_t, outer_t, fn_t = fubini_iso(a, a, h_t)
     assert fn_t.is_iso()
-    assert len(joint.value) == len(joint_t.value)
+    assert len(joint.quotient) == len(joint_t.quotient)
     # the composite outer-one-way . inverse(outer-other-way) equals the direct
     # comparison induced by re-tagging the joint carriers
     direct = {}
-    for ((pair), w) in joint.quotient.carrier:
+    for ((pair), w) in joint.carrier:
         a1, b1 = pair
-        direct[joint.quotient.representative((pair, w))] = joint_t.quotient.representative(
+        direct[joint.representative((pair, w))] = joint_t.representative(
             ((b1, a1), w)
         )
     composite = fn.inverse().then(
-        FinFn(joint.value, joint_t.value, direct).then(fn_t)
+        FinFn(joint.quotient, joint_t.quotient, direct).then(fn_t)
     )
     # composite: outer(a-first) -> joint -> joint-transposed -> outer(b-first)
     assert all(composite(x) is not None for x in composite.domain)
@@ -441,10 +442,10 @@ def test_coend_matches_all_morphism_reference(name, seed, with_hom):
     q = random_presheaf(rng, opposite(cat), 3)
     h = _tensor_plus_hom(cat, p, q, with_hom)
     result = coend(cat, h, check=True)
-    assert {frozenset(c) for c in result.quotient.classes} == _reference_coend_classes(cat, h)
-    for c in result.quotient.classes:
+    assert {frozenset(c) for c in result.classes} == _reference_coend_classes(cat, h)
+    for c in result.classes:
         assert list(c) == sorted(c, key=label_key)
-    names = [c[0] for c in result.quotient.classes]
+    names = [c[0] for c in result.classes]
     assert names == sorted(names, key=label_key)
 
 
@@ -494,9 +495,9 @@ def _integrands(name):
     kan, composite, conv = kan_extend(doubled, p), prof_compose(g, f), day_convolve(mon, p, p)
     out = []
     for y in objs:
-        out.append((cat, lambda y=y: kan_bifunctor(doubled, p, y), kan.coends[y]))
-        out.append((cat, lambda y=y: compose_bifunctor(g, f, objs[-1], y), composite.coends[(objs[-1], y)]))
-        out.append((product(cat, cat), lambda y=y: day_bifunctor(mon, p, p, y), conv.coends[y]))
+        out.append((cat, lambda y=y: kan_bifunctor(doubled, p, y), kan.quotients[y]))
+        out.append((cat, lambda y=y: compose_bifunctor(g, f, objs[-1], y), composite.quotients[(objs[-1], y)]))
+        out.append((product(cat, cat), lambda y=y: day_bifunctor(mon, p, p, y), conv.quotients[y]))
         out.append((cat, lambda y=y: hom_bifunctor_with(
             cat, lambda b: p.values[b], lambda m: p.restriction[m], y, covariant=False
         ), None))
@@ -514,11 +515,9 @@ def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
         checked = coend(base, full, check=True)
         assert len(full.values) == len(base.objects) ** 2
         lazy = coend(base, build(), check=False)
-        assert lazy.quotient == checked.quotient
-        assert lazy.injections == checked.injections
+        assert lazy == checked
         if table_read is not None:
             assert table_read == checked
-            assert table_read.injections == checked.injections
 
 
 @pytest.mark.parametrize("name", ["chain5", "Z4"])
@@ -569,7 +568,7 @@ def test_lazy_bifunctor_memoises_and_materialises():
     assert h.values == {(a, b): FinSet([(a, b)]) for a in cat.objects for b in cat.objects}
     with pytest.raises(TypeError):
         h.values[("0", "0")] = FinSet()
-    assert coend(cat, h, check=True).quotient.classes == ((("0", ("0", "0")), ("1", ("1", "1"))),)
+    assert coend(cat, h, check=True).classes == ((("0", ("0", "0")), ("1", ("1", "1"))),)
     dict_given = Bifunctor(cat, cat, h.values, h.contra_act, h.co_act)
     assert dict_given == h
     with pytest.raises(KeyError):
@@ -607,8 +606,8 @@ def test_coend_reads_only_the_diagonal_and_generator_slices():
     assert sorted(asked["contra"]) == sorted((f, cat.src(f)) for f in gens)
     assert sorted(asked["co"]) == sorted((cat.tgt(f), f) for f in gens)
     full = Bifunctor(cat, cat, value, contra, co)
-    assert coend(cat, full, check=True).quotient == lazy.quotient
-    assert len(lazy.value) == 2
+    assert coend(cat, full, check=True) == lazy
+    assert len(lazy.quotient) == 2
 
 
 def test_coend_and_kan_extend_never_sort_labels(monkeypatch):
@@ -631,7 +630,7 @@ def test_coend_and_kan_extend_never_sort_labels(monkeypatch):
     kp = kan_extend(doubled, q)
     assert calls == []
     monkeypatch.undo()
-    assert len(result.value) == 1  # co-Yoneda: p(top) is a point
+    assert len(result.quotient) == 1  # co-Yoneda: p(top) is a point
     assert len(kp.values[star]) == 8  # two copies of q, each |Z2| + |Z2|
 
 
@@ -760,16 +759,28 @@ def test_interchange_alone_failing_is_found_on_generators():
         coend(z2, h)
 
 
-def test_coend_injections_cover_every_object_an_empty_fibre_included():
-    # H(y', y) = P(y') x arrow[1, y], so the fibre H(0, 0) is empty
-    cat = arrow_category()
-    p = yoneda(cat, "1")
-    h = hom_bifunctor_with(cat, lambda b: p.values[b], lambda m: p.restriction[m], "1", covariant=False)
-    result = coend(cat, h)
-    assert len(h.value("0", "0")) == 0 < len(h.value("1", "1"))
-    injections = result.injections
-    assert list(injections) == list(cat.objects)
-    for y in cat.objects:
-        direct = {w: result.cls(y, w) for w in h.value(y, y)}
-        assert injections[y] == FinFn(h.value(y, y), result.value, direct)
-    assert {c for fn in injections.values() for _, c in fn.mapping} == set(result.value)
+def test_induced_components_keep_key_order_and_check_every_component():
+    pqr = FinSet(["p", "q", "r"])
+    # keys in non-canonical order; at "b" the class {p, q} is named p
+    quotients = {"b": quotient(pqr, [("p", "q")]), "a": quotient(pqr, [])}
+    codomains = {"b": FinSet(["p", "r"]), "a": pqr}
+    seen = []
+
+    def merge_q(key, x):
+        seen.append(key)
+        return "p" if key == "b" and x == "q" else x
+
+    comps = induced_components(quotients, codomains, merge_q, bijection="merge")
+    assert list(comps) == ["b", "a"]
+    assert seen == ["b", "b", "b", "a", "a", "a"]  # every member of every class
+    assert comps["b"] == FinFn(codomains["b"], codomains["b"], {"p": "p", "r": "r"})
+    assert comps["a"] == FinFn.identity(pqr)
+    # the rule x -> x splits the class {p, q} at "b"
+    with pytest.raises(ValueError, match="not constant on class"):
+        induced_components(quotients, {"b": pqr, "a": pqr}, lambda key, x: x)
+    # both components of a constant rule fail to be bijections; the first key is named
+    constant = induced_components(quotients, codomains, lambda key, x: "p")
+    assert [fn.is_iso() for fn in constant.values()] == [False, False]
+    with pytest.raises(NonInvertible) as err:
+        induced_components(quotients, codomains, lambda key, x: "p", bijection="collapse")
+    assert str(err.value) == "collapse at 'b' is not a bijection"

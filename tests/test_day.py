@@ -184,7 +184,7 @@ def test_double_coend_matches_iterated_computation():
         joint, outer, fn = fubini_iso(mon.base, mon.base, h)
         assert fn.is_iso()
         conv = day_convolve(mon, f1, f2)
-        assert len(joint.value) == len(conv.values[a])
+        assert len(joint.quotient) == len(conv.values[a])
 
 
 def test_kan_monoidal_via_monoid_hom():

@@ -1,10 +1,13 @@
-"""Every name a profcalc module imports is used in that module.
+"""Every name a profcalc module imports is used in that module, and every
+import of a sibling module sits at module level.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 `src/profcalc` (except the package `__init__`, which re-exports) is parsed
 with `ast`, and every name bound by an `import` statement must be read
 somewhere in the module: as a bare name, as the root of an attribute chain,
-or inside a string annotation.
+or inside a string annotation.  A relative import inside a function is
+flagged too: the module graph (fincat <- colim <- presheaf <- prof <- relpsm,
+symmon; presheaf <- day; seeds needs only fincat) has no cycle to break.
 """
 
 import ast
@@ -61,6 +64,19 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def local_relative_imports(path: Path) -> list[str]:
+    """Every relative import inside a function body, nested functions included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {
+        node.lineno: f"from {'.' * node.level}{node.module or ''}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    return [f"{path.name}:{line}: {text}" for line, text in sorted(found.items())]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -68,6 +84,11 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_relative_imports_inside_functions(path):
+    assert local_relative_imports(path) == []
 
 
 def test_scan_flags_an_unused_import(tmp_path):
@@ -79,3 +100,18 @@ def test_scan_flags_an_unused_import(tmp_path):
         "    return os.sep\n"
     )
     assert unused_imports(mod) == ["mod.py:1: Iterator"]
+
+
+def test_scan_flags_a_relative_import_inside_a_function(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .fincat import FinSet\n"
+        "import json\n"
+        "def f():\n"
+        "    import os\n"
+        "    def g():\n"
+        "        from .colim import coend\n"
+        "        return coend, os, json, FinSet\n"
+        "    return g\n"
+    )
+    assert local_relative_imports(mod) == ["mod.py:6: from .colim"]

@@ -50,9 +50,9 @@ def test_kan_extend_restriction_matches_all_morphism_reference(name):
 
         def rule(pair, g=g, y0=y0):
             x, (u, v) = pair
-            return kp.cls(y0, x, f.on_obj[x].restriction[g](u), v)
+            return kp.quotients[y0].representative((x, (f.on_obj[x].restriction[g](u), v)))
 
-        assert kp.restriction[g] == induced_map(kp.coends[y1].quotient, kp.values[y0], rule), g
+        assert kp.restriction[g] == induced_map(kp.quotients[y1], kp.values[y0], rule), g
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -66,15 +66,15 @@ def test_prof_compose_actions_match_all_morphism_reference(name):
 
             def left(pair, m=m, a0=a0, x=x):
                 y, (u, v) = pair
-                return gf.coends[(a0, x)].cls(y, (g.left_act[(m, y)](u), v))
+                return gf.quotients[(a0, x)].representative((y, (g.left_act[(m, y)](u), v)))
 
             def right(pair, m=m, a1=a1, z=x):
                 y, (u, v) = pair
-                return gf.coends[(z, a1)].cls(y, (u, f.right_act[(y, m)](v)))
+                return gf.quotients[(z, a1)].representative((y, (u, f.right_act[(y, m)](v))))
 
-            expected = induced_map(gf.coends[(a1, x)].quotient, gf.values[(a0, x)], left)
+            expected = induced_map(gf.quotients[(a1, x)], gf.values[(a0, x)], left)
             assert gf.left_act[(m, x)] == expected, (m, x)
-            expected = induced_map(gf.coends[(x, a0)].quotient, gf.values[(x, a1)], right)
+            expected = induced_map(gf.quotients[(x, a0)], gf.values[(x, a1)], right)
             assert gf.right_act[(x, m)] == expected, (x, m)
 
 
@@ -92,9 +92,9 @@ def test_day_convolve_restriction_matches_all_morphism_reference(mon):
 
         def rule(pair, m=m, a0=a0):
             (b1, b2), (s, t, h) = pair
-            return conv.cls(a0, b1, b2, s, t, base.comp[(h, m)])
+            return conv.quotients[a0].representative(((b1, b2), (s, t, base.comp[(h, m)])))
 
-        assert conv.restriction[m] == induced_map(conv.coends[a1].quotient, conv.values[a0], rule)
+        assert conv.restriction[m] == induced_map(conv.quotients[a1], conv.values[a0], rule)
 
 
 SUBST_CASES = [
@@ -164,11 +164,11 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
 
             def left(elem, rho=rho, ys=ys):
                 blocks, vs, h = elem
-                return ext.coends[(rho[0], ys)].representative(
+                return ext.quotients[(rho[0], ys)].representative(
                     (blocks, vs, sym_x.cat.comp[(h, rho)])
                 )
 
-            expected = induced_map(ext.coends[(rho[1], ys)], ext.values[(rho[0], ys)], left)
+            expected = induced_map(ext.quotients[(rho[1], ys)], ext.values[(rho[0], ys)], left)
             assert ext.left_act[(rho, ys)] == expected, (rho, ys)
     for xs in sym_x.cat.objects:
         for phi in sym_y.cat.morphisms():
@@ -183,11 +183,11 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
                     f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m)
                 )
                 mover = sym_x.block_perm_mor(blocks, sigma)
-                return ext.coends[(xs, ys1)].representative(
+                return ext.quotients[(xs, ys1)].representative(
                     (new_blocks, new_vs, sym_x.cat.comp[(mover, h)])
                 )
 
-            expected = induced_map(ext.coends[(xs, ys0)], ext.values[(xs, ys1)], right)
+            expected = induced_map(ext.quotients[(xs, ys0)], ext.values[(xs, ys1)], right)
             assert ext.right_act[(xs, phi)] == expected, (xs, phi)
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from profcalc.fincat import FinFn, FinSet, Functor
 from profcalc.presheaf import (
-    KanPresheaf,
     Presheaf,
     PshMap,
     all_psh_maps,

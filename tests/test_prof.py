@@ -114,7 +114,7 @@ def test_identity_composition_isomorphic():
             yp, (h, v) = elem
             return f.left_act[(h, x)](v)
 
-        fn = induced_map(composed.coends[key].quotient, f.values[key], rule)
+        fn = induced_map(composed.quotients[key], f.values[key], rule)
         assert fn.is_iso()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,37 @@ def test_cmd_compose_identity_witnesses(tmp_path, capsys):
     assert "~" in captured.err or "le" in captured.err
 
 
+# sha256 of the `compose --show-witnesses` stderr: the classes of every coend
+# of the composite, keyed like its values.  A kleisli composite has the same
+# carriers and keys as the symmetric coend composite of the same profunctors.
+WITNESS_DIGESTS = {
+    "prof": "c87a5b3ef51ca60abb2d4e1eadb4ee8f839cde6ab2e671aa39b48b35bcf5fdbf",
+    "kleisli": "c87a5b3ef51ca60abb2d4e1eadb4ee8f839cde6ab2e671aa39b48b35bcf5fdbf",
+    "day": "bb08ae8b9737ae2a073b61f8da866a36517d19a783f43d830f824c40bf3aafa1",
+    "subst": "36b7c130d90e56a3d81f99dbf00d3d977ca81af51bfce38f62240e7b55a4c7f0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_DIGESTS))
+def test_cmd_compose_show_witnesses_every_kind(tmp_path, capsys, kind):
+    if kind in ("prof", "kleisli"):
+        ident = prof_identity(arrow_category())
+        inputs = [_write(tmp_path, "I.json", ident), _write(tmp_path, "I2.json", ident)]
+    elif kind == "day":
+        y1 = _write(tmp_path, "y1.json", yoneda(discrete(2), "d1"))
+        inputs = [_write(tmp_path, "mon.json", _z2_monoidal()), y1, y1]
+    else:
+        s = free_sym_cat(discrete(1), 2)
+        inputs = [
+            _write(tmp_path, "G.json", representable_seq(s, discrete(1), {"d0": ("d0", "d0")})),
+            _write(tmp_path, "I.json", subst_identity(s)),
+        ]
+    assert main(["compose", "--kind", kind, *inputs, "--show-witnesses"]) == 0
+    err = capsys.readouterr().err
+    assert "witnesses at" in err
+    assert hashlib.sha256(err.encode()).hexdigest() == WITNESS_DIGESTS[kind]
+
+
 def test_cmd_compose_endpoint_mismatch(tmp_path, capsys):
     a = _write(tmp_path, "A.json", prof_identity(arrow_category()))
     b = _write(tmp_path, "B.json", prof_identity(fork()))
@@ -164,11 +196,14 @@ def test_cmd_kan(tmp_path, capsys):
     assert data["schema"].startswith("profcalc/presheaf")
 
 
-def test_cmd_day(tmp_path):
-    mon = monoidal_from_monoid(
+def _z2_monoidal():
+    return monoidal_from_monoid(
         discrete(2), lambda a, b: f"d{(int(a[1:]) + int(b[1:])) % 2}", "d0", True
     )
-    m = _write(tmp_path, "mon.json", mon)
+
+
+def test_cmd_day(tmp_path):
+    m = _write(tmp_path, "mon.json", _z2_monoidal())
     f1 = _write(tmp_path, "f1.json", yoneda(discrete(2), "d1"))
     f2 = _write(tmp_path, "f2.json", yoneda(discrete(2), "d1"))
     out = str(tmp_path / "conv.json")

@@ -14,14 +14,22 @@ import pytest
 
 from profcalc.suites import SuiteConfig, run_suite
 
-# suite -> (seed, instances)
+CELL_FAULTS = ("mu", "eta", "theta")
+
+# suite -> (seed, instances, fault kinds)
 SUITES = {
-    "kleisli-coherence": (2026, 3),
-    "relpsm-axioms": (2027, 3),
-    "lax-idempotent": (2028, 2),
-    "day-monoidal": (2030, 2),
+    "kleisli-coherence": (2026, 3, CELL_FAULTS),
+    "relpsm-axioms": (2027, 3, CELL_FAULTS),
+    "lax-idempotent": (2028, 2, CELL_FAULTS),
+    "day-monoidal": (2030, 2, CELL_FAULTS),
+    "operad": (2029, 3, ("unit", "comp")),
 }
-FAULTS = [(None, 0)] + [(kind, i) for kind in ("mu", "eta", "theta") for i in (0, 1)]
+
+
+def _faults(kinds):
+    """No fault, then each kind at fault indices 0 and 1."""
+    return [(None, 0)] + [(kind, i) for kind in kinds for i in (0, 1)]
+
 
 GOLDEN = {
     "kleisli-coherence": [
@@ -60,16 +68,25 @@ GOLDEN = {
         "33755fbbf4a5e8c55f44fc78ead4f98f1e154a25fe2c180c86fed3f9f754b5cc",
         "48747529aa469e5e225adb86ad5dbea4e2a4656132be324ef8c90b2ae137de42",
     ],
+    "operad": [
+        "5a4a493ad499b6f6f3a2b4e8159e3107d4ee5e47adfe03236a874af41e53af99",
+        "874dbe0192ba6ce28b7e393d925ef40b7aab7b73579086ccd530649de24c7d12",
+        "084d0d905d51e4f2349af29e4cd4d9ad929101ebb78a0ff0cbf9a0c52d4c93fa",
+        "6fac7c0cb650d9f1c4f4aee82b95da9b4cbd42d75072b8a016126bcb919e3c46",
+        "3d6f90f884519d1bcfbdd4b6d42f43e18d3354d849e93abc46785596e0c3dfb6",
+    ],
 }
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_reports_match_golden_digests(suite):
-    seed, instances = SUITES[suite]
+    seed, instances, kinds = SUITES[suite]
+    faults = _faults(kinds)
+    assert len(faults) == len(GOLDEN[suite])
     got = []
-    for fault, index in FAULTS:
+    for fault, index in faults:
         config = SuiteConfig(seed=seed, instances=instances, fault=fault, fault_index=index)
         text = json.dumps(run_suite(suite, config), indent=2, sort_keys=True)
         got.append(hashlib.sha256(text.encode()).hexdigest())
-    mismatched = [FAULTS[i] for i, (a, b) in enumerate(zip(got, GOLDEN[suite])) if a != b]
+    mismatched = [faults[i] for i, (a, b) in enumerate(zip(got, GOLDEN[suite])) if a != b]
     assert mismatched == [], f"{suite}: report digests changed for (fault, index) {mismatched}"

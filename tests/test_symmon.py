@@ -341,7 +341,7 @@ def test_subst_carriers_are_built_in_canonical_order_without_sorting(monkeypatch
     ext = subst_extension(two, two.source_sym)
     assert calls == []
     monkeypatch.undo()
-    carriers = [q.carrier.elements for q in [*gf.quotients.values(), *ext.coends.values()]]
+    carriers = [q.carrier.elements for q in [*gf.quotients.values(), *ext.quotients.values()]]
     assert all(c == sort_labels(c) for c in carriers)
 
     # over two colours, ordering blocks by length first is not canonical:
@@ -548,7 +548,7 @@ def test_subst_compose_matches_all_morphism_reference(name):
 def test_subst_extension_matches_all_morphism_reference(name):
     g, f = SUBST_REFERENCE_CASES[name]
     ext = subst_extension(f, g.source_sym)
-    for (xs, ys), q in ext.coends.items():
+    for (xs, ys), q in ext.quotients.items():
         relations = (
             pair for blocks, vs, h in q.carrier
             for pair in _all_block_moves(f, ys, blocks, vs, h)
