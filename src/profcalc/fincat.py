@@ -21,6 +21,11 @@ The engine builds the same composites again and again inside one check, so
 the builders that produce them are `memoised`: inside a `memo_scope` each is
 computed once per identity of its arguments, and the memo is dropped when
 the scope closes.
+
+Faults are read from context the same way.  The builders of coherence cells
+pass each component through `corrupt(kind, key, fn)`, which returns it
+unchanged unless a `fault_scope` is open; a `Fault` opened there swaps two
+images of one chosen component, so the checks can be shown to notice.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import contextvars
 import functools
 import inspect
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -104,6 +110,71 @@ def memoised(fn):
     return wrapper
 
 
+_FAULT: contextvars.ContextVar[Callable | None] = contextvars.ContextVar(
+    "profcalc_fault", default=None
+)
+
+
+class fault_scope:
+    """Pass every `corrupt` call made inside through hook(kind, key, fn).
+
+    A hook of None opens a fault-free scope.  Like the memo, the hook does not
+    cross into threads started inside: open the scope in the thread that runs.
+    """
+
+    def __init__(self, hook: Callable[[str, tuple, FinFn], FinFn] | None):
+        self._hook = hook
+
+    def __enter__(self):
+        self._token = _FAULT.set(self._hook)
+
+    def __exit__(self, *exc):
+        _FAULT.reset(self._token)
+
+
+def corrupt(kind: str, key: tuple, fn: FinFn) -> FinFn:
+    """The component `fn` of a `kind` cell at `key`, as the open fault scope has it."""
+    hook = _FAULT.get()
+    return fn if hook is None else hook(kind, key, fn)
+
+
+class Fault:
+    """Swap the first two images of the index-th corruptible `kind` component.
+
+    A component is corruptible when its domain has at least two elements, and
+    they are counted in the order they are constructed.  The key of the one
+    swapped is kept, and every later construction under that key gets the
+    same swap, so a fault is one consistently wrong table; bijections stay
+    bijections.  `applied` is that key, None until the swap happens.  One
+    fault may serve several threads: the count is kept under a lock.
+    """
+
+    def __init__(self, kind: str, index: int = 0):
+        if index < 0:
+            raise ValueError(f"fault index must be non-negative, got {index}")
+        self.kind = kind
+        self.index = index
+        self.count = 0
+        self.applied = None
+        self._lock = threading.Lock()
+
+    def __call__(self, kind: str, key: tuple, fn: FinFn) -> FinFn:
+        if kind != self.kind or len(fn.domain) < 2:
+            return fn
+        with self._lock:
+            if self.applied is None:
+                if self.count != self.index:
+                    self.count += 1
+                    return fn
+                self.applied = key
+            elif key != self.applied:
+                return fn
+        a, b = fn.domain.elements[:2]
+        table = fn.as_dict()
+        table[a], table[b] = table[b], table[a]
+        return FinFn(fn.domain, fn.codomain, table)
+
+
 def label_key(label: Label):
     """Sort key giving one total order across ints, strings and nested tuples."""
     if isinstance(label, bool):
@@ -177,7 +248,7 @@ class FinFn:
     _table: dict
 
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
-        # a dict is kept, not copied: callers build one for it and never mutate it
+        # a dict is kept, not copied: callers build one for it and never change it
         items = mapping if type(mapping) is dict else dict(mapping)
         if items.keys() != domain._index:
             raise ValueError("mapping must be total on the domain")

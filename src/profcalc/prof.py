@@ -21,19 +21,20 @@ and extensions they need.  All three are `fincat.memoised`.  Each builder and
 each check opens a `fincat.memo_scope` (re-entrant, so a check and all the
 builders it calls share one memo), inside which each such call is computed
 once per identity of its arguments; the memo is dropped when the outermost
-scope closes.  The builders that take `mutate` are not memoised, so fault
-injection counts components in construction order.
+scope closes.
 
-Corruptible construction: the cell builders accept an optional `mutate`
-hook, used by the fault-injection suites to corrupt single components and
-demonstrate that the checkers notice.
+Corruptible construction: `theta_map`, `eta_cell` and `mu_map` pass every
+component through `fincat.corrupt`, under the kind "theta", "eta" or "mu" and
+the key `tag` plus the component's place, so a `fincat.Fault` opened by the
+fault-injection suites can corrupt one of them and show that the checks
+notice.  These builders are not memoised, so a fault counts components in
+construction order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .colim import Bifunctor, bifunctor_violations, coend_from, induced_actions, induced_components
 from .fincat import (
@@ -44,6 +45,7 @@ from .fincat import (
     FinSet,
     Label,
     cell_difference,
+    corrupt,
     memo_scope,
     memoised,
 )
@@ -57,13 +59,6 @@ from .presheaf import (
     yoneda_embedding,
 )
 from .report import CheckReport
-
-MutateHook = Callable[[str, tuple, FinFn], FinFn]
-
-
-def _mut(mutate: MutateHook | None, kind: str, key: tuple, fn: FinFn) -> FinFn:
-    return mutate(kind, key, fn) if mutate is not None else fn
-
 
 # -- profunctors ----------------------------------------------------------------
 
@@ -352,9 +347,7 @@ def whisker_left(g: PshValuedFunctor, phi: KleisliCell) -> KleisliCell:
 
 
 @memo_scope()
-def theta_map(
-    base: FinCat, p: Presheaf, mutate: MutateHook | None = None, tag: tuple = ()
-) -> PshMap:
+def theta_map(base: FinCat, p: Presheaf, tag: tuple = ()) -> PshMap:
     """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
     kp = kan_extend(yoneda_embedding(base), p)
 
@@ -363,42 +356,27 @@ def theta_map(
         return p.restriction[h](v)
 
     comps = induced_components(kp.quotients, p.values, rule, bijection="theta component")
-    comps = {a: _mut(mutate, "theta", tag + (a,), fn) for a, fn in comps.items()}
+    comps = {a: corrupt("theta", tag + (a,), fn) for a, fn in comps.items()}
     return PshMap(kp, p, comps, check=False)
 
 
 @memo_scope()
-def eta_cell(
-    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
-) -> KleisliCell:
+def eta_cell(f: PshValuedFunctor, tag: tuple = ()) -> KleisliCell:
     """eta_f: f -> f o i, the invertible unit comparison, componentwise co-Yoneda."""
     base = f.source
     fi = kleisli_compose(f, yoneda_embedding(base))
     comps = {}
     for x in base.objects:
         phi = eta_iso(f, x)
-        if mutate is not None:
-            phi = PshMap(
-                phi.source,
-                phi.target,
-                {
-                    a: _mut(mutate, "eta", tag + (x, a), fn)
-                    for a, fn in phi.components.items()
-                },
-                check=False,
-            )
+        faulted = {a: corrupt("eta", tag + (x, a), fn) for a, fn in phi.components.items()}
+        if any(faulted[a] is not fn for a, fn in phi.components.items()):
+            phi = PshMap(phi.source, phi.target, faulted, check=False)
         comps[x] = phi
     return KleisliCell(f, fi, comps, check=False)
 
 
 @memo_scope()
-def mu_map(
-    g: PshValuedFunctor,
-    f: PshValuedFunctor,
-    p: Presheaf,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
-) -> PshMap:
+def mu_map(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf, tag: tuple = ()) -> PshMap:
     """mu_{g,f} at argument p: (g o f)^*(p) -> g^*(f^*(p)).
 
     Sends the class of (x, (xi, w)) with xi = class of (y, (u, v)) to the
@@ -416,7 +394,7 @@ def mu_map(
         return rhs.quotients[z].representative((y, (u, inner)))
 
     comps = induced_components(lhs.quotients, rhs.values, rule, bijection="mu component")
-    comps = {z: _mut(mutate, "mu", tag + (z,), fn) for z, fn in comps.items()}
+    comps = {z: corrupt("mu", tag + (z,), fn) for z, fn in comps.items()}
     return PshMap(lhs, rhs, comps, check=False)
 
 
@@ -425,17 +403,10 @@ def mu_map(
 
 @memo_scope()
 def kleisli_associator(
-    h: PshValuedFunctor,
-    g: PshValuedFunctor,
-    f: PshValuedFunctor,
-    mutate: MutateHook | None = None,
-    tag: tuple = (),
+    h: PshValuedFunctor, g: PshValuedFunctor, f: PshValuedFunctor, tag: tuple = ()
 ) -> KleisliCell:
     """alpha_{h,g,f}: (h o g) o f -> h o (g o f), i.e. mu_{h,g} whiskered by f."""
-    comps = {
-        x: mu_map(h, g, f.on_obj[x], mutate=mutate, tag=tag + (x,))
-        for x in f.source.objects
-    }
+    comps = {x: mu_map(h, g, f.on_obj[x], tag=tag + (x,)) for x in f.source.objects}
     return KleisliCell(
         kleisli_compose(kleisli_compose(h, g), f),
         kleisli_compose(h, kleisli_compose(g, f)),
@@ -445,24 +416,17 @@ def kleisli_associator(
 
 
 @memo_scope()
-def kleisli_left_unitor(
-    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
-) -> KleisliCell:
+def kleisli_left_unitor(f: PshValuedFunctor, tag: tuple = ()) -> KleisliCell:
     """lambda_f: i o f -> f, componentwise co-Yoneda reduction."""
     base_t = f.target_base
-    comps = {
-        x: theta_map(base_t, f.on_obj[x], mutate=mutate, tag=tag + (x,))
-        for x in f.source.objects
-    }
+    comps = {x: theta_map(base_t, f.on_obj[x], tag=tag + (x,)) for x in f.source.objects}
     return KleisliCell(kleisli_compose(yoneda_embedding(base_t), f), f, comps, check=False)
 
 
 @memo_scope()
-def kleisli_right_unitor(
-    f: PshValuedFunctor, mutate: MutateHook | None = None, tag: tuple = ()
-) -> KleisliCell:
+def kleisli_right_unitor(f: PshValuedFunctor, tag: tuple = ()) -> KleisliCell:
     """rho_f: f o i -> f, the inverse of the unit comparison eta_f."""
-    return eta_cell(f, mutate=mutate, tag=tag).inverse()
+    return eta_cell(f, tag=tag).inverse()
 
 
 # -- coherence checks --------------------------------------------------------------------
@@ -474,15 +438,14 @@ def check_pentagon(
     h: PshValuedFunctor,
     g: PshValuedFunctor,
     f: PshValuedFunctor,
-    mutate: MutateHook | None = None,
 ) -> CheckReport:
     """Both composite associator paths around the pentagon, compared exactly."""
     report = CheckReport("pentagon")
-    a1 = whisker_right(kleisli_associator(k, h, g, mutate=mutate, tag=("khg",)), f)
-    a2 = kleisli_associator(k, kleisli_compose(h, g), f, mutate=mutate, tag=("k,hg,f",))
-    a3 = whisker_left(k, kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",)))
-    b1 = kleisli_associator(kleisli_compose(k, h), g, f, mutate=mutate, tag=("kh,g,f",))
-    b2 = kleisli_associator(k, h, kleisli_compose(g, f), mutate=mutate, tag=("k,h,gf",))
+    a1 = whisker_right(kleisli_associator(k, h, g, tag=("khg",)), f)
+    a2 = kleisli_associator(k, kleisli_compose(h, g), f, tag=("k,hg,f",))
+    a3 = whisker_left(k, kleisli_associator(h, g, f, tag=("hgf",)))
+    b1 = kleisli_associator(kleisli_compose(k, h), g, f, tag=("kh,g,f",))
+    b2 = kleisli_associator(k, h, kleisli_compose(g, f), tag=("k,h,gf",))
     left = a1.then(a2).then(a3)
     right = b1.then(b2)
     witness = cell_difference(left, right)
@@ -491,20 +454,14 @@ def check_pentagon(
 
 
 @memo_scope()
-def check_triangle(
-    g: PshValuedFunctor,
-    f: PshValuedFunctor,
-    mutate: MutateHook | None = None,
-) -> CheckReport:
+def check_triangle(g: PshValuedFunctor, f: PshValuedFunctor) -> CheckReport:
     """The unit coherence triangle plus the derived left/right unit triangles."""
     report = CheckReport("triangle")
 
     # middle: (rho_g * 1_f) = (1_g * lambda_f) . alpha_{g, i, f}
-    rho_g = kleisli_right_unitor(g, mutate=mutate, tag=("rho_g",))
-    lam_f = kleisli_left_unitor(f, mutate=mutate, tag=("lam_f",))
-    alpha = kleisli_associator(
-        g, yoneda_embedding(g.source), f, mutate=mutate, tag=("g,i,f",)
-    )
+    rho_g = kleisli_right_unitor(g, tag=("rho_g",))
+    lam_f = kleisli_left_unitor(f, tag=("lam_f",))
+    alpha = kleisli_associator(g, yoneda_embedding(g.source), f, tag=("g,i,f",))
     path1 = whisker_right(rho_g, f)
     path2 = alpha.then(whisker_left(g, lam_f))
     witness = cell_difference(path1, path2)
@@ -512,22 +469,18 @@ def check_triangle(
 
     # left: lambda_{g o f} . alpha_{i, g, f} = lambda_g * 1_f
     gf = kleisli_compose(g, f)
-    lam_g = kleisli_left_unitor(g, mutate=mutate, tag=("lam_g",))
-    alpha_l = kleisli_associator(
-        yoneda_embedding(g.target_base), g, f, mutate=mutate, tag=("i,g,f",)
-    )
-    lam_gf = kleisli_left_unitor(gf, mutate=mutate, tag=("lam_gf",))
+    lam_g = kleisli_left_unitor(g, tag=("lam_g",))
+    alpha_l = kleisli_associator(yoneda_embedding(g.target_base), g, f, tag=("i,g,f",))
+    lam_gf = kleisli_left_unitor(gf, tag=("lam_gf",))
     lhs = alpha_l.then(lam_gf)
     rhs = whisker_right(lam_g, f)
     witness = cell_difference(lhs, rhs)
     report.add("triangle-left", witness is None, witness)
 
     # right: rho_{g o f} = (1_g * rho_f) . alpha_{g, f, i}
-    rho_gf = kleisli_right_unitor(gf, mutate=mutate, tag=("rho_gf",))
-    alpha_r = kleisli_associator(
-        g, f, yoneda_embedding(f.source), mutate=mutate, tag=("g,f,i",)
-    )
-    rho_f = kleisli_right_unitor(f, mutate=mutate, tag=("rho_f",))
+    rho_gf = kleisli_right_unitor(gf, tag=("rho_gf",))
+    alpha_r = kleisli_associator(g, f, yoneda_embedding(f.source), tag=("g,f,i",))
+    rho_f = kleisli_right_unitor(f, tag=("rho_f",))
     rhs2 = alpha_r.then(whisker_left(g, rho_f))
     witness = cell_difference(rho_gf, rhs2)
     report.add("triangle-right", witness is None, witness)

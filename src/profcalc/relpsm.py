@@ -31,7 +31,6 @@ from .presheaf import (
 )
 from .prof import (
     KleisliCell,
-    MutateHook,
     eta_cell,
     kleisli_associator,
     kleisli_cell_violations,
@@ -83,26 +82,22 @@ class TestFamily:
 
 @memo_scope()
 def check_assoc_axiom(
-    f: PshValuedFunctor,
-    g: PshValuedFunctor,
-    h: PshValuedFunctor,
-    family: TestFamily,
-    mutate: MutateHook | None = None,
+    f: PshValuedFunctor, g: PshValuedFunctor, h: PshValuedFunctor, family: TestFamily
 ) -> CheckReport:
     """Both hexagon paths ((h g)* f)* -> h*(g* f*), elementwise on the family."""
     report = CheckReport("assoc-axiom")
     gf = kleisli_compose(g, f)
-    alpha = kleisli_associator(h, g, f, mutate=mutate, tag=("hgf",))
+    alpha = kleisli_associator(h, g, f, tag=("hgf",))
     for name, p in family.named():
         # left path: (mu_{h,g} f)* then mu_{h, g f} then h* mu_{g,f}
         step1 = star_cell(alpha, p)
-        step2 = mu_map(h, gf, p, mutate=mutate, tag=("h,gf", name))
-        inner = mu_map(g, f, p, mutate=mutate, tag=("g,f", name))
+        step2 = mu_map(h, gf, p, tag=("h,gf", name))
+        inner = mu_map(g, f, p, tag=("g,f", name))
         step3 = kan_extend_map(h, inner)
         left = step1.then(step2).then(step3)
         # right path: mu_{h g, f} then mu_{h,g} at f*(p)
-        step4 = mu_map(kleisli_compose(h, g), f, p, mutate=mutate, tag=("hg,f", name))
-        step5 = mu_map(h, g, kan_extend(f, p), mutate=mutate, tag=("h,g", name))
+        step4 = mu_map(kleisli_compose(h, g), f, p, tag=("hg,f", name))
+        step5 = mu_map(h, g, kan_extend(f, p), tag=("h,g", name))
         right = step4.then(step5)
         witness = cell_difference(left, right)
         report.add(f"hexagon@{name}", witness is None, witness)
@@ -110,20 +105,16 @@ def check_assoc_axiom(
 
 
 @memo_scope()
-def check_unit_axiom(
-    f: PshValuedFunctor,
-    family: TestFamily,
-    mutate: MutateHook | None = None,
-) -> CheckReport:
+def check_unit_axiom(f: PshValuedFunctor, family: TestFamily) -> CheckReport:
     """The triangle f* -> (f* i)* -> f* i* -> f* equals the identity."""
     report = CheckReport("unit-axiom")
     base = f.source
     i_x = yoneda_embedding(base)
-    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, tag=("eta_f",))
     for name, p in family.named():
         step1 = star_cell(eta, p)
-        step2 = mu_map(f, i_x, p, mutate=mutate, tag=("f,i", name))
-        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
+        step2 = mu_map(f, i_x, p, tag=("f,i", name))
+        theta = theta_map(base, p, tag=("theta", name))
         step3 = kan_extend_map(f, theta)
         composite = step1.then(step2).then(step3)
         witness = cell_difference(composite, PshMap.identity(kan_extend(f, p)))
@@ -133,10 +124,7 @@ def check_unit_axiom(
 
 @memo_scope()
 def check_derived_coherences(
-    f: PshValuedFunctor,
-    g: PshValuedFunctor,
-    family: TestFamily,
-    mutate: MutateHook | None = None,
+    f: PshValuedFunctor, g: PshValuedFunctor, family: TestFamily
 ) -> CheckReport:
     """The three derived diagrams, verified independently of the axioms."""
     report = CheckReport("derived-coherences")
@@ -144,32 +132,30 @@ def check_derived_coherences(
     i_x = yoneda_embedding(base)
 
     # (i) eta_{g f} then (mu_{g,f} whiskered by i) equals g whiskered over eta_f
-    eta_gf = eta_cell(kleisli_compose(g, f), mutate=mutate, tag=("eta_gf",))
-    mu_whiskered = kleisli_associator(g, f, i_x, mutate=mutate, tag=("g,f,i",))
+    eta_gf = eta_cell(kleisli_compose(g, f), tag=("eta_gf",))
+    mu_whiskered = kleisli_associator(g, f, i_x, tag=("g,f,i",))
     path1 = eta_gf.then(mu_whiskered)
-    eta_f = eta_cell(f, mutate=mutate, tag=("eta_f",))
+    eta_f = eta_cell(f, tag=("eta_f",))
     path2 = whisker_left(g, eta_f)
     witness = cell_difference(path1, path2)
     report.add("part-i", witness is None, witness)
 
     # (ii) mu_{i,f} then theta at f*(p) equals (theta f)* at p
     i_y = yoneda_embedding(f.target_base)
-    lam = kleisli_left_unitor(f, mutate=mutate, tag=("lam_f",))
+    lam = kleisli_left_unitor(f, tag=("lam_f",))
     for name, p in family.named():
-        step1 = mu_map(i_y, f, p, mutate=mutate, tag=("i,f", name))
-        step2 = theta_map(
-            f.target_base, kan_extend(f, p), mutate=mutate, tag=("theta_fstar", name)
-        )
+        step1 = mu_map(i_y, f, p, tag=("i,f", name))
+        step2 = theta_map(f.target_base, kan_extend(f, p), tag=("theta_fstar", name))
         lhs = step1.then(step2)
         rhs = star_cell(lam, p)
         witness = cell_difference(lhs, rhs)
         report.add(f"part-ii@{name}", witness is None, witness)
 
     # (iii) eta_{i} then theta whiskered by i equals the identity on i
-    eta_i = eta_cell(i_x, mutate=mutate, tag=("eta_i",))
+    eta_i = eta_cell(i_x, tag=("eta_i",))
     for x in base.objects:
         rep = yoneda(base, x)
-        theta = theta_map(base, rep, mutate=mutate, tag=("theta_rep", x))
+        theta = theta_map(base, rep, tag=("theta_rep", x))
         composite = eta_i.components[x].then(theta)
         witness = cell_difference(composite, PshMap.identity(rep))
         report.add(f"part-iii@{x!r}", witness is None, witness)
@@ -177,19 +163,15 @@ def check_derived_coherences(
 
 
 @memo_scope()
-def epsilon_cell(
-    g: PshValuedFunctor,
-    family: TestFamily,
-    mutate: MutateHook | None = None,
-) -> tuple[dict, CheckReport]:
+def epsilon_cell(g: PshValuedFunctor, family: TestFamily) -> tuple[dict, CheckReport]:
     """The counit at an extension, (g* i)* -> g*, with invertibility verdict."""
     report = CheckReport("epsilon")
     base = g.source
     i_x = yoneda_embedding(base)
     cells = {}
     for name, p in family.named():
-        step1 = mu_map(g, i_x, p, mutate=mutate, tag=("eps", name))
-        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
+        step1 = mu_map(g, i_x, p, tag=("eps", name))
+        theta = theta_map(base, p, tag=("theta", name))
         step2 = kan_extend_map(g, theta)
         eps = step1.then(step2)
         cells[name] = eps
@@ -200,10 +182,7 @@ def epsilon_cell(
 
 @memo_scope()
 def check_cell_naturality(
-    f: PshValuedFunctor,
-    g: PshValuedFunctor,
-    family: TestFamily,
-    mutate: MutateHook | None = None,
+    f: PshValuedFunctor, g: PshValuedFunctor, family: TestFamily
 ) -> CheckReport:
     """The structural cells are natural wherever constructed.
 
@@ -214,7 +193,7 @@ def check_cell_naturality(
     report = CheckReport("cell-naturality")
     base = f.source
     i_x = yoneda_embedding(base)
-    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, tag=("eta_f",))
     bad = kleisli_cell_violations(eta)
     report.add("eta-kleisli-natural", not bad, bad[0] if bad else None)
     for x in base.objects:
@@ -226,11 +205,11 @@ def check_cell_naturality(
     thetas = {}
     mus = {}
     for name, p in family.named():
-        theta = theta_map(base, p, mutate=mutate, tag=("theta", name))
+        theta = theta_map(base, p, tag=("theta", name))
         thetas[name] = theta
         bad = pshmap_violations(theta)
         report.add(f"theta-object-natural@{name}", not bad, bad[0] if bad else None)
-        mu = mu_map(g, f, p, mutate=mutate, tag=("g,f", name))
+        mu = mu_map(g, f, p, tag=("g,f", name))
         mus[name] = mu
         bad = pshmap_violations(mu)
         report.add(f"mu-object-natural@{name}", not bad, bad[0] if bad else None)
@@ -387,7 +366,6 @@ def check_lax_idempotent(
     g: PshValuedFunctor,
     family: TestFamily,
     competitors: list[PshValuedFunctor] | None = None,
-    mutate: MutateHook | None = None,
 ) -> CheckReport:
     """Lax idempotency at an instance.
 
@@ -401,18 +379,18 @@ def check_lax_idempotent(
         "universal property quantified over the declared finite family and "
         "competitor set only"
     )
-    derived = check_derived_coherences(f, g, family, mutate=mutate)
+    derived = check_derived_coherences(f, g, family)
     for item in derived.items:
         if item.name.startswith("part-i@") or item.name == "part-i":
             report.items.append(item)
         if item.name.startswith("part-iii"):
             report.items.append(item)
-    _, eps_report = epsilon_cell(f, family, mutate=mutate)
+    _, eps_report = epsilon_cell(f, family)
     report.extend(eps_report, prefix="eps-f:")
 
     base = f.source
     i_x = yoneda_embedding(base)
-    eta = eta_cell(f, mutate=mutate, tag=("eta_f",))
+    eta = eta_cell(f, tag=("eta_f",))
     for h in competitors or []:
         h_i = kleisli_compose(h, i_x)
         cellset_b = enumerate_kleisli_cells(f, h_i)

@@ -10,9 +10,12 @@ Each instance runs in one `fincat.memo_scope`, opened in the thread that runs
 it, so all its checks share the extensions and composites they build.
 
 A fault configuration corrupts one component of a named coherence cell
-(mu, eta, theta, or an operad unit/composition witness) before the checks
-run; the corruption is a swap of two values, so invertibility survives and
-any resulting failure is a genuine coherence violation with a witness.
+(mu, eta, theta, or an operad unit/composition witness) with a
+`fincat.Fault`: a swap of two values, so invertibility survives and any
+resulting failure is a genuine coherence violation with a witness.  One
+fault serves the whole suite and is opened, in a `fincat.fault_scope`,
+together with each instance's memo scope; the operad suite instead applies
+a fresh one to each instance's operad.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .day import (
     one_object_group_monoidal,
     terminal_monoidal,
 )
-from .fincat import FinCat, FinFn, NonInvertible, memo_scope
+from .fincat import Fault, FinCat, NonInvertible, fault_scope, memo_scope
 from .colim import BifunctorialityViolation
 from .presheaf import (
     Presheaf,
@@ -106,70 +109,6 @@ class SuiteConfig:
             "fault": self.fault,
             "fault_index": self.fault_index,
         }
-
-
-def swap_first_two(fn: FinFn) -> FinFn:
-    """fn with the images of its first two domain elements exchanged."""
-    a, b = fn.domain.elements[0], fn.domain.elements[1]
-    table = fn.as_dict()
-    table[a], table[b] = table[b], table[a]
-    return FinFn(fn.domain, fn.codomain, table)
-
-
-def make_swap_mutate(kind: str, index: int):
-    """Corrupt the index-th corruptible component of the named cell family.
-
-    Components are counted in construction order; a component is corruptible
-    when its domain has at least two elements.  The swap exchanges the first
-    two outputs, so bijections stay bijections.
-    """
-    state = {"count": 0, "applied": None}
-
-    def mutate(k: str, key: tuple, fn: FinFn) -> FinFn:
-        if k != kind or len(fn.domain) < 2:
-            return fn
-        if state["applied"] is None:
-            if state["count"] != index:
-                state["count"] += 1
-                return fn
-            state["applied"] = key
-        elif key != state["applied"]:
-            return fn
-        # corrupt this key consistently on every construction
-        return swap_first_two(fn)
-
-    mutate.state = state
-    return mutate
-
-
-def make_trace_mutate():
-    """Record every constructed cell component without altering it."""
-    trace: list[tuple[str, tuple, int]] = []
-
-    def mutate(kind: str, key: tuple, fn: FinFn) -> FinFn:
-        trace.append((kind, key, len(fn.domain)))
-        return fn
-
-    mutate.trace = trace
-    return mutate
-
-
-def make_key_mutate(kind: str, key: tuple):
-    """Corrupt every component constructed with exactly this (kind, key).
-
-    Deterministic: repeated constructions of the same component receive the
-    same swap, so a corruption models one consistently-wrong table entry.
-    """
-    state = {"hits": 0}
-
-    def mutate(k: str, key2: tuple, fn: FinFn) -> FinFn:
-        if k != kind or key2 != key or len(fn.domain) < 2:
-            return fn
-        state["hits"] += 1
-        return swap_first_two(fn)
-
-    mutate.state = state
-    return mutate
 
 
 def _guarded(name: str, thunk) -> CheckReport:
@@ -246,14 +185,13 @@ def suite_kleisli_coherence(config: SuiteConfig) -> dict:
             random_kleisli(rng, cats[j], cats[j + 1], config) for j in range(4)
         ]
         specs.append((i, cats, chain))
-    mutate = make_swap_mutate(config.fault, config.fault_index) if config.fault else None
 
     def run(spec):
         i, cats, chain = spec
         f, g, h, k = chain
         reports = [
-            _guarded("pentagon", lambda: check_pentagon(k, h, g, f, mutate=mutate)),
-            _guarded("triangle", lambda: check_triangle(g, f, mutate=mutate)),
+            _guarded("pentagon", lambda: check_pentagon(k, h, g, f)),
+            _guarded("triangle", lambda: check_triangle(g, f)),
         ]
         return _instance_dict(f"instance-{i}", [len(c.objects) for c in cats], reports)
 
@@ -270,23 +208,16 @@ def suite_relpsm_axioms(config: SuiteConfig) -> dict:
         g = random_kleisli(rng, cats[1], cats[2], config)
         h = random_kleisli(rng, cats[2], cats[3], config)
         specs.append((i, cats, f, g, h))
-    mutate = make_swap_mutate(config.fault, config.fault_index) if config.fault else None
 
     def run(spec):
         i, cats, f, g, h = spec
         family = TestFamily.default(cats[0])
         reports = [
-            _guarded("unit-axiom", lambda: check_unit_axiom(f, family, mutate=mutate)),
-            _guarded("assoc-axiom", lambda: check_assoc_axiom(f, g, h, family, mutate=mutate)),
-            _guarded(
-                "derived-coherences",
-                lambda: check_derived_coherences(f, g, family, mutate=mutate),
-            ),
-            _guarded("epsilon", lambda: epsilon_cell(f, family, mutate=mutate)[1]),
-            _guarded(
-                "cell-naturality",
-                lambda: check_cell_naturality(f, g, family, mutate=mutate),
-            ),
+            _guarded("unit-axiom", lambda: check_unit_axiom(f, family)),
+            _guarded("assoc-axiom", lambda: check_assoc_axiom(f, g, h, family)),
+            _guarded("derived-coherences", lambda: check_derived_coherences(f, g, family)),
+            _guarded("epsilon", lambda: epsilon_cell(f, family)[1]),
+            _guarded("cell-naturality", lambda: check_cell_naturality(f, g, family)),
         ]
         return _instance_dict(f"instance-{i}", [len(c.objects) for c in cats], reports)
 
@@ -308,7 +239,6 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
         g = random_kleisli(rng, target, _pick_cat(rng, config, lib), config)
         competitors = [f, functor_into_presheaves(functors[rng.randrange(len(functors))])]
         specs.append((i, f, g, competitors))
-    mutate = make_swap_mutate(config.fault, config.fault_index) if config.fault else None
 
     def run(spec):
         i, f, g, competitors = spec
@@ -316,9 +246,7 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
         reports = [
             _guarded(
                 "lax-idempotent",
-                lambda: check_lax_idempotent(
-                    f, g, family, competitors=competitors, mutate=mutate
-                ),
+                lambda: check_lax_idempotent(f, g, family, competitors=competitors),
             )
         ]
         return _instance_dict(f"instance-{i}", [len(f.source.objects)], reports)
@@ -405,19 +333,6 @@ def suite_operad(config: SuiteConfig) -> dict:
     arity = min(config.max_arity, 3)
     specs = [(i,) for i in range(config.instances)]
 
-    def corrupt_components(components, index):
-        count = 0
-        out = dict(components)
-        for key in sorted(out, key=lambda k: repr(k)):
-            fn = out[key]
-            if len(fn.domain) < 2:
-                continue
-            if count == index:
-                out[key] = swap_first_two(fn)
-                return out
-            count += 1
-        return out
-
     def run(spec):
         (i,) = spec
         rng_i = random.Random((config.seed, i).__hash__())
@@ -429,20 +344,20 @@ def suite_operad(config: SuiteConfig) -> dict:
         else:
             operad = unit_operad(parallel_pair(), min(arity, 2))
         if config.fault in ("unit", "comp"):
-            if config.fault == "unit":
-                operad = ColouredOperad(
-                    operad.seq,
-                    corrupt_components(operad.unit_components, config.fault_index),
-                    operad.comp_components,
-                    operad.m_bound,
-                )
-            else:
-                operad = ColouredOperad(
-                    operad.seq,
-                    operad.unit_components,
-                    corrupt_components(operad.comp_components, config.fault_index),
-                    operad.m_bound,
-                )
+            fault = Fault(config.fault, config.fault_index)
+
+            def faulted(kind, components):
+                # counted in repr order of the keys, returned in the dict's own order
+                order = sorted(components, key=repr)
+                swapped = {key: fault(kind, key, components[key]) for key in order}
+                return {key: swapped[key] for key in components}
+
+            operad = ColouredOperad(
+                operad.seq,
+                faulted("unit", operad.unit_components),
+                faulted("comp", operad.comp_components),
+                operad.m_bound,
+            )
         reports.append(_guarded("operad", lambda: check_operad(operad)))
 
         sym = free_sym_cat(discrete(1), arity)
@@ -494,12 +409,18 @@ def _instance_dict(description: str, sizes: list, reports: list[CheckReport]) ->
 
 
 def _assemble(name: str, config: SuiteConfig, specs: list, run) -> dict:
-    run = memo_scope()(run)  # one memo per instance, in the thread that runs it
+    fault = Fault(config.fault, config.fault_index) if config.fault else None
+
+    def scoped(spec):
+        # one memo per instance and the suite's fault, both opened in the thread that runs it
+        with memo_scope(), fault_scope(fault):
+            return run(spec)
+
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, specs))
+            results = list(pool.map(scoped, specs))
     else:
-        results = [run(s) for s in specs]
+        results = [scoped(s) for s in specs]
     out = {
         "schema": "profcalc/suite-report@1",
         "suite": name,

@@ -21,7 +21,7 @@ from profcalc.day import (
     day_unit_right_iso,
     monoidal_from_monoid,
 )
-from profcalc.fincat import FinFn, FinSet, Functor, NonInvertible, product
+from profcalc.fincat import FinFn, FinSet, Functor, NonInvertible, fault_scope, product
 from profcalc.presheaf import (
     Presheaf,
     PshMap,
@@ -62,8 +62,6 @@ from profcalc.seeds import (
 )
 from profcalc.suites import (
     SuiteConfig,
-    make_key_mutate,
-    make_trace_mutate,
     random_kleisli,
     run_suite,
 )
@@ -439,13 +437,48 @@ def test_criterion_9_free_symmetric_and_operads():
     )
 
 
-def _fault_battery(f, g, family, mutate):
+def _swap_first_two(fn):
+    a, b = fn.domain.elements[0], fn.domain.elements[1]
+    table = fn.as_dict()
+    table[a], table[b] = table[b], table[a]
+    return FinFn(fn.domain, fn.codomain, table)
+
+
+def _trace_hook():
+    """A fault hook that records every constructed cell component and alters none."""
+    trace = []
+
+    def hook(kind, key, fn):
+        trace.append((kind, key, len(fn.domain)))
+        return fn
+
+    hook.trace = trace
+    return hook
+
+
+def _key_hook(kind, key):
+    """A fault hook that corrupts every component constructed with exactly this
+    (kind, key), the same way each time: one consistently wrong table."""
+    state = {"hits": 0}
+
+    def hook(k, key2, fn):
+        if k != kind or key2 != key or len(fn.domain) < 2:
+            return fn
+        state["hits"] += 1
+        return _swap_first_two(fn)
+
+    hook.state = state
+    return hook
+
+
+def _fault_battery(f, g, family, hook):
     reports = []
     try:
-        reports.append(check_unit_axiom(f, family, mutate=mutate))
-        reports.append(check_derived_coherences(f, g, family, mutate=mutate))
-        reports.append(check_cell_naturality(f, g, family, mutate=mutate))
-        reports.append(check_triangle(g, f, mutate=mutate))
+        with fault_scope(hook):
+            reports.append(check_unit_axiom(f, family))
+            reports.append(check_derived_coherences(f, g, family))
+            reports.append(check_cell_naturality(f, g, family))
+            reports.append(check_triangle(g, f))
     except (ValueError, NonInvertible) as exc:
         from profcalc.report import CheckReport
 
@@ -465,7 +498,7 @@ def test_criterion_10_fault_injection():
     g = functor_into_presheaves(all_functors(mid, parallel_pair())[2])
     family = TestFamily.default(src)
 
-    tracer = make_trace_mutate()
+    tracer = _trace_hook()
     _fault_battery(f, g, family, tracer)
     corruptible = sorted(
         {(kind, key) for kind, key, size in tracer.trace if size >= 2},
@@ -474,9 +507,9 @@ def test_criterion_10_fault_injection():
     assert corruptible, "fault instance has no corruptible components"
     undetected = []
     for kind, key in corruptible:
-        mutate = make_key_mutate(kind, key)
-        reports = _fault_battery(f, g, family, mutate)
-        if mutate.state["hits"] == 0:
+        hook = _key_hook(kind, key)
+        reports = _fault_battery(f, g, family, hook)
+        if hook.state["hits"] == 0:
             continue
         if all(rep.ok for rep in reports):
             undetected.append((kind, key))
@@ -490,11 +523,8 @@ def test_criterion_10_fault_injection():
                 fn = components[key]
                 if len(fn.domain) < 2:
                     continue
-                table = fn.as_dict()
-                a, b = fn.domain.elements[0], fn.domain.elements[1]
-                table[a], table[b] = table[b], table[a]
                 mutated = dict(components)
-                mutated[key] = FinFn(fn.domain, fn.codomain, table)
+                mutated[key] = _swap_first_two(fn)
                 broken = ColouredOperad(
                     operad.seq,
                     mutated if attr == "unit_components" else operad.unit_components,

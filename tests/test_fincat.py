@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from profcalc.fincat import (
     Cell,
     EndpointMismatch,
+    Fault,
     FinCat,
     FinFn,
     FinSet,
@@ -11,6 +15,8 @@ from profcalc.fincat import (
     NatTrans,
     NonInvertible,
     cell_difference,
+    corrupt,
+    fault_scope,
     functor_compose,
     identity_functor,
     label_key,
@@ -380,3 +386,35 @@ def test_generators_of_groups_and_idempotents():
     sym = free_sym_cat(discrete(1), 4).cat
     four = ("d0",) * 4
     assert len([g for g in sym.generators() if sym.src(g) == four]) == 3
+
+
+def test_a_fault_swaps_one_key_shared_by_threads():
+    # more threads than cores and a short switch interval; a lost update of the
+    # count or of the key would swap a second key, or none
+    two = FinSet(["a", "b"])
+    fn = FinFn(two, two, {"a": "a", "b": "b"})
+    fault = Fault("mu", 40)
+    swapped = []
+
+    def work(t):
+        with fault_scope(fault):
+            for j in range(200):
+                if corrupt("mu", (t, j), fn) is not fn:
+                    swapped.append((t, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert swapped == [fault.applied] and fault.count == 40
+    # outside every scope nothing is corrupted; a negative index is refused
+    assert corrupt("mu", fault.applied, fn) is fn
+    with pytest.raises(ValueError, match="non-negative"):
+        Fault("mu", -1)

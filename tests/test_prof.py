@@ -1,6 +1,6 @@
 import pytest
 
-from profcalc.fincat import FinFn, FinSet, NonInvertible
+from profcalc.fincat import FinFn, FinSet, NonInvertible, fault_scope
 from profcalc.presheaf import (
     functor_into_presheaves,
     psh_coproduct,
@@ -273,7 +273,8 @@ def test_corrupted_mu_breaks_pentagon_with_witness():
         table[a], table[b] = table[b], table[a]
         return FinFn(fn.domain, fn.codomain, table)
 
-    report = check_pentagon(k, h, g, f, mutate=corrupt)
+    with fault_scope(corrupt):
+        report = check_pentagon(k, h, g, f)
     assert state["count"] >= 1
     assert not report.ok
     assert report.failures()[0].witness

@@ -1,7 +1,7 @@
 import pytest
 
 from profcalc import presheaf
-from profcalc.fincat import BoundExceeded, FinFn
+from profcalc.fincat import BoundExceeded, Fault, FinFn, fault_scope
 from profcalc.presheaf import (
     all_psh_maps,
     functor_into_presheaves,
@@ -75,28 +75,16 @@ def test_unit_axiom_fault_injected_theta_reported():
         functor_into_presheaves(all_functors(cat, fork())[0]),
         functor_into_presheaves(all_functors(cat, fork())[3]),
     )
-    state = {"applied": None}
-
-    def corrupt(kind, key, fn):
-        if kind != "theta" or len(fn.domain) < 2:
-            return fn
-        if state["applied"] is None:
-            state["applied"] = key
-        if key != state["applied"]:
-            return fn
-        a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
-        table[a], table[b] = table[b], table[a]
-        return FinFn(fn.domain, fn.codomain, table)
-
+    fault = Fault("theta")
     try:
-        report = check_unit_axiom(f, fam, mutate=corrupt)
+        with fault_scope(fault):
+            report = check_unit_axiom(f, fam)
         failed = not report.ok
         witness = report.failures()[0].witness if failed else None
     except ValueError as exc:  # ill-defined induced map is also a detection
         failed = True
         witness = str(exc)
-    assert state["applied"] is not None
+    assert fault.applied is not None
     assert failed and witness
 
 
@@ -126,22 +114,10 @@ def test_derived_part_i_fails_with_corrupted_eta():
         functor_into_presheaves(consts[-1]), functor_into_presheaves(consts[-1])
     )
     fam = TestFamily.default(cats[0])
-    state = {"applied": None}
-
-    def corrupt(kind, key, fn):
-        if kind != "eta" or len(fn.domain) < 2:
-            return fn
-        if state["applied"] is None:
-            state["applied"] = key
-        if key != state["applied"]:
-            return fn
-        a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
-        table[a], table[b] = table[b], table[a]
-        return FinFn(fn.domain, fn.codomain, table)
-
-    report = check_derived_coherences(f, g, fam, mutate=corrupt)
-    assert state["applied"] is not None
+    fault = Fault("eta")
+    with fault_scope(fault):
+        report = check_derived_coherences(f, g, fam)
+    assert fault.applied is not None
     assert not report.ok
     assert any(item.name.startswith("part-i") for item in report.failures())
 
@@ -230,7 +206,8 @@ def test_lax_idempotent_corrupted_unit_breaks_bijection():
         return FinFn(fn.domain, fn.codomain, table)
 
     f2 = pvf_coproduct(f, f)
-    report = check_lax_idempotent(f2, g, fam, competitors=[f2], mutate=corrupt)
+    with fault_scope(corrupt):
+        report = check_lax_idempotent(f2, g, fam, competitors=[f2])
     assert state["applied"] is not None
     # the triangles involving eta must notice the swap
     assert not report.ok

@@ -229,8 +229,12 @@ def test_cmd_subst_and_bound_exceeded(tmp_path, capsys):
     assert "m_bound" in captured.err
 
 
-def test_cmd_suite_passes_and_fault_fails():
+def test_cmd_suite_passes_and_fault_fails(capsys):
     assert main(["suite", "kleisli-coherence", "--seed", "11", "--instances", "1"]) == 0
+    # a negative fault index is never reached, so it would run a clean suite: refused
+    faulted = ["suite", "relpsm-axioms", "--seed", "2027", "--instances", "2", "--fault", "mu"]
+    assert main(faulted + ["--fault-index", "-1"]) == 2
+    assert "fault index" in capsys.readouterr().err
     assert (
         main(
             [
@@ -256,11 +260,16 @@ def test_cmd_suite_zero_instances_warns(capsys):
 
 def test_suite_json_determinism_across_workers(capsys):
     # relpsm-axioms and kleisli-coherence share one memo scope per instance,
-    # opened in the pool thread that runs it
-    for suite in ("day-monoidal", "relpsm-axioms", "kleisli-coherence"):
-        args = ["suite", suite, "--seed", "4", "--instances", "3", "--format", "json"]
-        assert main(args) == 0
+    # and the faulted run one fault, both opened in the pool thread that runs it
+    for suite, fault, code in [
+        ("day-monoidal", [], 0),
+        ("relpsm-axioms", [], 0),
+        ("kleisli-coherence", [], 0),
+        ("relpsm-axioms", ["--fault", "mu", "--fault-index", "0"], 1),
+    ]:
+        args = ["suite", suite, "--seed", "4", "--instances", "3", "--format", "json", *fault]
+        assert main(args) == code
         first = capsys.readouterr().out
-        assert main(args + ["--workers", "3"]) == 0
+        assert main(args + ["--workers", "3"]) == code
         second = capsys.readouterr().out
         assert first == second
