@@ -460,40 +460,13 @@ def psh_equalizer_factor(eq_data: tuple[Presheaf, PshMap], cone: PshMap) -> PshM
 
 
 def psh_pullback(phi: PshMap, psi: PshMap) -> tuple[Presheaf, PshMap, PshMap]:
-    """Pointwise pullback of phi: p -> r and psi: q -> r, with projections."""
+    """Pullback of phi: p -> r and psi: q -> r, with projections: the
+    equalizer of pi1 then phi and pi2 then psi on the product p x q."""
     if phi.target != psi.target:
         raise EndpointMismatch("pullback needs a cospan")
-    p, q = phi.source, psi.source
-    values = {
-        a: FinSet(
-            (u, v)
-            for u in p.values[a]
-            for v in q.values[a]
-            if phi.components[a](u) == psi.components[a](v)
-        )
-        for a in p.base.objects
-    }
-    restriction = {}
-    for m in p.base.morphisms():
-        a, b = p.base.src(m), p.base.tgt(m)
-        pm, qm = p.restriction[m], q.restriction[m]
-        restriction[m] = FinFn(
-            values[b], values[a], {(u, v): (pm(u), qm(v)) for (u, v) in values[b]}
-        )
-    pb = Presheaf(p.base, values, restriction, check=False)
-    pr1 = PshMap(
-        pb,
-        p,
-        {a: FinFn(values[a], p.values[a], {(u, v): u for (u, v) in values[a]}) for a in p.base.objects},
-        check=False,
-    )
-    pr2 = PshMap(
-        pb,
-        q,
-        {a: FinFn(values[a], q.values[a], {(u, v): v for (u, v) in values[a]}) for a in p.base.objects},
-        check=False,
-    )
-    return pb, pr1, pr2
+    _, pi1, pi2 = psh_product(phi.source, psi.source)
+    pb, incl = psh_equalizer(pi1.then(phi), pi2.then(psi))
+    return pb, incl.then(pi1), incl.then(pi2)
 
 
 def psh_coproduct(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
@@ -659,25 +632,48 @@ def enumerate_families(slots, constraints) -> list[dict]:
     return results
 
 
-def all_psh_maps(p: Presheaf, q: Presheaf) -> list[PshMap]:
-    """Every natural transformation p -> q, one component per base object.
+def natural_families(members, arrows) -> list[dict]:
+    """Every family of natural maps source -> target, one per member,
+    that commutes with every arrow.
 
-    Naturality squares are checked as soon as both endpoints are assigned,
-    which prunes the search enough for desk-scale value sets.
+    members: list of (key, source presheaf, target presheaf), all over one base;
+    arrows: list of (s, t, phi, psi) with phi: source(s) -> source(t) and
+      psi: target(s) -> target(t), asking that phi then the map at t equal
+      the map at s then psi.
+    Each result maps every member key to its PshMap.  Components are slots
+    (key, a) assigned member by member; naturality squares are checked as
+    soon as both endpoints are assigned, which prunes the search enough for
+    desk-scale value sets.
     """
-    base = p.base
-    slots = [(a, p.values[a], q.values[a]) for a in base.objects]
+    slots = [((key, a), p.values[a], q.values[a]) for key, p, q in members for a in p.base.objects]
     constraints = []
-    for m in base.morphisms():
-        if base.is_identity(m):
-            continue
-        s, t = base.src(m), base.tgt(m)
+    for key, p, q in members:
+        for m in p.base.morphisms():
+            if p.base.is_identity(m):
+                continue
+            s, t = p.base.src(m), p.base.tgt(m)
 
-        def natural(asg, m=m, s=s, t=t):
-            return p.restriction[m].then(asg[s]) == asg[t].then(q.restriction[m])
+            def natural(asg, key=key, p=p, q=q, m=m, s=s, t=t):
+                return p.restriction[m].then(asg[(key, s)]) == asg[(key, t)].then(q.restriction[m])
 
-        constraints.append(([s, t], natural))
-    return [PshMap(p, q, fam, check=False) for fam in enumerate_families(slots, constraints)]
+            constraints.append(([(key, s), (key, t)], natural))
+    for s, t, phi, psi in arrows:
+        for a in phi.source.base.objects:
+
+            def commutes(asg, s=s, t=t, phi=phi, psi=psi, a=a):
+                return phi.components[a].then(asg[(t, a)]) == asg[(s, a)].then(psi.components[a])
+
+            constraints.append(([(s, a), (t, a)], commutes))
+    return [
+        {key: PshMap(p, q, {a: fam[(key, a)] for a in p.base.objects}, check=False)
+         for key, p, q in members}
+        for fam in enumerate_families(slots, constraints)
+    ]
+
+
+def all_psh_maps(p: Presheaf, q: Presheaf) -> list[PshMap]:
+    """Every natural transformation p -> q, one component per base object."""
+    return [fam[None] for fam in natural_families([(None, p, q)], [])]
 
 
 # -- preservation checks ---------------------------------------------------------

@@ -4,6 +4,13 @@ Composition of Kleisli morphisms (functors into presheaves) is extension-
 then-apply; the symmetric coend composition of profunctors is a separate
 code path, and the two are *tested* isomorphic rather than identified.
 
+Every profunctor whose values are coends (`prof_compose`, and in `symmon`
+substitution and its tuple-level extension) gets both actions from
+`coend_actions`, given an elementwise rule on carriers for each side.  A
+symmetric sequence (`symmon.SymSeq`) is a profunctor into the free
+symmetric category on its input colours, so `prof_compose` and `tau` take
+sequences as they are.
+
 All coherence cells (mu, eta, theta, the associator and unitors) are
 materialized as explicit families of bijections between value sets.  A
 Kan extension keeps its coends in `Presheaf.quotients`, and each cell out of
@@ -78,6 +85,8 @@ class Profunctor:
     right_act: dict[tuple[Label, Label], FinFn]  # (y, source morphism f): values[y, src f] -> values[y, tgt f]
     quotients: dict = field(compare=False, default_factory=dict, repr=False)
 
+    invalid = "not a profunctor"
+
     def __init__(self, source, target, values, left_act, right_act, check=True, quotients=None):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -88,7 +97,7 @@ class Profunctor:
         if check:
             bad = profunctor_violations(self)
             if bad:
-                raise ValueError("not a profunctor: " + bad[0])
+                raise ValueError(f"{self.invalid}: {bad[0]}")
 
     def value(self, y: Label, x: Label) -> FinSet:
         return self.values[(y, x)]
@@ -192,34 +201,47 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
         return coend_from(f.target, diagonal, related)
 
     quotients = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
-    values = {key: q.quotient for key, q in quotients.items()}
-    left_act = {}
-    right_act = {}
-    for x in f.source.objects:
 
-        def rule(m, pair, x=x):
-            y, (u, v) = pair
-            q = quotients[(g.target.src(m), x)]
-            return q.representative((y, (g.left_act[(m, y)](u), v)))
+    def left(x, m, pair):
+        y, (u, v) = pair
+        return y, (g.left_act[(m, y)](u), v)
 
-        acts = induced_actions(
-            g.target, lambda z, x=x: quotients[(z, x)], rule, contravariant=True
-        )
-        left_act.update(((m, x), fn) for m, fn in acts.items())
-    for z in g.target.objects:
+    def right(z, m, pair):
+        y, (u, v) = pair
+        return y, (u, f.right_act[(y, m)](v))
 
-        def rule(m, pair, z=z):
-            y, (u, v) = pair
-            q = quotients[(z, f.source.tgt(m))]
-            return q.representative((y, (u, f.right_act[(y, m)](v))))
-
-        acts = induced_actions(
-            f.source, lambda x, z=z: quotients[(z, x)], rule, contravariant=False
-        )
-        right_act.update(((z, m), fn) for m, fn in acts.items())
     return Profunctor(
-        f.source, g.target, values, left_act, right_act, check=False, quotients=quotients
+        f.source, g.target, *coend_actions(f.source, g.target, quotients, left, right),
+        check=False, quotients=quotients,
     )
+
+
+def coend_actions(source: FinCat, target: FinCat, quotients: dict, left, right):
+    """(values, left_act, right_act) of a profunctor source -|-> target whose
+    value at (y, x) is the coend quotients[(y, x)].
+
+    left(x, g, e) sends a carrier element e at (tgt g, x) to one at (src g, x),
+    for g in target; right(y, f, e) sends one at (y, src f) to one at (y, tgt f),
+    for f in source.  Each action is the map of classes that `induced_actions`
+    induces from these carrier rules, checked well defined on generators.
+    """
+    values = {key: q.quotient for key, q in quotients.items()}
+    left_act, right_act = {}, {}
+    for x in source.objects:
+
+        def rule(g, e, x=x):
+            return quotients[(target.src(g), x)].representative(left(x, g, e))
+
+        acts = induced_actions(target, lambda y, x=x: quotients[(y, x)], rule, contravariant=True)
+        left_act.update(((g, x), fn) for g, fn in acts.items())
+    for y in target.objects:
+
+        def rule(f, e, y=y):
+            return quotients[(y, source.tgt(f))].representative(right(y, f, e))
+
+        acts = induced_actions(source, lambda x, y=y: quotients[(y, x)], rule, contravariant=False)
+        right_act.update(((y, f), fn) for f, fn in acts.items())
+    return values, left_act, right_act
 
 
 # -- the tau correspondence -------------------------------------------------------

@@ -17,9 +17,9 @@ from .presheaf import (
     Presheaf,
     PshMap,
     PshValuedFunctor,
-    enumerate_families,
     kan_extend,
     kan_extend_map,
+    natural_families,
     psh_coproduct,
     psh_initial,
     psh_initial_map,
@@ -261,54 +261,16 @@ def _canonical_family_maps(family: TestFamily) -> list[tuple[tuple, tuple, PshMa
 
 
 def enumerate_kleisli_cells(u: PshValuedFunctor, v: PshValuedFunctor) -> list[KleisliCell]:
-    """All 2-cells u -> v between parallel Kleisli morphisms, exhaustively."""
+    """All 2-cells u -> v between parallel Kleisli morphisms, exhaustively:
+    families natural in the target base and along every source morphism."""
     base = u.source
-    tgt = u.target_base
-    slots = []
-    for x in base.objects:
-        for a in tgt.objects:
-            slots.append(((x, a), u.on_obj[x].values[a], v.on_obj[x].values[a]))
-    constraints = []
-    # naturality of each component in the target base
-    for x in base.objects:
-        for m in tgt.morphisms():
-            if tgt.is_identity(m):
-                continue
-            a, b = tgt.src(m), tgt.tgt(m)
-
-            def pred(asg, x=x, m=m, a=a, b=b):
-                lhs = u.on_obj[x].restriction[m].then(asg[(x, a)])
-                rhs = asg[(x, b)].then(v.on_obj[x].restriction[m])
-                return lhs == rhs
-
-            constraints.append(([(x, a), (x, b)], pred))
-    # naturality in the source object
-    for m in base.morphisms():
-        if base.is_identity(m):
-            continue
-        x0, x1 = base.src(m), base.tgt(m)
-        for a in tgt.objects:
-
-            def pred(asg, m=m, x0=x0, x1=x1, a=a):
-                lhs = u.on_mor[m].components[a].then(asg[(x1, a)])
-                rhs = asg[(x0, a)].then(v.on_mor[m].components[a])
-                return lhs == rhs
-
-            constraints.append(([(x0, a), (x1, a)], pred))
-    families = enumerate_families(slots, constraints)
-    out = []
-    for fam in families:
-        comps = {
-            x: PshMap(
-                u.on_obj[x],
-                v.on_obj[x],
-                {a: fam[(x, a)] for a in tgt.objects},
-                check=False,
-            )
-            for x in base.objects
-        }
-        out.append(KleisliCell(u, v, comps, check=False))
-    return out
+    members = [(x, u.on_obj[x], v.on_obj[x]) for x in base.objects]
+    arrows = [
+        (base.src(m), base.tgt(m), u.on_mor[m], v.on_mor[m])
+        for m in base.morphisms()
+        if not base.is_identity(m)
+    ]
+    return [KleisliCell(u, v, fam, check=False) for fam in natural_families(members, arrows)]
 
 
 @memo_scope()
@@ -317,47 +279,19 @@ def enumerate_modifications(
     h: PshValuedFunctor,
     family: TestFamily,
 ) -> list[dict]:
-    """All families of maps f*(p) -> h*(p), p in the family, natural in p.
+    """All families of maps f*(p) -> h*(p), p in the family, natural in p,
+    each a dict from member name to PshMap.
 
     Naturality in p is imposed along the canonical maps between family
     members: coproduct injections, maps to the terminal member, maps from
     the empty member.  Components must also be natural in the base object.
     """
-    tgt = f.target_base
-    kf = {name: kan_extend(f, p) for name, p in family.named()}
-    kh = {name: kan_extend(h, p) for name, p in family.named()}
-    names = [name for name, _ in family.named()]
-    canonical = _canonical_family_maps(family)
-
-    slots = []
-    for name in names:
-        for a in tgt.objects:
-            slots.append(((name, a), kf[name].values[a], kh[name].values[a]))
-    constraints = []
-    for name in names:
-        for m in tgt.morphisms():
-            if tgt.is_identity(m):
-                continue
-            a, b = tgt.src(m), tgt.tgt(m)
-
-            def pred(asg, name=name, m=m, a=a, b=b):
-                lhs = kf[name].restriction[m].then(asg[(name, a)])
-                rhs = asg[(name, b)].then(kh[name].restriction[m])
-                return lhs == rhs
-
-            constraints.append(([(name, a), (name, b)], pred))
-    for src_name, tgt_name, phi in canonical:
-        kf_phi = kan_extend_map(f, phi)
-        kh_phi = kan_extend_map(h, phi)
-        for a in tgt.objects:
-
-            def pred(asg, src_name=src_name, tgt_name=tgt_name, a=a, kf_phi=kf_phi, kh_phi=kh_phi):
-                lhs = kf_phi.components[a].then(asg[(tgt_name, a)])
-                rhs = asg[(src_name, a)].then(kh_phi.components[a])
-                return lhs == rhs
-
-            constraints.append(([(src_name, a), (tgt_name, a)], pred))
-    return enumerate_families(slots, constraints)
+    members = [(name, kan_extend(f, p), kan_extend(h, p)) for name, p in family.named()]
+    arrows = [
+        (src_name, tgt_name, kan_extend_map(f, phi), kan_extend_map(h, phi))
+        for src_name, tgt_name, phi in _canonical_family_maps(family)
+    ]
+    return natural_families(members, arrows)
 
 
 @memo_scope()
@@ -397,18 +331,12 @@ def check_lax_idempotent(
         modifications = enumerate_modifications(f, h, family)
         # precompose with eta: a modification psi restricts to representables,
         # where eta's components already end at f's extension of each one
-        kh = {name: kan_extend(h, p) for name, p in family.named()}
         images = []
         for psi in modifications:
             comps = {}
             for x in base.objects:
-                rep_name = ("rep", x)
-                psi_rep = PshMap(
-                    eta.components[x].target,
-                    kh[rep_name],
-                    {a: psi[(rep_name, a)] for a in f.target_base.objects},
-                    check=False,
-                )
+                rep = psi[("rep", x)]
+                psi_rep = PshMap(eta.components[x].target, rep.target, rep.components, check=False)
                 comps[x] = eta.components[x].then(psi_rep)
             images.append(
                 KleisliCell(f, h_i, comps, check=False)

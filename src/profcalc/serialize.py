@@ -223,37 +223,35 @@ def profunctor_to_dict(p: Profunctor) -> dict:
     }
 
 
+def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, dict, dict]:
+    """The value and action tables of a sparse profunctor payload: absent
+    values are empty, and so are absent actions."""
+    values = {(y, x): FinSet() for y in target.objects for x in source.objects}
+    for y, x, vs in d["values"]:
+        values[(_dec(y), _dec(x))] = FinSet(_dec(v) for v in vs)
+    declared_left = {(_dec(g), _dec(x)): table for g, x, table in d["left_act"]}
+    left_act = {
+        (g, x): _dec_fn(
+            declared_left.get((g, x), ()), values[(target.tgt(g), x)], values[(target.src(g), x)]
+        )
+        for g in target.morphisms()
+        for x in source.objects
+    }
+    declared_right = {(_dec(y), _dec(f)): table for y, f, table in d["right_act"]}
+    right_act = {
+        (y, f): _dec_fn(
+            declared_right.get((y, f), ()), values[(y, source.src(f))], values[(y, source.tgt(f))]
+        )
+        for y in target.objects
+        for f in source.morphisms()
+    }
+    return values, left_act, right_act
+
+
 def profunctor_from_dict(d: dict) -> Profunctor:
     source = _category_from_dict(d["source"])
     target = _category_from_dict(d["target"])
-    values = {
-        (y, x): FinSet()
-        for y in target.objects
-        for x in source.objects
-    }
-    for y, x, vs in d["values"]:
-        values[(_dec(y), _dec(x))] = FinSet(_dec(v) for v in vs)
-    left_act = {}
-    declared_left = {( _dec(g), _dec(x)): table for g, x, table in d["left_act"]}
-    for g in target.morphisms():
-        for x in source.objects:
-            dom = values[(target.tgt(g), x)]
-            cod = values[(target.src(g), x)]
-            table = declared_left.get((g, x))
-            left_act[(g, x)] = (
-                _dec_fn(table, dom, cod) if table is not None else FinFn(dom, cod, {})
-            )
-    right_act = {}
-    declared_right = {(_dec(y), _dec(f)): table for y, f, table in d["right_act"]}
-    for y in target.objects:
-        for f in source.morphisms():
-            dom = values[(y, source.src(f))]
-            cod = values[(y, source.tgt(f))]
-            table = declared_right.get((y, f))
-            right_act[(y, f)] = (
-                _dec_fn(table, dom, cod) if table is not None else FinFn(dom, cod, {})
-            )
-    return Profunctor(source, target, values, left_act, right_act, check=True)
+    return Profunctor(source, target, *_tables_from_dict(d, source, target), check=True)
 
 
 def quotient_to_dict(q: QuotientSet) -> dict:
@@ -307,7 +305,7 @@ def symseq_to_dict(seq: SymSeq) -> dict:
         "schema": SCHEMAS["symseq"],
         "colours": fincat_to_dict(seq.source_sym.base),
         "max_arity": seq.source_sym.max_len,
-        "target": fincat_to_dict(seq.target),
+        "target": fincat_to_dict(seq.source),
         "values": [
             [_enc(xs), _enc(y), [_enc(v) for v in val]]
             for (xs, y), val in sorted(
@@ -334,32 +332,9 @@ def symseq_to_dict(seq: SymSeq) -> dict:
 
 def symseq_from_dict(d: dict) -> SymSeq:
     colours = _category_from_dict(d["colours"])
-    target = _category_from_dict(d["target"])
+    outputs = _category_from_dict(d["target"])
     sym = free_sym_cat(colours, d["max_arity"])
-    values = {
-        (xs, y): FinSet()
-        for xs in sym.cat.objects
-        for y in target.objects
-    }
-    for xs, y, vs in d["values"]:
-        values[(_dec(xs), _dec(y))] = FinSet(_dec(v) for v in vs)
-    left_act = {}
-    declared_left = {(_dec(m), _dec(y)): tbl for m, y, tbl in d["left_act"]}
-    for m in sym.cat.morphisms():
-        for y in target.objects:
-            dom = values[(m[1], y)]
-            cod = values[(m[0], y)]
-            tbl = declared_left.get((m, y))
-            left_act[(m, y)] = _dec_fn(tbl, dom, cod) if tbl is not None else FinFn(dom, cod, {})
-    right_act = {}
-    declared_right = {(_dec(xs), _dec(g)): tbl for xs, g, tbl in d["right_act"]}
-    for xs in sym.cat.objects:
-        for g in target.morphisms():
-            dom = values[(xs, target.src(g))]
-            cod = values[(xs, target.tgt(g))]
-            tbl = declared_right.get((xs, g))
-            right_act[(xs, g)] = _dec_fn(tbl, dom, cod) if tbl is not None else FinFn(dom, cod, {})
-    return SymSeq(sym, target, values, left_act, right_act, check=True)
+    return SymSeq(sym, outputs, *_tables_from_dict(d, outputs, sym.cat), check=True)
 
 
 _TO = {

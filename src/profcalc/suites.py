@@ -15,7 +15,9 @@ A fault configuration corrupts one component of a named coherence cell
 resulting failure is a genuine coherence violation with a witness.  One
 fault serves the whole suite and is opened, in a `fincat.fault_scope`,
 together with each instance's memo scope; the operad suite instead applies
-a fresh one to each instance's operad.
+a fresh one to each instance's operad.  Because the suite-wide fault counts
+components in construction order, a faulted suite runs its instances in
+order on the calling thread, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -416,7 +418,9 @@ def _assemble(name: str, config: SuiteConfig, specs: list, run) -> dict:
         with memo_scope(), fault_scope(fault):
             return run(spec)
 
-    if config.workers > 1:
+    # a suite-wide fault counts components in construction order, which only
+    # one thread running the instances in order makes deterministic
+    if config.workers > 1 and fault is None:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(scoped, specs))
     else:
@@ -443,6 +447,8 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
     }
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if config.fault is None and config.fault_index != 0:
+        raise ValueError("a fault index needs a fault kind (--fault)")
     return table[name](config)
 
 

@@ -1,6 +1,11 @@
 """Free symmetric strict monoidal categories (truncated), symmetric sequences,
 and substitution composition.
 
+A symmetric sequence is a profunctor (`SymSeq` subclasses `prof.Profunctor`)
+from its output colours to the free symmetric category on its input colours,
+keyed values[(xs, y)] for a tuple xs and an output colour y; its cells are
+profunctor cells.
+
 Truncation is the finiteness device: the free construction and every
 sequence carry an explicit arity bound, and operations raise BoundExceeded
 rather than silently truncate.  With no nullary support, the number of outer
@@ -15,24 +20,18 @@ outer relations (a generator of the middle tuple category acts on gamma
 contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
+The actions of the composite, and of the tuple-level extension, come from
+`prof.coend_actions`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .colim import (
-    QuotientSet,
-    bifunctor_violations,
-    induced_actions,
-    induced_components,
-    induced_map,
-    quotient,
-)
+from .colim import QuotientSet, induced_components, induced_map, quotient
 from .fincat import (
     BoundExceeded,
-    Cell,
     EndpointMismatch,
     FinCat,
     FinFn,
@@ -48,7 +47,7 @@ from .fincat import (
     memoised,
     opposite,
 )
-from .prof import ProfCell, Profunctor, kleisli_compose, profcell_violations, tau
+from .prof import ProfCell, Profunctor, coend_actions, kleisli_compose, tau
 from .report import CheckReport
 from .seeds import discrete
 
@@ -249,94 +248,39 @@ def sym_mult(sym: TruncatedSymCat) -> FlattenData:
 # -- symmetric sequences ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymSeq:
-    """Finite-set-valued functor on (free symmetric)^op x target, truncated.
+class SymSeq(Profunctor):
+    """A symmetric sequence: a profunctor from the output colours to the
+    free symmetric category `source_sym.cat` on the input colours, truncated.
 
-    values[(xs, y)] for xs a tuple over the source colours and y a target
-    colour; left action contravariant along tuple morphisms (in particular a
-    genuine permutation-group action at each arity), right action covariant
-    along the target category.
+    values[(xs, y)] for xs a tuple over the input colours and y an output
+    colour (`source`); left action contravariant along tuple morphisms (in
+    particular a genuine permutation-group action at each arity), right
+    action covariant along the output colours.
     """
 
     source_sym: TruncatedSymCat
-    target: FinCat
-    values: dict[tuple[tuple, Label], FinSet]
-    left_act: dict[tuple[Label, Label], FinFn]   # (tuple morphism, y)
-    right_act: dict[tuple[tuple, Label], FinFn]  # (xs, target morphism)
-    quotients: dict = field(compare=False, default_factory=dict, repr=False)
-    bounded_search: bool = field(compare=False, default=False)
+    bounded_search: bool
 
-    def __init__(self, source_sym, target, values, left_act, right_act,
+    invalid = "not a symmetric sequence"
+
+    def __init__(self, source_sym, colours, values, left_act, right_act,
                  check=True, quotients=None, bounded_search=False):
         object.__setattr__(self, "source_sym", source_sym)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "left_act", dict(left_act))
-        object.__setattr__(self, "right_act", dict(right_act))
-        object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         object.__setattr__(self, "bounded_search", bounded_search)
-        if check:
-            bad = symseq_violations(self)
-            if bad:
-                raise ValueError("not a symmetric sequence: " + bad[0])
+        super().__init__(colours, source_sym.cat, values, left_act, right_act, check, quotients)
 
     @property
     def max_arity(self) -> int:
         return self.source_sym.max_len
 
-    def value(self, xs: tuple, y: Label) -> FinSet:
-        return self.values[(xs, y)]
-
-    def as_profunctor(self) -> Profunctor:
-        return Profunctor(
-            self.target,
-            self.source_sym.cat,
-            self.values,
-            self.left_act,
-            self.right_act,
-            check=False,
-        )
-
     def has_nullary_support(self) -> bool:
-        return any(len(self.values[((), y)]) > 0 for y in self.target.objects)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymSeq)
-            and self.source_sym == other.source_sym
-            and self.target == other.target
-            and self.values == other.values
-            and self.left_act == other.left_act
-            and self.right_act == other.right_act
-        )
+        return any(len(self.values[((), y)]) > 0 for y in self.source.objects)
 
 
-def symseq_violations(seq: SymSeq) -> list[str]:
-    return bifunctor_violations(seq.as_profunctor().as_bifunctor())
-
-
-class SymSeqCell(Cell):
+class SymSeqCell(ProfCell):
     """Equivariant family of functions between parallel symmetric sequences."""
 
-    source: SymSeq
-    target: SymSeq
-    components: dict[tuple[tuple, Label], FinFn]
-
     invalid = "not equivariant"
-
-    def violations(self) -> list[str]:
-        return symseqcell_violations(self)
-
-
-def symseqcell_violations(cell: SymSeqCell) -> list[str]:
-    probe = ProfCell(
-        cell.source.as_profunctor(),
-        cell.target.as_profunctor(),
-        cell.components,
-        check=False,
-    )
-    return profcell_violations(probe)
 
 
 def subst_identity(sym: TruncatedSymCat) -> SymSeq:
@@ -439,14 +383,10 @@ def _act_on_row(f: SymSeq, phi: Label, blocks: tuple, vs: tuple, h: Label):
     )
 
 
-def _gluing_actions(cat: FinCat, quotient_at) -> dict[Label, FinFn]:
-    """Left actions of substitution values: precompose the gluing morphism,
-    the last entry of every carrier element."""
-
-    def rule(mor, elem):
-        return quotient_at(mor[0]).representative(elem[:-1] + (cat.comp[(elem[-1], mor)],))
-
-    return induced_actions(cat, quotient_at, rule, contravariant=True)
+def _glue(cat: FinCat):
+    """The left carrier rule of substitution values: a tuple morphism
+    precomposes the gluing morphism, the last entry of every carrier element."""
+    return lambda _, mor, elem: elem[:-1] + (cat.comp[(elem[-1], mor)],)
 
 
 def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: dict, gens_y: dict):
@@ -485,11 +425,11 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
     With nullary support in f the block count is unbounded: a declared
     m_bound is required and the result is stamped bounded_search.
     """
-    if f.target != g.source_sym.base:
+    if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
     sym_x = f.source_sym
     sym_y = g.source_sym
-    z_cat = g.target
+    z_cat = g.source
     nullary = f.has_nullary_support()
     if nullary and m_bound is None:
         raise BoundExceeded(
@@ -514,13 +454,12 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
     gens_x = generators_by_source(sym_x.cat)
     gens_y = generators_by_source(sym_y.cat)
     quotients: dict[tuple[tuple, Label], QuotientSet] = {}
-    values: dict[tuple[tuple, Label], FinSet] = {}
     for xs in sym_x.cat.objects:
         for z in z_cat.objects:
             carrier = FinSet(_Canonical(
                 (m, ys, blocks, gamma, vs, h)
                 for m in m_range(len(xs))
-                for ys in itertools.product(f.target.objects, repeat=m)
+                for ys in itertools.product(f.source.objects, repeat=m)
                 if len(g.values[(ys, z)]) > 0
                 for blocks, rows in _block_rows(f, xs, ys, nullary)
                 for gamma in g.values[(ys, z)]
@@ -529,26 +468,13 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
             quotients[(xs, z)] = quotient(
                 carrier, _subst_relations(g, f, z, carrier, gens_x, gens_y)
             )
-            values[(xs, z)] = quotients[(xs, z)].quotient
 
-    left_act, right_act = {}, {}
-    for z in z_cat.objects:
-        acts = _gluing_actions(sym_x.cat, lambda xs, z=z: quotients[(xs, z)])
-        left_act.update(((mor, z), fn) for mor, fn in acts.items())
-    for xs in sym_x.cat.objects:
+    def right(xs, zm, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h
 
-        def rule(zm, elem, xs=xs):
-            m, ys, blocks, gamma, vs, h = elem
-            return quotients[(xs, z_cat.tgt(zm))].representative(
-                (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
-            )
-
-        acts = induced_actions(
-            z_cat, lambda z, xs=xs: quotients[(xs, z)], rule, contravariant=False
-        )
-        right_act.update(((xs, zm), fn) for zm, fn in acts.items())
     return SymSeq(
-        sym_x, z_cat, values, left_act, right_act,
+        sym_x, z_cat, *coend_actions(z_cat, sym_x.cat, quotients, _glue(sym_x.cat), right),
         check=False, quotients=quotients, bounded_search=nullary,
     )
 
@@ -681,7 +607,7 @@ def check_subst_assoc(
         report.add("comparison-bijective", False, str(exc))
         return report
     report.add("comparison-bijective", True)
-    bad = symseqcell_violations(cell)
+    bad = cell.violations()
     report.add("comparison-natural", not bad, bad[0] if bad else None)
     return report
 
@@ -844,7 +770,7 @@ def associative_operad(max_arity: int) -> ColouredOperad:
 def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = None) -> Profunctor:
     """The tuple-level extension of a sequence: values at (xs, ys) are the
     block decompositions of xs matching ys, quotiented by block relations."""
-    if sym_y.base != f.target:
+    if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
     sym_x = f.source_sym
     nullary = f.has_nullary_support()
@@ -865,23 +791,11 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
                 (pair for blocks, vs, h in carrier
                  for pair in _block_pairs(f, gens_x, ys, blocks, vs, h)),
             )
-    values = {key: q.quotient for key, q in quotients.items()}
-    left_act, right_act = {}, {}
-    for ys in sym_y.cat.objects:
-        acts = _gluing_actions(sym_x.cat, lambda xs, ys=ys: quotients[(xs, ys)])
-        left_act.update(((rho, ys), fn) for rho, fn in acts.items())
-    for xs in sym_x.cat.objects:
-
-        def rule(phi, elem, xs=xs):
-            return quotients[(xs, phi[1])].representative(_act_on_row(f, phi, *elem))
-
-        acts = induced_actions(
-            sym_y.cat, lambda ys, xs=xs: quotients[(xs, ys)], rule, contravariant=False
-        )
-        right_act.update(((xs, phi), fn) for phi, fn in acts.items())
     return Profunctor(
-        sym_y.cat, sym_x.cat, values, left_act, right_act, check=False,
-        quotients=quotients,
+        sym_y.cat, sym_x.cat,
+        *coend_actions(sym_y.cat, sym_x.cat, quotients, _glue(sym_x.cat),
+                       lambda xs, phi, elem: _act_on_row(f, phi, *elem)),
+        check=False, quotients=quotients,
     )
 
 
@@ -916,7 +830,7 @@ def representable_seq(sym: TruncatedSymCat, target: FinCat, picks: dict) -> SymS
 
 def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
     """Pointwise tagged union of parallel sequences."""
-    if a.source_sym != b.source_sym or a.target != b.target:
+    if a.source_sym != b.source_sym or a.source != b.source:
         raise EndpointMismatch("sequences are not parallel")
     values, left, right = {}, {}, {}
     for key in a.values:
@@ -931,13 +845,13 @@ def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
         }
         left[(m, y)] = FinFn(dom, values[(m[0], y)], table)
     for (xs, g) in a.right_act:
-        dom = values[(xs, a.target.src(g))]
+        dom = values[(xs, a.source.src(g))]
         table = {
             (tag, u): (tag, (a if tag == 0 else b).right_act[(xs, g)](u))
             for (tag, u) in dom
         }
-        right[(xs, g)] = FinFn(dom, values[(xs, a.target.tgt(g))], table)
-    return SymSeq(a.source_sym, a.target, values, left, right, check=False)
+        right[(xs, g)] = FinFn(dom, values[(xs, a.source.tgt(g))], table)
+    return SymSeq(a.source_sym, a.source, values, left, right, check=False)
 
 
 @memo_scope()
@@ -951,7 +865,7 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
     report = CheckReport("tau-compatibility")
     gf = subst_compose(g, f, m_bound)
     ext = subst_extension(f, g.source_sym, m_bound)
-    composite = kleisli_compose(tau(ext), tau(g.as_profunctor()))
+    composite = kleisli_compose(tau(ext), tau(g))
     for key in sorted(gf.values, key=label_key):
         xs, z = key
         kan = composite.on_obj[z]
@@ -989,7 +903,7 @@ def esp_view(f: SymSeq, sym_op: TruncatedSymCat | None = None) -> Profunctor:
     """
     op_base = opposite(f.source_sym.base)
     sym_op = sym_op if sym_op is not None else free_sym_cat(op_base, f.source_sym.max_len)
-    y_op = opposite(f.target)
+    y_op = opposite(f.source)
     values = {
         (y, xs): f.values[(xs, y)]
         for y in y_op.objects

@@ -128,7 +128,7 @@ def _subst_case(name):
 def test_subst_compose_actions_match_all_morphism_reference(name):
     g, f = _subst_case(name)
     gf = subst_compose(g, f)
-    sym_x, z_cat = f.source_sym.cat, g.target
+    sym_x, z_cat = f.source_sym.cat, g.source
     for mor in sym_x.morphisms():
         for z in z_cat.objects:
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import arrow_category, chain, discrete, fork, parallel_pair
-from profcalc.symmon import free_sym_cat, subst_identity, representable_seq
+from profcalc.symmon import free_sym_cat, subst_identity, representable_seq, unit_operad
 
 
 @pytest.mark.parametrize(
@@ -30,6 +31,14 @@ def test_round_trip(obj):
     back = serialize.loads(text)
     assert back == obj
     assert serialize.dumps(back) == text
+
+
+def test_symseq_wire_bytes_are_pinned():
+    # a symseq payload lists colour morphisms in label order (id_a, id_b, u, v),
+    # where a profunctor payload follows morphisms() order (id_a, u, v, id_b)
+    text = serialize.dumps(unit_operad(parallel_pair(), 2).seq, indent=2)
+    digest = "00a3c9d7b84b37f9a9def48bdc2629cdee2946595d4a711858e8f590ba2d1043"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parse_error_on_garbage():
@@ -235,6 +244,9 @@ def test_cmd_suite_passes_and_fault_fails(capsys):
     faulted = ["suite", "relpsm-axioms", "--seed", "2027", "--instances", "2", "--fault", "mu"]
     assert main(faulted + ["--fault-index", "-1"]) == 2
     assert "fault index" in capsys.readouterr().err
+    # nor is an index without a fault kind
+    assert main(faulted[:-2] + ["--fault-index", "-1"]) == 2
+    assert "needs a fault kind" in capsys.readouterr().err
     assert (
         main(
             [
@@ -260,7 +272,9 @@ def test_cmd_suite_zero_instances_warns(capsys):
 
 def test_suite_json_determinism_across_workers(capsys):
     # relpsm-axioms and kleisli-coherence share one memo scope per instance,
-    # and the faulted run one fault, both opened in the pool thread that runs it
+    # opened in the pool thread that runs it; the faulted run shares one fault
+    # across instances, so it is repeated with thread switches forced often
+    interval = sys.getswitchinterval()
     for suite, fault, code in [
         ("day-monoidal", [], 0),
         ("relpsm-axioms", [], 0),
@@ -270,6 +284,10 @@ def test_suite_json_determinism_across_workers(capsys):
         args = ["suite", suite, "--seed", "4", "--instances", "3", "--format", "json", *fault]
         assert main(args) == code
         first = capsys.readouterr().out
-        assert main(args + ["--workers", "3"]) == code
-        second = capsys.readouterr().out
-        assert first == second
+        sys.setswitchinterval(1e-6 if fault else interval)
+        try:
+            for _ in range(5 if fault else 1):
+                assert main(args + ["--workers", "3"]) == code
+                assert capsys.readouterr().out == first
+        finally:
+            sys.setswitchinterval(interval)

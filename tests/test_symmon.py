@@ -4,7 +4,7 @@ import math
 import pytest
 
 from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, sort_labels, validate_category
-from profcalc.prof import profunctor_violations
+from profcalc.prof import prof_compose, profunctor_violations
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
     ColouredOperad,
@@ -29,7 +29,6 @@ from profcalc.symmon import (
     subst_right_unit_iso,
     sym_mult,
     sym_unit,
-    symseq_violations,
     terminal_operad,
     unit_operad,
     wreath_composition,
@@ -142,7 +141,7 @@ def test_flattening_associativity_within_bounds():
 def test_subst_identity_tables():
     s = free_sym_cat(arrow_category(), 2)
     unit = subst_identity(s)
-    assert symseq_violations(unit) == []
+    assert profunctor_violations(unit) == []
     for xs in s.cat.objects:
         for y in s.base.objects:
             if len(xs) == 1:
@@ -178,7 +177,7 @@ def test_arity_one_composition_cardinality():
     for k in range(4):
         obj = tuple(["d0"] * k)
         assert len(gf.values[(obj, "d0")]) == len(g.values[(obj, "d0")]) * c**k
-    assert symseq_violations(gf) == []
+    assert profunctor_violations(gf) == []
 
 
 def test_empty_factor_composes_to_empty():
@@ -425,6 +424,23 @@ def test_tau_compatibility_instances():
             assert check_tau_compatibility(g, f).ok
             count += 1
     assert count >= 5
+
+
+def test_prof_compose_with_the_extension_is_substitution():
+    # a sequence is a profunctor, so it composes with the extension of another
+    s = free_sym_cat(D1, 3)
+    picks = [representable_seq(s, D1, {"d0": p}) for p in [("d0",), ("d0", "d0")]]
+    ass = associative_operad(3).seq
+    for g, f, sizes in [
+        (picks[1], seq_coproduct(*picks), [0, 0, 2, 12]),
+        (ass, ass, [0, 1, 4, 24]),
+    ]:
+        gf = subst_compose(g, f)
+        composite = prof_compose(subst_extension(f, g.source_sym), g)
+        assert [len(v) for v in gf.values.values()] == sizes
+        assert {k: len(v) for k, v in composite.values.items()} == {
+            k: len(v) for k, v in gf.values.items()
+        }
 
 
 def test_subst_extension_is_a_profunctor():
