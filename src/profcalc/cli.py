@@ -13,12 +13,12 @@ import time
 
 from . import serialize
 from .colim import coend
-from .day import day_convolve
+from .day import StrictMonoidalFinCat, day_convolve
 from .fincat import BoundExceeded, EndpointMismatch, FinCat, NonInvertible, validate_category
 from .presheaf import Presheaf, kan_extend
 from .prof import Profunctor, kleisli_compose, prof_compose, tau, tau_inv
 from .suites import SUITE_NAMES, SuiteConfig, format_suite_text, run_suite
-from .symmon import subst_compose
+from .symmon import SymSeq, subst_compose
 
 
 def _load(path: str):
@@ -66,39 +66,46 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# the payload type of each input of a compose kind, in input order
+_COMPOSE_INPUTS = {
+    "prof": (Profunctor, Profunctor),
+    "kleisli": (Profunctor, Profunctor),
+    "day": (StrictMonoidalFinCat, Presheaf, Presheaf),
+    "subst": (SymSeq, SymSeq),
+}
+
+
 def cmd_compose(args) -> int:
+    kinds = _COMPOSE_INPUTS[args.kind]
+    if len(args.inputs) != len(kinds):
+        print(f"compose --kind {args.kind} takes {len(kinds)} inputs, got {len(args.inputs)}", file=sys.stderr)
+        return 2
     try:
-        if args.kind == "prof":
-            g, f = _load(args.inputs[0]), _load(args.inputs[1])
-            result = prof_compose(g, f)
-            _emit(result, args.out)
-            if args.show_witnesses:
-                _print_witnesses(result.quotients)
-        elif args.kind == "kleisli":
-            g, f = _load(args.inputs[0]), _load(args.inputs[1])
+        inputs = [_load(path) for path in args.inputs]
+        if not all(isinstance(x, kind) for x, kind in zip(inputs, kinds)):
+            print(
+                f"compose --kind {args.kind} needs {', '.join(k.__name__ for k in kinds)}, "
+                f"got {', '.join(type(x).__name__ for x in inputs)}",
+                file=sys.stderr,
+            )
+            return 1
+        if args.kind == "kleisli":
+            g, f = inputs
             composite = kleisli_compose(tau(g), tau(f))
             result = tau_inv(composite)
-            _emit(result, args.out)
-            if args.show_witnesses:
-                # keyed (y, x) like the values of the emitted profunctor
-                _print_witnesses(
-                    {(y, x): q for x, kp in composite.on_obj.items() for y, q in kp.quotients.items()}
-                )
-        elif args.kind == "day":
-            mon, f1, f2 = (_load(p) for p in args.inputs[:3])
-            result = day_convolve(mon, f1, f2)
-            _emit(result, args.out)
-            if args.show_witnesses:
-                _print_witnesses(result.quotients)
-        elif args.kind == "subst":
-            g, f = _load(args.inputs[0]), _load(args.inputs[1])
-            result = subst_compose(g, f, args.m_bound)
-            _emit(result, args.out)
-            if args.show_witnesses:
-                _print_witnesses(result.quotients)
+            # keyed (y, x) like the values of the emitted profunctor
+            quotients = {(y, x): q for x, kp in composite.on_obj.items() for y, q in kp.quotients.items()}
         else:
-            print(f"unknown kind {args.kind!r}", file=sys.stderr)
-            return 2
+            if args.kind == "prof":
+                result = prof_compose(*inputs)
+            elif args.kind == "day":
+                result = day_convolve(*inputs)
+            else:
+                result = subst_compose(*inputs, args.m_bound)
+            quotients = result.quotients
+        _emit(result, args.out)
+        if args.show_witnesses:
+            _print_witnesses(quotients)
     except serialize.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -117,7 +124,7 @@ def cmd_coend(args) -> int:
         if not isinstance(p, Profunctor) or p.source != p.target:
             print("coend needs a profunctor with matching endpoints", file=sys.stderr)
             return 1
-        result = coend(p.source, p.as_bifunctor())
+        result = coend(p.source, p)
         _emit(result, args.out)
     except serialize.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -187,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compose", help="compose serialized objects")
-    p.add_argument("--kind", required=True, choices=["prof", "kleisli", "day", "subst"])
+    p.add_argument("--kind", required=True, choices=list(_COMPOSE_INPUTS))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out")
     p.add_argument("--m-bound", type=int, default=None)

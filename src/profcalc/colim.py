@@ -20,14 +20,16 @@ makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
 `coend_from`, the one coend entry, takes the diagonal H(y, y) and, for each
 generator f: y -> y' (`FinCat.generators`) only, the related pairs
 (H(f, 1)w, H(1, f)w); that needs the integrand to be a bifunctor.
-`kan_extend`, `prof_compose` and `day_convolve` read these pairs straight
-off their functorial input tables -- presheaf restrictions, presheaf-map
-components, profunctor actions, the monoidal composition -- so no slice
-H(y', y) and no action map is built.  `coend` adapts a `Bifunctor` to it
-(for the CLI, `coyoneda_iso` and `fubini_iso`), checking the bifunctor laws
-unless check=False.  A `Bifunctor` may give its tables as functions of the
-key, as `hom_bifunctor_with` and `restrict_bifunctor` do; `coend(check=False)`
-then builds only the diagonal and the generator slices.
+`kan_extend`, `prof_compose`, `day_convolve` and `coyoneda_iso` read these
+pairs straight off their functorial input tables -- presheaf restrictions,
+presheaf-map components, profunctor actions, hom composition, the monoidal
+composition -- so no slice H(y', y) and no action map is built; `fubini_iso`
+reads its inner coends off the joint integrand's tables and induces the
+actions of its outer one along generators only.  A bifunctor
+C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
+which a whole integrand is given: `coend` reads the pairs off its tables,
+and `bifunctor_violations` checks its laws, the one law scan behind
+`Profunctor`, `coend(check=True)` and `fubini_iso(check=True)`.
 
 A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
@@ -49,8 +51,8 @@ is dropped when the outermost scope closes.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .fincat import (
@@ -176,72 +178,6 @@ def factor_through_quotient(q: QuotientSet, h: FinFn) -> FinFn:
     return FinFn(q.quotient, h.codomain, table)
 
 
-class Bifunctor:
-    """Set-valued bifunctor, contravariant in `contra` and covariant in `co`.
-
-    values[(a, b)] with a from contra, b from co;
-    contra_act[(m, b)]: values[(tgt m, b)] -> values[(src m, b)];
-    co_act[(a, m)]:     values[(a, src m)] -> values[(a, tgt m)].
-
-    Each table is given either as a mapping or as a function of its key, and
-    is evaluated on demand: `value`, `act_contra` and `act_co` compute an entry
-    on first use and memoise it.  The `values`, `contra_act` and `co_act`
-    properties materialise a whole table, for the law checks and equality;
-    `coend(check=False)` never does.
-    """
-
-    def __init__(self, contra: FinCat, co: FinCat, values, contra_act, co_act):
-        self.contra = contra
-        self.co = co
-        tables = (values, contra_act, co_act)
-        # per table: the memo, and the function still to fill it (None once complete)
-        self._memo = [{} if callable(t) else dict(t) for t in tables]
-        self._fill = [t if callable(t) else None for t in tables]
-
-    def _entry(self, which: int, key):
-        memo = self._memo[which]
-        if key not in memo and self._fill[which] is not None:
-            memo[key] = self._fill[which](key)
-        return memo[key]
-
-    def _table(self, which: int, keys: Iterable) -> Mapping:
-        if self._fill[which] is not None:
-            self._memo[which] = {k: self._entry(which, k) for k in keys}
-            self._fill[which] = None
-        return MappingProxyType(self._memo[which])
-
-    def value(self, a: Label, b: Label) -> FinSet:
-        return self._entry(0, (a, b))
-
-    def act_contra(self, m: Label, b: Label) -> FinFn:
-        return self._entry(1, (m, b))
-
-    def act_co(self, a: Label, m: Label) -> FinFn:
-        return self._entry(2, (a, m))
-
-    @property
-    def values(self) -> Mapping[tuple[Label, Label], FinSet]:
-        return self._table(0, ((a, b) for a in self.contra.objects for b in self.co.objects))
-
-    @property
-    def contra_act(self) -> Mapping[tuple[Label, Label], FinFn]:
-        return self._table(1, ((m, b) for m in self.contra.morphisms() for b in self.co.objects))
-
-    @property
-    def co_act(self) -> Mapping[tuple[Label, Label], FinFn]:
-        return self._table(2, ((a, m) for a in self.contra.objects for m in self.co.morphisms()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bifunctor)
-            and self.contra == other.contra
-            and self.co == other.co
-            and self.values == other.values
-            and self.contra_act == other.contra_act
-            and self.co_act == other.co_act
-        )
-
-
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
     """fn == first.then(second), compared elementwise without building the composite."""
     if first.codomain != second.domain:
@@ -252,8 +188,10 @@ def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
     return all(b[a[x]] == y for x, y in fn._table.items())
 
 
-def bifunctor_violations(h: Bifunctor) -> list[str]:
-    """The identity, composition and interchange laws that h fails.
+def bifunctor_violations(p) -> list[str]:
+    """The identity, composition and interchange laws that the profunctor p
+    (`prof.Profunctor`) fails, read off its tables: contravariant in p.target
+    through left_act[(m, b)], covariant in p.source through right_act[(a, m)].
 
     The identity law is checked on every object, the composition law on the
     composable pairs (g, m) with g a generator (`FinCat.generators`) and m any
@@ -266,34 +204,33 @@ def bifunctor_violations(h: Bifunctor) -> list[str]:
     different pair.
     """
     out: list[str] = []
-    contra, co = h.contra, h.co
-    for (a, b), s in h.values.items():
+    contra, co = p.target, p.source
+    left, right = p.left_act, p.right_act
+    for (a, b), s in p.values.items():
         ia, ib = contra.id_of(a), co.id_of(b)
-        if h.act_contra(ia, b) != FinFn.identity(s):
+        if left[(ia, b)] != FinFn.identity(s):
             out.append(f"contra identity fails at ({a!r}, {b!r})")
-        if h.act_co(a, ib) != FinFn.identity(s):
+        if right[(a, ib)] != FinFn.identity(s):
             out.append(f"co identity fails at ({a!r}, {b!r})")
     contra_gens, co_gens = set(contra.generators()), set(co.generators())
     for g, f in contra.composable_pairs():
         if g not in contra_gens:
             continue
         for b in co.objects:
-            lhs = h.act_contra(contra.comp[(g, f)], b)
-            if not _is_composite(lhs, h.act_contra(g, b), h.act_contra(f, b)):
+            if not _is_composite(left[(contra.comp[(g, f)], b)], left[(g, b)], left[(f, b)]):
                 out.append(f"contra composition fails at ({g!r}, {f!r}) with {b!r}")
     for g, f in co.composable_pairs():
         if g not in co_gens:
             continue
         for a in contra.objects:
-            lhs = h.act_co(a, co.comp[(g, f)])
-            if not _is_composite(lhs, h.act_co(a, f), h.act_co(a, g)):
+            if not _is_composite(right[(a, co.comp[(g, f)])], right[(a, f)], right[(a, g)]):
                 out.append(f"co composition fails at ({g!r}, {f!r}) with {a!r}")
     for m in contra.generators():
         for n in co.generators():
             # interchange: the two ways around the square agree
             a0, a1 = contra.src(m), contra.tgt(m)
-            lhs = h.act_contra(m, co.src(n)).then(h.act_co(a0, n))
-            rhs = h.act_co(a1, n).then(h.act_contra(m, co.tgt(n)))
+            lhs = left[(m, co.src(n))].then(right[(a0, n)])
+            rhs = right[(a1, n)].then(left[(m, co.tgt(n))])
             if lhs != rhs:
                 out.append(f"interchange fails at ({m!r}, {n!r})")
     return out
@@ -321,25 +258,25 @@ def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
     return quotient(carrier, relations())
 
 
-def coend(base: FinCat, h: Bifunctor, check: bool = True) -> QuotientSet:
-    """`coend_from` for a `Bifunctor`: its diagonal, and the pairs
-    (H(f, id)(w), H(id, f)(w)) for w in H(y', y) along each generator
-    f: y -> y'.  check=True first verifies that h is a bifunctor;
-    check=False takes it on trust.
+def coend(base: FinCat, p, check: bool = True) -> QuotientSet:
+    """`coend_from` for an endo-profunctor p on base (`prof.Profunctor`): its
+    diagonal, and the pairs (p(f, id)(w), p(id, f)(w)) for w in p(y', y)
+    along each generator f: y -> y'.  check=True first runs
+    `bifunctor_violations`; check=False takes the laws on trust.
     """
-    if h.contra != base or h.co != base:
+    if p.target != base or p.source != base:
         raise EndpointMismatch("coend needs a bifunctor over the base on both sides")
     if check:
-        bad = bifunctor_violations(h)
+        bad = bifunctor_violations(p)
         if bad:
             raise BifunctorialityViolation(bad[0])
 
     def related(f):
         y, y1 = base.src(f), base.tgt(f)
-        left, right = h.act_contra(f, y), h.act_co(y1, f)  # H(y', y) -> H(y, y), H(y', y')
-        return ((left(w), right(w)) for w in h.value(y1, y))
+        left, right = p.left_act[(f, y)], p.right_act[(y1, f)]  # p(y', y) -> p(y, y), p(y', y')
+        return ((left(w), right(w)) for w in p.values[(y1, y)])
 
-    return coend_from(base, lambda y: h.value(y, y), related)
+    return coend_from(base, lambda y: p.values[(y, y)], related)
 
 
 def induced_map(
@@ -417,51 +354,6 @@ def induced_actions(cat: FinCat, quotient_at, rule, contravariant: bool) -> dict
     return {m: acts[m] for m in cat.morphisms()}
 
 
-def hom_bifunctor_with(
-    base: FinCat,
-    value_at: Callable[[Label], FinSet],
-    act: Callable[[Label], FinFn],
-    x: Label,
-    covariant: bool,
-) -> Bifunctor:
-    """The integrand of the co-Yoneda coend, elements (hom morphism, value).
-
-    covariant=True:  B(y', y) = base[y', x] x F(y), F covariant
-                     (hom is the contravariant factor, F the covariant one)
-    covariant=False: B(y', y) = F(y') x base[x, y], F a presheaf
-                     (F is the contravariant factor, hom the covariant one)
-    """
-
-    @functools.cache
-    def value(key):
-        a, b = key
-        hom = base.hom[(a, x)] if covariant else base.hom[(x, b)]
-        val = value_at(b) if covariant else value_at(a)
-        return FinSet.product(hom, val)
-
-    def contra(key):
-        f, b = key
-        dom = value((base.tgt(f), b))
-        if covariant:
-            table = {(m, v): (base.comp[(m, f)], v) for (m, v) in dom}
-        else:
-            fn = act(f)  # restriction F(tgt f) -> F(src f)
-            table = {(m, v): (m, fn(v)) for (m, v) in dom}
-        return FinFn(dom, value((base.src(f), b)), table)
-
-    def co(key):
-        a, f = key
-        dom = value((a, base.src(f)))
-        if covariant:
-            fn = act(f)  # action F(src f) -> F(tgt f)
-            table = {(m, v): (m, fn(v)) for (m, v) in dom}
-        else:
-            table = {(m, v): (base.comp[(f, m)], v) for (m, v) in dom}
-        return FinFn(dom, value((a, base.tgt(f))), table)
-
-    return Bifunctor(base, base, value, contra, co)
-
-
 def coyoneda_iso(
     base: FinCat,
     value_at: Callable[[Label], FinSet],
@@ -477,8 +369,19 @@ def coyoneda_iso(
     `act(f)` must be F's action: F(src f) -> F(tgt f) in the covariant case
     and F(tgt f) -> F(src f) in the presheaf case.  Bijectivity is verified.
     """
-    h = hom_bifunctor_with(base, value_at, act, x, covariant)
-    result = coend(base, h, check=False)
+
+    def diagonal(y):
+        return itertools.product(base.hom[(y, x) if covariant else (x, y)].elements, value_at(y).elements)
+
+    def related(f):
+        y, y1 = base.src(f), base.tgt(f)
+        fv = act(f)
+        if covariant:  # w = (m, v) in base[y', x] x F(y)
+            return (((base.comp[(m, f)], v), (m, fv(v))) for m in base.hom[(y1, x)] for v in value_at(y))
+        # w = (m, v) in base[x, y] x F(y')
+        return (((m, fv(v)), (base.comp[(f, m)], v)) for m in base.hom[(x, y)] for v in value_at(y1))
+
+    result = coend_from(base, diagonal, related)
 
     def rule(pair: Label) -> Label:
         y, (g, v) = pair
@@ -490,71 +393,55 @@ def coyoneda_iso(
     return result, fn
 
 
-def restrict_bifunctor(joint: Bifunctor, base_left: FinCat, base_right: FinCat):
-    """Split a bifunctor over a product category into slice data for iteration."""
-    # For fixed outer pair (a-, a+) in base_left, the inner bifunctor over base_right,
-    # reading the joint tables on demand.
-    def inner(a_minus: Label, a_plus: Label) -> Bifunctor:
-        id_minus, id_plus = base_left.id_of(a_minus), base_left.id_of(a_plus)
-        return Bifunctor(
-            base_right,
-            base_right,
-            lambda key: joint.value((a_minus, key[0]), (a_plus, key[1])),
-            lambda key: joint.act_contra((id_minus, key[0]), (a_plus, key[1])),
-            lambda key: joint.act_co((a_minus, key[0]), (id_plus, key[1])),
-        )
-
-    return inner
-
-
 def fubini_iso(
-    base_left: FinCat, base_right: FinCat, joint: Bifunctor, check: bool = True
+    base_left: FinCat, base_right: FinCat, joint, check: bool = True
 ) -> tuple[QuotientSet, QuotientSet, FinFn]:
     """Single coend over base_left x base_right versus iterated (inner right, outer left).
 
-    Returns (joint coend, outer coend, bijection joint -> iterated) where the
-    iterated result's elements are classes of (a, class of (b, w)).
+    joint is an endo-profunctor on the product category (`prof.Profunctor`);
+    check=True runs `bifunctor_violations` on it first.  Returns (joint coend,
+    outer coend, bijection joint -> iterated) where the iterated result's
+    elements are classes of (a, class of (b, w)).
     """
     prod = product(base_left, base_right)
-    if joint.contra != prod or joint.co != prod:
+    if joint.target != prod or joint.source != prod:
         raise EndpointMismatch("joint bifunctor must live over the product category")
-    if check:
-        bad = bifunctor_violations(joint)
-        if bad:
-            raise BifunctorialityViolation(bad[0])
-    joint_result = coend(prod, joint, check=False)
-
-    inner_of = restrict_bifunctor(joint, base_left, base_right)
+    joint_result = coend(prod, joint, check)
+    left, right = joint.left_act, joint.right_act
 
     @functools.cache
     def inner(key: tuple[Label, Label]) -> QuotientSet:
-        return coend(base_right, inner_of(*key), check=False)
+        # the coend over base_right of joint((a-, -), (a+, -)), at key (a-, a+)
+        a_minus, a_plus = key
+        id_minus, id_plus = base_left.id_of(a_minus), base_left.id_of(a_plus)
 
-    # outer bifunctor over base_left: K(a-, a+) = inner coend, actions induced
-    def contra(key):
-        m, b = key
-        cod_res = inner((base_left.src(m), b))
+        def related(f):
+            y, y1 = base_right.src(f), base_right.tgt(f)
+            lf = left[((id_minus, f), (a_plus, y))]
+            rf = right[((a_minus, y1), (id_plus, f))]
+            return ((lf(w), rf(w)) for w in joint.values[((a_minus, y1), (a_plus, y))])
 
-        def rule(pair):
+        return coend_from(base_right, lambda y: joint.values[((a_minus, y), (a_plus, y))], related)
+
+    # the outer coend over base_left of K(a-, a+) = inner((a-, a+)), with the
+    # actions along each generator induced from the joint ones
+    def outer_related(m):
+        a, a1 = base_left.src(m), base_left.tgt(m)
+        dom, left_cod, right_cod = inner((a1, a)), inner((a, a)), inner((a1, a1))
+
+        def left_rule(pair):
             y, w = pair
-            moved = joint.act_contra((m, base_right.id_of(y)), (b, y))(w)
-            return cod_res.representative((y, moved))
+            return left_cod.representative((y, left[((m, base_right.id_of(y)), (a, y))](w)))
 
-        return induced_map(inner((base_left.tgt(m), b)), cod_res.quotient, rule)
-
-    def co(key):
-        a, m = key
-        cod_res = inner((a, base_left.tgt(m)))
-
-        def rule(pair):
+        def right_rule(pair):
             y, w = pair
-            moved = joint.act_co((a, y), (m, base_right.id_of(y)))(w)
-            return cod_res.representative((y, moved))
+            return right_cod.representative((y, right[((a1, y), (m, base_right.id_of(y)))](w)))
 
-        return induced_map(inner((a, base_left.src(m))), cod_res.quotient, rule)
+        lf = induced_map(dom, left_cod.quotient, left_rule)
+        rf = induced_map(dom, right_cod.quotient, right_rule)
+        return ((lf(k), rf(k)) for k in dom.quotient)
 
-    outer = Bifunctor(base_left, base_left, lambda key: inner(key).quotient, contra, co)
-    outer_result = coend(base_left, outer, check=False)
+    outer_result = coend_from(base_left, lambda a: inner((a, a)).quotient, outer_related)
 
     def comparison(pair: Label) -> Label:
         (a, b), w = pair

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .colim import Bifunctor, bifunctor_violations, coend_from, induced_actions, induced_components
+from .colim import bifunctor_violations, coend_from, induced_actions, induced_components
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -75,7 +75,9 @@ class Profunctor:
     """Finite-set-valued bifunctor on (target)^op x source.
 
     values[(y, x)] is contravariant in y (left action by target morphisms)
-    and covariant in x (right action by source morphisms).
+    and covariant in x (right action by source morphisms); check=True runs
+    `colim.bifunctor_violations` on these tables.  An endo-profunctor
+    (source == target) is the bifunctor whose coend `colim.coend` takes.
     """
 
     source: FinCat
@@ -95,15 +97,12 @@ class Profunctor:
         object.__setattr__(self, "right_act", dict(right_act))
         object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         if check:
-            bad = profunctor_violations(self)
+            bad = bifunctor_violations(self)
             if bad:
                 raise ValueError(f"{self.invalid}: {bad[0]}")
 
     def value(self, y: Label, x: Label) -> FinSet:
         return self.values[(y, x)]
-
-    def as_bifunctor(self) -> Bifunctor:
-        return Bifunctor(self.target, self.source, self.values, self.left_act, self.right_act)
 
     def __eq__(self, other) -> bool:
         return (
@@ -114,10 +113,6 @@ class Profunctor:
             and self.left_act == other.left_act
             and self.right_act == other.right_act
         )
-
-
-def profunctor_violations(p: Profunctor) -> list[str]:
-    return bifunctor_violations(p.as_bifunctor())
 
 
 class ProfCell(Cell):

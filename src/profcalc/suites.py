@@ -449,6 +449,8 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if config.fault is None and config.fault_index != 0:
         raise ValueError("a fault index needs a fault kind (--fault)")
+    if config.instances < 0:
+        raise ValueError(f"instance count must be non-negative, got {config.instances}")
     return table[name](config)
 
 

@@ -1,17 +1,26 @@
 """The coend integrands of Kan extension, profunctor composition and Day
-convolution, built as full `Bifunctor`s.
+convolution, built as whole endo-profunctors.
 
 The engine computes these coends from relations read off its input tables
-(`colim.coend_from`).  These builders state each integrand as a bifunctor
-instead -- value sets and action maps -- so that `coend(check=True)` can
-verify the bifunctor laws and its result serves as an oracle for the
-table-read coends.
+(`colim.coend_from`).  These builders state each integrand in full instead
+-- every value set and every action map, as the tables of a `Profunctor` --
+so that `coend(check=True)` can verify the bifunctor laws and its result
+serves as an oracle for the table-read coends.
 """
 
 import functools
 
-from profcalc.colim import Bifunctor
 from profcalc.fincat import FinFn, FinSet, product
+from profcalc.prof import Profunctor
+
+
+def _tabulate(base, value, contra, co):
+    """The endo-profunctor on base with value((a, b)), contra((m, b)) and
+    co((a, m)) at every key; a Profunctor takes its covariant side first."""
+    values = {(a, b): value((a, b)) for a in base.objects for b in base.objects}
+    contra_act = {(m, b): contra((m, b)) for m in base.morphisms() for b in base.objects}
+    co_act = {(a, m): co((a, m)) for a in base.objects for m in base.morphisms()}
+    return Profunctor(base, base, values, contra_act, co_act, check=False)
 
 
 def kan_bifunctor(f, p, y):
@@ -35,7 +44,7 @@ def kan_bifunctor(f, p, y):
         dom = value((xm, src.src(m)))
         return FinFn(dom, value((xm, src.tgt(m))), {(u, v): (fn(u), v) for (u, v) in dom})
 
-    return Bifunctor(src, src, value, contra, co)
+    return _tabulate(src, value, contra, co)
 
 
 def compose_bifunctor(g, f, z, x):
@@ -59,7 +68,7 @@ def compose_bifunctor(g, f, z, x):
         dom = value((ym, mid.src(m)))
         return FinFn(dom, value((ym, mid.tgt(m))), {(u, v): (gv(u), v) for (u, v) in dom})
 
-    return Bifunctor(mid, mid, value, contra, co)
+    return _tabulate(mid, value, contra, co)
 
 
 def day_bifunctor(mon, f1, f2, a):
@@ -87,4 +96,4 @@ def day_bifunctor(mon, f1, f2, a):
         cod = value((pm, (base.tgt(m1), base.tgt(m2))))
         return FinFn(dom, cod, {(s, t, h): (s, t, base.comp[(tm, h)]) for (s, t, h) in dom})
 
-    return Bifunctor(prod, prod, value, contra, co)
+    return _tabulate(prod, value, contra, co)

@@ -1,5 +1,6 @@
 import pytest
 
+from profcalc.colim import bifunctor_violations
 from profcalc.fincat import FinFn, FinSet, NonInvertible, fault_scope
 from profcalc.presheaf import (
     functor_into_presheaves,
@@ -25,7 +26,6 @@ from profcalc.prof import (
     mu_map,
     prof_compose,
     prof_identity,
-    profunctor_violations,
     tau,
     tau_inv,
     theta_map,
@@ -86,7 +86,7 @@ def test_prof_identity_arrow_is_hom_table():
 
 def test_prof_identity_valid_on_seeds():
     for name in ["fork", "S3", "chain2"]:
-        assert profunctor_violations(prof_identity(SEEDS[name])) == []
+        assert bifunctor_violations(prof_identity(SEEDS[name])) == []
 
 
 def test_matrix_composition_cardinalities():

@@ -190,6 +190,44 @@ def test_cmd_compose_endpoint_mismatch(tmp_path, capsys):
     assert main(["compose", "--kind", "prof", a, b]) == 1
 
 
+@pytest.mark.parametrize("kind, count", [("prof", 1), ("prof", 3), ("kleisli", 1), ("subst", 3), ("day", 2)])
+def test_cmd_compose_refuses_a_wrong_input_count(tmp_path, capsys, kind, count):
+    path = _write(tmp_path, "I.json", prof_identity(arrow_category()))
+    assert main(["compose", "--kind", kind, *[path] * count]) == 2
+    takes = 3 if kind == "day" else 2
+    assert f"--kind {kind} takes {takes} inputs, got {count}" in capsys.readouterr().err
+
+
+def test_cmd_compose_prof_refuses_presheaves(tmp_path, capsys):
+    p = _write(tmp_path, "p.json", yoneda(arrow_category(), "1"))
+    assert main(["compose", "--kind", "prof", p, p]) == 1
+    assert "needs Profunctor, Profunctor, got Presheaf, Presheaf" in capsys.readouterr().err
+
+
+def test_cmd_compose_subst_refuses_plain_profunctors(tmp_path, capsys):
+    i = _write(tmp_path, "I.json", prof_identity(discrete(1)))
+    assert main(["compose", "--kind", "subst", i, i]) == 1
+    assert "needs SymSeq, SymSeq, got Profunctor, Profunctor" in capsys.readouterr().err
+
+
+def test_cmd_compose_day_refuses_a_profunctor_for_the_monoidal_category(tmp_path, capsys):
+    i = _write(tmp_path, "I.json", prof_identity(discrete(2)))
+    y1 = _write(tmp_path, "y1.json", yoneda(discrete(2), "d1"))
+    assert main(["compose", "--kind", "day", i, y1, y1]) == 1
+    assert "needs StrictMonoidalFinCat, Presheaf, Presheaf" in capsys.readouterr().err
+
+
+def test_cmd_compose_prof_takes_a_symmetric_sequence(tmp_path, capsys):
+    s = free_sym_cat(discrete(1), 2)
+    seq = representable_seq(s, discrete(1), {"d0": ("d0", "d0")})
+    g = _write(tmp_path, "G.json", seq)
+    i = _write(tmp_path, "I.json", prof_identity(discrete(1)))
+    out = str(tmp_path / "GI.json")
+    assert main(["compose", "--kind", "prof", g, i, "--out", out]) == 0
+    gi = serialize.loads((tmp_path / "GI.json").read_text())
+    assert {key: len(v) for key, v in gi.values.items()} == {key: len(v) for key, v in seq.values.items()}
+
+
 def test_cmd_coend(tmp_path, capsys):
     path = _write(tmp_path, "I.json", prof_identity(arrow_category()))
     assert main(["coend", path]) == 0
@@ -247,6 +285,9 @@ def test_cmd_suite_passes_and_fault_fails(capsys):
     # nor is an index without a fault kind
     assert main(faulted[:-2] + ["--fault-index", "-1"]) == 2
     assert "needs a fault kind" in capsys.readouterr().err
+    # a negative instance count would check nothing and pass: refused
+    assert main(["suite", "operad", "--instances", "-3"]) == 2
+    assert "instance count must be non-negative, got -3" in capsys.readouterr().err
     assert (
         main(
             [

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from profcalc.colim import bifunctor_violations
 from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, sort_labels, validate_category
-from profcalc.prof import prof_compose, profunctor_violations
+from profcalc.prof import prof_compose
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
     ColouredOperad,
@@ -141,7 +142,7 @@ def test_flattening_associativity_within_bounds():
 def test_subst_identity_tables():
     s = free_sym_cat(arrow_category(), 2)
     unit = subst_identity(s)
-    assert profunctor_violations(unit) == []
+    assert bifunctor_violations(unit) == []
     for xs in s.cat.objects:
         for y in s.base.objects:
             if len(xs) == 1:
@@ -177,7 +178,7 @@ def test_arity_one_composition_cardinality():
     for k in range(4):
         obj = tuple(["d0"] * k)
         assert len(gf.values[(obj, "d0")]) == len(g.values[(obj, "d0")]) * c**k
-    assert profunctor_violations(gf) == []
+    assert bifunctor_violations(gf) == []
 
 
 def test_empty_factor_composes_to_empty():
@@ -447,7 +448,7 @@ def test_subst_extension_is_a_profunctor():
     s = free_sym_cat(D1, 2)
     f = representable_seq(s, D1, {"d0": ("d0", "d0")})
     ext = subst_extension(f, s)
-    assert profunctor_violations(ext) == []
+    assert bifunctor_violations(ext) == []
 
 
 def test_esp_round_trip_label_exact():
@@ -455,7 +456,7 @@ def test_esp_round_trip_label_exact():
     f = subst_identity(s)
     sym_op = free_sym_cat(opposite(arrow_category()), 2)
     view = esp_view(f, sym_op)
-    assert profunctor_violations(view) == []
+    assert bifunctor_violations(view) == []
     back = esp_unview(view, s)
     assert back == f
 
