@@ -23,6 +23,7 @@ from .fincat import (
     memo_scope,
     memoised,
     product,
+    require_lawful,
 )
 from .presheaf import (
     Presheaf,
@@ -30,7 +31,6 @@ from .presheaf import (
     PshValuedFunctor,
     functor_into_presheaves,
     kan_extend,
-    pshmap_violations,
     yoneda,
 )
 from .report import CheckReport
@@ -56,9 +56,7 @@ class StrictMonoidalFinCat:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "symmetry", dict(symmetry) if symmetry else None)
         if check:
-            bad = monoidal_violations(self)
-            if bad:
-                raise ValueError("not strict monoidal: " + bad[0])
+            require_lawful(monoidal_violations(self), "not strict monoidal")
 
     def ob(self, a: Label, b: Label) -> Label:
         return self.tensor.obj_map[(a, b)]
@@ -283,25 +281,20 @@ def _yoneda_comparison(mon: StrictMonoidalFinCat, b1: Label, b2: Label) -> PshMa
 @memo_scope()
 def check_yoneda_strong_monoidal(mon: StrictMonoidalFinCat, a1: Label, a2: Label) -> CheckReport:
     """Exhibit and verify y(a1) (x) y(a2) = y(a1 (x) a2)."""
-    return _comparison_report("yoneda-strong-monoidal", lambda: _yoneda_comparison(mon, a1, a2))
-
-
-def _comparison_report(name: str, build) -> CheckReport:
-    """Whether the comparison PshMap that build() returns is well defined and
-    bijective, and if so natural; a ValueError from build() is the witness."""
-    report = CheckReport(name)
-    try:
-        cmp_map = build()
-    except ValueError as exc:
-        report.add("comparison-bijective", False, str(exc))
-        return report
-    bad = [a for a, fn in cmp_map.components.items() if not fn.is_iso()]
-    witness = f"comparison at {bad[0]!r} not bijective" if bad else None
-    report.add("comparison-bijective", not bad, witness)
-    if not bad:
-        bad = pshmap_violations(cmp_map)
-        report.add("comparison-natural", not bad, bad[0] if bad else None)
+    report = CheckReport("yoneda-strong-monoidal")
+    report.build(
+        "comparison-bijective", lambda: _bijective(_yoneda_comparison(mon, a1, a2)),
+        natural="comparison-natural",
+    )
     return report
+
+
+def _bijective(cmp_map: PshMap) -> PshMap:
+    """cmp_map, unless some component is not a bijection: NonInvertible names the first."""
+    for a, fn in cmp_map.components.items():
+        if not fn.is_iso():
+            raise NonInvertible(f"comparison at {a!r} not bijective")
+    return cmp_map
 
 
 @memo_scope()
@@ -331,14 +324,7 @@ def check_convolution_assoc(
     mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, f3: Presheaf
 ) -> CheckReport:
     report = CheckReport("convolution-assoc")
-    try:
-        iso = day_assoc_iso(mon, f1, f2, f3)
-    except (NonInvertible, ValueError) as exc:
-        report.add("associator-iso", False, str(exc))
-        return report
-    report.add("associator-iso", True)
-    bad = pshmap_violations(iso)
-    report.add("associator-natural", not bad, bad[0] if bad else None)
+    report.build("associator-iso", day_assoc_iso, mon, f1, f2, f3, natural="associator-natural")
     return report
 
 
@@ -362,8 +348,7 @@ def check_convolution_pentagon(
     b2 = day_assoc_iso(mon, f1, c23, f4)
     b3 = day_convolve_map(mon, PshMap.identity(f1), day_assoc_iso(mon, f2, f3, f4))
     right = b1.then(b2).then(b3)
-    witness = cell_difference(left, right)
-    report.add("pentagon-equality", witness is None, witness)
+    report.record("pentagon-equality", cell_difference(left, right))
     return report
 
 
@@ -394,17 +379,14 @@ def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Pres
         report.meta["skipped"] = "base category carries no symmetry"
         return report
     c12 = day_convolve(mon, f1, f2)
-    try:
-        braid = day_symmetry_iso(mon, f1, f2)
-        braid_back = day_symmetry_iso(mon, f2, f1)
-    except (NonInvertible, ValueError) as exc:
-        report.add("braiding-iso", False, str(exc))
-        return report
-    report.add("braiding-iso", True)
-    witness = cell_difference(braid.then(braid_back), PshMap.identity(c12))
-    report.add("braiding-involutive", witness is None, witness)
-    bad = pshmap_violations(braid)
-    report.add("braiding-natural", not bad, bad[0] if bad else None)
+    braids = report.build(
+        "braiding-iso", lambda: (day_symmetry_iso(mon, f1, f2), day_symmetry_iso(mon, f2, f1))
+    )
+    if braids is not None:
+        braid, braid_back = braids
+        involution = braid.then(braid_back)
+        report.record("braiding-involutive", cell_difference(involution, PshMap.identity(c12)))
+        report.record("braiding-natural", braid.violations())
     return report
 
 
@@ -428,9 +410,7 @@ class MonoidalPshFunctor:
         object.__setattr__(self, "constraint", dict(constraint))
         object.__setattr__(self, "unit_cell", unit_cell)
         if check:
-            bad = monoidal_functor_violations(self)
-            if bad:
-                raise ValueError("not strong monoidal: " + bad[0])
+            require_lawful(monoidal_functor_violations(self), "not strong monoidal")
 
 
 def monoidal_functor_violations(mf: MonoidalPshFunctor) -> list[str]:
@@ -494,7 +474,12 @@ def check_kan_monoidal(
         beta = kq.quotients[b2].representative((a2, (u2, t)))
         return rhs.quotients[b].representative(((b1, b2), (alpha, beta, k)))
 
-    return _comparison_report(
-        "kan-monoidal",
-        lambda: PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.values, rule), check=False),
+    report = CheckReport("kan-monoidal")
+    report.build(
+        "comparison-bijective",
+        lambda: _bijective(
+            PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.values, rule), check=False)
+        ),
+        natural="comparison-natural",
     )
+    return report

@@ -5,7 +5,8 @@ the types here: finite sets of labels, functions between them, categories
 with total composition tables, functors, natural transformations, and the
 one algebra every 2-cell of the engine shares: `Cell`, a key-indexed family
 of components composed vertically component by component, with
-`cell_difference` naming the first place two cells disagree.
+`cell_difference` naming the first place two cells disagree and
+`Cell.violations` the one naturality scan of every kind of cell.
 
 Labels are ints, strings, or (nested) tuples of labels.  A single global
 total order on labels (`label_key`) makes every downstream choice --
@@ -51,6 +52,12 @@ class EndpointMismatch(ValueError):
 
 class BoundExceeded(Exception):
     """A truncated construction was asked for data above its declared bound."""
+
+
+def require_lawful(violations: list[str], invalid: str) -> None:
+    """The last step of a checked construction: ValueError "{invalid}: {first violation}"."""
+    if violations:
+        raise ValueError(f"{invalid}: {violations[0]}")
 
 
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("profcalc_memo", default=None)
@@ -518,12 +525,6 @@ class Functor:
             if problems:
                 raise ValueError("not a functor: " + "; ".join(problems))
 
-    def ob(self, a: Label) -> Label:
-        return self.obj_map[a]
-
-    def mor(self, m: Label) -> Label:
-        return self.mor_map[m]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Functor)
@@ -634,10 +635,10 @@ class Cell:
 
     Every component must provide `then`, `is_iso`, `inverse` and equality;
     `FinFn`s and cells both do, so a cell may have cells as components.
-    Subclasses fix the endpoint types and override `violations()`, which
-    lists how the family fails the laws of its kind; `invalid` prefixes the
-    error raised when a checked construction has violations.  A bare `Cell`
-    imposes no law.
+    Subclasses fix the endpoint types and give the two tables that the one
+    naturality scan, `violations()`, reads: `value_table()` and `squares()`.
+    `invalid` prefixes the error raised when a checked construction has
+    violations.  A bare `Cell` imposes no law.
     """
 
     source: Any
@@ -651,12 +652,38 @@ class Cell:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", dict(components))
         if check:
-            bad = self.violations()
-            if bad:
-                raise ValueError(f"{self.invalid}: {bad[0]}")
+            require_lawful(self.violations(), self.invalid)
+
+    def value_table(self) -> tuple:
+        """(keys, source values, target values): the components the kind
+        requires, and the tables, indexed by key, of their endpoints."""
+        return (), {}, {}
+
+    def squares(self) -> Iterable[tuple]:
+        """((law, source actions, target actions), where, key in, key out) per
+        naturality square: source actions[where] then the component at key out
+        must equal the component at key in then target actions[where]."""
+        return ()
 
     def violations(self) -> list[str]:
-        return []
+        """The one naturality scan of every kind: the first missing component in
+        `value_table` order alone; else every component whose endpoints are not
+        its values; else "{law} {where!r}" for every square that fails."""
+        comps = self.components
+        keys, values0, values1 = self.value_table()
+        missing = [key for key in keys if key not in comps]
+        if missing:
+            return [f"missing component at {missing[0]!r}"]
+        out = [
+            f"component at {key!r} has wrong endpoints"
+            for key in keys
+            if _endpoints(comps[key]) != (values0[key], values1[key])
+        ]
+        return out or [
+            f"{law} {where!r}"
+            for (law, acts0, acts1), where, key_in, key_out in self.squares()
+            if acts0[where].then(comps[key_out]) != comps[key_in].then(acts1[where])
+        ]
 
     def then(self, other: Cell) -> Cell:
         """Vertical composite: self first, then other, component by component."""
@@ -687,6 +714,12 @@ class Cell:
                 )
         return None
 
+    def require_iso(self, message: str) -> Cell:
+        """self, or NonInvertible(message) when some component is not invertible."""
+        if not self.is_iso():
+            raise NonInvertible(message)
+        return self
+
     def inverse(self) -> Cell:
         if not self.is_iso():
             raise NonInvertible(self.iso_witness())
@@ -699,6 +732,10 @@ class Cell:
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.components == other.components
+
+
+def _endpoints(c) -> tuple:
+    return (c.source, c.target) if isinstance(c, Cell) else (c.domain, c.codomain)
 
 
 def cell_difference(a: Cell, b: Cell) -> str | None:

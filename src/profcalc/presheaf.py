@@ -26,9 +26,9 @@ from .fincat import (
     FinSet,
     Functor,
     Label,
-    NonInvertible,
     memo_scope,
     memoised,
+    require_lawful,
 )
 from .report import CheckReport
 
@@ -48,15 +48,7 @@ class Presheaf:
         object.__setattr__(self, "restriction", dict(restriction))
         object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         if check:
-            bad = presheaf_violations(self)
-            if bad:
-                raise ValueError("not a presheaf: " + bad[0])
-
-    def value(self, a: Label) -> FinSet:
-        return self.values[a]
-
-    def restrict(self, m: Label) -> FinFn:
-        return self.restriction[m]
+            require_lawful(presheaf_violations(self), "not a presheaf")
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,34 +107,19 @@ class PshMap(Cell):
             raise EndpointMismatch("presheaves live on different bases")
         Cell.__init__(self, source, target, components, check)
 
-    def violations(self) -> list[str]:
-        return pshmap_violations(self)
+    def value_table(self):
+        return self.source.base.objects, self.source.values, self.target.values
+
+    def squares(self):
+        base = self.source.base
+        law = ("naturality fails along", self.source.restriction, self.target.restriction)
+        return ((law, m, base.tgt(m), base.src(m)) for m in base.morphisms())
 
     @staticmethod
     def identity(p: Presheaf) -> PshMap:
         return PshMap(
             p, p, {a: FinFn.identity(s) for a, s in p.values.items()}, check=False
         )
-
-
-def pshmap_violations(phi: PshMap) -> list[str]:
-    out = []
-    base = phi.source.base
-    for a in base.objects:
-        fn = phi.components.get(a)
-        if fn is None:
-            return [f"missing component at {a!r}"]
-        if fn.domain != phi.source.values[a] or fn.codomain != phi.target.values[a]:
-            out.append(f"component at {a!r} has wrong endpoints")
-    if out:
-        return out
-    for m in base.morphisms():
-        a, b = base.src(m), base.tgt(m)
-        lhs = phi.source.restriction[m].then(phi.components[a])
-        rhs = phi.components[b].then(phi.target.restriction[m])
-        if lhs != rhs:
-            out.append(f"naturality fails along {m!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,15 +141,7 @@ class PshValuedFunctor:
         object.__setattr__(self, "on_obj", dict(on_obj))
         object.__setattr__(self, "on_mor", dict(on_mor))
         if check:
-            bad = pvf_violations(self)
-            if bad:
-                raise ValueError("not functorial: " + bad[0])
-
-    def ob(self, x: Label) -> Presheaf:
-        return self.on_obj[x]
-
-    def mor(self, m: Label) -> PshMap:
-        return self.on_mor[m]
+            require_lawful(pvf_violations(self), "not functorial")
 
     def __eq__(self, other) -> bool:
         return (
@@ -317,9 +286,7 @@ def eta_iso(f: PshValuedFunctor, x: Label) -> PshMap:
         rep = kp.quotients[y].representative
         comps[y] = FinFn(dom, kp.values[y], {u: rep((x, (u, idx))) for u in dom})
     phi = PshMap(f.on_obj[x], kp, comps, check=True)
-    if not phi.is_iso():
-        raise NonInvertible(f"unit comparison at {x!r} is not invertible")
-    return phi
+    return phi.require_iso(f"unit comparison at {x!r} is not invertible")
 
 
 def apply_P_functor(f: Functor, p: Presheaf) -> Presheaf:
@@ -683,21 +650,17 @@ def comparison_to_terminal(f: PshValuedFunctor, t: Label) -> PshMap:
     return psh_terminal_map(f.on_obj[t])
 
 
-def _add_comparison(report: CheckReport, source: Presheaf, target: Presheaf, image, missing: str):
-    """Report whether u -> image(a, u) maps source into target pointwise
-    ("comparison-defined", naming the first u whose image is missing) and,
-    if it does, whether that map is invertible ("comparison-iso")."""
+def _comparison(source: Presheaf, target: Presheaf, image, missing: str) -> PshMap:
+    """The map u -> image(a, u) from source into target; ValueError naming the
+    first u whose image is not in target."""
     comps = {}
     for a in source.base.objects:
         table = {u: image(a, u) for u in source.values[a]}
         for u, v in table.items():
             if v not in target.values[a]:
-                report.add("comparison-defined", False, f"image of {u!r} at {a!r} {missing}")
-                return
+                raise ValueError(f"image of {u!r} at {a!r} {missing}")
         comps[a] = FinFn(source.values[a], target.values[a], table)
-    report.add("comparison-defined", True)
-    cmp_map = PshMap(source, target, comps, check=False)
-    report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
+    return PshMap(source, target, comps, check=False)
 
 
 @memo_scope()
@@ -752,26 +715,31 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
         _, pi1, pi2 = psh_product(p, q)
         target_prod_data = psh_product(kan_extend(f, p), kan_extend(f, q))
         cmp_map = psh_pair(kan_extend_map(f, pi1), kan_extend_map(f, pi2), target_prod_data)
-        report.add("comparison-iso", cmp_map.is_iso(), cmp_map.iso_witness())
+        report.record("comparison-iso", cmp_map.iso_witness())
     elif kind == "kan_equalizer":
         phi, psi = instance
         _, incl = psh_equalizer(phi, psi)
         target, _ = psh_equalizer(kan_extend_map(f, phi), kan_extend_map(f, psi))
         kincl = kan_extend_map(f, incl)
         # the comparison lands in the pointwise equalizer of the extended pair
-        _add_comparison(
-            report, kincl.source, target, lambda a, u: kincl.components[a](u), "is not equalized"
+        cmp_map = report.build(
+            "comparison-defined", _comparison,
+            kincl.source, target, lambda a, u: kincl.components[a](u), "is not equalized",
         )
+        if cmp_map is not None:
+            report.record("comparison-iso", cmp_map.iso_witness())
     elif kind == "kan_pullback":
         phi, psi = instance
         _, pr1, pr2 = psh_pullback(phi, psi)
         target, _, _ = psh_pullback(kan_extend_map(f, phi), kan_extend_map(f, psi))
         k1 = kan_extend_map(f, pr1)
         k2 = kan_extend_map(f, pr2)
-        _add_comparison(
-            report, k1.source, target,
+        cmp_map = report.build(
+            "comparison-defined", _comparison, k1.source, target,
             lambda a, u: (k1.components[a](u), k2.components[a](u)), "not in the pullback",
         )
+        if cmp_map is not None:
+            report.record("comparison-iso", cmp_map.iso_witness())
     else:
         raise ValueError(f"unknown preservation kind {kind!r}")
     return report

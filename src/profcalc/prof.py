@@ -55,6 +55,7 @@ from .fincat import (
     corrupt,
     memo_scope,
     memoised,
+    require_lawful,
 )
 from .presheaf import (
     Presheaf,
@@ -97,12 +98,7 @@ class Profunctor:
         object.__setattr__(self, "right_act", dict(right_act))
         object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
         if check:
-            bad = bifunctor_violations(self)
-            if bad:
-                raise ValueError(f"{self.invalid}: {bad[0]}")
-
-    def value(self, y: Label, x: Label) -> FinSet:
-        return self.values[(y, x)]
+            require_lawful(bifunctor_violations(self), self.invalid)
 
     def __eq__(self, other) -> bool:
         return (
@@ -124,32 +120,22 @@ class ProfCell(Cell):
 
     invalid = "not a profunctor cell"
 
-    def violations(self) -> list[str]:
-        return profcell_violations(self)
+    def value_table(self):
+        return self.source.values, self.source.values, self.target.values
 
-
-def profcell_violations(cell: ProfCell) -> list[str]:
-    out = []
-    src, tgt = cell.source, cell.target
-    for key, fn in cell.components.items():
-        if fn.domain != src.values[key] or fn.codomain != tgt.values[key]:
-            out.append(f"component at {key!r} has wrong endpoints")
-    if out:
-        return out
-    for g in src.target.morphisms():
-        for x in src.source.objects:
-            y0, y1 = src.target.src(g), src.target.tgt(g)
-            lhs = src.left_act[(g, x)].then(cell.components[(y0, x)])
-            rhs = cell.components[(y1, x)].then(tgt.left_act[(g, x)])
-            if lhs != rhs:
-                out.append(f"left action not respected at ({g!r}, {x!r})")
-    for y in src.target.objects:
-        for f in src.source.morphisms():
-            lhs = src.right_act[(y, f)].then(cell.components[(y, src.source.tgt(f))])
-            rhs = cell.components[(y, src.source.src(f))].then(tgt.right_act[(y, f)])
-            if lhs != rhs:
-                out.append(f"right action not respected at ({y!r}, {f!r})")
-    return out
+    def squares(self):
+        """Left squares over target morphisms x source objects, then right
+        squares over target objects x source morphisms."""
+        src, tgt = self.source, self.target
+        cod, dom = src.target, src.source
+        left = ("left action not respected at", src.left_act, tgt.left_act)
+        right = ("right action not respected at", src.right_act, tgt.right_act)
+        for g in cod.morphisms():
+            for x in dom.objects:
+                yield left, (g, x), (cod.tgt(g), x), (cod.src(g), x)
+        for y in cod.objects:
+            for f in dom.morphisms():
+                yield right, (y, f), (y, dom.src(f)), (y, dom.tgt(f))
 
 
 def prof_identity(base: FinCat) -> Profunctor:
@@ -292,27 +278,13 @@ class KleisliCell(Cell):
 
     invalid = "not a Kleisli 2-cell"
 
-    def violations(self) -> list[str]:
-        return kleisli_cell_violations(self)
+    def value_table(self):
+        return self.source.source.objects, self.source.on_obj, self.target.on_obj
 
-
-def kleisli_cell_violations(cell: KleisliCell) -> list[str]:
-    out = []
-    for x in cell.source.source.objects:
-        phi = cell.components.get(x)
-        if phi is None:
-            return [f"missing component at {x!r}"]
-        if phi.source != cell.source.on_obj[x] or phi.target != cell.target.on_obj[x]:
-            out.append(f"component at {x!r} has wrong endpoints")
-    if out:
-        return out
-    for m in cell.source.source.morphisms():
-        x0, x1 = cell.source.source.src(m), cell.source.source.tgt(m)
-        lhs = cell.source.on_mor[m].then(cell.components[x1])
-        rhs = cell.components[x0].then(cell.target.on_mor[m])
-        if lhs != rhs:
-            out.append(f"naturality fails at {m!r}")
-    return out
+    def squares(self):
+        base = self.source.source
+        law = ("naturality fails at", self.source.on_mor, self.target.on_mor)
+        return ((law, m, base.src(m), base.tgt(m)) for m in base.morphisms())
 
 
 def kleisli_identity(base: FinCat) -> PshValuedFunctor:
@@ -465,8 +437,7 @@ def check_pentagon(
     b2 = kleisli_associator(k, h, kleisli_compose(g, f), tag=("k,h,gf",))
     left = a1.then(a2).then(a3)
     right = b1.then(b2)
-    witness = cell_difference(left, right)
-    report.add("pentagon-equality", witness is None, witness)
+    report.record("pentagon-equality", cell_difference(left, right))
     return report
 
 
@@ -481,8 +452,7 @@ def check_triangle(g: PshValuedFunctor, f: PshValuedFunctor) -> CheckReport:
     alpha = kleisli_associator(g, yoneda_embedding(g.source), f, tag=("g,i,f",))
     path1 = whisker_right(rho_g, f)
     path2 = alpha.then(whisker_left(g, lam_f))
-    witness = cell_difference(path1, path2)
-    report.add("triangle-middle", witness is None, witness)
+    report.record("triangle-middle", cell_difference(path1, path2))
 
     # left: lambda_{g o f} . alpha_{i, g, f} = lambda_g * 1_f
     gf = kleisli_compose(g, f)
@@ -491,16 +461,14 @@ def check_triangle(g: PshValuedFunctor, f: PshValuedFunctor) -> CheckReport:
     lam_gf = kleisli_left_unitor(gf, tag=("lam_gf",))
     lhs = alpha_l.then(lam_gf)
     rhs = whisker_right(lam_g, f)
-    witness = cell_difference(lhs, rhs)
-    report.add("triangle-left", witness is None, witness)
+    report.record("triangle-left", cell_difference(lhs, rhs))
 
     # right: rho_{g o f} = (1_g * rho_f) . alpha_{g, f, i}
     rho_gf = kleisli_right_unitor(gf, tag=("rho_gf",))
     alpha_r = kleisli_associator(g, f, yoneda_embedding(f.source), tag=("g,f,i",))
     rho_f = kleisli_right_unitor(f, tag=("rho_f",))
     rhs2 = alpha_r.then(whisker_left(g, rho_f))
-    witness = cell_difference(rho_gf, rhs2)
-    report.add("triangle-right", witness is None, witness)
+    report.record("triangle-right", cell_difference(rho_gf, rhs2))
 
     # unit laws: the unitors are invertible cells Id o f ~ f and f o Id ~ f
     report.add("left-unitor-iso", lam_f.is_iso(), "lambda not invertible")
@@ -509,6 +477,5 @@ def check_triangle(g: PshValuedFunctor, f: PshValuedFunctor) -> CheckReport:
         ("lam_f", lam_f), ("lam_g", lam_g), ("lam_gf", lam_gf),
         ("rho_f", rho_f), ("rho_g", rho_g), ("rho_gf", rho_gf),
     ]:
-        bad = kleisli_cell_violations(cell)
-        report.add(f"{label}-natural", not bad, bad[0] if bad else None)
+        report.record(f"{label}-natural", cell.violations())
     return report

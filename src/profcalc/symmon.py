@@ -38,7 +38,6 @@ from .fincat import (
     FinSet,
     Functor,
     Label,
-    NonInvertible,
     _Canonical,
     cell_difference,
     generators_by_source,
@@ -516,9 +515,7 @@ def subst_left_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
 
     comps = induced_components(composed.quotients, g.values, rule)
     cell = SymSeqCell(composed, g, comps, check=False)
-    if not cell.is_iso():
-        raise NonInvertible("left unit comparison is not a bijection")
-    return cell
+    return cell.require_iso("left unit comparison is not a bijection")
 
 
 def subst_right_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
@@ -536,9 +533,7 @@ def subst_right_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
 
     comps = induced_components(composed.quotients, g.values, rule)
     cell = SymSeqCell(composed, g, comps, check=False)
-    if not cell.is_iso():
-        raise NonInvertible("right unit comparison is not a bijection")
-    return cell
+    return cell.require_iso("right unit comparison is not a bijection")
 
 
 @memo_scope()
@@ -579,9 +574,7 @@ def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None)
 
     comps = induced_components(left.quotients, right.values, rule)
     cell = SymSeqCell(left, right, comps, check=False)
-    if not cell.is_iso():
-        raise NonInvertible("associativity comparison is not a bijection")
-    return cell
+    return cell.require_iso("associativity comparison is not a bijection")
 
 
 @memo_scope()
@@ -601,14 +594,9 @@ def check_subst_assoc(
             len(left.values[key]) == len(right.values[key]),
             f"{len(left.values[key])} vs {len(right.values[key])}",
         )
-    try:
-        cell = subst_assoc_iso(h, g, f, m_bound)
-    except (NonInvertible, ValueError) as exc:
-        report.add("comparison-bijective", False, str(exc))
-        return report
-    report.add("comparison-bijective", True)
-    bad = cell.violations()
-    report.add("comparison-natural", not bad, bad[0] if bad else None)
+    report.build(
+        "comparison-bijective", subst_assoc_iso, h, g, f, m_bound, natural="comparison-natural"
+    )
     return report
 
 
@@ -647,21 +635,18 @@ def check_operad(operad: ColouredOperad) -> CheckReport:
     # the unit cell applied on the *outer* factor of unit-then-o)
     left_path = subst_whisker_outer(unit_cell, o_unit, oo).then(comp_cell)
     left_iso = subst_left_unit_iso(o, o_unit)
-    witness = cell_difference(left_path, left_iso)
-    report.add("left-unit", witness is None, witness)
+    report.record("left-unit", cell_difference(left_path, left_iso))
     # right unit: comp . (1 o unit)
     right_path = subst_whisker_inner(unit_cell, unit_o, oo).then(comp_cell)
     right_iso = subst_right_unit_iso(o, unit_o)
-    witness = cell_difference(right_path, right_iso)
-    report.add("right-unit", witness is None, witness)
+    report.record("right-unit", cell_difference(right_path, right_iso))
 
     oo_o = subst_compose(oo, o, operad.m_bound)
     o_oo = subst_compose(o, oo, operad.m_bound)
     path1 = subst_whisker_outer(comp_cell, oo_o, oo).then(comp_cell)
     assoc = subst_assoc_iso(o, o, o, operad.m_bound)
     path2 = assoc.then(subst_whisker_inner(comp_cell, o_oo, oo)).then(comp_cell)
-    witness = cell_difference(path1, path2)
-    report.add("associativity", witness is None, witness)
+    report.record("associativity", cell_difference(path1, path2))
     return report
 
 

@@ -23,7 +23,6 @@ from profcalc.presheaf import (
     psh_pullback,
     psh_terminal,
     psh_terminal_map,
-    pshmap_violations,
     pvf_coproduct,
     pvf_constant,
     pvf_product,
@@ -101,7 +100,7 @@ def test_kan_extend_of_representable_is_eta_iso():
     for x in cat.objects:
         phi = eta_iso(f, x)
         assert phi.is_iso()
-        assert pshmap_violations(phi) == []
+        assert phi.violations() == []
 
 
 def test_kan_extend_discrete_is_tagged_sum():
@@ -131,7 +130,7 @@ def test_kan_extend_maps_pshmaps():
     q = psh_terminal(cat)
     phi = psh_terminal_map(p)
     kphi = kan_extend_map(f, phi)
-    assert pshmap_violations(kphi) == []
+    assert kphi.violations() == []
 
 
 def test_eta_naturality_across_fork():
@@ -139,10 +138,9 @@ def test_eta_naturality_across_fork():
     f = functor_into_presheaves(all_functors(cat, parallel_pair())[2])
     etas = {x: eta_iso(f, x) for x in cat.objects}
     from profcalc.prof import eta_cell, kleisli_compose
-    from profcalc.prof import kleisli_cell_violations
 
     cell = eta_cell(f)
-    assert kleisli_cell_violations(cell) == []
+    assert cell.violations() == []
 
 
 def test_apply_P_functor_identity_is_iso_to_argument():

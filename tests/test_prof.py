@@ -6,7 +6,6 @@ from profcalc.presheaf import (
     functor_into_presheaves,
     psh_coproduct,
     pvf_coproduct,
-    pshmap_violations,
     yoneda,
     yoneda_embedding,
 )
@@ -18,7 +17,6 @@ from profcalc.prof import (
     check_triangle,
     eta_cell,
     kleisli_associator,
-    kleisli_cell_violations,
     kleisli_compose,
     kleisli_identity,
     kleisli_left_unitor,
@@ -181,7 +179,7 @@ def test_theta_on_representable_and_constant():
     p, _, _ = psh_coproduct(yoneda(cat, "0"), yoneda(cat, "1"))
     th = theta_map(cat, p)
     assert th.is_iso()
-    assert pshmap_violations(th) == []
+    assert th.violations() == []
 
 
 def test_theta_natural_against_random_pshmap():
@@ -204,12 +202,12 @@ def test_unitors_and_associator_isos():
     h = functor_into_presheaves(all_functors(tgt, src)[1])
     alpha = kleisli_associator(h, g, f)
     assert alpha.is_iso()
-    assert kleisli_cell_violations(alpha) == []
+    assert alpha.violations() == []
     lam = kleisli_left_unitor(f)
     rho = kleisli_right_unitor(f)
     assert lam.is_iso() and rho.is_iso()
-    assert kleisli_cell_violations(lam) == []
-    assert kleisli_cell_violations(rho) == []
+    assert lam.violations() == []
+    assert rho.violations() == []
 
 
 def test_unitor_on_identity_morphism_consistent():

@@ -235,6 +235,25 @@ def test_cmd_coend(tmp_path, capsys):
     assert data["schema"].startswith("profcalc/quotient")
 
 
+def test_cmd_coend_scans_the_bifunctor_laws_once(tmp_path, capsys, monkeypatch):
+    import profcalc.colim as colim
+    import profcalc.prof as prof
+
+    calls = []
+    scan = colim.bifunctor_violations
+
+    def counted(p):
+        calls.append(p)
+        return scan(p)
+
+    monkeypatch.setattr(colim, "bifunctor_violations", counted)
+    monkeypatch.setattr(prof, "bifunctor_violations", counted)
+    path = _write(tmp_path, "I3.json", prof_identity(chain(3)))
+    assert main(["coend", path]) == 0
+    assert len(calls) == 1
+    assert len(json.loads(capsys.readouterr().out)["classes"]) == 4
+
+
 def test_cmd_kan(tmp_path, capsys):
     prof = _write(tmp_path, "I.json", prof_identity(arrow_category()))
     psh = _write(tmp_path, "p.json", yoneda(arrow_category(), "1"))
