@@ -300,9 +300,7 @@ def check_lax_idempotent(
     )
     derived = check_derived_coherences(f, g, family)
     for item in derived.items:
-        if item.name.startswith("part-i@") or item.name == "part-i":
-            report.items.append(item)
-        if item.name.startswith("part-iii"):
+        if item.name == "part-i" or item.name.startswith("part-iii"):
             report.items.append(item)
     _, eps_report = epsilon_cell(f, family)
     report.extend(eps_report, prefix="eps-f:")

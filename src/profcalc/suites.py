@@ -31,8 +31,7 @@ from .day import (
     check_convolution_assoc,
     check_convolution_symmetry,
     check_yoneda_strong_monoidal,
-    day_unit_left_iso,
-    day_unit_right_iso,
+    day_bicategory,
     monoidal_from_monoid,
     one_object_group_monoidal,
     terminal_monoidal,
@@ -51,7 +50,7 @@ from .presheaf import (
     pvf_product,
     yoneda,
 )
-from .prof import check_pentagon, check_triangle
+from .prof import KLEISLI
 from .relpsm import (
     TestFamily,
     check_assoc_axiom,
@@ -61,7 +60,7 @@ from .relpsm import (
     check_unit_axiom,
     epsilon_cell,
 )
-from .report import CheckReport
+from .report import CheckReport, check_pentagon, check_triangle
 from .seeds import all_functors, discrete, parallel_pair, seed_library
 from .symmon import (
     ColouredOperad,
@@ -72,10 +71,7 @@ from .symmon import (
     free_sym_cat,
     representable_seq,
     seq_coproduct,
-    subst_compose,
-    subst_identity,
-    subst_left_unit_iso,
-    subst_right_unit_iso,
+    subst_bicategory,
     terminal_operad,
     unit_operad,
 )
@@ -191,8 +187,8 @@ def suite_kleisli_coherence(config: SuiteConfig) -> dict:
         i, cats, chain = spec
         f, g, h, k = chain
         reports = [
-            _guarded("pentagon", lambda: check_pentagon(k, h, g, f)),
-            _guarded("triangle", lambda: check_triangle(g, f)),
+            _guarded("pentagon", lambda: check_pentagon(KLEISLI, k, h, g, f)),
+            _guarded("triangle", lambda: check_triangle(KLEISLI, g, f)),
         ]
         return _instance_dict(f"instance-{i}", [len(c.objects) for c in cats], reports)
 
@@ -300,14 +296,13 @@ def suite_day_monoidal(config: SuiteConfig) -> dict:
     def run(spec):
         i, name, mon, a1, a2, ps = spec
         f1, f2, f3 = ps
+        day = day_bicategory(mon)
         reports = [
             _guarded(
                 "yoneda-strong-monoidal",
                 lambda: check_yoneda_strong_monoidal(mon, a1, a2),
             ),
-            _unit_isos(
-                "unit-laws", lambda: day_unit_left_iso(mon, f1), lambda: day_unit_right_iso(mon, f1)
-            ),
+            _unit_isos("unit-laws", lambda: day.lunit(f1, ()), lambda: day.runit(f1, ())),
             _guarded("assoc", lambda: check_convolution_assoc(mon, f1, f2, f3)),
             _guarded("symmetry", lambda: check_convolution_symmetry(mon, f1, f2)),
         ]
@@ -356,13 +351,9 @@ def suite_operad(config: SuiteConfig) -> dict:
         )
         gseq = representable_seq(sym, discrete(1), {"d0": picks[rng_i.randrange(2)]})
         reports.append(_guarded("subst-assoc", lambda: check_subst_assoc(gseq, fseq, gseq)))
-        unit = subst_identity(sym)
+        subst = subst_bicategory(sym)
         reports.append(
-            _unit_isos(
-                "unit-isos",
-                lambda: subst_left_unit_iso(gseq, subst_compose(unit, gseq)),
-                lambda: subst_right_unit_iso(gseq, subst_compose(gseq, unit)),
-            )
+            _unit_isos("unit-isos", lambda: subst.lunit(gseq, ()), lambda: subst.runit(gseq, ()))
         )
         reports.append(_guarded("tau-compat", lambda: check_tau_compatibility(gseq, fseq)))
         return _instance_dict(f"instance-{i}", [arity], reports)

@@ -21,7 +21,10 @@ contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
 The actions of the composite, and of the tuple-level extension, come from
-`prof.coend_actions`.
+`prof.coend_actions`.  `subst_bicategory` presents substitution, with its
+associator, unit isomorphisms and whiskerings, as a one-object
+`report.Bicategory`, whose pentagon and triangles the shared `report`
+checkers test.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .fincat import (
     opposite,
 )
 from .prof import ProfCell, Profunctor, coend_actions, kleisli_compose, tau
-from .report import CheckReport
+from .report import Bicategory, CheckReport
 from .seeds import discrete
 
 Perm = tuple[int, ...]
@@ -282,6 +285,7 @@ class SymSeqCell(ProfCell):
     invalid = "not equivariant"
 
 
+@memoised
 def subst_identity(sym: TruncatedSymCat) -> SymSeq:
     """The unit sequence: arity-one values are base hom sets, all others empty."""
     base = sym.base
@@ -481,8 +485,10 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
 # -- whiskering and the canonical isomorphisms ---------------------------------------------
 
 
-def subst_whisker_outer(cell: SymSeqCell, gf: SymSeq, g2f: SymSeq) -> SymSeqCell:
-    """Apply a cell between outer sequences inside composites with a shared inner part."""
+def subst_whisker_outer(cell: SymSeqCell, f: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+    """cell * 1_f: apply a cell between outer sequences inside their composites with f."""
+    gf = subst_compose(cell.source, f, m_bound)
+    g2f = subst_compose(cell.target, f, m_bound)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -493,8 +499,10 @@ def subst_whisker_outer(cell: SymSeqCell, gf: SymSeq, g2f: SymSeq) -> SymSeqCell
     return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.values, rule), check=False)
 
 
-def subst_whisker_inner(cell: SymSeqCell, gf: SymSeq, gf2: SymSeq) -> SymSeqCell:
-    """Apply a cell between inner sequences blockwise inside composites."""
+def subst_whisker_inner(g: SymSeq, cell: SymSeqCell, m_bound: int | None = None) -> SymSeqCell:
+    """1_g * cell: apply a cell between inner sequences blockwise inside composites."""
+    gf = subst_compose(g, cell.source, m_bound)
+    gf2 = subst_compose(g, cell.target, m_bound)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -504,8 +512,10 @@ def subst_whisker_inner(cell: SymSeqCell, gf: SymSeq, gf2: SymSeq) -> SymSeqCell
     return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.values, rule), check=False)
 
 
-def subst_left_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
-    """(unit o g) -> g: act with the gluing morphism and the arity-one outer value."""
+def subst_left_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+    """(unit o g) -> g, for g with its input colours as output colours: act with
+    the gluing morphism and the arity-one outer value."""
+    composed = subst_compose(subst_identity(g.source_sym), g, m_bound)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -518,9 +528,10 @@ def subst_left_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
     return cell.require_iso("left unit comparison is not a bijection")
 
 
-def subst_right_unit_iso(g: SymSeq, composed: SymSeq) -> SymSeqCell:
+def subst_right_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
     """(g o unit) -> g: fold the arity-one inner data into the gluing morphism."""
     sym = g.source_sym
+    composed = subst_compose(g, subst_identity(sym), m_bound)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -600,6 +611,24 @@ def check_subst_assoc(
     return report
 
 
+def subst_bicategory(sym: TruncatedSymCat, m_bound: int | None = None) -> Bicategory:
+    """Substitution of sequences from sym's colours to themselves as a
+    one-object bicategory: compose(g, f) is g o f, the identity is the unit
+    sequence, and the whiskerings act on the outer or inner factor.  No
+    component is corruptible; tags are ignored."""
+    return Bicategory(
+        compose=lambda g, f: subst_compose(g, f, m_bound),
+        identity=lambda _: subst_identity(sym),
+        src=lambda _: sym,
+        tgt=lambda _: sym,
+        assoc=lambda h, g, f, tag: subst_assoc_iso(h, g, f, m_bound),
+        lunit=lambda f, tag: subst_left_unit_iso(f, m_bound),
+        runit=lambda f, tag: subst_right_unit_iso(f, m_bound),
+        whisker_left=lambda g, cell: subst_whisker_inner(g, cell, m_bound),
+        whisker_right=lambda cell, f: subst_whisker_outer(cell, f, m_bound),
+    )
+
+
 # -- coloured operads ------------------------------------------------------------------------
 
 
@@ -621,31 +650,24 @@ class ColouredOperad:
 def check_operad(operad: ColouredOperad) -> CheckReport:
     """Unit triangles and the associativity square, against the canonical isos."""
     report = CheckReport("operad")
-    o = operad.seq
-    sym = o.source_sym
-    unit = subst_identity(sym)
-    oo = subst_compose(o, o, operad.m_bound)
+    o, m_bound = operad.seq, operad.m_bound
+    unit = subst_identity(o.source_sym)
+    oo = subst_compose(o, o, m_bound)
     unit_cell = SymSeqCell(unit, o, operad.unit_components, check=True)
     comp_cell = SymSeqCell(oo, o, operad.comp_components, check=True)
     report.add("cells-equivariant", True)
 
-    unit_o = subst_compose(o, unit, operad.m_bound)
-    o_unit = subst_compose(unit, o, operad.m_bound)
     # left unit: comp . (unit o 1) against the canonical iso (unit o 1 means
     # the unit cell applied on the *outer* factor of unit-then-o)
-    left_path = subst_whisker_outer(unit_cell, o_unit, oo).then(comp_cell)
-    left_iso = subst_left_unit_iso(o, o_unit)
-    report.record("left-unit", cell_difference(left_path, left_iso))
+    left_path = subst_whisker_outer(unit_cell, o, m_bound).then(comp_cell)
+    report.record("left-unit", cell_difference(left_path, subst_left_unit_iso(o, m_bound)))
     # right unit: comp . (1 o unit)
-    right_path = subst_whisker_inner(unit_cell, unit_o, oo).then(comp_cell)
-    right_iso = subst_right_unit_iso(o, unit_o)
-    report.record("right-unit", cell_difference(right_path, right_iso))
+    right_path = subst_whisker_inner(o, unit_cell, m_bound).then(comp_cell)
+    report.record("right-unit", cell_difference(right_path, subst_right_unit_iso(o, m_bound)))
 
-    oo_o = subst_compose(oo, o, operad.m_bound)
-    o_oo = subst_compose(o, oo, operad.m_bound)
-    path1 = subst_whisker_outer(comp_cell, oo_o, oo).then(comp_cell)
-    assoc = subst_assoc_iso(o, o, o, operad.m_bound)
-    path2 = assoc.then(subst_whisker_inner(comp_cell, o_oo, oo)).then(comp_cell)
+    path1 = subst_whisker_outer(comp_cell, o, m_bound).then(comp_cell)
+    assoc = subst_assoc_iso(o, o, o, m_bound)
+    path2 = assoc.then(subst_whisker_inner(o, comp_cell, m_bound)).then(comp_cell)
     report.record("associativity", cell_difference(path1, path2))
     return report
 
@@ -698,8 +720,7 @@ def unit_operad(colours: FinCat, max_arity: int) -> ColouredOperad:
     sym = free_sym_cat(colours, max_arity)
     seq = subst_identity(sym)
     unit_components = {key: FinFn.identity(val) for key, val in seq.values.items()}
-    oo = subst_compose(seq, seq)
-    iso = subst_left_unit_iso(seq, oo)
+    iso = subst_left_unit_iso(seq)
     return ColouredOperad(seq, unit_components, dict(iso.components))
 
 

@@ -1,5 +1,5 @@
-"""Every name a profcalc module imports is used in that module, and every
-import of a sibling module sits at module level.
+"""Every name a profcalc module imports is used in that module, every
+import of a sibling module sits at module level, and no module asserts.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 `src/profcalc` (except the package `__init__`, which re-exports) is parsed
@@ -8,6 +8,9 @@ somewhere in the module: as a bare name, as the root of an attribute chain,
 or inside a string annotation.  A relative import inside a function is
 flagged too: the module graph (fincat <- colim <- presheaf <- prof <- relpsm,
 symmon; presheaf <- day; seeds needs only fincat) has no cycle to break.
+An `assert` statement anywhere in `src/profcalc` is flagged: `python -O`
+strips them, and every check must survive it as a report item or a raised
+error.
 """
 
 import ast
@@ -77,6 +80,12 @@ def local_relative_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {text}" for line, text in sorted(found.items())]
 
 
+def assert_statements(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    return [f"{path.name}:{line}: assert" for line in lines]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -89,6 +98,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_relative_imports_inside_functions(path):
     assert local_relative_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.stem)
+def test_no_assert_statements(path):
+    assert assert_statements(path) == []
 
 
 def test_scan_flags_an_unused_import(tmp_path):
@@ -115,3 +129,15 @@ def test_scan_flags_a_relative_import_inside_a_function(tmp_path):
         "    return g\n"
     )
     assert local_relative_imports(mod) == ["mod.py:6: from .colim"]
+
+
+def test_scan_flags_an_assert(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return [y for y in x if y]\n"
+        "assert f\n"
+    )
+    assert assert_statements(mod) == ["mod.py:3: assert", "mod.py:5: assert"]

@@ -4,7 +4,9 @@ import gc
 import sys
 import weakref
 
-from profcalc.day import day_convolve
+import pytest
+
+from profcalc.day import day_bicategory, day_convolve
 from profcalc.fincat import memo_scope
 from profcalc.presheaf import (
     functor_into_presheaves,
@@ -14,12 +16,24 @@ from profcalc.presheaf import (
     yoneda,
     yoneda_embedding,
 )
-from profcalc.prof import check_pentagon, kleisli_compose
-from profcalc.seeds import all_functors, arrow_category, fork, parallel_pair
-from profcalc.suites import SuiteConfig, run_suite
-from profcalc.symmon import associative_operad, check_operad, subst_compose
+from profcalc.prof import KLEISLI, kleisli_compose
+from profcalc.report import check_pentagon, check_triangle
+from profcalc.seeds import all_functors, arrow_category, discrete, fork, parallel_pair
+from profcalc.suites import SuiteConfig, _monoidal_seeds, run_suite
+from profcalc.symmon import (
+    associative_operad,
+    check_operad,
+    free_sym_cat,
+    representable_seq,
+    seq_coproduct,
+    subst_bicategory,
+    subst_compose,
+    subst_identity,
+)
 
-MEMOISED = (kan_extend, kleisli_compose, yoneda, yoneda_embedding, day_convolve, subst_compose)
+MEMOISED = (
+    kan_extend, kleisli_compose, yoneda, yoneda_embedding, day_convolve, subst_compose, subst_identity,
+)
 
 
 def _kan_args():
@@ -102,9 +116,33 @@ def test_a_pentagon_check_never_computes_the_same_call_twice(monkeypatch):
     h = functor_into_presheaves(all_functors(parallel_pair(), arrow_category())[1])
     k = functor_into_presheaves(all_functors(arrow_category(), arrow_category())[1])
     calls = _record_computations(monkeypatch)
-    assert check_pentagon(k, h, g, f).ok
+    assert check_pentagon(KLEISLI, k, h, g, f).ok
     assert {"kan_extend", "kleisli_compose"} <= {name for name, _, _ in calls}
     assert _computed_twice(calls) == []
+
+
+def _day_instance():
+    mon = dict(_monoidal_seeds(SuiteConfig()))["Z3-discrete"]
+    ps = [psh_coproduct(yoneda(mon.base, a), yoneda(mon.base, "d1"))[0] for a in ("d0", "d1", "d2", "d0")]
+    return day_bicategory(mon), ps, "day_convolve"
+
+
+def _subst_instance():
+    sym = free_sym_cat(discrete(1), 3)
+    one, two = (representable_seq(sym, discrete(1), {"d0": pick}) for pick in [("d0",), ("d0", "d0")])
+    f = seq_coproduct(one, two)
+    return subst_bicategory(sym), [f, two, f, f], "subst_compose"
+
+
+@pytest.mark.parametrize("instance", [_day_instance, _subst_instance], ids=["day", "subst"])
+def test_the_day_and_substitution_checks_never_compute_the_same_call_twice(monkeypatch, instance):
+    B, (k, h, g, f), composite = instance()
+    calls = _record_computations(monkeypatch)
+    for check in (lambda: check_pentagon(B, k, h, g, f), lambda: check_triangle(B, g, f)):
+        calls.clear()
+        assert check().ok
+        assert composite in {name for name, _, _ in calls}
+        assert _computed_twice(calls) == []
 
 
 def test_an_operad_check_never_computes_the_same_call_twice(monkeypatch):

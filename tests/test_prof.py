@@ -10,15 +10,13 @@ from profcalc.presheaf import (
     yoneda_embedding,
 )
 from profcalc.prof import (
+    KLEISLI,
     KleisliCell,
     ProfCell,
     Profunctor,
-    check_pentagon,
-    check_triangle,
     eta_cell,
     kleisli_associator,
     kleisli_compose,
-    kleisli_identity,
     kleisli_left_unitor,
     kleisli_right_unitor,
     mu_map,
@@ -30,6 +28,7 @@ from profcalc.prof import (
     whisker_left,
     whisker_right,
 )
+from profcalc.report import check_pentagon, check_triangle
 from profcalc.seeds import (
     all_functors,
     arrow_category,
@@ -165,7 +164,7 @@ def test_tau_respects_composition():
 def test_mu_reduces_on_unit_composite():
     cat = arrow_category()
     f = functor_into_presheaves(all_functors(cat, fork())[1])
-    i = kleisli_identity(cat)
+    i = KLEISLI.identity(cat)
     p = yoneda(cat, "0")
     cell = mu_map(f, i, p)
     assert all(fn.is_iso() for fn in cell.components.values())
@@ -186,7 +185,7 @@ def test_theta_natural_against_random_pshmap():
     cat = arrow_category()
     p = yoneda(cat, "1")
     cop, in1, _ = psh_coproduct(p, p)
-    i = kleisli_identity(cat)
+    i = KLEISLI.identity(cat)
     from profcalc.presheaf import kan_extend_map
 
     th_p = theta_map(cat, p)
@@ -212,7 +211,7 @@ def test_unitors_and_associator_isos():
 
 def test_unitor_on_identity_morphism_consistent():
     cat = fork()
-    i = kleisli_identity(cat)
+    i = KLEISLI.identity(cat)
     lam = kleisli_left_unitor(i)
     rho = kleisli_right_unitor(i)
     # lambda_i and rho_i are parallel cells i o i -> i; by the unit coherence
@@ -231,8 +230,8 @@ def test_pentagon_and_triangle_discrete_middle():
         pool = all_functors(cats[i], cats[i + 1])
         fs.append(functor_into_presheaves(pool[rng.randrange(len(pool))]))
     f, g, h, k = fs
-    assert check_pentagon(k, h, g, f).ok
-    assert check_triangle(g, f).ok
+    assert check_pentagon(KLEISLI, k, h, g, f).ok
+    assert check_triangle(KLEISLI, g, f).ok
 
 
 def test_pentagon_with_coproduct_morphisms():
@@ -244,8 +243,8 @@ def test_pentagon_with_coproduct_morphisms():
     g = functor_into_presheaves(all_functors(mid, parallel_pair())[2])
     h = functor_into_presheaves(all_functors(parallel_pair(), arrow_category())[1])
     k = functor_into_presheaves(all_functors(arrow_category(), arrow_category())[1])
-    assert check_pentagon(k, h, g, f).ok
-    assert check_triangle(g, f).ok
+    assert check_pentagon(KLEISLI, k, h, g, f).ok
+    assert check_triangle(KLEISLI, g, f).ok
 
 
 def test_corrupted_mu_breaks_pentagon_with_witness():
@@ -272,7 +271,7 @@ def test_corrupted_mu_breaks_pentagon_with_witness():
         return FinFn(fn.domain, fn.codomain, table)
 
     with fault_scope(corrupt):
-        report = check_pentagon(k, h, g, f)
+        report = check_pentagon(KLEISLI, k, h, g, f)
     assert state["count"] >= 1
     assert not report.ok
     assert report.failures()[0].witness

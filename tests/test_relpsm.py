@@ -9,7 +9,7 @@ from profcalc.presheaf import (
     yoneda,
     yoneda_embedding,
 )
-from profcalc.prof import kleisli_compose, kleisli_identity
+from profcalc.prof import KLEISLI, kleisli_compose
 from profcalc.relpsm import (
     TestFamily,
     check_assoc_axiom,
@@ -43,7 +43,7 @@ def test_default_family_members():
 
 def test_assoc_axiom_identities():
     cat = fork()
-    i = kleisli_identity(cat)
+    i = KLEISLI.identity(cat)
     fam = TestFamily.default(cat)
     assert check_assoc_axiom(i, i, i, fam).ok
 
@@ -63,7 +63,7 @@ def test_assoc_axiom_random_instance():
 def test_unit_axiom_identity_and_functorial():
     cat = arrow_category()
     fam = TestFamily.default(cat)
-    assert check_unit_axiom(kleisli_identity(cat), fam).ok
+    assert check_unit_axiom(KLEISLI.identity(cat), fam).ok
     f = functor_into_presheaves(all_functors(cat, fork())[4])
     assert check_unit_axiom(f, fam).ok
 
@@ -90,7 +90,7 @@ def test_unit_axiom_fault_injected_theta_reported():
 
 def test_derived_coherences_identities():
     cat = parallel_pair()
-    i = kleisli_identity(cat)
+    i = KLEISLI.identity(cat)
     fam = TestFamily.default(cat)
     assert check_derived_coherences(i, i, fam).ok
 
@@ -133,7 +133,7 @@ def test_epsilon_invertible_on_sweep():
 def test_epsilon_on_identity():
     cat = arrow_category()
     fam = TestFamily.default(cat)
-    _, report = epsilon_cell(kleisli_identity(cat), fam)
+    _, report = epsilon_cell(KLEISLI.identity(cat), fam)
     assert report.ok
 
 
