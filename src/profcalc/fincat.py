@@ -366,9 +366,7 @@ class FinCat:
         return self.ids[self.src(m)] == m
 
     def morphisms(self) -> Iterator[Label]:
-        for a in self.objects:
-            for b in self.objects:
-                yield from self.hom[(a, b)]
+        return iter(self._mor_endpoints)  # filled hom set by hom set, objects × objects
 
     def generators(self) -> tuple[Label, ...]:
         """A generating set: every morphism is an identity or a composite of these.

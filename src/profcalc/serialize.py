@@ -3,15 +3,22 @@
 Labels are ints, strings, or nested tuples; tuples travel as JSON arrays
 and are rebuilt on load (lists are never labels).  Hom/value tables are
 emitted in canonical order, so serialization is deterministic.
+
+Byte contract: `dumps(obj, indent)` is exactly `json.dumps(to_dict(obj),
+indent=indent, sort_keys=True)` at every indent, None included.  Builders
+keep labels as tuples; compact output goes through the stdlib's C encoder,
+indented output through `_indented`.  `loads` decodes and validates each
+distinct embedded category once.  Neither keeps anything between calls.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .day import StrictMonoidalFinCat
-from .colim import QuotientSet
+from .colim import QuotientSet, quotient
 from .fincat import (
     FinCat,
     FinFn,
@@ -21,6 +28,7 @@ from .fincat import (
     NatTrans,
     label_key,
     product,
+    sort_labels,
     validate_category,
 )
 from .presheaf import Presheaf, PshMap
@@ -45,20 +53,12 @@ class ParseError(ValueError):
     pass
 
 
-def _enc(label: Label):
-    if isinstance(label, tuple):
-        return [_enc(x) for x in label]
-    return label
-
-
 def _dec(data) -> Label:
-    if isinstance(data, list):
-        return tuple(_dec(x) for x in data)
-    return data
+    return tuple([_dec(x) for x in data]) if type(data) is list else data
 
 
-def _enc_fn(fn: FinFn) -> list:
-    return [[_enc(k), _enc(v)] for k, v in fn.mapping]
+def _fn_rows(fn: FinFn) -> list:
+    return list(map(list, fn.mapping))
 
 
 def _dec_fn(data, domain: FinSet, codomain: FinSet) -> FinFn:
@@ -66,49 +66,50 @@ def _dec_fn(data, domain: FinSet, codomain: FinSet) -> FinFn:
 
 
 def finset_to_dict(s: FinSet) -> dict:
-    return {"schema": SCHEMAS["finset"], "elements": [_enc(x) for x in s]}
+    return {"schema": SCHEMAS["finset"], "elements": list(s)}
 
 
-def finset_from_dict(d: dict) -> FinSet:
-    return FinSet(_dec(x) for x in d["elements"])
+def finset_from_dict(d: dict, cats: dict) -> FinSet:
+    return FinSet(map(_dec, d["elements"]))
 
 
 def fincat_to_dict(cat: FinCat) -> dict:
+    # composites in canonical order of (g, f), ranking each label once
+    rank = {m: i for i, m in enumerate(sort_labels({m for pair in cat.comp for m in pair}))}
     return {
         "schema": SCHEMAS["fincat"],
-        "objects": [_enc(a) for a in cat.objects],
-        "hom": [
-            [_enc(a), _enc(b), [_enc(m) for m in cat.hom[(a, b)]]]
-            for a in cat.objects
-            for b in cat.objects
-            if len(cat.hom[(a, b)]) > 0
+        "objects": list(cat.objects),
+        "hom": [[a, b, list(cat.hom[(a, b)])] for a in cat.objects for b in cat.objects if cat.hom[(a, b)]],
+        "ids": [[a, cat.ids[a]] for a in cat.objects],
+        "comp": [
+            [g, f, cat.comp[(g, f)]] for g, f in sorted(cat.comp, key=lambda gf: (rank[gf[0]], rank[gf[1]]))
         ],
-        "ids": [[_enc(a), _enc(cat.ids[a])] for a in cat.objects],
-        "comp": sorted(
-            ([_enc(g), _enc(f), _enc(h)] for (g, f), h in cat.comp.items()),
-            key=lambda row: (label_key(_dec(row[0])), label_key(_dec(row[1]))),
-        ),
     }
 
 
-def fincat_from_dict(d: dict) -> FinCat:
+def fincat_from_dict(d: dict, cats: dict) -> FinCat:
     objects = [_dec(a) for a in d["objects"]]
-    hom = {}
-    for a, b, ms in d["hom"]:
-        hom[(_dec(a), _dec(b))] = [_dec(m) for m in ms]
+    hom = {(_dec(a), _dec(b)): [_dec(m) for m in ms] for a, b, ms in d["hom"]}
     ids = {_dec(a): _dec(m) for a, m in d["ids"]}
     comp = {(_dec(g), _dec(f)): _dec(h) for g, f, h in d["comp"]}
     return FinCat(objects, hom, ids, comp)
 
 
-def _category_from_dict(d: dict) -> FinCat:
+def _category_from_dict(d: dict, cats: dict) -> FinCat:
     """Decode a category embedded in a larger payload, rejecting one that
     breaks a category law (the bare fincat schema loads unchecked, so that
-    `validate` can list every violation)."""
-    cat = fincat_from_dict(d)
-    report = validate_category(cat)
-    if not report.ok:
-        raise ValueError(f"embedded category is invalid: {report.violations[0]}")
+    `validate` can list every violation).  `cats` maps the compact JSON of
+    each one decoded so far in this payload to it, so both ends of an
+    endo-profunctor are decoded and validated once.  Keyed by text, as `true`
+    and `1` are equal in Python but not on the wire."""
+    key = json.dumps(d, sort_keys=True)
+    cat = cats.get(key)
+    if cat is None:
+        cat = fincat_from_dict(d, cats)
+        report = validate_category(cat)
+        if not report.ok:
+            raise ValueError(f"embedded category is invalid: {report.violations[0]}")
+        cats[key] = cat
     return cat
 
 
@@ -117,15 +118,15 @@ def functor_to_dict(fun: Functor) -> dict:
         "schema": SCHEMAS["functor"],
         "source": fincat_to_dict(fun.source),
         "target": fincat_to_dict(fun.target),
-        "obj_map": [[_enc(a), _enc(b)] for a, b in sorted(fun.obj_map.items(), key=lambda kv: label_key(kv[0]))],
-        "mor_map": [[_enc(m), _enc(n)] for m, n in sorted(fun.mor_map.items(), key=lambda kv: label_key(kv[0]))],
+        "obj_map": [[a, b] for a, b in sorted(fun.obj_map.items(), key=lambda kv: label_key(kv[0]))],
+        "mor_map": [[m, n] for m, n in sorted(fun.mor_map.items(), key=lambda kv: label_key(kv[0]))],
     }
 
 
-def functor_from_dict(d: dict) -> Functor:
+def functor_from_dict(d: dict, cats: dict) -> Functor:
     return Functor(
-        _category_from_dict(d["source"]),
-        _category_from_dict(d["target"]),
+        _category_from_dict(d["source"], cats),
+        _category_from_dict(d["target"], cats),
         {_dec(a): _dec(b) for a, b in d["obj_map"]},
         {_dec(m): _dec(n) for m, n in d["mor_map"]},
         check=True,
@@ -137,17 +138,14 @@ def nattrans_to_dict(nt: NatTrans) -> dict:
         "schema": SCHEMAS["nattrans"],
         "source": functor_to_dict(nt.source),
         "target": functor_to_dict(nt.target),
-        "components": [
-            [_enc(a), _enc(m)]
-            for a, m in sorted(nt.components.items(), key=lambda kv: label_key(kv[0]))
-        ],
+        "components": [[a, m] for a, m in sorted(nt.components.items(), key=lambda kv: label_key(kv[0]))],
     }
 
 
-def nattrans_from_dict(d: dict) -> NatTrans:
+def nattrans_from_dict(d: dict, cats: dict) -> NatTrans:
     return NatTrans(
-        functor_from_dict(d["source"]),
-        functor_from_dict(d["target"]),
+        functor_from_dict(d["source"], cats),
+        functor_from_dict(d["target"], cats),
         {_dec(a): _dec(m) for a, m in d["components"]},
         check=True,
     )
@@ -157,18 +155,14 @@ def presheaf_to_dict(p: Presheaf) -> dict:
     return {
         "schema": SCHEMAS["presheaf"],
         "base": fincat_to_dict(p.base),
-        "values": [
-            [_enc(a), [_enc(x) for x in p.values[a]]] for a in p.base.objects
-        ],
-        "restriction": [
-            [_enc(m), _enc_fn(p.restriction[m])] for m in p.base.morphisms()
-        ],
+        "values": [[a, list(p.values[a])] for a in p.base.objects],
+        "restriction": [[m, _fn_rows(p.restriction[m])] for m in p.base.morphisms()],
     }
 
 
-def presheaf_from_dict(d: dict) -> Presheaf:
-    base = _category_from_dict(d["base"])
-    values = {_dec(a): FinSet(_dec(x) for x in xs) for a, xs in d["values"]}
+def presheaf_from_dict(d: dict, cats: dict) -> Presheaf:
+    base = _category_from_dict(d["base"], cats)
+    values = {_dec(a): FinSet(map(_dec, xs)) for a, xs in d["values"]}
     restriction = {}
     for m, table in d["restriction"]:
         m = _dec(m)
@@ -181,15 +175,13 @@ def pshmap_to_dict(phi: PshMap) -> dict:
         "schema": SCHEMAS["pshmap"],
         "source": presheaf_to_dict(phi.source),
         "target": presheaf_to_dict(phi.target),
-        "components": [
-            [_enc(a), _enc_fn(phi.components[a])] for a in phi.source.base.objects
-        ],
+        "components": [[a, _fn_rows(phi.components[a])] for a in phi.source.base.objects],
     }
 
 
-def pshmap_from_dict(d: dict) -> PshMap:
-    source = presheaf_from_dict(d["source"])
-    target = presheaf_from_dict(d["target"])
+def pshmap_from_dict(d: dict, cats: dict) -> PshMap:
+    source = presheaf_from_dict(d["source"], cats)
+    target = presheaf_from_dict(d["target"], cats)
     comps = {}
     for a, table in d["components"]:
         a = _dec(a)
@@ -203,22 +195,15 @@ def profunctor_to_dict(p: Profunctor) -> dict:
         "source": fincat_to_dict(p.source),
         "target": fincat_to_dict(p.target),
         "values": [
-            [_enc(y), _enc(x), [_enc(v) for v in p.values[(y, x)]]]
-            for y in p.target.objects
-            for x in p.source.objects
-            if len(p.values[(y, x)]) > 0
+            [y, x, list(p.values[(y, x)])] for y in p.target.objects for x in p.source.objects if p.values[(y, x)]
         ],
         "left_act": [
-            [_enc(g), _enc(x), _enc_fn(p.left_act[(g, x)])]
-            for g in p.target.morphisms()
-            for x in p.source.objects
-            if len(p.left_act[(g, x)].mapping) > 0
+            [g, x, _fn_rows(p.left_act[(g, x)])]
+            for g in p.target.morphisms() for x in p.source.objects if p.left_act[(g, x)].domain
         ],
         "right_act": [
-            [_enc(y), _enc(f), _enc_fn(p.right_act[(y, f)])]
-            for y in p.target.objects
-            for f in p.source.morphisms()
-            if len(p.right_act[(y, f)].mapping) > 0
+            [y, f, _fn_rows(p.right_act[(y, f)])]
+            for y in p.target.objects for f in p.source.morphisms() if p.right_act[(y, f)].domain
         ],
     }
 
@@ -228,7 +213,7 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
     values are empty, and so are absent actions."""
     values = {(y, x): FinSet() for y in target.objects for x in source.objects}
     for y, x, vs in d["values"]:
-        values[(_dec(y), _dec(x))] = FinSet(_dec(v) for v in vs)
+        values[(_dec(y), _dec(x))] = FinSet(map(_dec, vs))
     declared_left = {(_dec(g), _dec(x)): table for g, x, table in d["left_act"]}
     left_act = {
         (g, x): _dec_fn(
@@ -248,55 +233,59 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
     return values, left_act, right_act
 
 
-def profunctor_from_dict(d: dict) -> Profunctor:
-    source = _category_from_dict(d["source"])
-    target = _category_from_dict(d["target"])
+def profunctor_from_dict(d: dict, cats: dict) -> Profunctor:
+    source = _category_from_dict(d["source"], cats)
+    target = _category_from_dict(d["target"], cats)
     return Profunctor(source, target, *_tables_from_dict(d, source, target), check=True)
 
 
 def quotient_to_dict(q: QuotientSet) -> dict:
     # classes are listed with their representative first
-    return {
-        "schema": SCHEMAS["quotient"],
-        "classes": [[_enc(x) for x in cls] for cls in q.classes],
-    }
+    return {"schema": SCHEMAS["quotient"], "classes": list(map(list, q.classes))}
+
+
+def quotient_from_dict(d: dict, cats: dict) -> QuotientSet:
+    """The union of the classes modulo the classes.  Rejects an empty class,
+    a label listed twice, and a class that does not list its minimum first."""
+    classes = [[_dec(x) for x in cls] for cls in d["classes"]]
+    members = [x for cls in classes for x in cls]
+    if not all(classes):
+        raise ValueError("quotient class is empty")
+    if len(set(members)) != len(members):
+        raise ValueError("quotient classes overlap")
+    q = quotient(FinSet(members), ((cls[0], x) for cls in classes for x in cls[1:]))
+    for cls in classes:
+        if q.representative(cls[0]) != cls[0]:
+            raise ValueError(f"quotient class {cls!r} does not list its minimum first")
+    return q
 
 
 def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
     out = {
         "schema": SCHEMAS["monoidal"],
         "base": fincat_to_dict(mon.base),
-        "unit": _enc(mon.unit),
-        "tensor_obj": [
-            [_enc(a), _enc(b), _enc(mon.ob(a, b))]
-            for a in mon.base.objects
-            for b in mon.base.objects
-        ],
-        "tensor_mor": [
-            [_enc(m), _enc(n), _enc(mon.mor(m, n))]
-            for m in mon.base.morphisms()
-            for n in mon.base.morphisms()
-        ],
+        "unit": mon.unit,
+        "tensor_obj": [[a, b, mon.ob(a, b)] for a in mon.base.objects for b in mon.base.objects],
+        "tensor_mor": [[m, n, mon.mor(m, n)] for m in mon.base.morphisms() for n in mon.base.morphisms()],
     }
     if mon.symmetry is not None:
-        out["symmetry"] = [
-            [_enc(a), _enc(b), _enc(mon.symmetry[(a, b)])]
-            for a in mon.base.objects
-            for b in mon.base.objects
-        ]
+        out["symmetry"] = [[a, b, mon.symmetry[(a, b)]] for a in mon.base.objects for b in mon.base.objects]
     return out
 
 
-def monoidal_from_dict(d: dict) -> StrictMonoidalFinCat:
-    base = _category_from_dict(d["base"])
+def monoidal_from_dict(d: dict, cats: dict) -> StrictMonoidalFinCat:
+    base = _category_from_dict(d["base"], cats)
     prod = product(base, base)
     obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in d["tensor_obj"]}
     mor_map = {(_dec(m), _dec(n)): _dec(k) for m, n, k in d["tensor_mor"]}
     tensor = Functor(prod, base, obj_map, mor_map, check=True)
-    symmetry = None
-    if "symmetry" in d:
-        symmetry = {(_dec(a), _dec(b)): _dec(s) for a, b, s in d["symmetry"]}
+    symmetry = {(_dec(a), _dec(b)): _dec(s) for a, b, s in d["symmetry"]} if "symmetry" in d else None
     return StrictMonoidalFinCat(base, tensor, _dec(d["unit"]), symmetry)
+
+
+def _by_key_pair(table: dict) -> list:
+    """The items of a table keyed by label pairs, in canonical key order."""
+    return sorted(table.items(), key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1])))
 
 
 def symseq_to_dict(seq: SymSeq) -> dict:
@@ -306,33 +295,15 @@ def symseq_to_dict(seq: SymSeq) -> dict:
         "colours": fincat_to_dict(seq.source_sym.base),
         "max_arity": seq.source_sym.max_len,
         "target": fincat_to_dict(seq.source),
-        "values": [
-            [_enc(xs), _enc(y), [_enc(v) for v in val]]
-            for (xs, y), val in sorted(
-                seq.values.items(), key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1]))
-            )
-            if len(val) > 0
-        ],
-        "left_act": [
-            [_enc(m), _enc(y), _enc_fn(fn)]
-            for (m, y), fn in sorted(
-                seq.left_act.items(), key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1]))
-            )
-            if len(fn.mapping) > 0
-        ],
-        "right_act": [
-            [_enc(xs), _enc(g), _enc_fn(fn)]
-            for (xs, g), fn in sorted(
-                seq.right_act.items(), key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1]))
-            )
-            if len(fn.mapping) > 0
-        ],
+        "values": [[xs, y, list(val)] for (xs, y), val in _by_key_pair(seq.values) if len(val) > 0],
+        "left_act": [[m, y, _fn_rows(fn)] for (m, y), fn in _by_key_pair(seq.left_act) if len(fn.domain) > 0],
+        "right_act": [[xs, g, _fn_rows(fn)] for (xs, g), fn in _by_key_pair(seq.right_act) if len(fn.domain) > 0],
     }
 
 
-def symseq_from_dict(d: dict) -> SymSeq:
-    colours = _category_from_dict(d["colours"])
-    outputs = _category_from_dict(d["target"])
+def symseq_from_dict(d: dict, cats: dict) -> SymSeq:
+    colours = _category_from_dict(d["colours"], cats)
+    outputs = _category_from_dict(d["target"], cats)
     sym = free_sym_cat(colours, d["max_arity"])
     return SymSeq(sym, outputs, *_tables_from_dict(d, outputs, sym.cat), check=True)
 
@@ -358,20 +329,84 @@ _FROM = {
     SCHEMAS["presheaf"]: presheaf_from_dict,
     SCHEMAS["pshmap"]: pshmap_from_dict,
     SCHEMAS["profunctor"]: profunctor_from_dict,
+    SCHEMAS["quotient"]: quotient_from_dict,
     SCHEMAS["monoidal"]: monoidal_from_dict,
     SCHEMAS["symseq"]: symseq_from_dict,
 }
 
 
-def to_dict(obj: Any) -> dict:
+def _raw(obj: Any) -> dict:
+    """The payload of `obj`, with labels as tuples."""
     for klass in type(obj).__mro__:
         if klass in _TO:
             return _TO[klass](obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def to_dict(obj: Any) -> dict:
+    """The payload of `obj` as JSON data: labels as lists."""
+    return json.loads(json.dumps(_raw(obj)))
+
+
+def _indented(data, indent: int) -> str:
+    """`json.dumps(data, indent=indent, sort_keys=True)` without the stdlib's
+    pure-Python encoder, which it uses whenever indent is not None.
+
+    Each tuple is printed once per depth: `seen[depth]` maps it to its first
+    instance and text.  A hit on a tuple whose leaves are all strings always
+    counts, as an equal tuple has string leaves too; any other hit counts only
+    for the same instance or repr: ("a", True) equals ("a", 1) but prints
+    ["a", true].  Dict keys are strings, as in every payload.
+    """
+    breaks, seen = ["\n"], [{}]  # per depth: newline and indentation; printed tuples
+    loose = False  # the tuple being printed has a leaf that is not a string
+
+    def emit(value, depth: int) -> str:
+        nonlocal loose
+        kind = type(value)
+        if kind is tuple:
+            hit = seen[depth].get(value)
+            if hit is not None and (hit[0] is None or hit[0] is value or repr(hit[0]) == repr(value)):
+                loose = loose or hit[0] is not None
+                return hit[1]
+            outer, loose = loose, False
+            text = block(value, depth)
+            if hit is None:
+                seen[depth][value] = (value if loose else None, text)
+            loose = loose or outer
+            return text
+        if kind is list or kind is dict:
+            return block(value, depth)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        loose = True
+        if isinstance(value, (list, tuple, dict)):
+            return block(dict(value) if isinstance(value, dict) else list(value), depth)
+        return json.dumps(value)  # a scalar prints alike at every indent
+
+    def block(items, depth: int) -> str:
+        ends = "{}" if type(items) is dict else "[]"
+        if not items:
+            return ends
+        if len(breaks) == depth + 1:
+            breaks.append(breaks[-1] + " " * indent)
+            seen.append({})
+        inner = breaks[depth + 1]
+        if ends == "{}":
+            texts = [encode_basestring_ascii(k) + ": " + emit(v, depth + 1) for k, v in sorted(items.items())]
+        else:
+            texts = [encode_basestring_ascii(x) if type(x) is str else emit(x, depth + 1) for x in items]
+        # one join builds the text once, where a chain of + would copy it three times
+        return "".join((ends[0], inner, ("," + inner).join(texts), breaks[depth], ends[1]))
+
+    return emit(data, 0)
+
+
 def dumps(obj: Any, indent: int | None = None) -> str:
-    return json.dumps(to_dict(obj), indent=indent, sort_keys=True)
+    raw = _raw(obj)
+    if indent is None:
+        return json.dumps(raw, sort_keys=True)
+    return _indented(raw, indent)
 
 
 def loads(text: str) -> Any:
@@ -383,13 +418,15 @@ def loads(text: str) -> Any:
 
 
 def from_dict(data: dict) -> Any:
+    """Every reader takes the payload and `cats`, the embedded categories
+    decoded so far (see `_category_from_dict`), which lives for one call."""
     if not isinstance(data, dict) or "schema" not in data:
         raise ParseError("missing schema field")
     schema = data["schema"]
     if schema not in _FROM:
         raise ParseError(f"unknown schema {schema!r}")
     try:
-        return _FROM[schema](data)
+        return _FROM[schema](data, {})
     except ParseError:
         raise
     except (KeyError, TypeError, IndexError) as exc:

@@ -6,12 +6,18 @@ import pytest
 
 from profcalc import serialize
 from profcalc.cli import main
-from profcalc.fincat import FinCat, FinFn, FinSet
+from profcalc.colim import coend
+from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
 from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
-from profcalc.seeds import arrow_category, chain, discrete, fork, parallel_pair
+from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair
 from profcalc.symmon import free_sym_cat, subst_identity, representable_seq, unit_operad
+
+
+def _identity_nattrans(cat):
+    fun = identity_functor(cat)
+    return NatTrans(fun, fun, {a: cat.id_of(a) for a in cat.objects})
 
 
 @pytest.mark.parametrize(
@@ -19,18 +25,124 @@ from profcalc.symmon import free_sym_cat, subst_identity, representable_seq, uni
     [
         FinSet(["a", 1, ("x", 2)]),
         fork(),
+        all_functors(arrow_category(), fork())[-1],
+        _identity_nattrans(parallel_pair()),
         yoneda(arrow_category(), "1"),
+        psh_coproduct(yoneda(arrow_category(), "1"), yoneda(arrow_category(), "0"))[1],
         prof_identity(parallel_pair()),
+        coend(chain(2), prof_identity(chain(2))),
         one_object_group_monoidal(2),
         subst_identity(free_sym_cat(discrete(2), 2)),
     ],
-    ids=["finset", "fincat", "presheaf", "profunctor", "monoidal", "symseq"],
+    ids=[
+        "finset", "fincat", "functor", "nattrans", "presheaf", "pshmap",
+        "profunctor", "quotient", "monoidal", "symseq",
+    ],
 )
 def test_round_trip(obj):
-    text = serialize.dumps(obj)
-    back = serialize.loads(text)
-    assert back == obj
-    assert serialize.dumps(back) == text
+    for indent in (None, 2):
+        text = serialize.dumps(obj, indent=indent)
+        back = serialize.loads(text)
+        assert back == obj
+        assert serialize.dumps(back, indent=indent) == text
+
+
+# labels that stress the printer: non-ASCII, quotes, backslashes and control
+# characters, empty and nested tuples, a negative int, and the object
+# ("a", True) whose identity is the equal but differently printed ("a", 1).
+# A fincat payload lists composites before identities, so ("a", 1) is
+# printed before ("a", True) at the depth of the ids rows.
+BOOL_OBJ, TEXT_OBJ = ("a", True), 'é"\\\x01\u2603'
+ODD_IDS = {BOOL_OBJ: ("a", 1), TEXT_OBJ: ((), (-3, ("n", ())))}
+ODD_ARROW = '\t\n\\"x\u00ff'
+
+
+def odd_category() -> FinCat:
+    hom = {(a, a): [m] for a, m in ODD_IDS.items()}
+    hom[(BOOL_OBJ, TEXT_OBJ)] = [ODD_ARROW]
+    comp = {(m, m): m for m in ODD_IDS.values()}
+    comp[(ODD_ARROW, ODD_IDS[BOOL_OBJ])] = ODD_ARROW
+    comp[(ODD_IDS[TEXT_OBJ], ODD_ARROW)] = ODD_ARROW
+    return FinCat(list(ODD_IDS), hom, ODD_IDS, comp)
+
+
+def odd_payloads() -> dict:
+    """One object of every schema, all built on the odd labels."""
+    cat = odd_category()
+    disc = FinCat(
+        list(ODD_IDS), {(a, a): [m] for a, m in ODD_IDS.items()}, ODD_IDS, {(m, m): m for m in ODD_IDS.values()}
+    )
+    z2 = monoidal_from_monoid(disc, lambda a, b: BOOL_OBJ if a == b else TEXT_OBJ, BOOL_OBJ, commutative=True)
+    y = yoneda(cat, TEXT_OBJ)
+    return {
+        "finset": FinSet([(), ((),), -3, 0, BOOL_OBJ, (("a", 1),), TEXT_OBJ, ODD_ARROW]),
+        "fincat": cat,
+        "functor": identity_functor(cat),
+        "nattrans": _identity_nattrans(cat),
+        "presheaf": y,
+        "pshmap": psh_coproduct(y, y)[2],
+        "profunctor": prof_identity(cat),
+        "quotient": coend(cat, prof_identity(cat)),
+        "monoidal": z2,
+        "symseq": subst_identity(free_sym_cat(disc, 2)),
+    }
+
+
+ODD = odd_payloads()
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+@pytest.mark.parametrize("schema", sorted(serialize.SCHEMAS))
+def test_dumps_is_byte_identical_to_the_stdlib(schema, indent):
+    obj = ODD[schema]
+    text = serialize.dumps(obj, indent=indent)
+    assert text == json.dumps(serialize.to_dict(obj), indent=indent, sort_keys=True)
+    assert json.loads(text)["schema"] == serialize.SCHEMAS[schema]
+    assert serialize.dumps(serialize.loads(text), indent=indent) == text
+
+
+def test_every_schema_has_a_writer_and_a_reader():
+    writers = {f.__name__ for f in serialize._TO.values()}
+    readers = {schema: f.__name__ for schema, f in serialize._FROM.items()}
+    assert set(readers) == set(serialize.SCHEMAS.values())
+    for name, schema in serialize.SCHEMAS.items():
+        assert f"{name}_to_dict" in writers
+        assert readers[schema] == f"{name}_from_dict"
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([["a"], []], "quotient class is empty"),
+        ([["a", "b"], ["b", "c"]], "quotient classes overlap"),
+        ([["a", "a"]], "quotient classes overlap"),
+        ([["b", "a"]], "does not list its minimum first"),
+    ],
+)
+def test_quotient_reader_rejects_malformed_classes(classes, message):
+    text = json.dumps({"schema": serialize.SCHEMAS["quotient"], "classes": classes})
+    with pytest.raises(ValueError, match=message):
+        serialize.loads(text)
+
+
+def test_loads_decodes_an_embedded_category_once(monkeypatch):
+    calls = []
+    check = serialize.validate_category
+
+    def counted(cat):
+        calls.append(cat)
+        return check(cat)
+
+    monkeypatch.setattr(serialize, "validate_category", counted)
+    text = serialize.dumps(prof_identity(chain(3)))
+    p = serialize.loads(text)
+    assert p.source is p.target
+    assert len(calls) == 1
+    # nothing is kept between calls
+    assert serialize.loads(text).source is not p.source
+    assert len(calls) == 2
+    serialize.loads(serialize.dumps(all_functors(arrow_category(), fork())[-1]))
+    assert len(calls) == 4
 
 
 def test_symseq_wire_bytes_are_pinned():
@@ -103,6 +215,16 @@ def test_embedded_category_is_validated_on_load():
     with pytest.raises(ValueError, match="lands outside hom set") as err:
         serialize.loads(json.dumps(data))
     assert not isinstance(err.value, serialize.ParseError)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_profunctor_with_one_broken_category_is_rejected(side):
+    data = serialize.to_dict(prof_identity(chain(3)))
+    data[side]["comp"] = [
+        row for row in data[side]["comp"] if row[:2] != [["le", "2", "2"], ["le", "2", "2"]]
+    ]
+    with pytest.raises(ValueError, match=r"missing composite \(\('le', '2', '2'\), \('le', '2', '2'\)\)"):
+        serialize.loads(json.dumps(data))
 
 
 def test_cmd_compose_rejects_category_missing_a_composite(tmp_path, capsys):
@@ -233,6 +355,15 @@ def test_cmd_coend(tmp_path, capsys):
     assert main(["coend", path]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["schema"].startswith("profcalc/quotient")
+
+
+def test_cmd_validate_reads_coend_output(tmp_path, capsys):
+    path = _write(tmp_path, "I3.json", prof_identity(chain(3)))
+    out = str(tmp_path / "coend3.json")
+    assert main(["coend", path, "--out", out]) == 0
+    assert main(["validate", out]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    assert serialize.loads((tmp_path / "coend3.json").read_text()) == coend(chain(3), prof_identity(chain(3)))
 
 
 def test_cmd_coend_scans_the_bifunctor_laws_once(tmp_path, capsys, monkeypatch):
