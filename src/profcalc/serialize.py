@@ -352,36 +352,24 @@ def _indented(data, indent: int) -> str:
     """`json.dumps(data, indent=indent, sort_keys=True)` without the stdlib's
     pure-Python encoder, which it uses whenever indent is not None.
 
-    Each tuple is printed once per depth: `seen[depth]` maps it to its first
-    instance and text.  A hit on a tuple whose leaves are all strings always
-    counts, as an equal tuple has string leaves too; any other hit counts only
-    for the same instance or repr: ("a", True) equals ("a", 1) but prints
-    ["a", true].  Dict keys are strings, as in every payload.
+    A tuple instance is printed once per depth.  The cache is keyed by the
+    instance, not by equality: ("a", True) equals ("a", 1) but prints
+    ["a", true].  `data` keeps every instance alive, so no id is reused
+    within the call.  Dict keys are strings, as in every payload.
     """
-    breaks, seen = ["\n"], [{}]  # per depth: newline and indentation; printed tuples
-    loose = False  # the tuple being printed has a leaf that is not a string
+    breaks, seen = ["\n"], [{}]  # per depth: newline and indentation; printed tuples by id
 
     def emit(value, depth: int) -> str:
-        nonlocal loose
         kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
         if kind is tuple:
-            hit = seen[depth].get(value)
-            if hit is not None and (hit[0] is None or hit[0] is value or repr(hit[0]) == repr(value)):
-                loose = loose or hit[0] is not None
-                return hit[1]
-            outer, loose = loose, False
-            text = block(value, depth)
-            if hit is None:
-                seen[depth][value] = (value if loose else None, text)
-            loose = loose or outer
+            text = seen[depth].get(id(value))
+            if text is None:
+                text = seen[depth][id(value)] = block(value, depth)
             return text
         if kind is list or kind is dict:
             return block(value, depth)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        loose = True
-        if isinstance(value, (list, tuple, dict)):
-            return block(dict(value) if isinstance(value, dict) else list(value), depth)
         return json.dumps(value)  # a scalar prints alike at every indent
 
     def block(items, depth: int) -> str:

@@ -51,7 +51,8 @@ def test_round_trip(obj):
 # characters, empty and nested tuples, a negative int, and the object
 # ("a", True) whose identity is the equal but differently printed ("a", 1).
 # A fincat payload lists composites before identities, so ("a", 1) is
-# printed before ("a", True) at the depth of the ids rows.
+# printed first: a printer that reused the text of an equal tuple would
+# write ["a", 1] for the object ("a", True).
 BOOL_OBJ, TEXT_OBJ = ("a", True), 'é"\\\x01\u2603'
 ODD_IDS = {BOOL_OBJ: ("a", 1), TEXT_OBJ: ((), (-3, ("n", ())))}
 ODD_ARROW = '\t\n\\"x\u00ff'
