@@ -1,7 +1,8 @@
 """Command-line surface: validate files, run compositions, run suites.
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse error,
-3 bound exceeded (substitution).
+3 bound exceeded (substitution).  `main` maps the errors of every subcommand
+to them in one place; `suite` alone exits 2 on a configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from . import serialize
 from .colim import coend
 from .day import StrictMonoidalFinCat, day_convolve
-from .fincat import BoundExceeded, EndpointMismatch, FinCat, NonInvertible, validate_category
+from .fincat import BoundExceeded, FinCat, NonInvertible, validate_category
 from .presheaf import Presheaf, kan_extend
 from .prof import Profunctor, kleisli_compose, prof_compose, tau, tau_inv
 from .suites import SUITE_NAMES, SuiteConfig, format_suite_text, run_suite
@@ -48,14 +49,7 @@ def _print_witnesses(quotients) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        obj = _load(args.path)
-    except serialize.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    obj = _load(args.path)
     if isinstance(obj, FinCat):
         report = validate_category(obj)
         if not report.ok:
@@ -80,77 +74,51 @@ def cmd_compose(args) -> int:
     if len(args.inputs) != len(kinds):
         print(f"compose --kind {args.kind} takes {len(kinds)} inputs, got {len(args.inputs)}", file=sys.stderr)
         return 2
-    try:
-        inputs = [_load(path) for path in args.inputs]
-        if not all(isinstance(x, kind) for x, kind in zip(inputs, kinds)):
-            print(
-                f"compose --kind {args.kind} needs {', '.join(k.__name__ for k in kinds)}, "
-                f"got {', '.join(type(x).__name__ for x in inputs)}",
-                file=sys.stderr,
-            )
-            return 1
-        if args.kind == "kleisli":
-            g, f = inputs
-            composite = kleisli_compose(tau(g), tau(f))
-            result = tau_inv(composite)
-            # keyed (y, x) like the values of the emitted profunctor
-            quotients = {(y, x): q for x, kp in composite.on_obj.items() for y, q in kp.quotients.items()}
-        else:
-            if args.kind == "prof":
-                result = prof_compose(*inputs)
-            elif args.kind == "day":
-                result = day_convolve(*inputs)
-            else:
-                result = subst_compose(*inputs, args.m_bound)
-            quotients = result.quotients
-        _emit(result, args.out)
-        if args.show_witnesses:
-            _print_witnesses(quotients)
-    except serialize.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except BoundExceeded as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (EndpointMismatch, NonInvertible, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    inputs = [_load(path) for path in args.inputs]
+    if not all(isinstance(x, kind) for x, kind in zip(inputs, kinds)):
+        print(
+            f"compose --kind {args.kind} needs {', '.join(k.__name__ for k in kinds)}, "
+            f"got {', '.join(type(x).__name__ for x in inputs)}",
+            file=sys.stderr,
+        )
         return 1
+    if args.kind == "kleisli":
+        g, f = inputs
+        composite = kleisli_compose(tau(g), tau(f))
+        result = tau_inv(composite)
+        # keyed (y, x) like the values of the emitted profunctor
+        quotients = {(y, x): q for x, kp in composite.on_obj.items() for y, q in kp.quotients.items()}
+    else:
+        if args.kind == "prof":
+            result = prof_compose(*inputs)
+        elif args.kind == "day":
+            result = day_convolve(*inputs)
+        else:
+            result = subst_compose(*inputs, args.m_bound)
+        quotients = result.quotients
+    _emit(result, args.out)
+    if args.show_witnesses:
+        _print_witnesses(quotients)
     return 0
 
 
 def cmd_coend(args) -> int:
-    try:
-        p = _load(args.path)
-        if not isinstance(p, Profunctor) or p.source != p.target:
-            print("coend needs a profunctor with matching endpoints", file=sys.stderr)
-            return 1
-        # the load ran the law scan already
-        result = coend(p.source, p, check=False)
-        _emit(result, args.out)
-    except serialize.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    p = _load(args.path)
+    if not isinstance(p, Profunctor) or p.source != p.target:
+        print("coend needs a profunctor with matching endpoints", file=sys.stderr)
         return 1
+    # the load ran the law scan already
+    _emit(coend(p.source, p, check=False), args.out)
     return 0
 
 
 def cmd_kan(args) -> int:
-    try:
-        p = _load(args.functor)
-        arg = _load(args.presheaf)
-        if not isinstance(p, Profunctor) or not isinstance(arg, Presheaf):
-            print("kan needs a profunctor and a presheaf", file=sys.stderr)
-            return 1
-        result = kan_extend(tau(p), arg)
-        _emit(result, args.out)
-    except serialize.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (EndpointMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    p = _load(args.functor)
+    arg = _load(args.presheaf)
+    if not isinstance(p, Profunctor) or not isinstance(arg, Presheaf):
+        print("kan needs a profunctor and a presheaf", file=sys.stderr)
         return 1
+    _emit(kan_extend(tau(p), arg), args.out)
     return 0
 
 
@@ -231,7 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument("--max-values", type=int, default=3)
+    p.add_argument(
+        "--max-values", type=int, default=3,
+        help="recorded in the report's config; no suite reads it",
+    )
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument(
         "--workers", type=int, default=1,
@@ -251,7 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except serialize.ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except BoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
+    except (NonInvertible, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

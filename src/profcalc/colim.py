@@ -29,7 +29,7 @@ actions of its outer one along generators only.  A bifunctor
 C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
 which a whole integrand is given: `coend` reads the pairs off its tables,
 and `bifunctor_violations` checks its laws, the one law scan behind
-`Profunctor`, `coend(check=True)` and `fubini_iso(check=True)`.
+`Profunctor`, `coend(check=True)` and `fubini_iso`.
 
 A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
@@ -283,7 +283,6 @@ def induced_map(
     source: QuotientSet,
     target_codomain: FinSet,
     elementwise: Callable[[Label], Label],
-    check: bool = True,
 ) -> FinFn:
     """Map on quotient classes defined by an elementwise rule on the carrier.
 
@@ -291,7 +290,7 @@ def induced_map(
     """
     table: dict[Label, Label] = {}
     for cls in source.classes:
-        images = {elementwise(x) for x in cls} if check else {elementwise(cls[0])}
+        images = {elementwise(x) for x in cls}
         if len(images) > 1:
             raise ValueError(
                 f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}"
@@ -393,20 +392,18 @@ def coyoneda_iso(
     return result, fn
 
 
-def fubini_iso(
-    base_left: FinCat, base_right: FinCat, joint, check: bool = True
-) -> tuple[QuotientSet, QuotientSet, FinFn]:
+def fubini_iso(base_left: FinCat, base_right: FinCat, joint) -> tuple[QuotientSet, QuotientSet, FinFn]:
     """Single coend over base_left x base_right versus iterated (inner right, outer left).
 
     joint is an endo-profunctor on the product category (`prof.Profunctor`);
-    check=True runs `bifunctor_violations` on it first.  Returns (joint coend,
+    `bifunctor_violations` runs on it first.  Returns (joint coend,
     outer coend, bijection joint -> iterated) where the iterated result's
     elements are classes of (a, class of (b, w)).
     """
     prod = product(base_left, base_right)
     if joint.target != prod or joint.source != prod:
         raise EndpointMismatch("joint bifunctor must live over the product category")
-    joint_result = coend(prod, joint, check)
+    joint_result = coend(prod, joint)
     left, right = joint.left_act, joint.right_act
 
     @functools.cache

@@ -18,6 +18,10 @@ Every `FinSet` lists its elements in that order.  `FinSet(labels)` sorts.
 `FinSet.subset` (order-preserving) do not need to: `label_key` compares
 tuples entry by entry, so from canonical inputs they are canonical.
 
+Every keyed family of maps built from an elementwise rule -- restrictions,
+presheaf-map components, profunctor actions, operad cells -- comes from
+`components(domains, codomains, image)`, so each is a checked `FinFn`.
+
 The engine builds the same composites again and again inside one check, so
 the builders that produce them are `memoised`: inside a `memo_scope` each is
 computed once per identity of its arguments, and the memo is dropped when
@@ -313,6 +317,17 @@ class FinFn:
         return FinFn(domain, codomain, {x: value for x in domain})
 
 
+def components(domains: dict, codomains, image) -> dict[Label, FinFn]:
+    """The keyed family of maps u -> image(key, u) from domains[key] into
+    codomains[key], one per key of `domains` in its order.  Every map is a
+    `FinFn`, checked total and into its codomain.  image is never called on
+    an empty domain."""
+    return {
+        key: FinFn(dom, codomains[key], {u: image(key, u) for u in dom})
+        for key, dom in domains.items()
+    }
+
+
 @dataclass(frozen=True)
 class FinCat:
     """A finite category: object set, hom tables, identities, composition table.
@@ -400,12 +415,6 @@ class FinCat:
             object.__setattr__(self, "_generators", tuple(picks))
         return self._generators
 
-    def compose(self, g: Label, f: Label) -> Label:
-        """g after f; raises on non-composable or missing table entries."""
-        if self.tgt(f) != self.src(g):
-            raise EndpointMismatch(f"cannot compose {g!r} after {f!r}")
-        return self.comp[(g, f)]
-
     def composable_pairs(self) -> Iterator[tuple[Label, Label]]:
         for g in self.morphisms():
             a = self.src(g)
@@ -491,8 +500,11 @@ def opposite(cat: FinCat) -> FinCat:
     return FinCat(cat.objects, hom, dict(cat.ids), comp)
 
 
+@memoised
 def product(c: FinCat, d: FinCat) -> FinCat:
-    """Product category: pair objects, pair morphisms, componentwise composition."""
+    """Product category: pair objects, pair morphisms, componentwise composition.
+    Memoised, so the tensor of a monoidal category and the check of its
+    source share one product inside a `memo_scope`."""
     objects = FinSet.product(c.objects, d.objects)
     hom: dict[tuple[Label, Label], FinSet] = {}
     for (a1, b1) in objects:

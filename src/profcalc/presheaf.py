@@ -9,10 +9,18 @@ verified well-defined on classes.
 Pointwise limits (terminal, binary product, pullback, equalizer) use the
 lexicographic pair set as the chosen product; this makes the chosen-limit
 structure strict on the nose.
+
+Every presheaf and presheaf map that is not a Kan extension is built by one
+of two builders from its value sets and an elementwise rule:
+`presheaf_from_rule(base, values, restrict)` and
+`pshmap_from_rule(source, target, image)`.  They alone know the key order and
+the endpoints of each component; both go through `fincat.components`, so
+every component is a `FinFn` checked total and into its codomain.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -26,6 +34,7 @@ from .fincat import (
     FinSet,
     Functor,
     Label,
+    components,
     memo_scope,
     memoised,
     require_lawful,
@@ -122,6 +131,22 @@ class PshMap(Cell):
         )
 
 
+def presheaf_from_rule(base: FinCat, values: dict, restrict) -> Presheaf:
+    """The presheaf on base with these value sets whose restriction along m
+    sends u in values[tgt m] to restrict(m, u) in values[src m], keyed in
+    `base.morphisms()` order."""
+    ms = list(base.morphisms())
+    restriction = components(
+        {m: values[base.tgt(m)] for m in ms}, {m: values[base.src(m)] for m in ms}, restrict
+    )
+    return Presheaf(base, values, restriction, check=False)
+
+
+def pshmap_from_rule(source: Presheaf, target: Presheaf, image) -> PshMap:
+    """The map source -> target whose component at a sends u to image(a, u)."""
+    return PshMap(source, target, components(source.values, target.values, image), check=False)
+
+
 @dataclass(frozen=True)
 class PshValuedFunctor:
     """Functor from a finite category into presheaves on another finite category.
@@ -183,31 +208,20 @@ def pvf_violations(f: PshValuedFunctor) -> list[str]:
 @memoised
 def yoneda(base: FinCat, x: Label) -> Presheaf:
     """Representable presheaf: value at a is base[a, x], restriction by precomposition."""
-    values = {a: base.hom[(a, x)] for a in base.objects}
-    restriction = {}
-    for m in base.morphisms():
-        a, b = base.src(m), base.tgt(m)
-        restriction[m] = FinFn(
-            values[b], values[a], {h: base.comp[(h, m)] for h in values[b]}
-        )
-    return Presheaf(base, values, restriction, check=False)
+    return presheaf_from_rule(
+        base, {a: base.hom[(a, x)] for a in base.objects}, lambda m, h: base.comp[(h, m)]
+    )
 
 
 @memoised
 def yoneda_embedding(base: FinCat) -> PshValuedFunctor:
     on_obj = {x: yoneda(base, x) for x in base.objects}
-    on_mor = {}
-    for f in base.morphisms():
-        x, x1 = base.src(f), base.tgt(f)
-        comps = {
-            a: FinFn(
-                on_obj[x].values[a],
-                on_obj[x1].values[a],
-                {h: base.comp[(f, h)] for h in on_obj[x].values[a]},
-            )
-            for a in base.objects
-        }
-        on_mor[f] = PshMap(on_obj[x], on_obj[x1], comps, check=False)
+    on_mor = {
+        f: pshmap_from_rule(
+            on_obj[base.src(f)], on_obj[base.tgt(f)], lambda a, h, f=f: base.comp[(f, h)]
+        )
+        for f in base.morphisms()
+    }
     return PshValuedFunctor(base, base, on_obj, on_mor, check=False)
 
 
@@ -280,12 +294,10 @@ def eta_iso(f: PshValuedFunctor, x: Label) -> PshMap:
     src = f.source
     kp = kan_extend(f, yoneda(src, x))
     idx = src.id_of(x)
-    comps = {}
-    for y in f.target_base.objects:
-        dom = f.on_obj[x].values[y]
-        rep = kp.quotients[y].representative
-        comps[y] = FinFn(dom, kp.values[y], {u: rep((x, (u, idx))) for u in dom})
-    phi = PshMap(f.on_obj[x], kp, comps, check=True)
+    phi = pshmap_from_rule(
+        f.on_obj[x], kp, lambda y, u: kp.quotients[y].representative((x, (u, idx)))
+    )
+    require_lawful(phi.violations(), phi.invalid)
     return phi.require_iso(f"unit comparison at {x!r} is not invertible")
 
 
@@ -299,37 +311,20 @@ def apply_P_functor(f: Functor, p: Presheaf) -> Presheaf:
 
 def psh_terminal(base: FinCat) -> Presheaf:
     one = FinSet([()])
-    return Presheaf(
-        base,
-        {a: one for a in base.objects},
-        {m: FinFn.identity(one) for m in base.morphisms()},
-        check=False,
-    )
+    return presheaf_from_rule(base, {a: one for a in base.objects}, lambda m, u: u)
 
 
 def psh_initial(base: FinCat) -> Presheaf:
     empty = FinSet()
-    return Presheaf(
-        base,
-        {a: empty for a in base.objects},
-        {m: FinFn.identity(empty) for m in base.morphisms()},
-        check=False,
-    )
+    return presheaf_from_rule(base, {a: empty for a in base.objects}, lambda m, u: u)
 
 
 def psh_terminal_map(p: Presheaf) -> PshMap:
-    t = psh_terminal(p.base)
-    return PshMap(
-        p,
-        t,
-        {a: FinFn.constant(p.values[a], t.values[a], ()) for a in p.base.objects},
-        check=False,
-    )
+    return pshmap_from_rule(p, psh_terminal(p.base), lambda a, u: ())
 
 
 def psh_initial_map(p: Presheaf) -> PshMap:
-    i = psh_initial(p.base)
-    return PshMap(i, p, {a: FinFn(FinSet(), p.values[a], {}) for a in p.base.objects}, check=False)
+    return pshmap_from_rule(psh_initial(p.base), p, lambda a, u: u)
 
 
 def psh_product(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
@@ -337,27 +332,11 @@ def psh_product(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
     if p.base != q.base:
         raise EndpointMismatch("presheaves live on different bases")
     values = {a: FinSet.product(p.values[a], q.values[a]) for a in p.base.objects}
-    restriction = {}
-    for m in p.base.morphisms():
-        a, b = p.base.src(m), p.base.tgt(m)
-        pm, qm = p.restriction[m], q.restriction[m]
-        restriction[m] = FinFn(
-            values[b], values[a], {(u, v): (pm(u), qm(v)) for (u, v) in values[b]}
-        )
-    prod = Presheaf(p.base, values, restriction, check=False)
-    pi1 = PshMap(
-        prod,
-        p,
-        {a: FinFn(values[a], p.values[a], {(u, v): u for (u, v) in values[a]}) for a in p.base.objects},
-        check=False,
+    prod = presheaf_from_rule(
+        p.base, values, lambda m, uv: (p.restriction[m](uv[0]), q.restriction[m](uv[1]))
     )
-    pi2 = PshMap(
-        prod,
-        q,
-        {a: FinFn(values[a], q.values[a], {(u, v): v for (u, v) in values[a]}) for a in p.base.objects},
-        check=False,
-    )
-    return prod, pi1, pi2
+    pi1 = pshmap_from_rule(prod, p, lambda a, uv: uv[0])
+    return prod, pi1, pshmap_from_rule(prod, q, lambda a, uv: uv[1])
 
 
 def psh_pair(cone1: PshMap, cone2: PshMap, prod_data=None) -> PshMap:
@@ -365,15 +344,9 @@ def psh_pair(cone1: PshMap, cone2: PshMap, prod_data=None) -> PshMap:
     if cone1.source != cone2.source:
         raise EndpointMismatch("cone legs have different apex")
     prod, pi1, pi2 = prod_data if prod_data else psh_product(cone1.target, cone2.target)
-    comps = {
-        a: FinFn(
-            cone1.source.values[a],
-            prod.values[a],
-            {w: (cone1.components[a](w), cone2.components[a](w)) for w in cone1.source.values[a]},
-        )
-        for a in prod.base.objects
-    }
-    factor = PshMap(cone1.source, prod, comps, check=False)
+    factor = pshmap_from_rule(
+        cone1.source, prod, lambda a, w: (cone1.components[a](w), cone2.components[a](w))
+    )
     if factor.then(pi1) != cone1 or factor.then(pi2) != cone2:
         raise ValueError("pairing does not factor the cone through the product")
     return factor
@@ -388,39 +361,14 @@ def psh_equalizer(phi: PshMap, psi: PshMap) -> tuple[Presheaf, PshMap]:
         a: p.values[a].subset(lambda u, a=a: phi.components[a](u) == psi.components[a](u))
         for a in p.base.objects
     }
-    restriction = {}
-    for m in p.base.morphisms():
-        a, b = p.base.src(m), p.base.tgt(m)
-        table = {}
-        for u in values[b]:
-            moved = p.restriction[m](u)
-            if moved not in values[a]:
-                raise ValueError(f"equalizer not closed under restriction along {m!r}")
-            table[u] = moved
-        restriction[m] = FinFn(values[b], values[a], table)
-    eq = Presheaf(p.base, values, restriction, check=False)
-    incl = PshMap(
-        eq,
-        p,
-        {a: FinFn(values[a], p.values[a], {u: u for u in values[a]}) for a in p.base.objects},
-        check=False,
-    )
-    return eq, incl
+    eq = presheaf_from_rule(p.base, values, lambda m, u: p.restriction[m](u))
+    return eq, pshmap_from_rule(eq, p, lambda a, u: u)
 
 
 def psh_equalizer_factor(eq_data: tuple[Presheaf, PshMap], cone: PshMap) -> PshMap:
     """Unique factoring of an equalizing cone through the equalizer (witnessed)."""
     eq, incl = eq_data
-    comps = {}
-    for a in eq.base.objects:
-        table = {}
-        for w in cone.source.values[a]:
-            image = cone.components[a](w)
-            if image not in eq.values[a]:
-                raise ValueError(f"cone is not equalizing at {a!r}: {image!r}")
-            table[w] = image
-        comps[a] = FinFn(cone.source.values[a], eq.values[a], table)
-    factor = PshMap(cone.source, eq, comps, check=False)
+    factor = pshmap_from_rule(cone.source, eq, lambda a, w: cone.components[a](w))
     if factor.then(incl) != cone:
         raise ValueError("factor does not recover the cone through the equalizer")
     return factor
@@ -444,27 +392,11 @@ def psh_coproduct(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
         a: FinSet.sigma(range(2), (p.values[a], q.values[a]).__getitem__)
         for a in p.base.objects
     }
-    restriction = {}
-    for m in p.base.morphisms():
-        a, b = p.base.src(m), p.base.tgt(m)
-        table = {}
-        for tag, u in values[b]:
-            table[(tag, u)] = (tag, (p if tag == 0 else q).restriction[m](u))
-        restriction[m] = FinFn(values[b], values[a], table)
-    cop = Presheaf(p.base, values, restriction, check=False)
-    in1 = PshMap(
-        p,
-        cop,
-        {a: FinFn(p.values[a], values[a], {u: (0, u) for u in p.values[a]}) for a in p.base.objects},
-        check=False,
+    cop = presheaf_from_rule(
+        p.base, values, lambda m, tu: (tu[0], (p, q)[tu[0]].restriction[m](tu[1]))
     )
-    in2 = PshMap(
-        q,
-        cop,
-        {a: FinFn(q.values[a], values[a], {v: (1, v) for v in q.values[a]}) for a in p.base.objects},
-        check=False,
-    )
-    return cop, in1, in2
+    in1 = pshmap_from_rule(p, cop, lambda a, u: (0, u))
+    return cop, in1, pshmap_from_rule(q, cop, lambda a, v: (1, v))
 
 
 def psh_copair(leg1: PshMap, leg2: PshMap, cop_data=None) -> PshMap:
@@ -472,13 +404,9 @@ def psh_copair(leg1: PshMap, leg2: PshMap, cop_data=None) -> PshMap:
     if leg1.target != leg2.target:
         raise EndpointMismatch("cocone legs have different nadir")
     cop, in1, in2 = cop_data if cop_data else psh_coproduct(leg1.source, leg2.source)
-    comps = {}
-    for a in cop.base.objects:
-        table = {}
-        for tag, u in cop.values[a]:
-            table[(tag, u)] = (leg1 if tag == 0 else leg2).components[a](u)
-        comps[a] = FinFn(cop.values[a], leg1.target.values[a], table)
-    out = PshMap(cop, leg1.target, comps, check=False)
+    out = pshmap_from_rule(
+        cop, leg1.target, lambda a, tu: (leg1, leg2)[tu[0]].components[a](tu[1])
+    )
     if in1.then(out) != leg1 or in2.then(out) != leg2:
         raise ValueError("copairing does not factor the cocone through the coproduct")
     return out
@@ -497,59 +425,42 @@ def pvf_constant(source: FinCat, p: Presheaf) -> PshValuedFunctor:
     )
 
 
-def _pointwise(a: PshValuedFunctor, b: PshValuedFunctor, build) -> dict[Label, Presheaf]:
+def _pointwise(a: PshValuedFunctor, b: PshValuedFunctor, build, act) -> PshValuedFunctor:
     """x -> build(a(x), b(x))[0], built once per distinct pair of images (by
-    identity), so objects with the same images share one presheaf."""
+    identity), so objects with the same images share one presheaf; along m
+    its component at an object c sends u to act(m, c, u)."""
     if a.source != b.source or a.target_base != b.target_base:
         raise EndpointMismatch("functors are not parallel")
+    src = a.source
     built: dict[tuple[int, int], Presheaf] = {}
     on_obj = {}
-    for x in a.source.objects:
+    for x in src.objects:
         p, q = a.on_obj[x], b.on_obj[x]
         key = (id(p), id(q))  # a and b keep p and q alive, so ids are not reused
         if key not in built:
             built[key] = build(p, q)[0]
         on_obj[x] = built[key]
-    return on_obj
+    on_mor = {
+        m: pshmap_from_rule(on_obj[src.src(m)], on_obj[src.tgt(m)], functools.partial(act, m))
+        for m in src.morphisms()
+    }
+    return PshValuedFunctor(src, a.target_base, on_obj, on_mor, check=False)
 
 
 def pvf_coproduct(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
     """Pointwise coproduct; functorial because the injections are natural."""
-    on_obj = _pointwise(a, b, psh_coproduct)
-    on_mor = {}
-    for m in a.source.morphisms():
-        x0, x1 = a.source.src(m), a.source.tgt(m)
-        comps = {}
-        for obj in a.target_base.objects:
-            dom = on_obj[x0].values[obj]
-            table = {
-                (tag, u): (tag, (a if tag == 0 else b).on_mor[m].components[obj](u))
-                for (tag, u) in dom
-            }
-            comps[obj] = FinFn(dom, on_obj[x1].values[obj], table)
-        on_mor[m] = PshMap(on_obj[x0], on_obj[x1], comps, check=False)
-    return PshValuedFunctor(a.source, a.target_base, on_obj, on_mor, check=False)
+    return _pointwise(
+        a, b, psh_coproduct,
+        lambda m, c, tu: (tu[0], (a, b)[tu[0]].on_mor[m].components[c](tu[1])),
+    )
 
 
 def pvf_product(a: PshValuedFunctor, b: PshValuedFunctor) -> PshValuedFunctor:
     """Pointwise product on lexicographic pair sets."""
-    on_obj = _pointwise(a, b, psh_product)
-    on_mor = {}
-    for m in a.source.morphisms():
-        x0, x1 = a.source.src(m), a.source.tgt(m)
-        comps = {}
-        for obj in a.target_base.objects:
-            dom = on_obj[x0].values[obj]
-            table = {
-                (u, v): (
-                    a.on_mor[m].components[obj](u),
-                    b.on_mor[m].components[obj](v),
-                )
-                for (u, v) in dom
-            }
-            comps[obj] = FinFn(dom, on_obj[x1].values[obj], table)
-        on_mor[m] = PshMap(on_obj[x0], on_obj[x1], comps, check=False)
-    return PshValuedFunctor(a.source, a.target_base, on_obj, on_mor, check=False)
+    return _pointwise(
+        a, b, psh_product,
+        lambda m, c, uv: (a.on_mor[m].components[c](uv[0]), b.on_mor[m].components[c](uv[1])),
+    )
 
 
 # -- exhaustive enumeration of natural maps -------------------------------------

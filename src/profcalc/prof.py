@@ -6,7 +6,10 @@ code path, and the two are *tested* isomorphic rather than identified.
 
 Every profunctor whose values are coends (`prof_compose`, and in `symmon`
 substitution and its tuple-level extension) gets both actions from
-`coend_actions`, given an elementwise rule on carriers for each side.  A
+`coend_actions`, given an elementwise rule on carriers for each side.  Every
+other profunctor or sequence built here or in `symmon` gets them from
+`action_tables`, given its value sets and an elementwise rule for each side;
+it alone knows the key order and the endpoints of each action map.  A
 symmetric sequence (`symmon.SymSeq`) is a profunctor into the free
 symmetric category on its input colours, so `prof_compose` and `tau` take
 sequences as they are.
@@ -55,6 +58,7 @@ from .fincat import (
     FinFn,
     FinSet,
     Label,
+    components,
     corrupt,
     memo_scope,
     memoised,
@@ -141,26 +145,38 @@ class ProfCell(Cell):
                 yield right, (y, f), (y, dom.src(f)), (y, dom.tgt(f))
 
 
+def action_tables(source: FinCat, target: FinCat, values: dict, left, right):
+    """(values, left_act, right_act) of a profunctor source -|-> target with
+    these value sets, keyed (y, x) for y in target and x in source.
+
+    left(g, x, u) sends u in values[(tgt g, x)] to values[(src g, x)], for g
+    in target; right(y, f, u) sends u in values[(y, src f)] to values[(y, tgt f)],
+    for f in source.  The left action is keyed morphisms x objects and the
+    right one objects x morphisms, as `Profunctor` and `symmon.SymSeq` take
+    them; every map comes from `fincat.components`.
+    """
+    lkeys = [(g, x) for g in target.morphisms() for x in source.objects]
+    rkeys = [(y, f) for y in target.objects for f in source.morphisms()]
+    left_act = components(
+        {(g, x): values[(target.tgt(g), x)] for g, x in lkeys},
+        {(g, x): values[(target.src(g), x)] for g, x in lkeys},
+        lambda key, u: left(*key, u),
+    )
+    right_act = components(
+        {(y, f): values[(y, source.src(f))] for y, f in rkeys},
+        {(y, f): values[(y, source.tgt(f))] for y, f in rkeys},
+        lambda key, u: right(*key, u),
+    )
+    return values, left_act, right_act
+
+
 def prof_identity(base: FinCat) -> Profunctor:
     """Identity profunctor: value at (a, b) is the hom set a -> b."""
     values = {(a, b): base.hom[(a, b)] for a in base.objects for b in base.objects}
-    left_act = {}
-    right_act = {}
-    for g in base.morphisms():
-        for x in base.objects:
-            a0, a1 = base.src(g), base.tgt(g)
-            dom = values[(a1, x)]
-            left_act[(g, x)] = FinFn(
-                dom, values[(a0, x)], {h: base.comp[(h, g)] for h in dom}
-            )
-    for y in base.objects:
-        for f in base.morphisms():
-            b0, b1 = base.src(f), base.tgt(f)
-            dom = values[(y, b0)]
-            right_act[(y, f)] = FinFn(
-                dom, values[(y, b1)], {h: base.comp[(f, h)] for h in dom}
-            )
-    return Profunctor(base, base, values, left_act, right_act, check=False)
+    tables = action_tables(
+        base, base, values, lambda g, x, h: base.comp[(h, g)], lambda y, f, h: base.comp[(f, h)]
+    )
+    return Profunctor(base, base, *tables, check=False)
 
 
 def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
@@ -186,7 +202,7 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
 
     quotients = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
 
-    def left(x, m, pair):
+    def left(m, x, pair):
         y, (u, v) = pair
         return y, (g.left_act[(m, y)](u), v)
 
@@ -204,17 +220,18 @@ def coend_actions(source: FinCat, target: FinCat, quotients: dict, left, right):
     """(values, left_act, right_act) of a profunctor source -|-> target whose
     value at (y, x) is the coend quotients[(y, x)].
 
-    left(x, g, e) sends a carrier element e at (tgt g, x) to one at (src g, x),
+    left(g, x, e) sends a carrier element e at (tgt g, x) to one at (src g, x),
     for g in target; right(y, f, e) sends one at (y, src f) to one at (y, tgt f),
-    for f in source.  Each action is the map of classes that `induced_actions`
-    induces from these carrier rules, checked well defined on generators.
+    for f in source, as in `action_tables`.  Each action is the map of classes
+    that `induced_actions` induces from these carrier rules, checked well
+    defined on generators.
     """
     values = {key: q.quotient for key, q in quotients.items()}
     left_act, right_act = {}, {}
     for x in source.objects:
 
         def rule(g, e, x=x):
-            return quotients[(target.src(g), x)].representative(left(x, g, e))
+            return quotients[(target.src(g), x)].representative(left(g, x, e))
 
         acts = induced_actions(target, lambda y, x=x: quotients[(y, x)], rule, contravariant=True)
         left_act.update(((g, x), fn) for g, fn in acts.items())

@@ -58,9 +58,6 @@ class TestFamily:
             if p.base != base:
                 raise ValueError("family member on the wrong base")
 
-    def presheaves(self):
-        return [p for _, p in self.members]
-
     def named(self):
         return list(self.members)
 

@@ -162,19 +162,7 @@ def seed_library() -> dict[str, FinCat]:
     }
 
 
-SMALL_SEEDS = [
-    "terminal",
-    "discrete2",
-    "arrow",
-    "parallel_pair",
-    "fork",
-    "chain2",
-    "Z2",
-    "E2",
-]
-
-
-def all_functors(source: FinCat, target: FinCat, limit: int | None = None) -> list[Functor]:
+def all_functors(source: FinCat, target: FinCat) -> list[Functor]:
     """Enumerate functors source -> target by backtracking over object images."""
     out: list[Functor] = []
     objs = list(source.objects)
@@ -198,12 +186,7 @@ def all_functors(source: FinCat, target: FinCat, limit: int | None = None) -> li
                     break
             if ok:
                 out.append(Functor(source, target, obj_map, mor_map, check=False))
-                if limit is not None and len(out) >= limit:
-                    raise StopIteration
 
-    try:
-        for images in itertools.product(list(target.objects), repeat=len(objs)):
-            extend_mor(dict(zip(objs, images)))
-    except StopIteration:
-        pass
+    for images in itertools.product(list(target.objects), repeat=len(objs)):
+        extend_mor(dict(zip(objs, images)))
     return out

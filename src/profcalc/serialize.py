@@ -27,6 +27,7 @@ from .fincat import (
     Label,
     NatTrans,
     label_key,
+    memo_scope,
     product,
     sort_labels,
     validate_category,
@@ -273,6 +274,7 @@ def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
     return out
 
 
+@memo_scope()  # the tensor's source and the law scan's product are one object
 def monoidal_from_dict(d: dict, cats: dict) -> StrictMonoidalFinCat:
     base = _category_from_dict(d["base"], cats)
     prod = product(base, base)

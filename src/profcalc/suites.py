@@ -90,7 +90,7 @@ class SuiteConfig:
     seed: int = 0
     instances: int = 5
     max_objects: int = 4
-    max_values: int = 3
+    max_values: int = 3  # recorded in the report's config; no suite reads it
     max_arity: int = 3
     workers: int = 1
     fault: str | None = None  # mu | eta | theta | unit | comp
@@ -130,7 +130,7 @@ def _pick_cat(rng: random.Random, config: SuiteConfig, lib) -> FinCat:
     return lib[names[rng.randrange(len(names))]]
 
 
-def random_presheaf(rng: random.Random, cat: FinCat, max_values: int) -> Presheaf:
+def random_presheaf(rng: random.Random, cat: FinCat) -> Presheaf:
     objs = list(cat.objects)
     kind = rng.randrange(5)
     if kind == 0:
@@ -152,9 +152,7 @@ def random_presheaf(rng: random.Random, cat: FinCat, max_values: int) -> Preshea
     return psh_initial(cat)
 
 
-def random_kleisli(
-    rng: random.Random, source: FinCat, target: FinCat, config: SuiteConfig
-) -> PshValuedFunctor:
+def random_kleisli(rng: random.Random, source: FinCat, target: FinCat) -> PshValuedFunctor:
     functors = all_functors(source, target)
     base = functor_into_presheaves(functors[rng.randrange(len(functors))])
     style = rng.randrange(4)
@@ -164,7 +162,7 @@ def random_kleisli(
         other = functor_into_presheaves(functors[rng.randrange(len(functors))])
         return pvf_coproduct(base, other)
     if style == 2:
-        return pvf_constant(source, random_presheaf(rng, target, config.max_values))
+        return pvf_constant(source, random_presheaf(rng, target))
     other = functor_into_presheaves(functors[rng.randrange(len(functors))])
     return pvf_product(base, other)
 
@@ -179,7 +177,7 @@ def suite_kleisli_coherence(config: SuiteConfig) -> dict:
     for i in range(config.instances):
         cats = [_pick_cat(rng, config, lib) for _ in range(5)]
         chain = [
-            random_kleisli(rng, cats[j], cats[j + 1], config) for j in range(4)
+            random_kleisli(rng, cats[j], cats[j + 1]) for j in range(4)
         ]
         specs.append((i, cats, chain))
 
@@ -201,9 +199,9 @@ def suite_relpsm_axioms(config: SuiteConfig) -> dict:
     specs = []
     for i in range(config.instances):
         cats = [_pick_cat(rng, config, lib) for _ in range(4)]
-        f = random_kleisli(rng, cats[0], cats[1], config)
-        g = random_kleisli(rng, cats[1], cats[2], config)
-        h = random_kleisli(rng, cats[2], cats[3], config)
+        f = random_kleisli(rng, cats[0], cats[1])
+        g = random_kleisli(rng, cats[1], cats[2])
+        h = random_kleisli(rng, cats[2], cats[3])
         specs.append((i, cats, f, g, h))
 
     def run(spec):
@@ -233,7 +231,7 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
         target = lib[_LAX_POOL[rng.randrange(len(_LAX_POOL))]]
         functors = all_functors(source, target)
         f = functor_into_presheaves(functors[rng.randrange(len(functors))])
-        g = random_kleisli(rng, target, _pick_cat(rng, config, lib), config)
+        g = random_kleisli(rng, target, _pick_cat(rng, config, lib))
         competitors = [f, functor_into_presheaves(functors[rng.randrange(len(functors))])]
         specs.append((i, f, g, competitors))
 
@@ -251,7 +249,7 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
     return _assemble("lax-idempotent", config, specs, run)
 
 
-def _monoidal_seeds(config: SuiteConfig) -> list[tuple[str, StrictMonoidalFinCat]]:
+def _monoidal_seeds() -> list[tuple[str, StrictMonoidalFinCat]]:
     out = [("terminal", terminal_monoidal())]
     z2 = discrete(2)
     out.append(
@@ -283,14 +281,14 @@ def _monoidal_seeds(config: SuiteConfig) -> list[tuple[str, StrictMonoidalFinCat
 
 def suite_day_monoidal(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
-    mons = _monoidal_seeds(config)
+    mons = _monoidal_seeds()
     specs = []
     for i in range(config.instances):
         name, mon = mons[rng.randrange(len(mons))]
         objs = list(mon.base.objects)
         a1 = objs[rng.randrange(len(objs))]
         a2 = objs[rng.randrange(len(objs))]
-        ps = [random_presheaf(rng, mon.base, config.max_values) for _ in range(3)]
+        ps = [random_presheaf(rng, mon.base) for _ in range(3)]
         specs.append((i, name, mon, a1, a2, ps))
 
     def run(spec):

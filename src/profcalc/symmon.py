@@ -21,7 +21,11 @@ contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
 The actions of the composite, and of the tuple-level extension, come from
-`prof.coend_actions`.  `subst_bicategory` presents substitution, with its
+`prof.coend_actions`.  Every other sequence here -- the unit, the
+representables, coproducts and the operads' sequences -- gets its action
+tables from `prof.action_tables`, given its values and one elementwise rule
+per side, and the unit and composition cells of the operads come from
+`fincat.components`, given an image rule.  `subst_bicategory` presents substitution, with its
 associator, unit isomorphisms and whiskerings, as a one-object
 `report.Bicategory`, whose pentagon and triangles the shared `report`
 checkers test.
@@ -43,13 +47,14 @@ from .fincat import (
     Label,
     _Canonical,
     cell_difference,
+    components,
     generators_by_source,
     label_key,
     memo_scope,
     memoised,
     opposite,
 )
-from .prof import ProfCell, Profunctor, coend_actions, kleisli_compose, tau
+from .prof import ProfCell, Profunctor, action_tables, coend_actions, kleisli_compose, tau
 from .report import Bicategory, CheckReport
 from .seeds import discrete
 
@@ -289,32 +294,17 @@ class SymSeqCell(ProfCell):
 def subst_identity(sym: TruncatedSymCat) -> SymSeq:
     """The unit sequence: arity-one values are base hom sets, all others empty."""
     base = sym.base
-    values = {}
-    for xs in sym.cat.objects:
-        for y in base.objects:
-            values[(xs, y)] = base.hom[(xs[0], y)] if len(xs) == 1 else FinSet()
-    left_act = {}
-    for m in sym.cat.morphisms():
-        src, tgt, _, comps = m
-        for y in base.objects:
-            dom = values[(tgt, y)]
-            if len(src) == 1:
-                f = comps[0]
-                left_act[(m, y)] = FinFn(
-                    dom, values[(src, y)], {h: base.comp[(h, f)] for h in dom}
-                )
-            else:
-                left_act[(m, y)] = FinFn(dom, values[(src, y)], {})
-    right_act = {}
-    for xs in sym.cat.objects:
-        for g in base.morphisms():
-            dom = values[(xs, base.src(g))]
-            cod = values[(xs, base.tgt(g))]
-            if len(xs) == 1:
-                right_act[(xs, g)] = FinFn(dom, cod, {h: base.comp[(g, h)] for h in dom})
-            else:
-                right_act[(xs, g)] = FinFn(dom, cod, {})
-    return SymSeq(sym, base, values, left_act, right_act, check=False)
+    values = {
+        (xs, y): base.hom[(xs[0], y)] if len(xs) == 1 else FinSet()
+        for xs in sym.cat.objects
+        for y in base.objects
+    }
+    # both rules run on arity-one values only: every other value is empty
+    tables = action_tables(
+        base, sym.cat, values,
+        lambda m, y, h: base.comp[(h, m[3][0])], lambda xs, g, h: base.comp[(g, h)],
+    )
+    return SymSeq(sym, base, *tables, check=False)
 
 
 # -- substitution composition -------------------------------------------------------------
@@ -389,7 +379,7 @@ def _act_on_row(f: SymSeq, phi: Label, blocks: tuple, vs: tuple, h: Label):
 def _glue(cat: FinCat):
     """The left carrier rule of substitution values: a tuple morphism
     precomposes the gluing morphism, the last entry of every carrier element."""
-    return lambda _, mor, elem: elem[:-1] + (cat.comp[(elem[-1], mor)],)
+    return lambda mor, _, elem: elem[:-1] + (cat.comp[(elem[-1], mor)],)
 
 
 def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: dict, gens_y: dict):
@@ -686,27 +676,10 @@ def terminal_operad(colours: FinCat, max_arity: int) -> ColouredOperad:
         for xs in sym.cat.objects
         for y in colours.objects
     }
-    left_act = {
-        (m, y): FinFn.identity(values[(m[0], y)])
-        for m in sym.cat.morphisms()
-        for y in colours.objects
-    }
-    right_act = {
-        (xs, g): FinFn.identity(values[(xs, colours.src(g))])
-        for xs in sym.cat.objects
-        for g in colours.morphisms()
-    }
-    seq = SymSeq(sym, colours, values, left_act, right_act, check=False)
-    unit = subst_identity(sym)
-    unit_components = {
-        key: FinFn(unit.values[key], values[key], {u: "o" for u in unit.values[key]})
-        for key in unit.values
-    }
-    oo = subst_compose(seq, seq)
-    comp_components = {
-        key: FinFn(oo.values[key], values[key], {u: "o" for u in oo.values[key]})
-        for key in oo.values
-    }
+    tables = action_tables(colours, sym.cat, values, lambda m, y, u: u, lambda xs, g, u: u)
+    seq = SymSeq(sym, colours, *tables, check=False)
+    unit_components = components(subst_identity(sym).values, values, lambda key, u: "o")
+    comp_components = components(subst_compose(seq, seq).values, values, lambda key, u: "o")
     return ColouredOperad(seq, unit_components, comp_components)
 
 
@@ -737,36 +710,17 @@ def associative_operad(max_arity: int) -> ColouredOperad:
         )
         for xs in sym.cat.objects
     }
-    left_act = {}
-    for m in sym.cat.morphisms():
-        src, tgt, sigma, _ = m
-        dom = values[(tgt, y0)]
-        left_act[(m, y0)] = FinFn(
-            dom, values[(src, y0)], {v: perm_compose(v, sigma) for v in dom}
-        )
-    right_act = {
-        (xs, colours.id_of(y0)): FinFn.identity(values[(xs, y0)])
-        for xs in sym.cat.objects
-    }
-    seq = SymSeq(sym, colours, values, left_act, right_act, check=False)
-    unit = subst_identity(sym)
-    unit_components = {
-        key: FinFn.constant(unit.values[key], values[(key[0], y0)], (0,))
-        if len(key[0]) == 1
-        else FinFn(unit.values[key], values[(key[0], y0)], {})
-        for key in unit.values
-    }
-    oo = subst_compose(seq, seq)
-    comp_components = {}
-    for key, dom in oo.values.items():
-        xs, _ = key
-        table = {}
-        for cls in dom:
-            m, ys, blocks, gamma, vs, h = cls
-            lengths = tuple(len(b) for b in blocks)
-            composed = wreath_composition(gamma, lengths, vs)
-            table[cls] = perm_compose(composed, h[2])
-        comp_components[key] = FinFn(dom, values[(xs, y0)], table)
+    tables = action_tables(
+        colours, sym.cat, values, lambda m, y, v: perm_compose(v, m[2]), lambda xs, g, v: v
+    )
+    seq = SymSeq(sym, colours, *tables, check=False)
+    unit_components = components(subst_identity(sym).values, values, lambda key, u: (0,))
+
+    def compose(key, cls):
+        m, ys, blocks, gamma, vs, h = cls
+        return perm_compose(wreath_composition(gamma, tuple(len(b) for b in blocks), vs), h[2])
+
+    comp_components = components(subst_compose(seq, seq).values, values, compose)
     return ColouredOperad(seq, unit_components, comp_components)
 
 
@@ -809,55 +763,30 @@ def representable_seq(sym: TruncatedSymCat, target: FinCat, picks: dict) -> SymS
     """The sequence represented by a chosen tuple per target colour.
 
     Value at (xs, y) is the tuple-morphism set xs -> picks[y]; the left
-    action is precomposition and the right action reindexes along the
-    functoriality of the picks (identity-only targets are supported, plus
-    poset-like targets when the picks are related by chosen morphisms).
+    action is precomposition.  The target must have identities only, on
+    which the right action is the identity.
     """
-    values, left, right = {}, {}, {}
-    for xs in sym.cat.objects:
-        for y in target.objects:
-            values[(xs, y)] = sym.cat.hom[(xs, picks[y])]
-    for m in sym.cat.morphisms():
-        src, tgt, _, _ = m
-        for y in target.objects:
-            dom = values[(tgt, y)]
-            left[(m, y)] = FinFn(
-                dom, values[(src, y)], {h: sym.cat.comp[(h, m)] for h in dom}
-            )
-    for xs in sym.cat.objects:
-        for g in target.morphisms():
-            dom = values[(xs, target.src(g))]
-            if target.is_identity(g):
-                right[(xs, g)] = FinFn.identity(dom)
-            else:
-                raise ValueError("representable sequences need identity-only targets")
-    return SymSeq(sym, target, values, left, right, check=False)
+    if not all(target.is_identity(g) for g in target.morphisms()):
+        raise ValueError("representable sequences need identity-only targets")
+    values = {(xs, y): sym.cat.hom[(xs, picks[y])] for xs in sym.cat.objects for y in target.objects}
+    tables = action_tables(
+        target, sym.cat, values, lambda m, y, h: sym.cat.comp[(h, m)], lambda xs, g, h: h
+    )
+    return SymSeq(sym, target, *tables, check=False)
 
 
 def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
     """Pointwise tagged union of parallel sequences."""
     if a.source_sym != b.source_sym or a.source != b.source:
         raise EndpointMismatch("sequences are not parallel")
-    values, left, right = {}, {}, {}
-    for key in a.values:
-        values[key] = FinSet(
-            [(0, u) for u in a.values[key]] + [(1, u) for u in b.values[key]]
-        )
-    for (m, y) in a.left_act:
-        dom = values[(m[1], y)]
-        table = {
-            (tag, u): (tag, (a if tag == 0 else b).left_act[(m, y)](u))
-            for (tag, u) in dom
-        }
-        left[(m, y)] = FinFn(dom, values[(m[0], y)], table)
-    for (xs, g) in a.right_act:
-        dom = values[(xs, a.source.src(g))]
-        table = {
-            (tag, u): (tag, (a if tag == 0 else b).right_act[(xs, g)](u))
-            for (tag, u) in dom
-        }
-        right[(xs, g)] = FinFn(dom, values[(xs, a.source.tgt(g))], table)
-    return SymSeq(a.source_sym, a.source, values, left, right, check=False)
+    seqs = (a, b)
+    values = {key: FinSet.sigma(range(2), (a.values[key], b.values[key]).__getitem__) for key in a.values}
+    tables = action_tables(
+        a.source, a.source_sym.cat, values,
+        lambda m, y, tu: (tu[0], seqs[tu[0]].left_act[(m, y)](tu[1])),
+        lambda xs, g, tu: (tu[0], seqs[tu[0]].right_act[(xs, g)](tu[1])),
+    )
+    return SymSeq(a.source_sym, a.source, *tables, check=False)
 
 
 @memo_scope()

@@ -131,7 +131,6 @@ def test_criterion_3_lax_idempotency():
 
 def test_criterion_4_prof_equals_kleisli():
     rng = random.Random(2029)
-    config = SuiteConfig(seed=2029)
     lib = SEEDS
     pool = ["terminal", "discrete2", "arrow", "parallel_pair", "fork", "chain2"]
     count = 0
@@ -140,8 +139,8 @@ def test_criterion_4_prof_equals_kleisli():
         src = lib[pool[rng.randrange(len(pool))]]
         mid = lib[pool[rng.randrange(len(pool))]]
         tgt = lib[pool[rng.randrange(len(pool))]]
-        f = tau_inv(random_kleisli(rng, src, mid, config))
-        g = tau_inv(random_kleisli(rng, mid, tgt, config))
+        f = tau_inv(random_kleisli(rng, src, mid))
+        g = tau_inv(random_kleisli(rng, mid, tgt))
         if tau_inv(tau(f)) != f or tau_inv(tau(g)) != g:
             ok = False
             break

@@ -17,7 +17,7 @@ from profcalc.presheaf import functor_into_presheaves, psh_coproduct, pvf_coprod
 from profcalc.prof import KLEISLI
 from profcalc.report import check_pentagon, check_triangle
 from profcalc.seeds import all_functors, arrow_category, discrete, fork, parallel_pair
-from profcalc.suites import SuiteConfig, _monoidal_seeds
+from profcalc.suites import _monoidal_seeds
 from profcalc.symmon import (
     associative_operad,
     free_sym_cat,
@@ -37,7 +37,7 @@ def _kleisli():
 
 
 def _day(name):
-    mon = dict(_monoidal_seeds(SuiteConfig()))[name]
+    mon = dict(_monoidal_seeds())[name]
     objs = list(mon.base.objects)
 
     def pair_sum(i):
@@ -60,7 +60,7 @@ def _subst(name, arity):
 
 INSTANCES = {
     "kleisli": _kleisli,
-    **{f"day-{name}": (lambda name=name: _day(name)) for name, _ in _monoidal_seeds(SuiteConfig())},
+    **{f"day-{name}": (lambda name=name: _day(name)) for name, _ in _monoidal_seeds()},
     **{
         f"subst-{name}-{arity}": (lambda name=name, arity=arity: _subst(name, arity))
         for name in ("Ass", "suite-seqs")

@@ -434,8 +434,8 @@ def test_coend_matches_all_morphism_reference(name, seed, with_hom):
 
     cat = SEEDS[name]
     rng = random.Random(seed)
-    p = random_presheaf(rng, cat, 3)
-    q = random_presheaf(rng, opposite(cat), 3)
+    p = random_presheaf(rng, cat)
+    q = random_presheaf(rng, opposite(cat))
     h = _tensor_plus_hom(cat, p, q, with_hom)
     result = coend(cat, h, check=True)
     assert {frozenset(c) for c in result.classes} == _reference_coend_classes(cat, h)

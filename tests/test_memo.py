@@ -122,7 +122,7 @@ def test_a_pentagon_check_never_computes_the_same_call_twice(monkeypatch):
 
 
 def _day_instance():
-    mon = dict(_monoidal_seeds(SuiteConfig()))["Z3-discrete"]
+    mon = dict(_monoidal_seeds())["Z3-discrete"]
     ps = [psh_coproduct(yoneda(mon.base, a), yoneda(mon.base, "d1"))[0] for a in ("d0", "d1", "d2", "d0")]
     return day_bicategory(mon), ps, "day_convolve"
 

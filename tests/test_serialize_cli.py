@@ -240,6 +240,35 @@ def test_cmd_compose_rejects_category_missing_a_composite(tmp_path, capsys):
     assert "missing composite (('le', '2', '2'), ('le', '2', '2'))" in capsys.readouterr().err
 
 
+# the arguments of each file-reading subcommand, given one path for every input
+_SUBCOMMAND_ARGS = {
+    "validate": lambda path: [path],
+    "compose": lambda path: ["--kind", "prof", path, path],
+    "coend": lambda path: [path],
+    "kan": lambda path: [path, path],
+    "day": lambda path: [path, path, path],
+    "subst": lambda path: [path, path],
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_ARGS))
+def test_every_subcommand_exits_2_on_a_parse_error_and_1_on_an_invalid_payload(tmp_path, capsys, command):
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("{")
+    args = _SUBCOMMAND_ARGS[command]
+    assert main([command, *args(str(malformed))]) == 2
+    assert "parse error" in capsys.readouterr().err
+    # parses, but its embedded category fails the law scan on load
+    data = serialize.to_dict(psh_terminal(arrow_category()))
+    for row in data["base"]["comp"]:
+        if row[:2] == [["le", "0", "1"], ["le", "0", "0"]]:
+            row[2] = ["le", "0", "0"]
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(data))
+    assert main([command, *args(str(invalid))]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_cmd_validate_malformed(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")
