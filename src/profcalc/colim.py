@@ -63,6 +63,7 @@ from .fincat import (
     Label,
     NonInvertible,
     _Canonical,
+    generator_pairs,
     generators_by_source,
     product,
 )
@@ -212,16 +213,11 @@ def bifunctor_violations(p) -> list[str]:
             out.append(f"contra identity fails at ({a!r}, {b!r})")
         if right[(a, ib)] != FinFn.identity(s):
             out.append(f"co identity fails at ({a!r}, {b!r})")
-    contra_gens, co_gens = set(contra.generators()), set(co.generators())
-    for g, f in contra.composable_pairs():
-        if g not in contra_gens:
-            continue
+    for g, f in generator_pairs(contra):
         for b in co.objects:
             if not _is_composite(left[(contra.comp[(g, f)], b)], left[(g, b)], left[(f, b)]):
                 out.append(f"contra composition fails at ({g!r}, {f!r}) with {b!r}")
-    for g, f in co.composable_pairs():
-        if g not in co_gens:
-            continue
+    for g, f in generator_pairs(co):
         for a in contra.objects:
             if not _is_composite(right[(a, co.comp[(g, f)])], right[(a, f)], right[(a, g)]):
                 out.append(f"co composition fails at ({g!r}, {f!r}) with {a!r}")

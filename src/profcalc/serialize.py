@@ -55,7 +55,7 @@ class ParseError(ValueError):
 
 
 def _dec(data) -> Label:
-    return tuple([_dec(x) for x in data]) if type(data) is list else data
+    return data if type(data) is not list else tuple(map(_dec, data)) if list in map(type, data) else tuple(data)
 
 
 def _fn_rows(fn: FinFn) -> list:
@@ -280,7 +280,7 @@ def monoidal_from_dict(d: dict, cats: dict) -> StrictMonoidalFinCat:
     prod = product(base, base)
     obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in d["tensor_obj"]}
     mor_map = {(_dec(m), _dec(n)): _dec(k) for m, n, k in d["tensor_mor"]}
-    tensor = Functor(prod, base, obj_map, mor_map, check=True)
+    tensor = Functor(prod, base, obj_map, mor_map, check=False)  # monoidal_violations checks it
     symmetry = {(_dec(a), _dec(b)): _dec(s) for a, b, s in d["symmetry"]} if "symmetry" in d else None
     return StrictMonoidalFinCat(base, tensor, _dec(d["unit"]), symmetry)
 
