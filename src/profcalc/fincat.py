@@ -19,8 +19,9 @@ Every `FinSet` lists its elements in that order.  `FinSet(labels)` sorts.
 tuples entry by entry, so from canonical inputs they are canonical.
 
 Every keyed family of maps built from an elementwise rule -- restrictions,
-presheaf-map components, profunctor actions, operad cells -- comes from
-`components(domains, codomains, image)`, so each is a checked `FinFn`.
+presheaf-map components, operad cells -- comes from `components(domains,
+codomains, image)`, so each is a checked `FinFn`; `prof.action_tables`
+builds profunctor actions as checked `FinFn`s that call their rule directly.
 
 The engine builds the same composites again and again inside one check, so
 the builders that produce them are `memoised`: inside a `memo_scope` each is

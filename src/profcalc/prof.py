@@ -58,7 +58,6 @@ from .fincat import (
     FinFn,
     FinSet,
     Label,
-    components,
     corrupt,
     memo_scope,
     memoised,
@@ -153,20 +152,19 @@ def action_tables(source: FinCat, target: FinCat, values: dict, left, right):
     in target; right(y, f, u) sends u in values[(y, src f)] to values[(y, tgt f)],
     for f in source.  The left action is keyed morphisms x objects and the
     right one objects x morphisms, as `Profunctor` and `symmon.SymSeq` take
-    them; every map comes from `fincat.components`.
+    them; every map is a `FinFn`, checked total and into its codomain, and a
+    rule is never called on an empty value set.
     """
-    lkeys = [(g, x) for g in target.morphisms() for x in source.objects]
-    rkeys = [(y, f) for y in target.objects for f in source.morphisms()]
-    left_act = components(
-        {(g, x): values[(target.tgt(g), x)] for g, x in lkeys},
-        {(g, x): values[(target.src(g), x)] for g, x in lkeys},
-        lambda key, u: left(*key, u),
-    )
-    right_act = components(
-        {(y, f): values[(y, source.src(f))] for y, f in rkeys},
-        {(y, f): values[(y, source.tgt(f))] for y, f in rkeys},
-        lambda key, u: right(*key, u),
-    )
+    left_act = {
+        (g, x): FinFn(dom, values[(target.src(g), x)], {u: left(g, x, u) for u in dom})
+        for g in target.morphisms() for x in source.objects
+        for dom in (values[(target.tgt(g), x)],)
+    }
+    right_act = {
+        (y, f): FinFn(dom, values[(y, source.tgt(f))], {u: right(y, f, u) for u in dom})
+        for y in target.objects for f in source.morphisms()
+        for dom in (values[(y, source.src(f))],)
+    }
     return values, left_act, right_act
 
 

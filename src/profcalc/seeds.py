@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import FinCat, Functor, Label
+from .fincat import FinCat, Functor, Label, memoised
 
 
 def terminal_category() -> FinCat:
@@ -162,6 +162,7 @@ def seed_library() -> dict[str, FinCat]:
     }
 
 
+@memoised
 def all_functors(source: FinCat, target: FinCat) -> list[Functor]:
     """Enumerate functors source -> target by backtracking over object images."""
     out: list[Functor] = []

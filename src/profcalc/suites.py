@@ -7,7 +7,9 @@ nondeterministic data: identical (seed, config) pairs produce byte-identical
 JSON regardless of worker count.
 
 Each instance runs in one `fincat.memo_scope`, opened in the thread that runs
-it, so all its checks share the extensions and composites they build.
+it, so all its checks share the extensions and composites they build.  The
+instances are drawn in one scope of their own (sharing functor lists and
+Yoneda embeddings), closed before any of them runs.
 
 A fault configuration corrupts one component of a named coherence cell
 (mu, eta, theta, or an operad unit/composition witness) with a
@@ -174,12 +176,11 @@ def suite_kleisli_coherence(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
     lib = seed_library()
     specs = []
-    for i in range(config.instances):
-        cats = [_pick_cat(rng, config, lib) for _ in range(5)]
-        chain = [
-            random_kleisli(rng, cats[j], cats[j + 1]) for j in range(4)
-        ]
-        specs.append((i, cats, chain))
+    with memo_scope():
+        for i in range(config.instances):
+            cats = [_pick_cat(rng, config, lib) for _ in range(5)]
+            chain = [random_kleisli(rng, cats[j], cats[j + 1]) for j in range(4)]
+            specs.append((i, cats, chain))
 
     def run(spec):
         i, cats, chain = spec
@@ -197,12 +198,13 @@ def suite_relpsm_axioms(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
     lib = seed_library()
     specs = []
-    for i in range(config.instances):
-        cats = [_pick_cat(rng, config, lib) for _ in range(4)]
-        f = random_kleisli(rng, cats[0], cats[1])
-        g = random_kleisli(rng, cats[1], cats[2])
-        h = random_kleisli(rng, cats[2], cats[3])
-        specs.append((i, cats, f, g, h))
+    with memo_scope():
+        for i in range(config.instances):
+            cats = [_pick_cat(rng, config, lib) for _ in range(4)]
+            f = random_kleisli(rng, cats[0], cats[1])
+            g = random_kleisli(rng, cats[1], cats[2])
+            h = random_kleisli(rng, cats[2], cats[3])
+            specs.append((i, cats, f, g, h))
 
     def run(spec):
         i, cats, f, g, h = spec
@@ -226,14 +228,15 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
     lib = seed_library()
     specs = []
-    for i in range(config.instances):
-        source = lib[_LAX_POOL[rng.randrange(len(_LAX_POOL))]]
-        target = lib[_LAX_POOL[rng.randrange(len(_LAX_POOL))]]
-        functors = all_functors(source, target)
-        f = functor_into_presheaves(functors[rng.randrange(len(functors))])
-        g = random_kleisli(rng, target, _pick_cat(rng, config, lib))
-        competitors = [f, functor_into_presheaves(functors[rng.randrange(len(functors))])]
-        specs.append((i, f, g, competitors))
+    with memo_scope():
+        for i in range(config.instances):
+            source = lib[_LAX_POOL[rng.randrange(len(_LAX_POOL))]]
+            target = lib[_LAX_POOL[rng.randrange(len(_LAX_POOL))]]
+            functors = all_functors(source, target)
+            f = functor_into_presheaves(functors[rng.randrange(len(functors))])
+            g = random_kleisli(rng, target, _pick_cat(rng, config, lib))
+            competitors = [f, functor_into_presheaves(functors[rng.randrange(len(functors))])]
+            specs.append((i, f, g, competitors))
 
     def run(spec):
         i, f, g, competitors = spec
@@ -283,13 +286,14 @@ def suite_day_monoidal(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
     mons = _monoidal_seeds()
     specs = []
-    for i in range(config.instances):
-        name, mon = mons[rng.randrange(len(mons))]
-        objs = list(mon.base.objects)
-        a1 = objs[rng.randrange(len(objs))]
-        a2 = objs[rng.randrange(len(objs))]
-        ps = [random_presheaf(rng, mon.base) for _ in range(3)]
-        specs.append((i, name, mon, a1, a2, ps))
+    with memo_scope():
+        for i in range(config.instances):
+            name, mon = mons[rng.randrange(len(mons))]
+            objs = list(mon.base.objects)
+            a1 = objs[rng.randrange(len(objs))]
+            a2 = objs[rng.randrange(len(objs))]
+            ps = [random_presheaf(rng, mon.base) for _ in range(3)]
+            specs.append((i, name, mon, a1, a2, ps))
 
     def run(spec):
         i, name, mon, a1, a2, ps = spec

@@ -20,6 +20,7 @@ outer relations (a generator of the middle tuple category acts on gamma
 contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
+Their structural morphisms are built once per block shape (`TruncatedSymCat`).
 The actions of the composite, and of the tuple-level extension, come from
 `prof.coend_actions`.  Every other sequence here -- the unit, the
 representables, coproducts and the operads' sequences -- gets its action
@@ -34,7 +35,8 @@ checkers test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .colim import QuotientSet, induced_components, induced_map, quotient
 from .fincat import (
@@ -113,11 +115,15 @@ class TruncatedSymCat:
     permutation together with componentwise base morphisms routed through it:
     label (src, tgt, sigma, comps) with comps[i]: src[i] -> tgt[sigma[i]].
     The tensor (concatenation) is partial above the bound.
+    Substitution's structural morphisms, which depend on the block shape alone
+    (`block_embedding`, `block_perm_mor`), are built once, in a table keyed by
+    their arguments, however many carrier elements read them.
     """
 
     base: FinCat
     max_len: int
     cat: FinCat
+    _structural: dict = field(compare=False, repr=False)
 
     def __init__(self, base: FinCat, max_len: int):
         if max_len < 0:
@@ -162,6 +168,7 @@ class TruncatedSymCat:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "max_len", max_len)
         object.__setattr__(self, "cat", FinCat(objects, hom, ids, comp))
+        object.__setattr__(self, "_structural", {})
 
     def concat_obj(self, *tuples: tuple) -> tuple:
         out = tuple(x for t in tuples for x in t)
@@ -182,14 +189,23 @@ class TruncatedSymCat:
         comps = tuple(c for m in mors for c in m[3])
         return (src, tgt, tuple(sigma), comps)
 
+    def block_embedding(self, blocks: tuple[tuple, ...], i: int, mu: Label) -> Label:
+        """mu: blocks[i] -> t on block i, identities on the others; built once."""
+        key = ("embed", blocks, i, mu)
+        if key not in self._structural:
+            embedded = [mu if j == i else self.cat.id_of(b) for j, b in enumerate(blocks)]
+            self._structural[key] = self.concat_mor(*embedded)
+        return self._structural[key]
+
     def block_perm_mor(self, blocks: tuple[tuple, ...], sigma: Perm) -> Label:
-        """The morphism permuting whole blocks to slots, with identity components."""
-        src = self.concat_obj(*blocks)
-        inv = perm_inverse(sigma)
-        tgt = self.concat_obj(*[blocks[inv[j]] for j in range(len(blocks))])
-        perm = block_permutation(tuple(len(b) for b in blocks), sigma)
-        comps = tuple(self.base.id_of(x) for x in src)
-        return (src, tgt, perm, comps)
+        """The morphism permuting whole blocks to slots, with identity components; built once."""
+        key = ("perm", blocks, sigma)
+        if key not in self._structural:
+            src = self.concat_obj(*blocks)
+            tgt = self.concat_obj(*[blocks[j] for j in perm_inverse(sigma)])
+            perm = block_permutation(tuple(len(b) for b in blocks), sigma)
+            self._structural[key] = (src, tgt, perm, tuple(self.base.id_of(x) for x in src))
+        return self._structural[key]
 
     def __eq__(self, other):
         return (
@@ -337,43 +353,23 @@ def _block_rows(f: SymSeq, xs: tuple, ys: tuple, allow_zero: bool):
         ))
 
 
-def _block_pairs(f: SymSeq, gens_x: dict, ys: tuple, blocks: tuple, vs: tuple, h: Label):
-    """Block relations at one (blocks, vs, h) over ys: a generator mu: blocks[i] -> t
-    of the tuple category moves between the i-th block value (contravariant
-    side) and the gluing morphism (covariant side).  The relation does not
-    read vs[i], so it is emitted only where vs[i] is the first of its value
-    set, once per relation."""
-    sym_x = f.source_sym
-    for i, s in enumerate(blocks):
-        if vs[i] != f.values[(s, ys[i])].elements[0]:
-            continue
-        for mu in gens_x[s]:
-            t = sym_x.cat.tgt(mu)
-            embed = sym_x.concat_mor(
-                *[mu if j == i else sym_x.cat.id_of(b) for j, b in enumerate(blocks)]
-            )
-            glued = sym_x.cat.comp[(embed, h)]
-            moved_blocks = blocks[:i] + (t,) + blocks[i + 1:]
-            pull = f.left_act[(mu, ys[i])]
-            for v_prime in f.values[(t, ys[i])]:
-                yield (
-                    (blocks, vs[:i] + (pull(v_prime),) + vs[i + 1:], h),
-                    (moved_blocks, vs[:i] + (v_prime,) + vs[i + 1:], glued),
-                )
+def _row_action(f: SymSeq, phi: Label, blocks: tuple):
+    """phi: ys -> ys' on the block rows over ys with these blocks: the permuted
+    blocks, the pushes along phi's components (each with the position it
+    reads), and the block permutation that twists the gluing morphism."""
+    _, _, sigma, gbar = phi
+    inv = perm_inverse(sigma)
+    return (
+        tuple(blocks[j] for j in inv),
+        tuple((j, f.right_act[(blocks[j], gbar[j])]) for j in inv),
+        f.source_sym.block_perm_mor(blocks, sigma),
+    )
 
 
 def _act_on_row(f: SymSeq, phi: Label, blocks: tuple, vs: tuple, h: Label):
-    """A middle tuple morphism phi: ys -> ys' acting covariantly on a block row
-    over ys: it permutes the blocks, pushes each value along its component of
-    phi, and twists the gluing morphism by the block permutation."""
-    _, _, sigma, gbar = phi
-    inv = perm_inverse(sigma)
-    sym_x = f.source_sym
-    return (
-        tuple(blocks[j] for j in inv),
-        tuple(f.right_act[(blocks[j], gbar[j])](vs[j]) for j in inv),
-        sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), h)],
-    )
+    """phi: ys -> ys' acting covariantly on one block row (blocks, vs, h) over ys."""
+    new_blocks, pushes, mover = _row_action(f, phi, blocks)
+    return new_blocks, tuple(push(vs[j]) for j, push in pushes), f.source_sym.cat.comp[(mover, h)]
 
 
 def _glue(cat: FinCat):
@@ -382,28 +378,53 @@ def _glue(cat: FinCat):
     return lambda mor, _, elem: elem[:-1] + (cat.comp[(elem[-1], mor)],)
 
 
-def _subst_relations(g: SymSeq, f: SymSeq, z: Label, carrier: FinSet, gens_x: dict, gens_y: dict):
-    """Generating relations of the substitution quotient at (xs, z).
+def _relations(f: SymSeq, gens_x: dict, carrier, outer=None):
+    """Generating relations of a substitution quotient on a carrier of
+    elements (m, ys, blocks, gamma, vs, h), in carrier order, walked one run
+    of equal (m, ys, blocks) at a time (`_block_rows` keeps each run
+    contiguous); what depends on the run alone is looked up once per run.
 
-    Block relations come from `_block_pairs`.  Outer relations: a generator
-    phi: ys -> ys' of the middle tuple category acts on the outer value
-    contravariantly and on the block row covariantly (`_act_on_row`); they
-    do not read gamma, so they are emitted only where gamma is the first of
-    its value set.
+    Block relations: a generator mu: blocks[i] -> t of the tuple category
+    moves between the i-th block value (contravariant side) and the gluing
+    morphism (covariant side, through `block_embedding`); emitted only where
+    vs[i], which they do not read, is the first of its value set.  Outer
+    relations, given outer = (g, z, gens_y) and m > 0: a generator phi: ys ->
+    ys' of the middle tuple category acts on gamma in g[ys; z] contravariantly
+    and on the block row covariantly (`_row_action`); emitted only where
+    gamma, which they do not read, is the first of its value set.
     """
-    for m, ys, blocks, gamma, vs, h in carrier:
-        for (b0, v0, h0), (b1, v1, h1) in _block_pairs(f, gens_x, ys, blocks, vs, h):
-            yield (m, ys, b0, gamma, v0, h0), (m, ys, b1, gamma, v1, h1)
-        if m == 0 or gamma != g.values[(ys, z)].elements[0]:
-            continue
-        for phi in gens_y[ys]:
-            new_blocks, new_vs, glued = _act_on_row(f, phi, blocks, vs, h)
-            pull = g.left_act[(phi, z)]
-            for gamma_tgt in g.values[(phi[1], z)]:
-                yield (
-                    (m, ys, blocks, pull(gamma_tgt), vs, h),
-                    (m, phi[1], new_blocks, gamma_tgt, new_vs, glued),
-                )
+    cat = f.source_sym.cat
+    for (m, ys, blocks), run in itertools.groupby(carrier, operator.itemgetter(0, 1, 2)):
+        moves = [
+            (i, f.values[(s, y)].elements[0], f.source_sym.block_embedding(blocks, i, mu),
+             blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:],
+             [(f.left_act[(mu, y)](v), v) for v in f.values[(cat.tgt(mu), y)]])
+            for i, (s, y) in enumerate(zip(blocks, ys)) for mu in gens_x[s]
+        ]
+        acts, first_gamma = [], None
+        if outer is not None and m > 0:
+            g, z, gens_y = outer
+            first_gamma = g.values[(ys, z)].elements[0]
+            acts = [
+                (phi[1], *_row_action(f, phi, blocks),
+                 [(g.left_act[(phi, z)](gt), gt) for gt in g.values[(phi[1], z)]])
+                for phi in gens_y[ys]
+            ]
+        for _, _, _, gamma, vs, h in run:
+            for i, first, embed, moved, pulls in moves:
+                if vs[i] == first:
+                    glued = cat.comp[(embed, h)]
+                    for pv, v in pulls:
+                        yield (
+                            (m, ys, blocks, gamma, vs[:i] + (pv,) + vs[i + 1:], h),
+                            (m, ys, moved, gamma, vs[:i] + (v,) + vs[i + 1:], glued),
+                        )
+            if gamma == first_gamma:
+                for ys_tgt, new_blocks, pushes, mover, pulls in acts:
+                    new_vs = tuple(push(vs[j]) for j, push in pushes)
+                    glued = cat.comp[(mover, h)]
+                    for pg, gt in pulls:
+                        yield (m, ys, blocks, pg, vs, h), (m, ys_tgt, new_blocks, gt, new_vs, glued)
 
 
 @memoised
@@ -458,9 +479,7 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
                 for gamma in g.values[(ys, z)]
                 for vs, h in rows
             ))
-            quotients[(xs, z)] = quotient(
-                carrier, _subst_relations(g, f, z, carrier, gens_x, gens_y)
-            )
+            quotients[(xs, z)] = quotient(carrier, _relations(f, gens_x, carrier, (g, z, gens_y)))
 
     def right(xs, zm, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -525,11 +544,9 @@ def subst_right_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
-        if m > 0:
-            lift = sym.concat_mor(*[(blocks[i], (ys[i],), (0,), (vs[i],)) for i in range(m)])
-            mover = sym.cat.comp[(lift, h)]
-        else:
-            mover = h
+        # every block has length one, so the values vs form the morphism
+        # blocks[0] + ... + blocks[-1] = tgt(h) -> ys with identity permutation
+        mover = sym.cat.comp[((h[1], ys, perm_identity(m), vs), h)]
         return g.left_act[(mover, key[1])](gamma)
 
     comps = induced_components(composed.quotients, g.values, rule)
@@ -746,11 +763,11 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
                 (blocks, vs, h) for blocks, rows in _block_rows(f, xs, ys, nullary)
                 for vs, h in rows
             ))
-            quotients[(xs, ys)] = quotient(
-                carrier,
-                (pair for blocks, vs, h in carrier
-                 for pair in _block_pairs(f, gens_x, ys, blocks, vs, h)),
-            )
+            # the block relations, walked as a composite's carrier with no outer value
+            pairs = _relations(f, gens_x, ((len(ys), ys, b, None, vs, h) for b, vs, h in carrier))
+            quotients[(xs, ys)] = quotient(carrier, (
+                ((b0, v0, h0), (b1, v1, h1)) for (_, _, b0, _, v0, h0), (_, _, b1, _, v1, h1) in pairs
+            ))
     return Profunctor(
         sym_y.cat, sym_x.cat,
         *coend_actions(sym_y.cat, sym_x.cat, quotients, _glue(sym_x.cat),

@@ -3,12 +3,21 @@ import math
 
 import pytest
 
-from profcalc.colim import bifunctor_violations
-from profcalc.fincat import BoundExceeded, FinFn, FinSet, label_key, sort_labels, validate_category
+from profcalc.colim import bifunctor_violations, quotient
+from profcalc.fincat import (
+    BoundExceeded,
+    FinFn,
+    FinSet,
+    generators_by_source,
+    label_key,
+    sort_labels,
+    validate_category,
+)
 from profcalc.prof import prof_compose
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
     ColouredOperad,
+    _relations,
     SymSeq,
     associative_operad,
     block_permutation,
@@ -570,3 +579,134 @@ def test_subst_extension_matches_all_morphism_reference(name):
         )
         assert {frozenset(c) for c in q.classes} == _reference_partition(q.carrier, relations)
         _assert_canonical(q)
+
+
+# -- per-shape tables and the run-wise relation generator -------------------------------------
+
+
+def _fresh_embedding(sym, blocks, i, mu):
+    """The embedding of mu into block i, built from scratch on every call."""
+    return sym.concat_mor(*[mu if j == i else sym.cat.id_of(b) for j, b in enumerate(blocks)])
+
+
+def _fresh_block_perm(sym, blocks, sigma):
+    """The whole-block permutation, built from scratch on every call."""
+    src = sym.concat_obj(*blocks)
+    inv = perm_inverse(sigma)
+    tgt = sym.concat_obj(*[blocks[inv[j]] for j in range(len(blocks))])
+    perm = block_permutation(tuple(len(b) for b in blocks), sigma)
+    return (src, tgt, perm, tuple(sym.base.id_of(x) for x in src))
+
+
+def _old_block_pairs(f, gens_x, ys, blocks, vs, h):
+    """Block relations at one carrier element, built element by element."""
+    sym_x = f.source_sym
+    for i, s in enumerate(blocks):
+        if vs[i] != f.values[(s, ys[i])].elements[0]:
+            continue
+        for mu in gens_x[s]:
+            t = sym_x.cat.tgt(mu)
+            glued = sym_x.cat.comp[(_fresh_embedding(sym_x, blocks, i, mu), h)]
+            moved_blocks = blocks[:i] + (t,) + blocks[i + 1:]
+            pull = f.left_act[(mu, ys[i])]
+            for v_prime in f.values[(t, ys[i])]:
+                yield (
+                    (blocks, vs[:i] + (pull(v_prime),) + vs[i + 1:], h),
+                    (moved_blocks, vs[:i] + (v_prime,) + vs[i + 1:], glued),
+                )
+
+
+def _old_subst_relations(g, f, z, carrier, gens_x, gens_y):
+    """Block and outer relations of a substitution quotient, element by element."""
+    sym_x = f.source_sym
+    for m, ys, blocks, gamma, vs, h in carrier:
+        for (b0, v0, h0), (b1, v1, h1) in _old_block_pairs(f, gens_x, ys, blocks, vs, h):
+            yield (m, ys, b0, gamma, v0, h0), (m, ys, b1, gamma, v1, h1)
+        if m == 0 or gamma != g.values[(ys, z)].elements[0]:
+            continue
+        for phi in gens_y[ys]:
+            _, _, sigma, gbar = phi
+            inv = perm_inverse(sigma)
+            new_blocks = tuple(blocks[j] for j in inv)
+            new_vs = tuple(f.right_act[(blocks[j], gbar[j])](vs[j]) for j in inv)
+            glued = sym_x.cat.comp[(_fresh_block_perm(sym_x, blocks, sigma), h)]
+            pull = g.left_act[(phi, z)]
+            for gamma_tgt in g.values[(phi[1], z)]:
+                yield (
+                    (m, ys, blocks, pull(gamma_tgt), vs, h),
+                    (m, phi[1], new_blocks, gamma_tgt, new_vs, glued),
+                )
+
+
+RUN_CASES = dict(SUBST_REFERENCE_CASES, **{"Ass o Ass, arity 4": (associative_operad(4).seq,) * 2})
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_wise_relations_match_the_per_element_sequence(name):
+    g, f = RUN_CASES[name]
+    gens_x = generators_by_source(f.source_sym.cat)
+    gens_y = generators_by_source(g.source_sym.cat)
+    gf = subst_compose(g, f)
+    emitted = 0
+    for (xs, z), q in gf.quotients.items():
+        new = list(_relations(f, gens_x, q.carrier, (g, z, gens_y)))
+        assert new == list(_old_subst_relations(g, f, z, q.carrier, gens_x, gens_y)), (xs, z)
+        emitted += len(new)
+    # a quotient with fewer classes than elements was made by relations
+    assert emitted > 0 or all(len(q.classes) == len(q.carrier) for q in gf.quotients.values())
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_extension_quotients_match_the_per_element_relations(name):
+    g, f = RUN_CASES[name]
+    gens_x = generators_by_source(f.source_sym.cat)
+    ext = subst_extension(f, g.source_sym)
+    for (xs, ys), q in ext.quotients.items():
+        relations = (
+            pair for blocks, vs, h in q.carrier
+            for pair in _old_block_pairs(f, gens_x, ys, blocks, vs, h)
+        )
+        assert quotient(q.carrier, relations).classes == q.classes, (xs, ys)
+
+
+def _block_tuples(sym):
+    for m in range(sym.max_len + 1):
+        for blocks in itertools.product(sym.cat.objects, repeat=m):
+            if sum(map(len, blocks)) <= sym.max_len:
+                yield blocks
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_structural_tables_hold_fresh_morphisms_built_once(name):
+    g, f = RUN_CASES[name]
+    sym = f.source_sym
+    subst_compose(g, f)  # fills the tables along the way
+    filled = dict(sym._structural)
+    assert filled
+    checked = 0
+    for blocks in _block_tuples(sym):
+        for i, b in enumerate(blocks):
+            for mu in sym.cat.morphisms():
+                if sym.cat.src(mu) != b:
+                    continue
+                mor = sym.block_embedding(blocks, i, mu)
+                assert mor == _fresh_embedding(sym, blocks, i, mu), (blocks, i, mu)
+                assert mor in sym.cat.hom[(mor[0], mor[1])]
+                assert sym.block_embedding(blocks, i, mu) is mor
+                checked += 1
+        for sigma in itertools.permutations(range(len(blocks))):
+            mor = sym.block_perm_mor(blocks, sigma)
+            assert mor == _fresh_block_perm(sym, blocks, sigma), (blocks, sigma)
+            assert mor in sym.cat.hom[(mor[0], mor[1])]
+            assert sym.block_perm_mor(blocks, sigma) is mor
+    assert checked > 0
+    # the entries the composite made are the ones a later call reads
+    for key, mor in filled.items():
+        assert sym._structural[key] is mor
+
+
+def test_structural_tables_do_not_change_equality_or_hash():
+    a, b = free_sym_cat(D1, 3), free_sym_cat(D1, 3)
+    a.block_perm_mor((("d0",), ("d0", "d0")), (1, 0))
+    assert a == b and hash(a) == hash(b)
+    assert "_structural" not in repr(a)
