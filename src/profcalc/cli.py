@@ -50,12 +50,11 @@ def _print_witnesses(quotients) -> None:
 
 def cmd_validate(args) -> int:
     obj = _load(args.path)
-    if isinstance(obj, FinCat):
-        report = validate_category(obj)
-        if not report.ok:
-            for line in report.violations:
-                print(f"violation: {line}", file=sys.stderr)
-            return 1
+    violations = validate_category(obj) if isinstance(obj, FinCat) else []
+    for line in violations:
+        print(f"violation: {line}", file=sys.stderr)
+    if violations:
+        return 1
     print("ok")
     return 0
 
@@ -108,7 +107,7 @@ def cmd_coend(args) -> int:
         print("coend needs a profunctor with matching endpoints", file=sys.stderr)
         return 1
     # the load ran the law scan already
-    _emit(coend(p.source, p, check=False), args.out)
+    _emit(coend(p.source, p), args.out)
     return 0
 
 

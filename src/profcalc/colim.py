@@ -1,4 +1,4 @@
-"""Finite colimits in Set: coproducts, coequalizers, coends.
+"""Finite colimits in Set: quotients and coends.
 
 Every colimit here is a quotient of an explicit carrier, computed by one
 kernel, `quotient(carrier, pairs)`: the equivalence relation generated by the
@@ -10,8 +10,7 @@ are therefore canonical, and every downstream map on quotients can be checked
 elementwise for well-definedness.
 
 No set built here is sorted; each is canonical by construction: carriers
-and coproducts are `FinSet.sigma`s, and class names the class minima in
-carrier order.
+are `FinSet.sigma`s, and class names the class minima in carrier order.
 
 A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
@@ -20,16 +19,14 @@ makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
 `coend_from`, the one coend entry, takes the diagonal H(y, y) and, for each
 generator f: y -> y' (`FinCat.generators`) only, the related pairs
 (H(f, 1)w, H(1, f)w); that needs the integrand to be a bifunctor.
-`kan_extend`, `prof_compose`, `day_convolve` and `coyoneda_iso` read these
-pairs straight off their functorial input tables -- presheaf restrictions,
-presheaf-map components, profunctor actions, hom composition, the monoidal
-composition -- so no slice H(y', y) and no action map is built; `fubini_iso`
-reads its inner coends off the joint integrand's tables and induces the
-actions of its outer one along generators only.  A bifunctor
+`kan_extend`, `prof_compose` and `day_convolve` read these pairs straight
+off their functorial input tables -- presheaf restrictions, presheaf-map
+components, profunctor actions, hom composition, the monoidal composition --
+so no slice H(y', y) and no action map is built.  A bifunctor
 C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
-which a whole integrand is given: `coend` reads the pairs off its tables,
-and `bifunctor_violations` checks its laws, the one law scan behind
-`Profunctor`, `coend(check=True)` and `fubini_iso`.
+which a whole integrand is given: `coend` reads the pairs off its tables and
+trusts its laws, which `bifunctor_violations`, the one law scan behind
+`Profunctor(check=True)`, has checked when it was built or loaded.
 
 A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
@@ -51,7 +48,6 @@ is dropped when the outermost scope closes.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -65,12 +61,7 @@ from .fincat import (
     _Canonical,
     generator_pairs,
     generators_by_source,
-    product,
 )
-
-
-class BifunctorialityViolation(ValueError):
-    """Coend input failed the bifunctor laws; names the offending morphism pair."""
 
 
 @dataclass(frozen=True)
@@ -145,38 +136,6 @@ def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientS
     for i, p in enumerate(parent):  # parent[p] is already a root, as p <= i
         parent[i] = parent[p]
     return QuotientSet(carrier, parent)
-
-
-def coproduct(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
-    """Tagged union; element of the i-th summand x becomes (i, x)."""
-    total = FinSet.sigma(range(len(sets)), sets.__getitem__)
-    injections = [
-        FinFn(s, total, {x: (i, x) for x in s}) for i, s in enumerate(sets)
-    ]
-    return total, injections
-
-
-def coequalizer(f: FinFn, g: FinFn) -> QuotientSet:
-    """Quotient of the shared codomain by the equivalence generated by f(a) ~ g(a)."""
-    if f.domain != g.domain or f.codomain != g.codomain:
-        raise EndpointMismatch("coequalizer needs a parallel pair")
-    return quotient(f.codomain, ((f(a), g(a)) for a in f.domain))
-
-
-def factor_through_quotient(q: QuotientSet, h: FinFn) -> FinFn:
-    """The unique map out of the quotient with h = factor . projection.
-
-    Raises ValueError when h does not respect the equivalence.
-    """
-    if h.domain != q.carrier:
-        raise EndpointMismatch("h must be defined on the carrier")
-    table: dict[Label, Label] = {}
-    for cls in q.classes:
-        values = {h(x) for x in cls}
-        if len(values) > 1:
-            raise ValueError(f"map does not coequalize: class {cls!r} has images {values!r}")
-        table[cls[0]] = h(cls[0])
-    return FinFn(q.quotient, h.codomain, table)
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
@@ -263,18 +222,14 @@ def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
     return quotient(carrier, relations())
 
 
-def coend(base: FinCat, p, check: bool = True) -> QuotientSet:
+def coend(base: FinCat, p) -> QuotientSet:
     """`coend_from` for an endo-profunctor p on base (`prof.Profunctor`): its
     diagonal, and the pairs (p(f, id)(w), p(id, f)(w)) for w in p(y', y)
-    along each generator f: y -> y'.  check=True first runs
-    `bifunctor_violations`; check=False takes the laws on trust.
+    along each generator f: y -> y'.  The laws are taken on trust, as a
+    checked `Profunctor` or a loaded payload has passed `bifunctor_violations`.
     """
     if p.target != base or p.source != base:
         raise EndpointMismatch("coend needs a bifunctor over the base on both sides")
-    if check:
-        bad = bifunctor_violations(p)
-        if bad:
-            raise BifunctorialityViolation(bad[0])
 
     def related(f):
         y, y1 = base.src(f), base.tgt(f)
@@ -356,100 +311,3 @@ def induced_actions(cat: FinCat, quotient_at, rule, contravariant: bool) -> dict
                 acts[m] = acts[g].then(acts[r]) if contravariant else acts[r].then(acts[g])
                 queue.append(m)
     return {m: acts[m] for m in cat.morphisms()}
-
-
-def coyoneda_iso(
-    base: FinCat,
-    value_at: Callable[[Label], FinSet],
-    act: Callable[[Label], FinFn],
-    x: Label,
-    covariant: bool = True,
-) -> tuple[QuotientSet, FinFn]:
-    """The density bijection at x.
-
-    Covariant F:  int^y base[y, x] x F(y)  -> F(x),   class(y,(g,v)) -> F(g)(v).
-    Presheaf  F:  int^y base[x, y] x F(y)  -> F(x),   class(y,(g,v)) -> F(g)(v).
-
-    `act(f)` must be F's action: F(src f) -> F(tgt f) in the covariant case
-    and F(tgt f) -> F(src f) in the presheaf case.  Bijectivity is verified.
-    """
-
-    def diagonal(y):
-        return itertools.product(base.hom[(y, x) if covariant else (x, y)].elements, value_at(y).elements)
-
-    def related(f):
-        y, y1 = base.src(f), base.tgt(f)
-        fv = act(f)
-        if covariant:  # w = (m, v) in base[y', x] x F(y)
-            return (((base.comp[(m, f)], v), (m, fv(v))) for m in base.hom[(y1, x)] for v in value_at(y))
-        # w = (m, v) in base[x, y] x F(y')
-        return (((m, fv(v)), (base.comp[(f, m)], v)) for m in base.hom[(x, y)] for v in value_at(y1))
-
-    result = coend_from(base, diagonal, related)
-
-    def rule(pair: Label) -> Label:
-        y, (g, v) = pair
-        return act(g)(v)
-
-    fn = induced_map(result, value_at(x), rule)
-    if not fn.is_iso():
-        raise NonInvertible(f"co-Yoneda comparison at {x!r} is not a bijection")
-    return result, fn
-
-
-def fubini_iso(base_left: FinCat, base_right: FinCat, joint) -> tuple[QuotientSet, QuotientSet, FinFn]:
-    """Single coend over base_left x base_right versus iterated (inner right, outer left).
-
-    joint is an endo-profunctor on the product category (`prof.Profunctor`);
-    `bifunctor_violations` runs on it first.  Returns (joint coend,
-    outer coend, bijection joint -> iterated) where the iterated result's
-    elements are classes of (a, class of (b, w)).
-    """
-    prod = product(base_left, base_right)
-    if joint.target != prod or joint.source != prod:
-        raise EndpointMismatch("joint bifunctor must live over the product category")
-    joint_result = coend(prod, joint)
-    left, right = joint.left_act, joint.right_act
-
-    @functools.cache
-    def inner(key: tuple[Label, Label]) -> QuotientSet:
-        # the coend over base_right of joint((a-, -), (a+, -)), at key (a-, a+)
-        a_minus, a_plus = key
-        id_minus, id_plus = base_left.id_of(a_minus), base_left.id_of(a_plus)
-
-        def related(f):
-            y, y1 = base_right.src(f), base_right.tgt(f)
-            lf = left[((id_minus, f), (a_plus, y))]
-            rf = right[((a_minus, y1), (id_plus, f))]
-            return ((lf(w), rf(w)) for w in joint.values[((a_minus, y1), (a_plus, y))])
-
-        return coend_from(base_right, lambda y: joint.values[((a_minus, y), (a_plus, y))], related)
-
-    # the outer coend over base_left of K(a-, a+) = inner((a-, a+)), with the
-    # actions along each generator induced from the joint ones
-    def outer_related(m):
-        a, a1 = base_left.src(m), base_left.tgt(m)
-        dom, left_cod, right_cod = inner((a1, a)), inner((a, a)), inner((a1, a1))
-
-        def left_rule(pair):
-            y, w = pair
-            return left_cod.representative((y, left[((m, base_right.id_of(y)), (a, y))](w)))
-
-        def right_rule(pair):
-            y, w = pair
-            return right_cod.representative((y, right[((a1, y), (m, base_right.id_of(y)))](w)))
-
-        lf = induced_map(dom, left_cod.quotient, left_rule)
-        rf = induced_map(dom, right_cod.quotient, right_rule)
-        return ((lf(k), rf(k)) for k in dom.quotient)
-
-    outer_result = coend_from(base_left, lambda a: inner((a, a)).quotient, outer_related)
-
-    def comparison(pair: Label) -> Label:
-        (a, b), w = pair
-        return outer_result.representative((a, inner((a, a)).representative((b, w))))
-
-    fn = induced_map(joint_result, outer_result.quotient, comparison)
-    if not fn.is_iso():
-        raise NonInvertible("Fubini comparison is not a bijection")
-    return joint_result, outer_result, fn

@@ -454,48 +454,34 @@ def generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
     return out
 
 
-@dataclass
-class ValidationReport:
-    """Violations discovered by an exhaustive table scan.  Empty means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-
-def validate_category(cat: FinCat) -> ValidationReport:
+def validate_category(cat: FinCat) -> list[str]:
     """Closure and units on every composable pair; associativity, once they
     hold, first on the triples (h, g, f) with h a generator.  `generators` (or
     a `product` of unital factors) reaches each morphism as an identity or as
     p.r, p a generator and r reached earlier, and by induction on r (p.r).(g.f)
     = p.((r.g).f) = ((p.r).g).f.  Otherwise, or on a violation, every triple is."""
-    report = ValidationReport()
+    out: list[str] = []
     for g, f in cat.composable_pairs():
         if (g, f) not in cat.comp:
-            report.add(f"missing composite ({g!r}, {f!r})")
+            out.append(f"missing composite ({g!r}, {f!r})")
             continue
         h = cat.comp[(g, f)]
         if h not in cat.hom[(cat.src(f), cat.tgt(g))]:
-            report.add(f"composite ({g!r}, {f!r}) = {h!r} lands outside hom set")
+            out.append(f"composite ({g!r}, {f!r}) = {h!r} lands outside hom set")
     for key in cat.comp:
         g, f = key
         if f not in cat._mor_endpoints or g not in cat._mor_endpoints:
-            report.add(f"composition table mentions unknown morphism in {key!r}")
+            out.append(f"composition table mentions unknown morphism in {key!r}")
         elif cat.tgt(f) != cat.src(g):
-            report.add(f"composition table keyed by non-composable pair {key!r}")
-    if not report.ok:
-        return report
+            out.append(f"composition table keyed by non-composable pair {key!r}")
+    if out:
+        return out
     for m in cat.morphisms():
         a, b = cat.src(m), cat.tgt(m)
         if cat.comp[(m, cat.ids[a])] != m:
-            report.add(f"right unit law fails on {m!r}")
+            out.append(f"right unit law fails on {m!r}")
         if cat.comp[(cat.ids[b], m)] != m:
-            report.add(f"left unit law fails on {m!r}")
+            out.append(f"left unit law fails on {m!r}")
 
     def associativity(generators_only: bool) -> list[str]:
         out_of = {c: [h for d in cat.objects for h in cat.hom[(c, d)]] for c in cat.objects}
@@ -507,8 +493,9 @@ def validate_category(cat: FinCat) -> ValidationReport:
             if cat.comp[(h, cat.comp[(g, f)])] != cat.comp[(cat.comp[(h, g)], f)]
         ]
 
-    report.violations += [] if report.ok and not associativity(True) else associativity(False)
-    return report
+    if out or associativity(True):
+        out += associativity(False)
+    return out
 
 
 def opposite(cat: FinCat) -> FinCat:

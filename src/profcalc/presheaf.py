@@ -301,11 +301,6 @@ def eta_iso(f: PshValuedFunctor, x: Label) -> PshMap:
     return phi.require_iso(f"unit comparison at {x!r} is not invertible")
 
 
-def apply_P_functor(f: Functor, p: Presheaf) -> Presheaf:
-    """Action of the presheaf construction on a functor: extend Yoneda-after-f."""
-    return kan_extend(functor_into_presheaves(f), p)
-
-
 # -- pointwise limits and colimits ---------------------------------------------
 
 
@@ -365,15 +360,6 @@ def psh_equalizer(phi: PshMap, psi: PshMap) -> tuple[Presheaf, PshMap]:
     return eq, pshmap_from_rule(eq, p, lambda a, u: u)
 
 
-def psh_equalizer_factor(eq_data: tuple[Presheaf, PshMap], cone: PshMap) -> PshMap:
-    """Unique factoring of an equalizing cone through the equalizer (witnessed)."""
-    eq, incl = eq_data
-    factor = pshmap_from_rule(cone.source, eq, lambda a, w: cone.components[a](w))
-    if factor.then(incl) != cone:
-        raise ValueError("factor does not recover the cone through the equalizer")
-    return factor
-
-
 def psh_pullback(phi: PshMap, psi: PshMap) -> tuple[Presheaf, PshMap, PshMap]:
     """Pullback of phi: p -> r and psi: q -> r, with projections: the
     equalizer of pi1 then phi and pi2 then psi on the product p x q."""
@@ -397,19 +383,6 @@ def psh_coproduct(p: Presheaf, q: Presheaf) -> tuple[Presheaf, PshMap, PshMap]:
     )
     in1 = pshmap_from_rule(p, cop, lambda a, u: (0, u))
     return cop, in1, pshmap_from_rule(q, cop, lambda a, v: (1, v))
-
-
-def psh_copair(leg1: PshMap, leg2: PshMap, cop_data=None) -> PshMap:
-    """Unique factoring out of the pointwise coproduct (witnessed)."""
-    if leg1.target != leg2.target:
-        raise EndpointMismatch("cocone legs have different nadir")
-    cop, in1, in2 = cop_data if cop_data else psh_coproduct(leg1.source, leg2.source)
-    out = pshmap_from_rule(
-        cop, leg1.target, lambda a, tu: (leg1, leg2)[tu[0]].components[a](tu[1])
-    )
-    if in1.then(out) != leg1 or in2.then(out) != leg2:
-        raise ValueError("copairing does not factor the cocone through the coproduct")
-    return out
 
 
 # -- combinators for functors into presheaves -------------------------------------
@@ -557,10 +530,6 @@ def all_psh_maps(p: Presheaf, q: Presheaf) -> list[PshMap]:
 # -- preservation checks ---------------------------------------------------------
 
 
-def comparison_to_terminal(f: PshValuedFunctor, t: Label) -> PshMap:
-    return psh_terminal_map(f.on_obj[t])
-
-
 def _comparison(source: Presheaf, target: Presheaf, image, missing: str) -> PshMap:
     """The map u -> image(a, u) from source into target; ValueError naming the
     first u whose image is not in target."""
@@ -591,7 +560,7 @@ def check_preserves(kind: str, f: PshValuedFunctor, instance) -> CheckReport:
     report = CheckReport(f"preserves-{kind}")
     if kind == "terminal":
         t = instance
-        cmp_map = comparison_to_terminal(f, t)
+        cmp_map = psh_terminal_map(f.on_obj[t])
         report.add(
             "comparison-iso",
             cmp_map.is_iso(),

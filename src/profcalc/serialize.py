@@ -29,6 +29,7 @@ from .fincat import (
     label_key,
     memo_scope,
     product,
+    require_lawful,
     sort_labels,
     validate_category,
 )
@@ -107,9 +108,7 @@ def _category_from_dict(d: dict, cats: dict) -> FinCat:
     cat = cats.get(key)
     if cat is None:
         cat = fincat_from_dict(d, cats)
-        report = validate_category(cat)
-        if not report.ok:
-            raise ValueError(f"embedded category is invalid: {report.violations[0]}")
+        require_lawful(validate_category(cat), "embedded category is invalid")
         cats[key] = cat
     return cat
 

@@ -425,6 +425,11 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ValueError("a fault index needs a fault kind (--fault)")
     if config.instances < 0:
         raise ValueError(f"instance count must be non-negative, got {config.instances}")
+    if config.max_objects < 1:
+        raise ValueError(f"--max-objects must be at least 1, got {config.max_objects}")
+    if name == "operad" and config.max_arity < 2:
+        # each instance substitutes representables at the pick ("d0", "d0")
+        raise ValueError(f"the operad suite needs --max-arity at least 2, got {config.max_arity}")
     return table[name](config)
 
 

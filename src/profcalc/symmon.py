@@ -54,7 +54,6 @@ from .fincat import (
     label_key,
     memo_scope,
     memoised,
-    opposite,
 )
 from .prof import ProfCell, Profunctor, action_tables, coend_actions, kleisli_compose, tau
 from .report import Bicategory, CheckReport
@@ -441,6 +440,8 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
     """
     if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
+    if m_bound is not None and m_bound < 0:  # it would empty every value silently
+        raise ValueError(f"m_bound must be non-negative, got {m_bound}")
     sym_x = f.source_sym
     sym_y = g.source_sym
     z_cat = g.source
@@ -741,7 +742,7 @@ def associative_operad(max_arity: int) -> ColouredOperad:
     return ColouredOperad(seq, unit_components, comp_components)
 
 
-# -- the extension operation and the duality view ----------------------------------------------
+# -- the extension operation ----------------------------------------------
 
 
 def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = None) -> Profunctor:
@@ -749,6 +750,8 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = Non
     block decompositions of xs matching ys, quotiented by block relations."""
     if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
+    if m_bound is not None and m_bound < 0:  # it would empty every value silently
+        raise ValueError(f"m_bound must be non-negative, got {m_bound}")
     sym_x = f.source_sym
     nullary = f.has_nullary_support()
     if nullary and m_bound is None:
@@ -785,6 +788,9 @@ def representable_seq(sym: TruncatedSymCat, target: FinCat, picks: dict) -> SymS
     """
     if not all(target.is_identity(g) for g in target.morphisms()):
         raise ValueError("representable sequences need identity-only targets")
+    for y, pick in picks.items():
+        if len(pick) > sym.max_len:
+            raise BoundExceeded(f"pick {pick!r} at {y!r} is longer than the arity bound {sym.max_len}")
     values = {(xs, y): sym.cat.hom[(xs, picks[y])] for xs in sym.cat.objects for y in target.objects}
     tables = action_tables(
         target, sym.cat, values, lambda m, y, h: sym.cat.comp[(h, m)], lambda xs, g, h: h
@@ -838,53 +844,3 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
             f"|subst| = {len(fn.domain)}, |kleisli| = {len(fn.codomain)}",
         )
     return report
-
-
-def _convert_op_tuple_morphism(m: Label) -> Label:
-    """Morphism of tuples over the opposite base <-> reversed morphism of tuples."""
-    src, tgt, sigma, comps = m
-    inv = perm_inverse(sigma)
-    return (tgt, src, inv, tuple(comps[inv[j]] for j in range(len(sigma))))
-
-
-def esp_view(f: SymSeq, sym_op: TruncatedSymCat | None = None) -> Profunctor:
-    """Re-index a sequence as a profunctor out of tuples over the opposite colours.
-
-    The hom-categories of the two presentations are identified by reversing
-    both variances; this is a pure re-indexing of the same value tables.
-    """
-    op_base = opposite(f.source_sym.base)
-    sym_op = sym_op if sym_op is not None else free_sym_cat(op_base, f.source_sym.max_len)
-    y_op = opposite(f.source)
-    values = {
-        (y, xs): f.values[(xs, y)]
-        for y in y_op.objects
-        for xs in sym_op.cat.objects
-    }
-    left_act = {}
-    for gm in y_op.morphisms():
-        for xs in sym_op.cat.objects:
-            left_act[(gm, xs)] = f.right_act[(xs, gm)]
-    right_act = {}
-    for y in y_op.objects:
-        for m_op in sym_op.cat.morphisms():
-            right_act[(y, m_op)] = f.left_act[(_convert_op_tuple_morphism(m_op), y)]
-    return Profunctor(sym_op.cat, y_op, values, left_act, right_act, check=False)
-
-
-def esp_unview(p: Profunctor, sym: TruncatedSymCat) -> SymSeq:
-    """Inverse re-indexing; esp_unview(esp_view(f)) == f label-exactly."""
-    y_cat = opposite(p.target)
-    values = {
-        (xs, y): p.values[(y, xs)]
-        for (y, xs) in p.values
-    }
-    left_act = {}
-    for m in sym.cat.morphisms():
-        for y in y_cat.objects:
-            left_act[(m, y)] = p.right_act[(y, _convert_op_tuple_morphism(m))]
-    right_act = {}
-    for xs in p.source.objects:
-        for gm in y_cat.morphisms():
-            right_act[(xs, gm)] = p.left_act[(gm, xs)]
-    return SymSeq(sym, y_cat, values, left_act, right_act, check=False)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from profcalc.colim import coyoneda_iso, fubini_iso
+from integrands import coyoneda_iso, fubini_iso
 from profcalc.day import (
     check_convolution_assoc,
     check_convolution_symmetry,

@@ -4,6 +4,7 @@ and a rule whose image leaves the codomain is refused, naming that image."""
 
 import pytest
 
+from integrands import psh_copair, psh_equalizer_factor
 from profcalc.colim import bifunctor_violations
 from profcalc.fincat import FinSet, components, identity_functor, memo_scope
 from profcalc.presheaf import (
@@ -13,9 +14,7 @@ from profcalc.presheaf import (
     presheaf_from_rule,
     presheaf_violations,
     psh_coproduct,
-    psh_copair,
     psh_equalizer,
-    psh_equalizer_factor,
     psh_initial,
     psh_initial_map,
     psh_pair,

@@ -3,19 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profcalc.colim import (
-    BifunctorialityViolation,
-    bifunctor_violations,
-    coend,
-    coend_from,
-    coequalizer,
-    coproduct,
-    coyoneda_iso,
-    factor_through_quotient,
-    fubini_iso,
-    induced_components,
-    quotient,
-)
+from integrands import coyoneda_iso, fubini_iso
+from profcalc.colim import bifunctor_violations, coend, coend_from, induced_components, induced_map, quotient
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
 from profcalc.presheaf import yoneda
 from profcalc.prof import Profunctor
@@ -24,37 +13,40 @@ from profcalc.seeds import arrow_category, chain, discrete, seed_library, termin
 SEEDS = seed_library()
 
 
+# coproducts are `FinSet.sigma`s, tagging x in the i-th summand as (i, x)
+
+
 def test_coproduct_empty():
-    total, injections = coproduct([])
-    assert len(total) == 0 and injections == []
+    assert len(FinSet.sigma(range(0), [].__getitem__)) == 0
 
 
 def test_coproduct_singletons():
-    total, (i1, i2) = coproduct([FinSet(["a"]), FinSet(["b"])])
+    total = FinSet.sigma(range(2), [FinSet(["a"]), FinSet(["b"])].__getitem__)
     assert len(total) == 2
-    assert i1("a") != i2("b")
+    assert total.elements == ((0, "a"), (1, "b"))
 
 
 def test_coproduct_counts():
     sets = [FinSet(range(2)), FinSet(range(3)), FinSet(range(5))]
-    total, injections = coproduct(sets)
+    total = FinSet.sigma(range(3), sets.__getitem__)
     assert len(total) == 10
-    images = set()
-    for inj in injections:
-        images |= {inj(x) for x in inj.domain}
-    assert len(images) == 10
+    images = {(i, x) for i, s in enumerate(sets) for x in s}
+    assert len(images) == 10 and images == set(total)
+
+
+# the coequalizer of f, g: A -> B is the quotient of B by the pairs (f(a), g(a))
 
 
 def test_coequalizer_equal_maps_is_discrete():
     s = FinSet([0, 1, 2])
     f = FinFn(s, s, {0: 1, 1: 2, 2: 0})
-    q = coequalizer(f, f)
+    q = quotient(s, [(f(a), f(a)) for a in s])
     assert q.classes == ((0,), (1,), (2,))
 
 
 def test_coequalizer_swap_single_class():
     s = FinSet([0, 1])
-    q = coequalizer(FinFn.identity(s), FinFn(s, s, {0: 1, 1: 0}))
+    q = quotient(s, [(0, 1), (1, 0)])
     assert q.classes == ((0, 1),)
 
 
@@ -63,20 +55,20 @@ def test_coequalizer_chain_closure():
     cod = FinSet(["a", "b", "c"])
     f = FinFn(dom, cod, {"g1": "a", "g2": "b"})
     g = FinFn(dom, cod, {"g1": "b", "g2": "c"})
-    q = coequalizer(f, g)
+    q = quotient(cod, [(f(a), g(a)) for a in dom])
     assert q.classes == (("a", "b", "c"),)
     assert q.representative("c") == "a"
 
 
 def test_factor_through_quotient_unique():
     s = FinSet([0, 1])
-    q = coequalizer(FinFn.identity(s), FinFn(s, s, {0: 1, 1: 0}))
+    q = quotient(s, [(0, 1), (1, 0)])
     h = FinFn(s, FinSet(["x"]), {0: "x", 1: "x"})
-    factored = factor_through_quotient(q, h)
+    factored = induced_map(q, h.codomain, h)
     assert factored(q.representative(0)) == "x"
     bad = FinFn(s, FinSet(["x", "y"]), {0: "x", 1: "y"})
     with pytest.raises(ValueError):
-        factor_through_quotient(q, bad)
+        induced_map(q, bad.codomain, bad)
 
 
 def test_quotient_names_a_related_label_outside_the_carrier():
@@ -117,8 +109,8 @@ def test_coequalizer_matches_naive_closure(data):
     dom = FinSet(range(k))
     f = FinFn(dom, cod, {i: data.draw(st.integers(0, n - 1)) for i in range(k)})
     g = FinFn(dom, cod, {i: data.draw(st.integers(0, n - 1)) for i in range(k)})
-    q = coequalizer(f, g)
-    # the kernel on its own, with the relation pairs in reverse order
+    q = quotient(cod, [(f(i), g(i)) for i in dom])
+    # the same relation, each pair swapped and given in reverse order
     q_kernel = quotient(cod, [(g(i), f(i)) for i in reversed(dom.elements)])
     assert q_kernel.classes == q.classes
     # naive reflexive-symmetric-transitive closure
@@ -175,7 +167,7 @@ def test_coend_terminal_category():
         {("*", "*"): vals},
         {("id*", "*"): FinFn.identity(vals)},
         {("*", "id*"): FinFn.identity(vals)},
-        check=False,
+        check=True,
     )
     result = coend(cat, h)
     assert len(result.quotient) == 2
@@ -199,7 +191,7 @@ def test_coend_discrete_is_disjoint_union():
         for a in cat.objects
         for b in cat.objects
     }
-    result = coend(cat, Profunctor(cat, cat, values, contra, co, check=False))
+    result = coend(cat, Profunctor(cat, cat, values, contra, co, check=True))
     assert len(result.quotient) == 1 + 2 + 3
 
 
@@ -212,6 +204,7 @@ def test_coend_arrow_coyoneda_instance():
         ("le", "1", "1"): FinFn.identity(f_tables["1"]),
     }
     h = _hom_times_functor(cat, lambda b: f_tables[b], lambda m: action[m], "1")
+    assert bifunctor_violations(h) == []
     result = coend(cat, h)
     assert len(result.quotient) == len(f_tables["1"])
 
@@ -224,8 +217,8 @@ def test_coend_validates_bifunctoriality():
     co = {(a, m): FinFn.identity(vals) for a in cat.objects for m in cat.morphisms()}
     # break contra functoriality on the non-identity morphism
     contra[(("le", "0", "1"), "0")] = FinFn(vals, vals, {0: 1, 1: 1})
-    with pytest.raises(BifunctorialityViolation) as err:
-        coend(cat, Profunctor(cat, cat, values, contra, co, check=False))
+    with pytest.raises(ValueError) as err:
+        Profunctor(cat, cat, values, contra, co, check=True)
     assert "le" in str(err.value) or "interchange" in str(err.value)
 
 
@@ -437,7 +430,8 @@ def test_coend_matches_all_morphism_reference(name, seed, with_hom):
     p = random_presheaf(rng, cat)
     q = random_presheaf(rng, opposite(cat))
     h = _tensor_plus_hom(cat, p, q, with_hom)
-    result = coend(cat, h, check=True)
+    assert bifunctor_violations(h) == []
+    result = coend(cat, h)
     assert {frozenset(c) for c in result.classes} == _reference_coend_classes(cat, h)
     for c in result.classes:
         assert list(c) == sorted(c, key=label_key)
@@ -510,11 +504,10 @@ def _integrands(name):
 def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
     for base, build, table_read in _integrands(name):
         full = build()
-        # check=True raises on any bifunctor violation
-        checked = coend(base, full, check=True)
+        assert bifunctor_violations(full) == []
+        checked = coend(base, full)
         assert len(full.values) == len(base.objects) ** 2
-        unchecked = coend(base, build(), check=False)
-        assert unchecked == checked
+        assert coend(base, build()) == checked
         assert table_read == checked
 
 
@@ -571,7 +564,8 @@ def test_coend_reads_only_the_diagonal_and_generator_slices():
     # each object once for its diagonal, each generator once for its slice
     assert asked["diagonal"] == list(cat.objects)
     assert sorted(asked["related"]) == sorted(gens)
-    assert coend(cat, full, check=True) == read == coend(cat, full, check=False)
+    assert bifunctor_violations(full) == []
+    assert coend(cat, full) == read
     assert len(read.quotient) == 2
 
 
@@ -591,7 +585,7 @@ def test_coend_and_kan_extend_never_sort_labels(monkeypatch):
     calls = []
     real = fincat.label_key
     monkeypatch.setattr(fincat, "label_key", lambda label: calls.append(label) or real(label))
-    result = coend(cat, h, check=False)
+    result = coend(cat, h)
     kp = kan_extend(doubled, q)
     assert calls == []
     monkeypatch.undo()
@@ -710,19 +704,13 @@ def test_interchange_alone_failing_is_found_on_generators():
         }
 
     contra, co = action({0: 1, 1: 0}), action({1: 2, 2: 1})
-    h = Profunctor(
-        z2,
-        z2,
-        {(star, star): three},
-        {(m, star): fn for m, fn in contra.items()},
-        {(star, m): fn for m, fn in co.items()},
-        check=False,
-    )
+    tables = {(star, star): three}, {(m, star): fn for m, fn in contra.items()}, {(star, m): fn for m, fn in co.items()}
+    h = Profunctor(z2, z2, *tables, check=False)
     reference = _all_pairs_violations(h)
     assert reference and all(v[0] == "interchange" for v in reference)
     assert bifunctor_violations(h) == [f"interchange fails at ({g!r}, {g!r})"]
-    with pytest.raises(BifunctorialityViolation, match="interchange"):
-        coend(z2, h)
+    with pytest.raises(ValueError, match="interchange"):
+        Profunctor(z2, z2, *tables, check=True)
 
 
 def test_induced_components_keep_key_order_and_check_every_component():

@@ -1,6 +1,6 @@
 import pytest
 
-from profcalc.colim import fubini_iso
+from integrands import fubini_iso
 from profcalc.day import (
     StrictMonoidalFinCat,
     check_convolution_assoc,

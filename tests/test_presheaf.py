@@ -1,11 +1,11 @@
 import pytest
 
+from integrands import psh_copair, psh_equalizer_factor
 from profcalc.fincat import FinFn, FinSet, Functor
 from profcalc.presheaf import (
     Presheaf,
     PshMap,
     all_psh_maps,
-    apply_P_functor,
     check_preserves,
     enumerate_families,
     eta_iso,
@@ -14,9 +14,7 @@ from profcalc.presheaf import (
     kan_extend_map,
     presheaf_violations,
     psh_coproduct,
-    psh_copair,
     psh_equalizer,
-    psh_equalizer_factor,
     psh_initial,
     psh_pair,
     psh_product,
@@ -148,7 +146,7 @@ def test_apply_P_functor_identity_is_iso_to_argument():
     from profcalc.fincat import identity_functor
 
     p, _, _ = psh_coproduct(yoneda(cat, "x"), yoneda(cat, "e"))
-    image = apply_P_functor(identity_functor(cat), p)
+    image = kan_extend(functor_into_presheaves(identity_functor(cat)), p)
     from profcalc.prof import theta_map
 
     th = theta_map(cat, p)
@@ -161,7 +159,7 @@ def test_apply_P_functor_constant():
     tgt = fork()
     const = [f for f in all_functors(src, tgt) if len(set(f.obj_map.values())) == 1][0]
     p, _, _ = psh_coproduct(yoneda(src, "0"), yoneda(src, "1"))
-    image = apply_P_functor(const, p)
+    image = kan_extend(functor_into_presheaves(const), p)
     y0 = const.obj_map["0"]
     # concentrated as a quotient of the disjoint sum weighted by hom(-, y0)
     for a in tgt.objects:
@@ -175,7 +173,7 @@ def test_apply_P_functor_representable():
     tgt = fork()
     fun = all_functors(src, tgt)[3]
     for x in src.objects:
-        image = apply_P_functor(fun, yoneda(src, x))
+        image = kan_extend(functor_into_presheaves(fun), yoneda(src, x))
         target = yoneda(tgt, fun.obj_map[x])
         # co-Yoneda: the image is isomorphic to the representable at the image object
         assert sorted(len(image.values[a]) for a in tgt.objects) == sorted(
@@ -447,7 +445,6 @@ def test_kan_extension_preserves_coproducts():
     k1 = kan_extend_map(f, in1)
     k2 = kan_extend_map(f, in2)
     target_cop, j1, j2 = psh_coproduct(kan_extend(f, p), kan_extend(f, q))
-    cmp_map = psh_copair(k1, k2, (target_cop, j1, j2)) if False else None
     # compare cardinalities and joint surjectivity elementwise
     for a in f.target_base.objects:
         assert len(kcop.values[a]) == len(target_cop.values[a])

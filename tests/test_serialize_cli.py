@@ -12,6 +12,7 @@ from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair
+from profcalc.suites import SUITE_NAMES
 from profcalc.symmon import free_sym_cat, subst_identity, representable_seq, unit_operad
 
 
@@ -483,6 +484,23 @@ def test_cmd_suite_passes_and_fault_fails(capsys):
         )
         == 1
     )
+
+
+def test_cmd_subst_refuses_a_negative_m_bound(tmp_path, capsys):
+    s = free_sym_cat(discrete(1), 2)
+    n = _write(tmp_path, "N.json", representable_seq(s, discrete(1), {"d0": ()}))
+    assert main(["subst", n, n, "--m-bound", "-1"]) == 1
+    assert "m_bound must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_cmd_suite_refuses_bounds_below_what_it_builds(capsys):
+    # the operad suite substitutes representables at the pick ("d0", "d0"), of arity 2
+    for arity in ("1", "0"):
+        assert main(["suite", "operad", "--max-arity", arity]) == 2
+        assert f"the operad suite needs --max-arity at least 2, got {arity}" in capsys.readouterr().err
+    for suite in SUITE_NAMES:
+        assert main(["suite", suite, "--max-objects", "0"]) == 2
+        assert "--max-objects must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_cmd_suite_zero_instances_warns(capsys):

@@ -24,8 +24,6 @@ from profcalc.symmon import (
     check_operad,
     check_subst_assoc,
     check_tau_compatibility,
-    esp_unview,
-    esp_view,
     free_sym_cat,
     perm_compose,
     perm_identity,
@@ -43,7 +41,6 @@ from profcalc.symmon import (
     unit_operad,
     wreath_composition,
 )
-from profcalc.fincat import opposite
 
 D1 = discrete(1)
 
@@ -91,7 +88,7 @@ def test_free_sym_cat_factorial_endos():
     [(discrete(1), 3), (discrete(2), 2), (arrow_category(), 2), (parallel_pair(), 2)],
 )
 def test_free_sym_cat_valid(base, bound):
-    assert validate_category(free_sym_cat(base, bound).cat).ok
+    assert validate_category(free_sym_cat(base, bound).cat) == []
 
 
 def test_empty_tuple_is_strict_unit():
@@ -245,6 +242,23 @@ def test_bound_exceeded_reports_sound_bound():
     with pytest.raises(BoundExceeded) as err:
         subst_compose(g, f)
     assert "m <= output arity" in str(err.value)
+
+
+def test_negative_block_bound_is_refused():
+    # with a nonempty nullary value the block count is read from m_bound, so -1 would empty every value
+    s = free_sym_cat(D1, 2)
+    f = representable_seq(s, D1, {"d0": ()})
+    assert f.has_nullary_support()
+    with pytest.raises(ValueError, match="m_bound must be non-negative, got -1"):
+        subst_compose(f, f, -1)
+    with pytest.raises(ValueError, match="m_bound must be non-negative, got -1"):
+        subst_extension(f, s, -1)
+    assert subst_compose(f, f, 0).values[((), "d0")] != FinSet()
+
+
+def test_representable_pick_above_the_bound_is_refused():
+    with pytest.raises(BoundExceeded, match=r"pick \('d0', 'd0'\) at 'd0' is longer than the arity bound 1"):
+        representable_seq(free_sym_cat(D1, 1), D1, {"d0": ("d0", "d0")})
 
 
 # -- the independent species oracle ------------------------------------------------
@@ -456,16 +470,6 @@ def test_subst_extension_is_a_profunctor():
     f = representable_seq(s, D1, {"d0": ("d0", "d0")})
     ext = subst_extension(f, s)
     assert bifunctor_violations(ext) == []
-
-
-def test_esp_round_trip_label_exact():
-    s = free_sym_cat(arrow_category(), 2)
-    f = subst_identity(s)
-    sym_op = free_sym_cat(opposite(arrow_category()), 2)
-    view = esp_view(f, sym_op)
-    assert bifunctor_violations(view) == []
-    back = esp_unview(view, s)
-    assert back == f
 
 
 # -- substitution against a reference that relates along every morphism ----------
