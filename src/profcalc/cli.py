@@ -126,7 +126,6 @@ def cmd_suite(args) -> int:
         seed=args.seed,
         instances=args.instances,
         max_objects=args.max_objects,
-        max_values=args.max_values,
         max_arity=args.max_arity,
         workers=args.workers,
         fault=args.fault,
@@ -198,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument(
-        "--max-values", type=int, default=3,
-        help="recorded in the report's config; no suite reads it",
-    )
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument(
         "--workers", type=int, default=1,

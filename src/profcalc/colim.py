@@ -70,17 +70,22 @@ class QuotientSet:
 
     Built from `roots`: roots[i] is the carrier position of the minimal member
     of the class of position i.  Members and classes are stored in canonical
-    order (by carrier position).
+    order (by carrier position), and `quotient` is the set of class names.
+    `_names` holds the class name of each carrier position, so
+    `representative` is two lookups: the carrier's position index
+    (`FinSet._index`), then that name.
     """
 
     carrier: FinSet
     classes: tuple[tuple[Label, ...], ...]
-    projection: FinFn = field(compare=False)
+    quotient: FinSet = field(compare=False)
+    _names: tuple[Label, ...] = field(compare=False, repr=False)
 
     def __init__(self, carrier: FinSet, roots: list[int]):
         elems = carrier.elements
+        if len(roots) != len(elems):
+            raise ValueError(f"{len(roots)} roots for a carrier of {len(elems)} elements")
         groups: dict[int, list[Label]] = {}
-        table: dict[Label, Label] = {}
         for i, r in enumerate(roots):
             if r == i:
                 groups[i] = [elems[i]]
@@ -88,34 +93,28 @@ class QuotientSet:
                 groups[r].append(elems[i])
             else:
                 raise ValueError(f"position {i} has root {r}, not its class minimum")
-            table[elems[i]] = elems[r]
         classes = tuple(map(tuple, groups.values()))
-        proj = FinFn(carrier, FinSet(_Canonical(c[0] for c in classes)), table)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "projection", proj)
-
-    @property
-    def quotient(self) -> FinSet:
-        return self.projection.codomain
+        object.__setattr__(self, "quotient", FinSet(_Canonical(c[0] for c in classes)))
+        object.__setattr__(self, "_names", tuple(map(elems.__getitem__, roots)))
 
     def representative(self, element: Label) -> Label:
         """Class name (minimal member) of a carrier element."""
-        return self.projection(element)
+        return self._names[self.carrier._index[element]]
 
 
 def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientSet:
     """The carrier modulo the equivalence relation generated by `pairs`.
 
-    Union-find over carrier positions: a node's parent is never above it, so
-    the root of a class is its minimum position, i.e. its minimal member in
-    canonical order, and one scan in position order reads every root off its
-    parent's.  Pass generating relations only; the closure supplies the rest.
+    Union-find over carrier positions, read from the carrier's position
+    index (`FinSet._index`): a node's parent is never above it, so the root
+    of a class is its minimum position, i.e. its minimal member in canonical
+    order, and one scan in position order reads every root off its parent's.  Pass generating relations only; the closure supplies the rest.
     A related label outside the carrier raises ValueError naming it.
     """
-    elems = carrier.elements
-    pos = {x: i for i, x in enumerate(elems)}
-    parent = list(range(len(elems)))
+    pos = carrier._index
+    parent = list(range(len(pos)))
 
     def find(i: int) -> int:
         while parent[i] != i:

@@ -12,7 +12,7 @@ whose pentagon and triangles the shared `report` checkers test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .colim import coend_from, induced_actions, induced_components
 from .fincat import (
@@ -46,18 +46,16 @@ class StrictMonoidalFinCat:
 
     The optional symmetry is a family of isomorphisms a (x) b -> b (x) a,
     natural, self-inverse after swapping, and satisfying the strict hexagon.
+    An empty symmetry, like None, means there is none.
     """
 
     base: FinCat
     tensor: Functor  # from product(base, base) to base
     unit: Label
     symmetry: dict[tuple[Label, Label], Label] | None = None
+    check: InitVar[bool] = True
 
-    def __init__(self, base, tensor, unit, symmetry=None, check: bool = True):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "symmetry", dict(symmetry) if symmetry else None)
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(monoidal_violations(self), "not strict monoidal")
 
@@ -109,7 +107,7 @@ def monoidal_violations(mon: StrictMonoidalFinCat) -> list[str]:
     out += [] if not out and not associativity(True) else associativity(False)
     if out:
         return out
-    if mon.symmetry is not None:
+    if mon.symmetry:
         sym = mon.symmetry
         for a in base.objects:
             for b in base.objects:
@@ -367,7 +365,7 @@ def day_bicategory(mon: StrictMonoidalFinCat) -> Bicategory:
 
 @memo_scope()
 def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> PshMap:
-    if mon.symmetry is None:
+    if not mon.symmetry:
         raise ValueError("base category carries no symmetry")
     base = mon.base
     src = day_convolve(mon, f1, f2)
@@ -387,7 +385,7 @@ def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> P
 @memo_scope()
 def check_convolution_symmetry(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> CheckReport:
     report = CheckReport("convolution-symmetry")
-    if mon.symmetry is None:
+    if not mon.symmetry:
         report.add("skipped-no-symmetry", True)
         report.meta["skipped"] = "base category carries no symmetry"
         return report
@@ -415,13 +413,9 @@ class MonoidalPshFunctor:
     functor: PshValuedFunctor
     constraint: dict[tuple[Label, Label], PshMap]  # F(a1) (x) F(a2) -> F(a1 (x) a2)
     unit_cell: PshMap  # y(I_B) -> F(I_A)
+    check: InitVar[bool] = True
 
-    def __init__(self, source_mon, target_mon, functor, constraint, unit_cell, check=True):
-        object.__setattr__(self, "source_mon", source_mon)
-        object.__setattr__(self, "target_mon", target_mon)
-        object.__setattr__(self, "functor", functor)
-        object.__setattr__(self, "constraint", dict(constraint))
-        object.__setattr__(self, "unit_cell", unit_cell)
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(monoidal_functor_violations(self), "not strong monoidal")
 

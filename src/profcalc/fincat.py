@@ -18,6 +18,10 @@ Every `FinSet` lists its elements in that order.  `FinSet(labels)` sorts.
 `FinSet.subset` (order-preserving) do not need to: `label_key` compares
 tuples entry by entry, so from canonical inputs they are canonical.
 
+Records keep the tables they are given and copy none: their callers build
+each dict for the record and never change it afterwards.  A record checks its
+laws in `__post_init__` when built with check=True.
+
 Every keyed family of maps built from an elementwise rule -- restrictions,
 presheaf-map components, operad cells -- comes from `components(domains,
 codomains, image)`, so each is a checked `FinFn`; `prof.action_tables`
@@ -41,7 +45,7 @@ import functools
 import inspect
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 Label = Any  # int | str | tuple of Label
@@ -211,14 +215,19 @@ class _Canonical(tuple):
 
 @dataclass(frozen=True)
 class FinSet:
-    """An ordered finite set of pairwise-distinct labels (canonical order)."""
+    """An ordered finite set of pairwise-distinct labels (canonical order).
+
+    `_index` maps each label to its position in `elements`, hashing each label
+    once: membership, the totality check of `FinFn` and the union-find of
+    `colim.quotient` all read it.
+    """
 
     elements: tuple[Label, ...]
-    _index: frozenset = field(compare=False, repr=False)
+    _index: dict = field(compare=False, repr=False)
 
     def __init__(self, elements: Iterable[Label] = ()):
         elems = tuple(elements) if isinstance(elements, _Canonical) else sort_labels(elements)
-        index = frozenset(elems)
+        index = dict(zip(elems, range(len(elems))))
         if len(index) != len(elems):
             raise ValueError("FinSet labels must be pairwise distinct")
         object.__setattr__(self, "elements", elems)
@@ -266,9 +275,9 @@ class FinFn:
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
         # a dict is kept, not copied: callers build one for it and never change it
         items = mapping if type(mapping) is dict else dict(mapping)
-        if items.keys() != domain._index:
+        if items.keys() != domain._index.keys():
             raise ValueError("mapping must be total on the domain")
-        if not codomain._index.issuperset(items.values()):
+        if not all(map(codomain._index.__contains__, items.values())):
             for value in items.values():
                 if value not in codomain:
                     raise ValueError(f"image label {value!r} not in codomain")
@@ -317,10 +326,6 @@ class FinFn:
     def identity(s: FinSet) -> FinFn:
         return FinFn(s, s, {x: x for x in s})
 
-    @staticmethod
-    def constant(domain: FinSet, codomain: FinSet, value: Label) -> FinFn:
-        return FinFn(domain, codomain, {x: value for x in domain})
-
 
 def components(domains: dict, codomains, image) -> dict[Label, FinFn]:
     """The keyed family of maps u -> image(key, u) from domains[key] into
@@ -366,8 +371,8 @@ class FinCat:
                 raise ValueError(f"missing identity on object {a!r}")
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "hom", hom_tbl)
-        object.__setattr__(self, "ids", dict(ids))
-        object.__setattr__(self, "comp", dict(comp))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "_mor_endpoints", endpoints)
         object.__setattr__(self, "_generators", None)
 
@@ -502,7 +507,7 @@ def opposite(cat: FinCat) -> FinCat:
     """Reverse all arrows; labels are kept, so opposite(opposite(C)) == C."""
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
     comp = {(f, g): h for (g, f), h in cat.comp.items()}
-    return FinCat(cat.objects, hom, dict(cat.ids), comp)
+    return FinCat(cat.objects, hom, cat.ids, comp)
 
 
 @memoised
@@ -534,25 +539,13 @@ class Functor:
     target: FinCat
     obj_map: dict[Label, Label]
     mor_map: dict[Label, Label]
+    check: InitVar[bool] = True
 
-    def __init__(self, source, target, obj_map, mor_map, check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "obj_map", dict(obj_map))
-        object.__setattr__(self, "mor_map", dict(mor_map))
+    def __post_init__(self, check: bool):
         if check:
             problems = functor_violations(self)
             if problems:
                 raise ValueError("not a functor: " + "; ".join(problems))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functor)
-            and self.source == other.source
-            and self.target == other.target
-            and self.obj_map == other.obj_map
-            and self.mor_map == other.mor_map
-        )
 
 
 def functor_violations(fun: Functor) -> list[str]:
@@ -620,13 +613,11 @@ class NatTrans:
     source: Functor
     target: Functor
     components: dict[Label, Label]  # object of source.source -> target-category morphism
+    check: InitVar[bool] = True
 
-    def __init__(self, source, target, components, check: bool = True):
-        if source.source != target.source or source.target != target.target:
+    def __post_init__(self, check: bool):
+        if self.source.source != self.target.source or self.source.target != self.target.target:
             raise EndpointMismatch("functors are not parallel")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
         if check:
             bad = nat_trans_violations(self)
             if bad:
@@ -673,13 +664,11 @@ class Cell:
     source: Any
     target: Any
     components: dict
+    check: InitVar[bool] = True
 
     invalid = "not a cell"
 
-    def __init__(self, source, target, components, check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", dict(components))
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(self.violations(), self.invalid)
 

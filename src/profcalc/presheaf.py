@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .colim import QuotientSet, coend_from, induced_actions, induced_components
 from .fincat import (
@@ -49,23 +49,12 @@ class Presheaf:
     base: FinCat
     values: dict[Label, FinSet]
     restriction: dict[Label, FinFn]  # morphism m -> values[tgt m] -> values[src m]
+    check: InitVar[bool] = True
     quotients: dict[Label, QuotientSet] = field(compare=False, default_factory=dict, repr=False)
 
-    def __init__(self, base, values, restriction, check: bool = True, quotients=None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "restriction", dict(restriction))
-        object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(presheaf_violations(self), "not a presheaf")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Presheaf)
-            and self.base == other.base
-            and self.values == other.values
-            and self.restriction == other.restriction
-        )
 
 
 def presheaf_violations(p: Presheaf) -> list[str]:
@@ -111,10 +100,10 @@ class PshMap(Cell):
 
     invalid = "not natural"
 
-    def __init__(self, source, target, components, check: bool = True):
-        if source.base != target.base:
+    def __post_init__(self, check: bool):
+        if self.source.base != self.target.base:
             raise EndpointMismatch("presheaves live on different bases")
-        Cell.__init__(self, source, target, components, check)
+        super().__post_init__(check)
 
     def value_table(self):
         return self.source.base.objects, self.source.values, self.target.values
@@ -159,23 +148,11 @@ class PshValuedFunctor:
     target_base: FinCat
     on_obj: dict[Label, Presheaf]
     on_mor: dict[Label, PshMap]
+    check: InitVar[bool] = True
 
-    def __init__(self, source, target_base, on_obj, on_mor, check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target_base", target_base)
-        object.__setattr__(self, "on_obj", dict(on_obj))
-        object.__setattr__(self, "on_mor", dict(on_mor))
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(pvf_violations(self), "not functorial")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PshValuedFunctor)
-            and self.source == other.source
-            and self.target_base == other.target_base
-            and self.on_obj == other.on_obj
-            and self.on_mor == other.on_mor
-        )
 
 
 def pvf_violations(f: PshValuedFunctor) -> list[str]:

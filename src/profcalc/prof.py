@@ -48,7 +48,7 @@ construction order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .colim import bifunctor_violations, coend_from, induced_actions, induced_components
 from .fincat import (
@@ -92,21 +92,17 @@ class Profunctor:
     values: dict[tuple[Label, Label], FinSet]
     left_act: dict[tuple[Label, Label], FinFn]   # (target morphism g, x): values[tgt g, x] -> values[src g, x]
     right_act: dict[tuple[Label, Label], FinFn]  # (y, source morphism f): values[y, src f] -> values[y, tgt f]
+    check: InitVar[bool] = True
     quotients: dict = field(compare=False, default_factory=dict, repr=False)
 
     invalid = "not a profunctor"
 
-    def __init__(self, source, target, values, left_act, right_act, check=True, quotients=None):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "left_act", dict(left_act))
-        object.__setattr__(self, "right_act", dict(right_act))
-        object.__setattr__(self, "quotients", dict(quotients) if quotients else {})
+    def __post_init__(self, check: bool):
         if check:
             require_lawful(bifunctor_violations(self), self.invalid)
 
     def __eq__(self, other) -> bool:
+        # by isinstance, not class: a `SymSeq` equals a profunctor with the same tables
         return (
             isinstance(other, Profunctor)
             and self.source == other.source

@@ -51,11 +51,9 @@ class TestFamily:
     base: FinCat
     members: tuple[tuple[tuple, Presheaf], ...]
 
-    def __init__(self, base, members):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "members", tuple(members))
+    def __post_init__(self):
         for _, p in self.members:
-            if p.base != base:
+            if p.base != self.base:
                 raise ValueError("family member on the wrong base")
 
     def named(self):
@@ -72,7 +70,7 @@ class TestFamily:
         a, b = objs[0], objs[-1]
         cop, _, _ = psh_coproduct(yoneda(base, a), yoneda(base, b))
         members.append((("coprod", a, b), cop))
-        return TestFamily(base, members)
+        return TestFamily(base, tuple(members))
 
 
 @memo_scope()

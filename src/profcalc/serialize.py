@@ -268,7 +268,7 @@ def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
         "tensor_obj": [[a, b, mon.ob(a, b)] for a in mon.base.objects for b in mon.base.objects],
         "tensor_mor": [[m, n, mon.mor(m, n)] for m in mon.base.morphisms() for n in mon.base.morphisms()],
     }
-    if mon.symmetry is not None:
+    if mon.symmetry:
         out["symmetry"] = [[a, b, mon.symmetry[(a, b)]] for a in mon.base.objects for b in mon.base.objects]
     return out
 

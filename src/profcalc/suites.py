@@ -92,7 +92,6 @@ class SuiteConfig:
     seed: int = 0
     instances: int = 5
     max_objects: int = 4
-    max_values: int = 3  # recorded in the report's config; no suite reads it
     max_arity: int = 3
     workers: int = 1
     fault: str | None = None  # mu | eta | theta | unit | comp
@@ -103,7 +102,7 @@ class SuiteConfig:
             "seed": self.seed,
             "instances": self.instances,
             "max_objects": self.max_objects,
-            "max_values": self.max_values,
+            "max_values": 3,  # no suite reads it; still written, so suite-report@1 bytes stay the same
             "max_arity": self.max_arity,
             "fault": self.fault,
             "fault_index": self.fault_index,
@@ -284,7 +283,7 @@ def _monoidal_seeds() -> list[tuple[str, StrictMonoidalFinCat]]:
 
 def suite_day_monoidal(config: SuiteConfig) -> dict:
     rng = random.Random(config.seed)
-    mons = _monoidal_seeds()
+    mons = [(name, mon) for name, mon in _monoidal_seeds() if len(mon.base.objects) <= config.max_objects]
     specs = []
     with memo_scope():
         for i in range(config.instances):
@@ -314,8 +313,7 @@ def suite_day_monoidal(config: SuiteConfig) -> dict:
 
 
 def suite_operad(config: SuiteConfig) -> dict:
-    rng = random.Random(config.seed)
-    arity = min(config.max_arity, 3)
+    arity = config.max_arity
     specs = [(i,) for i in range(config.instances)]
 
     def run(spec):
@@ -427,9 +425,15 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ValueError(f"instance count must be non-negative, got {config.instances}")
     if config.max_objects < 1:
         raise ValueError(f"--max-objects must be at least 1, got {config.max_objects}")
-    if name == "operad" and config.max_arity < 2:
-        # each instance substitutes representables at the pick ("d0", "d0")
-        raise ValueError(f"the operad suite needs --max-arity at least 2, got {config.max_arity}")
+    if name == "operad":
+        # each instance substitutes representables at the pick ("d0", "d0"), and
+        # its unit operads are on the two-object parallel pair
+        if config.max_arity < 2:
+            raise ValueError(f"the operad suite needs --max-arity at least 2, got {config.max_arity}")
+        if config.max_arity > 3:
+            raise ValueError(f"the operad suite needs --max-arity at most 3, got {config.max_arity}")
+        if config.max_objects < 2:
+            raise ValueError(f"the operad suite needs --max-objects at least 2, got {config.max_objects}")
     return table[name](config)
 
 

@@ -289,7 +289,7 @@ class SymSeq(Profunctor):
                  check=True, quotients=None, bounded_search=False):
         object.__setattr__(self, "source_sym", source_sym)
         object.__setattr__(self, "bounded_search", bounded_search)
-        super().__init__(colours, source_sym.cat, values, left_act, right_act, check, quotients)
+        super().__init__(colours, source_sym.cat, values, left_act, right_act, check, quotients or {})
 
     @property
     def max_arity(self) -> int:
@@ -712,7 +712,7 @@ def unit_operad(colours: FinCat, max_arity: int) -> ColouredOperad:
     seq = subst_identity(sym)
     unit_components = {key: FinFn.identity(val) for key, val in seq.values.items()}
     iso = subst_left_unit_iso(seq)
-    return ColouredOperad(seq, unit_components, dict(iso.components))
+    return ColouredOperad(seq, unit_components, iso.components)
 
 
 def associative_operad(max_arity: int) -> ColouredOperad:
@@ -745,19 +745,15 @@ def associative_operad(max_arity: int) -> ColouredOperad:
 # -- the extension operation ----------------------------------------------
 
 
-def subst_extension(f: SymSeq, sym_y: TruncatedSymCat, m_bound: int | None = None) -> Profunctor:
+def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
     """The tuple-level extension of a sequence: values at (xs, ys) are the
-    block decompositions of xs matching ys, quotiented by block relations."""
+    block decompositions of xs matching ys, quotiented by block relations.
+    There are exactly len(ys) blocks, so no block count needs a bound, even
+    when f has nullary values."""
     if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
-    if m_bound is not None and m_bound < 0:  # it would empty every value silently
-        raise ValueError(f"m_bound must be non-negative, got {m_bound}")
     sym_x = f.source_sym
     nullary = f.has_nullary_support()
-    if nullary and m_bound is None:
-        raise BoundExceeded(
-            "nonempty nullary values make block decompositions unbounded; declare m_bound"
-        )
     gens_x = generators_by_source(sym_x.cat)
     quotients: dict[tuple[tuple, tuple], QuotientSet] = {}
     for xs in sym_x.cat.objects:
@@ -818,11 +814,15 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) ->
 
     The composite is recomputed through the tuple-level extension profunctor
     and the presheaf machinery; an explicit bijection is exhibited on every
-    carrier element and verified well-defined and bijective.
+    carrier element and verified well-defined and bijective.  With nullary
+    values in f the substitution is a bounded search, and the composite counts
+    blocks up to the middle arity bound: a lower m_bound raises BoundExceeded.
     """
     report = CheckReport("tau-compatibility")
     gf = subst_compose(g, f, m_bound)
-    ext = subst_extension(f, g.source_sym, m_bound)
+    if gf.bounded_search and m_bound < g.source_sym.max_len:
+        raise BoundExceeded(f"m_bound {m_bound} is below the middle arity bound {g.source_sym.max_len}")
+    ext = subst_extension(f, g.source_sym)
     composite = kleisli_compose(tau(ext), tau(g))
     for key in sorted(gf.values, key=label_key):
         xs, z = key

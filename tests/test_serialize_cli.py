@@ -503,6 +503,25 @@ def test_cmd_suite_refuses_bounds_below_what_it_builds(capsys):
         assert "--max-objects must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_cmd_suite_refuses_operad_bounds_it_would_not_honour(capsys):
+    # the report records its config, so the suite refuses a value it would not use:
+    # its instances stop at arity 3, and its unit operads are on the two-object parallel pair
+    assert main(["suite", "operad", "--max-arity", "4"]) == 2
+    assert "the operad suite needs --max-arity at most 3, got 4" in capsys.readouterr().err
+    assert main(["suite", "operad", "--max-objects", "1"]) == 2
+    assert "the operad suite needs --max-objects at least 2, got 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["suite", "operad", "--max-values", "3"])
+
+
+def test_day_monoidal_draws_only_seeds_within_max_objects(capsys):
+    args = ["suite", "day-monoidal", "--max-objects", "1", "--instances", "4", "--seed", "4", "--format", "json"]
+    assert main(args) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["config"]["max_objects"] == 1
+    assert [inst["sizes"] for inst in result["instances"]] == [[1]] * 4
+
+
 def test_cmd_suite_zero_instances_warns(capsys):
     assert main(["suite", "operad", "--instances", "0"]) == 0
     captured = capsys.readouterr()

@@ -251,9 +251,31 @@ def test_negative_block_bound_is_refused():
     assert f.has_nullary_support()
     with pytest.raises(ValueError, match="m_bound must be non-negative, got -1"):
         subst_compose(f, f, -1)
-    with pytest.raises(ValueError, match="m_bound must be non-negative, got -1"):
-        subst_extension(f, s, -1)
     assert subst_compose(f, f, 0).values[((), "d0")] != FinSet()
+
+
+def _nullary_pair():
+    """(g, f) with f = y(()) + y(("d0",)) nullary and g = y(("d0", "d0")), at arity bound 2."""
+    s = free_sym_cat(D1, 2)
+    f = seq_coproduct(representable_seq(s, D1, {"d0": ()}), representable_seq(s, D1, {"d0": ("d0",)}))
+    return representable_seq(s, D1, {"d0": ("d0", "d0")}), f
+
+
+def test_nullary_extension_needs_no_bound_and_matches_at_the_full_bound():
+    # at (xs, ys) there are exactly len(ys) blocks, so nothing is unbounded
+    g, f = _nullary_pair()
+    assert f.has_nullary_support()
+    ext = subst_extension(f, g.source_sym)
+    assert [len(ext.values[((), ys)]) for ys in ((), ("d0",), ("d0", "d0"))] == [1, 1, 1]
+    assert check_tau_compatibility(g, f, 2).ok
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_tau_compatibility_refuses_a_block_bound_below_the_middle_arity(m):
+    # the bounded substitution would miss the block counts above m that the Kleisli composite counts
+    g, f = _nullary_pair()
+    with pytest.raises(BoundExceeded, match=f"^m_bound {m} is below the middle arity bound 2$"):
+        check_tau_compatibility(g, f, m)
 
 
 def test_representable_pick_above_the_bound_is_refused():
