@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse error,
 3 bound exceeded (substitution).  `main` maps the errors of every subcommand
-to them in one place; `suite` alone exits 2 on a configuration error.
+to them in one place; `suite` alone exits 2 on a configuration error.  A
+substitution whose inner sequence has nullary values is a bounded search:
+it exits 0 and prints one `warning:` line on stderr naming the bound.
 """
 
 from __future__ import annotations
@@ -93,7 +95,13 @@ def cmd_compose(args) -> int:
         elif args.kind == "day":
             result = day_convolve(*inputs)
         else:
-            result = subst_compose(*inputs, args.m_bound)
+            result = subst_compose(*inputs)
+            if result.bounded_search:
+                print(
+                    "warning: the inner sequence has nullary values, so block counts were "
+                    f"searched up to the middle arity bound {inputs[0].max_arity} only",
+                    file=sys.stderr,
+                )
         quotients = result.quotients
     _emit(result, args.out)
     if args.show_witnesses:
@@ -107,7 +115,7 @@ def cmd_coend(args) -> int:
         print("coend needs a profunctor with matching endpoints", file=sys.stderr)
         return 1
     # the load ran the law scan already
-    _emit(coend(p.source, p), args.out)
+    _emit(coend(p), args.out)
     return 0
 
 
@@ -164,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=list(_COMPOSE_INPUTS))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out")
-    p.add_argument("--m-bound", type=int, default=None)
     p.add_argument("--show-witnesses", action="store_true")
     p.set_defaults(func=cmd_compose)
 
@@ -183,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs=3, metavar=("MONOIDAL", "F1", "F2"))
     p.add_argument("--out")
     p.add_argument("--show-witnesses", action="store_true")
-    p.set_defaults(func=cmd_compose, kind="day", m_bound=None)
+    p.set_defaults(func=cmd_compose, kind="day")
 
     p = sub.add_parser("subst", help="substitution composite of two symmetric sequences")
     p.add_argument("inputs", nargs=2, metavar=("G", "F"))
     p.add_argument("--out")
-    p.add_argument("--m-bound", type=int, default=None)
     p.add_argument("--show-witnesses", action="store_true")
     p.set_defaults(func=cmd_compose, kind="subst")
 

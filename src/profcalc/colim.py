@@ -221,14 +221,15 @@ def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
     return quotient(carrier, relations())
 
 
-def coend(base: FinCat, p) -> QuotientSet:
-    """`coend_from` for an endo-profunctor p on base (`prof.Profunctor`): its
-    diagonal, and the pairs (p(f, id)(w), p(id, f)(w)) for w in p(y', y)
-    along each generator f: y -> y'.  The laws are taken on trust, as a
-    checked `Profunctor` or a loaded payload has passed `bifunctor_violations`.
+def coend(p) -> QuotientSet:
+    """`coend_from` for an endo-profunctor p (`prof.Profunctor`) over its
+    source: its diagonal, and the pairs (p(f, id)(w), p(id, f)(w)) for w in
+    p(y', y) along each generator f: y -> y'.  The laws are taken on trust, as
+    a checked `Profunctor` or a loaded payload has passed `bifunctor_violations`.
     """
-    if p.target != base or p.source != base:
-        raise EndpointMismatch("coend needs a bifunctor over the base on both sides")
+    base = p.source
+    if p.target != base:
+        raise EndpointMismatch("coend needs a bifunctor with the same category on both sides")
 
     def related(f):
         y, y1 = base.src(f), base.tgt(f)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import inspect
 import itertools
 import threading
 from dataclasses import InitVar, dataclass, field
@@ -100,24 +99,20 @@ class memo_scope:
 def memoised(fn):
     """Inside a `memo_scope`, compute fn once per identity of its arguments.
 
-    The key is fn with the `id()` of each argument, defaults filled in, so a
-    parameter gives one key by position or by keyword.  The entry keeps the
-    arguments, so no id is reused while the scope is open.  Outside a scope
-    every call computes, inside a scope of its own.
+    Arguments are passed by position only, and a keyword call raises
+    TypeError, so each call has one key: fn with the `id()` of each argument.
+    The entry keeps the arguments, so no id is reused while the scope is open.
+    Outside a scope every call computes, inside a scope of its own.
     """
-    sig = inspect.signature(fn)
-    arity = len(sig.parameters)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        if kwargs:
+            raise TypeError(f"{fn.__name__} takes its arguments by position only, got {', '.join(kwargs)}")
         memo = _MEMO.get()
         if memo is None:
             with memo_scope():
-                return fn(*args, **kwargs)
-        if kwargs or len(args) != arity:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+                return fn(*args)
         key = (fn, *map(id, args))
         entry = memo.get(key)
         if entry is None:

@@ -35,6 +35,7 @@ from .fincat import (
     Functor,
     Label,
     components,
+    generator_pairs,
     memo_scope,
     memoised,
     require_lawful,
@@ -81,12 +82,9 @@ def presheaf_violations(p: Presheaf) -> list[str]:
     for a in base.objects:
         if p.restriction[base.id_of(a)] != FinFn.identity(p.values[a]):
             out.append(f"identity restriction fails at {a!r}")
-    gens = set(base.generators())
-    for g, f in base.composable_pairs():
+    for g, f in generator_pairs(base):
         # contravariance: restrict(g . f) = restrict(f) after restrict(g)
-        if g in gens and (
-            p.restriction[base.comp[(g, f)]] != p.restriction[g].then(p.restriction[f])
-        ):
+        if p.restriction[base.comp[(g, f)]] != p.restriction[g].then(p.restriction[f]):
             out.append(f"composition restriction fails at ({g!r}, {f!r})")
     return out
 

@@ -346,9 +346,9 @@ def whisker_left(g: PshValuedFunctor, phi: KleisliCell) -> KleisliCell:
 
 
 @memo_scope()
-def theta_map(base: FinCat, p: Presheaf, tag: tuple = ()) -> PshMap:
+def theta_map(p: Presheaf, tag: tuple = ()) -> PshMap:
     """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
-    kp = kan_extend(yoneda_embedding(base), p)
+    kp = kan_extend(yoneda_embedding(p.base), p)
 
     def rule(a, pair):
         x, (h, v) = pair
@@ -417,9 +417,8 @@ def kleisli_associator(
 @memo_scope()
 def kleisli_left_unitor(f: PshValuedFunctor, tag: tuple = ()) -> KleisliCell:
     """lambda_f: i o f -> f, componentwise co-Yoneda reduction."""
-    base_t = f.target_base
-    comps = {x: theta_map(base_t, f.on_obj[x], tag=tag + (x,)) for x in f.source.objects}
-    return KleisliCell(kleisli_compose(yoneda_embedding(base_t), f), f, comps, check=False)
+    comps = {x: theta_map(f.on_obj[x], tag=tag + (x,)) for x in f.source.objects}
+    return KleisliCell(kleisli_compose(yoneda_embedding(f.target_base), f), f, comps, check=False)
 
 
 @memo_scope()

@@ -106,7 +106,7 @@ def check_unit_axiom(f: PshValuedFunctor, family: TestFamily) -> CheckReport:
     for name, p in family.named():
         step1 = star_cell(eta, p)
         step2 = mu_map(f, i_x, p, tag=("f,i", name))
-        theta = theta_map(base, p, tag=("theta", name))
+        theta = theta_map(p, tag=("theta", name))
         step3 = kan_extend_map(f, theta)
         composite = step1.then(step2).then(step3)
         identity = PshMap.identity(kan_extend(f, p))
@@ -136,7 +136,7 @@ def check_derived_coherences(
     lam = kleisli_left_unitor(f, tag=("lam_f",))
     for name, p in family.named():
         step1 = mu_map(i_y, f, p, tag=("i,f", name))
-        step2 = theta_map(f.target_base, kan_extend(f, p), tag=("theta_fstar", name))
+        step2 = theta_map(kan_extend(f, p), tag=("theta_fstar", name))
         lhs = step1.then(step2)
         rhs = star_cell(lam, p)
         report.record(f"part-ii@{name}", cell_difference(lhs, rhs))
@@ -145,7 +145,7 @@ def check_derived_coherences(
     eta_i = eta_cell(i_x, tag=("eta_i",))
     for x in base.objects:
         rep = yoneda(base, x)
-        theta = theta_map(base, rep, tag=("theta_rep", x))
+        theta = theta_map(rep, tag=("theta_rep", x))
         composite = eta_i.components[x].then(theta)
         report.record(f"part-iii@{x!r}", cell_difference(composite, PshMap.identity(rep)))
     return report
@@ -160,7 +160,7 @@ def epsilon_cell(g: PshValuedFunctor, family: TestFamily) -> tuple[dict, CheckRe
     cells = {}
     for name, p in family.named():
         step1 = mu_map(g, i_x, p, tag=("eps", name))
-        theta = theta_map(base, p, tag=("theta", name))
+        theta = theta_map(p, tag=("theta", name))
         step2 = kan_extend_map(g, theta)
         eps = step1.then(step2)
         cells[name] = eps
@@ -191,7 +191,7 @@ def check_cell_naturality(
     thetas = {}
     mus = {}
     for name, p in family.named():
-        thetas[name] = theta_map(base, p, tag=("theta", name))
+        thetas[name] = theta_map(p, tag=("theta", name))
         report.record(f"theta-object-natural@{name}", thetas[name].violations())
         mus[name] = mu_map(g, f, p, tag=("g,f", name))
         report.record(f"mu-object-natural@{name}", mus[name].violations())

@@ -17,7 +17,7 @@ bicategories*, arXiv math/9810017).  `check_pentagon` and `check_triangle`
 read only that record and the `fincat.Cell` algebra, so one checker serves
 the Kleisli bicategory (`prof.KLEISLI`), Day convolution as a one-object
 bicategory (`day.day_bicategory`) and substitution of symmetric sequences
-(`symmon.subst_bicategory`).
+(`symmon.SUBST`).
 """
 
 from __future__ import annotations

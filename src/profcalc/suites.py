@@ -65,6 +65,7 @@ from .relpsm import (
 from .report import CheckReport, check_pentagon, check_triangle
 from .seeds import all_functors, discrete, parallel_pair, seed_library
 from .symmon import (
+    SUBST,
     ColouredOperad,
     associative_operad,
     check_operad,
@@ -73,7 +74,6 @@ from .symmon import (
     free_sym_cat,
     representable_seq,
     seq_coproduct,
-    subst_bicategory,
     terminal_operad,
     unit_operad,
 )
@@ -339,7 +339,6 @@ def suite_operad(config: SuiteConfig) -> dict:
                 operad.seq,
                 faulted("unit", operad.unit_components),
                 faulted("comp", operad.comp_components),
-                operad.m_bound,
             )
         reports.append(_guarded("operad", lambda: check_operad(operad)))
 
@@ -351,9 +350,8 @@ def suite_operad(config: SuiteConfig) -> dict:
         )
         gseq = representable_seq(sym, discrete(1), {"d0": picks[rng_i.randrange(2)]})
         reports.append(_guarded("subst-assoc", lambda: check_subst_assoc(gseq, fseq, gseq)))
-        subst = subst_bicategory(sym)
         reports.append(
-            _unit_isos("unit-isos", lambda: subst.lunit(gseq, ()), lambda: subst.runit(gseq, ()))
+            _unit_isos("unit-isos", lambda: SUBST.lunit(gseq, ()), lambda: SUBST.runit(gseq, ()))
         )
         reports.append(_guarded("tau-compat", lambda: check_tau_compatibility(gseq, fseq)))
         return _instance_dict(f"instance-{i}", [arity], reports)

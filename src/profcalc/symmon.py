@@ -8,9 +8,11 @@ profunctor cells.
 
 Truncation is the finiteness device: the free construction and every
 sequence carry an explicit arity bound, and operations raise BoundExceeded
-rather than silently truncate.  With no nullary support, the number of outer
-blocks needed at output arity k is at most k; with nullary support a block
-count must be declared and results are stamped as bounded searches.
+rather than silently truncate.  The number of outer blocks of a substitution
+is read off its inputs.  With no nullary values in the inner sequence, output
+arity k needs at most k blocks, and k may not exceed the middle arity bound.
+With nullary values any block may be empty, so the block count runs up to the
+middle arity bound and the result is stamped as a bounded search.
 
 The substitution composite is one quotient (`colim.quotient`) of a tagged
 carrier {(m, ys, blocks, gamma, vs, h)} with two families of generating
@@ -26,8 +28,8 @@ The actions of the composite, and of the tuple-level extension, come from
 representables, coproducts and the operads' sequences -- gets its action
 tables from `prof.action_tables`, given its values and one elementwise rule
 per side, and the unit and composition cells of the operads come from
-`fincat.components`, given an image rule.  `subst_bicategory` presents substitution, with its
-associator, unit isomorphisms and whiskerings, as a one-object
+`fincat.components`, given an image rule.  `SUBST` presents substitution,
+with its associator, unit isomorphisms and whiskerings, as a
 `report.Bicategory`, whose pentagon and triangles the shared `report`
 checkers test.
 """
@@ -245,22 +247,10 @@ class FlattenData:
 
     def on_morphism(self, outer: Label) -> Label:
         src_nested, tgt_nested, sigma, inner_mors = outer
-        flat_src = self.sym.concat_obj(*src_nested)
-        flat_tgt = self.sym.concat_obj(*tgt_nested)
-        m = len(src_nested)
-        tgt_offsets = [0] * m
-        for j in range(1, m):
-            tgt_offsets[j] = tgt_offsets[j - 1] + len(tgt_nested[j - 1])
-        perm = [0] * len(flat_src)
-        comps: list = [None] * len(flat_src)
-        pos = 0
-        for i in range(m):
-            _, _, tau, fbar = inner_mors[i]
-            for r in range(len(src_nested[i])):
-                perm[pos] = tgt_offsets[sigma[i]] + tau[r]
-                comps[pos] = fbar[r]
-                pos += 1
-        return (flat_src, flat_tgt, tuple(perm), tuple(comps))
+        lengths = tuple(len(b) for b in src_nested)
+        perm = wreath_composition(sigma, lengths, tuple(mor[2] for mor in inner_mors))
+        comps = tuple(c for mor in inner_mors for c in mor[3])
+        return (self.sym.concat_obj(*src_nested), self.sym.concat_obj(*tgt_nested), perm, comps)
 
 
 def sym_mult(sym: TruncatedSymCat) -> FlattenData:
@@ -427,7 +417,7 @@ def _relations(f: SymSeq, gens_x: dict, carrier, outer=None):
 
 
 @memoised
-def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
+def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
     """Substitution composite of symmetric sequences.
 
     Value at (xs, z): quotient, over all block counts m, of the set of
@@ -435,29 +425,20 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
     f[blocks[i]; ys[i]] and h: xs -> blocks_1 (+) ... (+) blocks_m, by the
     generated block and outer relations.
 
-    With nullary support in f the block count is unbounded: a declared
-    m_bound is required and the result is stamped bounded_search.
+    With nullary support in f the block count is unbounded: it runs up to
+    the middle arity bound g.source_sym.max_len, and the result is stamped
+    bounded_search.
     """
     if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
-    if m_bound is not None and m_bound < 0:  # it would empty every value silently
-        raise ValueError(f"m_bound must be non-negative, got {m_bound}")
     sym_x = f.source_sym
     sym_y = g.source_sym
     z_cat = g.source
     nullary = f.has_nullary_support()
-    if nullary and m_bound is None:
-        raise BoundExceeded(
-            "nonempty nullary values make the block count unbounded; declare m_bound"
-        )
-    if nullary and m_bound > sym_y.max_len:
-        raise BoundExceeded(
-            f"declared m_bound {m_bound} exceeds the middle arity bound {sym_y.max_len}"
-        )
 
     def m_range(k: int) -> range:
         if nullary:
-            return range(0, m_bound + 1)
+            return range(0, sym_y.max_len + 1)
         if k > sym_y.max_len:
             raise BoundExceeded(
                 f"output arity {k} needs block counts up to {k} but the middle "
@@ -495,10 +476,10 @@ def subst_compose(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeq:
 # -- whiskering and the canonical isomorphisms ---------------------------------------------
 
 
-def subst_whisker_outer(cell: SymSeqCell, f: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+def subst_whisker_outer(cell: SymSeqCell, f: SymSeq) -> SymSeqCell:
     """cell * 1_f: apply a cell between outer sequences inside their composites with f."""
-    gf = subst_compose(cell.source, f, m_bound)
-    g2f = subst_compose(cell.target, f, m_bound)
+    gf = subst_compose(cell.source, f)
+    g2f = subst_compose(cell.target, f)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -509,10 +490,10 @@ def subst_whisker_outer(cell: SymSeqCell, f: SymSeq, m_bound: int | None = None)
     return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.values, rule), check=False)
 
 
-def subst_whisker_inner(g: SymSeq, cell: SymSeqCell, m_bound: int | None = None) -> SymSeqCell:
+def subst_whisker_inner(g: SymSeq, cell: SymSeqCell) -> SymSeqCell:
     """1_g * cell: apply a cell between inner sequences blockwise inside composites."""
-    gf = subst_compose(g, cell.source, m_bound)
-    gf2 = subst_compose(g, cell.target, m_bound)
+    gf = subst_compose(g, cell.source)
+    gf2 = subst_compose(g, cell.target)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -522,10 +503,10 @@ def subst_whisker_inner(g: SymSeq, cell: SymSeqCell, m_bound: int | None = None)
     return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.values, rule), check=False)
 
 
-def subst_left_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+def subst_left_unit_iso(g: SymSeq) -> SymSeqCell:
     """(unit o g) -> g, for g with its input colours as output colours: act with
     the gluing morphism and the arity-one outer value."""
-    composed = subst_compose(subst_identity(g.source_sym), g, m_bound)
+    composed = subst_compose(subst_identity(g.source_sym), g)
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -538,10 +519,10 @@ def subst_left_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
     return cell.require_iso("left unit comparison is not a bijection")
 
 
-def subst_right_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+def subst_right_unit_iso(g: SymSeq) -> SymSeqCell:
     """(g o unit) -> g: fold the arity-one inner data into the gluing morphism."""
     sym = g.source_sym
-    composed = subst_compose(g, subst_identity(sym), m_bound)
+    composed = subst_compose(g, subst_identity(sym))
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
@@ -556,13 +537,13 @@ def subst_right_unit_iso(g: SymSeq, m_bound: int | None = None) -> SymSeqCell:
 
 
 @memo_scope()
-def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None) -> SymSeqCell:
+def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq) -> SymSeqCell:
     """((h o g) o f) -> (h o (g o f)): regroup blocks along the middle gluing morphism."""
     sym_x = f.source_sym
-    hg = subst_compose(h, g, m_bound)
-    gf = subst_compose(g, f, m_bound)
-    left = subst_compose(hg, f, m_bound)
-    right = subst_compose(h, gf, m_bound)
+    hg = subst_compose(h, g)
+    gf = subst_compose(g, f)
+    left = subst_compose(hg, f)
+    right = subst_compose(h, gf)
 
     def rule(key, elem):
         m, ys, blocks, xi, vs, hmor = elem
@@ -597,44 +578,40 @@ def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None)
 
 
 @memo_scope()
-def check_subst_assoc(
-    h: SymSeq, g: SymSeq, f: SymSeq, m_bound: int | None = None
-) -> CheckReport:
+def check_subst_assoc(h: SymSeq, g: SymSeq, f: SymSeq) -> CheckReport:
     """Construct and verify the regrouping comparison, plus a cardinality
     cross-check of the two nestings computed from scratch."""
     report = CheckReport("subst-assoc")
-    hg = subst_compose(h, g, m_bound)
-    gf = subst_compose(g, f, m_bound)
-    left = subst_compose(hg, f, m_bound)
-    right = subst_compose(h, gf, m_bound)
+    hg = subst_compose(h, g)
+    gf = subst_compose(g, f)
+    left = subst_compose(hg, f)
+    right = subst_compose(h, gf)
     for key in left.values:
         report.add(
             f"cardinality@{key}",
             len(left.values[key]) == len(right.values[key]),
             f"{len(left.values[key])} vs {len(right.values[key])}",
         )
-    report.build(
-        "comparison-bijective", subst_assoc_iso, h, g, f, m_bound, natural="comparison-natural"
-    )
+    report.build("comparison-bijective", subst_assoc_iso, h, g, f, natural="comparison-natural")
     return report
 
 
-def subst_bicategory(sym: TruncatedSymCat, m_bound: int | None = None) -> Bicategory:
-    """Substitution of sequences from sym's colours to themselves as a
-    one-object bicategory: compose(g, f) is g o f, the identity is the unit
-    sequence, and the whiskerings act on the outer or inner factor.  No
-    component is corruptible; tags are ignored."""
-    return Bicategory(
-        compose=lambda g, f: subst_compose(g, f, m_bound),
-        identity=lambda _: subst_identity(sym),
-        src=lambda _: sym,
-        tgt=lambda _: sym,
-        assoc=lambda h, g, f, tag: subst_assoc_iso(h, g, f, m_bound),
-        lunit=lambda f, tag: subst_left_unit_iso(f, m_bound),
-        runit=lambda f, tag: subst_right_unit_iso(f, m_bound),
-        whisker_left=lambda g, cell: subst_whisker_inner(g, cell, m_bound),
-        whisker_right=lambda cell, f: subst_whisker_outer(cell, f, m_bound),
-    )
+# Substitution of sequences from a colour category to itself: both ends of a
+# sequence are its source_sym, compose(g, f) is g o f, the identity is the
+# unit sequence, and the whiskerings act on the outer or inner factor.  No
+# component is corruptible; tags are ignored.  As in `prof.KLEISLI`, each
+# field looks its builder up when called.
+SUBST = Bicategory(
+    compose=lambda g, f: subst_compose(g, f),
+    identity=lambda sym: subst_identity(sym),
+    src=lambda f: f.source_sym,
+    tgt=lambda f: f.source_sym,
+    assoc=lambda h, g, f, tag: subst_assoc_iso(h, g, f),
+    lunit=lambda f, tag: subst_left_unit_iso(f),
+    runit=lambda f, tag: subst_right_unit_iso(f),
+    whisker_left=lambda g, cell: subst_whisker_inner(g, cell),
+    whisker_right=lambda cell, f: subst_whisker_outer(cell, f),
+)
 
 
 # -- coloured operads ------------------------------------------------------------------------
@@ -651,31 +628,30 @@ class ColouredOperad:
     seq: SymSeq
     unit_components: dict[tuple[tuple, Label], FinFn]
     comp_components: dict[tuple[tuple, Label], FinFn]
-    m_bound: int | None = None
 
 
 @memo_scope()
 def check_operad(operad: ColouredOperad) -> CheckReport:
     """Unit triangles and the associativity square, against the canonical isos."""
     report = CheckReport("operad")
-    o, m_bound = operad.seq, operad.m_bound
+    o = operad.seq
     unit = subst_identity(o.source_sym)
-    oo = subst_compose(o, o, m_bound)
+    oo = subst_compose(o, o)
     unit_cell = SymSeqCell(unit, o, operad.unit_components, check=True)
     comp_cell = SymSeqCell(oo, o, operad.comp_components, check=True)
     report.add("cells-equivariant", True)
 
     # left unit: comp . (unit o 1) against the canonical iso (unit o 1 means
     # the unit cell applied on the *outer* factor of unit-then-o)
-    left_path = subst_whisker_outer(unit_cell, o, m_bound).then(comp_cell)
-    report.record("left-unit", cell_difference(left_path, subst_left_unit_iso(o, m_bound)))
+    left_path = subst_whisker_outer(unit_cell, o).then(comp_cell)
+    report.record("left-unit", cell_difference(left_path, subst_left_unit_iso(o)))
     # right unit: comp . (1 o unit)
-    right_path = subst_whisker_inner(o, unit_cell, m_bound).then(comp_cell)
-    report.record("right-unit", cell_difference(right_path, subst_right_unit_iso(o, m_bound)))
+    right_path = subst_whisker_inner(o, unit_cell).then(comp_cell)
+    report.record("right-unit", cell_difference(right_path, subst_right_unit_iso(o)))
 
-    path1 = subst_whisker_outer(comp_cell, o, m_bound).then(comp_cell)
-    assoc = subst_assoc_iso(o, o, o, m_bound)
-    path2 = assoc.then(subst_whisker_inner(o, comp_cell, m_bound)).then(comp_cell)
+    path1 = subst_whisker_outer(comp_cell, o).then(comp_cell)
+    assoc = subst_assoc_iso(o, o, o)
+    path2 = assoc.then(subst_whisker_inner(o, comp_cell)).then(comp_cell)
     report.record("associativity", cell_difference(path1, path2))
     return report
 
@@ -809,19 +785,17 @@ def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
 
 
 @memo_scope()
-def check_tau_compatibility(g: SymSeq, f: SymSeq, m_bound: int | None = None) -> CheckReport:
+def check_tau_compatibility(g: SymSeq, f: SymSeq) -> CheckReport:
     """Substitution equals extension-then-apply composition, value set by value set.
 
     The composite is recomputed through the tuple-level extension profunctor
     and the presheaf machinery; an explicit bijection is exhibited on every
     carrier element and verified well-defined and bijective.  With nullary
-    values in f the substitution is a bounded search, and the composite counts
-    blocks up to the middle arity bound: a lower m_bound raises BoundExceeded.
+    values in f the substitution is a bounded search; it counts blocks up to
+    the middle arity bound, as the Kleisli composite does.
     """
     report = CheckReport("tau-compatibility")
-    gf = subst_compose(g, f, m_bound)
-    if gf.bounded_search and m_bound < g.source_sym.max_len:
-        raise BoundExceeded(f"m_bound {m_bound} is below the middle arity bound {g.source_sym.max_len}")
+    gf = subst_compose(g, f)
     ext = subst_extension(f, g.source_sym)
     composite = kleisli_compose(tau(ext), tau(g))
     for key in sorted(gf.values, key=label_key):

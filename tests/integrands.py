@@ -157,7 +157,7 @@ def fubini_iso(base_left, base_right, joint):
     if joint.target != prod or joint.source != prod:
         raise EndpointMismatch("joint bifunctor must live over the product category")
     require_lawful(bifunctor_violations(joint), joint.invalid)
-    joint_result = coend(prod, joint)
+    joint_result = coend(joint)
     left, right = joint.left_act, joint.right_act
 
     @functools.cache

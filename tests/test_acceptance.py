@@ -522,7 +522,6 @@ def test_criterion_10_fault_injection():
                     operad.seq,
                     mutated if attr == "unit_components" else operad.unit_components,
                     mutated if attr == "comp_components" else operad.comp_components,
-                    operad.m_bound,
                 )
                 try:
                     if check_operad(broken).ok:

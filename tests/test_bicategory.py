@@ -19,11 +19,11 @@ from profcalc.report import check_pentagon, check_triangle
 from profcalc.seeds import all_functors, arrow_category, discrete, fork, parallel_pair
 from profcalc.suites import _monoidal_seeds
 from profcalc.symmon import (
+    SUBST,
     associative_operad,
     free_sym_cat,
     representable_seq,
     seq_coproduct,
-    subst_bicategory,
 )
 
 
@@ -50,12 +50,12 @@ def _day(name):
 def _subst(name, arity):
     if name == "Ass":
         o = associative_operad(arity).seq
-        return subst_bicategory(o.source_sym), (o, o, o, o)
+        return SUBST, (o, o, o, o)
     # the sequences of the operad suite
     sym = free_sym_cat(discrete(1), arity)
     one, two = (representable_seq(sym, discrete(1), {"d0": pick}) for pick in [("d0",), ("d0", "d0")])
     f = seq_coproduct(one, two)
-    return subst_bicategory(sym), (f, two, f, f)
+    return SUBST, (f, two, f, f)
 
 
 INSTANCES = {

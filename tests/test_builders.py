@@ -95,7 +95,7 @@ def _assert_operad_tables_lawful(operad):
     seq = operad.seq
     assert bifunctor_violations(seq) == []
     unit = subst_identity(seq.source_sym)
-    oo = subst_compose(seq, seq, operad.m_bound)
+    oo = subst_compose(seq, seq)
     assert SymSeqCell(unit, seq, operad.unit_components, check=False).violations() == []
     assert SymSeqCell(oo, seq, operad.comp_components, check=False).violations() == []
 

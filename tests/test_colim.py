@@ -169,7 +169,7 @@ def test_coend_terminal_category():
         {("*", "id*"): FinFn.identity(vals)},
         check=True,
     )
-    result = coend(cat, h)
+    result = coend(h)
     assert len(result.quotient) == 2
 
 
@@ -191,7 +191,7 @@ def test_coend_discrete_is_disjoint_union():
         for a in cat.objects
         for b in cat.objects
     }
-    result = coend(cat, Profunctor(cat, cat, values, contra, co, check=True))
+    result = coend(Profunctor(cat, cat, values, contra, co, check=True))
     assert len(result.quotient) == 1 + 2 + 3
 
 
@@ -205,7 +205,7 @@ def test_coend_arrow_coyoneda_instance():
     }
     h = _hom_times_functor(cat, lambda b: f_tables[b], lambda m: action[m], "1")
     assert bifunctor_violations(h) == []
-    result = coend(cat, h)
+    result = coend(h)
     assert len(result.quotient) == len(f_tables["1"])
 
 
@@ -430,7 +430,7 @@ def test_coend_matches_all_morphism_reference(name, seed, with_hom):
     q = random_presheaf(rng, opposite(cat))
     h = _tensor_plus_hom(cat, p, q, with_hom)
     assert bifunctor_violations(h) == []
-    result = coend(cat, h)
+    result = coend(h)
     assert {frozenset(c) for c in result.classes} == _reference_coend_classes(cat, h)
     for c in result.classes:
         assert list(c) == sorted(c, key=label_key)
@@ -504,9 +504,9 @@ def test_lazy_integrands_are_bifunctors_with_unchanged_coends(name):
     for base, build, table_read in _integrands(name):
         full = build()
         assert bifunctor_violations(full) == []
-        checked = coend(base, full)
+        checked = coend(full)
         assert len(full.values) == len(base.objects) ** 2
-        assert coend(base, build()) == checked
+        assert coend(build()) == checked
         assert table_read == checked
 
 
@@ -564,7 +564,7 @@ def test_coend_reads_only_the_diagonal_and_generator_slices():
     assert asked["diagonal"] == list(cat.objects)
     assert sorted(asked["related"]) == sorted(gens)
     assert bifunctor_violations(full) == []
-    assert coend(cat, full) == read
+    assert coend(full) == read
     assert len(read.quotient) == 2
 
 
@@ -584,7 +584,7 @@ def test_coend_and_kan_extend_never_sort_labels(monkeypatch):
     calls = []
     real = fincat.label_key
     monkeypatch.setattr(fincat, "label_key", lambda label: calls.append(label) or real(label))
-    result = coend(cat, h)
+    result = coend(h)
     kp = kan_extend(doubled, q)
     assert calls == []
     monkeypatch.undo()

@@ -1,11 +1,14 @@
 """The call-tree memo: `fincat.memo_scope` and the `memoised` builders."""
 
+import ast
 import gc
+import pathlib
 import sys
 import weakref
 
 import pytest
 
+import profcalc
 from profcalc.day import day_bicategory, day_convolve
 from profcalc.fincat import memo_scope
 from profcalc.presheaf import (
@@ -21,12 +24,12 @@ from profcalc.report import check_pentagon, check_triangle
 from profcalc.seeds import all_functors, arrow_category, discrete, fork, parallel_pair
 from profcalc.suites import SuiteConfig, _monoidal_seeds, run_suite
 from profcalc.symmon import (
+    SUBST,
     associative_operad,
     check_operad,
     free_sym_cat,
     representable_seq,
     seq_coproduct,
-    subst_bicategory,
     subst_compose,
     subst_identity,
 )
@@ -65,12 +68,30 @@ def test_nested_scopes_share_one_memo():
         assert kan_extend(f, p) is outer
 
 
-def test_a_keyword_argument_gives_the_positional_key():
+def test_a_keyword_argument_is_refused_with_the_function_name():
+    # the memo keys a call by position, so a keyword would give it a second key
     sym_seq = associative_operad(2).seq
+    message = "^subst_compose takes its arguments by position only, got f$"
+    with pytest.raises(TypeError, match=message):
+        subst_compose(sym_seq, f=sym_seq)
     with memo_scope():
-        by_position = subst_compose(sym_seq, sym_seq, None)
-        assert subst_compose(sym_seq, sym_seq, m_bound=None) is by_position
+        by_position = subst_compose(sym_seq, sym_seq)
+        with pytest.raises(TypeError, match=message):
+            subst_compose(sym_seq, f=sym_seq)
         assert subst_compose(sym_seq, sym_seq) is by_position
+
+
+def test_no_memoised_builder_has_a_default_or_a_keyword_only_parameter():
+    # either would let one call be made with different argument lists
+    found = []
+    for path in sorted(pathlib.Path(profcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "memoised" for d in node.decorator_list
+            ):
+                found.append(node.name)
+                assert not (node.args.defaults or node.args.kwonlyargs or node.args.vararg), node.name
+    assert set(found) >= {fn.__name__ for fn in MEMOISED}
 
 
 def test_nothing_is_kept_after_the_scope_closes():
@@ -131,7 +152,7 @@ def _subst_instance():
     sym = free_sym_cat(discrete(1), 3)
     one, two = (representable_seq(sym, discrete(1), {"d0": pick}) for pick in [("d0",), ("d0", "d0")])
     f = seq_coproduct(one, two)
-    return subst_bicategory(sym), [f, two, f, f], "subst_compose"
+    return SUBST, [f, two, f, f], "subst_compose"
 
 
 @pytest.mark.parametrize("instance", [_day_instance, _subst_instance], ids=["day", "subst"])

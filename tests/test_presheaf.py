@@ -149,7 +149,7 @@ def test_apply_P_functor_identity_is_iso_to_argument():
     image = kan_extend(functor_into_presheaves(identity_functor(cat)), p)
     from profcalc.prof import theta_map
 
-    th = theta_map(cat, p)
+    th = theta_map(p)
     assert th.source == image
     assert th.is_iso()
 

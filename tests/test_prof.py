@@ -173,10 +173,10 @@ def test_mu_reduces_on_unit_composite():
 def test_theta_on_representable_and_constant():
     cat = arrow_category()
     for x in cat.objects:
-        th = theta_map(cat, yoneda(cat, x))
+        th = theta_map(yoneda(cat, x))
         assert th.is_iso()
     p, _, _ = psh_coproduct(yoneda(cat, "0"), yoneda(cat, "1"))
-    th = theta_map(cat, p)
+    th = theta_map(p)
     assert th.is_iso()
     assert th.violations() == []
 
@@ -188,8 +188,8 @@ def test_theta_natural_against_random_pshmap():
     i = KLEISLI.identity(cat)
     from profcalc.presheaf import kan_extend_map
 
-    th_p = theta_map(cat, p)
-    th_cop = theta_map(cat, cop)
+    th_p = theta_map(p)
+    th_cop = theta_map(cop)
     lifted = kan_extend_map(i, in1)
     assert lifted.then(th_cop) == th_p.then(in1)
 

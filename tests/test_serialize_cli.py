@@ -13,7 +13,9 @@ from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair
 from profcalc.suites import SUITE_NAMES
-from profcalc.symmon import free_sym_cat, subst_identity, representable_seq, unit_operad
+from profcalc.symmon import (
+    free_sym_cat, representable_seq, seq_coproduct, subst_compose, subst_identity, unit_operad,
+)
 
 
 def _identity_nattrans(cat):
@@ -31,7 +33,7 @@ def _identity_nattrans(cat):
         yoneda(arrow_category(), "1"),
         psh_coproduct(yoneda(arrow_category(), "1"), yoneda(arrow_category(), "0"))[1],
         prof_identity(parallel_pair()),
-        coend(chain(2), prof_identity(chain(2))),
+        coend(prof_identity(chain(2))),
         one_object_group_monoidal(2),
         subst_identity(free_sym_cat(discrete(2), 2)),
     ],
@@ -84,7 +86,7 @@ def odd_payloads() -> dict:
         "presheaf": y,
         "pshmap": psh_coproduct(y, y)[2],
         "profunctor": prof_identity(cat),
-        "quotient": coend(cat, prof_identity(cat)),
+        "quotient": coend(prof_identity(cat)),
         "monoidal": z2,
         "symseq": subst_identity(free_sym_cat(disc, 2)),
     }
@@ -394,7 +396,7 @@ def test_cmd_validate_reads_coend_output(tmp_path, capsys):
     assert main(["coend", path, "--out", out]) == 0
     assert main(["validate", out]) == 0
     assert capsys.readouterr().out.strip() == "ok"
-    assert serialize.loads((tmp_path / "coend3.json").read_text()) == coend(chain(3), prof_identity(chain(3)))
+    assert serialize.loads((tmp_path / "coend3.json").read_text()) == coend(prof_identity(chain(3)))
 
 
 def test_cmd_coend_scans_the_bifunctor_laws_once(tmp_path, capsys, monkeypatch):
@@ -448,13 +450,35 @@ def test_cmd_subst_and_bound_exceeded(tmp_path, capsys):
     i = _write(tmp_path, "I.json", ident)
     out = str(tmp_path / "GI.json")
     assert main(["subst", g, i, "--out", out]) == 0
-    # a nullary-supported inner sequence without a declared bound exits 3
-    nullary = representable_seq(s, discrete(1), {"d0": ()})
-    n = _write(tmp_path, "N.json", nullary)
-    code = main(["subst", g, n])
+    assert capsys.readouterr().err == ""
+    # output arity 3 of a nullary-free inner sequence needs 3 blocks, above the middle bound 2: exit 3
+    inner = representable_seq(free_sym_cat(discrete(1), 3), discrete(1), {"d0": ("d0",)})
+    f3 = _write(tmp_path, "F3.json", inner)
+    assert main(["subst", g, f3]) == 3
     captured = capsys.readouterr()
-    assert code == 3
-    assert "m_bound" in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "bound exceeded: output arity 3 needs block counts up to 3 but the middle arity bound is 2"
+    )
+
+
+def test_cmd_subst_with_nullary_values_warns_of_the_bounded_search(tmp_path, capsys):
+    s = free_sym_cat(discrete(1), 2)
+    g = _write(tmp_path, "G.json", representable_seq(s, discrete(1), {"d0": ("d0", "d0")}))
+    nullary = seq_coproduct(*(representable_seq(s, discrete(1), {"d0": pick}) for pick in [(), ("d0",)]))
+    n = _write(tmp_path, "N.json", nullary)
+    warning = (
+        "warning: the inner sequence has nullary values, so block counts were "
+        "searched up to the middle arity bound 2 only\n"
+    )
+    for argv in (["subst", g, n], ["compose", "--kind", "subst", g, n]):
+        assert main(argv + ["--out", str(tmp_path / "GN.json")]) == 0
+        assert capsys.readouterr().err == warning
+        assert main(["validate", str(tmp_path / "GN.json")]) == 0
+        assert serialize.loads((tmp_path / "GN.json").read_text()) == subst_compose(
+            serialize.loads((tmp_path / "G.json").read_text()), nullary
+        )
+        capsys.readouterr()
 
 
 def test_cmd_suite_passes_and_fault_fails(capsys):
@@ -486,11 +510,15 @@ def test_cmd_suite_passes_and_fault_fails(capsys):
     )
 
 
-def test_cmd_subst_refuses_a_negative_m_bound(tmp_path, capsys):
+def test_cmd_subst_has_no_block_bound_option(tmp_path, capsys):
+    # the block count is read off the inputs, so --m-bound is an unknown option
     s = free_sym_cat(discrete(1), 2)
     n = _write(tmp_path, "N.json", representable_seq(s, discrete(1), {"d0": ()}))
-    assert main(["subst", n, n, "--m-bound", "-1"]) == 1
-    assert "m_bound must be non-negative, got -1" in capsys.readouterr().err
+    for argv in (["subst", n, n], ["compose", "--kind", "subst", n, n]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--m-bound", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --m-bound 2" in capsys.readouterr().err
 
 
 def test_cmd_suite_refuses_bounds_below_what_it_builds(capsys):

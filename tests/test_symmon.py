@@ -134,6 +134,42 @@ def test_monad_unit_triangles_exhaustive():
         assert mult.on_morphism(nested) == m
 
 
+def _flatten_by_offsets(outer):
+    """The permutation of a flattened outer morphism, block offsets read off
+    the target blocks: position r of source block i goes to the offset of
+    target block sigma[i] plus that block's inner permutation at r."""
+    src_nested, tgt_nested, sigma, inner_mors = outer
+    tgt_offsets = [sum(len(b) for b in tgt_nested[:j]) for j in range(len(tgt_nested))]
+    return tuple(
+        tgt_offsets[sigma[i]] + inner_mors[i][2][r]
+        for i in range(len(src_nested)) for r in range(len(src_nested[i]))
+    )
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_flattening_a_morphism_is_the_wreath_composition(bound):
+    # every outer morphism whose blocks flatten within the bound: a tuple of
+    # at most `bound` blocks, a block permutation, and one inner morphism per block
+    s = free_sym_cat(discrete(2), bound)
+    mult = sym_mult(s)
+    out_of = {obj: [m for m in s.cat.morphisms() if m[0] == obj] for obj in s.cat.objects}
+    count = 0
+    for m in range(bound + 1):
+        for src_nested in itertools.product(s.cat.objects, repeat=m):
+            if sum(map(len, src_nested)) > bound:
+                continue
+            for sigma in itertools.permutations(range(m)):
+                inv = perm_inverse(sigma)
+                for inner in itertools.product(*[out_of[b] for b in src_nested]):
+                    tgt_nested = tuple(inner[i][1] for i in inv)
+                    outer = (src_nested, tgt_nested, sigma, inner)
+                    flat = mult.on_morphism(outer)
+                    assert flat[2] == _flatten_by_offsets(outer)
+                    assert flat in s.cat.hom[(flat[0], flat[1])]
+                    count += 1
+    assert count > 0
+
+
 def test_flattening_associativity_within_bounds():
     s = free_sym_cat(discrete(2), 3)
     mult = sym_mult(s)
@@ -223,15 +259,16 @@ def test_truncation_stability_under_bound_increase():
         assert gf2.values[(obj, "d0")] == gf3.values[(obj, "d0")]
 
 
-def test_nullary_support_requires_declared_bound():
+def test_nullary_support_searches_blocks_up_to_the_middle_bound():
     s = free_sym_cat(D1, 2)
     f = trivial_action_seq(s, {0: 1, 1: 1})
     g = trivial_action_seq(s, {1: 1, 2: 1})
-    with pytest.raises(BoundExceeded) as err:
-        subst_compose(g, f)
-    assert "m_bound" in str(err.value)
-    composed = subst_compose(g, f, m_bound=2)
+    composed = subst_compose(g, f)
     assert composed.bounded_search
+    # at output arity 0 every block is the nullary value, one or two of them:
+    # more blocks than the output arity, as many as the middle bound allows
+    assert sorted(m for m, *_ in composed.quotients[((), "d0")].carrier) == [1, 2]
+    assert not subst_compose(g, trivial_action_seq(s, {1: 1})).bounded_search
 
 
 def test_bound_exceeded_reports_sound_bound():
@@ -244,14 +281,14 @@ def test_bound_exceeded_reports_sound_bound():
     assert "m <= output arity" in str(err.value)
 
 
-def test_negative_block_bound_is_refused():
-    # with a nonempty nullary value the block count is read from m_bound, so -1 would empty every value
+def test_nullary_self_substitution_keeps_the_empty_block_count():
+    # y(()) o y(()): the one outer value takes no blocks, so the search starts at m = 0
     s = free_sym_cat(D1, 2)
     f = representable_seq(s, D1, {"d0": ()})
     assert f.has_nullary_support()
-    with pytest.raises(ValueError, match="m_bound must be non-negative, got -1"):
-        subst_compose(f, f, -1)
-    assert subst_compose(f, f, 0).values[((), "d0")] != FinSet()
+    composed = subst_compose(f, f)
+    assert composed.bounded_search
+    assert [len(composed.values[(xs, "d0")]) for xs in ((), ("d0",), ("d0", "d0"))] == [1, 0, 0]
 
 
 def _nullary_pair():
@@ -267,15 +304,30 @@ def test_nullary_extension_needs_no_bound_and_matches_at_the_full_bound():
     assert f.has_nullary_support()
     ext = subst_extension(f, g.source_sym)
     assert [len(ext.values[((), ys)]) for ys in ((), ("d0",), ("d0", "d0"))] == [1, 1, 1]
-    assert check_tau_compatibility(g, f, 2).ok
+    assert check_tau_compatibility(g, f).ok
 
 
-@pytest.mark.parametrize("m", [0, 1])
-def test_tau_compatibility_refuses_a_block_bound_below_the_middle_arity(m):
-    # the bounded substitution would miss the block counts above m that the Kleisli composite counts
-    g, f = _nullary_pair()
-    with pytest.raises(BoundExceeded, match=f"^m_bound {m} is below the middle arity bound 2$"):
-        check_tau_compatibility(g, f, m)
+def _nullary_instances():
+    """(bound, name, g, f) with f = y(()) + y(("d0",)) and g each representable
+    pick at that arity bound, or f itself, at the bounds 2 and 3."""
+    for bound in (2, 3):
+        s = free_sym_cat(D1, bound)
+        f = seq_coproduct(representable_seq(s, D1, {"d0": ()}), representable_seq(s, D1, {"d0": ("d0",)}))
+        for k in range(bound + 1):
+            yield bound, f"y(d0^{k})", representable_seq(s, D1, {"d0": ("d0",) * k}), f
+        yield bound, "f", f, f
+
+
+@pytest.mark.parametrize(
+    "bound, g, f", [(b, g, f) for b, _, g, f in _nullary_instances()],
+    ids=[f"{name}-bound{b}" for b, name, _, _ in _nullary_instances()],
+)
+def test_nullary_substitution_is_a_bounded_search_that_matches_the_kleisli_composite(bound, g, f):
+    # the composite counts blocks up to the middle arity bound, as the Kleisli composite does
+    gf = subst_compose(g, f)
+    assert gf.bounded_search
+    assert max(m for q in gf.quotients.values() for m, *_ in q.carrier) <= bound
+    assert check_tau_compatibility(g, f).ok
 
 
 def test_representable_pick_above_the_bound_is_refused():
