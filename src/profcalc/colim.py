@@ -2,12 +2,14 @@
 
 Every colimit here is a quotient of an explicit carrier, computed by one
 kernel, `quotient(carrier, pairs)`: the equivalence relation generated by the
-given pairs, closed with an index-ordered union-find over positions in
-`carrier.elements`.  That order is the canonical label order, so naming each
-class by its minimum position names it by its order-minimal member, and the
-classes come out in canonical order without comparing labels again.  Results
-are therefore canonical, and every downstream map on quotients can be checked
-elementwise for well-definedness.
+given pairs of positions in `carrier.elements`, closed with an index-ordered
+union-find.  That order is the canonical label order, so naming each class by
+its minimum position names it by its order-minimal member, and the classes
+come out in canonical order without comparing labels again.  Results are
+therefore canonical, and every downstream map on quotients can be checked
+elementwise for well-definedness.  Callers that relate labels translate them
+through the carrier's position index (`label_pairs`); substitution computes
+its positions directly (`symmon`).
 
 No set built here is sorted; each is canonical by construction: carriers
 are `FinSet.sigma`s, and class names the class minima in carrier order.
@@ -32,7 +34,8 @@ A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
 `Profunctor`, `SymSeq`).  The actions of a coend with parameters, as in
 `kan_extend`, `prof_compose`, `day_convolve` and substitution, come from
-`induced_actions`: checked along generators, composed along the rest.  Every
+`induced_actions`: given as carrier positions, checked on every member by
+`class_map` along generators, composed along the rest.  Every
 structural cell between coends -- unit, multiplication and theta, the
 associators and unitors, the Day and substitution comparisons -- is induced
 by a map of integrands, and its components come from `induced_components`.
@@ -48,8 +51,11 @@ is dropped when the outermost scope closes.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .fincat import (
     EndpointMismatch,
@@ -71,15 +77,15 @@ class QuotientSet:
     Built from `roots`: roots[i] is the carrier position of the minimal member
     of the class of position i.  Members and classes are stored in canonical
     order (by carrier position), and `quotient` is the set of class names.
-    `_names` holds the class name of each carrier position, so
+    `_roots` keeps those roots as an array of machine integers, so
     `representative` is two lookups: the carrier's position index
-    (`FinSet._index`), then that name.
+    (`FinSet._index`), then that root; `class_map` reads the roots alone.
     """
 
     carrier: FinSet
     classes: tuple[tuple[Label, ...], ...]
     quotient: FinSet = field(compare=False)
-    _names: tuple[Label, ...] = field(compare=False, repr=False)
+    _roots: array = field(compare=False, repr=False)
 
     def __init__(self, carrier: FinSet, roots: list[int]):
         elems = carrier.elements
@@ -97,44 +103,53 @@ class QuotientSet:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "quotient", FinSet(_Canonical(c[0] for c in classes)))
-        object.__setattr__(self, "_names", tuple(map(elems.__getitem__, roots)))
+        object.__setattr__(self, "_roots", array("i", roots))
 
     def representative(self, element: Label) -> Label:
         """Class name (minimal member) of a carrier element."""
-        return self._names[self.carrier._index[element]]
+        return self.carrier.elements[self._roots[self.carrier._index[element]]]
 
 
-def quotient(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> QuotientSet:
-    """The carrier modulo the equivalence relation generated by `pairs`.
+def quotient(carrier: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
+    """The carrier modulo the equivalence relation generated by `pairs` of
+    carrier positions.
 
-    Union-find over carrier positions, read from the carrier's position
-    index (`FinSet._index`): a node's parent is never above it, so the root
+    Union-find over positions: a node's parent is never above it, so the root
     of a class is its minimum position, i.e. its minimal member in canonical
-    order, and one scan in position order reads every root off its parent's.  Pass generating relations only; the closure supplies the rest.
-    A related label outside the carrier raises ValueError naming it.
+    order, and one scan in position order reads every root off its parent's.
+    Pass generating relations only; the closure supplies the rest.  A
+    position outside the carrier raises ValueError.  Callers that relate
+    labels translate them first with `label_pairs`.
     """
-    pos = carrier._index
-    parent = list(range(len(pos)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
+    n = len(carrier)
+    parent = list(range(n))
     for a, b in pairs:
-        try:
-            ia, ib = pos[a], pos[b]
-        except KeyError as exc:
-            raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
-        ra, rb = find(ia), find(ib)
-        if ra < rb:
-            parent[rb] = ra
-        elif rb < ra:
-            parent[ra] = rb
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"related positions ({a}, {b}) are not both in a carrier of {n} elements")
+        # find both roots, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     for i, p in enumerate(parent):  # parent[p] is already a root, as p <= i
         parent[i] = parent[p]
     return QuotientSet(carrier, parent)
+
+
+def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterator[tuple[int, int]]:
+    """The carrier positions of related labels, for `quotient`: one lookup in
+    the carrier's position index (`FinSet._index`) per label.  A label
+    outside the carrier raises ValueError naming it."""
+    pos = carrier._index
+    for a, b in pairs:
+        try:
+            yield pos[a], pos[b]
+        except KeyError as exc:
+            raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
@@ -218,7 +233,7 @@ def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
             for a, b in related(f):
                 yield (y, a), (y1, b)
 
-    return quotient(carrier, relations())
+    return quotient(carrier, label_pairs(carrier, relations()))
 
 
 def coend(p) -> QuotientSet:
@@ -283,25 +298,50 @@ def induced_components(
     return comps
 
 
-def induced_actions(cat: FinCat, quotient_at, rule, contravariant: bool) -> dict[Label, FinFn]:
+def class_map(source: QuotientSet, target: QuotientSet, image: Sequence[int]) -> FinFn:
+    """The map of classes that a carrier map induces, given by positions:
+    image[i] is the target carrier position of the image of source position i.
+    As in `induced_map`, it is checked constant on every class, but by roots:
+    each member's image must have the target root of its class minimum's."""
+    roots, elems, to_elems = source._roots, source.carrier.elements, target.carrier.elements
+    if len(image) != len(roots):
+        raise ValueError(f"{len(image)} images for a carrier of {len(roots)} elements")
+    targets = list(map(target._roots.__getitem__, image))
+    if list(map(targets.__getitem__, roots)) != targets:
+        r = next(roots[i] for i, t in enumerate(targets) if targets[roots[i]] != t)
+        cls = next(c for c in source.classes if c[0] == elems[r])
+        images = {to_elems[targets[i]] for i, ri in enumerate(roots) if ri == r}
+        raise ValueError(f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}")
+    # the class minima are the positions that are their own roots, in class order
+    named = itertools.compress(targets, map(operator.eq, roots, itertools.count()))
+    table = dict(zip(source.quotient.elements, map(to_elems.__getitem__, named)))
+    return FinFn(source.quotient, target.quotient, table)
+
+
+def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dict[Label, FinFn]:
     """The action of a coend with a parameter in `cat`, one map per morphism
     in `cat.morphisms()` order.  quotient_at(a) is the value at object a;
-    rule(m, x) sends a carrier element x at the source of m (its target, if
-    contravariant) to its class at the other end.
+    image(m, source, target) lists, for each carrier position of the value
+    `source` at the source of m (its target, if contravariant), the carrier
+    position of its image in the value `target` at the other end: from its
+    run layout in substitution, by one `FinSet._index` lookup per member in
+    `kan_extend`, `prof_compose` and `day_convolve`.
 
-    Only generators (`FinCat.generators`) run `induced_map`, with its check on
-    every member of every class.  Identities act as identities, and each other
-    morphism g . r, reached breadth-first, acts as act(r) then act(g) (act(g)
-    then act(r), if contravariant).  This is exact: a coend with parameters is
-    strictly functorial in them (Mac Lane, CWM IX.7), as is the carrier action
-    at every caller, so a carrier map that respects classes along each
-    generator respects them along their composites and induces the composite
-    of their maps.  Checking well-definedness on generators therefore suffices.
+    Only generators (`FinCat.generators`) run `class_map`, with its check on
+    every member of every class.  Identities act as identities, and each
+    other morphism g . r, reached breadth-first, acts as act(r) then act(g)
+    (act(g) then act(r), if contravariant).  This is exact: a coend with
+    parameters is strictly functorial in them (Mac Lane, CWM IX.7), as is the
+    carrier action at every caller, so a carrier map that respects classes
+    along each generator respects them along their composites and induces
+    the composite of their maps.  Checking well-definedness on generators
+    therefore suffices.
     """
     acts = {cat.id_of(a): FinFn.identity(quotient_at(a).quotient) for a in cat.objects}
     for g in cat.generators():
         s, t = (cat.tgt(g), cat.src(g)) if contravariant else (cat.src(g), cat.tgt(g))
-        acts[g] = induced_map(quotient_at(s), quotient_at(t).quotient, functools.partial(rule, g))
+        source, target = quotient_at(s), quotient_at(t)
+        acts[g] = class_map(source, target, image(g, source, target))
     by_src = generators_by_source(cat)
     queue = list(acts)  # breadth-first: grows while it is read
     for r in queue:

@@ -226,11 +226,11 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presh
     quotients = {a: coend_at(a) for a in base.objects}
     values = {a: q.quotient for a, q in quotients.items()}
 
-    def rule(m, pair):
-        bb, (s, t, h) = pair
-        return quotients[base.src(m)].representative((bb, (s, t, base.comp[(h, m)])))
+    def image(m, source, target):
+        index = target.carrier._index
+        return [index[bb, (s, t, base.comp[(h, m)])] for bb, (s, t, h) in source.carrier.elements]
 
-    restriction = induced_actions(base, quotients.__getitem__, rule, contravariant=True)
+    restriction = induced_actions(base, quotients.__getitem__, image, contravariant=True)
     return Presheaf(base, values, restriction, check=False, quotients=quotients)
 
 

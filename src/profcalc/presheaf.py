@@ -242,11 +242,11 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> Presheaf:
     quotients = {y: coend_at(y) for y in target.objects}
     values = {y: q.quotient for y, q in quotients.items()}
 
-    def rule(g, pair):
-        x, (u, v) = pair
-        return quotients[target.src(g)].representative((x, (f.on_obj[x].restriction[g](u), v)))
+    def image(g, source, tgt):
+        index = tgt.carrier._index
+        return [index[x, (f.on_obj[x].restriction[g](u), v)] for x, (u, v) in source.carrier.elements]
 
-    restriction = induced_actions(target, quotients.__getitem__, rule, contravariant=True)
+    restriction = induced_actions(target, quotients.__getitem__, image, contravariant=True)
     return Presheaf(target, values, restriction, check=False, quotients=quotients)
 
 

@@ -6,11 +6,11 @@ code path, and the two are *tested* isomorphic rather than identified.
 
 Every profunctor whose values are coends (`prof_compose`, and in `symmon`
 substitution and its tuple-level extension) gets both actions from
-`coend_actions`, given an elementwise rule on carriers for each side.  Every
-other profunctor or sequence built here or in `symmon` gets them from
-`action_tables`, given its value sets and an elementwise rule for each side;
-it alone knows the key order and the endpoints of each action map.  A
-symmetric sequence (`symmon.SymSeq`) is a profunctor into the free
+`coend_actions`, given for each side the carrier position of each member's
+image.  Every other profunctor or sequence built here or in `symmon` gets
+them from `action_tables`, given its value sets and an elementwise rule for
+each side; it alone knows the key order and the endpoints of each action
+map.  A symmetric sequence (`symmon.SymSeq`) is a profunctor into the free
 symmetric category on its input colours, so `prof_compose` and `tau` take
 sequences as they are.
 
@@ -196,13 +196,13 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
 
     quotients = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
 
-    def left(m, x, pair):
-        y, (u, v) = pair
-        return y, (g.left_act[(m, y)](u), v)
+    def left(m, x, source, target):
+        index = target.carrier._index
+        return [index[y, (g.left_act[(m, y)](u), v)] for y, (u, v) in source.carrier.elements]
 
-    def right(z, m, pair):
-        y, (u, v) = pair
-        return y, (u, f.right_act[(y, m)](v))
+    def right(z, m, source, target):
+        index = target.carrier._index
+        return [index[y, (u, f.right_act[(y, m)](v))] for y, (u, v) in source.carrier.elements]
 
     return Profunctor(
         f.source, g.target, *coend_actions(f.source, g.target, quotients, left, right),
@@ -214,27 +214,22 @@ def coend_actions(source: FinCat, target: FinCat, quotients: dict, left, right):
     """(values, left_act, right_act) of a profunctor source -|-> target whose
     value at (y, x) is the coend quotients[(y, x)].
 
-    left(g, x, e) sends a carrier element e at (tgt g, x) to one at (src g, x),
-    for g in target; right(y, f, e) sends one at (y, src f) to one at (y, tgt f),
-    for f in source, as in `action_tables`.  Each action is the map of classes
-    that `induced_actions` induces from these carrier rules, checked well
-    defined on generators.
+    left(g, x, q0, q1), for g in target, lists for each carrier position of
+    q0 = quotients[(tgt g, x)] the carrier position of its image in
+    q1 = quotients[(src g, x)]; right(y, f, q0, q1), for f in source, does
+    the same from (y, src f) to (y, tgt f), as in `action_tables`.  Each
+    action is the map of classes that `induced_actions` induces from these
+    positions, checked well defined on generators.
     """
     values = {key: q.quotient for key, q in quotients.items()}
     left_act, right_act = {}, {}
     for x in source.objects:
-
-        def rule(g, e, x=x):
-            return quotients[(target.src(g), x)].representative(left(g, x, e))
-
-        acts = induced_actions(target, lambda y, x=x: quotients[(y, x)], rule, contravariant=True)
+        acts = induced_actions(target, lambda y, x=x: quotients[(y, x)],
+                               lambda g, q0, q1, x=x: left(g, x, q0, q1), contravariant=True)
         left_act.update(((g, x), fn) for g, fn in acts.items())
     for y in target.objects:
-
-        def rule(f, e, y=y):
-            return quotients[(y, source.tgt(f))].representative(right(y, f, e))
-
-        acts = induced_actions(source, lambda x, y=y: quotients[(y, x)], rule, contravariant=False)
+        acts = induced_actions(source, lambda x, y=y: quotients[(y, x)],
+                               lambda f, q0, q1, y=y: right(y, f, q0, q1), contravariant=False)
         right_act.update(((y, f), fn) for f, fn in acts.items())
     return values, left_act, right_act
 

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .day import StrictMonoidalFinCat
-from .colim import QuotientSet, quotient
+from .colim import QuotientSet, label_pairs, quotient
 from .fincat import (
     FinCat,
     FinFn,
@@ -253,7 +253,8 @@ def quotient_from_dict(d: dict, cats: dict) -> QuotientSet:
         raise ValueError("quotient class is empty")
     if len(set(members)) != len(members):
         raise ValueError("quotient classes overlap")
-    q = quotient(FinSet(members), ((cls[0], x) for cls in classes for x in cls[1:]))
+    carrier = FinSet(members)
+    q = quotient(carrier, label_pairs(carrier, ((cls[0], x) for cls in classes for x in cls[1:])))
     for cls in classes:
         if q.representative(cls[0]) != cls[0]:
             raise ValueError(f"quotient class {cls!r} does not list its minimum first")

@@ -23,21 +23,27 @@ contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
 Their structural morphisms are built once per block shape (`TruncatedSymCat`).
-The actions of the composite, and of the tuple-level extension, come from
-`prof.coend_actions`.  Every other sequence here -- the unit, the
-representables, coproducts and the operads' sequences -- gets its action
-tables from `prof.action_tables`, given its values and one elementwise rule
-per side, and the unit and composition cells of the operads come from
-`fincat.components`, given an image rule.  `SUBST` presents substitution,
-with its associator, unit isomorphisms and whiskerings, as a
-`report.Bicategory`, whose pentagon and triangles the shared `report`
-checkers test.
+Each carrier, of the composite or of the tuple-level extension (one empty
+outer value), is laid out once in runs of equal (m, ys, blocks) (`_Run`):
+a member's position is its run's offset plus the positions of its gamma,
+its block values and its gluing morphism along their axes.  So the
+relations, and the actions that `prof.coend_actions` induces, are computed
+as carrier positions through per-run position maps of the value actions
+and of composition with the structural morphisms; no label is built or
+hashed per relation or per member.  Every other sequence here -- the unit,
+the representables, coproducts and the operads' sequences -- gets its
+action tables from `prof.action_tables`, given its values and one
+elementwise rule per side, and the unit and composition cells of the
+operads come from `fincat.components`, given an image rule.  `SUBST`
+presents substitution, with its associator, unit isomorphisms and
+whiskerings, as a `report.Bicategory`, whose pentagon and triangles the
+shared `report` checkers test.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 from dataclasses import dataclass, field
 
 from .colim import QuotientSet, induced_components, induced_map, quotient
@@ -329,91 +335,148 @@ def _blockings(objects: FinSet, total: int, m: int, lo: int):
                 yield (b,) + rest
 
 
-def _block_rows(f: SymSeq, xs: tuple, ys: tuple, allow_zero: bool):
-    """Every (blocks, rows): len(ys) tuples `blocks`, and the list of (vs, h)
-    with a value vs[i] in f[blocks[i]; ys[i]] for each block and
-    h: xs -> blocks[0] + ... + blocks[-1].  Both come in canonical order, so
-    the flat tuples built from them need no sorting."""
+@dataclass(frozen=True)
+class _Run:
+    """The members of a substitution carrier with one (m, ys, blocks), in
+    order from position `offset` on: every (gamma, vs, h) with gamma in
+    `gammas`, vs[i] in values[i] and h in `homs`.  A member's position is
+    the sum of its shares along the axes, axes[0][k] for the k-th gamma
+    (the offset included) and axes[i + 1][k] for the k-th value of vs[i],
+    plus the position of its h."""
+
+    offset: int
+    gammas: tuple
+    values: tuple[FinSet, ...]
+    homs: FinSet
+    axes: list[list[int]]
+
+    def members(self):
+        return itertools.product(self.gammas, itertools.product(*self.values), self.homs)
+
+
+def _layout(f: SymSeq, xs: tuple, heads, allow_zero: bool) -> dict[tuple, _Run]:
+    """The runs of a substitution carrier over xs, keyed (m, ys, blocks), in
+    carrier order: each (m, ys, gammas) of `heads` with every tuple of m
+    blocks of xs (nonempty unless allow_zero), vs[i] in f[blocks[i]; ys[i]]
+    and h: xs -> blocks[0] + ... + blocks[-1]."""
     cat = f.source_sym.cat
-    for blocks in _blockings(cat.objects, len(xs), len(ys), 0 if allow_zero else 1):
-        homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
-        yield blocks, list(itertools.product(
-            itertools.product(*[f.values[(b, y)] for b, y in zip(blocks, ys)]), homs
-        ))
+    runs: dict[tuple, _Run] = {}
+    offset = 0
+    for m, ys, gammas in heads:
+        for blocks in _blockings(cat.objects, len(xs), m, 0 if allow_zero else 1):
+            values = tuple(f.values[(b, y)] for b, y in zip(blocks, ys))
+            homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
+            sizes = [len(gammas), *map(len, values), len(homs)]
+            axes = [[k * math.prod(sizes[i + 1:]) for k in range(n)] for i, n in enumerate(sizes[:-1])]
+            axes[0] = [offset + k for k in axes[0]]
+            runs[(m, ys, blocks)] = _Run(offset, gammas, values, homs, axes)
+            offset += math.prod(sizes)
+    return runs
 
 
-def _row_action(f: SymSeq, phi: Label, blocks: tuple):
-    """phi: ys -> ys' on the block rows over ys with these blocks: the permuted
-    blocks, the pushes along phi's components (each with the position it
-    reads), and the block permutation that twists the gluing morphism."""
-    _, _, sigma, gbar = phi
-    inv = perm_inverse(sigma)
-    return (
-        tuple(blocks[j] for j in inv),
-        tuple((j, f.right_act[(blocks[j], gbar[j])]) for j in inv),
-        f.source_sym.block_perm_mor(blocks, sigma),
+def _compose_layout(g: SymSeq, f: SymSeq, xs: tuple, z: Label) -> dict[tuple, _Run]:
+    """The runs of the carrier of (g o f)(xs; z): gamma in g[ys; z] for every
+    ys of m colours with g[ys; z] inhabited, m up to the block bound."""
+    nullary, bound = f.has_nullary_support(), g.source_sym.max_len
+    if not nullary and len(xs) > bound:
+        raise BoundExceeded(
+            f"output arity {len(xs)} needs block counts up to {len(xs)} but the middle "
+            f"arity bound is {bound}; the sound bound for a "
+            f"nullary-free inner sequence is m <= output arity"
+        )
+    heads = (
+        (m, ys, g.values[(ys, z)])
+        for m in range(bound + 1 if nullary else len(xs) + 1)
+        for ys in itertools.product(f.source.objects, repeat=m)
+        if len(g.values[(ys, z)]) > 0
     )
+    return _layout(f, xs, heads, nullary)
 
 
-def _act_on_row(f: SymSeq, phi: Label, blocks: tuple, vs: tuple, h: Label):
-    """phi: ys -> ys' acting covariantly on one block row (blocks, vs, h) over ys."""
-    new_blocks, pushes, mover = _row_action(f, phi, blocks)
-    return new_blocks, tuple(push(vs[j]) for j, push in pushes), f.source_sym.cat.comp[(mover, h)]
+def _row_maps(f: SymSeq, phi: Label, blocks: tuple, run: _Run, to: _Run):
+    """phi: ys -> ys' on the block rows of `run` (over ys, with these blocks)
+    into `to`: the axes of each vs[j] pushed along phi's j-th component to
+    slot sigma[j], and the position of each h twisted by the block permutation."""
+    sym = f.source_sym
+    _, _, sigma, gbar = phi
+    axes = []
+    for j, v in enumerate(run.values):
+        push, index, shares = f.right_act[(blocks[j], gbar[j])], to.values[sigma[j]]._index, to.axes[sigma[j] + 1]
+        axes.append([shares[index[push(x)]] for x in v])
+    mover = sym.block_perm_mor(blocks, sigma)
+    return axes, [to.homs._index[sym.cat.comp[(mover, h)]] for h in run.homs]
 
 
-def _glue(cat: FinCat):
-    """The left carrier rule of substitution values: a tuple morphism
-    precomposes the gluing morphism, the last entry of every carrier element."""
-    return lambda mor, _, elem: elem[:-1] + (cat.comp[(elem[-1], mor)],)
-
-
-def _relations(f: SymSeq, gens_x: dict, carrier, outer=None):
-    """Generating relations of a substitution quotient on a carrier of
-    elements (m, ys, blocks, gamma, vs, h), in carrier order, walked one run
-    of equal (m, ys, blocks) at a time (`_block_rows` keeps each run
-    contiguous); what depends on the run alone is looked up once per run.
+def _layout_relations(f: SymSeq, gens_x: dict, layout: dict, outer=None):
+    """Generating relations of a substitution quotient as pairs of carrier
+    positions, in the carrier order of the members they are read at; what
+    depends on a run alone is worked out once per run.
 
     Block relations: a generator mu: blocks[i] -> t of the tuple category
-    moves between the i-th block value (contravariant side) and the gluing
-    morphism (covariant side, through `block_embedding`); emitted only where
-    vs[i], which they do not read, is the first of its value set.  Outer
-    relations, given outer = (g, z, gens_y) and m > 0: a generator phi: ys ->
-    ys' of the middle tuple category acts on gamma in g[ys; z] contravariantly
-    and on the block row covariantly (`_row_action`); emitted only where
-    gamma, which they do not read, is the first of its value set.
+    moves between the i-th block value (contravariantly) and the gluing
+    morphism (covariantly, through `block_embedding`), read where vs[i] is
+    the first of its value set.  Outer relations, given outer = (g, z,
+    gens_y): a generator phi: ys -> ys' of the middle tuple category acts on
+    gamma contravariantly and on the block row covariantly (`_row_maps`),
+    read where gamma is the first of its value set.
     """
-    cat = f.source_sym.cat
-    for (m, ys, blocks), run in itertools.groupby(carrier, operator.itemgetter(0, 1, 2)):
-        moves = [
-            (i, f.values[(s, y)].elements[0], f.source_sym.block_embedding(blocks, i, mu),
-             blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:],
-             [(f.left_act[(mu, y)](v), v) for v in f.values[(cat.tgt(mu), y)]])
-            for i, (s, y) in enumerate(zip(blocks, ys)) for mu in gens_x[s]
-        ]
-        acts, first_gamma = [], None
-        if outer is not None and m > 0:
+    sym = f.source_sym
+    cat = sym.cat
+    for (m, ys, blocks), run in layout.items():
+        rels = []  # (the axis that must be at its first value, the other end's axes, glued, pulls)
+        for i, (s, y) in enumerate(zip(blocks, ys)):
+            for mu in gens_x[s]:
+                to = layout[(m, ys, blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:])]
+                index, pull, shares = run.values[i]._index, f.left_act[(mu, y)], run.axes[i + 1]
+                pulls = [(shares[index[pull(v)]], b) for v, b in zip(to.values[i], to.axes[i + 1])]
+                if pulls:
+                    embed = sym.block_embedding(blocks, i, mu)
+                    glued = [to.homs._index[cat.comp[(embed, h)]] for h in run.homs]
+                    rels.append((i + 1, to.axes, glued, pulls))
+        if outer is not None:
             g, z, gens_y = outer
-            first_gamma = g.values[(ys, z)].elements[0]
-            acts = [
-                (phi[1], *_row_action(f, phi, blocks),
-                 [(g.left_act[(phi, z)](gt), gt) for gt in g.values[(phi[1], z)]])
-                for phi in gens_y[ys]
+            for phi in gens_y[ys]:
+                to = layout.get((m, phi[1], tuple(blocks[j] for j in perm_inverse(phi[2]))))
+                if to is not None:  # else g[ys'; z] is empty
+                    axes, glued = _row_maps(f, phi, blocks, run, to)
+                    index, pull, shares = run.gammas._index, g.left_act[(phi, z)], run.axes[0]
+                    pulls = [(shares[index[pull(gt)]] - run.offset, b) for gt, b in zip(to.gammas, to.axes[0])]
+                    rels.append((0, [[0]] + axes, glued, pulls))
+        own = run.axes
+        for p in itertools.product(*map(range, map(len, own))):  # (gamma, vs) digits
+            live = [
+                (sum(map(list.__getitem__, axes, p)), glued, pulls)
+                for axis, axes, glued, pulls in rels if p[axis] == 0
             ]
-        for _, _, _, gamma, vs, h in run:
-            for i, first, embed, moved, pulls in moves:
-                if vs[i] == first:
-                    glued = cat.comp[(embed, h)]
-                    for pv, v in pulls:
-                        yield (
-                            (m, ys, blocks, gamma, vs[:i] + (pv,) + vs[i + 1:], h),
-                            (m, ys, moved, gamma, vs[:i] + (v,) + vs[i + 1:], glued),
-                        )
-            if gamma == first_gamma:
-                for ys_tgt, new_blocks, pushes, mover, pulls in acts:
-                    new_vs = tuple(push(vs[j]) for j, push in pushes)
-                    glued = cat.comp[(mover, h)]
-                    for pg, gt in pulls:
-                        yield (m, ys, blocks, pg, vs, h), (m, ys_tgt, new_blocks, gt, new_vs, glued)
+            if live:
+                a = sum(map(list.__getitem__, own, p))
+                for hi in range(len(run.homs)):
+                    for b, glued, pulls in live:
+                        ai, bi = a + hi, b + glued[hi]
+                        for pa, pb in pulls:
+                            yield ai + pa, bi + pb
+
+
+def _image(source: dict, run_image) -> list[int]:
+    """Image positions of a laid-out carrier's members: run_image(key, run)
+    gives the axes (as in `_Run`) and gluing positions of the run's image."""
+    out: list[int] = []
+    for key, run in source.items():
+        axes, glued = run_image(key, run)
+        out.extend([b + h for b in map(sum, itertools.product(*axes)) for h in glued])
+    return out
+
+
+def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
+    """The left action h -> h . rho of rho: xs' -> xs, from layouts[(xs, z)]
+    to layouts[(xs', z)]."""
+    target = layouts[(cat.src(rho), z)]
+
+    def run_image(key, run):
+        to = target[key]
+        return to.axes, [to.homs._index[cat.comp[(h, rho)]] for h in run.homs]
+
+    return _image(layouts[(cat.tgt(rho), z)], run_image)
 
 
 @memoised
@@ -431,45 +494,33 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
     """
     if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
-    sym_x = f.source_sym
-    sym_y = g.source_sym
-    z_cat = g.source
-    nullary = f.has_nullary_support()
-
-    def m_range(k: int) -> range:
-        if nullary:
-            return range(0, sym_y.max_len + 1)
-        if k > sym_y.max_len:
-            raise BoundExceeded(
-                f"output arity {k} needs block counts up to {k} but the middle "
-                f"arity bound is {sym_y.max_len}; the sound bound for a "
-                f"nullary-free inner sequence is m <= output arity"
-            )
-        return range(0, k + 1)
-
-    gens_x = generators_by_source(sym_x.cat)
-    gens_y = generators_by_source(sym_y.cat)
+    cat, z_cat = f.source_sym.cat, g.source
+    gens_x = generators_by_source(cat)
+    gens_y = generators_by_source(g.source_sym.cat)
+    layouts: dict[tuple[tuple, Label], dict] = {}
     quotients: dict[tuple[tuple, Label], QuotientSet] = {}
-    for xs in sym_x.cat.objects:
+    for xs in cat.objects:
         for z in z_cat.objects:
+            layout = layouts[(xs, z)] = _compose_layout(g, f, xs, z)
             carrier = FinSet(_Canonical(
-                (m, ys, blocks, gamma, vs, h)
-                for m in m_range(len(xs))
-                for ys in itertools.product(f.source.objects, repeat=m)
-                if len(g.values[(ys, z)]) > 0
-                for blocks, rows in _block_rows(f, xs, ys, nullary)
-                for gamma in g.values[(ys, z)]
-                for vs, h in rows
+                (*key, *member) for key, run in layout.items() for member in run.members()
             ))
-            quotients[(xs, z)] = quotient(carrier, _relations(f, gens_x, carrier, (g, z, gens_y)))
+            quotients[(xs, z)] = quotient(carrier, _layout_relations(f, gens_x, layout, (g, z, gens_y)))
 
-    def right(xs, zm, elem):
-        m, ys, blocks, gamma, vs, h = elem
-        return m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h
+    def right(xs, zm, q0, q1):
+        target = layouts[(xs, z_cat.tgt(zm))]
+
+        def run_image(key, run):
+            to, act = target[key], g.right_act[(key[1], zm)]
+            gamma_axis = [to.axes[0][to.gammas._index[act(gamma)]] for gamma in run.gammas]
+            return [gamma_axis, *to.axes[1:]], range(len(run.homs))
+
+        return _image(layouts[(xs, z_cat.src(zm))], run_image)
 
     return SymSeq(
-        sym_x, z_cat, *coend_actions(z_cat, sym_x.cat, quotients, _glue(sym_x.cat), right),
-        check=False, quotients=quotients, bounded_search=nullary,
+        f.source_sym, z_cat,
+        *coend_actions(z_cat, cat, quotients, lambda rho, z, q0, q1: _precompose(cat, rho, layouts, z), right),
+        check=False, quotients=quotients, bounded_search=f.has_nullary_support(),
     )
 
 
@@ -725,28 +776,37 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
     """The tuple-level extension of a sequence: values at (xs, ys) are the
     block decompositions of xs matching ys, quotiented by block relations.
     There are exactly len(ys) blocks, so no block count needs a bound, even
-    when f has nullary values."""
+    when f has nullary values.  Each carrier is laid out as a composite's
+    is, with one empty outer value."""
     if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
-    sym_x = f.source_sym
+    cat = f.source_sym.cat
     nullary = f.has_nullary_support()
-    gens_x = generators_by_source(sym_x.cat)
+    gens_x = generators_by_source(cat)
+    layouts: dict[tuple[tuple, tuple], dict] = {}
     quotients: dict[tuple[tuple, tuple], QuotientSet] = {}
-    for xs in sym_x.cat.objects:
+    for xs in cat.objects:
         for ys in sym_y.cat.objects:
+            layout = layouts[(xs, ys)] = _layout(f, xs, [(len(ys), ys, (None,))], nullary)
             carrier = FinSet(_Canonical(
-                (blocks, vs, h) for blocks, rows in _block_rows(f, xs, ys, nullary)
-                for vs, h in rows
+                (blocks, vs, h) for (_, _, blocks), run in layout.items() for _, vs, h in run.members()
             ))
-            # the block relations, walked as a composite's carrier with no outer value
-            pairs = _relations(f, gens_x, ((len(ys), ys, b, None, vs, h) for b, vs, h in carrier))
-            quotients[(xs, ys)] = quotient(carrier, (
-                ((b0, v0, h0), (b1, v1, h1)) for (_, _, b0, _, v0, h0), (_, _, b1, _, v1, h1) in pairs
-            ))
+            quotients[(xs, ys)] = quotient(carrier, _layout_relations(f, gens_x, layout))
+
+    def right(xs, phi, q0, q1):
+        target, inv = layouts[(xs, phi[1])], perm_inverse(phi[2])
+
+        def run_image(key, run):
+            m, _, blocks = key
+            to = target[(m, phi[1], tuple(blocks[j] for j in inv))]
+            axes, glued = _row_maps(f, phi, blocks, run, to)
+            return [to.axes[0]] + axes, glued
+
+        return _image(layouts[(xs, phi[0])], run_image)
+
     return Profunctor(
-        sym_y.cat, sym_x.cat,
-        *coend_actions(sym_y.cat, sym_x.cat, quotients, _glue(sym_x.cat),
-                       lambda xs, phi, elem: _act_on_row(f, phi, *elem)),
+        sym_y.cat, cat,
+        *coend_actions(sym_y.cat, cat, quotients, lambda rho, ys, q0, q1: _precompose(cat, rho, layouts, ys), right),
         check=False, quotients=quotients,
     )
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from integrands import coyoneda_iso, fubini_iso
-from profcalc.colim import bifunctor_violations, coend, coend_from, induced_components, induced_map, quotient
+from profcalc.colim import (
+    bifunctor_violations, coend, coend_from, induced_components, induced_map, label_pairs, quotient,
+)
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
 from profcalc.presheaf import yoneda
 from profcalc.prof import Profunctor
@@ -55,7 +57,7 @@ def test_coequalizer_chain_closure():
     cod = FinSet(["a", "b", "c"])
     f = FinFn(dom, cod, {"g1": "a", "g2": "b"})
     g = FinFn(dom, cod, {"g1": "b", "g2": "c"})
-    q = quotient(cod, [(f(a), g(a)) for a in dom])
+    q = quotient(cod, label_pairs(cod, [(f(a), g(a)) for a in dom]))
     assert q.classes == (("a", "b", "c"),)
     assert q.representative("c") == "a"
 
@@ -72,8 +74,16 @@ def test_factor_through_quotient_unique():
 
 
 def test_quotient_names_a_related_label_outside_the_carrier():
+    carrier = FinSet(["a", "b"])
     with pytest.raises(ValueError, match="'z' is not in the carrier"):
-        quotient(FinSet(["a", "b"]), [("a", "b"), ("b", "z")])
+        quotient(carrier, label_pairs(carrier, [("a", "b"), ("b", "z")]))
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 0), (1, -2)])
+def test_union_find_refuses_a_position_outside_the_carrier(pair):
+    # a negative position would otherwise index from the end of the parent list
+    with pytest.raises(ValueError, match="not both in a carrier of 2 elements"):
+        quotient(FinSet(["a", "b"]), [(0, 1), pair])
 
 
 def test_kan_extend_names_a_restriction_image_outside_its_value():
@@ -715,7 +725,7 @@ def test_interchange_alone_failing_is_found_on_generators():
 def test_induced_components_keep_key_order_and_check_every_component():
     pqr = FinSet(["p", "q", "r"])
     # keys in non-canonical order; at "b" the class {p, q} is named p
-    quotients = {"b": quotient(pqr, [("p", "q")]), "a": quotient(pqr, [])}
+    quotients = {"b": quotient(pqr, label_pairs(pqr, [("p", "q")])), "a": quotient(pqr, [])}
     codomains = {"b": FinSet(["p", "r"]), "a": pqr}
     seen = []
 

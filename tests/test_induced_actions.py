@@ -10,13 +10,15 @@ import functools
 
 import pytest
 
-from profcalc.colim import induced_actions, induced_map, quotient
+from profcalc.colim import class_map, induced_actions, induced_map, label_pairs, quotient
 from profcalc.day import day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
 from profcalc.prof import prof_compose, prof_identity, tau_inv
 from profcalc.seeds import arrow_category, chain, discrete, seed_library
 from profcalc.symmon import (
+    _compose_layout,
+    _precompose,
     associative_operad,
     free_sym_cat,
     perm_inverse,
@@ -194,10 +196,11 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
 def test_a_rule_not_constant_on_classes_along_a_generator_raises():
     cat = chain(2)
     pq = FinSet(["p", "q"])
-    quotients = {a: quotient(pq, [("p", "q")] if a == "0" else []) for a in cat.objects}
+    quotients = {a: quotient(pq, label_pairs(pq, [("p", "q")] if a == "0" else [])) for a in cat.objects}
 
-    def constant(m, x):
-        return "p"
+    def constant(m, source, target):
+        # every member goes to the position of "p"
+        return [target.carrier._index["p"]] * len(source.carrier)
 
     acts = induced_actions(cat, quotients.__getitem__, constant, contravariant=True)
     assert list(acts) == list(cat.morphisms())
@@ -207,4 +210,20 @@ def test_a_rule_not_constant_on_classes_along_a_generator_raises():
         assert fn == induced_map(src, tgt.quotient, rule)
     # covariantly, x -> x splits the class {p, q} at "0" along the generator "0" -> "1"
     with pytest.raises(ValueError, match="not constant on class"):
-        induced_actions(cat, quotients.__getitem__, lambda m, x: x, contravariant=False)
+        induced_actions(cat, quotients.__getitem__, lambda m, s, t: range(len(s.carrier)), contravariant=False)
+
+
+def test_a_substitution_position_map_sending_one_member_to_another_class_raises():
+    ass = associative_operad(3).seq
+    gf = subst_compose(ass, ass)
+    cat = ass.source_sym.cat
+    rho = next(mu for mu in cat.generators() if len(mu[0]) == 3)
+    q0, q1 = gf.quotients[(rho[1], "d0")], gf.quotients[(rho[0], "d0")]
+    layouts = {(xs, "d0"): _compose_layout(ass, ass, xs, "d0") for xs in (rho[1], rho[0])}
+    image = _precompose(cat, rho, layouts, "d0")
+    assert class_map(q0, q1, image) == gf.left_act[(rho, "d0")]
+    # one member that is not its class minimum goes into another class
+    i = next(i for i, r in enumerate(q0._roots) if r != i)
+    image[i] = next(j for j, r in enumerate(q1._roots) if r != q1._roots[image[i]])
+    with pytest.raises(ValueError, match="not constant on class"):
+        class_map(q0, q1, image)

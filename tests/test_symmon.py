@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
-from profcalc.colim import bifunctor_violations, quotient
+from profcalc import serialize
+from profcalc.colim import bifunctor_violations, label_pairs, quotient
 from profcalc.fincat import (
     BoundExceeded,
     FinFn,
@@ -17,8 +19,9 @@ from profcalc.prof import prof_compose
 from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
     ColouredOperad,
-    _relations,
     SymSeq,
+    _compose_layout,
+    _layout_relations,
     associative_operad,
     block_permutation,
     check_operad,
@@ -418,11 +421,28 @@ def test_species_substitution_matches_oracle():
 
 def test_ass_ass_counts_match_the_closed_form():
     # Ass(n) = n! has EGF x/(1-x), so Ass o Ass has EGF x/(1-2x): n! 2^(n-1) at n >= 1
-    operad = associative_operad(4)
-    sizes = [0] * 5
+    operad = associative_operad(5)
+    sizes = [0] * 6
     for (xs, _), fn in operad.comp_components.items():
         sizes[len(xs)] += len(fn.domain)
-    assert sizes == [0] + [math.factorial(n) * 2 ** (n - 1) for n in range(1, 5)]
+    assert sizes == [0] + [math.factorial(n) * 2 ** (n - 1) for n in range(1, 6)]
+    assert sizes[5] == 1920
+
+
+# sha256 of the wire bytes of Ass(4) o Ass(4) and of the extension of Ass(4), recorded
+# before substitution computed its relations and actions by carrier position
+SUBST_WIRE_SHA256 = {
+    "compose": "4a4c5f66b5df904a6bd16e3ef85b83b3c431ca9449ba0e0547c187c2811dca47",
+    "extension": "ed463b07f736de18bf8d74aae44ce6204340a1ce4e23a5222e2a18e2a8d1dc4b",
+}
+
+
+def test_ass4_substitution_wire_bytes_are_pinned():
+    a = associative_operad(4).seq
+    built = {"compose": subst_compose(a, a), "extension": subst_extension(a, a.source_sym)}
+    for name, value in built.items():
+        digest = hashlib.sha256(serialize.dumps(value).encode()).hexdigest()
+        assert digest == SUBST_WIRE_SHA256[name], name
 
 
 def test_subst_carriers_are_built_in_canonical_order_without_sorting(monkeypatch):
@@ -716,7 +736,12 @@ def _old_subst_relations(g, f, z, carrier, gens_x, gens_y):
                 )
 
 
-RUN_CASES = dict(SUBST_REFERENCE_CASES, **{"Ass o Ass, arity 4": (associative_operad(4).seq,) * 2})
+RUN_CASES = dict(SUBST_REFERENCE_CASES, **{
+    "Ass o Ass, arity 4": (associative_operad(4).seq,) * 2,
+    # bounded searches at arity bound 2: m = 0 runs, and empty blocks
+    "y(d0, d0) o (y() + y(d0)), bound 2": _nullary_pair(),
+    "(y() + y(d0)) o (y() + y(d0)), bound 2": (_nullary_pair()[1],) * 2,
+})
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
@@ -727,7 +752,9 @@ def test_run_wise_relations_match_the_per_element_sequence(name):
     gf = subst_compose(g, f)
     emitted = 0
     for (xs, z), q in gf.quotients.items():
-        new = list(_relations(f, gens_x, q.carrier, (g, z, gens_y)))
+        elems = q.carrier.elements
+        positions = _layout_relations(f, gens_x, _compose_layout(g, f, xs, z), (g, z, gens_y))
+        new = [(elems[a], elems[b]) for a, b in positions]
         assert new == list(_old_subst_relations(g, f, z, q.carrier, gens_x, gens_y)), (xs, z)
         emitted += len(new)
     # a quotient with fewer classes than elements was made by relations
@@ -744,7 +771,7 @@ def test_extension_quotients_match_the_per_element_relations(name):
             pair for blocks, vs, h in q.carrier
             for pair in _old_block_pairs(f, gens_x, ys, blocks, vs, h)
         )
-        assert quotient(q.carrier, relations).classes == q.classes, (xs, ys)
+        assert quotient(q.carrier, label_pairs(q.carrier, relations)).classes == q.classes, (xs, ys)
 
 
 def _block_tuples(sym):
