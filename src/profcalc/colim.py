@@ -8,8 +8,10 @@ its minimum position names it by its order-minimal member, and the classes
 come out in canonical order without comparing labels again.  Results are
 therefore canonical, and every downstream map on quotients can be checked
 elementwise for well-definedness.  Callers that relate labels translate them
-through the carrier's position index (`label_pairs`); substitution computes
-its positions directly (`symmon`).
+through the carrier's position index (`label_pairs`).  Day convolution
+(`day`) and substitution (`symmon`) compute positions directly instead: each
+lays its carrier out in runs, a member's position being one share per axis
+plus its innermost position (`run_positions`, `layout_image`).
 
 No set built here is sorted; each is canonical by construction: carriers
 are `FinSet.sigma`s, and class names the class minima in carrier order.
@@ -18,13 +20,14 @@ A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
 H(g, 1)w and the g-relation at H(1, k)w chain up, because the interchange law
 makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
-`coend_from`, the one coend entry, takes the diagonal H(y, y) and, for each
-generator f: y -> y' (`FinCat.generators`) only, the related pairs
-(H(f, 1)w, H(1, f)w); that needs the integrand to be a bifunctor.
-`kan_extend`, `prof_compose` and `day_convolve` read these pairs straight
-off their functorial input tables -- presheaf restrictions, presheaf-map
-components, profunctor actions, hom composition, the monoidal composition --
-so no slice H(y', y) and no action map is built.  A bifunctor
+`coend_from`, the coend entry for labelled relations, takes the diagonal
+H(y, y) and, for each generator f: y -> y' (`FinCat.generators`) only, the
+related pairs (H(f, 1)w, H(1, f)w); that needs the integrand to be a
+bifunctor.  `coend`, `kan_extend` and `prof_compose` use it, the last two
+reading these pairs straight off their functorial input tables -- presheaf
+restrictions, presheaf-map components, profunctor actions, hom composition
+-- so no slice H(y', y) and no action map is built.  Day convolution and
+substitution relate positions along the same generators.  A bifunctor
 C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
 which a whole integrand is given: `coend` reads the pairs off its tables and
 trusts its laws, which `bifunctor_violations`, the one law scan behind
@@ -150,6 +153,20 @@ def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterat
             yield pos[a], pos[b]
         except KeyError as exc:
             raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
+
+
+def run_positions(axes: Sequence[Sequence[int]], inner: Iterable[int]) -> list[int]:
+    """The carrier positions of one run of a laid-out carrier, in carrier
+    order: one share from each axis, summed (the first axis carries the run's
+    offset), plus each position of `inner`, the innermost axis."""
+    return [b + h for b in map(sum, itertools.product(*axes)) for h in inner]
+
+
+def layout_image(layout: Mapping, run_image) -> list[int]:
+    """The image positions of a laid-out carrier's members, in carrier order:
+    run_image(key, run) gives the axes and innermost positions of the image
+    of each run of `layout`, a dict of runs in carrier order."""
+    return list(itertools.chain.from_iterable(run_positions(*run_image(*kv)) for kv in layout.items()))
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
@@ -323,9 +340,9 @@ def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dic
     in `cat.morphisms()` order.  quotient_at(a) is the value at object a;
     image(m, source, target) lists, for each carrier position of the value
     `source` at the source of m (its target, if contravariant), the carrier
-    position of its image in the value `target` at the other end: from its
-    run layout in substitution, by one `FinSet._index` lookup per member in
-    `kan_extend`, `prof_compose` and `day_convolve`.
+    position of its image in the value `target` at the other end: from the
+    run layouts in substitution and `day_convolve`, by one `FinSet._index`
+    lookup per member in `kan_extend` and `prof_compose`.
 
     Only generators (`FinCat.generators`) run `class_map`, with its check on
     every member of every class.  Identities act as identities, and each

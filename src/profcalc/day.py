@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass
 
-from .colim import coend_from, induced_actions, induced_components
+from .colim import induced_actions, induced_components, layout_image, quotient, run_positions
 from .fincat import (
     EndpointMismatch,
     FinCat,
+    FinSet,
     Functor,
     Label,
     NonInvertible,
@@ -199,39 +200,67 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presh
     """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a,
     kept in `quotients[a]` with carrier elements ((b1, b2), (s, t, h)).
 
-    Each coend comes from `coend_from` over the tensor's source, the product
-    of the base with itself: along a generator (m1, m2): (b1, b2) -> (b1', b2')
-    it relates (F1(m1)s, F2(m2)t, h) ~ (s, t, (m1 (x) m2) . h) for s in
-    F1(b1'), t in F2(b2') and h: a -> b1 (x) b2, read off the restriction
-    tables and the composition of the base.
+    Computed by carrier position on each carrier's layout (`_day_layout`):
+    the generating relations (`_day_relations`) and the restriction along m,
+    h -> h . m, are index arithmetic, and no label is built or hashed per
+    relation or member.  `induced_actions` checks every member of every class.
     """
     base = mon.base
     if f1.base != base or f2.base != base:
         raise EndpointMismatch("presheaves must live on the monoidal base")
-
-    def coend_at(a):
-        def related(mm):
-            m1, m2 = mm
-            r1, r2 = f1.restriction[m1]._table, f2.restriction[m2]._table
-            tm, homs = mon.mor(m1, m2), base.hom[(a, mon.ob(base.src(m1), base.src(m2)))]
-            return (((r1[s], r2[t], h), (s, t, base.comp[(tm, h)])) for s in r1 for t in r2 for h in homs)
-
-        def diagonal(bb):
-            b1, b2 = bb
-            hom = base.hom[(a, mon.ob(b1, b2))]
-            return itertools.product(f1.values[b1].elements, f2.values[b2].elements, hom.elements)
-
-        return coend_from(mon.tensor.source, diagonal, related)
-
-    quotients = {a: coend_at(a) for a in base.objects}
-    values = {a: q.quotient for a, q in quotients.items()}
+    layouts, quotients = {}, {}
+    for a in base.objects:
+        layout = layouts[a] = _day_layout(mon, f1, f2, a)
+        carrier = FinSet.sigma(layout, lambda bb: itertools.product(
+            f1.values[bb[0]].elements, f2.values[bb[1]].elements, layout[bb][1].elements))
+        quotients[a] = quotient(carrier, _day_relations(mon, f1, f2, layout))
 
     def image(m, source, target):
-        index = target.carrier._index
-        return [index[bb, (s, t, base.comp[(h, m)])] for bb, (s, t, h) in source.carrier.elements]
+        to = layouts[base.src(m)]
+        return layout_image(layouts[base.tgt(m)], lambda bb, run: (
+            to[bb][0], [to[bb][1]._index[base.comp[(h, m)]] for h in run[1]]
+        ))
 
     restriction = induced_actions(base, quotients.__getitem__, image, contravariant=True)
+    values = {a: q.quotient for a, q in quotients.items()}
     return Presheaf(base, values, restriction, check=False, quotients=quotients)
+
+
+def _day_layout(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Label) -> dict:
+    """The nonempty runs of the Day carrier at a, keyed (b1, b2) in carrier
+    order: ((the shares of F1(b1), offset included, and of F2(b2)),
+    hom(a, b1 (x) b2)).  No relation or restriction touches an empty run."""
+    runs, offset = {}, 0
+    for b1, b2 in mon.tensor.source.objects:
+        homs = mon.base.hom[(a, mon.ob(b1, b2))]
+        n1, n2, nh = len(f1.values[b1].elements), len(f2.values[b2].elements), len(homs.elements)
+        if n1 * n2 * nh:
+            runs[(b1, b2)] = ([offset + k * n2 * nh for k in range(n1)], [k * nh for k in range(n2)]), homs
+            offset += n1 * n2 * nh
+    return runs
+
+
+def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, layout: dict):
+    """The generating relations of a Day coend as carrier position pairs: along
+    each generator (m1, m2): (b1, b2) -> (b1', b2') of the tensor's source,
+    (F1(m1)s, F2(m2)t, h) ~ (s, t, (m1 (x) m2) . h) for s in F1(b1'), t in
+    F2(b2') and h: a -> b1 (x) b2, from one digit map per factor.  Relations
+    along composites follow, as in `colim.coend_from`."""
+    prod, base = mon.tensor.source, mon.base
+
+    def pairs(m1, m2):
+        bb, bb1 = prod.src((m1, m2)), prod.tgt((m1, m2))
+        if bb not in layout or bb1 not in layout:
+            return ()
+        (axes, homs), (to_axes, to_homs) = layout[bb], layout[bb1]
+        pulled = [
+            [shares[r.codomain._index[y]] for y in map(r._table.__getitem__, r.domain.elements)]
+            for shares, r in zip(axes, (f1.restriction[m1], f2.restriction[m2]))
+        ]
+        glued = [to_homs._index[base.comp[(mon.mor(m1, m2), h)]] for h in homs]
+        return zip(run_positions(pulled, range(len(homs))), run_positions(to_axes, glued))
+
+    return itertools.chain.from_iterable(itertools.starmap(pairs, prod.generators()))
 
 
 def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:

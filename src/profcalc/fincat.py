@@ -45,7 +45,8 @@ import functools
 import itertools
 import threading
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import Any
 
 Label = Any  # int | str | tuple of Label
 
@@ -339,12 +340,13 @@ class FinCat:
 
     Morphism labels are globally unique across the whole category, so the
     composition table can be keyed by bare label pairs (g, f) meaning g after f.
+    It is a dict, or, for a `product`, a read-only mapping that composes by rule.
     """
 
     objects: FinSet
     hom: dict[tuple[Label, Label], FinSet]
     ids: dict[Label, Label]
-    comp: dict[tuple[Label, Label], Label]
+    comp: Mapping[tuple[Label, Label], Label]
     _mor_endpoints: dict[Label, tuple[Label, Label]] = field(compare=False, repr=False)
     _generators: tuple | None = field(compare=False, repr=False)
 
@@ -505,22 +507,47 @@ def opposite(cat: FinCat) -> FinCat:
     return FinCat(cat.objects, hom, cat.ids, comp)
 
 
+class _ProductComp(Mapping):
+    """The composition of `product(c, d)` by rule: (g1, g2) . (f1, f2) is
+    (g1 . f1, g2 . f2).  Its keys, in order, are those of the table that a
+    double loop over c.comp and d.comp fills; any other key raises KeyError."""
+
+    def __init__(self, c: FinCat, d: FinCat):
+        self._c, self._d = c.comp, d.comp
+
+    def __getitem__(self, key):
+        try:
+            (g1, g2), (f1, f2) = g, f = key
+            if type(g) is tuple is type(f):
+                return self._c[(g1, f1)], self._d[(g2, f2)]
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (((g1, g2), (f1, f2)) for g1, f1 in self._c for g2, f2 in self._d)
+
+    def __len__(self):
+        return len(self._c) * len(self._d)
+
+    def __eq__(self, other):
+        same = isinstance(other, _ProductComp) and self._c == other._c and self._d == other._d
+        return same or Mapping.__eq__(self, other)
+
+
 @memoised
 def product(c: FinCat, d: FinCat) -> FinCat:
-    """Product category: pair objects, pair morphisms, componentwise composition.
-    Memoised, so the tensor of a monoidal category and the check of its
-    source share one product inside a `memo_scope`."""
+    """Product category: pair objects, pair morphisms, componentwise
+    composition by rule (`_ProductComp`, no |c.comp| x |d.comp| table), and
+    declared generators.  Memoised, so the tensor of a monoidal category and
+    the check of its source share one product inside a `memo_scope`."""
     objects = FinSet.product(c.objects, d.objects)
     hom: dict[tuple[Label, Label], FinSet] = {}
     for (a1, b1) in objects:
         for (a2, b2) in objects:
             hom[((a1, b1), (a2, b2))] = FinSet.product(c.hom[(a1, a2)], d.hom[(b1, b2)])
     ids = {(a, b): (c.ids[a], d.ids[b]) for (a, b) in objects}
-    comp = {}
-    for (g1, f1), h1 in c.comp.items():
-        for (g2, f2), h2 in d.comp.items():
-            comp[((g1, g2), (f1, f2))] = (h1, h2)
-    cat = FinCat(objects, hom, ids, comp)
+    cat = FinCat(objects, hom, ids, _ProductComp(c, d))
     # (f, f') = (f, id) . (id, f'), and each factor is a word in its own generators
     gens = [(g, d.ids[b]) for g in c.generators() for b in d.objects]
     gens += [(c.ids[a], g) for a in c.objects for g in d.generators()]

@@ -210,23 +210,29 @@ def profunctor_to_dict(p: Profunctor) -> dict:
 
 def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, dict, dict]:
     """The value and action tables of a sparse profunctor payload: absent
-    values are empty, and so are absent actions."""
-    values = {(y, x): FinSet() for y in target.objects for x in source.objects}
+    values are one shared empty set, and absent actions out of it one shared
+    empty map per codomain; an absent action out of a nonempty value fails."""
+    empty, from_empty = FinSet(), {}  # from_empty: the id of a codomain -> the empty map into it
+    values = {(y, x): empty for y in target.objects for x in source.objects}
     for y, x, vs in d["values"]:
         values[(_dec(y), _dec(x))] = FinSet(map(_dec, vs))
-    declared_left = {(_dec(g), _dec(x)): table for g, x, table in d["left_act"]}
+
+    def action(declared, key, domain, codomain):
+        if key in declared or domain is not empty:
+            return _dec_fn(declared.get(key, ()), domain, codomain)
+        if id(codomain) not in from_empty:
+            from_empty[id(codomain)] = FinFn(empty, codomain, {})
+        return from_empty[id(codomain)]
+
+    declared = {(_dec(g), _dec(x)): table for g, x, table in d["left_act"]}
     left_act = {
-        (g, x): _dec_fn(
-            declared_left.get((g, x), ()), values[(target.tgt(g), x)], values[(target.src(g), x)]
-        )
+        (g, x): action(declared, (g, x), values[(target.tgt(g), x)], values[(target.src(g), x)])
         for g in target.morphisms()
         for x in source.objects
     }
-    declared_right = {(_dec(y), _dec(f)): table for y, f, table in d["right_act"]}
+    declared = {(_dec(y), _dec(f)): table for y, f, table in d["right_act"]}
     right_act = {
-        (y, f): _dec_fn(
-            declared_right.get((y, f), ()), values[(y, source.src(f))], values[(y, source.tgt(f))]
-        )
+        (y, f): action(declared, (y, f), values[(y, source.src(f))], values[(y, source.tgt(f))])
         for y in target.objects
         for f in source.morphisms()
     }

@@ -46,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .colim import QuotientSet, induced_components, induced_map, quotient
+from .colim import QuotientSet, induced_components, induced_map, layout_image, quotient
 from .fincat import (
     BoundExceeded,
     EndpointMismatch,
@@ -457,16 +457,6 @@ def _layout_relations(f: SymSeq, gens_x: dict, layout: dict, outer=None):
                             yield ai + pa, bi + pb
 
 
-def _image(source: dict, run_image) -> list[int]:
-    """Image positions of a laid-out carrier's members: run_image(key, run)
-    gives the axes (as in `_Run`) and gluing positions of the run's image."""
-    out: list[int] = []
-    for key, run in source.items():
-        axes, glued = run_image(key, run)
-        out.extend([b + h for b in map(sum, itertools.product(*axes)) for h in glued])
-    return out
-
-
 def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
     """The left action h -> h . rho of rho: xs' -> xs, from layouts[(xs, z)]
     to layouts[(xs', z)]."""
@@ -476,7 +466,7 @@ def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
         to = target[key]
         return to.axes, [to.homs._index[cat.comp[(h, rho)]] for h in run.homs]
 
-    return _image(layouts[(cat.tgt(rho), z)], run_image)
+    return layout_image(layouts[(cat.tgt(rho), z)], run_image)
 
 
 @memoised
@@ -515,7 +505,7 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
             gamma_axis = [to.axes[0][to.gammas._index[act(gamma)]] for gamma in run.gammas]
             return [gamma_axis, *to.axes[1:]], range(len(run.homs))
 
-        return _image(layouts[(xs, z_cat.src(zm))], run_image)
+        return layout_image(layouts[(xs, z_cat.src(zm))], run_image)
 
     return SymSeq(
         f.source_sym, z_cat,
@@ -802,7 +792,7 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
             axes, glued = _row_maps(f, phi, blocks, run, to)
             return [to.axes[0]] + axes, glued
 
-        return _image(layouts[(xs, phi[0])], run_image)
+        return layout_image(layouts[(xs, phi[0])], run_image)
 
     return Profunctor(
         sym_y.cat, cat,

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -27,6 +28,7 @@ from profcalc.fincat import (
 from profcalc.seeds import (
     all_functors,
     arrow_category,
+    cyclic_group_category,
     discrete,
     fork,
     parallel_pair,
@@ -168,6 +170,35 @@ def test_product_counts():
 def test_opposite_commutes_with_product(a, b):
     ca, cb = SEEDS[a], SEEDS[b]
     assert opposite(product(ca, cb)) == product(opposite(ca), opposite(cb))
+
+
+def _double_loop_comp(c, d):
+    """The composition table of the product c x d as a double loop over both tables fills it."""
+    comp = {}
+    for (g1, f1), h1 in c.comp.items():
+        for (g2, f2), h2 in d.comp.items():
+            comp[((g1, g2), (f1, f2))] = (h1, h2)
+    return comp
+
+
+@pytest.mark.parametrize("left, right", [*itertools.product(sorted(SEEDS), repeat=2), ("Z4", "Z4")])
+def test_product_composes_by_rule_as_the_double_loop_table(left, right):
+    c, d = (SEEDS[name] if name in SEEDS else cyclic_group_category(4) for name in (left, right))
+    prod = product(c, d)
+    table = _double_loop_comp(c, d)
+    assert list(prod.comp.items()) == list(table.items())
+    assert len(prod.comp) == len(table)
+    assert validate_category(prod) == []
+    tabulated = FinCat(prod.objects, prod.hom, prod.ids, table)
+    assert prod == tabulated and tabulated == prod
+    assert prod == product(c, d)  # a second rule product, outside any memo scope
+    morphisms = list(prod.morphisms())
+    g = morphisms[-1]
+    strays = [(g, f) for f in morphisms if (g, f) not in table] + [(g[0], g[0]), (g, "x"), (g,), "gf"]
+    for key in strays:
+        assert key not in prod.comp
+        with pytest.raises(KeyError):
+            prod.comp[key]
 
 
 def test_identity_functor_laws():

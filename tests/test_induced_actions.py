@@ -11,11 +11,12 @@ import functools
 import pytest
 
 from profcalc.colim import class_map, induced_actions, induced_map, label_pairs, quotient
-from profcalc.day import day_convolve, one_object_group_monoidal
+from profcalc.day import _day_layout, _day_relations, day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
 from profcalc.prof import prof_compose, prof_identity, tau_inv
 from profcalc.seeds import arrow_category, chain, discrete, seed_library
+from profcalc.suites import _monoidal_seeds
 from profcalc.symmon import (
     _compose_layout,
     _precompose,
@@ -80,6 +81,18 @@ def test_prof_compose_actions_match_all_morphism_reference(name):
             assert gf.right_act[(x, m)] == expected, (x, m)
 
 
+def _day_restriction_reference(conv, base, m):
+    """The restriction of a Day convolution along m: a0 -> a1, by its rule
+    h -> h . m applied to every member of every class."""
+    a0, a1 = base.src(m), base.tgt(m)
+
+    def rule(pair):
+        (b1, b2), (s, t, h) = pair
+        return conv.quotients[a0].representative(((b1, b2), (s, t, base.comp[(h, m)])))
+
+    return induced_map(conv.quotients[a1], conv.values[a0], rule)
+
+
 @pytest.mark.parametrize(
     "mon",
     [one_object_group_monoidal(3), _max_monoidal(chain(3)), _max_monoidal(arrow_category())],
@@ -90,13 +103,62 @@ def test_day_convolve_restriction_matches_all_morphism_reference(mon):
     _, p = _inputs(base)
     conv = day_convolve(mon, p, p)
     for m in base.morphisms():
-        a0, a1 = base.src(m), base.tgt(m)
+        assert conv.restriction[m] == _day_restriction_reference(conv, base, m)
 
-        def rule(pair, m=m, a0=a0):
-            (b1, b2), (s, t, h) = pair
-            return conv.quotients[a0].representative(((b1, b2), (s, t, base.comp[(h, m)])))
 
-        assert conv.restriction[m] == induced_map(conv.quotients[a1], conv.values[a0], rule)
+DAY_CASES = [*(name for name, _ in _monoidal_seeds()), *(f"Z{n}" for n in range(4, 11)), "max chain3", "max arrow"]
+
+
+@functools.cache
+def _day_case(name):
+    """(mon, f1, f2): (y + y) twice over Z4-Z10, y the unit's representable;
+    on the other bases y(first) + y(last), and y(unit) + that."""
+    seeds = {**dict(_monoidal_seeds()), "max chain3": _max_monoidal(chain(3)), "max arrow": _max_monoidal(arrow_category())}
+    if name not in seeds:
+        mon = one_object_group_monoidal(int(name[1:]))
+        y = yoneda(mon.base, mon.unit)
+        yy = psh_coproduct(y, y)[0]
+        return mon, yy, yy
+    mon = seeds[name]
+    _, p = _inputs(mon.base)
+    return mon, p, psh_coproduct(yoneda(mon.base, mon.unit), p)[0]
+
+
+def _day_label_relations(mon, f1, f2, a):
+    """The Day relations at a, one label pair per member, by the rule that
+    built them before positions: along each generator (m1, m2) of the
+    tensor's source, (F1(m1)s, F2(m2)t, h) ~ (s, t, (m1 (x) m2) . h)."""
+    base, prod = mon.base, mon.tensor.source
+    for mm in prod.generators():
+        m1, m2 = mm
+        r1, r2 = f1.restriction[m1]._table, f2.restriction[m2]._table
+        tm, homs = mon.mor(m1, m2), base.hom[(a, mon.ob(base.src(m1), base.src(m2)))]
+        for s in r1:
+            for t in r2:
+                for h in homs:
+                    yield (prod.src(mm), (r1[s], r2[t], h)), (prod.tgt(mm), (s, t, base.comp[(tm, h)]))
+
+
+@pytest.mark.parametrize("name", DAY_CASES)
+def test_day_convolve_by_position_matches_the_label_rule(name):
+    mon, f1, f2 = _day_case(name)
+    base = mon.base
+    conv = day_convolve(mon, f1, f2)
+    for a in base.objects:
+        q = conv.quotients[a]
+
+        def diagonal(bb, a=a):
+            b1, b2 = bb
+            return FinSet.product(f1.values[b1], f2.values[b2], base.hom[(a, mon.ob(b1, b2))])
+
+        assert q.carrier == FinSet.sigma(mon.tensor.source.objects, diagonal)
+        elems = q.carrier.elements
+        positions = list(_day_relations(mon, f1, f2, _day_layout(mon, f1, f2, a)))
+        labels = list(_day_label_relations(mon, f1, f2, a))
+        assert [(elems[i], elems[j]) for i, j in positions] == labels
+        assert quotient(q.carrier, label_pairs(q.carrier, labels)) == q
+    for m in base.morphisms():
+        assert conv.restriction[m] == _day_restriction_reference(conv, base, m), m
 
 
 SUBST_CASES = [

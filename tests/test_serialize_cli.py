@@ -221,6 +221,27 @@ def test_embedded_category_is_validated_on_load():
     assert not isinstance(err.value, serialize.ParseError)
 
 
+def test_a_sparse_profunctor_payload_loads_shared_empty_tables():
+    ident = prof_identity(chain(9))
+    loaded = serialize.loads(serialize.dumps(ident))
+    assert loaded == ident
+    assert loaded.values == ident.values and loaded.left_act == ident.left_act and loaded.right_act == ident.right_act
+    empty = [v for v in loaded.values.values() if not v]
+    assert len(empty) == 45 and all(v is empty[0] for v in empty)
+    by_codomain = {}
+    for fn in [*loaded.left_act.values(), *loaded.right_act.values()]:
+        if fn.domain is empty[0]:
+            assert by_codomain.setdefault(id(fn.codomain), fn) is fn
+    assert sum(1 for fn in [*loaded.left_act.values(), *loaded.right_act.values()] if not fn.domain) == 660
+
+
+def test_an_absent_action_out_of_a_nonempty_value_is_refused():
+    data = serialize.to_dict(prof_identity(chain(3)))
+    data["left_act"] = data["left_act"][1:]  # its domain, a value of the identity, is nonempty
+    with pytest.raises(ValueError, match="mapping must be total on the domain"):
+        serialize.loads(json.dumps(data))
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_profunctor_with_one_broken_category_is_rejected(side):
     data = serialize.to_dict(prof_identity(chain(3)))
