@@ -24,9 +24,9 @@ makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
 H(y, y) and, for each generator f: y -> y' (`FinCat.generators`) only, the
 related pairs (H(f, 1)w, H(1, f)w); that needs the integrand to be a
 bifunctor.  `coend`, `kan_extend` and `prof_compose` use it, the last two
-reading these pairs straight off their functorial input tables -- presheaf
-restrictions, presheaf-map components, profunctor actions, hom composition
--- so no slice H(y', y) and no action map is built.  Day convolution and
+reading these pairs straight off the positions of their functorial input
+maps -- presheaf restrictions, presheaf-map components, profunctor actions
+(`product_relations`) -- so no slice H(y', y) and no action map is built.  Day convolution and
 substitution relate positions along the same generators.  A bifunctor
 C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
 which a whole integrand is given: `coend` reads the pairs off its tables and
@@ -38,7 +38,9 @@ keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
 `Profunctor`, `SymSeq`).  The actions of a coend with parameters, as in
 `kan_extend`, `prof_compose`, `day_convolve` and substitution, come from
 `induced_actions`: given as carrier positions, checked on every member by
-`class_map` along generators, composed along the rest.  Every
+`class_map` along generators, which names each image class by its position
+in the target quotient, and composed along the rest by gathering those
+positions (`FinFn.then`).  Every
 structural cell between coends -- unit, multiplication and theta, the
 associators and unitors, the Day and substitution comparisons -- is induced
 by a map of integrands, and its components come from `induced_components`.
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -80,37 +81,42 @@ class QuotientSet:
     Built from `roots`: roots[i] is the carrier position of the minimal member
     of the class of position i.  Members and classes are stored in canonical
     order (by carrier position), and `quotient` is the set of class names.
-    `_roots` keeps those roots as an array of machine integers, so
-    `representative` is two lookups: the carrier's position index
-    (`FinSet._index`), then that root; `class_map` reads the roots alone.
+    `_classes` keeps the position in `quotient` of each carrier position's
+    class, as an array of machine integers, so `representative` is two
+    lookups: the carrier's position index (`FinSet._index`), then that
+    class; `class_map` reads the class positions alone.
     """
 
     carrier: FinSet
     classes: tuple[tuple[Label, ...], ...]
     quotient: FinSet = field(compare=False)
-    _roots: array = field(compare=False, repr=False)
+    _classes: array = field(compare=False, repr=False)
 
     def __init__(self, carrier: FinSet, roots: list[int]):
         elems = carrier.elements
         if len(roots) != len(elems):
             raise ValueError(f"{len(roots)} roots for a carrier of {len(elems)} elements")
-        groups: dict[int, list[Label]] = {}
+        groups: list[list[Label]] = []
+        class_of: list[int] = []
         for i, r in enumerate(roots):
             if r == i:
-                groups[i] = [elems[i]]
+                class_of.append(len(groups))
+                groups.append([elems[i]])
             elif 0 <= r < i and roots[r] == r:
-                groups[r].append(elems[i])
+                k = class_of[r]
+                class_of.append(k)
+                groups[k].append(elems[i])
             else:
                 raise ValueError(f"position {i} has root {r}, not its class minimum")
-        classes = tuple(map(tuple, groups.values()))
+        classes = tuple(map(tuple, groups))
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "quotient", FinSet(_Canonical(c[0] for c in classes)))
-        object.__setattr__(self, "_roots", array("i", roots))
+        object.__setattr__(self, "_classes", array("i", class_of))
 
     def representative(self, element: Label) -> Label:
         """Class name (minimal member) of a carrier element."""
-        return self.carrier.elements[self._roots[self.carrier._index[element]]]
+        return self.quotient.elements[self._classes[self.carrier._index[element]]]
 
 
 def quotient(carrier: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
@@ -170,24 +176,22 @@ def layout_image(layout: Mapping, run_image) -> list[int]:
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
-    """fn == first.then(second), compared elementwise without building the composite."""
+    """fn == first.then(second), compared as gathered positions without building the map."""
     if first.codomain != second.domain:
         raise EndpointMismatch("composition endpoints do not match")
     if fn.domain != first.domain or fn.codomain != second.codomain:
         return False
-    a, b = first._table, second._table
-    return all(b[a[x]] == y for x, y in fn._table.items())
+    return tuple(map(second.images.__getitem__, first.images)) == fn.images
 
 
 def _same_composites(f1: FinFn, g1: FinFn, f2: FinFn, g2: FinFn) -> bool:
-    """f1.then(g1) == f2.then(g2), compared elementwise without building either."""
+    """f1.then(g1) == f2.then(g2), compared as gathered positions without building either map."""
     for first, second in ((f1, g1), (f2, g2)):
         if first.codomain != second.domain:
             raise EndpointMismatch("composition endpoints do not match")
     if f1.domain != f2.domain or g1.codomain != g2.codomain:
         return False
-    a1, b1, a2, b2 = f1._table, g1._table, f2._table, g2._table
-    return all(b1[a1[x]] == b2[a2[x]] for x in a1)
+    return list(map(g1.images.__getitem__, f1.images)) == list(map(g2.images.__getitem__, f2.images))
 
 
 def bifunctor_violations(p) -> list[str]:
@@ -210,8 +214,8 @@ def bifunctor_violations(p) -> list[str]:
     left, right = p.left_act, p.right_act
     for (a, b), s in p.values.items():
         for side, fn in (("contra", left[(contra.id_of(a), b)]), ("co", right[(a, co.id_of(b))])):
-            # fn == FinFn.identity(s), compared elementwise without building the identity
-            if not (fn.domain == s == fn.codomain and all(x == y for x, y in fn._table.items())):
+            # fn == FinFn.identity(s), compared as positions without building the identity
+            if not (fn.domain == s == fn.codomain and fn.images == tuple(range(len(s)))):
                 out.append(f"{side} identity fails at ({a!r}, {b!r})")
     for g, f in generator_pairs(contra):
         for b in co.objects:
@@ -251,6 +255,19 @@ def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
                 yield (y, a), (y1, b)
 
     return quotient(carrier, label_pairs(carrier, relations()))
+
+
+def product_relations(first: FinFn, second: FinFn) -> Iterator[tuple[tuple, tuple]]:
+    """The related pairs ((u, second(v)), (first(u), v)) for u in first.domain
+    and v in second.domain, in that order, read off the maps' positions: the
+    relations along one generator of a coend whose integrand is a product of
+    two functorial factors, as in `kan_extend` and `prof_compose`."""
+    to_first, to_second = first.codomain.elements, second.codomain.elements
+    return (
+        ((u, to_second[j]), (to_first[i], v))
+        for u, i in zip(first.domain.elements, first.images)
+        for v, j in zip(second.domain.elements, second.images)
+    )
 
 
 def coend(p) -> QuotientSet:
@@ -318,21 +335,22 @@ def induced_components(
 def class_map(source: QuotientSet, target: QuotientSet, image: Sequence[int]) -> FinFn:
     """The map of classes that a carrier map induces, given by positions:
     image[i] is the target carrier position of the image of source position i.
-    As in `induced_map`, it is checked constant on every class, but by roots:
-    each member's image must have the target root of its class minimum's."""
-    roots, elems, to_elems = source._roots, source.carrier.elements, target.carrier.elements
-    if len(image) != len(roots):
-        raise ValueError(f"{len(image)} images for a carrier of {len(roots)} elements")
-    targets = list(map(target._roots.__getitem__, image))
-    if list(map(targets.__getitem__, roots)) != targets:
-        r = next(roots[i] for i, t in enumerate(targets) if targets[roots[i]] != t)
-        cls = next(c for c in source.classes if c[0] == elems[r])
-        images = {to_elems[targets[i]] for i, ri in enumerate(roots) if ri == r}
+    As in `induced_map`, it is checked constant on every class, member by
+    member, by class positions (`QuotientSet._classes`): every member's image
+    must lie in one target class with its class minimum's.  The map keeps
+    those target class positions; no label is looked up."""
+    class_of = source._classes
+    if len(image) != len(class_of):
+        raise ValueError(f"{len(image)} images for a carrier of {len(class_of)} elements")
+    targets = list(map(target._classes.__getitem__, image))
+    # one image class per source class, in class order: a dict keeps each key where it first came
+    named = tuple(dict(zip(class_of, targets)).values())
+    if list(map(named.__getitem__, class_of)) != targets:
+        first: dict[int, int] = {}  # the image class of each class minimum
+        k = next(k for k, t in zip(class_of, targets) if first.setdefault(k, t) != t)
+        cls, images = source.classes[k], {target.quotient.elements[t] for kt, t in zip(class_of, targets) if kt == k}
         raise ValueError(f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}")
-    # the class minima are the positions that are their own roots, in class order
-    named = itertools.compress(targets, map(operator.eq, roots, itertools.count()))
-    table = dict(zip(source.quotient.elements, map(to_elems.__getitem__, named)))
-    return FinFn(source.quotient, target.quotient, table)
+    return FinFn.by_position(source.quotient, target.quotient, named)
 
 
 def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dict[Label, FinFn]:

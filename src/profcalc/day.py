@@ -254,7 +254,7 @@ def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, layout
             return ()
         (axes, homs), (to_axes, to_homs) = layout[bb], layout[bb1]
         pulled = [
-            [shares[r.codomain._index[y]] for y in map(r._table.__getitem__, r.domain.elements)]
+            list(map(shares.__getitem__, r.images))
             for shares, r in zip(axes, (f1.restriction[m1], f2.restriction[m2]))
         ]
         glued = [to_homs._index[base.comp[(mon.mor(m1, m2), h)]] for h in homs]

@@ -182,10 +182,8 @@ class Fault:
                 self.applied = key
             elif key != self.applied:
                 return fn
-        a, b = fn.domain.elements[:2]
-        table = fn.as_dict()
-        table[a], table[b] = table[b], table[a]
-        return FinFn(fn.domain, fn.codomain, table)
+        images = fn.images
+        return FinFn.by_position(fn.domain, fn.codomain, (images[1], images[0], *images[2:]))
 
 
 def label_key(label: Label):
@@ -214,8 +212,8 @@ class FinSet:
     """An ordered finite set of pairwise-distinct labels (canonical order).
 
     `_index` maps each label to its position in `elements`, hashing each label
-    once: membership, the totality check of `FinFn` and the union-find of
-    `colim.quotient` all read it.
+    once: membership, a `FinFn` built from labels (its totality check and its
+    image positions) and `colim.label_pairs` all read it.
     """
 
     elements: tuple[Label, ...]
@@ -259,46 +257,59 @@ class FinSet:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FinFn:
-    """A total function between finite sets, given by an explicit mapping.
+    """A total function between finite sets, kept as `images`: the codomain
+    position of each domain element's image, in domain order.
 
-    Only the table is stored; `mapping` (pairs in domain order) is built on read.
+    `FinFn(domain, codomain, mapping)` checks a label mapping total and into
+    the codomain.  `by_position` checks nothing: only maps computed from
+    checked maps are built so -- composites (a gather), identities (a range),
+    inverses (a scatter), `colim.class_map`'s maps and a fault's swap.
     """
 
     domain: FinSet
     codomain: FinSet
-    _table: dict
+    images: tuple[int, ...]
 
     def __init__(self, domain: FinSet, codomain: FinSet, mapping):
-        # a dict is kept, not copied: callers build one for it and never change it
         items = mapping if type(mapping) is dict else dict(mapping)
-        if items.keys() != domain._index.keys():
-            raise ValueError("mapping must be total on the domain")
-        if not all(map(codomain._index.__contains__, items.values())):
-            for value in items.values():
+        values = items.values()
+        if tuple(items) != domain.elements:  # keys out of domain order, or not the domain
+            if items.keys() != domain._index.keys():
+                raise ValueError("mapping must be total on the domain")
+            values = map(items.__getitem__, domain.elements)
+        try:
+            images = tuple(map(codomain._index.__getitem__, values))
+        except (KeyError, TypeError):
+            for value in items.values():  # the first bad image in the mapping's own order
                 if value not in codomain:
-                    raise ValueError(f"image label {value!r} not in codomain")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "_table", items)
+                    raise ValueError(f"image label {value!r} not in codomain") from None
+            raise
+        object.__setattr__(self, "__dict__", {"domain": domain, "codomain": codomain, "images": images})
+
+    @staticmethod
+    def by_position(domain: FinSet, codomain: FinSet, images: tuple[int, ...]) -> FinFn:
+        """domain.elements[i] -> codomain.elements[images[i]], unchecked."""
+        fn = object.__new__(FinFn)
+        object.__setattr__(fn, "__dict__", {"domain": domain, "codomain": codomain, "images": images})
+        return fn
 
     @property
     def mapping(self) -> tuple[tuple[Label, Label], ...]:
-        elems = self.domain.elements
-        return tuple(zip(elems, map(self._table.__getitem__, elems)))
+        return tuple(zip(self.domain.elements, map(self.codomain.elements.__getitem__, self.images)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.domain == other.domain and self.codomain == other.codomain and self._table == other._table
+        return self.images == other.images and self.domain == other.domain and self.codomain == other.codomain
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.mapping))
+        return hash((self.domain, self.codomain, self.images))
 
     def __repr__(self):
         return f"FinFn(domain={self.domain!r}, codomain={self.codomain!r}, mapping={self.mapping!r})"
 
     def __call__(self, label: Label) -> Label:
-        return self._table[label]
+        return self.codomain.elements[self.images[self.domain._index[label]]]
 
     def as_dict(self) -> dict[Label, Label]:
         return dict(self.mapping)
@@ -307,20 +318,22 @@ class FinFn:
         """Post-compose: (self.then(other))(x) = other(self(x))."""
         if self.codomain != other.domain:
             raise EndpointMismatch("composition endpoints do not match")
-        table = other._table
-        return FinFn(self.domain, other.codomain, {k: table[v] for k, v in self._table.items()})
+        return FinFn.by_position(self.domain, other.codomain, tuple(map(other.images.__getitem__, self.images)))
 
     def is_iso(self) -> bool:
-        return len(set(self._table.values())) == len(self.codomain) == len(self.domain)
+        return len(set(self.images)) == len(self.codomain) == len(self.domain)
 
     def inverse(self) -> FinFn:
         if not self.is_iso():
             raise NonInvertible("function is not a bijection")
-        return FinFn(self.codomain, self.domain, {v: k for k, v in self._table.items()})
+        images = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            images[j] = i
+        return FinFn.by_position(self.codomain, self.domain, tuple(images))
 
     @staticmethod
     def identity(s: FinSet) -> FinFn:
-        return FinFn(s, s, {x: x for x in s})
+        return FinFn.by_position(s, s, tuple(range(len(s))))
 
 
 def components(domains: dict, codomains, image) -> dict[Label, FinFn]:
@@ -750,7 +763,7 @@ class Cell:
             elif not c.is_iso():
                 return (
                     f"component at {key!r} has |dom|={len(c.domain)}, "
-                    f"|image|={len({v for _, v in c.mapping})}, |cod|={len(c.codomain)}"
+                    f"|image|={len(set(c.images))}, |cod|={len(c.codomain)}"
                 )
         return None
 

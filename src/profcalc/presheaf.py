@@ -24,7 +24,7 @@ import functools
 import itertools
 from dataclasses import InitVar, dataclass, field
 
-from .colim import QuotientSet, coend_from, induced_actions, induced_components
+from .colim import QuotientSet, coend_from, induced_actions, induced_components, product_relations
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -231,8 +231,7 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> Presheaf:
 
     def coend_at(y):
         def related(m):
-            pm, fm = p.restriction[m]._table, f.on_mor[m].components[y]._table
-            return (((u, pm[v]), (fm[u], v)) for u in fm for v in pm)
+            return product_relations(f.on_mor[m].components[y], p.restriction[m])
 
         def diagonal(x):
             return itertools.product(f.on_obj[x].values[y].elements, p.values[x].elements)
@@ -250,7 +249,7 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> Presheaf:
     return Presheaf(target, values, restriction, check=False, quotients=quotients)
 
 
-@memo_scope()
+@memoised
 def kan_extend_map(f: PshValuedFunctor, phi: PshMap) -> PshMap:
     """Functoriality of the extension in its presheaf argument."""
     kp = kan_extend(f, phi.source)
@@ -263,7 +262,7 @@ def kan_extend_map(f: PshValuedFunctor, phi: PshMap) -> PshMap:
     return PshMap(kp, kq, induced_components(kp.quotients, kq.values, rule), check=False)
 
 
-@memo_scope()
+@memoised
 def eta_iso(f: PshValuedFunctor, x: Label) -> PshMap:
     """The invertible comparison f(x) -> kan_extend(f, yoneda(x)): u -> [x, (u, id)]."""
     src = f.source

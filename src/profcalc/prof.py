@@ -41,8 +41,9 @@ Corruptible construction: `theta_map`, `eta_cell` and `mu_map` pass every
 component through `fincat.corrupt`, under the kind "theta", "eta" or "mu" and
 the key `tag` plus the component's place, so a `fincat.Fault` opened by the
 fault-injection suites can corrupt one of them and show that the checks
-notice.  These builders are not memoised, so a fault counts components in
-construction order.
+notice.  Each computes its untagged cell once per memo scope (`_theta`,
+`eta_iso`, `_mu` are memoised) but corrupts its components on every call,
+so a fault counts components in construction order.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 
-from .colim import bifunctor_violations, coend_from, induced_actions, induced_components
+from .colim import bifunctor_violations, coend_from, induced_actions, induced_components, product_relations
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -186,8 +187,7 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
 
     def coend_at(z, x):
         def related(m):
-            fv, gv = f.left_act[(m, x)]._table, g.right_act[(z, m)]._table
-            return (((u, fv[v]), (gv[u], v)) for u in gv for v in fv)
+            return product_relations(g.right_act[(z, m)], f.left_act[(m, x)])
 
         def diagonal(y):
             return itertools.product(g.values[(z, y)].elements, f.values[(y, x)].elements)
@@ -306,7 +306,7 @@ def kleisli_compose(g: PshValuedFunctor, f: PshValuedFunctor) -> PshValuedFuncto
     return PshValuedFunctor(f.source, g.target_base, on_obj, on_mor, check=False)
 
 
-@memo_scope()
+@memoised
 def star_cell(psi: KleisliCell, q: Presheaf) -> PshMap:
     """The extension operation applied to a 2-cell, evaluated at the argument q."""
     kp = kan_extend(psi.source, q)
@@ -340,9 +340,17 @@ def whisker_left(g: PshValuedFunctor, phi: KleisliCell) -> KleisliCell:
 # -- the structural cells: theta, eta, mu ----------------------------------------------
 
 
-@memo_scope()
-def theta_map(p: Presheaf, tag: tuple = ()) -> PshMap:
-    """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
+def _faulted(kind: str, tag: tuple, phi: PshMap) -> PshMap:
+    """phi with the component at each key a passed through `corrupt` under
+    `kind` and the key tag + (a,); phi itself when no component changed."""
+    comps = {a: corrupt(kind, tag + (a,), fn) for a, fn in phi.components.items()}
+    if all(comps[a] is fn for a, fn in phi.components.items()):
+        return phi
+    return PshMap(phi.source, phi.target, comps, check=False)
+
+
+@memoised
+def _theta(p: Presheaf) -> PshMap:
     kp = kan_extend(yoneda_embedding(p.base), p)
 
     def rule(a, pair):
@@ -350,8 +358,12 @@ def theta_map(p: Presheaf, tag: tuple = ()) -> PshMap:
         return p.restriction[h](v)
 
     comps = induced_components(kp.quotients, p.values, rule, bijection="theta component")
-    comps = {a: corrupt("theta", tag + (a,), fn) for a, fn in comps.items()}
     return PshMap(kp, p, comps, check=False)
+
+
+def theta_map(p: Presheaf, tag: tuple = ()) -> PshMap:
+    """Co-Yoneda reduction (yoneda)^*(p) -> p: class (x, (h, v)) -> p(h)(v)."""
+    return _faulted("theta", tag, _theta(p))
 
 
 @memo_scope()
@@ -359,17 +371,10 @@ def eta_cell(f: PshValuedFunctor, tag: tuple = ()) -> KleisliCell:
     """eta_f: f -> f o i, the invertible unit comparison, componentwise co-Yoneda."""
     base = f.source
     fi = kleisli_compose(f, yoneda_embedding(base))
-    comps = {}
-    for x in base.objects:
-        phi = eta_iso(f, x)
-        faulted = {a: corrupt("eta", tag + (x, a), fn) for a, fn in phi.components.items()}
-        if any(faulted[a] is not fn for a, fn in phi.components.items()):
-            phi = PshMap(phi.source, phi.target, faulted, check=False)
-        comps[x] = phi
+    comps = {x: _faulted("eta", tag + (x,), eta_iso(f, x)) for x in base.objects}
     return KleisliCell(f, fi, comps, check=False)
 
 
-@memo_scope()
 def mu_map(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf, tag: tuple = ()) -> PshMap:
     """mu_{g,f} at argument p: (g o f)^*(p) -> g^*(f^*(p)).
 
@@ -377,6 +382,11 @@ def mu_map(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf, tag: tuple = (
     class of (y, (u, class of (x, (v, w)))).  Verified well-defined and
     bijective.
     """
+    return _faulted("mu", tag, _mu(g, f, p))
+
+
+@memoised
+def _mu(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf) -> PshMap:
     lhs = kan_extend(kleisli_compose(g, f), p)
     fp = kan_extend(f, p)
     rhs = kan_extend(g, fp)
@@ -388,7 +398,6 @@ def mu_map(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf, tag: tuple = (
         return rhs.quotients[z].representative((y, (u, inner)))
 
     comps = induced_components(lhs.quotients, rhs.values, rule, bijection="mu component")
-    comps = {z: corrupt("mu", tag + (z,), fn) for z, fn in comps.items()}
     return PshMap(lhs, rhs, comps, check=False)
 
 

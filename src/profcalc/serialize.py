@@ -63,8 +63,16 @@ def _fn_rows(fn: FinFn) -> list:
     return list(map(list, fn.mapping))
 
 
+def _rows(rows: list, width: int, name: str) -> list:
+    """rows, each checked to have `width` fields: ParseError naming the first that has not."""
+    if not set(map(len, rows)) <= {width}:
+        row = next(row for row in rows if len(row) != width)
+        raise ParseError(f"{name} row {row!r} has {len(row)} fields, not {width}")
+    return rows
+
+
 def _dec_fn(data, domain: FinSet, codomain: FinSet) -> FinFn:
-    return FinFn(domain, codomain, {_dec(k): _dec(v) for k, v in data})
+    return FinFn(domain, codomain, {_dec(k): _dec(v) for k, v in _rows(data, 2, "function")})
 
 
 def finset_to_dict(s: FinSet) -> dict:
@@ -91,9 +99,9 @@ def fincat_to_dict(cat: FinCat) -> dict:
 
 def fincat_from_dict(d: dict, cats: dict) -> FinCat:
     objects = [_dec(a) for a in d["objects"]]
-    hom = {(_dec(a), _dec(b)): [_dec(m) for m in ms] for a, b, ms in d["hom"]}
-    ids = {_dec(a): _dec(m) for a, m in d["ids"]}
-    comp = {(_dec(g), _dec(f)): _dec(h) for g, f, h in d["comp"]}
+    hom = {(_dec(a), _dec(b)): [_dec(m) for m in ms] for a, b, ms in _rows(d["hom"], 3, "hom")}
+    ids = {_dec(a): _dec(m) for a, m in _rows(d["ids"], 2, "ids")}
+    comp = {(_dec(g), _dec(f)): _dec(h) for g, f, h in _rows(d["comp"], 3, "comp")}
     return FinCat(objects, hom, ids, comp)
 
 
@@ -127,8 +135,8 @@ def functor_from_dict(d: dict, cats: dict) -> Functor:
     return Functor(
         _category_from_dict(d["source"], cats),
         _category_from_dict(d["target"], cats),
-        {_dec(a): _dec(b) for a, b in d["obj_map"]},
-        {_dec(m): _dec(n) for m, n in d["mor_map"]},
+        {_dec(a): _dec(b) for a, b in _rows(d["obj_map"], 2, "obj_map")},
+        {_dec(m): _dec(n) for m, n in _rows(d["mor_map"], 2, "mor_map")},
         check=True,
     )
 
@@ -146,7 +154,7 @@ def nattrans_from_dict(d: dict, cats: dict) -> NatTrans:
     return NatTrans(
         functor_from_dict(d["source"], cats),
         functor_from_dict(d["target"], cats),
-        {_dec(a): _dec(m) for a, m in d["components"]},
+        {_dec(a): _dec(m) for a, m in _rows(d["components"], 2, "components")},
         check=True,
     )
 
@@ -162,9 +170,9 @@ def presheaf_to_dict(p: Presheaf) -> dict:
 
 def presheaf_from_dict(d: dict, cats: dict) -> Presheaf:
     base = _category_from_dict(d["base"], cats)
-    values = {_dec(a): FinSet(map(_dec, xs)) for a, xs in d["values"]}
+    values = {_dec(a): FinSet(map(_dec, xs)) for a, xs in _rows(d["values"], 2, "values")}
     restriction = {}
-    for m, table in d["restriction"]:
+    for m, table in _rows(d["restriction"], 2, "restriction"):
         m = _dec(m)
         restriction[m] = _dec_fn(table, values[base.tgt(m)], values[base.src(m)])
     return Presheaf(base, values, restriction, check=True)
@@ -183,7 +191,7 @@ def pshmap_from_dict(d: dict, cats: dict) -> PshMap:
     source = presheaf_from_dict(d["source"], cats)
     target = presheaf_from_dict(d["target"], cats)
     comps = {}
-    for a, table in d["components"]:
+    for a, table in _rows(d["components"], 2, "components"):
         a = _dec(a)
         comps[a] = _dec_fn(table, source.values[a], target.values[a])
     return PshMap(source, target, comps, check=True)
@@ -214,7 +222,7 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
     empty map per codomain; an absent action out of a nonempty value fails."""
     empty, from_empty = FinSet(), {}  # from_empty: the id of a codomain -> the empty map into it
     values = {(y, x): empty for y in target.objects for x in source.objects}
-    for y, x, vs in d["values"]:
+    for y, x, vs in _rows(d["values"], 3, "values"):
         values[(_dec(y), _dec(x))] = FinSet(map(_dec, vs))
 
     def action(declared, key, domain, codomain):
@@ -224,13 +232,13 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
             from_empty[id(codomain)] = FinFn(empty, codomain, {})
         return from_empty[id(codomain)]
 
-    declared = {(_dec(g), _dec(x)): table for g, x, table in d["left_act"]}
+    declared = {(_dec(g), _dec(x)): table for g, x, table in _rows(d["left_act"], 3, "left_act")}
     left_act = {
         (g, x): action(declared, (g, x), values[(target.tgt(g), x)], values[(target.src(g), x)])
         for g in target.morphisms()
         for x in source.objects
     }
-    declared = {(_dec(y), _dec(f)): table for y, f, table in d["right_act"]}
+    declared = {(_dec(y), _dec(f)): table for y, f, table in _rows(d["right_act"], 3, "right_act")}
     right_act = {
         (y, f): action(declared, (y, f), values[(y, source.src(f))], values[(y, source.tgt(f))])
         for y in target.objects
@@ -284,10 +292,12 @@ def monoidal_to_dict(mon: StrictMonoidalFinCat) -> dict:
 def monoidal_from_dict(d: dict, cats: dict) -> StrictMonoidalFinCat:
     base = _category_from_dict(d["base"], cats)
     prod = product(base, base)
-    obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in d["tensor_obj"]}
-    mor_map = {(_dec(m), _dec(n)): _dec(k) for m, n, k in d["tensor_mor"]}
+    obj_map = {(_dec(a), _dec(b)): _dec(c) for a, b, c in _rows(d["tensor_obj"], 3, "tensor_obj")}
+    mor_map = {(_dec(m), _dec(n)): _dec(k) for m, n, k in _rows(d["tensor_mor"], 3, "tensor_mor")}
     tensor = Functor(prod, base, obj_map, mor_map, check=False)  # monoidal_violations checks it
-    symmetry = {(_dec(a), _dec(b)): _dec(s) for a, b, s in d["symmetry"]} if "symmetry" in d else None
+    symmetry = None
+    if "symmetry" in d:
+        symmetry = {(_dec(a), _dec(b)): _dec(s) for a, b, s in _rows(d["symmetry"], 3, "symmetry")}
     return StrictMonoidalFinCat(base, tensor, _dec(d["unit"]), symmetry)
 
 
@@ -419,7 +429,7 @@ def from_dict(data: dict) -> Any:
     if not isinstance(data, dict) or "schema" not in data:
         raise ParseError("missing schema field")
     schema = data["schema"]
-    if schema not in _FROM:
+    if type(schema) is not str or schema not in _FROM:
         raise ParseError(f"unknown schema {schema!r}")
     try:
         return _FROM[schema](data, {})

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -102,6 +103,62 @@ def test_finfn_inverse():
     collapse = FinFn(s, s, {0: 0, 1: 0})
     with pytest.raises(NonInvertible):
         collapse.inverse()
+
+
+@st.composite
+def _maps(draw):
+    """Three sets and two label tables, domain -> middle -> codomain, as dicts
+    in a drawn insertion order: the reference a positional FinFn must match."""
+    dom, mid, cod = draw(finsets), draw(finsets.filter(len)), draw(finsets.filter(len))
+    f = {x: draw(st.sampled_from(mid.elements)) for x in draw(st.permutations(dom.elements))}
+    g = {y: draw(st.sampled_from(cod.elements)) for y in draw(st.permutations(mid.elements))}
+    return dom, mid, cod, f, g
+
+
+@settings(max_examples=120, deadline=None)
+@given(_maps(), st.data())
+def test_a_finfn_by_position_agrees_with_its_label_table(maps, data):
+    dom, mid, cod, f, g = maps
+    fn, gn = FinFn(dom, mid, f), FinFn(mid, cod, g)
+    assert [fn(x) for x in dom] == [f[x] for x in dom]
+    assert fn.mapping == tuple((x, f[x]) for x in dom.elements) and fn.as_dict() == f
+    assert fn.then(gn).mapping == tuple((x, g[f[x]]) for x in dom.elements)
+    assert FinFn.identity(dom).as_dict() == {x: x for x in dom} and fn.then(FinFn.identity(mid)) == fn
+    iso = len(set(f.values())) == len(mid) == len(dom)
+    assert fn.is_iso() == iso
+    if iso:
+        inv = fn.inverse()
+        assert inv.as_dict() == {y: x for x, y in f.items()} and fn.then(inv) == FinFn.identity(dom)
+    else:
+        with pytest.raises(NonInvertible):
+            fn.inverse()
+    # equality and hashing follow the tables, whatever the insertion order
+    other = dict(data.draw(st.permutations(list(f.items()))))
+    if dom:
+        x = data.draw(st.sampled_from(dom.elements))
+        other[x] = data.draw(st.sampled_from(mid.elements))
+    twin = FinFn(dom, mid, other)
+    assert (twin == fn) == (other == f) and (twin != fn) == (other != f)
+    if other == f:
+        assert hash(twin) == hash(fn)
+    # refusals: totality first, then the first image outside the codomain in the mapping's own order
+    bad = {x: ("absent", i) if i % 2 == 0 else y for i, (x, y) in enumerate(f.items())}
+    for table in (bad, dict(reversed(bad.items()))):
+        first = next((y for y in table.values() if y not in mid), None)
+        if first is not None:
+            with pytest.raises(ValueError, match=f"^image label {re.escape(repr(first))} not in codomain$"):
+                FinFn(dom, mid, table)
+            with pytest.raises(ValueError, match="^mapping must be total on the domain$"):
+                FinFn(dom, mid, dict(list(table.items())[1:]))
+    # a fault swaps the images of the first two domain elements, the same two labels as the table
+    with fault_scope(Fault("k")):
+        hit = corrupt("k", ("key",), fn)
+    if len(dom) < 2:
+        assert hit is fn
+    else:
+        a, b = dom.elements[:2]
+        assert hit.as_dict() == f | {a: f[b], b: f[a]}
+        assert hit.domain is dom and hit.codomain is mid
 
 
 def test_terminal_category_valid():

@@ -131,7 +131,7 @@ def _day_label_relations(mon, f1, f2, a):
     base, prod = mon.base, mon.tensor.source
     for mm in prod.generators():
         m1, m2 = mm
-        r1, r2 = f1.restriction[m1]._table, f2.restriction[m2]._table
+        r1, r2 = f1.restriction[m1].as_dict(), f2.restriction[m2].as_dict()
         tm, homs = mon.mor(m1, m2), base.hom[(a, mon.ob(base.src(m1), base.src(m2)))]
         for s in r1:
             for t in r2:
@@ -285,7 +285,7 @@ def test_a_substitution_position_map_sending_one_member_to_another_class_raises(
     image = _precompose(cat, rho, layouts, "d0")
     assert class_map(q0, q1, image) == gf.left_act[(rho, "d0")]
     # one member that is not its class minimum goes into another class
-    i = next(i for i, r in enumerate(q0._roots) if r != i)
-    image[i] = next(j for j, r in enumerate(q1._roots) if r != q1._roots[image[i]])
+    i = next(i for i, k in enumerate(q0._classes) if k in q0._classes[:i])
+    image[i] = next(j for j, k in enumerate(q1._classes) if k != q1._classes[image[i]])
     with pytest.raises(ValueError, match="not constant on class"):
         class_map(q0, q1, image)

@@ -598,3 +598,39 @@ def test_suite_json_determinism_across_workers(capsys):
                 assert capsys.readouterr().out == first
         finally:
             sys.setswitchinterval(interval)
+
+
+def _comp_row_cut(d):
+    d["comp"][0] = d["comp"][0][:2]
+
+
+def _function_row(d, cut):
+    row = d["restriction"][0][1][0]
+    d["restriction"][0][1][0] = row[:1] if cut else row + [row[1]]
+
+
+# each malformed payload once reached the CLI as a traceback or as exit 1, the code of a failed check
+_MALFORMED = {
+    "list-valued schema": (lambda: chain(2), lambda d: d.update(schema=[d["schema"]]), "unknown schema"),
+    "comp row of two fields": (lambda: chain(2), _comp_row_cut, "comp row .* has 2 fields, not 3"),
+    "function row of one field": (
+        lambda: yoneda(chain(2), "1"), lambda d: _function_row(d, True), "function row .* has 1 fields, not 2"
+    ),
+    "function row of three fields": (
+        lambda: yoneda(chain(2), "1"), lambda d: _function_row(d, False), "function row .* has 3 fields, not 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_row_or_schema_is_a_parse_error_and_exits_2(tmp_path, capsys, case):
+    build, damage, message = _MALFORMED[case]
+    data = serialize.to_dict(build())
+    damage(data)
+    with pytest.raises(serialize.ParseError, match=message):
+        serialize.from_dict(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err and "unpack" not in err
