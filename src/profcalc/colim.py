@@ -7,11 +7,9 @@ union-find.  That order is the canonical label order, so naming each class by
 its minimum position names it by its order-minimal member, and the classes
 come out in canonical order without comparing labels again.  Results are
 therefore canonical, and every downstream map on quotients can be checked
-elementwise for well-definedness.  Callers that relate labels translate them
-through the carrier's position index (`label_pairs`).  Day convolution
-(`day`) and substitution (`symmon`) compute positions directly instead: each
-lays its carrier out in runs, a member's position being one share per axis
-plus its innermost position (`run_positions`, `layout_image`).
+elementwise for well-definedness.  Callers that relate labels, as a loaded
+quotient does, translate them through the carrier's position index
+(`label_pairs`).
 
 No set built here is sorted; each is canonical by construction: carriers
 are `FinSet.sigma`s, and class names the class minima in carrier order.
@@ -19,18 +17,21 @@ are `FinSet.sigma`s, and class names the class minima in carrier order.
 A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
 H(g, 1)w and the g-relation at H(1, k)w chain up, because the interchange law
-makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So
-`coend_from`, the coend entry for labelled relations, takes the diagonal
-H(y, y) and, for each generator f: y -> y' (`FinCat.generators`) only, the
-related pairs (H(f, 1)w, H(1, f)w); that needs the integrand to be a
-bifunctor.  `coend`, `kan_extend` and `prof_compose` use it, the last two
-reading these pairs straight off the positions of their functorial input
-maps -- presheaf restrictions, presheaf-map components, profunctor actions
-(`product_relations`) -- so no slice H(y', y) and no action map is built.  Day convolution and
-substitution relate positions along the same generators.  A bifunctor
-C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
-which a whole integrand is given: `coend` reads the pairs off its tables and
-trusts its laws, which `bifunctor_violations`, the one law scan behind
+makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So the
+relations along generators (`FinCat.generators`) suffice, given a bifunctor.
+One kernel, `coend_relations`, generates them for every coend: `coend`,
+`product_coend` (behind `kan_extend` and `prof_compose`), Day convolution and
+substitution.  A carrier is laid out in runs, one per object (or key), and a
+member's position is the sum of its shares along its run's axes (`run_axes`).
+Along a generator m: y -> y' the relations are indexed by a product W of
+finite sets, and each axis of W has one digit map into run y and one into
+run y': an identity, an action gathered along a `FinFn`'s positions
+(`gather`), or composition with a fixed morphism (Loregian, *(Co)end
+Calculus*, LMS LN 468, 2021, sec. 1).  No slice H(y', y) and no action map is
+built, and no label is looked up per relation.  A bifunctor C^op x C -> Set
+is an endo-profunctor (`prof.Profunctor`), the one form in which a whole
+integrand is given: `coend` reads its digit maps off its tables and trusts
+its laws, which `bifunctor_violations`, the one law scan behind
 `Profunctor(check=True)`, has checked when it was built or loaded.
 
 A coend is returned as its `QuotientSet`, and everything built from coends
@@ -161,18 +162,54 @@ def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterat
             raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
 
 
-def run_positions(axes: Sequence[Sequence[int]], inner: Iterable[int]) -> list[int]:
-    """The carrier positions of one run of a laid-out carrier, in carrier
-    order: one share from each axis, summed (the first axis carries the run's
-    offset), plus each position of `inner`, the innermost axis."""
-    return [b + h for b in map(sum, itertools.product(*axes)) for h in inner]
+@functools.lru_cache(maxsize=4096)
+def run_axes(offset: int, sizes: tuple[int, ...]) -> tuple[Sequence[int], ...]:
+    """The share axes of a run at `offset` whose members are the tuples of
+    one value per axis, the last axis fastest: the k-th value of axis i adds
+    k times the product of the later sizes, and the first axis the offset.
+    Cached: the many small coends of a check repeat the same few shapes."""
+    axes, stride = [], 1
+    for i in reversed(range(len(sizes))):
+        start, n = (0 if i else offset), sizes[i]
+        axes.append(range(start, start + n * stride, stride) if stride else (start,) * n)
+        stride *= n
+    return tuple(reversed(axes))
+
+
+def run_positions(axes: Sequence[Sequence[int]]) -> list[int]:
+    """The positions of the members of a product of axes, in its order (the
+    last axis fastest): one share from each axis, summed."""
+    positions = [0]
+    for axis in axes:
+        positions = [p + s for p in positions for s in axis]
+    return positions
 
 
 def layout_image(layout: Mapping, run_image) -> list[int]:
     """The image positions of a laid-out carrier's members, in carrier order:
-    run_image(key, run) gives the axes and innermost positions of the image
-    of each run of `layout`, a dict of runs in carrier order."""
-    return list(itertools.chain.from_iterable(run_positions(*run_image(*kv)) for kv in layout.items()))
+    run_image(key, run) gives the share axes of the image of each run of
+    `layout`, a dict of runs in carrier order."""
+    return list(itertools.chain.from_iterable(run_positions(run_image(*kv)) for kv in layout.items()))
+
+
+def gather(shares: Sequence[int], fn: FinFn, domain: FinSet, codomain: FinSet) -> list[int]:
+    """The digit map of fn: domain -> codomain into an axis with `shares`
+    (indexed by codomain), read off fn.images; a map between other sets
+    raises EndpointMismatch."""
+    if (fn.domain, fn.codomain) != (domain, codomain):
+        ends = f"{fn.domain.elements!r} -> {fn.codomain.elements!r}, not {domain.elements!r} -> {codomain.elements!r}"
+        raise EndpointMismatch(f"a map acts between the wrong sets: {ends}")
+    return list(map(shares.__getitem__, fn.images))
+
+
+def coend_relations(blocks: Iterable[tuple[Sequence, Sequence]]) -> Iterator[tuple[int, int]]:
+    """The generating relations of a coend as carrier position pairs, for
+    `quotient`: each block (a_axes, b_axes) along a generator m: y -> y'
+    gives each axis of W its digit maps into run y and run y', and the w-th
+    member of W relates its two positions.  Sides of unequal sizes raise
+    ValueError, so no relation is dropped."""
+    for a_axes, b_axes in blocks:
+        yield from zip(run_positions(a_axes), run_positions(b_axes), strict=True)
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
@@ -235,57 +272,50 @@ def bifunctor_violations(p) -> list[str]:
     return out
 
 
-def coend_from(base: FinCat, diagonal, related) -> QuotientSet:
-    """The coend of a bifunctor H over base, given by its generating relations.
-
-    diagonal(y) lists H(y, y) in canonical order; related(f), for each
-    generator f: y -> y' (`FinCat.generators`), yields the pairs
-    (H(f, 1)w, H(1, f)w) of H(y, y) x H(y', y') for w in H(y', y), in any
-    order.  Relations along composites follow when H is a bifunctor, which
-    the caller vouches for.  The result is the quotient of the carrier
-    {(y, w) : w in H(y, y)}; classes are named by their minimal member
-    (minimum carrier position).
-    """
-    carrier = FinSet.sigma(base.objects, diagonal)
-
-    def relations():
-        for f in base.generators():
-            y, y1 = base.src(f), base.tgt(f)
-            for a, b in related(f):
-                yield (y, a), (y1, b)
-
-    return quotient(carrier, label_pairs(carrier, relations()))
-
-
-def product_relations(first: FinFn, second: FinFn) -> Iterator[tuple[tuple, tuple]]:
-    """The related pairs ((u, second(v)), (first(u), v)) for u in first.domain
-    and v in second.domain, in that order, read off the maps' positions: the
-    relations along one generator of a coend whose integrand is a product of
-    two functorial factors, as in `kan_extend` and `prof_compose`."""
-    to_first, to_second = first.codomain.elements, second.codomain.elements
-    return (
-        ((u, to_second[j]), (to_first[i], v))
-        for u, i in zip(first.domain.elements, first.images)
-        for v, j in zip(second.domain.elements, second.images)
-    )
+def product_coend(base: FinCat, first, second, first_act, second_act) -> QuotientSet:
+    """The coend over base of F(y) x G(y), F covariant and G contravariant,
+    given the values first(y), second(y) and the actions first_act(m): F(y) ->
+    F(y'), second_act(m): G(y') -> G(y) along each generator m: y -> y'.  The
+    carrier {(y, (u, v))} has one two-axis run per object, and along m, W =
+    F(y) x G(y') relates (u, G(m)v) in run y to (F(m)u, v) in run y'."""
+    runs, offset = {}, 0
+    for y in base.objects:
+        a, b = first(y), second(y)
+        runs[y] = a, b, offset, (len(a.elements), len(b.elements))
+        offset += len(a.elements) * len(b.elements)
+    carrier = FinSet.sigma(base.objects, lambda y: itertools.product(runs[y][0].elements, runs[y][1].elements))
+    blocks = []
+    for m in base.generators():
+        (a, b, at, sizes), (a1, b1, at1, sizes1) = runs[base.src(m)], runs[base.tgt(m)]
+        if sizes[0] and sizes1[1]:  # else W is empty
+            (us, vs), (us1, vs1) = run_axes(at, sizes), run_axes(at1, sizes1)
+            blocks.append(([us, gather(vs, second_act(m), b1, b)], [gather(us1, first_act(m), a, a1), vs1]))
+    return quotient(carrier, coend_relations(blocks))
 
 
 def coend(p) -> QuotientSet:
-    """`coend_from` for an endo-profunctor p (`prof.Profunctor`) over its
-    source: its diagonal, and the pairs (p(f, id)(w), p(id, f)(w)) for w in
-    p(y', y) along each generator f: y -> y'.  The laws are taken on trust, as
-    a checked `Profunctor` or a loaded payload has passed `bifunctor_violations`.
+    """The coend of an endo-profunctor p (`prof.Profunctor`) over its source:
+    the diagonal {(y, w) : w in p(y, y)}, one run per object, modulo
+    p(f, id)(w) ~ p(id, f)(w) for w in W = p(y', y) along each generator
+    f: y -> y'.  The laws are taken on trust, as a checked `Profunctor` or a
+    loaded payload has passed `bifunctor_violations`.
     """
     base = p.source
     if p.target != base:
         raise EndpointMismatch("coend needs a bifunctor with the same category on both sides")
+    carrier = FinSet.sigma(base.objects, lambda y: p.values[(y, y)])
+    runs, offset = {}, 0
+    for y in base.objects:
+        runs[y], = run_axes(offset, (len(p.values[(y, y)]),))
+        offset += len(p.values[(y, y)])
 
-    def related(f):
+    def block(f):
         y, y1 = base.src(f), base.tgt(f)
-        left, right = p.left_act[(f, y)], p.right_act[(y1, f)]  # p(y', y) -> p(y, y), p(y', y')
-        return ((left(w), right(w)) for w in p.values[(y1, y)])
+        w = p.values[(y1, y)]
+        left = gather(runs[y], p.left_act[(f, y)], w, p.values[(y, y)])
+        return [left], [gather(runs[y1], p.right_act[(y1, f)], w, p.values[(y1, y1)])]
 
-    return coend_from(base, lambda y: p.values[(y, y)], related)
+    return quotient(carrier, coend_relations(map(block, base.generators())))
 
 
 def induced_map(

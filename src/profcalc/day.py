@@ -12,9 +12,10 @@ whose pentagon and triangles the shared `report` checkers test.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, dataclass
 
-from .colim import induced_actions, induced_components, layout_image, quotient, run_positions
+from .colim import coend_relations, gather, induced_actions, induced_components, layout_image, quotient, run_axes
 from .fincat import (
     EndpointMismatch,
     FinCat,
@@ -213,12 +214,12 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presh
         layout = layouts[a] = _day_layout(mon, f1, f2, a)
         carrier = FinSet.sigma(layout, lambda bb: itertools.product(
             f1.values[bb[0]].elements, f2.values[bb[1]].elements, layout[bb][1].elements))
-        quotients[a] = quotient(carrier, _day_relations(mon, f1, f2, layout))
+        quotients[a] = quotient(carrier, coend_relations(_day_relations(mon, f1, f2, layout)))
 
     def image(m, source, target):
         to = layouts[base.src(m)]
         return layout_image(layouts[base.tgt(m)], lambda bb, run: (
-            to[bb][0], [to[bb][1]._index[base.comp[(h, m)]] for h in run[1]]
+            *to[bb][0][:2], [to[bb][1]._index[base.comp[(h, m)]] for h in run[1]]
         ))
 
     restriction = induced_actions(base, quotients.__getitem__, image, contravariant=True)
@@ -227,40 +228,30 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presh
 
 
 def _day_layout(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Label) -> dict:
-    """The nonempty runs of the Day carrier at a, keyed (b1, b2) in carrier
-    order: ((the shares of F1(b1), offset included, and of F2(b2)),
-    hom(a, b1 (x) b2)).  No relation or restriction touches an empty run."""
+    """The runs of the Day carrier at a, keyed (b1, b2) in carrier order: the
+    share axes of F1(b1), F2(b2) and hom(a, b1 (x) b2) (`colim.run_axes`),
+    and that hom set."""
     runs, offset = {}, 0
     for b1, b2 in mon.tensor.source.objects:
         homs = mon.base.hom[(a, mon.ob(b1, b2))]
-        n1, n2, nh = len(f1.values[b1].elements), len(f2.values[b2].elements), len(homs.elements)
-        if n1 * n2 * nh:
-            runs[(b1, b2)] = ([offset + k * n2 * nh for k in range(n1)], [k * nh for k in range(n2)]), homs
-            offset += n1 * n2 * nh
+        sizes = len(f1.values[b1]), len(f2.values[b2]), len(homs)
+        runs[(b1, b2)] = run_axes(offset, sizes), homs
+        offset += math.prod(sizes)
     return runs
 
 
 def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, layout: dict):
-    """The generating relations of a Day coend as carrier position pairs: along
-    each generator (m1, m2): (b1, b2) -> (b1', b2') of the tensor's source,
-    (F1(m1)s, F2(m2)t, h) ~ (s, t, (m1 (x) m2) . h) for s in F1(b1'), t in
-    F2(b2') and h: a -> b1 (x) b2, from one digit map per factor.  Relations
-    along composites follow, as in `colim.coend_from`."""
+    """The relation blocks of a Day coend (`colim.coend_relations`): along a
+    generator (m1, m2): (b1, b2) -> (b1', b2'), W = F1(b1') x F2(b2') x
+    hom(a, b1 (x) b2) relates (F1(m1)s, F2(m2)t, h) to (s, t, (m1 (x) m2) . h)."""
     prod, base = mon.tensor.source, mon.base
-
-    def pairs(m1, m2):
-        bb, bb1 = prod.src((m1, m2)), prod.tgt((m1, m2))
-        if bb not in layout or bb1 not in layout:
-            return ()
-        (axes, homs), (to_axes, to_homs) = layout[bb], layout[bb1]
-        pulled = [
-            list(map(shares.__getitem__, r.images))
-            for shares, r in zip(axes, (f1.restriction[m1], f2.restriction[m2]))
-        ]
+    for m1, m2 in prod.generators():
+        (b1, b2), (c1, c2) = prod.src((m1, m2)), prod.tgt((m1, m2))
+        ((s, t, hs), homs), ((s1, t1, _), to_homs) = layout[(b1, b2)], layout[(c1, c2)]
+        pulled = gather(s, f1.restriction[m1], f1.values[c1], f1.values[b1])
+        pulled2 = gather(t, f2.restriction[m2], f2.values[c2], f2.values[b2])
         glued = [to_homs._index[base.comp[(mon.mor(m1, m2), h)]] for h in homs]
-        return zip(run_positions(pulled, range(len(homs))), run_positions(to_axes, glued))
-
-    return itertools.chain.from_iterable(itertools.starmap(pairs, prod.generators()))
+        yield [pulled, pulled2, hs], [s1, t1, glued]
 
 
 def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:

@@ -24,7 +24,7 @@ import functools
 import itertools
 from dataclasses import InitVar, dataclass, field
 
-from .colim import QuotientSet, coend_from, induced_actions, induced_components, product_relations
+from .colim import QuotientSet, induced_actions, induced_components, product_coend
 from .fincat import (
     BoundExceeded,
     Cell,
@@ -221,22 +221,19 @@ def kan_extend(f: PshValuedFunctor, p: Presheaf) -> Presheaf:
     over x of f(x)(y) x p(x), kept in `quotients[y]` with carrier elements
     (x, (u, v)).
 
-    Each coend comes from `coend_from`: along a generator m: x -> x' it
-    relates (u, p(m)v) ~ (f(m)_y u, v) for u in f(x)(y) and v in p(x'),
-    read off the restriction table of p and the components of f(m).
+    Each coend is a `product_coend`: along a generator m: x -> x' it relates
+    (u, p(m)v) ~ (f(m)_y u, v) for u in f(x)(y) and v in p(x'), gathered
+    along the positions of p's restriction and of f(m)'s component.
     """
     if p.base != f.source:
         raise EndpointMismatch("argument presheaf must live on the functor's source")
     src, target = f.source, f.target_base
 
     def coend_at(y):
-        def related(m):
-            return product_relations(f.on_mor[m].components[y], p.restriction[m])
-
-        def diagonal(x):
-            return itertools.product(f.on_obj[x].values[y].elements, p.values[x].elements)
-
-        return coend_from(src, diagonal, related)
+        return product_coend(
+            src, lambda x: f.on_obj[x].values[y], p.values.__getitem__,
+            lambda m: f.on_mor[m].components[y], p.restriction.__getitem__,
+        )
 
     quotients = {y: coend_at(y) for y in target.objects}
     values = {y: q.quotient for y, q in quotients.items()}

@@ -48,10 +48,9 @@ so a fault counts components in construction order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 
-from .colim import bifunctor_violations, coend_from, induced_actions, induced_components, product_relations
+from .colim import bifunctor_violations, induced_actions, induced_components, product_coend
 from .fincat import (
     Cell,
     EndpointMismatch,
@@ -178,21 +177,18 @@ def prof_compose(g: Profunctor, f: Profunctor) -> Profunctor:
     """Symmetric coend formula: value at (z, x) is the coend over the middle
     category of g(z, y) x f(y, x).
 
-    Each coend comes from `coend_from`: along a generator m: y -> y' it
-    relates (u, f(m, x)v) ~ (g(z, m)u, v) for u in g(z, y) and v in f(y', x),
-    read off the left action of f and the right action of g.
+    Each coend is a `product_coend`: along a generator m: y -> y' it relates
+    (u, f(m, x)v) ~ (g(z, m)u, v) for u in g(z, y) and v in f(y', x),
+    gathered along the positions of f's left action and g's right action.
     """
     if f.target != g.source:
         raise EndpointMismatch("profunctor endpoints do not match")
 
     def coend_at(z, x):
-        def related(m):
-            return product_relations(g.right_act[(z, m)], f.left_act[(m, x)])
-
-        def diagonal(y):
-            return itertools.product(g.values[(z, y)].elements, f.values[(y, x)].elements)
-
-        return coend_from(f.target, diagonal, related)
+        return product_coend(
+            f.target, lambda y: g.values[(z, y)], lambda y: f.values[(y, x)],
+            lambda m: g.right_act[(z, m)], lambda m: f.left_act[(m, x)],
+        )
 
     quotients = {(z, x): coend_at(z, x) for z in g.target.objects for x in f.source.objects}
 

@@ -64,9 +64,12 @@ def _fn_rows(fn: FinFn) -> list:
 
 
 def _rows(rows: list, width: int, name: str) -> list:
-    """rows, each checked to have `width` fields: ParseError naming the first that has not."""
-    if not set(map(len, rows)) <= {width}:
-        row = next(row for row in rows if len(row) != width)
+    """rows, each checked to be a JSON array of `width` fields: ParseError
+    naming the first that is not (a string of that length is no row)."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        row = next(row for row in rows if type(row) is not list or len(row) != width)
+        if type(row) is not list:
+            raise ParseError(f"{name} row {row!r} is not an array")
         raise ParseError(f"{name} row {row!r} has {len(row)} fields, not {width}")
     return rows
 

@@ -25,11 +25,13 @@ functorial in the moving morphism, so relations along composites follow.
 Their structural morphisms are built once per block shape (`TruncatedSymCat`).
 Each carrier, of the composite or of the tuple-level extension (one empty
 outer value), is laid out once in runs of equal (m, ys, blocks) (`_Run`):
-a member's position is its run's offset plus the positions of its gamma,
-its block values and its gluing morphism along their axes.  So the
-relations, and the actions that `prof.coend_actions` induces, are computed
-as carrier positions through per-run position maps of the value actions
-and of composition with the structural morphisms; no label is built or
+a member's position is the sum of its shares along the axes of gamma, its
+block values and its gluing morphism (`colim.run_axes`).  A relation block
+(`_layout_relations`) is one run's axes with one replaced by a digit map --
+a value action gathered along its positions, or composition with a
+structural morphism -- and the one relation kernel of `colim`,
+`colim.coend_relations`, turns it into carrier positions; the actions that
+`prof.coend_actions` induces are read the same way.  No label is built or
 hashed per relation or per member.  Every other sequence here -- the unit,
 the representables, coproducts and the operads' sequences -- gets its
 action tables from `prof.action_tables`, given its values and one
@@ -46,7 +48,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .colim import QuotientSet, induced_components, induced_map, layout_image, quotient
+from .colim import (
+    QuotientSet, coend_relations, gather, induced_components, induced_map, layout_image, quotient, run_axes,
+)
 from .fincat import (
     BoundExceeded,
     EndpointMismatch,
@@ -338,17 +342,15 @@ def _blockings(objects: FinSet, total: int, m: int, lo: int):
 @dataclass(frozen=True)
 class _Run:
     """The members of a substitution carrier with one (m, ys, blocks), in
-    order from position `offset` on: every (gamma, vs, h) with gamma in
-    `gammas`, vs[i] in values[i] and h in `homs`.  A member's position is
-    the sum of its shares along the axes, axes[0][k] for the k-th gamma
-    (the offset included) and axes[i + 1][k] for the k-th value of vs[i],
-    plus the position of its h."""
+    carrier order: every (gamma, vs, h) with gamma in `gammas`, vs[i] in
+    values[i] and h in `homs`.  A member's position is the sum of its shares
+    along the axes (`colim.run_axes`): axes[0] for gamma (the run's offset
+    included), axes[i + 1] for vs[i] and axes[-1] for h."""
 
-    offset: int
     gammas: tuple
     values: tuple[FinSet, ...]
     homs: FinSet
-    axes: list[list[int]]
+    axes: tuple
 
     def members(self):
         return itertools.product(self.gammas, itertools.product(*self.values), self.homs)
@@ -366,10 +368,8 @@ def _layout(f: SymSeq, xs: tuple, heads, allow_zero: bool) -> dict[tuple, _Run]:
         for blocks in _blockings(cat.objects, len(xs), m, 0 if allow_zero else 1):
             values = tuple(f.values[(b, y)] for b, y in zip(blocks, ys))
             homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
-            sizes = [len(gammas), *map(len, values), len(homs)]
-            axes = [[k * math.prod(sizes[i + 1:]) for k in range(n)] for i, n in enumerate(sizes[:-1])]
-            axes[0] = [offset + k for k in axes[0]]
-            runs[(m, ys, blocks)] = _Run(offset, gammas, values, homs, axes)
+            sizes = (len(gammas), *map(len, values), len(homs))
+            runs[(m, ys, blocks)] = _Run(gammas, values, homs, run_axes(offset, sizes))
             offset += math.prod(sizes)
     return runs
 
@@ -393,68 +393,44 @@ def _compose_layout(g: SymSeq, f: SymSeq, xs: tuple, z: Label) -> dict[tuple, _R
     return _layout(f, xs, heads, nullary)
 
 
-def _row_maps(f: SymSeq, phi: Label, blocks: tuple, run: _Run, to: _Run):
-    """phi: ys -> ys' on the block rows of `run` (over ys, with these blocks)
-    into `to`: the axes of each vs[j] pushed along phi's j-th component to
-    slot sigma[j], and the position of each h twisted by the block permutation."""
+def _row_maps(f: SymSeq, phi: Label, blocks: tuple, run: _Run, to: _Run) -> list[list[int]]:
+    """The digit maps of phi: ys -> ys' on the block rows of `run` (over ys,
+    with these blocks) into `to`: each vs[j] pushed along phi's j-th
+    component into slot sigma[j], and each h twisted by the block permutation."""
     sym = f.source_sym
     _, _, sigma, gbar = phi
-    axes = []
-    for j, v in enumerate(run.values):
-        push, index, shares = f.right_act[(blocks[j], gbar[j])], to.values[sigma[j]]._index, to.axes[sigma[j] + 1]
-        axes.append([shares[index[push(x)]] for x in v])
+    pushed = [
+        gather(to.axes[sigma[j] + 1], f.right_act[(blocks[j], gbar[j])], v, to.values[sigma[j]])
+        for j, v in enumerate(run.values)
+    ]
     mover = sym.block_perm_mor(blocks, sigma)
-    return axes, [to.homs._index[sym.cat.comp[(mover, h)]] for h in run.homs]
+    return [*pushed, [to.homs._index[sym.cat.comp[(mover, h)]] for h in run.homs]]
 
 
 def _layout_relations(f: SymSeq, gens_x: dict, layout: dict, outer=None):
-    """Generating relations of a substitution quotient as pairs of carrier
-    positions, in the carrier order of the members they are read at; what
-    depends on a run alone is worked out once per run.
-
-    Block relations: a generator mu: blocks[i] -> t of the tuple category
-    moves between the i-th block value (contravariantly) and the gluing
-    morphism (covariantly, through `block_embedding`), read where vs[i] is
-    the first of its value set.  Outer relations, given outer = (g, z,
-    gens_y): a generator phi: ys -> ys' of the middle tuple category acts on
-    gamma contravariantly and on the block row covariantly (`_row_maps`),
-    read where gamma is the first of its value set.
-    """
+    """The relation blocks of a substitution quotient (`colim.coend_relations`),
+    run by run.  Block relations: a generator mu: blocks[i] -> t of the tuple
+    category pulls the i-th block value back along mu and glues mu onto h
+    (`block_embedding`).  Outer relations, given outer = (g, z, gens_y): a
+    generator phi: ys -> ys' of the middle tuple category pulls gamma back
+    along phi and moves the block row by phi (`_row_maps`)."""
     sym = f.source_sym
     cat = sym.cat
     for (m, ys, blocks), run in layout.items():
-        rels = []  # (the axis that must be at its first value, the other end's axes, glued, pulls)
         for i, (s, y) in enumerate(zip(blocks, ys)):
             for mu in gens_x[s]:
                 to = layout[(m, ys, blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:])]
-                index, pull, shares = run.values[i]._index, f.left_act[(mu, y)], run.axes[i + 1]
-                pulls = [(shares[index[pull(v)]], b) for v, b in zip(to.values[i], to.axes[i + 1])]
-                if pulls:
-                    embed = sym.block_embedding(blocks, i, mu)
-                    glued = [to.homs._index[cat.comp[(embed, h)]] for h in run.homs]
-                    rels.append((i + 1, to.axes, glued, pulls))
+                pulled = gather(run.axes[i + 1], f.left_act[(mu, y)], to.values[i], run.values[i])
+                embed = sym.block_embedding(blocks, i, mu)
+                glued = [to.homs._index[cat.comp[(embed, h)]] for h in run.homs]
+                yield [*run.axes[:i + 1], pulled, *run.axes[i + 2:]], [*to.axes[:-1], glued]
         if outer is not None:
             g, z, gens_y = outer
             for phi in gens_y[ys]:
                 to = layout.get((m, phi[1], tuple(blocks[j] for j in perm_inverse(phi[2]))))
                 if to is not None:  # else g[ys'; z] is empty
-                    axes, glued = _row_maps(f, phi, blocks, run, to)
-                    index, pull, shares = run.gammas._index, g.left_act[(phi, z)], run.axes[0]
-                    pulls = [(shares[index[pull(gt)]] - run.offset, b) for gt, b in zip(to.gammas, to.axes[0])]
-                    rels.append((0, [[0]] + axes, glued, pulls))
-        own = run.axes
-        for p in itertools.product(*map(range, map(len, own))):  # (gamma, vs) digits
-            live = [
-                (sum(map(list.__getitem__, axes, p)), glued, pulls)
-                for axis, axes, glued, pulls in rels if p[axis] == 0
-            ]
-            if live:
-                a = sum(map(list.__getitem__, own, p))
-                for hi in range(len(run.homs)):
-                    for b, glued, pulls in live:
-                        ai, bi = a + hi, b + glued[hi]
-                        for pa, pb in pulls:
-                            yield ai + pa, bi + pb
+                    pulled = gather(run.axes[0], g.left_act[(phi, z)], to.gammas, run.gammas)
+                    yield [pulled, *run.axes[1:]], [to.axes[0], *_row_maps(f, phi, blocks, run, to)]
 
 
 def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
@@ -464,7 +440,7 @@ def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
 
     def run_image(key, run):
         to = target[key]
-        return to.axes, [to.homs._index[cat.comp[(h, rho)]] for h in run.homs]
+        return [*to.axes[:-1], [to.homs._index[cat.comp[(h, rho)]] for h in run.homs]]
 
     return layout_image(layouts[(cat.tgt(rho), z)], run_image)
 
@@ -495,7 +471,8 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
             carrier = FinSet(_Canonical(
                 (*key, *member) for key, run in layout.items() for member in run.members()
             ))
-            quotients[(xs, z)] = quotient(carrier, _layout_relations(f, gens_x, layout, (g, z, gens_y)))
+            relations = _layout_relations(f, gens_x, layout, (g, z, gens_y))
+            quotients[(xs, z)] = quotient(carrier, coend_relations(relations))
 
     def right(xs, zm, q0, q1):
         target = layouts[(xs, z_cat.tgt(zm))]
@@ -503,7 +480,7 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
         def run_image(key, run):
             to, act = target[key], g.right_act[(key[1], zm)]
             gamma_axis = [to.axes[0][to.gammas._index[act(gamma)]] for gamma in run.gammas]
-            return [gamma_axis, *to.axes[1:]], range(len(run.homs))
+            return [gamma_axis, *to.axes[1:]]
 
         return layout_image(layouts[(xs, z_cat.src(zm))], run_image)
 
@@ -781,7 +758,7 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
             carrier = FinSet(_Canonical(
                 (blocks, vs, h) for (_, _, blocks), run in layout.items() for _, vs, h in run.members()
             ))
-            quotients[(xs, ys)] = quotient(carrier, _layout_relations(f, gens_x, layout))
+            quotients[(xs, ys)] = quotient(carrier, coend_relations(_layout_relations(f, gens_x, layout)))
 
     def right(xs, phi, q0, q1):
         target, inv = layouts[(xs, phi[1])], perm_inverse(phi[2])
@@ -789,8 +766,7 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
         def run_image(key, run):
             m, _, blocks = key
             to = target[(m, phi[1], tuple(blocks[j] for j in inv))]
-            axes, glued = _row_maps(f, phi, blocks, run, to)
-            return [to.axes[0]] + axes, glued
+            return [to.axes[0], *_row_maps(f, phi, blocks, run, to)]
 
         return layout_image(layouts[(xs, phi[0])], run_image)
 

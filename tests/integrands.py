@@ -1,11 +1,16 @@
 """Test-side oracles for the engine's coends and pointwise (co)limits.
 
-The engine computes its coends from relations read off its input tables
-(`colim.coend_from`).  The builders here state the integrands of Kan
-extension, profunctor composition and Day convolution in full instead --
-every value set and every action map, as the tables of a `Profunctor` -- so
-that `colim.bifunctor_violations` can verify their laws and `colim.coend` of
-each serves as an oracle for the table-read coends.
+The engine computes every coend's relations by carrier position, from digit
+maps gathered off its input tables (`colim.relations`).  The builders here
+state the integrands of Kan extension, profunctor composition and Day
+convolution in full instead -- every value set and every action map, as the
+tables of a `Profunctor` -- so that `colim.bifunctor_violations` can verify
+their laws and `colim.coend` of each serves as an oracle for the table-read
+coends.  `label_coend` computes a coend from label relations, through
+`colim.quotient` and `colim.label_pairs` alone, and shares no relation code
+with the engine; `product_label_relations` states the label relations of a
+coend of a product of two functors, as `kan_extend` and `prof_compose` take
+it.
 
 Two theorems that every coend must satisfy are checked as bijections:
 `coyoneda_iso`, the density (co-Yoneda) isomorphism, and `fubini_iso`, the
@@ -18,10 +23,37 @@ the engine's pointwise coproduct and equalizer of presheaves.
 import functools
 import itertools
 
-from profcalc.colim import bifunctor_violations, coend, coend_from, induced_map
+from profcalc.colim import bifunctor_violations, coend, induced_map, label_pairs, quotient
 from profcalc.fincat import EndpointMismatch, FinFn, FinSet, NonInvertible, product, require_lawful
 from profcalc.presheaf import psh_coproduct, pshmap_from_rule
 from profcalc.prof import Profunctor
+
+
+def label_relations(base, related, morphisms=None):
+    """The label pairs ((y, a), (y', b)) for each (a, b) in related(f), along
+    each f: y -> y' of `morphisms` (by default the generators of base)."""
+    for f in base.generators() if morphisms is None else morphisms:
+        y, y1 = base.src(f), base.tgt(f)
+        for a, b in related(f):
+            yield (y, a), (y1, b)
+
+
+def label_coend(base, diagonal, related, morphisms=None):
+    """The coend of a bifunctor H over base from its label relations:
+    diagonal(y) lists H(y, y) in canonical order, and related(f) yields the
+    pairs (H(f, 1)w, H(1, f)w) for w in H(y', y) along f: y -> y'.  The
+    carrier {(y, w)} modulo those pairs along `morphisms` (the generators,
+    unless given), closed by `quotient`."""
+    carrier = FinSet.sigma(base.objects, diagonal)
+    return quotient(carrier, label_pairs(carrier, label_relations(base, related, morphisms)))
+
+
+def product_label_relations(first, second):
+    """The related pairs ((u, second(v)), (first(u), v)) for u in first.domain
+    and v in second.domain, in that order: the relations along one generator
+    of a coend of a product of a covariant and a contravariant factor, whose
+    actions along it are first and second."""
+    return (((u, second(v)), (first(u), v)) for u in first.domain for v in second.domain)
 
 
 def _tabulate(base, value, contra, co):
@@ -133,7 +165,7 @@ def coyoneda_iso(base, value_at, act, x, covariant=True):
         # w = (m, v) in base[x, y] x F(y')
         return (((m, fv(v)), (base.comp[(f, m)], v)) for m in base.hom[(x, y)] for v in value_at(y1))
 
-    result = coend_from(base, diagonal, related)
+    result = label_coend(base, diagonal, related)
 
     def rule(pair):
         y, (g, v) = pair
@@ -172,7 +204,7 @@ def fubini_iso(base_left, base_right, joint):
             rf = right[((a_minus, y1), (id_plus, f))]
             return ((lf(w), rf(w)) for w in joint.values[((a_minus, y1), (a_plus, y))])
 
-        return coend_from(base_right, lambda y: joint.values[((a_minus, y), (a_plus, y))], related)
+        return label_coend(base_right, lambda y: joint.values[((a_minus, y), (a_plus, y))], related)
 
     # the outer coend over base_left of K(a-, a+) = inner((a-, a+)), with the
     # actions along each generator induced from the joint ones
@@ -192,7 +224,7 @@ def fubini_iso(base_left, base_right, joint):
         rf = induced_map(dom, right_cod.quotient, right_rule)
         return ((lf(k), rf(k)) for k in dom.quotient)
 
-    outer_result = coend_from(base_left, lambda a: inner((a, a)).quotient, outer_related)
+    outer_result = label_coend(base_left, lambda a: inner((a, a)).quotient, outer_related)
 
     def comparison(pair):
         (a, b), w = pair

@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrands import coyoneda_iso, fubini_iso
+from integrands import coyoneda_iso, fubini_iso, label_coend, label_relations, product_label_relations
 from profcalc.colim import (
-    bifunctor_violations, coend, coend_from, induced_components, induced_map, label_pairs, quotient,
+    bifunctor_violations, coend, induced_components, induced_map, label_pairs, quotient,
 )
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
 from profcalc.presheaf import yoneda
@@ -123,6 +123,9 @@ def test_coequalizer_matches_naive_closure(data):
     # the same relation, each pair swapped and given in reverse order
     q_kernel = quotient(cod, [(g(i), f(i)) for i in reversed(dom.elements)])
     assert q_kernel.classes == q.classes
+    # and in a drawn order: the classes do not depend on the order of the pairs
+    shuffled = data.draw(st.permutations([(f(i), g(i)) for i in dom]))
+    assert quotient(cod, shuffled).classes == q.classes
     # naive reflexive-symmetric-transitive closure
     related = {(x, x) for x in cod}
     related |= {(f(i), g(i)) for i in dom} | {(g(i), f(i)) for i in dom}
@@ -544,6 +547,18 @@ def test_table_read_coends_build_no_product_sets(name, monkeypatch):
     assert calls == []
 
 
+class _ReadLog(dict):
+    """A table that records every key it is read at."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
 def test_coend_reads_only_the_diagonal_and_generator_slices():
     cat = chain(5)
     values = {(a, b): FinSet([((a, b), 0), ((a, b), 1)]) for a in cat.objects for b in cat.objects}
@@ -556,26 +571,88 @@ def test_coend_reads_only_the_diagonal_and_generator_slices():
             dom = values[(a, cat.src(m))]
             co[(a, m)] = FinFn(dom, values[(a, cat.tgt(m))], {(k, i): ((a, cat.tgt(m)), i) for (k, i) in dom})
     full = Profunctor(cat, cat, values, contra, co, check=False)
-    asked = {"diagonal": [], "related": []}
-
-    def diagonal(y):
-        asked["diagonal"].append(y)
-        return values[(y, y)]
-
-    def related(f):
-        asked["related"].append(f)
-        y, y1 = cat.src(f), cat.tgt(f)
-        return ((contra[(f, y)](w), co[(y1, f)](w)) for w in values[(y1, y)])
-
-    read = coend_from(cat, diagonal, related)
+    asked = {"values": [], "left": [], "right": []}
+    logged = Profunctor(
+        cat, cat, _ReadLog(values, asked["values"]), _ReadLog(contra, asked["left"]),
+        _ReadLog(co, asked["right"]), check=False,
+    )
+    read = coend(logged)
     gens = cat.generators()
     assert len(gens) == 5
-    # each object once for its diagonal, each generator once for its slice
-    assert asked["diagonal"] == list(cat.objects)
-    assert sorted(asked["related"]) == sorted(gens)
+    # the diagonal values and, along each generator f: y -> y', the slice p(y', y) and its two actions
+    slices = {(cat.tgt(f), cat.src(f)) for f in gens}
+    assert set(asked["values"]) == {(y, y) for y in cat.objects} | slices
+    assert sorted(asked["left"]) == sorted((f, cat.src(f)) for f in gens)
+    assert sorted(asked["right"]) == sorted((cat.tgt(f), f) for f in gens)
     assert bifunctor_violations(full) == []
-    assert coend(full) == read
+    # the coend of the full profunctor: relations along every morphism, from labels
+    everywhere = label_coend(
+        cat, lambda y: values[(y, y)],
+        lambda f: ((contra[(f, cat.src(f))](w), co[(cat.tgt(f), f)](w)) for w in values[(cat.tgt(f), cat.src(f))]),
+        cat.morphisms(),
+    )
+    assert read == everywhere == coend(full)
     assert len(read.quotient) == 2
+
+
+def _relations_passed_to_quotient(monkeypatch, build):
+    """build()'s result, and the position pairs of each quotient it takes
+    through `colim.quotient`, as label pairs of its carrier, in call order."""
+    from profcalc import colim
+
+    calls, real = [], colim.quotient
+
+    def recording(carrier, pairs):
+        pairs = list(pairs)
+        calls.append([(carrier.elements[a], carrier.elements[b]) for a, b in pairs])
+        return real(carrier, pairs)
+
+    monkeypatch.setattr(colim, "quotient", recording)
+    try:
+        return build(), calls
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_each_builder_relates_the_label_rule_pairs_in_order(name, monkeypatch):
+    from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda_embedding
+    from profcalc.prof import prof_compose, prof_identity, tau_inv
+
+    cat = SEEDS[name]
+    objs = cat.objects.elements
+    emb = yoneda_embedding(cat)
+    f = pvf_coproduct(emb, emb)
+    p, _, _ = psh_coproduct(yoneda(cat, objs[0]), yoneda(cat, objs[-1]))
+    kp, captured = _relations_passed_to_quotient(monkeypatch, lambda: kan_extend(f, p))
+    related = {
+        y: lambda m, y=y: product_label_relations(f.on_mor[m].components[y], p.restriction[m])
+        for y in cat.objects
+    }
+    assert captured == [list(label_relations(cat, related[y])) for y in cat.objects]
+    assert any(captured) or not cat.generators()  # the comparison is not vacuous
+    for y in cat.objects:
+        diagonal = lambda x, y=y: FinSet.product(f.on_obj[x].values[y], p.values[x])
+        assert kp.quotients[y] == label_coend(cat, diagonal, related[y]), y
+    g, ident = tau_inv(f), prof_identity(cat)
+    gf, captured = _relations_passed_to_quotient(monkeypatch, lambda: prof_compose(g, ident))
+    keys = [(z, x) for z in cat.objects for x in cat.objects]
+    related = {
+        (z, x): lambda m, z=z, x=x: product_label_relations(g.right_act[(z, m)], ident.left_act[(m, x)])
+        for z, x in keys
+    }
+    assert captured == [list(label_relations(cat, related[key])) for key in keys]
+    for z, x in keys:
+        diagonal = lambda y, z=z, x=x: FinSet.product(g.values[(z, y)], ident.values[(y, x)])
+        assert gf.quotients[(z, x)] == label_coend(cat, diagonal, related[(z, x)]), (z, x)
+    q, captured = _relations_passed_to_quotient(monkeypatch, lambda: coend(gf))
+
+    def slices(m):
+        y, y1 = cat.src(m), cat.tgt(m)
+        return ((gf.left_act[(m, y)](w), gf.right_act[(y1, m)](w)) for w in gf.values[(y1, y)])
+
+    assert captured == [list(label_relations(cat, slices))]
+    assert q == label_coend(cat, lambda y: gf.values[(y, y)], slices)
 
 
 def test_coend_and_kan_extend_never_sort_labels(monkeypatch):

@@ -10,7 +10,7 @@ import functools
 
 import pytest
 
-from profcalc.colim import class_map, induced_actions, induced_map, label_pairs, quotient
+from profcalc.colim import class_map, coend_relations, induced_actions, induced_map, label_pairs, quotient
 from profcalc.day import _day_layout, _day_relations, day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
@@ -153,7 +153,7 @@ def test_day_convolve_by_position_matches_the_label_rule(name):
 
         assert q.carrier == FinSet.sigma(mon.tensor.source.objects, diagonal)
         elems = q.carrier.elements
-        positions = list(_day_relations(mon, f1, f2, _day_layout(mon, f1, f2, a)))
+        positions = list(coend_relations(_day_relations(mon, f1, f2, _day_layout(mon, f1, f2, a))))
         labels = list(_day_label_relations(mon, f1, f2, a))
         assert [(elems[i], elems[j]) for i, j in positions] == labels
         assert quotient(q.carrier, label_pairs(q.carrier, labels)) == q

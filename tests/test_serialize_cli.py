@@ -11,7 +11,7 @@ from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
 from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
-from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair
+from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair, terminal_category
 from profcalc.suites import SUITE_NAMES
 from profcalc.symmon import (
     free_sym_cat, representable_seq, seq_coproduct, subst_compose, subst_identity, unit_operad,
@@ -618,6 +618,12 @@ _MALFORMED = {
     ),
     "function row of three fields": (
         lambda: yoneda(chain(2), "1"), lambda d: _function_row(d, False), "function row .* has 3 fields, not 2"
+    ),
+    # a string as long as a row once loaded as one, and this presheaf validated with exit 0
+    "string rows": (
+        lambda: yoneda(terminal_category(), "*"),
+        lambda d: d.update(values=["*a"], restriction=[["id*", ["aa"]]]),
+        "values row '\\*a' is not an array",
     ),
 }
 
