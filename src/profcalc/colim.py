@@ -38,13 +38,13 @@ A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
 `Profunctor`, `SymSeq`).  The actions of a coend with parameters, as in
 `kan_extend`, `prof_compose`, `day_convolve` and substitution, come from
-`induced_actions`: given as carrier positions, checked on every member by
-`class_map` along generators, which names each image class by its position
-in the target quotient, and composed along the rest by gathering those
-positions (`FinFn.then`).  Every
-structural cell between coends -- unit, multiplication and theta, the
+`induced_actions`: given as carrier positions, read as target class
+positions and checked on every member by `induced_map` along generators,
+and composed along the rest by gathering those positions (`FinFn.then`).
+Every structural cell between coends -- unit, multiplication and theta, the
 associators and unitors, the Day and substitution comparisons -- is induced
-by a map of integrands, and its components come from `induced_components`.
+by a map of integrands, and `induced_components` reads each image of its
+rule as one position for the same kernel: `induced_map` looks up no label.
 
 Nothing here caches a coend.  The builders that compute them again for the
 same arguments -- `kan_extend`, `kleisli_compose`, `day_convolve` and
@@ -85,7 +85,7 @@ class QuotientSet:
     `_classes` keeps the position in `quotient` of each carrier position's
     class, as an array of machine integers, so `representative` is two
     lookups: the carrier's position index (`FinSet._index`), then that
-    class; `class_map` reads the class positions alone.
+    class; `induced_map` reads the class positions alone.
     """
 
     carrier: FinSet
@@ -318,69 +318,54 @@ def coend(p) -> QuotientSet:
     return quotient(carrier, coend_relations(map(block, base.generators())))
 
 
-def induced_map(
-    source: QuotientSet,
-    target_codomain: FinSet,
-    elementwise: Callable[[Label], Label],
-) -> FinFn:
-    """Map on quotient classes defined by an elementwise rule on the carrier.
-
-    Well-definedness (constancy on classes) is verified, not assumed.
-    """
-    table: dict[Label, Label] = {}
-    for cls in source.classes:
-        images = {elementwise(x) for x in cls}
-        if len(images) > 1:
-            raise ValueError(
-                f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}"
-            )
-        table[cls[0]] = next(iter(images))
-    return FinFn(source.quotient, target_codomain, table)
+def induced_map(source: QuotientSet, codomain: FinSet, images: list[int]) -> FinFn:
+    """The map of classes that a carrier map induces, given by positions:
+    images[i] is the codomain position of the image of source position i.
+    Well-definedness (constancy on classes) is verified, not assumed: member
+    by member, by class positions (`QuotientSet._classes`), every member's
+    image must be its class minimum's.  No label is looked up."""
+    class_of = source._classes
+    if len(images) != len(class_of):
+        raise ValueError(f"{len(images)} images for a carrier of {len(class_of)} elements")
+    # one image per source class, in class order: a dict keeps each key where it first came
+    named = tuple(dict(zip(class_of, images)).values())
+    if list(map(named.__getitem__, class_of)) != images:
+        k = min(k for k, t in zip(class_of, images) if named[k] != t)  # the first split class
+        cls, names = source.classes[k], {codomain.elements[t] for kt, t in zip(class_of, images) if kt == k}
+        raise ValueError(f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, names))}")
+    return FinFn.by_position(source.quotient, codomain, named)
 
 
 def induced_components(
     quotients: Mapping[Label, QuotientSet],
-    codomains: Mapping[Label, FinSet],
+    targets: Mapping[Label, QuotientSet | FinSet],
     rule: Callable[[Label, Label], Label],
     bijection: str | None = None,
 ) -> dict[Label, FinFn]:
     """The components of a map between coends induced by a map of integrands.
 
     At each key of `quotients`, in its order, `induced_map` sends the classes
-    of quotients[key] into codomains[key] by rule(key, x), checked on every
-    member of every class.  This is exact because a coend is functorial in its
+    of quotients[key] into targets[key] by rule(key, x), checked on every
+    member of every class.  A coend target (a `QuotientSet`) takes a member
+    of its carrier from the rule, a plain value set an element; either is
+    read as one position.  This is exact because a coend is functorial in its
     integrand (Loregian, *(Co)end Calculus*, LMS LN 468, 2021, sec. 1).  When
     `bijection` names the comparison, the first component that is not a
     bijection raises NonInvertible.
     """
     comps = {}
     for key, q in quotients.items():
-        fn = induced_map(q, codomains[key], functools.partial(rule, key))
+        target = targets[key]
+        coend_target = isinstance(target, QuotientSet)
+        index = (target.carrier if coend_target else target)._index
+        images = [index[rule(key, x)] for x in q.carrier.elements]
+        if coend_target:
+            images = list(map(target._classes.__getitem__, images))
+        fn = induced_map(q, target.quotient if coend_target else target, images)
         if bijection is not None and not fn.is_iso():
             raise NonInvertible(f"{bijection} at {key!r} is not a bijection")
         comps[key] = fn
     return comps
-
-
-def class_map(source: QuotientSet, target: QuotientSet, image: Sequence[int]) -> FinFn:
-    """The map of classes that a carrier map induces, given by positions:
-    image[i] is the target carrier position of the image of source position i.
-    As in `induced_map`, it is checked constant on every class, member by
-    member, by class positions (`QuotientSet._classes`): every member's image
-    must lie in one target class with its class minimum's.  The map keeps
-    those target class positions; no label is looked up."""
-    class_of = source._classes
-    if len(image) != len(class_of):
-        raise ValueError(f"{len(image)} images for a carrier of {len(class_of)} elements")
-    targets = list(map(target._classes.__getitem__, image))
-    # one image class per source class, in class order: a dict keeps each key where it first came
-    named = tuple(dict(zip(class_of, targets)).values())
-    if list(map(named.__getitem__, class_of)) != targets:
-        first: dict[int, int] = {}  # the image class of each class minimum
-        k = next(k for k, t in zip(class_of, targets) if first.setdefault(k, t) != t)
-        cls, images = source.classes[k], {target.quotient.elements[t] for kt, t in zip(class_of, targets) if kt == k}
-        raise ValueError(f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}")
-    return FinFn.by_position(source.quotient, target.quotient, named)
 
 
 def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dict[Label, FinFn]:
@@ -392,7 +377,8 @@ def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dic
     run layouts in substitution and `day_convolve`, by one `FinSet._index`
     lookup per member in `kan_extend` and `prof_compose`.
 
-    Only generators (`FinCat.generators`) run `class_map`, with its check on
+    Only generators (`FinCat.generators`) run `induced_map`, given the
+    target class positions of the images, with its check on
     every member of every class.  Identities act as identities, and each
     other morphism g . r, reached breadth-first, acts as act(r) then act(g)
     (act(g) then act(r), if contravariant).  This is exact: a coend with
@@ -406,7 +392,8 @@ def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dic
     for g in cat.generators():
         s, t = (cat.tgt(g), cat.src(g)) if contravariant else (cat.src(g), cat.tgt(g))
         source, target = quotient_at(s), quotient_at(t)
-        acts[g] = class_map(source, target, image(g, source, target))
+        classes = list(map(target._classes.__getitem__, image(g, source, target)))
+        acts[g] = induced_map(source, target.quotient, classes)
     by_src = generators_by_source(cat)
     queue = list(acts)  # breadth-first: grows while it is read
     for r in queue:

@@ -267,9 +267,9 @@ def day_convolve_map(mon: StrictMonoidalFinCat, phi: PshMap, psi: PshMap) -> Psh
     def rule(a, pair):
         (b1, b2), (s, t, h) = pair
         moved = (phi.components[b1](s), psi.components[b2](t), h)
-        return tgt.quotients[a].representative(((b1, b2), moved))
+        return (b1, b2), moved
 
-    return PshMap(src, tgt, induced_components(src.quotients, tgt.values, rule), check=False)
+    return PshMap(src, tgt, induced_components(src.quotients, tgt.quotients, rule), check=False)
 
 
 @memo_scope()
@@ -351,9 +351,9 @@ def day_assoc_iso(
         d = mon.ob(b2, b3)
         eta = c23.quotients[d].representative(((b2, b3), (t, r, base.id_of(d))))
         moved = base.comp[(mon.mor(k, base.id_of(b3)), h)]
-        return tgt.quotients[a].representative(((b1, d), (s, eta, moved)))
+        return (b1, d), (s, eta, moved)
 
-    comps = induced_components(src.quotients, tgt.values, rule, bijection="associator")
+    comps = induced_components(src.quotients, tgt.quotients, rule, bijection="associator")
     return PshMap(src, tgt, comps, check=False)
 
 
@@ -394,11 +394,9 @@ def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> P
     def rule(a, pair):
         (b1, b2), (s, t, h) = pair
         swapped = (t, s, base.comp[(mon.symmetry[(b1, b2)], h)])
-        return tgt.quotients[a].representative(((b2, b1), swapped))
+        return (b2, b1), swapped
 
-    comps = induced_components(
-        src.quotients, tgt.values, rule, bijection="symmetry comparison"
-    )
+    comps = induced_components(src.quotients, tgt.quotients, rule, bijection="symmetry comparison")
     return PshMap(src, tgt, comps, check=False)
 
 
@@ -499,13 +497,13 @@ def check_kan_monoidal(
         (b1, b2), (u1, u2, k) = inverted[(a1, a2)].components[b](moved)
         alpha = kp.quotients[b1].representative((a1, (u1, s)))
         beta = kq.quotients[b2].representative((a2, (u2, t)))
-        return rhs.quotients[b].representative(((b1, b2), (alpha, beta, k)))
+        return (b1, b2), (alpha, beta, k)
 
     report = CheckReport("kan-monoidal")
     report.build(
         "comparison-bijective",
         lambda: _bijective(
-            PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.values, rule), check=False)
+            PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.quotients, rule), check=False)
         ),
         natural="comparison-natural",
     )

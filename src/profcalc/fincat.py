@@ -263,7 +263,7 @@ class FinFn:
     `FinFn(domain, codomain, mapping)` checks a label mapping total and into
     the codomain.  `by_position` checks nothing: only maps computed from
     checked maps are built so -- composites (a gather), identities (a range),
-    inverses (a scatter), `colim.class_map`'s maps and a fault's swap.
+    inverses (a scatter), `colim.induced_map`'s maps of classes and a fault's swap.
     """
 
     domain: FinSet

@@ -254,9 +254,9 @@ def kan_extend_map(f: PshValuedFunctor, phi: PshMap) -> PshMap:
 
     def rule(y, pair):
         x, (u, v) = pair
-        return kq.quotients[y].representative((x, (u, phi.components[x](v))))
+        return x, (u, phi.components[x](v))
 
-    return PshMap(kp, kq, induced_components(kp.quotients, kq.values, rule), check=False)
+    return PshMap(kp, kq, induced_components(kp.quotients, kq.quotients, rule), check=False)
 
 
 @memoised

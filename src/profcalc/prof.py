@@ -18,9 +18,9 @@ All coherence cells (mu, eta, theta, the associator and unitors) are
 materialized as explicit families of bijections between value sets.  A
 Kan extension keeps its coends in `Presheaf.quotients`, and each cell out of
 one is induced by a map of integrands: `colim.induced_components` sends the
-classes of every coend through an elementwise rule on carriers, verifies it
-well-defined on every class, and verifies bijective every cell claimed
-invertible.  Equality of composite cells is label-exact equality of
+classes of every coend through an elementwise rule on carriers, read as
+positions by the kernel `colim.induced_map`, which verifies it well-defined
+on every class; every cell claimed invertible is verified bijective.  Equality of composite cells is label-exact equality of
 component functions, so a commuting diagram means exact equality, not
 isomorphism-up-to-renaming.
 
@@ -310,9 +310,9 @@ def star_cell(psi: KleisliCell, q: Presheaf) -> PshMap:
 
     def rule(v, pair):
         z, (u, w) = pair
-        return kq.quotients[v].representative((z, (psi.components[z].components[v](u), w)))
+        return z, (psi.components[z].components[v](u), w)
 
-    return PshMap(kp, kq, induced_components(kp.quotients, kq.values, rule), check=False)
+    return PshMap(kp, kq, induced_components(kp.quotients, kq.quotients, rule), check=False)
 
 
 @memo_scope()
@@ -391,9 +391,9 @@ def _mu(g: PshValuedFunctor, f: PshValuedFunctor, p: Presheaf) -> PshMap:
         x, (xi, w) = pair
         y, (u, v) = xi
         inner = fp.quotients[y].representative((x, (v, w)))
-        return rhs.quotients[z].representative((y, (u, inner)))
+        return y, (u, inner)
 
-    comps = induced_components(lhs.quotients, rhs.values, rule, bijection="mu component")
+    comps = induced_components(lhs.quotients, rhs.quotients, rule, bijection="mu component")
     return PshMap(lhs, rhs, comps, check=False)
 
 

@@ -74,6 +74,13 @@ def _rows(rows: list, width: int, name: str) -> list:
     return rows
 
 
+def _array(data, name: str) -> list:
+    """data, if a JSON array (a string is no list of its characters); else ParseError naming it."""
+    if type(data) is not list:
+        raise ParseError(f"{name} {data!r} is not an array")
+    return data
+
+
 def _dec_fn(data, domain: FinSet, codomain: FinSet) -> FinFn:
     return FinFn(domain, codomain, {_dec(k): _dec(v) for k, v in _rows(data, 2, "function")})
 
@@ -83,7 +90,7 @@ def finset_to_dict(s: FinSet) -> dict:
 
 
 def finset_from_dict(d: dict, cats: dict) -> FinSet:
-    return FinSet(map(_dec, d["elements"]))
+    return FinSet(map(_dec, _array(d["elements"], "elements")))
 
 
 def fincat_to_dict(cat: FinCat) -> dict:
@@ -101,8 +108,10 @@ def fincat_to_dict(cat: FinCat) -> dict:
 
 
 def fincat_from_dict(d: dict, cats: dict) -> FinCat:
-    objects = [_dec(a) for a in d["objects"]]
-    hom = {(_dec(a), _dec(b)): [_dec(m) for m in ms] for a, b, ms in _rows(d["hom"], 3, "hom")}
+    objects = [_dec(a) for a in _array(d["objects"], "objects")]
+    hom = {
+        (_dec(a), _dec(b)): [_dec(m) for m in _array(ms, "hom list")] for a, b, ms in _rows(d["hom"], 3, "hom")
+    }
     ids = {_dec(a): _dec(m) for a, m in _rows(d["ids"], 2, "ids")}
     comp = {(_dec(g), _dec(f)): _dec(h) for g, f, h in _rows(d["comp"], 3, "comp")}
     return FinCat(objects, hom, ids, comp)
@@ -173,7 +182,9 @@ def presheaf_to_dict(p: Presheaf) -> dict:
 
 def presheaf_from_dict(d: dict, cats: dict) -> Presheaf:
     base = _category_from_dict(d["base"], cats)
-    values = {_dec(a): FinSet(map(_dec, xs)) for a, xs in _rows(d["values"], 2, "values")}
+    values = {
+        _dec(a): FinSet(map(_dec, _array(xs, "value list"))) for a, xs in _rows(d["values"], 2, "values")
+    }
     restriction = {}
     for m, table in _rows(d["restriction"], 2, "restriction"):
         m = _dec(m)
@@ -226,7 +237,7 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
     empty, from_empty = FinSet(), {}  # from_empty: the id of a codomain -> the empty map into it
     values = {(y, x): empty for y in target.objects for x in source.objects}
     for y, x, vs in _rows(d["values"], 3, "values"):
-        values[(_dec(y), _dec(x))] = FinSet(map(_dec, vs))
+        values[(_dec(y), _dec(x))] = FinSet(map(_dec, _array(vs, "value list")))
 
     def action(declared, key, domain, codomain):
         if key in declared or domain is not empty:
@@ -264,7 +275,7 @@ def quotient_to_dict(q: QuotientSet) -> dict:
 def quotient_from_dict(d: dict, cats: dict) -> QuotientSet:
     """The union of the classes modulo the classes.  Rejects an empty class,
     a label listed twice, and a class that does not list its minimum first."""
-    classes = [[_dec(x) for x in cls] for cls in d["classes"]]
+    classes = [[_dec(x) for x in _array(cls, "class")] for cls in _array(d["classes"], "classes")]
     members = [x for cls in classes for x in cls]
     if not all(classes):
         raise ValueError("quotient class is empty")

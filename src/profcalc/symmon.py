@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 from .colim import (
-    QuotientSet, coend_relations, gather, induced_components, induced_map, layout_image, quotient, run_axes,
+    QuotientSet, coend_relations, gather, induced_components, layout_image, quotient, run_axes,
 )
 from .fincat import (
     BoundExceeded,
@@ -501,11 +501,9 @@ def subst_whisker_outer(cell: SymSeqCell, f: SymSeq) -> SymSeqCell:
 
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
-        return g2f.quotients[key].representative(
-            (m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h)
-        )
+        return m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h
 
-    return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.values, rule), check=False)
+    return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.quotients, rule), check=False)
 
 
 def subst_whisker_inner(g: SymSeq, cell: SymSeqCell) -> SymSeqCell:
@@ -516,9 +514,9 @@ def subst_whisker_inner(g: SymSeq, cell: SymSeqCell) -> SymSeqCell:
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
         new_vs = tuple(cell.components[(blocks[i], ys[i])](vs[i]) for i in range(m))
-        return gf2.quotients[key].representative((m, ys, blocks, gamma, new_vs, h))
+        return m, ys, blocks, gamma, new_vs, h
 
-    return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.values, rule), check=False)
+    return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.quotients, rule), check=False)
 
 
 def subst_left_unit_iso(g: SymSeq) -> SymSeqCell:
@@ -586,11 +584,9 @@ def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq) -> SymSeqCell:
             omegas.append(omega)
         mover = sym_x.block_perm_mor(blocks, sigma)
         glued = sym_x.cat.comp[(mover, hmor)]
-        return right.quotients[key].representative(
-            (m2, zs, tuple(new_blocks), eta, tuple(omegas), glued)
-        )
+        return m2, zs, tuple(new_blocks), eta, tuple(omegas), glued
 
-    comps = induced_components(left.quotients, right.values, rule)
+    comps = induced_components(left.quotients, right.quotients, rule)
     cell = SymSeqCell(left, right, comps, check=False)
     return cell.require_iso("associativity comparison is not a bijection")
 
@@ -824,17 +820,16 @@ def check_tau_compatibility(g: SymSeq, f: SymSeq) -> CheckReport:
     gf = subst_compose(g, f)
     ext = subst_extension(f, g.source_sym)
     composite = kleisli_compose(tau(ext), tau(g))
+
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return ys, (ext.quotients[(key[0], ys)].representative((blocks, vs, h)), gamma)
+
     for key in sorted(gf.values, key=label_key):
         xs, z = key
-        kan = composite.on_obj[z]
-
-        def rule(elem, xs=xs, z=z, kan=kan):
-            m, ys, blocks, gamma, vs, h = elem
-            u = ext.quotients[(xs, ys)].representative((blocks, vs, h))
-            return kan.quotients[xs].representative((ys, (u, gamma)))
-
+        target = composite.on_obj[z].quotients[xs]
         try:
-            fn = induced_map(gf.quotients[key], kan.values[xs], rule)
+            fn, = induced_components({key: gf.quotients[key]}, {key: target}, rule).values()
         except ValueError as exc:
             report.add(f"bijective@{key}", False, str(exc))
             continue

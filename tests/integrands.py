@@ -1,14 +1,16 @@
 """Test-side oracles for the engine's coends and pointwise (co)limits.
 
 The engine computes every coend's relations by carrier position, from digit
-maps gathered off its input tables (`colim.relations`).  The builders here
+maps gathered off its input tables (`colim.coend_relations`).  The builders here
 state the integrands of Kan extension, profunctor composition and Day
 convolution in full instead -- every value set and every action map, as the
 tables of a `Profunctor` -- so that `colim.bifunctor_violations` can verify
 their laws and `colim.coend` of each serves as an oracle for the table-read
 coends.  `label_coend` computes a coend from label relations, through
 `colim.quotient` and `colim.label_pairs` alone, and shares no relation code
-with the engine; `product_label_relations` states the label relations of a
+with the engine; `label_induced_map` induces a map of classes from an
+elementwise label rule, and shares no position code with the engine's
+`colim.induced_map`; `product_label_relations` states the label relations of a
 coend of a product of two functors, as `kan_extend` and `prof_compose` take
 it.
 
@@ -23,7 +25,7 @@ the engine's pointwise coproduct and equalizer of presheaves.
 import functools
 import itertools
 
-from profcalc.colim import bifunctor_violations, coend, induced_map, label_pairs, quotient
+from profcalc.colim import bifunctor_violations, coend, label_pairs, quotient
 from profcalc.fincat import EndpointMismatch, FinFn, FinSet, NonInvertible, product, require_lawful
 from profcalc.presheaf import psh_coproduct, pshmap_from_rule
 from profcalc.prof import Profunctor
@@ -46,6 +48,23 @@ def label_coend(base, diagonal, related, morphisms=None):
     unless given), closed by `quotient`."""
     carrier = FinSet.sigma(base.objects, diagonal)
     return quotient(carrier, label_pairs(carrier, label_relations(base, related, morphisms)))
+
+
+def label_induced_map(source, target_codomain, elementwise):
+    """The map on the classes of `source` into `target_codomain` by an
+    elementwise rule on its carrier, from labels: the set of images of every
+    class, checked to be one label, and a label table of class names.  The
+    engine's `colim.induced_map` takes positions instead; this states the
+    same map and the same message with no position code."""
+    table = {}
+    for cls in source.classes:
+        images = {elementwise(x) for x in cls}
+        if len(images) > 1:
+            raise ValueError(
+                f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, images))}"
+            )
+        table[cls[0]] = next(iter(images))
+    return FinFn(source.quotient, target_codomain, table)
 
 
 def product_label_relations(first, second):
@@ -171,7 +190,7 @@ def coyoneda_iso(base, value_at, act, x, covariant=True):
         y, (g, v) = pair
         return act(g)(v)
 
-    fn = induced_map(result, value_at(x), rule)
+    fn = label_induced_map(result, value_at(x), rule)
     if not fn.is_iso():
         raise NonInvertible(f"co-Yoneda comparison at {x!r} is not a bijection")
     return result, fn
@@ -220,8 +239,8 @@ def fubini_iso(base_left, base_right, joint):
             y, w = pair
             return right_cod.representative((y, right[((a1, y), (m, base_right.id_of(y)))](w)))
 
-        lf = induced_map(dom, left_cod.quotient, left_rule)
-        rf = induced_map(dom, right_cod.quotient, right_rule)
+        lf = label_induced_map(dom, left_cod.quotient, left_rule)
+        rf = label_induced_map(dom, right_cod.quotient, right_rule)
         return ((lf(k), rf(k)) for k in dom.quotient)
 
     outer_result = label_coend(base_left, lambda a: inner((a, a)).quotient, outer_related)
@@ -230,7 +249,7 @@ def fubini_iso(base_left, base_right, joint):
         (a, b), w = pair
         return outer_result.representative((a, inner((a, a)).representative((b, w))))
 
-    fn = induced_map(joint_result, outer_result.quotient, comparison)
+    fn = label_induced_map(joint_result, outer_result.quotient, comparison)
     if not fn.is_iso():
         raise NonInvertible("Fubini comparison is not a bijection")
     return joint_result, outer_result, fn

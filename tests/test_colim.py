@@ -3,9 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrands import coyoneda_iso, fubini_iso, label_coend, label_relations, product_label_relations
+from integrands import (
+    coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, product_label_relations,
+)
 from profcalc.colim import (
-    bifunctor_violations, coend, induced_components, induced_map, label_pairs, quotient,
+    bifunctor_violations, coend, induced_components, label_pairs, quotient,
 )
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
 from profcalc.presheaf import yoneda
@@ -66,11 +68,11 @@ def test_factor_through_quotient_unique():
     s = FinSet([0, 1])
     q = quotient(s, [(0, 1), (1, 0)])
     h = FinFn(s, FinSet(["x"]), {0: "x", 1: "x"})
-    factored = induced_map(q, h.codomain, h)
+    factored = label_induced_map(q, h.codomain, h)
     assert factored(q.representative(0)) == "x"
     bad = FinFn(s, FinSet(["x", "y"]), {0: "x", 1: "y"})
     with pytest.raises(ValueError):
-        induced_map(q, bad.codomain, bad)
+        label_induced_map(q, bad.codomain, bad)
 
 
 def test_quotient_names_a_related_label_outside_the_carrier():
@@ -824,3 +826,37 @@ def test_induced_components_keep_key_order_and_check_every_component():
     with pytest.raises(NonInvertible) as err:
         induced_components(quotients, codomains, lambda key, x: "p", bijection="collapse")
     assert str(err.value) == "collapse at 'b' is not a bijection"
+
+
+def test_induced_components_into_coends_match_the_label_oracle():
+    pqr = FinSet(["p", "q", "r"])
+    quotients = {"b": quotient(pqr, label_pairs(pqr, [("p", "q")])), "a": quotient(pqr, [])}
+    # coend targets: the rule returns a member of each target's carrier, which names its class
+    targets = {key: quotient(pqr, label_pairs(pqr, [pair])) for key, pair in (("b", ("q", "r")), ("a", ("p", "r")))}
+    cycle = {"p": "q", "q": "r", "r": "p"}
+
+    def rule(key, x):
+        return cycle[x] if key == "b" else x
+
+    comps = induced_components(quotients, targets, rule)
+    assert list(comps) == ["b", "a"]
+    for key, fn in comps.items():
+        tgt = targets[key]
+        assert fn == label_induced_map(quotients[key], tgt.quotient, lambda x: tgt.representative(rule(key, x)))
+    assert comps["b"].as_dict() == {"p": "q", "r": "p"} and comps["b"].is_iso()
+    assert comps["a"].as_dict() == {"p": "p", "q": "q", "r": "p"}
+    # x -> x splits the class {p, q} at "b" across the target classes named p and q
+    with pytest.raises(ValueError) as err:
+        induced_components(quotients, targets, lambda key, x: x)
+    with pytest.raises(ValueError) as expected:
+        label_induced_map(quotients["b"], targets["b"].quotient, targets["b"].representative)
+    message = "elementwise rule is not constant on class ('p', 'q'): [\"'p'\", \"'q'\"]"
+    assert str(err.value) == str(expected.value) == message
+    # when two classes split, the first in class order is named, though a later one splits first in carrier order
+    abcd = FinSet(["a", "b", "c", "d"])
+    crossed = quotient(abcd, label_pairs(abcd, [("a", "d"), ("b", "c")]))
+    with pytest.raises(ValueError) as err:
+        induced_components({0: crossed}, {0: abcd}, lambda key, x: x)
+    with pytest.raises(ValueError) as expected:
+        label_induced_map(crossed, abcd, lambda x: x)
+    assert str(err.value) == str(expected.value) and "class ('a', 'd')" in str(err.value)

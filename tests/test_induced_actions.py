@@ -1,16 +1,20 @@
 """The actions of coends with parameters, derived along generators only
-(`colim.induced_actions`), against `induced_map` run on every morphism.
+(`colim.induced_actions`), against the label oracle `label_induced_map`
+(`integrands`) run on every morphism.
 
 Each reference below restates the elementwise rule of its construction and
 applies it to every morphism of the parameter category, checking every
-member of every class; the derived tables must equal these exactly.
+member of every class; the derived tables must equal these exactly.  The
+last test calls the engine's positional kernel, `colim.induced_map`, with
+the target class positions of a carrier map's images.
 """
 
 import functools
 
 import pytest
 
-from profcalc.colim import class_map, coend_relations, induced_actions, induced_map, label_pairs, quotient
+from integrands import label_induced_map
+from profcalc.colim import coend_relations, induced_actions, induced_map, label_pairs, quotient
 from profcalc.day import _day_layout, _day_relations, day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
@@ -55,7 +59,7 @@ def test_kan_extend_restriction_matches_all_morphism_reference(name):
             x, (u, v) = pair
             return kp.quotients[y0].representative((x, (f.on_obj[x].restriction[g](u), v)))
 
-        assert kp.restriction[g] == induced_map(kp.quotients[y1], kp.values[y0], rule), g
+        assert kp.restriction[g] == label_induced_map(kp.quotients[y1], kp.values[y0], rule), g
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -75,9 +79,9 @@ def test_prof_compose_actions_match_all_morphism_reference(name):
                 y, (u, v) = pair
                 return gf.quotients[(z, a1)].representative((y, (u, f.right_act[(y, m)](v))))
 
-            expected = induced_map(gf.quotients[(a1, x)], gf.values[(a0, x)], left)
+            expected = label_induced_map(gf.quotients[(a1, x)], gf.values[(a0, x)], left)
             assert gf.left_act[(m, x)] == expected, (m, x)
-            expected = induced_map(gf.quotients[(x, a0)], gf.values[(x, a1)], right)
+            expected = label_induced_map(gf.quotients[(x, a0)], gf.values[(x, a1)], right)
             assert gf.right_act[(x, m)] == expected, (x, m)
 
 
@@ -90,7 +94,7 @@ def _day_restriction_reference(conv, base, m):
         (b1, b2), (s, t, h) = pair
         return conv.quotients[a0].representative(((b1, b2), (s, t, base.comp[(h, m)])))
 
-    return induced_map(conv.quotients[a1], conv.values[a0], rule)
+    return label_induced_map(conv.quotients[a1], conv.values[a0], rule)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +206,7 @@ def test_subst_compose_actions_match_all_morphism_reference(name):
                     (m, ys, blocks, gamma, vs, sym_x.comp[(h, mor)])
                 )
 
-            expected = induced_map(gf.quotients[(mor[1], z)], gf.values[(mor[0], z)], left)
+            expected = label_induced_map(gf.quotients[(mor[1], z)], gf.values[(mor[0], z)], left)
             assert gf.left_act[(mor, z)] == expected, (mor, z)
     for xs in sym_x.objects:
         for zm in z_cat.morphisms():
@@ -214,7 +218,7 @@ def test_subst_compose_actions_match_all_morphism_reference(name):
                     (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
                 )
 
-            expected = induced_map(gf.quotients[(xs, z0)], gf.values[(xs, z1)], right)
+            expected = label_induced_map(gf.quotients[(xs, z0)], gf.values[(xs, z1)], right)
             assert gf.right_act[(xs, zm)] == expected, (xs, zm)
 
 
@@ -232,7 +236,7 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
                     (blocks, vs, sym_x.cat.comp[(h, rho)])
                 )
 
-            expected = induced_map(ext.quotients[(rho[1], ys)], ext.values[(rho[0], ys)], left)
+            expected = label_induced_map(ext.quotients[(rho[1], ys)], ext.values[(rho[0], ys)], left)
             assert ext.left_act[(rho, ys)] == expected, (rho, ys)
     for xs in sym_x.cat.objects:
         for phi in sym_y.cat.morphisms():
@@ -251,7 +255,7 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
                     (new_blocks, new_vs, sym_x.cat.comp[(mover, h)])
                 )
 
-            expected = induced_map(ext.quotients[(xs, ys0)], ext.values[(xs, ys1)], right)
+            expected = label_induced_map(ext.quotients[(xs, ys0)], ext.values[(xs, ys1)], right)
             assert ext.right_act[(xs, phi)] == expected, (xs, phi)
 
 
@@ -269,7 +273,7 @@ def test_a_rule_not_constant_on_classes_along_a_generator_raises():
     for m, fn in acts.items():
         src, tgt = quotients[cat.tgt(m)], quotients[cat.src(m)]
         rule = src.representative if cat.is_identity(m) else (lambda x: "p")
-        assert fn == induced_map(src, tgt.quotient, rule)
+        assert fn == label_induced_map(src, tgt.quotient, rule)
     # covariantly, x -> x splits the class {p, q} at "0" along the generator "0" -> "1"
     with pytest.raises(ValueError, match="not constant on class"):
         induced_actions(cat, quotients.__getitem__, lambda m, s, t: range(len(s.carrier)), contravariant=False)
@@ -283,9 +287,13 @@ def test_a_substitution_position_map_sending_one_member_to_another_class_raises(
     q0, q1 = gf.quotients[(rho[1], "d0")], gf.quotients[(rho[0], "d0")]
     layouts = {(xs, "d0"): _compose_layout(ass, ass, xs, "d0") for xs in (rho[1], rho[0])}
     image = _precompose(cat, rho, layouts, "d0")
-    assert class_map(q0, q1, image) == gf.left_act[(rho, "d0")]
+
+    def classes(image):  # the target class position of each image
+        return [q1._classes[j] for j in image]
+
+    assert induced_map(q0, q1.quotient, classes(image)) == gf.left_act[(rho, "d0")]
     # one member that is not its class minimum goes into another class
     i = next(i for i, k in enumerate(q0._classes) if k in q0._classes[:i])
     image[i] = next(j for j, k in enumerate(q1._classes) if k != q1._classes[image[i]])
     with pytest.raises(ValueError, match="not constant on class"):
-        class_map(q0, q1, image)
+        induced_map(q0, q1.quotient, classes(image))

@@ -98,7 +98,7 @@ def test_matrix_composition_cardinalities():
 
 
 def test_identity_composition_isomorphic():
-    from profcalc.colim import induced_map
+    from integrands import label_induced_map
 
     cat = fork()
     f = tau_inv(functor_into_presheaves(all_functors(arrow_category(), cat)[3]))
@@ -111,7 +111,7 @@ def test_identity_composition_isomorphic():
             yp, (h, v) = elem
             return f.left_act[(h, x)](v)
 
-        fn = induced_map(composed.quotients[key], f.values[key], rule)
+        fn = label_induced_map(composed.quotients[key], f.values[key], rule)
         assert fn.is_iso()
 
 

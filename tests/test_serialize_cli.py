@@ -6,7 +6,7 @@ import pytest
 
 from profcalc import serialize
 from profcalc.cli import main
-from profcalc.colim import coend
+from profcalc.colim import coend, quotient
 from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
 from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
@@ -609,6 +609,10 @@ def _function_row(d, cut):
     d["restriction"][0][1][0] = row[:1] if cut else row + [row[1]]
 
 
+def _two_in_one_class():
+    return quotient(FinSet(["a", "b"]), [(0, 1)])
+
+
 # each malformed payload once reached the CLI as a traceback or as exit 1, the code of a failed check
 _MALFORMED = {
     "list-valued schema": (lambda: chain(2), lambda d: d.update(schema=[d["schema"]]), "unknown schema"),
@@ -625,6 +629,25 @@ _MALFORMED = {
         lambda d: d.update(values=["*a"], restriction=[["id*", ["aa"]]]),
         "values row '\\*a' is not an array",
     ),
+    # an element list given as a JSON string once loaded as its characters; this presheaf validated
+    # with exit 0, and the category's objects "012" and the class "ab" loaded as the payloads they spell
+    "string element list": (lambda: FinSet(["a", "b"]), lambda d: d.update(elements="ab"), "elements 'ab' is not"),
+    "string objects": (lambda: chain(2), lambda d: d.update(objects="012"), "objects '012' is not an array"),
+    "string hom list": (
+        terminal_category, lambda d: d["hom"][0].__setitem__(2, "id*"), "hom list 'id\\*' is not an array"
+    ),
+    "string presheaf value list": (
+        lambda: yoneda(terminal_category(), "*"),
+        lambda d: d.update(values=[["*", "a"]], restriction=[["id*", [["a", "a"]]]]),
+        "value list 'a' is not an array",
+    ),
+    "string profunctor value list": (
+        lambda: prof_identity(terminal_category()),
+        lambda d: d["values"][0].__setitem__(2, "id*"),
+        "value list 'id\\*' is not an array",
+    ),
+    "string classes": (_two_in_one_class, lambda d: d.update(classes="ab"), "classes 'ab' is not an array"),
+    "string class": (_two_in_one_class, lambda d: d.update(classes=["ab"]), "class 'ab' is not an array"),
 }
 
 
