@@ -163,16 +163,7 @@ def monoidal_from_monoid(base: FinCat, mult, unit_obj: Label, commutative: bool 
 
 
 def terminal_monoidal() -> StrictMonoidalFinCat:
-    base = terminal_category()
-    prod = product(base, base)
-    tensor = Functor(
-        prod,
-        base,
-        {o: "*" for o in prod.objects},
-        {m: "id*" for m in prod.morphisms()},
-        check=False,
-    )
-    return StrictMonoidalFinCat(base, tensor, "*", {("*", "*"): "id*"})
+    return monoidal_from_monoid(terminal_category(), lambda a, b: "*", "*", commutative=True)
 
 
 def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:

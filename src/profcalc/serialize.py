@@ -336,6 +336,8 @@ def symseq_to_dict(seq: SymSeq) -> dict:
 def symseq_from_dict(d: dict, cats: dict) -> SymSeq:
     colours = _category_from_dict(d["colours"], cats)
     outputs = _category_from_dict(d["target"], cats)
+    if type(d["max_arity"]) is not int or d["max_arity"] < 0:  # not isinstance: JSON true loads as True, an int
+        raise ParseError(f"max_arity {d['max_arity']!r} is not a nonnegative integer")
     sym = free_sym_cat(colours, d["max_arity"])
     return SymSeq(sym, outputs, *_tables_from_dict(d, outputs, sym.cat), check=True)
 

@@ -253,30 +253,11 @@ def suite_lax_idempotent(config: SuiteConfig) -> dict:
 
 def _monoidal_seeds() -> list[tuple[str, StrictMonoidalFinCat]]:
     out = [("terminal", terminal_monoidal())]
-    z2 = discrete(2)
-    out.append(
-        (
-            "Z2-discrete",
-            monoidal_from_monoid(
-                z2,
-                lambda a, b: f"d{(int(a[1:]) + int(b[1:])) % 2}",
-                "d0",
-                commutative=True,
-            ),
+    for n in (2, 3):
+        mon = monoidal_from_monoid(
+            discrete(n), lambda a, b, n=n: f"d{(int(a[1:]) + int(b[1:])) % n}", "d0", commutative=True
         )
-    )
-    z3 = discrete(3)
-    out.append(
-        (
-            "Z3-discrete",
-            monoidal_from_monoid(
-                z3,
-                lambda a, b: f"d{(int(a[1:]) + int(b[1:])) % 3}",
-                "d0",
-                commutative=True,
-            ),
-        )
-    )
+        out.append((f"Z{n}-discrete", mon))
     out.append(("BZ2", one_object_group_monoidal(2)))
     return out
 

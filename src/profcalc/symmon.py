@@ -22,7 +22,8 @@ outer relations (a generator of the middle tuple category acts on gamma
 contravariantly and, covariantly, permutes the blocks, pushes the block
 values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
-Their structural morphisms are built once per block shape (`TruncatedSymCat`).
+Their structural morphisms are S's multiplication (`sym_mult`) applied to a
+morphism of block tuples, built once per block shape (`TruncatedSymCat`).
 Each carrier, of the composite or of the tuple-level extension (one empty
 outer value), is laid out once in runs of equal (m, ys, blocks) (`_Run`):
 a member's position is the sum of its shares along the axes of gamma, its
@@ -90,32 +91,12 @@ def perm_inverse(sigma: Perm) -> Perm:
     return tuple(out)
 
 
-def block_permutation(lengths: tuple[int, ...], sigma: Perm) -> Perm:
-    """Move block i (of the given length) to slot sigma[i], preserving inner order."""
-    m = len(lengths)
-    inv = perm_inverse(sigma)
-    tgt_offsets = [0] * m
-    for j in range(1, m):
-        tgt_offsets[j] = tgt_offsets[j - 1] + lengths[inv[j - 1]]
-    out = []
-    for i in range(m):
-        for r in range(lengths[i]):
-            out.append(tgt_offsets[sigma[i]] + r)
-    return tuple(out)
-
-
 def wreath_composition(gamma: Perm, lengths: tuple[int, ...], inner: tuple[Perm, ...]) -> Perm:
-    """Permute within blocks by inner[i], then permute blocks by gamma."""
-    m = len(lengths)
-    block = block_permutation(lengths, gamma)
-    offsets = [0] * m
-    for i in range(1, m):
-        offsets[i] = offsets[i - 1] + lengths[i - 1]
-    out = []
-    for i in range(m):
-        for r in range(lengths[i]):
-            out.append(block[offsets[i] + inner[i][r]])
-    return tuple(out)
+    """Permute within blocks by inner[i], then move block i to slot gamma[i]:
+    position r of block i goes to start[gamma[i]] + inner[i][r], where start[j]
+    is the total length of the blocks placed in slots before j."""
+    start = list(itertools.accumulate((lengths[i] for i in perm_inverse(gamma)), initial=0))
+    return tuple(start[gamma[i]] + p for i, perm in enumerate(inner) for p in perm)
 
 
 @dataclass(frozen=True)
@@ -127,8 +108,9 @@ class TruncatedSymCat:
     label (src, tgt, sigma, comps) with comps[i]: src[i] -> tgt[sigma[i]].
     The tensor (concatenation) is partial above the bound.
     Substitution's structural morphisms, which depend on the block shape alone
-    (`block_embedding`, `block_perm_mor`), are built once, in a table keyed by
-    their arguments, however many carrier elements read them.
+    (`block_embedding`, `block_perm_mor`), are S's multiplication (`sym_mult`)
+    applied to a morphism of block tuples.  Each is built once, in a table
+    keyed by its arguments, however many carrier elements read it.
     """
 
     base: FinCat
@@ -189,33 +171,23 @@ class TruncatedSymCat:
             )
         return out
 
-    def concat_mor(self, *mors: Label) -> Label:
-        src = self.concat_obj(*[m[0] for m in mors])
-        tgt = self.concat_obj(*[m[1] for m in mors])
-        sigma = []
-        offset = 0
-        for m in mors:
-            sigma.extend(offset + m[2][i] for i in range(len(m[2])))
-            offset += len(m[0])
-        comps = tuple(c for m in mors for c in m[3])
-        return (src, tgt, tuple(sigma), comps)
-
     def block_embedding(self, blocks: tuple[tuple, ...], i: int, mu: Label) -> Label:
         """mu: blocks[i] -> t on block i, identities on the others; built once."""
         key = ("embed", blocks, i, mu)
         if key not in self._structural:
-            embedded = [mu if j == i else self.cat.id_of(b) for j, b in enumerate(blocks)]
-            self._structural[key] = self.concat_mor(*embedded)
+            moved = blocks[:i] + (self.cat.tgt(mu),) + blocks[i + 1:]
+            inner = tuple(mu if j == i else self.cat.id_of(b) for j, b in enumerate(blocks))
+            outer = (blocks, moved, perm_identity(len(blocks)), inner)
+            self._structural[key] = sym_mult(self).on_morphism(outer)
         return self._structural[key]
 
     def block_perm_mor(self, blocks: tuple[tuple, ...], sigma: Perm) -> Label:
         """The morphism permuting whole blocks to slots, with identity components; built once."""
         key = ("perm", blocks, sigma)
         if key not in self._structural:
-            src = self.concat_obj(*blocks)
-            tgt = self.concat_obj(*[blocks[j] for j in perm_inverse(sigma)])
-            perm = block_permutation(tuple(len(b) for b in blocks), sigma)
-            self._structural[key] = (src, tgt, perm, tuple(self.base.id_of(x) for x in src))
+            permuted = tuple(blocks[j] for j in perm_inverse(sigma))
+            outer = (blocks, permuted, sigma, tuple(map(self.cat.id_of, blocks)))
+            self._structural[key] = sym_mult(self).on_morphism(outer)
         return self._structural[key]
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair, terminal_category
 from profcalc.suites import SUITE_NAMES
 from profcalc.symmon import (
-    free_sym_cat, representable_seq, seq_coproduct, subst_compose, subst_identity, unit_operad,
+    associative_operad, free_sym_cat, representable_seq, seq_coproduct, subst_compose, subst_identity, unit_operad,
 )
 
 
@@ -648,6 +648,13 @@ _MALFORMED = {
     ),
     "string classes": (_two_in_one_class, lambda d: d.update(classes="ab"), "classes 'ab' is not an array"),
     "string class": (_two_in_one_class, lambda d: d.update(classes=["ab"]), "class 'ab' is not an array"),
+    # a negative bound once exited 1; the others once failed with messages that did not name the field
+    **{
+        f"max_arity {json.dumps(bad)}": (
+            lambda: associative_operad(2).seq, lambda d, bad=bad: d.update(max_arity=bad), "max_arity"
+        )
+        for bad in (-1, True, 2.5, "3")
+    },
 }
 
 

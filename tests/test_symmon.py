@@ -23,7 +23,6 @@ from profcalc.symmon import (
     _compose_layout,
     _layout_relations,
     associative_operad,
-    block_permutation,
     check_operad,
     check_subst_assoc,
     check_tau_compatibility,
@@ -66,10 +65,38 @@ def trivial_action_seq(sym, sizes):
     return SymSeq(sym, sym.base, values, left, right, check=True)
 
 
+# references for the morphisms that S's multiplication flattens, built from
+# block offsets and sharing no code with `sym_mult`
+
+
+def _block_permutation(lengths, sigma):
+    """Move block i (of the given length) to slot sigma[i], preserving inner order."""
+    m = len(lengths)
+    inv = perm_inverse(sigma)
+    tgt_offsets = [0] * m
+    for j in range(1, m):
+        tgt_offsets[j] = tgt_offsets[j - 1] + lengths[inv[j - 1]]
+    return tuple(tgt_offsets[sigma[i]] + r for i in range(m) for r in range(lengths[i]))
+
+
+def _concat_mor(sym, *mors):
+    """The tuple morphisms side by side: each permutation shifted by the
+    length of the blocks before it, the components concatenated."""
+    src = sym.concat_obj(*[m[0] for m in mors])
+    tgt = sym.concat_obj(*[m[1] for m in mors])
+    sigma = []
+    offset = 0
+    for m in mors:
+        sigma.extend(offset + m[2][i] for i in range(len(m[2])))
+        offset += len(m[0])
+    return (src, tgt, tuple(sigma), tuple(c for m in mors for c in m[3]))
+
+
 def test_perm_helpers():
     assert perm_compose((1, 0), (1, 0)) == (0, 1)
     assert perm_inverse((2, 0, 1)) == (1, 2, 0)
-    assert block_permutation((2, 1), (1, 0)) == (1, 2, 0)
+    assert _block_permutation((2, 1), (1, 0)) == (1, 2, 0)
+    assert free_sym_cat(D1, 3).block_perm_mor((("d0", "d0"), ("d0",)), (1, 0))[2] == (1, 2, 0)
     assert wreath_composition((0,), (2,), ((1, 0),)) == (1, 0)
 
 
@@ -149,11 +176,19 @@ def _flatten_by_offsets(outer):
     )
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 3])
-def test_flattening_a_morphism_is_the_wreath_composition(bound):
+# the discrete(2) cases keep bare ids, so their test ids stay stable
+_FLATTEN_CASES = [pytest.param(discrete(2), b, id=str(b)) for b in range(4)] + [
+    pytest.param(base(), b, id=f"{base.__name__}-{b}")
+    for base in (arrow_category, parallel_pair) for b in range(4)
+]
+
+
+@pytest.mark.parametrize("base,bound", _FLATTEN_CASES)
+def test_flattening_a_morphism_is_the_wreath_composition(base, bound):
     # every outer morphism whose blocks flatten within the bound: a tuple of
-    # at most `bound` blocks, a block permutation, and one inner morphism per block
-    s = free_sym_cat(discrete(2), bound)
+    # at most `bound` blocks, a block permutation, and one inner morphism per
+    # block; the whole flattened label is checked against block offsets
+    s = free_sym_cat(base, bound)
     mult = sym_mult(s)
     out_of = {obj: [m for m in s.cat.morphisms() if m[0] == obj] for obj in s.cat.objects}
     count = 0
@@ -167,7 +202,12 @@ def test_flattening_a_morphism_is_the_wreath_composition(bound):
                     tgt_nested = tuple(inner[i][1] for i in inv)
                     outer = (src_nested, tgt_nested, sigma, inner)
                     flat = mult.on_morphism(outer)
-                    assert flat[2] == _flatten_by_offsets(outer)
+                    assert flat == (
+                        tuple(x for b in src_nested for x in b),
+                        tuple(x for b in tgt_nested for x in b),
+                        _flatten_by_offsets(outer),
+                        tuple(c for mor in inner for c in mor[3]),
+                    )
                     assert flat in s.cat.hom[(flat[0], flat[1])]
                     count += 1
     assert count > 0
@@ -382,7 +422,7 @@ def species_oracle(g_sizes, f_sizes, k):
                 inv[j] = i
             new_lengths = tuple(lengths[inv[j]] for j in range(m))
             new_vs = tuple(vs[inv[j]] for j in range(m))
-            block = block_permutation(lengths, sigma)
+            block = _block_permutation(lengths, sigma)
             moved = tuple(pi[_inv_perm(block)[p]] for p in range(k))
             union((m, lengths, gi, vs, pi), (m, new_lengths, gi, new_vs, moved))
     return len({find(e) for e in elements})
@@ -594,8 +634,8 @@ def _all_block_moves(f, ys, blocks, vs, h):
             if sym_x.cat.src(mu) != blocks[i]:
                 continue
             t = sym_x.cat.tgt(mu)
-            embed = sym_x.concat_mor(
-                *[mu if j == i else sym_x.cat.id_of(b) for j, b in enumerate(blocks)]
+            embed = _concat_mor(
+                sym_x, *[mu if j == i else sym_x.cat.id_of(b) for j, b in enumerate(blocks)]
             )
             for v_prime in f.values[(t, ys[i])]:
                 yield (
@@ -684,7 +724,7 @@ def test_subst_extension_matches_all_morphism_reference(name):
 
 def _fresh_embedding(sym, blocks, i, mu):
     """The embedding of mu into block i, built from scratch on every call."""
-    return sym.concat_mor(*[mu if j == i else sym.cat.id_of(b) for j, b in enumerate(blocks)])
+    return _concat_mor(sym, *[mu if j == i else sym.cat.id_of(b) for j, b in enumerate(blocks)])
 
 
 def _fresh_block_perm(sym, blocks, sigma):
@@ -692,7 +732,7 @@ def _fresh_block_perm(sym, blocks, sigma):
     src = sym.concat_obj(*blocks)
     inv = perm_inverse(sigma)
     tgt = sym.concat_obj(*[blocks[inv[j]] for j in range(len(blocks))])
-    perm = block_permutation(tuple(len(b) for b in blocks), sigma)
+    perm = _block_permutation(tuple(len(b) for b in blocks), sigma)
     return (src, tgt, perm, tuple(sym.base.id_of(x) for x in src))
 
 
