@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 PUBLIC = (
     # payload builders that the benchmark, CI and tests use
     "prof.prof_identity", "fincat.identity_functor", "fincat.functor_compose",
-    "fincat.opposite", "serialize.to_dict",
+    "serialize.to_dict",
     # the benchmark's tracer wraps it
     "presheaf.all_psh_maps",
     # paper checks that only tests run: wiring them into suites changes the

@@ -21,18 +21,20 @@ makes H(g, 1)H(1, k)w = H(1, k)H(g, 1)w the shared middle element.  So the
 relations along generators (`FinCat.generators`) suffice, given a bifunctor.
 One kernel, `coend_relations`, generates them for every coend: `coend`,
 `product_coend` (behind `kan_extend` and `prof_compose`), Day convolution and
-substitution.  A carrier is laid out in runs, one per object (or key), and a
-member's position is the sum of its shares along its run's axes (`run_axes`).
-Along a generator m: y -> y' the relations are indexed by a product W of
-finite sets, and each axis of W has one digit map into run y and one into
-run y': an identity, an action gathered along a `FinFn`'s positions
-(`gather`), or composition with a fixed morphism (Loregian, *(Co)end
-Calculus*, LMS LN 468, 2021, sec. 1).  No slice H(y', y) and no action map is
-built, and no label is looked up per relation.  A bifunctor C^op x C -> Set
-is an endo-profunctor (`prof.Profunctor`), the one form in which a whole
-integrand is given: `coend` reads its digit maps off its tables and trusts
-its laws, which `bifunctor_violations`, the one law scan behind
-`Profunctor(check=True)`, has checked when it was built or loaded.
+substitution.  A carrier is laid out in runs, one per object (or key), by
+`layout` (Day and substitution: values x hom set) or, for `product_coend`'s
+two-axis runs, inline; a member's position is the sum of its shares along
+its run's axes (`run_axes`).  Along a generator m: y -> y' the relations are
+indexed by a product W of finite sets, and each axis of W has one digit map
+into run y and one into run y': an identity, an action gathered along a
+`FinFn`'s positions (`gather`), or composition with a fixed morphism on the
+hom axis (`postcompose`; restriction is `precompose_image`) (Loregian,
+*(Co)end Calculus*, LMS LN 468, 2021, sec. 1).  No slice H(y', y) and no
+action map is built, and no label is looked up per relation.  A bifunctor
+C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
+which a whole integrand is given: `coend` reads its digit maps off its
+tables and trusts its laws, which `bifunctor_violations`, the one law scan
+behind `Profunctor(check=True)`, has checked when it was built or loaded.
 
 A coend is returned as its `QuotientSet`, and everything built from coends
 keeps them, one per parameter key, in a `quotients` field (`Presheaf`,
@@ -58,6 +60,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -162,34 +166,65 @@ def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterat
             raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
 
 
+_ELEMENTS = operator.attrgetter("elements")
+
+
 @functools.lru_cache(maxsize=4096)
 def run_axes(offset: int, sizes: tuple[int, ...]) -> tuple[Sequence[int], ...]:
     """The share axes of a run at `offset` whose members are the tuples of
     one value per axis, the last axis fastest: the k-th value of axis i adds
     k times the product of the later sizes, and the first axis the offset.
-    Cached: the many small coends of a check repeat the same few shapes."""
+    Cached as tuples: the many small coends of a check repeat a few shapes."""
     axes, stride = [], 1
     for i in reversed(range(len(sizes))):
         start, n = (0 if i else offset), sizes[i]
-        axes.append(range(start, start + n * stride, stride) if stride else (start,) * n)
+        axes.append(tuple(range(start, start + n * stride, stride)) if stride else (start,) * n)
         stride *= n
     return tuple(reversed(axes))
 
 
-def run_positions(axes: Sequence[Sequence[int]]) -> list[int]:
+def run_positions(axes: Sequence[Sequence[int]]) -> Sequence[int]:
     """The positions of the members of a product of axes, in its order (the
     last axis fastest): one share from each axis, summed."""
-    positions = [0]
-    for axis in axes:
+    positions = axes[0] if axes else [0]
+    for axis in axes[1:]:
         positions = [p + s for p in positions for s in axis]
     return positions
 
 
-def layout_image(layout: Mapping, run_image) -> list[int]:
+def layout(runs: Mapping[tuple, Sequence]) -> tuple[FinSet, dict]:
+    """A coend carrier laid out in `runs`, in order, and each run's share axes
+    (`run_axes`), one per set.  runs[key] lists the run's factors, the hom set
+    last: each a FinSet or a group (a tuple of FinSets, whose members are
+    tuples).  The run's members are (*key, *w), w in their product."""
+    axes, offset, members = {}, 0, []
+    for key, factors in runs.items():
+        sizes = [len(s) for f in factors for s in (map(_ELEMENTS, f) if f.__class__ is tuple else (f.elements,))]
+        size = math.prod(sizes)
+        axes[key], offset = run_axes(offset, tuple(sizes)), offset + size
+        if size:  # else the run has no members
+            sets = [itertools.product(*map(_ELEMENTS, f)) if f.__class__ is tuple else f.elements for f in factors]
+            members.append(map(key.__add__, itertools.product(*sets)))
+    return FinSet(_Canonical(itertools.chain.from_iterable(members))), axes
+
+
+def layout_image(runs: Mapping, run_image) -> list[int]:
     """The image positions of a laid-out carrier's members, in carrier order:
-    run_image(key, run) gives the share axes of the image of each run of
-    `layout`, a dict of runs in carrier order."""
-    return list(itertools.chain.from_iterable(run_positions(run_image(*kv)) for kv in layout.items()))
+    run_image(key, factors) gives the share axes of the image of each run."""
+    return list(itertools.chain.from_iterable(run_positions(run_image(*kv)) for kv in runs.items()))
+
+
+def precompose_image(cat: FinCat, m: Label, runs: Mapping, to_runs: Mapping, to_axes: Mapping) -> list[int]:
+    """The image positions of h -> h . m on the hom axis, from the carrier of
+    `runs` to that of `to_runs`, laid out on `to_axes` with the same keys."""
+    def run_image(key, factors):
+        comp, to, homs, to_homs = cat.comp, to_axes[key], factors[-1], to_runs[key][-1]
+        if homs.__class__ is tuple:  # a group last: the hom set is its last set
+            homs, to_homs = homs[-1], to_homs[-1]
+        shares, index = to[-1], to_homs._index
+        return [*to[:-1], [shares[index[comp[(h, m)]]] for h in homs]]
+
+    return layout_image(runs, run_image)
 
 
 def gather(shares: Sequence[int], fn: FinFn, domain: FinSet, codomain: FinSet) -> list[int]:
@@ -202,14 +237,19 @@ def gather(shares: Sequence[int], fn: FinFn, domain: FinSet, codomain: FinSet) -
     return list(map(shares.__getitem__, fn.images))
 
 
+def postcompose(shares: Sequence[int], cat: FinCat, m: Label, homs: FinSet, to_homs: FinSet) -> list[int]:
+    """The digit map of h -> m . h from homs into an axis with `shares` (indexed by to_homs)."""
+    index, comp = to_homs._index, cat.comp
+    return [shares[index[comp[(m, h)]]] for h in homs]
+
+
 def coend_relations(blocks: Iterable[tuple[Sequence, Sequence]]) -> Iterator[tuple[int, int]]:
     """The generating relations of a coend as carrier position pairs, for
     `quotient`: each block (a_axes, b_axes) along a generator m: y -> y'
     gives each axis of W its digit maps into run y and run y', and the w-th
     member of W relates its two positions.  Sides of unequal sizes raise
     ValueError, so no relation is dropped."""
-    for a_axes, b_axes in blocks:
-        yield from zip(run_positions(a_axes), run_positions(b_axes), strict=True)
+    return itertools.chain.from_iterable(zip(run_positions(a), run_positions(b), strict=True) for a, b in blocks)
 
 
 def _is_composite(fn: FinFn, first: FinFn, second: FinFn) -> bool:
@@ -303,17 +343,13 @@ def coend(p) -> QuotientSet:
     base = p.source
     if p.target != base:
         raise EndpointMismatch("coend needs a bifunctor with the same category on both sides")
-    carrier = FinSet.sigma(base.objects, lambda y: p.values[(y, y)])
-    runs, offset = {}, 0
-    for y in base.objects:
-        runs[y], = run_axes(offset, (len(p.values[(y, y)]),))
-        offset += len(p.values[(y, y)])
+    carrier, axes = layout({(y,): (p.values[(y, y)],) for y in base.objects})
 
     def block(f):
         y, y1 = base.src(f), base.tgt(f)
         w = p.values[(y1, y)]
-        left = gather(runs[y], p.left_act[(f, y)], w, p.values[(y, y)])
-        return [left], [gather(runs[y1], p.right_act[(y1, f)], w, p.values[(y1, y1)])]
+        left = gather(axes[(y,)][0], p.left_act[(f, y)], w, p.values[(y, y)])
+        return [left], [gather(axes[(y1,)][0], p.right_act[(y1, f)], w, p.values[(y1, y1)])]
 
     return quotient(carrier, coend_relations(map(block, base.generators())))
 

@@ -5,21 +5,22 @@ with itself, of F1(a1) x F2(a2) x hom(a, a1 (x) a2).  Only strict monoidal
 bases are supported: associativity and unit laws of the tensor hold as
 object/morphism equalities, so iterated convolutions share endpoints on the
 nose and coherence comparisons can be tested for exact equality.
+Its carrier has the shape of substitution's, values times a hom set into a
+tensor, and is laid out, related and restricted by the same `colim` pieces.
 `day_bicategory` presents convolution as a one-object `report.Bicategory`,
 whose pentagon and triangles the shared `report` checkers test.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import InitVar, dataclass
 
-from .colim import coend_relations, gather, induced_actions, induced_components, layout_image, quotient, run_axes
+from .colim import (
+    coend_relations, gather, induced_actions, induced_components, layout, postcompose, precompose_image, quotient,
+)
 from .fincat import (
     EndpointMismatch,
     FinCat,
-    FinSet,
     Functor,
     Label,
     NonInvertible,
@@ -190,59 +191,39 @@ def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:
 @memoised
 def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presheaf:
     """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a,
-    kept in `quotients[a]` with carrier elements ((b1, b2), (s, t, h)).
-
-    Computed by carrier position on each carrier's layout (`_day_layout`):
-    the generating relations (`_day_relations`) and the restriction along m,
-    h -> h . m, are index arithmetic, and no label is built or hashed per
-    relation or member.  `induced_actions` checks every member of every class.
+    kept in `quotients[a]` with carrier elements ((b1, b2), (s, t, h)): one
+    run per (b1, b2) (`colim.layout`), whose relations (`_day_relations`) and
+    restriction h -> h . m (`colim.precompose_image`) are index arithmetic.
+    `induced_actions` checks every member of every class.
     """
     base = mon.base
     if f1.base != base or f2.base != base:
         raise EndpointMismatch("presheaves must live on the monoidal base")
-    layouts, quotients = {}, {}
+    runs, axes, quotients, ob = {}, {}, {}, mon.tensor.obj_map
     for a in base.objects:
-        layout = layouts[a] = _day_layout(mon, f1, f2, a)
-        carrier = FinSet.sigma(layout, lambda bb: itertools.product(
-            f1.values[bb[0]].elements, f2.values[bb[1]].elements, layout[bb][1].elements))
-        quotients[a] = quotient(carrier, coend_relations(_day_relations(mon, f1, f2, layout)))
-
-    def image(m, source, target):
-        to = layouts[base.src(m)]
-        return layout_image(layouts[base.tgt(m)], lambda bb, run: (
-            *to[bb][0][:2], [to[bb][1]._index[base.comp[(h, m)]] for h in run[1]]
-        ))
-
-    restriction = induced_actions(base, quotients.__getitem__, image, contravariant=True)
-    values = {a: q.quotient for a, q in quotients.items()}
-    return Presheaf(base, values, restriction, check=False, quotients=quotients)
+        runs[a] = {
+            (bb,): ((f1.values[bb[0]], f2.values[bb[1]], base.hom[(a, ob[bb])]),) for bb in mon.tensor.source.objects
+        }
+        carrier, axes[a] = layout(runs[a])
+        quotients[a] = quotient(carrier, coend_relations(_day_relations(mon, f1, f2, runs[a], axes[a])))
+    restriction = induced_actions(base, quotients.__getitem__, lambda m, q0, q1: precompose_image(
+        base, m, runs[base.tgt(m)], runs[base.src(m)], axes[base.src(m)]
+    ), contravariant=True)
+    return Presheaf(base, {a: q.quotient for a, q in quotients.items()}, restriction, check=False, quotients=quotients)
 
 
-def _day_layout(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, a: Label) -> dict:
-    """The runs of the Day carrier at a, keyed (b1, b2) in carrier order: the
-    share axes of F1(b1), F2(b2) and hom(a, b1 (x) b2) (`colim.run_axes`),
-    and that hom set."""
-    runs, offset = {}, 0
-    for b1, b2 in mon.tensor.source.objects:
-        homs = mon.base.hom[(a, mon.ob(b1, b2))]
-        sizes = len(f1.values[b1]), len(f2.values[b2]), len(homs)
-        runs[(b1, b2)] = run_axes(offset, sizes), homs
-        offset += math.prod(sizes)
-    return runs
-
-
-def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, layout: dict):
-    """The relation blocks of a Day coend (`colim.coend_relations`): along a
-    generator (m1, m2): (b1, b2) -> (b1', b2'), W = F1(b1') x F2(b2') x
+def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, runs: dict, axes: dict):
+    """The relation blocks of the Day coend at a, laid out in `runs` on `axes`:
+    along a generator (m1, m2): (b1, b2) -> (b1', b2'), W = F1(b1') x F2(b2') x
     hom(a, b1 (x) b2) relates (F1(m1)s, F2(m2)t, h) to (s, t, (m1 (x) m2) . h)."""
     prod, base = mon.tensor.source, mon.base
     for m1, m2 in prod.generators():
         (b1, b2), (c1, c2) = prod.src((m1, m2)), prod.tgt((m1, m2))
-        ((s, t, hs), homs), ((s1, t1, _), to_homs) = layout[(b1, b2)], layout[(c1, c2)]
+        (s, t, hs), (s1, t1, to) = axes[((b1, b2),)], axes[((c1, c2),)]
         pulled = gather(s, f1.restriction[m1], f1.values[c1], f1.values[b1])
         pulled2 = gather(t, f2.restriction[m2], f2.values[c2], f2.values[b2])
-        glued = [to_homs._index[base.comp[(mon.mor(m1, m2), h)]] for h in homs]
-        yield [pulled, pulled2, hs], [s1, t1, glued]
+        homs, to_homs = runs[((b1, b2),)][0][2], runs[((c1, c2),)][0][2]
+        yield [pulled, pulled2, hs], [s1, t1, postcompose(to, base, mon.mor(m1, m2), homs, to_homs)]
 
 
 def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:

@@ -513,13 +513,6 @@ def validate_category(cat: FinCat) -> list[str]:
     return out
 
 
-def opposite(cat: FinCat) -> FinCat:
-    """Reverse all arrows; labels are kept, so opposite(opposite(C)) == C."""
-    hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
-    comp = {(f, g): h for (g, f), h in cat.comp.items()}
-    return FinCat(cat.objects, hom, cat.ids, comp)
-
-
 class _ProductComp(Mapping):
     """The composition of `product(c, d)` by rule: (g1, g2) . (f1, f2) is
     (g1 . f1, g2 . f2).  Its keys, in order, are those of the table that a

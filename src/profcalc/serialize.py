@@ -81,6 +81,19 @@ def _array(data, name: str) -> list:
     return data
 
 
+def _keyed(rows: list, width: int, name: str, keys=None, table: str = "the table") -> dict:
+    """The last field of each row of `name` (`_rows`) by its other fields,
+    decoded: ParseError naming the first key given twice or, if the set-like
+    `keys` is given, not in it."""
+    keyed = [((_dec(r[0]), _dec(r[1])) if width == 3 else _dec(r[0]), r[-1]) for r in _rows(rows, width, name)]
+    out = dict(keyed)
+    if len(out) < len(keyed) or keys is not None and not out.keys() <= keys:
+        seen = set()
+        key = next(k for k, _ in keyed if k in seen or keys is not None and k not in keys or seen.add(k))
+        raise ParseError(f"{name} row key {key!r} " + ("comes twice" if key in seen else f"is not a key of {table}"))
+    return out
+
+
 def _dec_fn(data, domain: FinSet, codomain: FinSet) -> FinFn:
     return FinFn(domain, codomain, {_dec(k): _dec(v) for k, v in _rows(data, 2, "function")})
 
@@ -182,13 +195,10 @@ def presheaf_to_dict(p: Presheaf) -> dict:
 
 def presheaf_from_dict(d: dict, cats: dict) -> Presheaf:
     base = _category_from_dict(d["base"], cats)
-    values = {
-        _dec(a): FinSet(map(_dec, _array(xs, "value list"))) for a, xs in _rows(d["values"], 2, "values")
-    }
-    restriction = {}
-    for m, table in _rows(d["restriction"], 2, "restriction"):
-        m = _dec(m)
-        restriction[m] = _dec_fn(table, values[base.tgt(m)], values[base.src(m)])
+    rows = _keyed(d["values"], 2, "values", base.objects._index.keys())
+    values = {a: FinSet(map(_dec, _array(xs, "value list"))) for a, xs in rows.items()}
+    rows = _keyed(d["restriction"], 2, "restriction", base._mor_endpoints.keys())
+    restriction = {m: _dec_fn(table, values[base.tgt(m)], values[base.src(m)]) for m, table in rows.items()}
     return Presheaf(base, values, restriction, check=True)
 
 
@@ -204,10 +214,8 @@ def pshmap_to_dict(phi: PshMap) -> dict:
 def pshmap_from_dict(d: dict, cats: dict) -> PshMap:
     source = presheaf_from_dict(d["source"], cats)
     target = presheaf_from_dict(d["target"], cats)
-    comps = {}
-    for a, table in _rows(d["components"], 2, "components"):
-        a = _dec(a)
-        comps[a] = _dec_fn(table, source.values[a], target.values[a])
+    rows = _keyed(d["components"], 2, "components", source.base.objects._index.keys())
+    comps = {a: _dec_fn(table, source.values[a], target.values[a]) for a, table in rows.items()}
     return PshMap(source, target, comps, check=True)
 
 
@@ -230,14 +238,15 @@ def profunctor_to_dict(p: Profunctor) -> dict:
     }
 
 
-def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, dict, dict]:
+def _tables_from_dict(d: dict, source: FinCat, target: FinCat, table: str = "the table") -> tuple[dict, dict, dict]:
     """The value and action tables of a sparse profunctor payload: absent
     values are one shared empty set, and absent actions out of it one shared
-    empty map per codomain; an absent action out of a nonempty value fails."""
+    empty map per codomain; an absent action out of a nonempty value fails,
+    and so does a row keyed outside its table (`table`) or twice."""
     empty, from_empty = FinSet(), {}  # from_empty: the id of a codomain -> the empty map into it
     values = {(y, x): empty for y in target.objects for x in source.objects}
-    for y, x, vs in _rows(d["values"], 3, "values"):
-        values[(_dec(y), _dec(x))] = FinSet(map(_dec, _array(vs, "value list")))
+    for key, vs in _keyed(d["values"], 3, "values", values.keys(), table).items():
+        values[key] = FinSet(map(_dec, _array(vs, "value list")))
 
     def action(declared, key, domain, codomain):
         if key in declared or domain is not empty:
@@ -246,18 +255,20 @@ def _tables_from_dict(d: dict, source: FinCat, target: FinCat) -> tuple[dict, di
             from_empty[id(codomain)] = FinFn(empty, codomain, {})
         return from_empty[id(codomain)]
 
-    declared = {(_dec(g), _dec(x)): table for g, x, table in _rows(d["left_act"], 3, "left_act")}
+    left, right = _keyed(d["left_act"], 3, "left_act"), _keyed(d["right_act"], 3, "right_act")
     left_act = {
-        (g, x): action(declared, (g, x), values[(target.tgt(g), x)], values[(target.src(g), x)])
+        (g, x): action(left, (g, x), values[(target.tgt(g), x)], values[(target.src(g), x)])
         for g in target.morphisms()
         for x in source.objects
     }
-    declared = {(_dec(y), _dec(f)): table for y, f, table in _rows(d["right_act"], 3, "right_act")}
     right_act = {
-        (y, f): action(declared, (y, f), values[(y, source.src(f))], values[(y, source.tgt(f))])
+        (y, f): action(right, (y, f), values[(y, source.src(f))], values[(y, source.tgt(f))])
         for y in target.objects
         for f in source.morphisms()
     }
+    for name, declared, acts in (("left_act", left, left_act), ("right_act", right, right_act)):
+        if not declared.keys() <= acts.keys():  # name the first row keyed outside the table
+            _keyed(d[name], 3, name, acts.keys(), table)
     return values, left_act, right_act
 
 
@@ -339,7 +350,8 @@ def symseq_from_dict(d: dict, cats: dict) -> SymSeq:
     if type(d["max_arity"]) is not int or d["max_arity"] < 0:  # not isinstance: JSON true loads as True, an int
         raise ParseError(f"max_arity {d['max_arity']!r} is not a nonnegative integer")
     sym = free_sym_cat(colours, d["max_arity"])
-    return SymSeq(sym, outputs, *_tables_from_dict(d, outputs, sym.cat), check=True)
+    bounded = f"the table at arity bound {sym.max_len}"
+    return SymSeq(sym, outputs, *_tables_from_dict(d, outputs, sym.cat, bounded), check=True)
 
 
 _TO = {

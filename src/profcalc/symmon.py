@@ -24,33 +24,30 @@ values, and twists the gluing morphism by a block permutation).  Both are
 functorial in the moving morphism, so relations along composites follow.
 Their structural morphisms are S's multiplication (`sym_mult`) applied to a
 morphism of block tuples, built once per block shape (`TruncatedSymCat`).
-Each carrier, of the composite or of the tuple-level extension (one empty
-outer value), is laid out once in runs of equal (m, ys, blocks) (`_Run`):
-a member's position is the sum of its shares along the axes of gamma, its
-block values and its gluing morphism (`colim.run_axes`).  A relation block
+One loop (`_subst_quotients`) builds each quotient of the composite and of
+the tuple-level extension (no outer value): `colim.layout` lays its carrier
+out in runs of equal (m, ys, blocks) (`_runs`) of gamma, block values and
+gluing morphisms, as Day convolution's; a relation block
 (`_layout_relations`) is one run's axes with one replaced by a digit map --
 a value action gathered along its positions, or composition with a
-structural morphism -- and the one relation kernel of `colim`,
-`colim.coend_relations`, turns it into carrier positions; the actions that
-`prof.coend_actions` induces are read the same way.  No label is built or
-hashed per relation or per member.  Every other sequence here -- the unit,
-the representables, coproducts and the operads' sequences -- gets its
-action tables from `prof.action_tables`, given its values and one
-elementwise rule per side, and the unit and composition cells of the
-operads come from `fincat.components`, given an image rule.  `SUBST`
-presents substitution, with its associator, unit isomorphisms and
-whiskerings, as a `report.Bicategory`, whose pentagon and triangles the
-shared `report` checkers test.
+structural morphism (`colim.postcompose`) -- and the induced actions are
+read the same way.  No label is built or hashed per relation or member.
+Every other sequence here -- the unit, the representables, coproducts and
+the operads' sequences -- gets its action tables from `prof.action_tables`,
+given its values and one elementwise rule per side, and the unit and
+composition cells of the operads come from `fincat.components`, given an
+image rule.  `SUBST` presents substitution, with its associator, unit
+isomorphisms and whiskerings, as a `report.Bicategory`, whose pentagon and
+triangles the shared `report` checkers test.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .colim import (
-    QuotientSet, coend_relations, gather, induced_components, layout_image, quotient, run_axes,
+    coend_relations, gather, induced_components, layout, layout_image, postcompose, precompose_image, quotient,
 )
 from .fincat import (
     BoundExceeded,
@@ -60,7 +57,6 @@ from .fincat import (
     FinSet,
     Functor,
     Label,
-    _Canonical,
     cell_difference,
     components,
     generators_by_source,
@@ -311,110 +307,101 @@ def _blockings(objects: FinSet, total: int, m: int, lo: int):
                 yield (b,) + rest
 
 
-@dataclass(frozen=True)
-class _Run:
-    """The members of a substitution carrier with one (m, ys, blocks), in
-    carrier order: every (gamma, vs, h) with gamma in `gammas`, vs[i] in
-    values[i] and h in `homs`.  A member's position is the sum of its shares
-    along the axes (`colim.run_axes`): axes[0] for gamma (the run's offset
-    included), axes[i + 1] for vs[i] and axes[-1] for h."""
-
-    gammas: tuple
-    values: tuple[FinSet, ...]
-    homs: FinSet
-    axes: tuple
-
-    def members(self):
-        return itertools.product(self.gammas, itertools.product(*self.values), self.homs)
-
-
-def _layout(f: SymSeq, xs: tuple, heads, allow_zero: bool) -> dict[tuple, _Run]:
-    """The runs of a substitution carrier over xs, keyed (m, ys, blocks), in
-    carrier order: each (m, ys, gammas) of `heads` with every tuple of m
-    blocks of xs (nonempty unless allow_zero), vs[i] in f[blocks[i]; ys[i]]
-    and h: xs -> blocks[0] + ... + blocks[-1]."""
+def _runs(f: SymSeq, xs: tuple, heads, allow_zero: bool) -> dict[tuple, tuple]:
+    """The runs of a substitution carrier over xs (`colim.layout`): for each
+    (head, ys, lead) of `heads` and each len(ys) blocks of xs (nonempty unless
+    allow_zero), the run head + (blocks,) with the factors lead, the group of
+    block values f[blocks[i]; ys[i]] and hom(xs, blocks[0] + ... + blocks[-1])."""
     cat = f.source_sym.cat
-    runs: dict[tuple, _Run] = {}
-    offset = 0
-    for m, ys, gammas in heads:
-        for blocks in _blockings(cat.objects, len(xs), m, 0 if allow_zero else 1):
-            values = tuple(f.values[(b, y)] for b, y in zip(blocks, ys))
-            homs = cat.hom[(xs, tuple(x for b in blocks for x in b))]
-            sizes = (len(gammas), *map(len, values), len(homs))
-            runs[(m, ys, blocks)] = _Run(gammas, values, homs, run_axes(offset, sizes))
-            offset += math.prod(sizes)
-    return runs
+    return {
+        (*head, blocks): (
+            *lead, tuple(f.values[(b, y)] for b, y in zip(blocks, ys)), cat.hom[(xs, sum(blocks, ()))]
+        )
+        for head, ys, lead in heads
+        for blocks in _blockings(cat.objects, len(xs), len(ys), 0 if allow_zero else 1)
+    }
 
 
-def _compose_layout(g: SymSeq, f: SymSeq, xs: tuple, z: Label) -> dict[tuple, _Run]:
-    """The runs of the carrier of (g o f)(xs; z): gamma in g[ys; z] for every
-    ys of m colours with g[ys; z] inhabited, m up to the block bound."""
+def _compose_heads(g: SymSeq, f: SymSeq, xs: tuple, z: Label) -> list:
+    """The heads of the runs of (g o f)(xs; z) (`_runs`): (m, ys) with the factor
+    g[ys; z], for each ys of m colours with g[ys; z] inhabited, m up to the block bound."""
     nullary, bound = f.has_nullary_support(), g.source_sym.max_len
     if not nullary and len(xs) > bound:
-        raise BoundExceeded(
-            f"output arity {len(xs)} needs block counts up to {len(xs)} but the middle "
-            f"arity bound is {bound}; the sound bound for a "
-            f"nullary-free inner sequence is m <= output arity"
-        )
-    heads = (
-        (m, ys, g.values[(ys, z)])
+        raise BoundExceeded(f"output arity {len(xs)} needs block counts up to {len(xs)} but the middle arity bound "
+                            f"is {bound}; the sound bound for a nullary-free inner sequence is m <= output arity")
+    return [
+        ((m, ys), ys, (g.values[(ys, z)],))
         for m in range(bound + 1 if nullary else len(xs) + 1)
         for ys in itertools.product(f.source.objects, repeat=m)
         if len(g.values[(ys, z)]) > 0
-    )
-    return _layout(f, xs, heads, nullary)
+    ]
 
 
-def _row_maps(f: SymSeq, phi: Label, blocks: tuple, run: _Run, to: _Run) -> list[list[int]]:
-    """The digit maps of phi: ys -> ys' on the block rows of `run` (over ys,
-    with these blocks) into `to`: each vs[j] pushed along phi's j-th
-    component into slot sigma[j], and each h twisted by the block permutation."""
+def _row_maps(f: SymSeq, phi: Label, blocks: tuple, run: tuple, to: tuple, to_axes: tuple) -> list[list[int]]:
+    """The digit maps of phi: ys -> ys' on the block row of `run` into `to`,
+    laid out on to_axes: each vs[j] pushed along phi's j-th component into
+    slot sigma[j], and each h twisted by the block permutation."""
     sym = f.source_sym
     _, _, sigma, gbar = phi
+    values, to_values = run[-2], to[-2]
+    v0 = len(to_axes) - len(values) - 1  # the axis of the first block value
     pushed = [
-        gather(to.axes[sigma[j] + 1], f.right_act[(blocks[j], gbar[j])], v, to.values[sigma[j]])
-        for j, v in enumerate(run.values)
+        gather(to_axes[v0 + sigma[j]], f.right_act[(blocks[j], gbar[j])], v, to_values[sigma[j]])
+        for j, v in enumerate(values)
     ]
-    mover = sym.block_perm_mor(blocks, sigma)
-    return [*pushed, [to.homs._index[sym.cat.comp[(mover, h)]] for h in run.homs]]
+    return [*pushed, postcompose(to_axes[-1], sym.cat, sym.block_perm_mor(blocks, sigma), run[-1], to[-1])]
 
 
-def _layout_relations(f: SymSeq, gens_x: dict, layout: dict, outer=None):
-    """The relation blocks of a substitution quotient (`colim.coend_relations`),
-    run by run.  Block relations: a generator mu: blocks[i] -> t of the tuple
-    category pulls the i-th block value back along mu and glues mu onto h
-    (`block_embedding`).  Outer relations, given outer = (g, z, gens_y): a
-    generator phi: ys -> ys' of the middle tuple category pulls gamma back
-    along phi and moves the block row by phi (`_row_maps`)."""
+def _layout_relations(f: SymSeq, gens_x: dict, runs: dict, axes: dict, at: Label, outer=None):
+    """The relation blocks of the substitution quotient at (xs, at), laid out
+    in `runs` (`_runs`) on `axes`; each run's middle tuple is `at`, unless
+    outer = (g, gens_y): then `at` is the output colour z and each key (m, ys,
+    blocks).  A generator mu: blocks[i] -> t pulls the i-th block value back
+    and glues mu onto h (`block_embedding`); given outer, a generator phi:
+    ys -> ys' pulls gamma back and moves the block row (`_row_maps`)."""
     sym = f.source_sym
     cat = sym.cat
-    for (m, ys, blocks), run in layout.items():
-        for i, (s, y) in enumerate(zip(blocks, ys)):
+    for key, run in runs.items():
+        head, blocks, values, homs = key[:-1], key[-1], run[-2], run[-1]
+        ax, row = axes[key], head[1] if outer else at
+        v0 = len(ax) - len(values) - 1  # the axis of the first block value
+        for i, (s, y) in enumerate(zip(blocks, row)):
             for mu in gens_x[s]:
-                to = layout[(m, ys, blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:])]
-                pulled = gather(run.axes[i + 1], f.left_act[(mu, y)], to.values[i], run.values[i])
-                embed = sym.block_embedding(blocks, i, mu)
-                glued = [to.homs._index[cat.comp[(embed, h)]] for h in run.homs]
-                yield [*run.axes[:i + 1], pulled, *run.axes[i + 2:]], [*to.axes[:-1], glued]
+                moved = head + (blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:],)
+                to, to_run = axes[moved], runs[moved]
+                pulled = gather(ax[v0 + i], f.left_act[(mu, y)], to_run[-2][i], values[i])
+                glued = postcompose(to[-1], cat, sym.block_embedding(blocks, i, mu), homs, to_run[-1])
+                yield [*ax[:v0 + i], pulled, *ax[v0 + i + 1:]], [*to[:-1], glued]
         if outer is not None:
-            g, z, gens_y = outer
-            for phi in gens_y[ys]:
-                to = layout.get((m, phi[1], tuple(blocks[j] for j in perm_inverse(phi[2]))))
-                if to is not None:  # else g[ys'; z] is empty
-                    pulled = gather(run.axes[0], g.left_act[(phi, z)], to.gammas, run.gammas)
-                    yield [pulled, *run.axes[1:]], [to.axes[0], *_row_maps(f, phi, blocks, run, to)]
+            g, gens_y = outer
+            for phi in gens_y[row]:
+                moved = (head[0], phi[1], tuple(blocks[j] for j in perm_inverse(phi[2])))
+                if moved in runs:  # else g[ys'; z] is empty
+                    to, to_ax = runs[moved], axes[moved]
+                    pulled = gather(ax[0], g.left_act[(phi, at)], to[0], run[0])
+                    yield [pulled, *ax[1:]], [to_ax[0], *_row_maps(f, phi, blocks, run, to, to_ax)]
 
 
-def _precompose(cat: FinCat, rho: Label, layouts: dict, z: Label) -> list[int]:
-    """The left action h -> h . rho of rho: xs' -> xs, from layouts[(xs, z)]
-    to layouts[(xs', z)]."""
-    target = layouts[(cat.src(rho), z)]
+def _subst_quotients(f: SymSeq, keys, heads, outer=None) -> tuple:
+    """The runs (`_runs` of heads(xs, key)), share axes and quotient
+    (`_layout_relations`, given `outer`) of the substitution carrier at each
+    (xs, key), xs in f's tuple category and key in `keys`, and the left
+    action h -> h . rho on them for `prof.coend_actions`."""
+    cat = f.source_sym.cat
+    nullary, gens_x = f.has_nullary_support(), generators_by_source(cat)
+    runs, axes, quotients = {}, {}, {}
+    for xs in cat.objects:
+        for key in keys:
+            run = runs[(xs, key)] = _runs(f, xs, heads(xs, key), nullary)
+            carrier, axes[(xs, key)] = layout(run)
+            relations = _layout_relations(f, gens_x, run, axes[(xs, key)], key, outer)
+            quotients[(xs, key)] = quotient(carrier, coend_relations(relations))
 
-    def run_image(key, run):
-        to = target[key]
-        return [*to.axes[:-1], [to.homs._index[cat.comp[(h, rho)]] for h in run.homs]]
+    def left(rho, key, q0, q1):
+        at = (cat.src(rho), key)
+        return precompose_image(cat, rho, runs[(cat.tgt(rho), key)], runs[at], axes[at])
 
-    return layout_image(layouts[(cat.tgt(rho), z)], run_image)
+    return runs, axes, quotients, left
 
 
 @memoised
@@ -432,35 +419,19 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
     """
     if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
-    cat, z_cat = f.source_sym.cat, g.source
-    gens_x = generators_by_source(cat)
-    gens_y = generators_by_source(g.source_sym.cat)
-    layouts: dict[tuple[tuple, Label], dict] = {}
-    quotients: dict[tuple[tuple, Label], QuotientSet] = {}
-    for xs in cat.objects:
-        for z in z_cat.objects:
-            layout = layouts[(xs, z)] = _compose_layout(g, f, xs, z)
-            carrier = FinSet(_Canonical(
-                (*key, *member) for key, run in layout.items() for member in run.members()
-            ))
-            relations = _layout_relations(f, gens_x, layout, (g, z, gens_y))
-            quotients[(xs, z)] = quotient(carrier, coend_relations(relations))
+    cat, z_cat, nullary = f.source_sym.cat, g.source, f.has_nullary_support()
+    runs, axes, quotients, left = _subst_quotients(
+        f, z_cat.objects, lambda xs, z: _compose_heads(g, f, xs, z), (g, generators_by_source(g.source_sym.cat))
+    )
 
     def right(xs, zm, q0, q1):
-        target = layouts[(xs, z_cat.tgt(zm))]
+        to_runs, to_axes = runs[(xs, z_cat.tgt(zm))], axes[(xs, z_cat.tgt(zm))]
+        return layout_image(runs[(xs, z_cat.src(zm))], lambda key, run: [
+            gather(to_axes[key][0], g.right_act[(key[1], zm)], run[0], to_runs[key][0]), *to_axes[key][1:]
+        ])
 
-        def run_image(key, run):
-            to, act = target[key], g.right_act[(key[1], zm)]
-            gamma_axis = [to.axes[0][to.gammas._index[act(gamma)]] for gamma in run.gammas]
-            return [gamma_axis, *to.axes[1:]]
-
-        return layout_image(layouts[(xs, z_cat.src(zm))], run_image)
-
-    return SymSeq(
-        f.source_sym, z_cat,
-        *coend_actions(z_cat, cat, quotients, lambda rho, z, q0, q1: _precompose(cat, rho, layouts, z), right),
-        check=False, quotients=quotients, bounded_search=f.has_nullary_support(),
-    )
+    tables = coend_actions(z_cat, cat, quotients, left, right)
+    return SymSeq(f.source_sym, z_cat, *tables, check=False, quotients=quotients, bounded_search=nullary)
 
 
 # -- whiskering and the canonical isomorphisms ---------------------------------------------
@@ -709,40 +680,24 @@ def associative_operad(max_arity: int) -> ColouredOperad:
 
 def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
     """The tuple-level extension of a sequence: values at (xs, ys) are the
-    block decompositions of xs matching ys, quotiented by block relations.
-    There are exactly len(ys) blocks, so no block count needs a bound, even
-    when f has nullary values.  Each carrier is laid out as a composite's
-    is, with one empty outer value."""
+    block decompositions (blocks, vs, h) of xs matching ys, quotiented by
+    block relations.  There are exactly len(ys) blocks, so no block count
+    needs a bound, even when f has nullary values.  Each carrier is laid
+    out as a composite's is, with no outer value and one run per blocks."""
     if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
     cat = f.source_sym.cat
-    nullary = f.has_nullary_support()
-    gens_x = generators_by_source(cat)
-    layouts: dict[tuple[tuple, tuple], dict] = {}
-    quotients: dict[tuple[tuple, tuple], QuotientSet] = {}
-    for xs in cat.objects:
-        for ys in sym_y.cat.objects:
-            layout = layouts[(xs, ys)] = _layout(f, xs, [(len(ys), ys, (None,))], nullary)
-            carrier = FinSet(_Canonical(
-                (blocks, vs, h) for (_, _, blocks), run in layout.items() for _, vs, h in run.members()
-            ))
-            quotients[(xs, ys)] = quotient(carrier, coend_relations(_layout_relations(f, gens_x, layout)))
+    runs, axes, quotients, left = _subst_quotients(f, sym_y.cat.objects, lambda xs, ys: [((), ys, ())])
 
     def right(xs, phi, q0, q1):
-        target, inv = layouts[(xs, phi[1])], perm_inverse(phi[2])
+        to_runs, to_axes, inv = runs[(xs, phi[1])], axes[(xs, phi[1])], perm_inverse(phi[2])
+        moved = {key: (tuple(key[0][j] for j in inv),) for key in runs[(xs, phi[0])]}
+        return layout_image(runs[(xs, phi[0])], lambda key, run: _row_maps(
+            f, phi, key[0], run, to_runs[moved[key]], to_axes[moved[key]]
+        ))
 
-        def run_image(key, run):
-            m, _, blocks = key
-            to = target[(m, phi[1], tuple(blocks[j] for j in inv))]
-            return [to.axes[0], *_row_maps(f, phi, blocks, run, to)]
-
-        return layout_image(layouts[(xs, phi[0])], run_image)
-
-    return Profunctor(
-        sym_y.cat, cat,
-        *coend_actions(sym_y.cat, cat, quotients, lambda rho, ys, q0, q1: _precompose(cat, rho, layouts, ys), right),
-        check=False, quotients=quotients,
-    )
+    tables = coend_actions(sym_y.cat, cat, quotients, left, right)
+    return Profunctor(sym_y.cat, cat, *tables, check=False, quotients=quotients)
 
 
 def representable_seq(sym: TruncatedSymCat, target: FinCat, picks: dict) -> SymSeq:

@@ -19,16 +19,25 @@ Two theorems that every coend must satisfy are checked as bijections:
 interchange of a coend over a product with the iterated coend (Mac Lane,
 *CWM* IX; Loregian, *(Co)end Calculus*, LMS LN 468, 2021).
 `psh_copair` and `psh_equalizer_factor` witness the universal properties of
-the engine's pointwise coproduct and equalizer of presheaves.
+the engine's pointwise coproduct and equalizer of presheaves.  `opposite`
+reverses a category's arrows, for covariant integrands; the engine never
+needs it.
 """
 
 import functools
 import itertools
 
 from profcalc.colim import bifunctor_violations, coend, label_pairs, quotient
-from profcalc.fincat import EndpointMismatch, FinFn, FinSet, NonInvertible, product, require_lawful
+from profcalc.fincat import EndpointMismatch, FinCat, FinFn, FinSet, NonInvertible, product, require_lawful
 from profcalc.presheaf import psh_coproduct, pshmap_from_rule
 from profcalc.prof import Profunctor
+
+
+def opposite(cat: FinCat) -> FinCat:
+    """Reverse all arrows; labels are kept, so opposite(opposite(C)) == C."""
+    hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
+    comp = {(f, g): h for (g, f), h in cat.comp.items()}
+    return FinCat(cat.objects, hom, cat.ids, comp)
 
 
 def label_relations(base, related, morphisms=None):

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from integrands import (
-    coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, product_label_relations,
+    coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, opposite, product_label_relations,
 )
 from profcalc.colim import (
-    bifunctor_violations, coend, induced_components, label_pairs, quotient,
+    bifunctor_violations, coend, induced_components, label_pairs, layout, quotient,
 )
-from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, opposite, product
+from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, product
 from profcalc.presheaf import yoneda
 from profcalc.prof import Profunctor
 from profcalc.seeds import arrow_category, chain, discrete, seed_library, terminal_category
@@ -171,6 +171,32 @@ def _hom_times_functor(cat, value_at, act, x, covariant=True):
                 (m, v): (m, act(f)(v)) if covariant else (cat.comp[(f, m)], v) for (m, v) in dom
             })
     return Profunctor(cat, cat, values, contra, co, check=False)
+
+
+_SETS = st.integers(0, 3).map(lambda n: FinSet(range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.one_of(_SETS, st.lists(_SETS, max_size=3).map(tuple)), max_size=3), _SETS),
+                max_size=4))
+def test_layout_positions_are_carrier_indices(shapes):
+    """Over random runs -- factor sets and groups of sets, then the hom set,
+    empty ones included, so empty runs too, and no runs at all -- `layout`
+    lists each run's members (*key, *w) in itertools.product order, and the
+    shares of a member's digits, one per set, sum to its index in the carrier."""
+    runs = {(f"r{i}",): (*factors, homs) for i, (factors, homs) in enumerate(shapes)}
+    carrier, axes = layout(runs)
+    expected, digits = [], []
+    for key, factors in runs.items():
+        members = [tuple(itertools.product(*f)) if isinstance(f, tuple) else f.elements for f in factors]
+        expected += [(*key, *w) for w in itertools.product(*members)]
+        sets = [s for f in factors for s in (f if isinstance(f, tuple) else [f])]
+        assert [len(axis) for axis in axes[key]] == [len(s) for s in sets]
+        digits += [(key, ks) for ks in itertools.product(*(range(len(s)) for s in sets))]
+    assert list(carrier.elements) == expected
+    assert list(axes) == list(runs)
+    for index, (key, ks) in enumerate(digits):
+        assert sum(axis[k] for axis, k in zip(axes[key], ks)) == index
 
 
 def test_coend_terminal_category():

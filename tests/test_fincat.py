@@ -6,6 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from integrands import opposite
 from profcalc.fincat import (
     Cell,
     EndpointMismatch,
@@ -22,7 +23,6 @@ from profcalc.fincat import (
     functor_compose,
     identity_functor,
     label_key,
-    opposite,
     product,
     validate_category,
 )

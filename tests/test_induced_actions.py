@@ -14,16 +14,18 @@ import functools
 import pytest
 
 from integrands import label_induced_map
-from profcalc.colim import coend_relations, induced_actions, induced_map, label_pairs, quotient
-from profcalc.day import _day_layout, _day_relations, day_convolve, one_object_group_monoidal
+from profcalc.colim import (
+    coend_relations, induced_actions, induced_map, label_pairs, layout, precompose_image, quotient,
+)
+from profcalc.day import _day_relations, day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
 from profcalc.prof import prof_compose, prof_identity, tau_inv
 from profcalc.seeds import arrow_category, chain, discrete, seed_library
 from profcalc.suites import _monoidal_seeds
 from profcalc.symmon import (
-    _compose_layout,
-    _precompose,
+    _compose_heads,
+    _runs,
     associative_operad,
     free_sym_cat,
     perm_inverse,
@@ -157,7 +159,11 @@ def test_day_convolve_by_position_matches_the_label_rule(name):
 
         assert q.carrier == FinSet.sigma(mon.tensor.source.objects, diagonal)
         elems = q.carrier.elements
-        positions = list(coend_relations(_day_relations(mon, f1, f2, _day_layout(mon, f1, f2, a))))
+        runs = {(bb,): ((f1.values[bb[0]], f2.values[bb[1]], base.hom[(a, mon.ob(*bb))]),)
+                for bb in mon.tensor.source.objects}
+        carrier, axes = layout(runs)
+        assert carrier == q.carrier
+        positions = list(coend_relations(_day_relations(mon, f1, f2, runs, axes)))
         labels = list(_day_label_relations(mon, f1, f2, a))
         assert [(elems[i], elems[j]) for i, j in positions] == labels
         assert quotient(q.carrier, label_pairs(q.carrier, labels)) == q
@@ -285,8 +291,8 @@ def test_a_substitution_position_map_sending_one_member_to_another_class_raises(
     cat = ass.source_sym.cat
     rho = next(mu for mu in cat.generators() if len(mu[0]) == 3)
     q0, q1 = gf.quotients[(rho[1], "d0")], gf.quotients[(rho[0], "d0")]
-    layouts = {(xs, "d0"): _compose_layout(ass, ass, xs, "d0") for xs in (rho[1], rho[0])}
-    image = _precompose(cat, rho, layouts, "d0")
+    runs = {xs: _runs(ass, xs, _compose_heads(ass, ass, xs, "d0"), False) for xs in (rho[1], rho[0])}
+    image = precompose_image(cat, rho, runs[rho[1]], runs[rho[0]], layout(runs[rho[0]])[1])
 
     def classes(image):  # the target class position of each image
         return [q1._classes[j] for j in image]

@@ -8,7 +8,7 @@ from profcalc import serialize
 from profcalc.cli import main
 from profcalc.colim import coend, quotient
 from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
-from profcalc.presheaf import psh_coproduct, psh_terminal, yoneda
+from profcalc.presheaf import PshMap, psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair, terminal_category
@@ -655,6 +655,36 @@ _MALFORMED = {
         )
         for bad in (-1, True, 2.5, "3")
     },
+    # a row whose key is not in its table, or repeats, once loaded and validated with exit 0 (the
+    # first three and the repeated component) or failed naming the bare key (the other three)
+    "unknown left_act morphism": (
+        lambda: prof_identity(chain(1)), lambda d: d["left_act"].append(["nosuch", "0", []]),
+        "left_act row key \\('nosuch', '0'\\) is not a key of the table",
+    ),
+    "unknown presheaf object": (
+        lambda: yoneda(chain(1), "1"), lambda d: d["values"].append(["9", []]),
+        "values row key '9' is not a key of the table",
+    ),
+    "repeated values row": (
+        lambda: prof_identity(chain(1)), lambda d: d["values"].append(d["values"][0]),
+        "values row key \\('0', '0'\\) comes twice",
+    ),
+    "profunctor value at an unknown object": (
+        lambda: prof_identity(chain(1)), lambda d: d["values"][0].__setitem__(0, "7"),
+        "values row key \\('7', '0'\\) is not a key of the table",
+    ),
+    "unknown restriction morphism": (
+        lambda: yoneda(chain(1), "1"), lambda d: d["restriction"].append(["nosuch", []]),
+        "restriction row key 'nosuch' is not a key of the table",
+    ),
+    "repeated presheaf map component": (
+        lambda: PshMap.identity(yoneda(chain(1), "1")), lambda d: d["components"].append(d["components"][0]),
+        "components row key '0' comes twice",
+    ),
+    "symseq tuple above the arity bound": (
+        lambda: associative_operad(2).seq, lambda d: d.update(max_arity=1),
+        "values row key \\(\\('d0', 'd0'\\), 'd0'\\) is not a key of the table at arity bound 1",
+    ),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from profcalc import serialize
-from profcalc.colim import bifunctor_violations, coend_relations, label_pairs, quotient
+from profcalc.colim import bifunctor_violations, coend_relations, label_pairs, layout, quotient
 from profcalc.fincat import (
     BoundExceeded,
     FinFn,
@@ -20,8 +20,9 @@ from profcalc.seeds import arrow_category, discrete, parallel_pair
 from profcalc.symmon import (
     ColouredOperad,
     SymSeq,
-    _compose_layout,
+    _compose_heads,
     _layout_relations,
+    _runs,
     associative_operad,
     check_operad,
     check_subst_assoc,
@@ -792,7 +793,10 @@ def test_run_wise_relations_match_the_per_element_sequence(name):
     gf = subst_compose(g, f)
     emitted = 0
     for (xs, z), q in gf.quotients.items():
-        positions = list(coend_relations(_layout_relations(f, gens_x, _compose_layout(g, f, xs, z), (g, z, gens_y))))
+        runs = _runs(f, xs, _compose_heads(g, f, xs, z), f.has_nullary_support())
+        carrier, axes = layout(runs)
+        assert carrier == q.carrier
+        positions = list(coend_relations(_layout_relations(f, gens_x, runs, axes, z, (g, gens_y))))
         reference = label_pairs(q.carrier, _old_subst_relations(g, f, z, q.carrier, gens_x, gens_y))
         # the kernel emits the relations block by block, so only the order differs
         assert sorted(positions) == sorted(reference), (xs, z)
