@@ -12,7 +12,8 @@ quotient does, translate them through the carrier's position index
 (`label_pairs`).
 
 No set built here is sorted; each is canonical by construction: carriers
-are `FinSet.sigma`s, and class names the class minima in carrier order.
+are laid out in runs (`layout`) or `FinSet.sigma`s, and class names are the
+class minima in carrier order.
 
 A coend is a coequalizer (Mac Lane, CWM IX.6), and the relation along a
 composite f = g . k follows from those along k and g: the k-relation at
@@ -24,13 +25,17 @@ One kernel, `coend_relations`, generates them for every coend: `coend`,
 substitution.  A carrier is laid out in runs, one per object (or key), by
 `layout` (Day and substitution: values x hom set) or, for `product_coend`'s
 two-axis runs, inline; a member's position is the sum of its shares along
-its run's axes (`run_axes`).  Along a generator m: y -> y' the relations are
-indexed by a product W of finite sets, and each axis of W has one digit map
-into run y and one into run y': an identity, an action gathered along a
-`FinFn`'s positions (`gather`), or composition with a fixed morphism on the
-hom axis (`postcompose`; restriction is `precompose_image`) (Loregian,
-*(Co)end Calculus*, LMS LN 468, 2021, sec. 1).  No slice H(y', y) and no
-action map is built, and no label is looked up per relation.  A bifunctor
+its run's axes (`run_axes`).  A carrier from `layout` (`RunCarrier`) keeps
+its runs and axes, not its member labels: it decodes a position into a label,
+or a label into a position, only when asked, by mixed-radix arithmetic, and
+its quotient decodes only its class names (`QuotientSet`).  Along a
+generator m: y -> y' the relations are indexed by a product W of finite
+sets, and each axis of W has one digit map into run y and one into run y':
+an identity, an action gathered along a `FinFn`'s positions (`gather`), or
+composition with a fixed morphism on the hom axis (`postcompose`;
+restriction is `precompose_image`) (Loregian, *(Co)end Calculus*, LMS LN
+468, 2021, sec. 1).  No slice H(y', y) and no action map is built, and no
+label is looked up per relation.  A bifunctor
 C^op x C -> Set is an endo-profunctor (`prof.Profunctor`), the one form in
 which a whole integrand is given: `coend` reads its digit maps off its
 tables and trusts its laws, which `bifunctor_violations`, the one law scan
@@ -45,8 +50,11 @@ positions and checked on every member by `induced_map` along generators,
 and composed along the rest by gathering those positions (`FinFn.then`).
 Every structural cell between coends -- unit, multiplication and theta, the
 associators and unitors, the Day and substitution comparisons -- is induced
-by a map of integrands, and `induced_components` reads each image of its
-rule as one position for the same kernel: `induced_map` looks up no label.
+by a map of integrands and checked by the same kernel, `induced_map`, which
+looks up no label.  Between laid-out carriers (Day and substitution) the map
+is given by digit maps on the runs (`run_components`), so no member label is
+built; on `product_coend`'s labelled carriers, by an elementwise rule
+(`induced_components`).
 
 Nothing here caches a coend.  The builders that compute them again for the
 same arguments -- `kan_extend`, `kleisli_compose`, `day_convolve` and
@@ -58,9 +66,9 @@ is dropped when the outermost scope closes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import math
 import operator
 from array import array
 from dataclasses import dataclass, field
@@ -74,9 +82,168 @@ from .fincat import (
     Label,
     NonInvertible,
     _Canonical,
+    extend_along_generators,
     generator_pairs,
-    generators_by_source,
 )
+
+
+class RunCarrier(Sequence):
+    """A coend carrier laid out in runs by `layout`, keeping no member label.
+
+    `runs` and `axes` are the runs as given, in order, and each run's share
+    axes (`run_axes`).  The members of run key are the labels (*key, *w), w
+    in the product of its factors, and a member's position is the sum of its
+    shares.  The carrier is the sequence of its members, so `elements` is the
+    carrier itself: `carrier[i]` decodes position i into its label by
+    mixed-radix arithmetic over the sets of its run, and `_index[label]`
+    encodes a label into its position, raising KeyError for a non-member, as
+    a `FinSet`'s position index does.  Each is computed only when asked.
+    Two carriers, or a carrier and a `FinSet`, are equal when they list the
+    same labels.
+    """
+
+    def __init__(self, runs: Mapping[tuple, Sequence], axes: dict, filled: list, size: int):
+        self.runs, self.axes, self._filled, self._size = runs, axes, filled, size
+        # filled: (start, key, factors, (elements, size, stride) per set) per nonempty run
+        self._starts = [run[0] for run in filled]
+        self._where: dict | None = None  # the nonempty runs by key, once a label is encoded
+        self._index = _Positions(self)
+
+    @property
+    def elements(self) -> RunCarrier:
+        return self
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:
+            return tuple(self)[i]
+        return self.labels((range(self._size)[i],))[0]  # IndexError outside the carrier
+
+    def __iter__(self):
+        return iter(self.labels(range(self._size)))
+
+    def labels(self, positions: Sequence[int]) -> list:
+        """The labels at increasing `positions`, decoded run by run: the
+        column of each set's elements at the digits position // stride % size
+        (mixed radix), and the labels zipped from the columns."""
+        if positions and not 0 <= positions[0] <= positions[-1] < self._size:
+            raise IndexError(f"positions outside a carrier of {self._size} members")
+        out, i = [], 0
+        while i < len(positions):
+            start, key, factors, digits = self._filled[bisect.bisect_right(self._starts, positions[i]) - 1]
+            size = digits[0][1] * digits[0][2]
+            j = bisect.bisect_left(positions, start + size, i)
+            i, rel = j, [p - start for p in positions[i:j]]
+            if len(rel) == size:  # the whole run: its product, in order
+                out += map(key.__add__, itertools.product(*[
+                    itertools.product(*map(_ELEMENTS, f)) if f.__class__ is tuple else f.elements for f in factors
+                ]))
+                continue
+            columns = iter([[elements[r // stride % n] for r in rel] for elements, n, stride in digits])
+            out += map(key.__add__, zip(*[
+                (zip(*itertools.islice(columns, len(f))) if f else itertools.repeat(())) if f.__class__ is tuple
+                else next(columns) for f in factors
+            ]))
+        return out
+
+    def position(self, label: Label) -> int:
+        """The position of a member label: the sum of the shares of its
+        digits, each read off its set's index; KeyError for a non-member."""
+        if self._where is None:
+            self._where = {run[1]: run for run in self._filled}
+            self._key_lengths = sorted({len(key) for key in self._where})
+        for n in self._key_lengths if label.__class__ is tuple else ():
+            run = self._where.get(label[:n])
+            if run is None or len(label) != n + len(run[2]):
+                continue
+            digits = []
+            for f, part in zip(run[2], label[n:]):
+                if f.__class__ is not tuple:
+                    digits.append(f._index.get(part))
+                elif part.__class__ is tuple and len(part) == len(f):
+                    digits.extend(s._index.get(x) for s, x in zip(f, part))
+                else:
+                    digits.append(None)
+            if None not in digits:
+                return sum(map(operator.getitem, self.axes[run[1]], digits))
+        raise KeyError(label)
+
+    def __contains__(self, label) -> bool:
+        return label in self._index
+
+    def __eq__(self, other):
+        if not isinstance(other, (RunCarrier, FinSet)):
+            return NotImplemented
+        return self is other or (len(self) == len(other) and tuple(self) == tuple(other.elements))
+
+    def __hash__(self):
+        return hash((tuple(self),))  # a FinSet's hash, for the same labels
+
+    def __repr__(self):
+        return f"RunCarrier({len(self._filled)} runs, {self._size} members)"
+
+
+class _Positions:
+    """A laid-out carrier's position index (`RunCarrier.position`), looked up
+    as a `FinSet`'s is."""
+
+    def __init__(self, carrier: RunCarrier):
+        self._carrier = carrier
+
+    def __getitem__(self, label) -> int:
+        return self._carrier.position(label)
+
+    def __contains__(self, label) -> bool:
+        try:
+            self[label]
+        except KeyError:
+            return False
+        return True
+
+
+def _labels(carrier: FinSet | RunCarrier, positions: Sequence[int]) -> list:
+    """The labels at increasing positions of a carrier, laid out or not."""
+    if carrier.__class__ is RunCarrier:
+        return carrier.labels(positions)
+    return list(map(carrier.elements.__getitem__, positions))
+
+
+class _Classes(Sequence):
+    """The classes of a quotient, each the tuple of its members in carrier
+    order, decoded when read.  Its length is the class count and costs no
+    decoding."""
+
+    def __init__(self, carrier, class_of: array, count: int):
+        self._carrier, self._class_of, self._count = carrier, class_of, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        if k.__class__ is slice:
+            return tuple(self)[k]
+        k = range(self._count)[k]
+        members = itertools.compress(range(len(self._class_of)), map(k.__eq__, self._class_of))
+        return tuple(_labels(self._carrier, list(members)))
+
+    def __iter__(self):
+        groups: list[list] = [[] for _ in range(self._count)]
+        for k, label in zip(self._class_of, _labels(self._carrier, range(len(self._class_of)))):
+            groups[k].append(label)
+        return map(tuple, groups)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Classes, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -84,40 +251,45 @@ class QuotientSet:
     """A quotient of a carrier set; classes are named by their minimal member.
 
     Built from `roots`: roots[i] is the carrier position of the minimal member
-    of the class of position i.  Members and classes are stored in canonical
-    order (by carrier position), and `quotient` is the set of class names.
-    `_classes` keeps the position in `quotient` of each carrier position's
-    class, as an array of machine integers, so `representative` is two
-    lookups: the carrier's position index (`FinSet._index`), then that
-    class; `induced_map` reads the class positions alone.
+    of the class of position i.  `_classes` keeps the position in `quotient`
+    of each carrier position's class, as an array of machine integers, and
+    `quotient` is the set of class names, in canonical order (by carrier
+    position): only the minimal member of each class is decoded from its
+    position (`RunCarrier`), and `_minima` keeps those positions.  `classes`
+    lists each class's members in carrier order, decoded when read; its
+    length is the class count.  So `representative` is two lookups: the
+    carrier's position index (`FinSet._index`), then that class;
+    `induced_map` reads the class positions and minima alone.
     """
 
-    carrier: FinSet
-    classes: tuple[tuple[Label, ...], ...]
+    carrier: FinSet | RunCarrier
+    classes: Sequence[tuple[Label, ...]]
     quotient: FinSet = field(compare=False)
     _classes: array = field(compare=False, repr=False)
+    _minima: list = field(compare=False, repr=False)
 
-    def __init__(self, carrier: FinSet, roots: list[int]):
-        elems = carrier.elements
-        if len(roots) != len(elems):
-            raise ValueError(f"{len(roots)} roots for a carrier of {len(elems)} elements")
-        groups: list[list[Label]] = []
+    def __init__(self, carrier: FinSet | RunCarrier, roots: list[int]):
+        n = len(carrier)
+        if len(roots) != n:
+            raise ValueError(f"{len(roots)} roots for a carrier of {n} elements")
         class_of: list[int] = []
+        minima: list[int] = []
         for i, r in enumerate(roots):
             if r == i:
-                class_of.append(len(groups))
-                groups.append([elems[i]])
+                class_of.append(len(minima))
+                minima.append(i)
             elif 0 <= r < i and roots[r] == r:
-                k = class_of[r]
-                class_of.append(k)
-                groups[k].append(elems[i])
+                class_of.append(class_of[r])
             else:
                 raise ValueError(f"position {i} has root {r}, not its class minimum")
-        classes = tuple(map(tuple, groups))
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "quotient", FinSet(_Canonical(c[0] for c in classes)))
-        object.__setattr__(self, "_classes", array("i", class_of))
+        classes = array("i", class_of)
+        object.__setattr__(self, "__dict__", {
+            "carrier": carrier,
+            "classes": _Classes(carrier, classes, len(minima)),
+            "quotient": FinSet(_Canonical(_labels(carrier, minima))),
+            "_classes": classes,
+            "_minima": minima,
+        })
 
     def representative(self, element: Label) -> Label:
         """Class name (minimal member) of a carrier element."""
@@ -140,15 +312,20 @@ def quotient(carrier: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"related positions ({a}, {b}) are not both in a carrier of {n} elements")
-        # find both roots, halving the paths on the way
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+        ra, rb = parent[a], parent[b]
+        if ra == rb:  # one parent, so one class
+            continue
+        # find both roots ra, rb, halving the paths on the way
+        while parent[ra] != ra:
+            parent[a] = a = parent[ra]
+            ra = parent[a]
+        while parent[rb] != rb:
+            parent[b] = b = parent[rb]
+            rb = parent[b]
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
     for i, p in enumerate(parent):  # parent[p] is already a root, as p <= i
         parent[i] = parent[p]
     return QuotientSet(carrier, parent)
@@ -192,39 +369,46 @@ def run_positions(axes: Sequence[Sequence[int]]) -> Sequence[int]:
     return positions
 
 
-def layout(runs: Mapping[tuple, Sequence]) -> tuple[FinSet, dict]:
-    """A coend carrier laid out in `runs`, in order, and each run's share axes
+def layout(runs: Mapping[tuple, Sequence]) -> RunCarrier:
+    """A coend carrier laid out in `runs`, in order, with each run's share axes
     (`run_axes`), one per set.  runs[key] lists the run's factors, the hom set
     last: each a FinSet or a group (a tuple of FinSets, whose members are
-    tuples).  The run's members are (*key, *w), w in their product."""
-    axes, offset, members = {}, 0, []
+    tuples).  The run's members are (*key, *w), w in their product; none is
+    built (`RunCarrier`).  A run with no set at all among its factors is
+    refused with ValueError: its one member would have no share to place it."""
+    axes, filled, offset = {}, [], 0
     for key, factors in runs.items():
-        sizes = [len(s) for f in factors for s in (map(_ELEMENTS, f) if f.__class__ is tuple else (f.elements,))]
-        size = math.prod(sizes)
-        axes[key], offset = run_axes(offset, tuple(sizes)), offset + size
-        if size:  # else the run has no members
-            sets = [itertools.product(*map(_ELEMENTS, f)) if f.__class__ is tuple else f.elements for f in factors]
-            members.append(map(key.__add__, itertools.product(*sets)))
-    return FinSet(_Canonical(itertools.chain.from_iterable(members))), axes
+        sets = [s for f in factors for s in (f if f.__class__ is tuple else (f,))]
+        if not sets:
+            raise ValueError(f"run {key!r} has no factor set, so no share places its member")
+        sizes = tuple(map(len, sets))
+        axes[key] = run_axes(offset, sizes)
+        strides = [*itertools.accumulate(sizes[:0:-1], operator.mul, initial=1)][::-1]
+        if sizes[0] * strides[0]:  # else the run has no members
+            filled.append((offset, key, factors, [*zip(map(_ELEMENTS, sets), sizes, strides)]))
+            offset += sizes[0] * strides[0]
+    return RunCarrier(runs, axes, filled, offset)
 
 
-def layout_image(runs: Mapping, run_image) -> list[int]:
+def run_images(carrier: RunCarrier, run_image) -> list[int]:
     """The image positions of a laid-out carrier's members, in carrier order:
-    run_image(key, factors) gives the share axes of the image of each run."""
-    return list(itertools.chain.from_iterable(run_positions(run_image(*kv)) for kv in runs.items()))
+    run_image(key, factors) lists those of the members of each nonempty run."""
+    return list(itertools.chain.from_iterable(run_image(run[1], run[2]) for run in carrier._filled))
 
 
-def precompose_image(cat: FinCat, m: Label, runs: Mapping, to_runs: Mapping, to_axes: Mapping) -> list[int]:
-    """The image positions of h -> h . m on the hom axis, from the carrier of
-    `runs` to that of `to_runs`, laid out on `to_axes` with the same keys."""
+def precompose_image(cat: FinCat, m: Label, source: RunCarrier, target: RunCarrier) -> list[int]:
+    """The image positions of h -> h . m on the hom axis, from the carrier
+    `source` to `target`, laid out with the same keys."""
+    comp = cat.comp
+
     def run_image(key, factors):
-        comp, to, homs, to_homs = cat.comp, to_axes[key], factors[-1], to_runs[key][-1]
+        to, homs, to_homs = target.axes[key], factors[-1], target.runs[key][-1]
         if homs.__class__ is tuple:  # a group last: the hom set is its last set
             homs, to_homs = homs[-1], to_homs[-1]
         shares, index = to[-1], to_homs._index
-        return [*to[:-1], [shares[index[comp[(h, m)]]] for h in homs]]
+        return run_positions([*to[:-1], [shares[index[comp[(h, m)]]] for h in homs]])
 
-    return layout_image(runs, run_image)
+    return run_images(source, run_image)
 
 
 def gather(shares: Sequence[int], fn: FinFn, domain: FinSet, codomain: FinSet) -> list[int]:
@@ -343,7 +527,8 @@ def coend(p) -> QuotientSet:
     base = p.source
     if p.target != base:
         raise EndpointMismatch("coend needs a bifunctor with the same category on both sides")
-    carrier, axes = layout({(y,): (p.values[(y, y)],) for y in base.objects})
+    carrier = layout({(y,): (p.values[(y, y)],) for y in base.objects})
+    axes = carrier.axes
 
     def block(f):
         y, y1 = base.src(f), base.tgt(f)
@@ -354,7 +539,7 @@ def coend(p) -> QuotientSet:
     return quotient(carrier, coend_relations(map(block, base.generators())))
 
 
-def induced_map(source: QuotientSet, codomain: FinSet, images: list[int]) -> FinFn:
+def induced_map(source: QuotientSet, codomain: FinSet, images: Sequence[int]) -> FinFn:
     """The map of classes that a carrier map induces, given by positions:
     images[i] is the codomain position of the image of source position i.
     Well-definedness (constancy on classes) is verified, not assumed: member
@@ -363,13 +548,33 @@ def induced_map(source: QuotientSet, codomain: FinSet, images: list[int]) -> Fin
     class_of = source._classes
     if len(images) != len(class_of):
         raise ValueError(f"{len(images)} images for a carrier of {len(class_of)} elements")
-    # one image per source class, in class order: a dict keeps each key where it first came
-    named = tuple(dict(zip(class_of, images)).values())
+    named = tuple(map(images.__getitem__, source._minima))  # each class's image, read at its minimum
     if list(map(named.__getitem__, class_of)) != images:
         k = min(k for k, t in zip(class_of, images) if named[k] != t)  # the first split class
         cls, names = source.classes[k], {codomain.elements[t] for kt, t in zip(class_of, images) if kt == k}
         raise ValueError(f"elementwise rule is not constant on class {cls!r}: {sorted(map(repr, names))}")
     return FinFn.by_position(source.quotient, codomain, named)
+
+
+def _components(quotients: Mapping[Label, QuotientSet], targets: Mapping, images, bijection: str | None) -> dict:
+    """The maps of classes of quotients[key] into targets[key], at each key
+    in order, from images(key, q, target): the position of the image of each
+    carrier position of q, in the carrier of a coend target (a `QuotientSet`,
+    read as its class positions) or in a plain value set.  Every member of
+    every class is checked (`induced_map`); when `bijection` names the
+    comparison, the first component that is not a bijection raises
+    NonInvertible."""
+    comps = {}
+    for key, q in quotients.items():
+        target = targets[key]
+        positions = images(key, q, target)
+        if isinstance(target, QuotientSet):
+            positions, target = list(map(target._classes.__getitem__, positions)), target.quotient
+        fn = induced_map(q, target, positions)
+        if bijection is not None and not fn.is_iso():
+            raise NonInvertible(f"{bijection} at {key!r} is not a bijection")
+        comps[key] = fn
+    return comps
 
 
 def induced_components(
@@ -378,30 +583,36 @@ def induced_components(
     rule: Callable[[Label, Label], Label],
     bijection: str | None = None,
 ) -> dict[Label, FinFn]:
-    """The components of a map between coends induced by a map of integrands.
+    """The components of a map between coends induced by a map of integrands,
+    given by an elementwise rule on labelled carriers (`product_coend`'s).
 
-    At each key of `quotients`, in its order, `induced_map` sends the classes
-    of quotients[key] into targets[key] by rule(key, x), checked on every
-    member of every class.  A coend target (a `QuotientSet`) takes a member
+    At each key of `quotients`, in its order, the classes of quotients[key]
+    go into targets[key] by rule(key, x), checked on every member of every
+    class (`_components`).  A coend target (a `QuotientSet`) takes a member
     of its carrier from the rule, a plain value set an element; either is
     read as one position.  This is exact because a coend is functorial in its
-    integrand (Loregian, *(Co)end Calculus*, LMS LN 468, 2021, sec. 1).  When
-    `bijection` names the comparison, the first component that is not a
-    bijection raises NonInvertible.
+    integrand (Loregian, *(Co)end Calculus*, LMS LN 468, 2021, sec. 1).
     """
-    comps = {}
-    for key, q in quotients.items():
-        target = targets[key]
-        coend_target = isinstance(target, QuotientSet)
-        index = (target.carrier if coend_target else target)._index
-        images = [index[rule(key, x)] for x in q.carrier.elements]
-        if coend_target:
-            images = list(map(target._classes.__getitem__, images))
-        fn = induced_map(q, target.quotient if coend_target else target, images)
-        if bijection is not None and not fn.is_iso():
-            raise NonInvertible(f"{bijection} at {key!r} is not a bijection")
-        comps[key] = fn
-    return comps
+    def images(key, q, target):
+        index = (target.carrier if isinstance(target, QuotientSet) else target)._index
+        return [index[rule(key, x)] for x in q.carrier.elements]
+
+    return _components(quotients, targets, images, bijection)
+
+
+def run_components(
+    quotients: Mapping[Label, QuotientSet], targets: Mapping, run_image, bijection: str | None = None,
+) -> dict[Label, FinFn]:
+    """The components of a map between coends induced by a map of integrands,
+    read off the run layouts of laid-out carriers (`layout`): no member label
+    is built.  run_image(key, run, factors) lists, for the members of each
+    nonempty run of quotients[key]'s carrier, in run order, the positions of
+    their images in the carrier of targets[key] (a coend) or in targets[key]
+    (a value set).  Checked as `induced_components` is."""
+    def images(key, q, target):
+        return run_images(q.carrier, lambda run, factors: run_image(key, run, factors))
+
+    return _components(quotients, targets, images, bijection)
 
 
 def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dict[Label, FinFn]:
@@ -414,28 +625,23 @@ def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dic
     lookup per member in `kan_extend` and `prof_compose`.
 
     Only generators (`FinCat.generators`) run `induced_map`, given the
-    target class positions of the images, with its check on
-    every member of every class.  Identities act as identities, and each
-    other morphism g . r, reached breadth-first, acts as act(r) then act(g)
-    (act(g) then act(r), if contravariant).  This is exact: a coend with
-    parameters is strictly functorial in them (Mac Lane, CWM IX.7), as is the
-    carrier action at every caller, so a carrier map that respects classes
-    along each generator respects them along their composites and induces
-    the composite of their maps.  Checking well-definedness on generators
-    therefore suffices.
+    target class positions of the images, with its check on every member of
+    every class.  Identities act as identities, and each other morphism
+    g . r, reached breadth-first (`fincat.extend_along_generators`), acts as
+    act(r) then act(g) (act(g) then act(r), if contravariant).  This is
+    exact: a coend with parameters is strictly functorial in them (Mac Lane,
+    CWM IX.7), as is the carrier action at every caller, so a carrier map
+    that respects classes along each generator respects them along their
+    composites and induces the composite of their maps.  Checking
+    well-definedness on generators therefore suffices.
     """
-    acts = {cat.id_of(a): FinFn.identity(quotient_at(a).quotient) for a in cat.objects}
-    for g in cat.generators():
+    def on_generator(g):
         s, t = (cat.tgt(g), cat.src(g)) if contravariant else (cat.src(g), cat.tgt(g))
         source, target = quotient_at(s), quotient_at(t)
         classes = list(map(target._classes.__getitem__, image(g, source, target)))
-        acts[g] = induced_map(source, target.quotient, classes)
-    by_src = generators_by_source(cat)
-    queue = list(acts)  # breadth-first: grows while it is read
-    for r in queue:
-        for g in by_src[cat.tgt(r)]:
-            m = cat.comp[(g, r)]
-            if m not in acts:
-                acts[m] = acts[g].then(acts[r]) if contravariant else acts[r].then(acts[g])
-                queue.append(m)
-    return {m: acts[m] for m in cat.morphisms()}
+        return induced_map(source, target.quotient, classes)
+
+    return extend_along_generators(
+        cat, lambda a: FinFn.identity(quotient_at(a).quotient), on_generator,
+        (lambda r, g: g.then(r)) if contravariant else FinFn.then,
+    )

@@ -17,6 +17,7 @@ from dataclasses import InitVar, dataclass
 
 from .colim import (
     coend_relations, gather, induced_actions, induced_components, layout, postcompose, precompose_image, quotient,
+    run_components, run_positions,
 )
 from .fincat import (
     EndpointMismatch,
@@ -192,22 +193,26 @@ def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:
 def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presheaf:
     """The coend over (b1, b2) of F1(b1) x F2(b2) x hom(a, b1 (x) b2) at each a,
     kept in `quotients[a]` with carrier elements ((b1, b2), (s, t, h)): one
-    run per (b1, b2) (`colim.layout`), whose relations (`_day_relations`) and
-    restriction h -> h . m (`colim.precompose_image`) are index arithmetic.
-    `induced_actions` checks every member of every class.
+    run per (b1, b2) with hom(a, b1 (x) b2) inhabited (`colim.layout`), whose
+    relations (`_day_relations`) and restriction h -> h . m
+    (`colim.precompose_image`) are index arithmetic.  A run with no hom
+    would have no member, and no relation or restriction leads into one: its
+    morphisms would compose with h.  `induced_actions` checks every member
+    of every class.
     """
     base = mon.base
     if f1.base != base or f2.base != base:
         raise EndpointMismatch("presheaves must live on the monoidal base")
-    runs, axes, quotients, ob = {}, {}, {}, mon.tensor.obj_map
+    quotients, ob = {}, mon.tensor.obj_map
     for a in base.objects:
-        runs[a] = {
-            (bb,): ((f1.values[bb[0]], f2.values[bb[1]], base.hom[(a, ob[bb])]),) for bb in mon.tensor.source.objects
+        runs = {
+            (bb,): ((f1.values[bb[0]], f2.values[bb[1]], homs),)
+            for bb in mon.tensor.source.objects for homs in (base.hom[(a, ob[bb])],) if homs
         }
-        carrier, axes[a] = layout(runs[a])
-        quotients[a] = quotient(carrier, coend_relations(_day_relations(mon, f1, f2, runs[a], axes[a])))
+        carrier = layout(runs)
+        quotients[a] = quotient(carrier, coend_relations(_day_relations(mon, f1, f2, runs, carrier.axes)))
     restriction = induced_actions(base, quotients.__getitem__, lambda m, q0, q1: precompose_image(
-        base, m, runs[base.tgt(m)], runs[base.src(m)], axes[base.src(m)]
+        base, m, q0.carrier, q1.carrier
     ), contravariant=True)
     return Presheaf(base, {a: q.quotient for a, q in quotients.items()}, restriction, check=False, quotients=quotients)
 
@@ -215,10 +220,13 @@ def day_convolve(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> Presh
 def _day_relations(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, runs: dict, axes: dict):
     """The relation blocks of the Day coend at a, laid out in `runs` on `axes`:
     along a generator (m1, m2): (b1, b2) -> (b1', b2'), W = F1(b1') x F2(b2') x
-    hom(a, b1 (x) b2) relates (F1(m1)s, F2(m2)t, h) to (s, t, (m1 (x) m2) . h)."""
+    hom(a, b1 (x) b2) relates (F1(m1)s, F2(m2)t, h) to (s, t, (m1 (x) m2) . h).
+    A run left out has no hom, so its W is empty."""
     prod, base = mon.tensor.source, mon.base
     for m1, m2 in prod.generators():
         (b1, b2), (c1, c2) = prod.src((m1, m2)), prod.tgt((m1, m2))
+        if ((b1, b2),) not in runs:
+            continue
         (s, t, hs), (s1, t1, to) = axes[((b1, b2),)], axes[((c1, c2),)]
         pulled = gather(s, f1.restriction[m1], f1.values[c1], f1.values[b1])
         pulled2 = gather(t, f2.restriction[m2], f2.values[c2], f2.values[b2])
@@ -232,16 +240,18 @@ def day_unit(mon: StrictMonoidalFinCat) -> Presheaf:
 
 @memo_scope()
 def day_convolve_map(mon: StrictMonoidalFinCat, phi: PshMap, psi: PshMap) -> PshMap:
-    """Functoriality of convolution in both arguments."""
+    """Functoriality of convolution in both arguments: (s, t, h) goes to
+    (phi(s), psi(t), h) in the run of the same (b1, b2)."""
     src = day_convolve(mon, phi.source, psi.source)
     tgt = day_convolve(mon, phi.target, psi.target)
 
-    def rule(a, pair):
-        (b1, b2), (s, t, h) = pair
-        moved = (phi.components[b1](s), psi.components[b2](t), h)
-        return (b1, b2), moved
+    def run_image(a, run, factors):
+        ((b1, b2),), ((s1, s2, _),) = run, factors
+        to, ((t1, t2, _),) = tgt.quotients[a].carrier, tgt.quotients[a].carrier.runs[run]
+        ts, tt, th = to.axes[run]
+        return run_positions([gather(ts, phi.components[b1], s1, t1), gather(tt, psi.components[b2], s2, t2), th])
 
-    return PshMap(src, tgt, induced_components(src.quotients, tgt.quotients, rule), check=False)
+    return PshMap(src, tgt, run_components(src.quotients, tgt.quotients, run_image), check=False)
 
 
 @memo_scope()
@@ -250,13 +260,13 @@ def day_unit_left_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
     src = day_convolve(mon, day_unit(mon), f)
     base = mon.base
 
-    def rule(a, pair):
-        (b1, b2), (u, t, h) = pair
+    def run_image(a, run, factors):
+        ((_, b2),), ((us, ts, homs),) = run, factors
         # u: b1 -> I, so (u (x) 1_{b2}) . h : a -> b2 by strict unitality
-        collapse = base.comp[(mon.mor(u, base.id_of(b2)), h)]
-        return f.restriction[collapse](t)
+        acts = [[f.restriction[base.comp[(mon.mor(u, base.id_of(b2)), h)]].images for h in homs] for u in us]
+        return [act[t] for row in acts for t in range(len(ts)) for act in row]
 
-    comps = induced_components(src.quotients, f.values, rule, bijection="unit comparison")
+    comps = run_components(src.quotients, f.values, run_image, bijection="unit comparison")
     return PshMap(src, f, comps, check=True)
 
 
@@ -265,12 +275,12 @@ def day_unit_right_iso(mon: StrictMonoidalFinCat, f: Presheaf) -> PshMap:
     src = day_convolve(mon, f, day_unit(mon))
     base = mon.base
 
-    def rule(a, pair):
-        (b1, b2), (s, u, h) = pair
-        collapse = base.comp[(mon.mor(base.id_of(b1), u), h)]
-        return f.restriction[collapse](s)
+    def run_image(a, run, factors):
+        ((b1, _),), ((ss, us, homs),) = run, factors
+        acts = [f.restriction[base.comp[(mon.mor(base.id_of(b1), u), h)]].images for u in us for h in homs]
+        return [act[s] for s in range(len(ss)) for act in acts]
 
-    comps = induced_components(src.quotients, f.values, rule, bijection="unit comparison")
+    comps = run_components(src.quotients, f.values, run_image, bijection="unit comparison")
     return PshMap(src, f, comps, check=True)
 
 
@@ -280,11 +290,11 @@ def _yoneda_comparison(mon: StrictMonoidalFinCat, b1: Label, b2: Label) -> PshMa
     conv = day_convolve(mon, yoneda(base, b1), yoneda(base, b2))
     target = yoneda(base, mon.ob(b1, b2))
 
-    def rule(a, pair):
-        _, (u, v, h) = pair
-        return base.comp[(mon.mor(u, v), h)]
+    def run_image(a, run, factors):
+        ((us, vs, homs),), to = factors, target.values[a]
+        return [p for u in us for v in vs for p in postcompose(range(len(to)), base, mon.mor(u, v), homs, to)]
 
-    comps = induced_components(conv.quotients, target.values, rule)
+    comps = run_components(conv.quotients, target.values, run_image)
     return PshMap(conv, target, comps, check=False)
 
 
@@ -311,21 +321,32 @@ def _bijective(cmp_map: PshMap) -> PshMap:
 def day_assoc_iso(
     mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf, f3: Presheaf
 ) -> PshMap:
-    """(F1 (x) F2) (x) F3 -> F1 (x) (F2 (x) F3), re-tagging on representatives."""
+    """(F1 (x) F2) (x) F3 -> F1 (x) (F2 (x) F3), re-tagging on representatives:
+    with xi the class of ((b1, b2), (s, t, k)), (xi, r, h) goes to (s, eta,
+    (k (x) 1) . h), eta the class of ((b2, b3), (t, r, 1)).  Each class xi is
+    decoded once per run; r and h move along digit maps."""
     base = mon.base
     src = day_convolve(mon, day_convolve(mon, f1, f2), f3)
     c23 = day_convolve(mon, f2, f3)
     tgt = day_convolve(mon, f1, c23)
 
-    def rule(a, pair):
-        (c, b3), (xi, r, h) = pair
-        (b1, b2), (s, t, k) = xi  # k: c -> b1 (x) b2
-        d = mon.ob(b2, b3)
-        eta = c23.quotients[d].representative(((b2, b3), (t, r, base.id_of(d))))
-        moved = base.comp[(mon.mor(k, base.id_of(b3)), h)]
-        return (b1, d), (s, eta, moved)
+    def run_image(a, run, factors):
+        ((_, b3),), ((xis, _, homs),), to = run, factors, tgt.quotients[a].carrier
+        out = []
+        for (b1, b2), (s, t, k) in xis:  # k: c -> b1 (x) b2
+            d = mon.ob(b2, b3)
+            to_run, inner = ((b1, d),), c23.quotients[d]
+            (ss, _, to_homs), = to.runs[to_run]
+            at, ar, ah = inner.carrier.axes[((b2, b3),)]
+            (ts, _, ids), = inner.carrier.runs[((b2, b3),)]
+            fixed = at[ts._index[t]] + ah[ids._index[base.id_of(d)]]
+            to_s, to_eta, to_h = to.axes[to_run]
+            etas = [to_eta[inner._classes[fixed + share]] for share in ar]
+            moved = postcompose(to_h, base, mon.mor(k, base.id_of(b3)), homs, to_homs)
+            out += run_positions([[to_s[ss._index[s]]], etas, moved])
+        return out
 
-    comps = induced_components(src.quotients, tgt.quotients, rule, bijection="associator")
+    comps = run_components(src.quotients, tgt.quotients, run_image, bijection="associator")
     return PshMap(src, tgt, comps, check=False)
 
 
@@ -357,18 +378,21 @@ def day_bicategory(mon: StrictMonoidalFinCat) -> Bicategory:
 
 @memo_scope()
 def day_symmetry_iso(mon: StrictMonoidalFinCat, f1: Presheaf, f2: Presheaf) -> PshMap:
+    """F1 (x) F2 -> F2 (x) F1: (s, t, h) goes to (t, s, sigma . h) in the run
+    of (b2, b1), sigma the symmetry at (b1, b2)."""
     if not mon.symmetry:
         raise ValueError("base category carries no symmetry")
     base = mon.base
     src = day_convolve(mon, f1, f2)
     tgt = day_convolve(mon, f2, f1)
 
-    def rule(a, pair):
-        (b1, b2), (s, t, h) = pair
-        swapped = (t, s, base.comp[(mon.symmetry[(b1, b2)], h)])
-        return (b2, b1), swapped
+    def run_image(a, run, factors):
+        ((b1, b2),), ((_, _, homs),), to = run, factors, tgt.quotients[a].carrier
+        to_run = ((b2, b1),)
+        (tt, ts, th), ((_, _, to_homs),) = to.axes[to_run], to.runs[to_run]
+        return run_positions([ts, tt, postcompose(th, base, mon.symmetry[(b1, b2)], homs, to_homs)])
 
-    comps = induced_components(src.quotients, tgt.quotients, rule, bijection="symmetry comparison")
+    comps = run_components(src.quotients, tgt.quotients, run_image, bijection="symmetry comparison")
     return PshMap(src, tgt, comps, check=False)
 
 

@@ -311,9 +311,6 @@ class FinFn:
     def __call__(self, label: Label) -> Label:
         return self.codomain.elements[self.images[self.domain._index[label]]]
 
-    def as_dict(self) -> dict[Label, Label]:
-        return dict(self.mapping)
-
     def then(self, other: FinFn) -> FinFn:
         """Post-compose: (self.then(other))(x) = other(self(x))."""
         if self.codomain != other.domain:
@@ -413,12 +410,9 @@ class FinCat:
         poset they generate the rest.  Cached; a `product` declares its own.
         """
         if self._generators is None:
-            composite = {
-                self.comp[(g, f)]
-                for g, f in self.composable_pairs()
-                if not (self.is_identity(g) or self.is_identity(f))
-            }
-            nonid = [m for m in self.morphisms() if not self.is_identity(m)]
+            ids = set(self.ids.values())
+            composite = {self.comp[(g, f)] for g, f in self.composable_pairs() if g not in ids and f not in ids}
+            nonid = [m for m in self.morphisms() if m not in ids]
             picks: list[Label] = []
             reached = set(self.ids.values())
             for m in sorted(nonid, key=lambda m: m in composite):  # stable: irreducibles first
@@ -467,6 +461,28 @@ def generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
     for g in cat.generators():
         out[cat.src(g)].append(g)
     return out
+
+
+def extend_along_generators(cat: FinCat, identity, generator, compose) -> dict[Label, Any]:
+    """A functorial action on every morphism of cat, in `cat.morphisms()`
+    order, from its values on generators: identity(a) at the identity of
+    each object a, generator(g) at each generator (`FinCat.generators`), and
+    compose(act(r), act(g)) at each other morphism g . r, reached
+    breadth-first from the identities and generators.  Exact for an action
+    that is functorial: every morphism is an identity or a word in
+    generators, and the action of a word is the composite of its letters'."""
+    acts = {cat.id_of(a): identity(a) for a in cat.objects}
+    for g in cat.generators():
+        acts[g] = generator(g)
+    by_src = generators_by_source(cat)
+    queue = list(acts)  # grows while it is read
+    for r in queue:
+        for g in by_src[cat.tgt(r)]:
+            m = cat.comp[(g, r)]
+            if m not in acts:
+                acts[m] = compose(acts[r], acts[g])
+                queue.append(m)
+    return {m: acts[m] for m in cat.morphisms()}
 
 
 def validate_category(cat: FinCat) -> list[str]:

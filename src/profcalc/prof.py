@@ -59,6 +59,7 @@ from .fincat import (
     FinSet,
     Label,
     corrupt,
+    extend_along_generators,
     memo_scope,
     memoised,
     require_lawful,
@@ -294,11 +295,18 @@ class KleisliCell(Cell):
 
 @memoised
 def kleisli_compose(g: PshValuedFunctor, f: PshValuedFunctor) -> PshValuedFunctor:
-    """Extension-then-apply composition: x goes to the extension of g at f(x)."""
+    """Extension-then-apply composition: x goes to the extension of g at f(x).
+
+    A morphism m acts by the extension of g applied to f(m) (`kan_extend_map`),
+    computed on generators only: identities act as identities and each
+    composite g' . r as act(r) then act(g') (`fincat.extend_along_generators`),
+    which is exact because the extension is functorial in its argument."""
     if f.target_base != g.source:
         raise EndpointMismatch("Kleisli morphisms do not compose")
     on_obj = {x: kan_extend(g, f.on_obj[x]) for x in f.source.objects}
-    on_mor = {m: kan_extend_map(g, f.on_mor[m]) for m in f.source.morphisms()}
+    on_mor = extend_along_generators(
+        f.source, lambda x: PshMap.identity(on_obj[x]), lambda m: kan_extend_map(g, f.on_mor[m]), PshMap.then,
+    )
     return PshValuedFunctor(f.source, g.target_base, on_obj, on_mor, check=False)
 
 

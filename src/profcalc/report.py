@@ -83,9 +83,6 @@ class CheckReport:
                 CheckItem(prefix + item.name, item.passed, item.witness)
             )
 
-    def failures(self) -> list[CheckItem]:
-        return [item for item in self.items if not item.passed]
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

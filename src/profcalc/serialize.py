@@ -9,6 +9,11 @@ indent=indent, sort_keys=True)` at every indent, None included.  Builders
 keep labels as tuples; compact output goes through the stdlib's C encoder,
 indented output through `_indented`.  `loads` decodes and validates each
 distinct embedded category once.  Neither keeps anything between calls.
+
+A quotient's payload lists every member of every class.  A coend laid out in
+runs (`colim.RunCarrier`) keeps no member label, so its classes are decoded
+from their carrier positions here, when written, and nowhere on the paths
+that compute with it; the bytes are those of the labelled carrier.
 """
 
 from __future__ import annotations

@@ -44,10 +44,12 @@ triangles the shared `report` checkers test.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .colim import (
-    coend_relations, gather, induced_components, layout, layout_image, postcompose, precompose_image, quotient,
+    coend_relations, gather, layout, postcompose, precompose_image, quotient, run_components, run_images,
+    run_positions,
 )
 from .fincat import (
     BoundExceeded,
@@ -77,7 +79,7 @@ def perm_identity(n: int) -> Perm:
 
 def perm_compose(tau: Perm, sigma: Perm) -> Perm:
     """tau after sigma: position i goes to tau[sigma[i]]."""
-    return tuple(tau[sigma[i]] for i in range(len(sigma)))
+    return tuple(map(tau.__getitem__, sigma))
 
 
 def perm_inverse(sigma: Perm) -> Perm:
@@ -145,14 +147,12 @@ class TruncatedSymCat:
             for src in objs_k:
                 for mid in objs_k:
                     for f in hom[(src, mid)]:
+                        _, _, sf, fc = f
                         for tgt in objs_k:
                             for g in hom[(mid, tgt)]:
                                 _, _, sg, gc = g
-                                _, _, sf, fc = f
                                 sigma = perm_compose(sg, sf)
-                                comps = tuple(
-                                    base.comp[(gc[sf[i]], fc[i])] for i in range(k)
-                                )
+                                comps = tuple(map(base.comp.__getitem__, zip(map(gc.__getitem__, sf), fc)))
                                 comp[(g, f)] = (src, tgt, sigma, comps)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "max_len", max_len)
@@ -212,16 +212,14 @@ def sym_unit(sym: TruncatedSymCat) -> Functor:
 
 @dataclass(frozen=True)
 class FlattenData:
-    """Bracket-forgetting multiplication, as object/morphism functions.
+    """Bracket-forgetting multiplication, on morphisms: on objects it is
+    concatenation (`TruncatedSymCat.concat_obj`).
 
     Outer data are tuples of tuples and permutation-of-inner-morphism pairs;
     the doubly-free category is never materialized.
     """
 
     sym: TruncatedSymCat
-
-    def on_object(self, nested: tuple[tuple, ...]) -> tuple:
-        return self.sym.concat_obj(*nested)
 
     def on_morphism(self, outer: Label) -> Label:
         src_nested, tgt_nested, sigma, inner_mors = outer
@@ -311,14 +309,16 @@ def _runs(f: SymSeq, xs: tuple, heads, allow_zero: bool) -> dict[tuple, tuple]:
     """The runs of a substitution carrier over xs (`colim.layout`): for each
     (head, ys, lead) of `heads` and each len(ys) blocks of xs (nonempty unless
     allow_zero), the run head + (blocks,) with the factors lead, the group of
-    block values f[blocks[i]; ys[i]] and hom(xs, blocks[0] + ... + blocks[-1])."""
+    block values f[blocks[i]; ys[i]] and hom(xs, blocks[0] + ... + blocks[-1]).
+    A run with an empty block value or hom set has no member and is left out
+    (every lead is inhabited, as `_compose_heads` keeps it)."""
     cat = f.source_sym.cat
     return {
-        (*head, blocks): (
-            *lead, tuple(f.values[(b, y)] for b, y in zip(blocks, ys)), cat.hom[(xs, sum(blocks, ()))]
-        )
+        (*head, blocks): (*lead, values, homs)
         for head, ys, lead in heads
         for blocks in _blockings(cat.objects, len(xs), len(ys), 0 if allow_zero else 1)
+        for values, homs in [(tuple(f.values[(b, y)] for b, y in zip(blocks, ys)), cat.hom[(xs, sum(blocks, ()))])]
+        if homs and all(values)
     }
 
 
@@ -358,7 +358,9 @@ def _layout_relations(f: SymSeq, gens_x: dict, runs: dict, axes: dict, at: Label
     outer = (g, gens_y): then `at` is the output colour z and each key (m, ys,
     blocks).  A generator mu: blocks[i] -> t pulls the i-th block value back
     and glues mu onto h (`block_embedding`); given outer, a generator phi:
-    ys -> ys' pulls gamma back and moves the block row (`_row_maps`)."""
+    ys -> ys' pulls gamma back and moves the block row (`_row_maps`).  A
+    block into a run left out of `runs` is skipped: it relates no pair, as
+    the value or hom set that left the run out empties the block's W too."""
     sym = f.source_sym
     cat = sym.cat
     for key, run in runs.items():
@@ -368,6 +370,8 @@ def _layout_relations(f: SymSeq, gens_x: dict, runs: dict, axes: dict, at: Label
         for i, (s, y) in enumerate(zip(blocks, row)):
             for mu in gens_x[s]:
                 moved = head + (blocks[:i] + (cat.tgt(mu),) + blocks[i + 1:],)
+                if moved not in runs:
+                    continue
                 to, to_run = axes[moved], runs[moved]
                 pulled = gather(ax[v0 + i], f.left_act[(mu, y)], to_run[-2][i], values[i])
                 glued = postcompose(to[-1], cat, sym.block_embedding(blocks, i, mu), homs, to_run[-1])
@@ -376,32 +380,30 @@ def _layout_relations(f: SymSeq, gens_x: dict, runs: dict, axes: dict, at: Label
             g, gens_y = outer
             for phi in gens_y[row]:
                 moved = (head[0], phi[1], tuple(blocks[j] for j in perm_inverse(phi[2])))
-                if moved in runs:  # else g[ys'; z] is empty
+                if moved in runs:
                     to, to_ax = runs[moved], axes[moved]
                     pulled = gather(ax[0], g.left_act[(phi, at)], to[0], run[0])
                     yield [pulled, *ax[1:]], [to_ax[0], *_row_maps(f, phi, blocks, run, to, to_ax)]
 
 
 def _subst_quotients(f: SymSeq, keys, heads, outer=None) -> tuple:
-    """The runs (`_runs` of heads(xs, key)), share axes and quotient
-    (`_layout_relations`, given `outer`) of the substitution carrier at each
-    (xs, key), xs in f's tuple category and key in `keys`, and the left
-    action h -> h . rho on them for `prof.coend_actions`."""
+    """The quotient of the substitution carrier at each (xs, key), xs in f's
+    tuple category and key in `keys`, laid out in the runs `_runs` of
+    heads(xs, key) and related by `_layout_relations` (given `outer`), and
+    the left action h -> h . rho on them for `prof.coend_actions`."""
     cat = f.source_sym.cat
     nullary, gens_x = f.has_nullary_support(), generators_by_source(cat)
-    runs, axes, quotients = {}, {}, {}
+    quotients = {}
     for xs in cat.objects:
         for key in keys:
-            run = runs[(xs, key)] = _runs(f, xs, heads(xs, key), nullary)
-            carrier, axes[(xs, key)] = layout(run)
-            relations = _layout_relations(f, gens_x, run, axes[(xs, key)], key, outer)
+            carrier = layout(_runs(f, xs, heads(xs, key), nullary))
+            relations = _layout_relations(f, gens_x, carrier.runs, carrier.axes, key, outer)
             quotients[(xs, key)] = quotient(carrier, coend_relations(relations))
 
     def left(rho, key, q0, q1):
-        at = (cat.src(rho), key)
-        return precompose_image(cat, rho, runs[(cat.tgt(rho), key)], runs[at], axes[at])
+        return precompose_image(cat, rho, q0.carrier, q1.carrier)
 
-    return runs, axes, quotients, left
+    return quotients, left
 
 
 @memoised
@@ -420,15 +422,15 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
     if f.source != g.source_sym.base:
         raise EndpointMismatch("target colours of f must be the source colours of g")
     cat, z_cat, nullary = f.source_sym.cat, g.source, f.has_nullary_support()
-    runs, axes, quotients, left = _subst_quotients(
+    quotients, left = _subst_quotients(
         f, z_cat.objects, lambda xs, z: _compose_heads(g, f, xs, z), (g, generators_by_source(g.source_sym.cat))
     )
 
     def right(xs, zm, q0, q1):
-        to_runs, to_axes = runs[(xs, z_cat.tgt(zm))], axes[(xs, z_cat.tgt(zm))]
-        return layout_image(runs[(xs, z_cat.src(zm))], lambda key, run: [
-            gather(to_axes[key][0], g.right_act[(key[1], zm)], run[0], to_runs[key][0]), *to_axes[key][1:]
-        ])
+        to = q1.carrier
+        return run_images(q0.carrier, lambda key, run: run_positions([
+            gather(to.axes[key][0], g.right_act[(key[1], zm)], run[0], to.runs[key][0]), *to.axes[key][1:]
+        ]))
 
     tables = coend_actions(z_cat, cat, quotients, left, right)
     return SymSeq(f.source_sym, z_cat, *tables, check=False, quotients=quotients, bounded_search=nullary)
@@ -438,28 +440,36 @@ def subst_compose(g: SymSeq, f: SymSeq) -> SymSeq:
 
 
 def subst_whisker_outer(cell: SymSeqCell, f: SymSeq) -> SymSeqCell:
-    """cell * 1_f: apply a cell between outer sequences inside their composites with f."""
+    """cell * 1_f: apply a cell between outer sequences inside their composites
+    with f: gamma moves along the cell's component, in the run of the same key."""
     gf = subst_compose(cell.source, f)
     g2f = subst_compose(cell.target, f)
 
-    def rule(key, elem):
-        m, ys, blocks, gamma, vs, h = elem
-        return m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h
+    def run_image(key, run, factors):
+        to = g2f.quotients[key].carrier
+        to_axes, comp = to.axes[run], cell.components[(run[1], key[1])]
+        return run_positions([gather(to_axes[0], comp, factors[0], to.runs[run][0]), *to_axes[1:]])
 
-    return SymSeqCell(gf, g2f, induced_components(gf.quotients, g2f.quotients, rule), check=False)
+    return SymSeqCell(gf, g2f, run_components(gf.quotients, g2f.quotients, run_image), check=False)
 
 
 def subst_whisker_inner(g: SymSeq, cell: SymSeqCell) -> SymSeqCell:
-    """1_g * cell: apply a cell between inner sequences blockwise inside composites."""
+    """1_g * cell: apply a cell between inner sequences blockwise inside
+    composites: each vs[i] moves along the cell's component at (blocks[i], ys[i])."""
     gf = subst_compose(g, cell.source)
     gf2 = subst_compose(g, cell.target)
 
-    def rule(key, elem):
-        m, ys, blocks, gamma, vs, h = elem
-        new_vs = tuple(cell.components[(blocks[i], ys[i])](vs[i]) for i in range(m))
-        return m, ys, blocks, gamma, new_vs, h
+    def run_image(key, run, factors):
+        _, ys, blocks = run
+        to = gf2.quotients[key].carrier
+        to_axes, to_values = to.axes[run], to.runs[run][1]
+        pushed = [
+            gather(to_axes[1 + i], cell.components[(b, y)], v, to_v)
+            for i, (b, y, v, to_v) in enumerate(zip(blocks, ys, factors[1], to_values))
+        ]
+        return run_positions([to_axes[0], *pushed, to_axes[-1]])
 
-    return SymSeqCell(gf, gf2, induced_components(gf.quotients, gf2.quotients, rule), check=False)
+    return SymSeqCell(gf, gf2, run_components(gf.quotients, gf2.quotients, run_image), check=False)
 
 
 def subst_left_unit_iso(g: SymSeq) -> SymSeqCell:
@@ -467,13 +477,14 @@ def subst_left_unit_iso(g: SymSeq) -> SymSeqCell:
     the gluing morphism and the arity-one outer value."""
     composed = subst_compose(subst_identity(g.source_sym), g)
 
-    def rule(key, elem):
-        m, ys, blocks, gamma, vs, h = elem
+    def run_image(key, run, factors):
         # composing with the unit forces m == 1 and a single block
-        moved = g.left_act[(h, ys[0])](vs[0])
-        return g.right_act[(key[0], gamma)](moved)
+        (_, (y,), _), (gammas, (vs,), homs) = run, factors
+        moves = [g.left_act[(h, y)].images for h in homs]
+        acts = [g.right_act[(key[0], gamma)].images for gamma in gammas]
+        return [act[move[v]] for act in acts for v in range(len(vs)) for move in moves]
 
-    comps = induced_components(composed.quotients, g.values, rule)
+    comps = run_components(composed.quotients, g.values, run_image)
     cell = SymSeqCell(composed, g, comps, check=False)
     return cell.require_iso("left unit comparison is not a bijection")
 
@@ -483,53 +494,83 @@ def subst_right_unit_iso(g: SymSeq) -> SymSeqCell:
     sym = g.source_sym
     composed = subst_compose(g, subst_identity(sym))
 
-    def rule(key, elem):
-        m, ys, blocks, gamma, vs, h = elem
+    def run_image(key, run, factors):
         # every block has length one, so the values vs form the morphism
         # blocks[0] + ... + blocks[-1] = tgt(h) -> ys with identity permutation
-        mover = sym.cat.comp[((h[1], ys, perm_identity(m), vs), h)]
-        return g.left_act[(mover, key[1])](gamma)
+        (m, ys, blocks), (gammas, values, homs) = run, factors
+        glued, ident = sum(blocks, ()), perm_identity(m)
+        acts = [
+            g.left_act[(sym.cat.comp[((glued, ys, ident, vs), h)], key[1])].images
+            for vs in itertools.product(*values) for h in homs
+        ]
+        return [act[gamma] for gamma in range(len(gammas)) for act in acts]
 
-    comps = induced_components(composed.quotients, g.values, rule)
+    comps = run_components(composed.quotients, g.values, run_image)
     cell = SymSeqCell(composed, g, comps, check=False)
     return cell.require_iso("right unit comparison is not a bijection")
 
 
 @memo_scope()
 def subst_assoc_iso(h: SymSeq, g: SymSeq, f: SymSeq) -> SymSeqCell:
-    """((h o g) o f) -> (h o (g o f)): regroup blocks along the middle gluing morphism."""
-    sym_x = f.source_sym
+    """((h o g) o f) -> (h o (g o f)): regroup blocks along the middle gluing morphism.
+
+    A member (xi, vs, hmor) of the run (m, ys, blocks), xi the class of
+    (m2, zs, yblocks, eta, us, k) in h o g, goes to (eta, omegas, glued) in the
+    run (m2, zs, new_blocks) of h o (g o f): the x-blocks that k sends into
+    y-block j, in order, are concatenated into new_blocks[j], and omegas[j] is
+    the class in g o f of (us[j], those vs moved along k's components, id);
+    glued is `block_perm_mor` of k's permutation after hmor.  Each class xi
+    is decoded once per run.  On its members the image is eta's share, plus
+    one joint digit map per y-block over the vs it regroups, plus hmor's
+    digit map: the joint maps are summed in block order, and a position map
+    that is additive in the source digits reorders them into source order.
+    """
+    cat = f.source_sym.cat
     hg = subst_compose(h, g)
     gf = subst_compose(g, f)
     left = subst_compose(hg, f)
     right = subst_compose(h, gf)
 
-    def rule(key, elem):
-        m, ys, blocks, xi, vs, hmor = elem
-        m2, zs, yblocks, eta, us, k = xi
-        _, _, sigma, gbar = k
-        inv = perm_inverse(sigma)
-        offsets = [0] * m2
-        for j in range(1, m2):
-            offsets[j] = offsets[j - 1] + len(yblocks[j - 1])
-        new_blocks = []
-        omegas = []
-        for j in range(m2):
-            size = len(yblocks[j])
-            srcs = [inv[offsets[j] + r] for r in range(size)]
-            grouped = tuple(blocks[q] for q in srcs)
-            xb = tuple(x for b in grouped for x in b)
-            moved_vs = tuple(f.right_act[(blocks[q], gbar[q])](vs[q]) for q in srcs)
-            omega = gf.quotients[(xb, zs[j])].representative(
-                (size, yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
-            )
-            new_blocks.append(xb)
-            omegas.append(omega)
-        mover = sym_x.block_perm_mor(blocks, sigma)
-        glued = sym_x.cat.comp[(mover, hmor)]
-        return m2, zs, tuple(new_blocks), eta, tuple(omegas), glued
+    def run_image(key, run, factors):
+        (m, ys, blocks), (xis, values, homs) = run, factors
+        to, w = right.quotients[key].carrier, key[1]
+        out = []
+        for m2, zs, yblocks, eta, us, k in xis:
+            _, _, sigma, gbar = k
+            order = perm_inverse(sigma)  # the x-blocks in the order k places them
+            starts = list(itertools.accumulate(map(len, yblocks), initial=0))
+            groups = [order[starts[j]:starts[j + 1]] for j in range(m2)]
+            new_blocks = tuple(sum((blocks[q] for q in group), ()) for group in groups)
+            to_run = (m2, zs, new_blocks)
+            to_axes = to.axes[to_run]
+            joint, stride = [], [0] * m
+            for j, group in enumerate(groups):
+                inner = gf.quotients[(new_blocks[j], zs[j])]
+                at = (len(group), yblocks[j], tuple(blocks[q] for q in group))
+                axes, (gs, fs, ids) = inner.carrier.axes[at], inner.carrier.runs[at]
+                fixed = axes[0][gs._index[us[j]]] + axes[-1][ids._index[cat.id_of(new_blocks[j])]]
+                moved = [
+                    gather(axes[1 + r], f.right_act[(blocks[q], gbar[q])], values[q], fs[r])
+                    for r, q in enumerate(group)
+                ]
+                shares = to_axes[1 + j]
+                joint.append([shares[c] for c in map(inner._classes.__getitem__, run_positions([[fixed], *moved]))])
+                for r, q in enumerate(group):  # the stride of q's digit in this block's table
+                    stride[q] = math.prod(len(values[p]) for p in group[r + 1:])
+            outer = 1
+            for j in reversed(range(m2)):  # then of this block in block order
+                for q in groups[j]:
+                    stride[q] *= outer
+                outer *= len(joint[j])
+            by_block = run_positions(joint)
+            reorder = run_positions([range(0, len(v) * stride[q], stride[q]) for q, v in enumerate(values)])
+            base = to_axes[0][h.values[(zs, w)]._index[eta]]
+            mover = f.source_sym.block_perm_mor(blocks, sigma)
+            hom_image = postcompose(to_axes[-1], cat, mover, homs, to.runs[to_run][-1])
+            out += [base + by_block[i] + share for i in reorder for share in hom_image]
+        return out
 
-    comps = induced_components(left.quotients, right.quotients, rule)
+    comps = run_components(left.quotients, right.quotients, run_image)
     cell = SymSeqCell(left, right, comps, check=False)
     return cell.require_iso("associativity comparison is not a bijection")
 
@@ -687,14 +728,16 @@ def subst_extension(f: SymSeq, sym_y: TruncatedSymCat) -> Profunctor:
     if sym_y.base != f.source:
         raise EndpointMismatch("extension needs tuples over the target colours")
     cat = f.source_sym.cat
-    runs, axes, quotients, left = _subst_quotients(f, sym_y.cat.objects, lambda xs, ys: [((), ys, ())])
+    quotients, left = _subst_quotients(f, sym_y.cat.objects, lambda xs, ys: [((), ys, ())])
 
     def right(xs, phi, q0, q1):
-        to_runs, to_axes, inv = runs[(xs, phi[1])], axes[(xs, phi[1])], perm_inverse(phi[2])
-        moved = {key: (tuple(key[0][j] for j in inv),) for key in runs[(xs, phi[0])]}
-        return layout_image(runs[(xs, phi[0])], lambda key, run: _row_maps(
-            f, phi, key[0], run, to_runs[moved[key]], to_axes[moved[key]]
-        ))
+        to, inv = q1.carrier, perm_inverse(phi[2])
+
+        def run_image(key, run):
+            moved = (tuple(key[0][j] for j in inv),)
+            return run_positions(_row_maps(f, phi, key[0], run, to.runs[moved], to.axes[moved]))
+
+        return run_images(q0.carrier, run_image)
 
     tables = coend_actions(sym_y.cat, cat, quotients, left, right)
     return Profunctor(sym_y.cat, cat, *tables, check=False, quotients=quotients)
@@ -733,30 +776,53 @@ def seq_coproduct(a: SymSeq, b: SymSeq) -> SymSeq:
     return SymSeq(a.source_sym, a.source, *tables, check=False)
 
 
+def tau_comparison(g: SymSeq, f: SymSeq):
+    """(g o f, component): component(key) is the comparison at key = (xs, z)
+    from the substitution (g o f)(xs; z) to the Kleisli composite of the
+    extension of f with g at the same key, or ValueError where its rule is
+    not constant on a class.  The class of (gamma, vs, h) in the run (m, ys,
+    blocks) goes to (ys, (the class of (blocks, vs, h) in the extension,
+    gamma)): the extension's class positions are read off its run of blocks,
+    which has the run's own sets, and each (class, gamma) is looked up once
+    in the composite's labelled carrier."""
+    gf = subst_compose(g, f)
+    ext = subst_extension(f, g.source_sym)
+    composite = kleisli_compose(tau(ext), tau(g))
+    targets = {key: composite.on_obj[key[1]].quotients[key[0]] for key in gf.values}
+
+    def run_image(key, run, factors):
+        (_, ys, blocks), xs = run, key[0]
+        inner = ext.quotients[(xs, ys)]
+        classes = list(map(inner._classes.__getitem__, run_positions(inner.carrier.axes[(blocks,)])))
+        names, index = inner.quotient.elements, targets[key].carrier._index
+        out = []
+        for gamma in factors[0]:
+            row = {c: index[ys, (names[c], gamma)] for c in dict.fromkeys(classes)}
+            out += map(row.__getitem__, classes)
+        return out
+
+    def component(key):
+        return run_components({key: gf.quotients[key]}, targets, run_image)[key]
+
+    return gf, component
+
+
 @memo_scope()
 def check_tau_compatibility(g: SymSeq, f: SymSeq) -> CheckReport:
     """Substitution equals extension-then-apply composition, value set by value set.
 
     The composite is recomputed through the tuple-level extension profunctor
-    and the presheaf machinery; an explicit bijection is exhibited on every
-    carrier element and verified well-defined and bijective.  With nullary
-    values in f the substitution is a bounded search; it counts blocks up to
-    the middle arity bound, as the Kleisli composite does.
+    and the presheaf machinery; an explicit bijection (`tau_comparison`) is
+    exhibited on every carrier element and verified well-defined and
+    bijective.  With nullary values in f the substitution is a bounded
+    search; it counts blocks up to the middle arity bound, as the Kleisli
+    composite does.
     """
     report = CheckReport("tau-compatibility")
-    gf = subst_compose(g, f)
-    ext = subst_extension(f, g.source_sym)
-    composite = kleisli_compose(tau(ext), tau(g))
-
-    def rule(key, elem):
-        m, ys, blocks, gamma, vs, h = elem
-        return ys, (ext.quotients[(key[0], ys)].representative((blocks, vs, h)), gamma)
-
+    gf, component = tau_comparison(g, f)
     for key in sorted(gf.values, key=label_key):
-        xs, z = key
-        target = composite.on_obj[z].quotients[xs]
         try:
-            fn, = induced_components({key: gf.quotients[key]}, {key: target}, rule).values()
+            fn = component(key)
         except ValueError as exc:
             report.add(f"bijective@{key}", False, str(exc))
             continue

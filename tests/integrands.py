@@ -19,7 +19,15 @@ Two theorems that every coend must satisfy are checked as bijections:
 interchange of a coend over a product with the iterated coend (Mac Lane,
 *CWM* IX; Loregian, *(Co)end Calculus*, LMS LN 468, 2021).
 `psh_copair` and `psh_equalizer_factor` witness the universal properties of
-the engine's pointwise coproduct and equalizer of presheaves.  `opposite`
+the engine's pointwise coproduct and equalizer of presheaves.  `as_dict`,
+`failures` and `flatten_object` read a map, a report and S's multiplication
+as tests do and the engine never needs to.
+
+The structural cells of Day convolution and substitution read their images
+off run layouts (`colim.run_components`) and never see a member label.
+Their label rules are kept here as oracles, each stated on whole carrier
+labels as the cells once computed them: `label_components` applies one to
+every member of every class through `label_induced_map`.  `opposite`
 reverses a category's arrows, for covariant integrands; the engine never
 needs it.
 """
@@ -27,10 +35,11 @@ needs it.
 import functools
 import itertools
 
-from profcalc.colim import bifunctor_violations, coend, label_pairs, quotient
+from profcalc.colim import QuotientSet, bifunctor_violations, coend, label_pairs, quotient
 from profcalc.fincat import EndpointMismatch, FinCat, FinFn, FinSet, NonInvertible, product, require_lawful
 from profcalc.presheaf import psh_coproduct, pshmap_from_rule
 from profcalc.prof import Profunctor
+from profcalc.symmon import perm_identity, perm_inverse
 
 
 def opposite(cat: FinCat) -> FinCat:
@@ -169,6 +178,21 @@ def day_bifunctor(mon, f1, f2, a):
     return _tabulate(prod, value, contra, co)
 
 
+def as_dict(fn):
+    """A `FinFn` as its label table."""
+    return dict(fn.mapping)
+
+
+def failures(report):
+    """The items of a `report.CheckReport` that did not pass, in order."""
+    return [item for item in report.items if not item.passed]
+
+
+def flatten_object(mult, nested):
+    """S's multiplication (`symmon.FlattenData`) on a tuple of tuples: their concatenation."""
+    return mult.sym.concat_obj(*nested)
+
+
 # -- the co-Yoneda and Fubini bijections ----------------------------------------
 
 
@@ -287,3 +311,155 @@ def psh_copair(leg1, leg2, cop_data=None):
     if in1.then(out) != leg1 or in2.then(out) != leg2:
         raise ValueError("copairing does not factor the cocone through the coproduct")
     return out
+
+
+# -- label rules of the structural cells ------------------------------------------
+
+
+def label_components(quotients, targets, rule):
+    """The components of a map between coends from a label rule on every
+    carrier member: rule(key, x) is a member of the carrier of a coend
+    target, whose class it names, or an element of a value set."""
+    out = {}
+    for key, q in quotients.items():
+        target = targets[key]
+        if isinstance(target, QuotientSet):
+            out[key] = label_induced_map(q, target.quotient, lambda x, k=key, t=target: t.representative(rule(k, x)))
+        else:
+            out[key] = label_induced_map(q, target, lambda x, k=key: rule(k, x))
+    return out
+
+
+def subst_whisker_outer_rule(cell):
+    """cell * 1_f: gamma moves along the cell."""
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return m, ys, blocks, cell.components[(ys, key[1])](gamma), vs, h
+
+    return rule
+
+
+def subst_whisker_inner_rule(cell):
+    """1_g * cell: each block value moves along the cell."""
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return m, ys, blocks, gamma, tuple(cell.components[(blocks[i], ys[i])](vs[i]) for i in range(m)), h
+
+    return rule
+
+
+def subst_left_unit_rule(g):
+    """(unit o g) -> g: act with the gluing morphism, then the arity-one outer value."""
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return g.right_act[(key[0], gamma)](g.left_act[(h, ys[0])](vs[0]))
+
+    return rule
+
+
+def subst_right_unit_rule(g):
+    """(g o unit) -> g: the arity-one inner values, glued after h, act on gamma."""
+    cat = g.source_sym.cat
+
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return g.left_act[(cat.comp[((h[1], ys, perm_identity(m), vs), h)], key[1])](gamma)
+
+    return rule
+
+
+def subst_assoc_rule(h, g, f, gf):
+    """((h o g) o f) -> (h o (g o f)), gf = g o f: regroup the blocks along the
+    middle gluing morphism k, one class of gf per new block."""
+    sym_x = f.source_sym
+
+    def rule(key, elem):
+        m, ys, blocks, xi, vs, hmor = elem
+        m2, zs, yblocks, eta, us, k = xi
+        _, _, sigma, gbar = k
+        inv = perm_inverse(sigma)
+        offset, new_blocks, omegas = 0, [], []
+        for j in range(m2):
+            srcs = [inv[offset + r] for r in range(len(yblocks[j]))]
+            offset += len(yblocks[j])
+            grouped = tuple(blocks[q] for q in srcs)
+            xb = tuple(x for b in grouped for x in b)
+            moved_vs = tuple(f.right_act[(blocks[q], gbar[q])](vs[q]) for q in srcs)
+            omegas.append(gf.quotients[(xb, zs[j])].representative(
+                (len(srcs), yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
+            ))
+            new_blocks.append(xb)
+        glued = sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), hmor)]
+        return m2, zs, tuple(new_blocks), eta, tuple(omegas), glued
+
+    return rule
+
+
+def tau_rule(ext):
+    """Substitution -> the Kleisli composite of the extension ext with g."""
+    def rule(key, elem):
+        m, ys, blocks, gamma, vs, h = elem
+        return ys, (ext.quotients[(key[0], ys)].representative((blocks, vs, h)), gamma)
+
+    return rule
+
+
+def day_convolve_map_rule(phi, psi):
+    def rule(a, pair):
+        (b1, b2), (s, t, h) = pair
+        return (b1, b2), (phi.components[b1](s), psi.components[b2](t), h)
+
+    return rule
+
+
+def day_unit_left_rule(mon, f):
+    """y(I) (x) F -> F: act with (u (x) 1) . h."""
+    base = mon.base
+
+    def rule(a, pair):
+        (b1, b2), (u, t, h) = pair
+        return f.restriction[base.comp[(mon.mor(u, base.id_of(b2)), h)]](t)
+
+    return rule
+
+
+def day_unit_right_rule(mon, f):
+    """F (x) y(I) -> F: act with (1 (x) u) . h."""
+    base = mon.base
+
+    def rule(a, pair):
+        (b1, b2), (s, u, h) = pair
+        return f.restriction[base.comp[(mon.mor(base.id_of(b1), u), h)]](s)
+
+    return rule
+
+
+def yoneda_comparison_rule(mon):
+    """y(b1) (x) y(b2) -> y(b1 (x) b2): (u, v, h) goes to (u (x) v) . h."""
+    def rule(a, pair):
+        _, (u, v, h) = pair
+        return mon.base.comp[(mon.mor(u, v), h)]
+
+    return rule
+
+
+def day_assoc_rule(mon, c23):
+    """(F1 (x) F2) (x) F3 -> F1 (x) (F2 (x) F3), c23 = F2 (x) F3."""
+    base = mon.base
+
+    def rule(a, pair):
+        (c, b3), (xi, r, h) = pair
+        (b1, b2), (s, t, k) = xi
+        d = mon.ob(b2, b3)
+        eta = c23.quotients[d].representative(((b2, b3), (t, r, base.id_of(d))))
+        return (b1, d), (s, eta, base.comp[(mon.mor(k, base.id_of(b3)), h)])
+
+    return rule
+
+
+def day_symmetry_rule(mon):
+    def rule(a, pair):
+        (b1, b2), (s, t, h) = pair
+        return (b2, b1), (t, s, mon.base.comp[(mon.symmetry[(b1, b2)], h)])
+
+    return rule

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from integrands import coyoneda_iso, fubini_iso
+from integrands import as_dict, coyoneda_iso, fubini_iso
 from profcalc.day import (
     check_convolution_assoc,
     check_convolution_symmetry,
@@ -432,7 +432,7 @@ def test_criterion_9_free_symmetric_and_operads():
 
 def _swap_first_two(fn):
     a, b = fn.domain.elements[0], fn.domain.elements[1]
-    table = fn.as_dict()
+    table = as_dict(fn)
     table[a], table[b] = table[b], table[a]
     return FinFn(fn.domain, fn.codomain, table)
 

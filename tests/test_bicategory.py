@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from integrands import as_dict, failures
 from profcalc.day import day_bicategory
 from profcalc.fincat import Cell, FinFn, label_key
 from profcalc.presheaf import functor_into_presheaves, psh_coproduct, pvf_coproduct, yoneda
@@ -78,7 +79,7 @@ def _swap_one(cell):
             swapped = _swap_one(c)
         elif len(c.domain) >= 2:
             a, b = c.domain.elements[0], c.domain.elements[1]
-            table = c.as_dict()
+            table = as_dict(c)
             table[a], table[b] = table[b], table[a]
             swapped = FinFn(c.domain, c.codomain, table)
         else:
@@ -110,9 +111,9 @@ def test_pentagon_and_triangles_hold_and_catch_a_swapped_component(name):
     assert check_triangle(B, g, f).ok
 
     bad_assoc = dataclasses.replace(B, assoc=_swapping(B.assoc, ("kh,g,f",)))
-    (item,) = check_pentagon(bad_assoc, k, h, g, f).failures()
+    (item,) = failures(check_pentagon(bad_assoc, k, h, g, f))
     assert item.name == "pentagon-equality" and item.witness
 
     bad_lunit = dataclasses.replace(B, lunit=_swapping(B.lunit, ("lam_gf",)))
-    failed = check_triangle(bad_lunit, g, f).failures()
+    failed = failures(check_triangle(bad_lunit, g, f))
     assert any(item.name.startswith("triangle-") and item.witness for item in failed)

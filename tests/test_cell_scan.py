@@ -7,6 +7,7 @@ from and the messages it returns are fixed.
 
 import pytest
 
+from integrands import as_dict
 from profcalc.fincat import FinFn
 from profcalc.presheaf import PshMap, psh_coproduct, pvf_constant, yoneda
 from profcalc.prof import KleisliCell, ProfCell, prof_identity
@@ -16,7 +17,7 @@ from profcalc.symmon import SymSeqCell, associative_operad
 
 def _swapped(fn: FinFn) -> FinFn:
     a, b = fn.domain.elements[:2]
-    table = fn.as_dict()
+    table = as_dict(fn)
     table[a], table[b] = table[b], table[a]
     return FinFn(fn.domain, fn.codomain, table)
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from integrands import (
-    coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, opposite, product_label_relations,
+    as_dict, coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, opposite,
+    product_label_relations,
 )
 from profcalc.colim import (
     bifunctor_violations, coend, induced_components, label_pairs, layout, quotient,
@@ -185,7 +186,8 @@ def test_layout_positions_are_carrier_indices(shapes):
     lists each run's members (*key, *w) in itertools.product order, and the
     shares of a member's digits, one per set, sum to its index in the carrier."""
     runs = {(f"r{i}",): (*factors, homs) for i, (factors, homs) in enumerate(shapes)}
-    carrier, axes = layout(runs)
+    carrier = layout(runs)
+    axes = carrier.axes
     expected, digits = [], []
     for key, factors in runs.items():
         members = [tuple(itertools.product(*f)) if isinstance(f, tuple) else f.elements for f in factors]
@@ -197,6 +199,40 @@ def test_layout_positions_are_carrier_indices(shapes):
     assert list(axes) == list(runs)
     for index, (key, ks) in enumerate(digits):
         assert sum(axis[k] for axis, k in zip(axes[key], ks)) == index
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.one_of(_SETS, st.lists(_SETS, max_size=3).map(tuple)), max_size=3), _SETS),
+                max_size=4), st.lists(st.integers(0, 2), max_size=4))
+def test_layout_decodes_and_encodes_every_position(shapes, key_lengths):
+    """Over random runs -- groups of sets among the factors, empty runs, keys
+    of several lengths -- the carrier decodes each position into the label
+    that the product lists there and encodes it back, and encodes nothing
+    else: a label with a digit outside its set, or a wrong shape, is no member."""
+    runs = {
+        ("r", i, *range(n)): (*factors, homs)
+        for i, ((factors, homs), n) in enumerate(zip(shapes, key_lengths + [0] * len(shapes)))
+    }
+    carrier = layout(runs)
+    for i in range(len(carrier)):
+        label = carrier[i]
+        assert carrier._index[label] == i and label in carrier
+        assert carrier.elements[i - len(carrier)] == label
+    assert tuple(carrier) == carrier[:]
+    for key, factors in runs.items():
+        assert (*key, *(("stray",) if f.__class__ is tuple else "stray" for f in factors)) not in carrier
+        assert (*key, *factors[:-1]) not in carrier
+    assert "r" not in carrier and 0 not in carrier._index
+    with pytest.raises(IndexError):
+        carrier[len(carrier)]
+
+
+@pytest.mark.parametrize("factors", [(), ((),), ((), ())])
+def test_layout_refuses_a_run_with_no_factor_set(factors):
+    """Such a run's one member (the key itself) would sit at the run's offset
+    with shares summing to nothing, so no position could be decoded to it."""
+    with pytest.raises(ValueError, match=r"run \('empty',\) has no factor set"):
+        layout({("full",): (FinSet([1]),), ("empty",): factors})
 
 
 def test_coend_terminal_category():
@@ -758,7 +794,7 @@ def test_generator_interchange_check_agrees_with_all_pairs(name, on_contra, at, 
     fn = table[key]
     if len(fn.domain) == 0 or len(fn.codomain) < 2:
         return
-    mapping = fn.as_dict()
+    mapping = as_dict(fn)
     x = fn.domain.elements[elem % len(fn.domain)]
     cod = fn.codomain.elements
     mapping[x] = cod[(cod.index(mapping[x]) + shift % (len(cod) - 1) + 1) % len(cod)]
@@ -791,7 +827,7 @@ def test_composition_check_on_generator_pairs_agrees_with_all_pairs(on_contra):
         fn = table[key]
         if cat.is_identity(m) or m in cat.generators() or len(fn.domain) == 0:
             continue
-        mapping = fn.as_dict()
+        mapping = as_dict(fn)
         x = fn.domain.elements[0]
         mapping[x] = next(c for c in fn.codomain if c != mapping[x])
         broken = {**table, key: FinFn(fn.domain, fn.codomain, mapping)}
@@ -869,8 +905,8 @@ def test_induced_components_into_coends_match_the_label_oracle():
     for key, fn in comps.items():
         tgt = targets[key]
         assert fn == label_induced_map(quotients[key], tgt.quotient, lambda x: tgt.representative(rule(key, x)))
-    assert comps["b"].as_dict() == {"p": "q", "r": "p"} and comps["b"].is_iso()
-    assert comps["a"].as_dict() == {"p": "p", "q": "q", "r": "p"}
+    assert as_dict(comps["b"]) == {"p": "q", "r": "p"} and comps["b"].is_iso()
+    assert as_dict(comps["a"]) == {"p": "p", "q": "q", "r": "p"}
     # x -> x splits the class {p, q} at "b" across the target classes named p and q
     with pytest.raises(ValueError) as err:
         induced_components(quotients, targets, lambda key, x: x)

@@ -6,7 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrands import opposite
+from integrands import as_dict, opposite
 from profcalc.fincat import (
     Cell,
     EndpointMismatch,
@@ -121,14 +121,14 @@ def test_a_finfn_by_position_agrees_with_its_label_table(maps, data):
     dom, mid, cod, f, g = maps
     fn, gn = FinFn(dom, mid, f), FinFn(mid, cod, g)
     assert [fn(x) for x in dom] == [f[x] for x in dom]
-    assert fn.mapping == tuple((x, f[x]) for x in dom.elements) and fn.as_dict() == f
+    assert fn.mapping == tuple((x, f[x]) for x in dom.elements) and as_dict(fn) == f
     assert fn.then(gn).mapping == tuple((x, g[f[x]]) for x in dom.elements)
-    assert FinFn.identity(dom).as_dict() == {x: x for x in dom} and fn.then(FinFn.identity(mid)) == fn
+    assert as_dict(FinFn.identity(dom)) == {x: x for x in dom} and fn.then(FinFn.identity(mid)) == fn
     iso = len(set(f.values())) == len(mid) == len(dom)
     assert fn.is_iso() == iso
     if iso:
         inv = fn.inverse()
-        assert inv.as_dict() == {y: x for x, y in f.items()} and fn.then(inv) == FinFn.identity(dom)
+        assert as_dict(inv) == {y: x for x, y in f.items()} and fn.then(inv) == FinFn.identity(dom)
     else:
         with pytest.raises(NonInvertible):
             fn.inverse()
@@ -157,7 +157,7 @@ def test_a_finfn_by_position_agrees_with_its_label_table(maps, data):
         assert hit is fn
     else:
         a, b = dom.elements[:2]
-        assert hit.as_dict() == f | {a: f[b], b: f[a]}
+        assert as_dict(hit) == f | {a: f[b], b: f[a]}
         assert hit.domain is dom and hit.codomain is mid
 
 

@@ -13,7 +13,7 @@ import functools
 
 import pytest
 
-from integrands import label_induced_map
+from integrands import as_dict, label_induced_map
 from profcalc.colim import (
     coend_relations, induced_actions, induced_map, label_pairs, layout, precompose_image, quotient,
 )
@@ -137,7 +137,7 @@ def _day_label_relations(mon, f1, f2, a):
     base, prod = mon.base, mon.tensor.source
     for mm in prod.generators():
         m1, m2 = mm
-        r1, r2 = f1.restriction[m1].as_dict(), f2.restriction[m2].as_dict()
+        r1, r2 = as_dict(f1.restriction[m1]), as_dict(f2.restriction[m2])
         tm, homs = mon.mor(m1, m2), base.hom[(a, mon.ob(base.src(m1), base.src(m2)))]
         for s in r1:
             for t in r2:
@@ -161,9 +161,9 @@ def test_day_convolve_by_position_matches_the_label_rule(name):
         elems = q.carrier.elements
         runs = {(bb,): ((f1.values[bb[0]], f2.values[bb[1]], base.hom[(a, mon.ob(*bb))]),)
                 for bb in mon.tensor.source.objects}
-        carrier, axes = layout(runs)
+        carrier = layout(runs)
         assert carrier == q.carrier
-        positions = list(coend_relations(_day_relations(mon, f1, f2, runs, axes)))
+        positions = list(coend_relations(_day_relations(mon, f1, f2, runs, carrier.axes)))
         labels = list(_day_label_relations(mon, f1, f2, a))
         assert [(elems[i], elems[j]) for i, j in positions] == labels
         assert quotient(q.carrier, label_pairs(q.carrier, labels)) == q
@@ -292,7 +292,7 @@ def test_a_substitution_position_map_sending_one_member_to_another_class_raises(
     rho = next(mu for mu in cat.generators() if len(mu[0]) == 3)
     q0, q1 = gf.quotients[(rho[1], "d0")], gf.quotients[(rho[0], "d0")]
     runs = {xs: _runs(ass, xs, _compose_heads(ass, ass, xs, "d0"), False) for xs in (rho[1], rho[0])}
-    image = precompose_image(cat, rho, runs[rho[1]], runs[rho[0]], layout(runs[rho[0]])[1])
+    image = precompose_image(cat, rho, layout(runs[rho[1]]), layout(runs[rho[0]]))
 
     def classes(image):  # the target class position of each image
         return [q1._classes[j] for j in image]

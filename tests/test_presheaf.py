@@ -1,6 +1,6 @@
 import pytest
 
-from integrands import psh_copair, psh_equalizer_factor
+from integrands import as_dict, psh_copair, psh_equalizer_factor
 from profcalc.fincat import FinFn, FinSet, Functor
 from profcalc.presheaf import (
     Presheaf,
@@ -524,7 +524,7 @@ def test_presheaf_composition_check_on_generator_pairs_agrees_with_all_pairs():
         fn = p.restriction[m]
         if cat.is_identity(m) or m in cat.generators() or len(fn.domain) == 0 or len(fn.codomain) < 2:
             continue
-        mapping = fn.as_dict()
+        mapping = as_dict(fn)
         x = fn.domain.elements[0]
         mapping[x] = next(c for c in fn.codomain if c != mapping[x])
         restriction = {**p.restriction, m: FinFn(fn.domain, fn.codomain, mapping)}

@@ -1,5 +1,6 @@
 import pytest
 
+from integrands import as_dict, failures
 from profcalc.colim import bifunctor_violations
 from profcalc.fincat import FinFn, FinSet, NonInvertible, fault_scope
 from profcalc.presheaf import (
@@ -266,7 +267,7 @@ def test_corrupted_mu_breaks_pentagon_with_witness():
         if state["count"] != 1:
             return fn
         a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
+        table = as_dict(fn)
         table[a], table[b] = table[b], table[a]
         return FinFn(fn.domain, fn.codomain, table)
 
@@ -274,7 +275,7 @@ def test_corrupted_mu_breaks_pentagon_with_witness():
         report = check_pentagon(KLEISLI, k, h, g, f)
     assert state["count"] >= 1
     assert not report.ok
-    assert report.failures()[0].witness
+    assert failures(report)[0].witness
 
 
 def test_profcell_validation():

@@ -1,5 +1,6 @@
 import pytest
 
+from integrands import as_dict, failures
 from profcalc import presheaf
 from profcalc.fincat import BoundExceeded, Fault, FinFn, fault_scope
 from profcalc.presheaf import (
@@ -80,7 +81,7 @@ def test_unit_axiom_fault_injected_theta_reported():
         with fault_scope(fault):
             report = check_unit_axiom(f, fam)
         failed = not report.ok
-        witness = report.failures()[0].witness if failed else None
+        witness = failures(report)[0].witness if failed else None
     except ValueError as exc:  # ill-defined induced map is also a detection
         failed = True
         witness = str(exc)
@@ -119,7 +120,7 @@ def test_derived_part_i_fails_with_corrupted_eta():
         report = check_derived_coherences(f, g, fam)
     assert fault.applied is not None
     assert not report.ok
-    assert any(item.name.startswith("part-i") for item in report.failures())
+    assert any(item.name.startswith("part-i") for item in failures(report))
 
 
 def test_epsilon_invertible_on_sweep():
@@ -201,7 +202,7 @@ def test_lax_idempotent_corrupted_unit_breaks_bijection():
         if key != state["applied"]:
             return fn
         a, b = fn.domain.elements[0], fn.domain.elements[1]
-        table = fn.as_dict()
+        table = as_dict(fn)
         table[a], table[b] = table[b], table[a]
         return FinFn(fn.domain, fn.codomain, table)
 
