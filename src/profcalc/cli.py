@@ -135,7 +135,6 @@ def cmd_suite(args) -> int:
         instances=args.instances,
         max_objects=args.max_objects,
         max_arity=args.max_arity,
-        workers=args.workers,
         fault=args.fault,
         fault_index=args.fault_index,
     )
@@ -204,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--max-objects", type=int, default=4)
     p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="run instances on this many threads; they share the GIL, so this "
-        "gives no speedup and only checks that the report is the same under "
-        "any scheduling",
-    )
     p.add_argument("--fault", choices=["mu", "eta", "theta", "unit", "comp"], default=None)
     p.add_argument("--fault-index", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")

@@ -26,11 +26,12 @@ substitution.  A carrier is laid out in runs, one per object (or key), by
 `layout` (Day and substitution: values x hom set) or, for `product_coend`'s
 two-axis runs, inline; a member's position is the sum of its shares along
 its run's axes (`run_axes`).  A carrier from `layout` (`RunCarrier`) keeps
-its runs and axes, not its member labels: it decodes a position into a label,
-or a label into a position, only when asked, by mixed-radix arithmetic, and
-its quotient decodes only its class names (`QuotientSet`).  Along a
-generator m: y -> y' the relations are indexed by a product W of finite
-sets, and each axis of W has one digit map into run y and one into run y':
+its runs and axes, not its member labels: it decodes a position into a label
+only when asked, by mixed-radix arithmetic, and its quotient decodes only its
+class names (`QuotientSet`).  Its label index is built whole on the first
+lookup, which no engine path makes.  Along a generator m: y -> y' the
+relations are indexed by a product W of finite sets, and each axis of W has
+one digit map into run y and one into run y':
 an identity, an action gathered along a `FinFn`'s positions (`gather`), or
 composition with a fixed morphism on the hom axis (`postcompose`;
 restriction is `precompose_image`) (Loregian, *(Co)end Calculus*, LMS LN
@@ -95,9 +96,10 @@ class RunCarrier(Sequence):
     in the product of its factors, and a member's position is the sum of its
     shares.  The carrier is the sequence of its members, so `elements` is the
     carrier itself: `carrier[i]` decodes position i into its label by
-    mixed-radix arithmetic over the sets of its run, and `_index[label]`
-    encodes a label into its position, raising KeyError for a non-member, as
-    a `FinSet`'s position index does.  Each is computed only when asked.
+    mixed-radix arithmetic over the sets of its run, only when asked.
+    `_index` maps each member label to its position, as a `FinSet`'s does;
+    it is built whole, by decoding every member, on the first lookup
+    (`representative`, `label in carrier`), which no engine path makes.
     Two carriers, or a carrier and a `FinSet`, are equal when they list the
     same labels.
     """
@@ -106,8 +108,6 @@ class RunCarrier(Sequence):
         self.runs, self.axes, self._filled, self._size = runs, axes, filled, size
         # filled: (start, key, factors, (elements, size, stride) per set) per nonempty run
         self._starts = [run[0] for run in filled]
-        self._where: dict | None = None  # the nonempty runs by key, once a label is encoded
-        self._index = _Positions(self)
 
     @property
     def elements(self) -> RunCarrier:
@@ -148,27 +148,9 @@ class RunCarrier(Sequence):
             ]))
         return out
 
-    def position(self, label: Label) -> int:
-        """The position of a member label: the sum of the shares of its
-        digits, each read off its set's index; KeyError for a non-member."""
-        if self._where is None:
-            self._where = {run[1]: run for run in self._filled}
-            self._key_lengths = sorted({len(key) for key in self._where})
-        for n in self._key_lengths if label.__class__ is tuple else ():
-            run = self._where.get(label[:n])
-            if run is None or len(label) != n + len(run[2]):
-                continue
-            digits = []
-            for f, part in zip(run[2], label[n:]):
-                if f.__class__ is not tuple:
-                    digits.append(f._index.get(part))
-                elif part.__class__ is tuple and len(part) == len(f):
-                    digits.extend(s._index.get(x) for s, x in zip(f, part))
-                else:
-                    digits.append(None)
-            if None not in digits:
-                return sum(map(operator.getitem, self.axes[run[1]], digits))
-        raise KeyError(label)
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {label: i for i, label in enumerate(self)}
 
     def __contains__(self, label) -> bool:
         return label in self._index
@@ -183,24 +165,6 @@ class RunCarrier(Sequence):
 
     def __repr__(self):
         return f"RunCarrier({len(self._filled)} runs, {self._size} members)"
-
-
-class _Positions:
-    """A laid-out carrier's position index (`RunCarrier.position`), looked up
-    as a `FinSet`'s is."""
-
-    def __init__(self, carrier: RunCarrier):
-        self._carrier = carrier
-
-    def __getitem__(self, label) -> int:
-        return self._carrier.position(label)
-
-    def __contains__(self, label) -> bool:
-        try:
-            self[label]
-        except KeyError:
-            return False
-        return True
 
 
 def _labels(carrier: FinSet | RunCarrier, positions: Sequence[int]) -> list:
@@ -258,8 +222,9 @@ class QuotientSet:
     position (`RunCarrier`), and `_minima` keeps those positions.  `classes`
     lists each class's members in carrier order, decoded when read; its
     length is the class count.  So `representative` is two lookups: the
-    carrier's position index (`FinSet._index`), then that class;
-    `induced_map` reads the class positions and minima alone.
+    carrier's position index (`_index`), then that class; a laid-out
+    carrier builds that index whole on the first lookup, which no engine
+    path makes.  `induced_map` reads the class positions and minima alone.
     """
 
     carrier: FinSet | RunCarrier

@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import itertools
-import threading
 from dataclasses import InitVar, dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
@@ -131,8 +130,7 @@ _FAULT: contextvars.ContextVar[Callable | None] = contextvars.ContextVar(
 class fault_scope:
     """Pass every `corrupt` call made inside through hook(kind, key, fn).
 
-    A hook of None opens a fault-free scope.  Like the memo, the hook does not
-    cross into threads started inside: open the scope in the thread that runs.
+    A hook of None opens a fault-free scope.
     """
 
     def __init__(self, hook: Callable[[str, tuple, FinFn], FinFn] | None):
@@ -158,8 +156,7 @@ class Fault:
     they are counted in the order they are constructed.  The key of the one
     swapped is kept, and every later construction under that key gets the
     same swap, so a fault is one consistently wrong table; bijections stay
-    bijections.  `applied` is that key, None until the swap happens.  One
-    fault may serve several threads: the count is kept under a lock.
+    bijections.  `applied` is that key, None until the swap happens.
     """
 
     def __init__(self, kind: str, index: int = 0):
@@ -169,19 +166,17 @@ class Fault:
         self.index = index
         self.count = 0
         self.applied = None
-        self._lock = threading.Lock()
 
     def __call__(self, kind: str, key: tuple, fn: FinFn) -> FinFn:
         if kind != self.kind or len(fn.domain) < 2:
             return fn
-        with self._lock:
-            if self.applied is None:
-                if self.count != self.index:
-                    self.count += 1
-                    return fn
-                self.applied = key
-            elif key != self.applied:
+        if self.applied is None:
+            if self.count != self.index:
+                self.count += 1
                 return fn
+            self.applied = key
+        elif key != self.applied:
+            return fn
         images = fn.images
         return FinFn.by_position(fn.domain, fn.codomain, (images[1], images[0], *images[2:]))
 

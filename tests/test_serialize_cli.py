@@ -1,21 +1,24 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
-from profcalc import serialize
+from profcalc import colim, serialize, suites
 from profcalc.cli import main
 from profcalc.colim import coend, quotient
 from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
 from profcalc.presheaf import PshMap, psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
 from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
-from profcalc.seeds import all_functors, arrow_category, chain, discrete, fork, parallel_pair, terminal_category
-from profcalc.suites import SUITE_NAMES
-from profcalc.symmon import (
-    associative_operad, free_sym_cat, representable_seq, seq_coproduct, subst_compose, subst_identity, unit_operad,
+from profcalc.seeds import (
+    all_functors, arrow_category, chain, discrete, fork, parallel_pair, sym3_category, terminal_category,
 )
+from profcalc.suites import SUITE_NAMES, SuiteConfig, run_suite
+from profcalc.symmon import (
+    associative_operad, check_operad, check_tau_compatibility, free_sym_cat, representable_seq, seq_coproduct,
+    subst_compose, subst_identity, unit_operad,
+)
+from tests.test_suite_golden import SUITES as GOLDEN_SUITES
 
 
 def _identity_nattrans(cat):
@@ -577,27 +580,73 @@ def test_cmd_suite_zero_instances_warns(capsys):
     assert "warning" in captured.err
 
 
-def test_suite_json_determinism_across_workers(capsys):
-    # relpsm-axioms and kleisli-coherence share one memo scope per instance,
-    # opened in the pool thread that runs it; the faulted run shares one fault
-    # across instances, so it is repeated with thread switches forced often
-    interval = sys.getswitchinterval()
-    for suite, fault, code in [
-        ("day-monoidal", [], 0),
-        ("relpsm-axioms", [], 0),
-        ("kleisli-coherence", [], 0),
-        ("relpsm-axioms", ["--fault", "mu", "--fault-index", "0"], 1),
-    ]:
-        args = ["suite", suite, "--seed", "4", "--instances", "3", "--format", "json", *fault]
-        assert main(args) == code
-        first = capsys.readouterr().out
-        sys.setswitchinterval(1e-6 if fault else interval)
-        try:
-            for _ in range(5 if fault else 1):
-                assert main(args + ["--workers", "3"]) == code
-                assert capsys.readouterr().out == first
-        finally:
-            sys.setswitchinterval(interval)
+def reversed_assemble(name, config, specs, run, assemble=suites._assemble):
+    """`suites._assemble` with the instances run in reverse order and their
+    reports put back in order."""
+    out = assemble(name, config, specs[::-1], run)
+    out["instances"].reverse()
+    return out
+
+
+def test_suite_json_is_independent_of_instance_order(monkeypatch):
+    # each instance opens its own memo and fault scope, so running the
+    # instances in reverse prints the same bytes: no instance reads state
+    # another one left behind
+    for suite, (seed, instances, _) in GOLDEN_SUITES.items():
+        config = SuiteConfig(seed=seed, instances=instances)
+        first = json.dumps(run_suite(suite, config), indent=2, sort_keys=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_assemble", reversed_assemble)
+            assert json.dumps(run_suite(suite, config), indent=2, sort_keys=True) == first, suite
+
+
+def test_faulted_suite_json_is_identical_on_rerun(capsys):
+    # one fault serves every instance, counting components in construction order
+    args = ["suite", "relpsm-axioms", "--seed", "4", "--instances", "3", "--format", "json",
+            "--fault", "mu", "--fault-index", "0"]
+    assert main(args) == 1
+    first = capsys.readouterr().out
+    assert main(args) == 1
+    assert capsys.readouterr().out == first
+
+
+def test_suite_runs_instances_in_order_only(capsys):
+    with pytest.raises(ValueError, match="workers"):
+        run_suite("operad", SuiteConfig(workers=2))
+    with pytest.raises(SystemExit) as exit_:
+        main(["suite", "operad", "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_no_engine_path_encodes_a_label_into_a_laid_out_carrier(tmp_path, monkeypatch, capsys):
+    """A laid-out carrier builds its label index whole, by decoding every
+    member, on the first lookup; that is cheap only while no engine path
+    looks a label up.  Under an index that refuses, the suites, the operad
+    check, the tau comparison and the coend, Day and substitution commands
+    all still pass."""
+    looked_up = []
+
+    def refuse(carrier):
+        looked_up.append(carrier)
+        raise AssertionError(f"label lookup in {carrier!r}")
+
+    monkeypatch.setattr(colim.RunCarrier, "_index", property(refuse))
+    for suite, (seed, instances, _) in GOLDEN_SUITES.items():
+        assert run_suite(suite, SuiteConfig(seed=seed, instances=instances))["passed"], suite
+    assert check_operad(associative_operad(4)).ok
+    sym = free_sym_cat(discrete(1), 3)
+    two, one = (representable_seq(sym, discrete(1), {"d0": ys}) for ys in [("d0", "d0"), ("d0",)])
+    assert check_tau_compatibility(two, seq_coproduct(two, one)).ok  # an operad-suite pair
+    ident = _write(tmp_path, "identS3.json", prof_identity(sym3_category()))
+    mon = one_object_group_monoidal(4)
+    y = yoneda(mon.base, mon.unit)
+    m, yy = _write(tmp_path, "mon4.json", mon), _write(tmp_path, "yy4.json", psh_coproduct(y, y)[0])
+    ass = _write(tmp_path, "ass3.json", associative_operad(3).seq)
+    for argv in (["coend", ident], ["day", m, yy, yy], ["subst", ass, ass, "--show-witnesses"]):
+        assert main(argv) == 0, argv
+    assert "witnesses at" in capsys.readouterr().err
+    assert looked_up == []
 
 
 def _comp_row_cut(d):
