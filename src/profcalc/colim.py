@@ -215,16 +215,21 @@ class QuotientSet:
     """A quotient of a carrier set; classes are named by their minimal member.
 
     Built from `roots`: roots[i] is the carrier position of the minimal member
-    of the class of position i.  `_classes` keeps the position in `quotient`
-    of each carrier position's class, as an array of machine integers, and
-    `quotient` is the set of class names, in canonical order (by carrier
-    position): only the minimal member of each class is decoded from its
-    position (`RunCarrier`), and `_minima` keeps those positions.  `classes`
-    lists each class's members in carrier order, decoded when read; its
-    length is the class count.  So `representative` is two lookups: the
-    carrier's position index (`_index`), then that class; a laid-out
-    carrier builds that index whole on the first lookup, which no engine
-    path makes.  `induced_map` reads the class positions and minima alone.
+    of the class of position i, checked.  `quotient` passes its union-find's
+    parents instead (parents=True): each is at or below its position and in
+    its class, so the same one scan reads every class off an earlier one's.
+    `_classes` keeps the position in `quotient` of each carrier position's
+    class, as an array of machine integers, and `quotient` is the set of
+    class names, in canonical order (by carrier position): only the minimal
+    member of each class is decoded from its position (`RunCarrier`), and
+    `_minima` keeps those positions.  `classes` lists each class's members in
+    carrier order, decoded when read; its length is the class count.  So
+    `representative` is two lookups: the carrier's position index
+    (`_index`), then that class; a laid-out carrier builds that index whole
+    on the first lookup, which no engine path makes.  `induced_map` reads the
+    class positions and minima alone.  Every empty `FinSet` carrier shares
+    one quotient, `EMPTY_QUOTIENT`: nothing may mutate a quotient or compare
+    one by `id`.
     """
 
     carrier: FinSet | RunCarrier
@@ -233,21 +238,19 @@ class QuotientSet:
     _classes: array = field(compare=False, repr=False)
     _minima: list = field(compare=False, repr=False)
 
-    def __init__(self, carrier: FinSet | RunCarrier, roots: list[int]):
+    def __init__(self, carrier: FinSet | RunCarrier, roots: list[int], parents: bool = False):
         n = len(carrier)
         if len(roots) != n:
             raise ValueError(f"{len(roots)} roots for a carrier of {n} elements")
-        class_of: list[int] = []
-        minima: list[int] = []
+        classes, minima = array("i"), []
         for i, r in enumerate(roots):
             if r == i:
-                class_of.append(len(minima))
+                classes.append(len(minima))
                 minima.append(i)
-            elif 0 <= r < i and roots[r] == r:
-                class_of.append(class_of[r])
+            elif 0 <= r < i and (parents or roots[r] == r):
+                classes.append(classes[r])
             else:
                 raise ValueError(f"position {i} has root {r}, not its class minimum")
-        classes = array("i", class_of)
         object.__setattr__(self, "__dict__", {
             "carrier": carrier,
             "classes": _Classes(carrier, classes, len(minima)),
@@ -261,16 +264,23 @@ class QuotientSet:
         return self.quotient.elements[self._classes[self.carrier._index[element]]]
 
 
-def quotient(carrier: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
+EMPTY_QUOTIENT = QuotientSet(FinSet(), [])
+_EMPTY_MAP = FinFn.identity(EMPTY_QUOTIENT.quotient)
+
+
+def quotient(carrier: FinSet | RunCarrier, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
     """The carrier modulo the equivalence relation generated by `pairs` of
     carrier positions.
 
     Union-find over positions: a node's parent is never above it, so the root
     of a class is its minimum position, i.e. its minimal member in canonical
-    order, and one scan in position order reads every root off its parent's.
-    Pass generating relations only; the closure supplies the rest.  A
-    position outside the carrier raises ValueError.  Callers that relate
-    labels translate them first with `label_pairs`.
+    order, and `QuotientSet`'s one scan in position order reads each
+    position's class off its parent's.  Pass generating relations only; the
+    closure supplies the rest.  A position outside the carrier raises
+    ValueError, as any pair on an empty carrier does.  An empty `FinSet`
+    carrier gets the one shared `EMPTY_QUOTIENT`; an empty `RunCarrier`
+    keeps its runs in a quotient of its own.  Callers that relate labels
+    translate them first with `label_pairs`.
     """
     n = len(carrier)
     parent = list(range(n))
@@ -291,9 +301,9 @@ def quotient(carrier: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientSet:
             parent[rb] = ra
         else:
             parent[ra] = rb
-    for i, p in enumerate(parent):  # parent[p] is already a root, as p <= i
-        parent[i] = parent[p]
-    return QuotientSet(carrier, parent)
+    if not n and carrier.__class__ is FinSet:
+        return EMPTY_QUOTIENT
+    return QuotientSet(carrier, parent, True)
 
 
 def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterator[tuple[int, int]]:
@@ -466,12 +476,16 @@ def product_coend(base: FinCat, first, second, first_act, second_act) -> Quotien
     given the values first(y), second(y) and the actions first_act(m): F(y) ->
     F(y'), second_act(m): G(y') -> G(y) along each generator m: y -> y'.  The
     carrier {(y, (u, v))} has one two-axis run per object, and along m, W =
-    F(y) x G(y') relates (u, G(m)v) in run y to (F(m)u, v) in run y'."""
+    F(y) x G(y') relates (u, G(m)v) in run y to (F(m)u, v) in run y'.  When
+    no run has a member, no carrier or relation is built, and `quotient`
+    names the empty carrier's quotient: the shared `EMPTY_QUOTIENT`."""
     runs, offset = {}, 0
     for y in base.objects:
         a, b = first(y), second(y)
         runs[y] = a, b, offset, (len(a.elements), len(b.elements))
         offset += len(a.elements) * len(b.elements)
+    if not offset:
+        return quotient(EMPTY_QUOTIENT.carrier, ())
     carrier = FinSet.sigma(base.objects, lambda y: itertools.product(runs[y][0].elements, runs[y][1].elements))
     blocks = []
     for m in base.generators():
@@ -598,8 +612,13 @@ def induced_actions(cat: FinCat, quotient_at, image, contravariant: bool) -> dic
     CWM IX.7), as is the carrier action at every caller, so a carrier map
     that respects classes along each generator respects them along their
     composites and induces the composite of their maps.  Checking
-    well-definedness on generators therefore suffices.
+    well-definedness on generators therefore suffices.  When every value is
+    empty, every morphism acts by the one empty map, vacuously exact: no
+    identity is built and nothing is checked or composed.
     """
+    if not any(quotient_at(a)._minima for a in cat.objects):
+        return dict.fromkeys(cat.morphisms(), _EMPTY_MAP)
+
     def on_generator(g):
         s, t = (cat.tgt(g), cat.src(g)) if contravariant else (cat.src(g), cat.tgt(g))
         source, target = quotient_at(s), quotient_at(t)

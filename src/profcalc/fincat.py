@@ -424,6 +424,29 @@ class FinCat:
             object.__setattr__(self, "_generators", tuple(picks))
         return self._generators
 
+    @functools.cached_property
+    def _by_source(self) -> dict[Label, tuple[Label, ...]]:
+        out: dict[Label, list[Label]] = {a: [] for a in self.objects}
+        for g in self.generators():
+            out[self.src(g)].append(g)
+        return {a: tuple(gs) for a, gs in out.items()}
+
+    @functools.cached_property
+    def _steps(self) -> tuple[tuple[Label, Label, Label], ...]:
+        """(m, r, g) with m = g . r, for each morphism m that is neither an
+        identity nor a generator, in the order a breadth-first search from
+        the identities and generators first reaches it."""
+        reached = dict.fromkeys([*map(self.ids.__getitem__, self.objects), *self.generators()])
+        queue, steps = list(reached), []  # the queue grows while it is read
+        for r in queue:
+            for g in self._by_source[self.tgt(r)]:
+                m = self.comp[(g, r)]
+                if m not in reached:
+                    reached[m] = None
+                    steps.append((m, r, g))
+                    queue.append(m)
+        return tuple(steps)
+
     def composable_pairs(self) -> Iterator[tuple[Label, Label]]:
         for g in self.morphisms():
             a = self.src(g)
@@ -450,12 +473,9 @@ def generator_pairs(cat: FinCat) -> Iterator[tuple[Label, Label]]:
     return ((g, f) for g in cat.morphisms() if g in gens for b in cat.objects for f in cat.hom[(b, cat.src(g))])
 
 
-def generators_by_source(cat: FinCat) -> dict[Label, list[Label]]:
-    """`cat.generators()` grouped by source object."""
-    out: dict[Label, list[Label]] = {a: [] for a in cat.objects}
-    for g in cat.generators():
-        out[cat.src(g)].append(g)
-    return out
+def generators_by_source(cat: FinCat) -> dict[Label, tuple[Label, ...]]:
+    """`cat.generators()` grouped by source object; cached on cat."""
+    return cat._by_source
 
 
 def extend_along_generators(cat: FinCat, identity, generator, compose) -> dict[Label, Any]:
@@ -463,20 +483,16 @@ def extend_along_generators(cat: FinCat, identity, generator, compose) -> dict[L
     order, from its values on generators: identity(a) at the identity of
     each object a, generator(g) at each generator (`FinCat.generators`), and
     compose(act(r), act(g)) at each other morphism g . r, reached
-    breadth-first from the identities and generators.  Exact for an action
-    that is functorial: every morphism is an identity or a word in
-    generators, and the action of a word is the composite of its letters'."""
+    breadth-first from the identities and generators.  The search is
+    cat's, made once and cached (`FinCat._steps`), so a call only applies
+    the actions.  Exact for an action that is functorial: every morphism is
+    an identity or a word in generators, and the action of a word is the
+    composite of its letters'."""
     acts = {cat.id_of(a): identity(a) for a in cat.objects}
     for g in cat.generators():
         acts[g] = generator(g)
-    by_src = generators_by_source(cat)
-    queue = list(acts)  # grows while it is read
-    for r in queue:
-        for g in by_src[cat.tgt(r)]:
-            m = cat.comp[(g, r)]
-            if m not in acts:
-                acts[m] = compose(acts[r], acts[g])
-                queue.append(m)
+    for m, r, g in cat._steps:
+        acts[m] = compose(acts[r], acts[g])
     return {m: acts[m] for m in cat.morphisms()}
 
 

@@ -21,7 +21,9 @@ interchange of a coend over a product with the iterated coend (Mac Lane,
 `psh_copair` and `psh_equalizer_factor` witness the universal properties of
 the engine's pointwise coproduct and equalizer of presheaves.  `as_dict`,
 `failures` and `flatten_object` read a map, a report and S's multiplication
-as tests do and the engine never needs to.
+as tests do and the engine never needs to.  `reference_extend_along_generators`
+searches a category's composites afresh on every call, an oracle for the
+search that the engine caches per category.
 
 The structural cells of Day convolution and substitution read their images
 off run layouts (`colim.run_components`) and never see a member label.
@@ -176,6 +178,25 @@ def day_bifunctor(mon, f1, f2, a):
         return FinFn(dom, cod, {(s, t, h): (s, t, base.comp[(tm, h)]) for (s, t, h) in dom})
 
     return _tabulate(prod, value, contra, co)
+
+
+def reference_extend_along_generators(cat, identity, generator, compose):
+    """`fincat.extend_along_generators` as a search made afresh on each call:
+    the generators grouped by source here, and a breadth-first search from
+    the identities and generators that composes each morphism g . r when it
+    first reaches it.  The engine caches that search on the category."""
+    acts = {cat.id_of(a): identity(a) for a in cat.objects}
+    for g in cat.generators():
+        acts[g] = generator(g)
+    by_src = {a: [g for g in cat.generators() if cat.src(g) == a] for a in cat.objects}
+    queue = list(acts)  # grows while it is read
+    for r in queue:
+        for g in by_src[cat.tgt(r)]:
+            m = cat.comp[(g, r)]
+            if m not in acts:
+                acts[m] = compose(acts[r], acts[g])
+                queue.append(m)
+    return {m: acts[m] for m in cat.morphisms()}
 
 
 def as_dict(fn):

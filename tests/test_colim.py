@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from integrands import (
     as_dict, coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, opposite,
-    product_label_relations,
+    product_label_relations, reference_extend_along_generators,
 )
 from profcalc.colim import (
-    bifunctor_violations, coend, induced_components, label_pairs, layout, quotient,
+    EMPTY_QUOTIENT, QuotientSet, RunCarrier, bifunctor_violations, coend, induced_components, label_pairs, layout,
+    quotient,
 )
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, product
 from profcalc.presheaf import yoneda
-from profcalc.prof import Profunctor
+from profcalc.prof import Profunctor, action_tables
 from profcalc.seeds import arrow_category, chain, discrete, seed_library, terminal_category
 
 SEEDS = seed_library()
@@ -147,6 +149,22 @@ def test_coequalizer_matches_naive_closure(data):
         assert q.representative(x) == min(
             (y for y in cod if (x, y) in related), key=label_key
         )
+    # quotient's own scan, which skips QuotientSet's root validation, agrees
+    # with the validated build from the roots of a reference union-find
+    roots = list(range(n))
+
+    def find(x):
+        while roots[x] != x:
+            x = roots[x]
+        return x
+
+    for i in dom:
+        a, b = find(f(i)), find(g(i))
+        roots[max(a, b)] = min(a, b)
+    roots = [find(x) for x in range(n)]
+    reference = QuotientSet(cod, roots)
+    assert q == reference and q.quotient == reference.quotient
+    assert (q._classes, q._minima) == (reference._classes, reference._minima)
 
 
 def _hom_times_functor(cat, value_at, act, x, covariant=True):
@@ -922,3 +940,134 @@ def test_induced_components_into_coends_match_the_label_oracle():
     with pytest.raises(ValueError) as expected:
         label_induced_map(crossed, abcd, lambda x: x)
     assert str(err.value) == str(expected.value) and "class ('a', 'd')" in str(err.value)
+
+
+# -- empty coends: one shared quotient, and actions by the one empty map ---------------
+
+
+def _empty_profunctor(cat):
+    values = {(a, b): FinSet() for a in cat.objects for b in cat.objects}
+    return Profunctor(cat, cat, *action_tables(cat, cat, values, None, None))  # no rule runs on an empty set
+
+
+def _all_empty(maps):
+    return all(len(fn.domain) == len(fn.codomain) == 0 and fn.images == () for fn in maps)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_empty_kan_extension_matches_the_label_oracle(name):
+    from profcalc.presheaf import kan_extend, psh_initial, pvf_coproduct, yoneda_embedding
+
+    cat = SEEDS[name]
+    emb = yoneda_embedding(cat)
+    f, p = pvf_coproduct(emb, emb), psh_initial(cat)
+    kp = kan_extend(f, p)
+    for y in cat.objects:
+        related = lambda m, y=y: product_label_relations(f.on_mor[m].components[y], p.restriction[m])
+        diagonal = lambda x, y=y: FinSet.product(f.on_obj[x].values[y], p.values[x])
+        assert kp.quotients[y] == label_coend(cat, diagonal, related), y
+        assert kp.quotients[y] is EMPTY_QUOTIENT and len(kp.values[y]) == 0
+    assert list(kp.restriction) == list(cat.morphisms())
+    assert _all_empty(kp.restriction.values())
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_compose_with_an_empty_profunctor_matches_the_label_oracle(name):
+    from profcalc.prof import prof_compose, prof_identity
+
+    cat = SEEDS[name]
+    ident, empty = prof_identity(cat), _empty_profunctor(cat)
+    for g, f in ((ident, empty), (empty, ident)):
+        gf = prof_compose(g, f)
+        for z in cat.objects:
+            for x in cat.objects:
+                related = lambda m, z=z, x=x: product_label_relations(g.right_act[(z, m)], f.left_act[(m, x)])
+                diagonal = lambda y, z=z, x=x: FinSet.product(g.values[(z, y)], f.values[(y, x)])
+                assert gf.quotients[(z, x)] == label_coend(cat, diagonal, related), (z, x)
+        assert _all_empty(gf.left_act.values()) and _all_empty(gf.right_act.values())
+        assert gf.left_act.keys() == ident.left_act.keys() and gf.right_act.keys() == ident.right_act.keys()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_every_restriction_out_of_an_empty_value_is_the_empty_map(name):
+    from profcalc.presheaf import kan_extend, yoneda_embedding
+
+    cat = SEEDS[name]
+    for x in cat.objects:  # a representable is empty wherever nothing maps into x
+        kp = kan_extend(yoneda_embedding(cat), yoneda(cat, x))
+        for m, fn in kp.restriction.items():
+            if not kp.values[cat.tgt(m)]:
+                assert fn.images == () and len(fn.domain) == 0, (x, m)
+            assert fn.codomain == kp.values[cat.src(m)]
+
+
+def test_any_pair_on_an_empty_carrier_is_refused():
+    with pytest.raises(ValueError, match="not both in a carrier of 0 elements"):
+        quotient(FinSet(), [(0, 0)])
+    with pytest.raises(ValueError):
+        quotient(layout({}), [(0, 0)])
+    assert quotient(FinSet(), []) is EMPTY_QUOTIENT == QuotientSet(FinSet(), [])
+    assert EMPTY_QUOTIENT.classes == () and EMPTY_QUOTIENT.quotient == FinSet()
+
+
+def test_empty_day_and_substitution_values_keep_their_run_carriers():
+    from profcalc.day import day_convolve, one_object_group_monoidal
+    from profcalc.presheaf import psh_initial
+    from profcalc.symmon import free_sym_cat, representable_seq, subst_compose
+
+    mon = one_object_group_monoidal(2)
+    day = day_convolve(mon, psh_initial(mon.base), yoneda(mon.base, mon.unit))
+    sym = free_sym_cat(discrete(1), 2)
+    pick = representable_seq(sym, discrete(1), {"d0": ("d0", "d0")})
+    subst = subst_compose(pick, pick)  # (d0, d0) in (d0, d0) needs arity 4, above the bound 2
+    for q in [*day.quotients.values(), *subst.quotients.values()]:
+        assert q.carrier.__class__ is RunCarrier and len(q.carrier) == 0 and q is not EMPTY_QUOTIENT
+        assert q.carrier._filled == [] and q.classes == ()
+    assert _all_empty(day.restriction.values())
+    assert _all_empty(subst.left_act.values()) and _all_empty(subst.right_act.values())
+
+
+def test_an_empty_kan_extension_builds_no_carrier(monkeypatch):
+    from profcalc.presheaf import kan_extend, psh_initial, yoneda_embedding
+
+    cat = chain(3)
+    emb, p = yoneda_embedding(cat), psh_initial(cat)
+    calls, sigma = [], FinSet.sigma
+    monkeypatch.setattr(FinSet, "sigma", staticmethod(lambda *args: calls.append(args) or sigma(*args)))
+    kp = kan_extend(emb, p)
+    assert calls == [] and all(q is EMPTY_QUOTIENT for q in kp.quotients.values())
+    kan_extend(emb, yoneda(cat, cat.objects.elements[0]))
+    assert calls  # the counter sees a nonempty extension's carriers
+
+
+# -- generator plans, cached per category ------------------------------------------------
+
+
+def _plan_categories():
+    from profcalc.symmon import free_sym_cat
+
+    return {**SEEDS, "arrow x arrow": product(arrow_category(), arrow_category()),
+            "free_sym(1, 3)": free_sym_cat(discrete(1), 3).cat}
+
+
+@pytest.mark.parametrize("name", sorted(_plan_categories()))
+def test_cached_generator_plans_match_the_reference_search(name):
+    from profcalc.fincat import extend_along_generators, generators_by_source
+
+    cat = _plan_categories()[name]
+    by_source = {a: tuple(g for g in cat.generators() if cat.src(g) == a) for a in cat.objects}
+    assert generators_by_source(cat) == by_source and generators_by_source(cat) is generators_by_source(cat)
+    # each morphism acts by the word of identities and generators it was composed from
+    def words(extend):
+        calls = []
+
+        def compose(r, g):
+            calls.append((r, g))
+            return (*r, *g)
+
+        return extend(cat, lambda a: (cat.id_of(a),), lambda g: (g,), compose), calls
+
+    cached, reference = words(extend_along_generators), words(reference_extend_along_generators)
+    assert cached == reference and list(cached[0]) == list(cat.morphisms())
+    for m, word in cached[0].items():  # and the word composes to m
+        assert functools.reduce(lambda r, g: cat.comp[(g, r)], word) == m, m
