@@ -2,14 +2,12 @@
 
 Every colimit here is a quotient of an explicit carrier, computed by one
 kernel, `quotient(carrier, pairs)`: the equivalence relation generated by the
-given pairs of positions in `carrier.elements`, closed with an index-ordered
-union-find.  That order is the canonical label order, so naming each class by
-its minimum position names it by its order-minimal member, and the classes
-come out in canonical order without comparing labels again.  Results are
-therefore canonical, and every downstream map on quotients can be checked
-elementwise for well-definedness.  Callers that relate labels, as a loaded
-quotient does, translate them through the carrier's position index
-(`label_pairs`).
+given pairs of carrier positions, closed with an index-ordered union-find.
+That order is the canonical label order, so naming each class by its minimum
+position names it by its order-minimal member, and the classes come out in
+canonical order without comparing labels again.  Results are therefore
+canonical, and every downstream map on quotients can be checked elementwise
+for well-definedness.
 
 No set built here is sorted; each is canonical by construction: carriers
 are laid out in runs (`layout`) or `FinSet.sigma`s, and class names are the
@@ -25,11 +23,11 @@ One kernel, `coend_relations`, generates them for every coend: `coend`,
 substitution.  A carrier is laid out in runs, one per object (or key), by
 `layout` (Day and substitution: values x hom set) or, for `product_coend`'s
 two-axis runs, inline; a member's position is the sum of its shares along
-its run's axes (`run_axes`).  A carrier from `layout` (`RunCarrier`) keeps
-its runs and axes, not its member labels: it decodes a position into a label
-only when asked, by mixed-radix arithmetic, and its quotient decodes only its
-class names (`QuotientSet`).  Its label index is built whole on the first
-lookup, which no engine path makes.  Along a generator m: y -> y' the
+its run's axes (`run_axes`).  A carrier from `layout` (`RunCarrier`) is its
+runs and axes, not its member labels: it decodes positions into labels only
+when asked, by mixed-radix arithmetic, and has no label index, so every map
+into it reads its image positions off the run layout.  Its quotient decodes
+only its class names (`QuotientSet`).  Along a generator m: y -> y' the
 relations are indexed by a product W of finite sets, and each axis of W has
 one digit map into run y and one into run y':
 an identity, an action gathered along a `FinFn`'s positions (`gather`), or
@@ -88,20 +86,16 @@ from .fincat import (
 )
 
 
-class RunCarrier(Sequence):
+class RunCarrier:
     """A coend carrier laid out in runs by `layout`, keeping no member label.
 
     `runs` and `axes` are the runs as given, in order, and each run's share
     axes (`run_axes`).  The members of run key are the labels (*key, *w), w
     in the product of its factors, and a member's position is the sum of its
-    shares.  The carrier is the sequence of its members, so `elements` is the
-    carrier itself: `carrier[i]` decodes position i into its label by
-    mixed-radix arithmetic over the sets of its run, only when asked.
-    `_index` maps each member label to its position, as a `FinSet`'s does;
-    it is built whole, by decoding every member, on the first lookup
-    (`representative`, `label in carrier`), which no engine path makes.
-    Two carriers, or a carrier and a `FinSet`, are equal when they list the
-    same labels.
+    shares.  A member is named by its position alone: `labels` decodes
+    positions into labels by mixed-radix arithmetic over the sets of their
+    runs, only when asked, and no label is ever looked up, so a cell into a
+    laid-out carrier reads its image positions off `axes` and `runs`.
     """
 
     def __init__(self, runs: Mapping[tuple, Sequence], axes: dict, filled: list, size: int):
@@ -109,20 +103,8 @@ class RunCarrier(Sequence):
         # filled: (start, key, factors, (elements, size, stride) per set) per nonempty run
         self._starts = [run[0] for run in filled]
 
-    @property
-    def elements(self) -> RunCarrier:
-        return self
-
     def __len__(self) -> int:
         return self._size
-
-    def __getitem__(self, i):
-        if i.__class__ is slice:
-            return tuple(self)[i]
-        return self.labels((range(self._size)[i],))[0]  # IndexError outside the carrier
-
-    def __iter__(self):
-        return iter(self.labels(range(self._size)))
 
     def labels(self, positions: Sequence[int]) -> list:
         """The labels at increasing `positions`, decoded run by run: the
@@ -148,21 +130,6 @@ class RunCarrier(Sequence):
             ]))
         return out
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {label: i for i, label in enumerate(self)}
-
-    def __contains__(self, label) -> bool:
-        return label in self._index
-
-    def __eq__(self, other):
-        if not isinstance(other, (RunCarrier, FinSet)):
-            return NotImplemented
-        return self is other or (len(self) == len(other) and tuple(self) == tuple(other.elements))
-
-    def __hash__(self):
-        return hash((tuple(self),))  # a FinSet's hash, for the same labels
-
     def __repr__(self):
         return f"RunCarrier({len(self._filled)} runs, {self._size} members)"
 
@@ -174,43 +141,7 @@ def _labels(carrier: FinSet | RunCarrier, positions: Sequence[int]) -> list:
     return list(map(carrier.elements.__getitem__, positions))
 
 
-class _Classes(Sequence):
-    """The classes of a quotient, each the tuple of its members in carrier
-    order, decoded when read.  Its length is the class count and costs no
-    decoding."""
-
-    def __init__(self, carrier, class_of: array, count: int):
-        self._carrier, self._class_of, self._count = carrier, class_of, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, k):
-        if k.__class__ is slice:
-            return tuple(self)[k]
-        k = range(self._count)[k]
-        members = itertools.compress(range(len(self._class_of)), map(k.__eq__, self._class_of))
-        return tuple(_labels(self._carrier, list(members)))
-
-    def __iter__(self):
-        groups: list[list] = [[] for _ in range(self._count)]
-        for k, label in zip(self._class_of, _labels(self._carrier, range(len(self._class_of)))):
-            groups[k].append(label)
-        return map(tuple, groups)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Classes, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientSet:
     """A quotient of a carrier set; classes are named by their minimal member.
 
@@ -222,21 +153,19 @@ class QuotientSet:
     class, as an array of machine integers, and `quotient` is the set of
     class names, in canonical order (by carrier position): only the minimal
     member of each class is decoded from its position (`RunCarrier`), and
-    `_minima` keeps those positions.  `classes` lists each class's members in
-    carrier order, decoded when read; its length is the class count.  So
-    `representative` is two lookups: the carrier's position index
-    (`_index`), then that class; a laid-out carrier builds that index whole
-    on the first lookup, which no engine path makes.  `induced_map` reads the
-    class positions and minima alone.  Every empty `FinSet` carrier shares
-    one quotient, `EMPTY_QUOTIENT`: nothing may mutate a quotient or compare
-    one by `id`.
+    `_minima` keeps those positions.  `induced_map` reads the class positions
+    and minima alone.  `classes` lists each class's members in carrier
+    order, decoded in one scan on first read and kept; two quotients are
+    equal when their classes are.  `representative` looks a member up in the
+    position index of a `FinSet` carrier; a laid-out carrier has none.  Every
+    empty `FinSet` carrier shares one quotient, `EMPTY_QUOTIENT`: nothing may
+    mutate a quotient or compare one by `id`.
     """
 
     carrier: FinSet | RunCarrier
-    classes: Sequence[tuple[Label, ...]]
-    quotient: FinSet = field(compare=False)
-    _classes: array = field(compare=False, repr=False)
-    _minima: list = field(compare=False, repr=False)
+    quotient: FinSet
+    _classes: array = field(repr=False)
+    _minima: list = field(repr=False)
 
     def __init__(self, carrier: FinSet | RunCarrier, roots: list[int], parents: bool = False):
         n = len(carrier)
@@ -253,11 +182,25 @@ class QuotientSet:
                 raise ValueError(f"position {i} has root {r}, not its class minimum")
         object.__setattr__(self, "__dict__", {
             "carrier": carrier,
-            "classes": _Classes(carrier, classes, len(minima)),
             "quotient": FinSet(_Canonical(_labels(carrier, minima))),
             "_classes": classes,
             "_minima": minima,
         })
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[Label, ...], ...]:
+        groups: list[list] = [[] for _ in self._minima]
+        for k, label in zip(self._classes, _labels(self.carrier, range(len(self._classes)))):
+            groups[k].append(label)
+        return tuple(map(tuple, groups))
+
+    def __eq__(self, other):
+        if not isinstance(other, QuotientSet):
+            return NotImplemented
+        return self is other or self.classes == other.classes
+
+    def __hash__(self):
+        return hash(self.classes)
 
     def representative(self, element: Label) -> Label:
         """Class name (minimal member) of a carrier element."""
@@ -279,8 +222,7 @@ def quotient(carrier: FinSet | RunCarrier, pairs: Iterable[tuple[int, int]]) -> 
     closure supplies the rest.  A position outside the carrier raises
     ValueError, as any pair on an empty carrier does.  An empty `FinSet`
     carrier gets the one shared `EMPTY_QUOTIENT`; an empty `RunCarrier`
-    keeps its runs in a quotient of its own.  Callers that relate labels
-    translate them first with `label_pairs`.
+    keeps its runs in a quotient of its own.
     """
     n = len(carrier)
     parent = list(range(n))
@@ -304,18 +246,6 @@ def quotient(carrier: FinSet | RunCarrier, pairs: Iterable[tuple[int, int]]) -> 
     if not n and carrier.__class__ is FinSet:
         return EMPTY_QUOTIENT
     return QuotientSet(carrier, parent, True)
-
-
-def label_pairs(carrier: FinSet, pairs: Iterable[tuple[Label, Label]]) -> Iterator[tuple[int, int]]:
-    """The carrier positions of related labels, for `quotient`: one lookup in
-    the carrier's position index (`FinSet._index`) per label.  A label
-    outside the carrier raises ValueError naming it."""
-    pos = carrier._index
-    for a, b in pairs:
-        try:
-            yield pos[a], pos[b]
-        except KeyError as exc:
-            raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
 
 
 _ELEMENTS = operator.attrgetter("elements")

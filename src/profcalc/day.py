@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 from .colim import (
-    coend_relations, gather, induced_actions, induced_components, layout, postcompose, precompose_image, quotient,
+    coend_relations, gather, induced_actions, induced_map, layout, postcompose, precompose_image, quotient,
     run_components, run_positions,
 )
 from .fincat import (
@@ -173,14 +173,8 @@ def one_object_group_monoidal(n: int = 2) -> StrictMonoidalFinCat:
     base = cyclic_group_category(n)
     obj = next(iter(base.objects))
     prod = product(base, base)
-    name = f"Z{n}"
-
-    def val(m: Label) -> int:
-        return int(str(m).split(":", 1)[1])
-
-    mor_map = {}
-    for (m, k) in prod.morphisms():
-        mor_map[(m, k)] = f"{name}:{(val(m) + val(k)) % n}"
+    # in a one-object commutative group the tensor on morphisms is composition
+    mor_map = {(m, k): base.comp[(m, k)] for (m, k) in prod.morphisms()}
     tensor = Functor(prod, base, {o: obj for o in prod.objects}, mor_map, check=False)
     # only the identity satisfies the strict hexagon, so the symmetry is trivial
     return StrictMonoidalFinCat(base, tensor, obj, {(obj, obj): base.id_of(obj)})
@@ -474,33 +468,48 @@ def monoidal_from_strict_functor(
     return MonoidalPshFunctor(source_mon, target_mon, f, constraint, unit_cell, check=True)
 
 
+def _kan_monoidal_comparison(mf: MonoidalPshFunctor, p: Presheaf, q: Presheaf) -> PshMap:
+    """F*(p (x) q) -> F*(p) (x) F*(q): the class of (a, (u, xi)), with xi the
+    class of ((a1, a2), (s, t, h)), goes to the class of ((b1, b2), (alpha,
+    beta, k)), where ((b1, b2), (u1, u2, k)) is the inverted constraint at
+    (a1, a2) applied to F(h)u, and alpha and beta are the classes of
+    (a1, (u1, s)) in F*(p) and (a2, (u2, t)) in F*(q).  The Day target is
+    laid out in runs, so each image is a position read off its run layout;
+    `induced_map` checks every member."""
+    f = mf.functor
+    lhs = kan_extend(f, day_convolve(mf.source_mon, p, q))
+    kp, kq = kan_extend(f, p), kan_extend(f, q)
+    rhs = day_convolve(mf.target_mon, kp, kq)
+    inverted = {key: cell.inverse() for key, cell in mf.constraint.items()}
+
+    def component(b):
+        source, target = lhs.quotients[b], rhs.quotients[b]
+        axes, runs = target.carrier.axes, target.carrier.runs
+
+        def position(pair):
+            a, (u, xi) = pair
+            (a1, a2), (s, t, h) = xi  # h: a -> a1 (x) a2 in the source base
+            moved = f.on_mor[h].components[b](u)  # now in F(a1 (x) a2)(b)
+            (b1, b2), (u1, u2, k) = inverted[(a1, a2)].components[b](moved)
+            (to_s, to_t, to_h), ((alphas, betas, homs),) = axes[((b1, b2),)], runs[((b1, b2),)]
+            alpha = kp.quotients[b1].representative((a1, (u1, s)))
+            beta = kq.quotients[b2].representative((a2, (u2, t)))
+            return to_s[alphas._index[alpha]] + to_t[betas._index[beta]] + to_h[homs._index[k]]
+
+        return induced_map(source, target.quotient, [target._classes[position(x)] for x in source.carrier.elements])
+
+    return PshMap(lhs, rhs, {b: component(b) for b in lhs.quotients}, check=False)
+
+
 @memo_scope()
 def check_kan_monoidal(
     mf: MonoidalPshFunctor, p: Presheaf, q: Presheaf
 ) -> CheckReport:
     """Exhibit and verify F*(p (x) q) = F*(p) (x) F*(q) at the given arguments."""
-    a_mon, b_mon = mf.source_mon, mf.target_mon
-    f = mf.functor
-    lhs = kan_extend(f, day_convolve(a_mon, p, q))
-    kp, kq = kan_extend(f, p), kan_extend(f, q)
-    rhs = day_convolve(b_mon, kp, kq)
-    inverted = {key: cell.inverse() for key, cell in mf.constraint.items()}
-
-    def rule(b, pair):
-        a, (u, xi) = pair
-        (a1, a2), (s, t, h) = xi  # h: a -> a1 (x) a2 in the source base
-        moved = f.on_mor[h].components[b](u)  # now in F(a1 (x) a2)(b)
-        (b1, b2), (u1, u2, k) = inverted[(a1, a2)].components[b](moved)
-        alpha = kp.quotients[b1].representative((a1, (u1, s)))
-        beta = kq.quotients[b2].representative((a2, (u2, t)))
-        return (b1, b2), (alpha, beta, k)
-
     report = CheckReport("kan-monoidal")
     report.build(
         "comparison-bijective",
-        lambda: _bijective(
-            PshMap(lhs, rhs, induced_components(lhs.quotients, rhs.quotients, rule), check=False)
-        ),
+        lambda: _bijective(_kan_monoidal_comparison(mf, p, q)),
         natural="comparison-natural",
     )
     return report

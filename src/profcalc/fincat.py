@@ -208,7 +208,7 @@ class FinSet:
 
     `_index` maps each label to its position in `elements`, hashing each label
     once: membership, a `FinFn` built from labels (its totality check and its
-    image positions) and `colim.label_pairs` all read it.
+    image positions) and a loaded quotient's relations all read it.
     """
 
     elements: tuple[Label, ...]

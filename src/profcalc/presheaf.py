@@ -450,7 +450,10 @@ def enumerate_families(slots, constraints) -> list[dict]:
                 extend(i + 1)
             del assignment[key]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # it refers to itself: break the cycle, or it lives until a collection
     return results
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import FinCat, Functor, Label, memoised
+from .fincat import FinCat, Functor, Label, generator_pairs, memoised
 
 
 def terminal_category() -> FinCat:
@@ -167,6 +167,7 @@ def all_functors(source: FinCat, target: FinCat) -> list[Functor]:
     """Enumerate functors source -> target by backtracking over object images."""
     out: list[Functor] = []
     objs = list(source.objects)
+    pairs = list(generator_pairs(source))
 
     def extend_mor(obj_map: dict[Label, Label]) -> None:
         mor_choices: list[list[tuple[Label, Label]]] = []
@@ -180,12 +181,8 @@ def all_functors(source: FinCat, target: FinCat) -> list[Functor]:
             mor_choices.append([(m, c) for c in cands])
         for combo in itertools.product(*mor_choices):
             mor_map = dict(combo)
-            ok = True
-            for g, f in source.composable_pairs():
-                if mor_map[source.comp[(g, f)]] != target.comp[(mor_map[g], mor_map[f])]:
-                    ok = False
-                    break
-            if ok:
+            # identities go to identities, so composition on generator pairs suffices (`functor_violations`)
+            if all(mor_map[source.comp[(g, f)]] == target.comp[(mor_map[g], mor_map[f])] for g, f in pairs):
                 out.append(Functor(source, target, obj_map, mor_map, check=False))
 
     for images in itertools.product(list(target.objects), repeat=len(objs)):

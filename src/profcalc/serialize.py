@@ -12,8 +12,9 @@ distinct embedded category once.  Neither keeps anything between calls.
 
 A quotient's payload lists every member of every class.  A coend laid out in
 runs (`colim.RunCarrier`) keeps no member label, so its classes are decoded
-from their carrier positions here, when written, and nowhere on the paths
-that compute with it; the bytes are those of the labelled carrier.
+from their carrier positions on first read (`QuotientSet.classes`): when it
+is written, and on no path that computes with it.  The bytes are those of
+the labelled carrier.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .day import StrictMonoidalFinCat
-from .colim import QuotientSet, label_pairs, quotient
+from .colim import QuotientSet, quotient
 from .fincat import (
     FinCat,
     FinFn,
@@ -298,7 +299,8 @@ def quotient_from_dict(d: dict, cats: dict) -> QuotientSet:
     if len(set(members)) != len(members):
         raise ValueError("quotient classes overlap")
     carrier = FinSet(members)
-    q = quotient(carrier, label_pairs(carrier, ((cls[0], x) for cls in classes for x in cls[1:])))
+    pos = carrier._index
+    q = quotient(carrier, ((pos[cls[0]], pos[x]) for cls in classes for x in cls[1:]))
     for cls in classes:
         if q.representative(cls[0]) != cls[0]:
             raise ValueError(f"quotient class {cls!r} does not list its minimum first")
@@ -438,7 +440,10 @@ def _indented(data, indent: int) -> str:
         # one join builds the text once, where a chain of + would copy it three times
         return "".join((ends[0], inner, ("," + inner).join(texts), breaks[depth], ends[1]))
 
-    return emit(data, 0)
+    try:
+        return emit(data, 0)
+    finally:
+        del emit, block  # each refers to the other: break the cycle, or it lives until a collection
 
 
 def dumps(obj: Any, indent: int | None = None) -> str:

@@ -7,8 +7,8 @@ convolution in full instead -- every value set and every action map, as the
 tables of a `Profunctor` -- so that `colim.bifunctor_violations` can verify
 their laws and `colim.coend` of each serves as an oracle for the table-read
 coends.  `label_coend` computes a coend from label relations, through
-`colim.quotient` and `colim.label_pairs` alone, and shares no relation code
-with the engine; `label_induced_map` induces a map of classes from an
+`colim.quotient` and `label_pairs` alone, and shares no relation code with
+the engine; `label_induced_map` induces a map of classes from an
 elementwise label rule, and shares no position code with the engine's
 `colim.induced_map`; `product_label_relations` states the label relations of a
 coend of a product of two functors, as `kan_extend` and `prof_compose` take
@@ -25,8 +25,13 @@ as tests do and the engine never needs to.  `reference_extend_along_generators`
 searches a category's composites afresh on every call, an oracle for the
 search that the engine caches per category.
 
-The structural cells of Day convolution and substitution read their images
-off run layouts (`colim.run_components`) and never see a member label.
+A carrier laid out in runs (`colim.RunCarrier`) has no label index and no
+iteration: `carrier_labels` decodes every member, `label_index` maps each
+label to its position (kept per carrier), and `label_representative` names
+a label's class, so the oracles read laid-out and labelled carriers alike.
+The structural cells of Day convolution and substitution, and the Kan
+extension's monoidal comparison into a Day convolution, read their images
+off run layouts and never see a member label.
 Their label rules are kept here as oracles, each stated on whole carrier
 labels as the cells once computed them: `label_components` applies one to
 every member of every class through `label_induced_map`.  `opposite`
@@ -36,8 +41,9 @@ needs it.
 
 import functools
 import itertools
+import weakref
 
-from profcalc.colim import QuotientSet, bifunctor_violations, coend, label_pairs, quotient
+from profcalc.colim import QuotientSet, bifunctor_violations, coend, quotient
 from profcalc.fincat import EndpointMismatch, FinCat, FinFn, FinSet, NonInvertible, product, require_lawful
 from profcalc.presheaf import psh_coproduct, pshmap_from_rule
 from profcalc.prof import Profunctor
@@ -49,6 +55,44 @@ def opposite(cat: FinCat) -> FinCat:
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
     comp = {(f, g): h for (g, f), h in cat.comp.items()}
     return FinCat(cat.objects, hom, cat.ids, comp)
+
+
+def carrier_labels(carrier):
+    """Every member label of a carrier, in carrier order: a `FinSet`'s
+    elements, or a laid-out carrier's (`colim.RunCarrier`) decoded from all
+    its positions."""
+    return carrier.elements if isinstance(carrier, FinSet) else tuple(carrier.labels(range(len(carrier))))
+
+
+_RUN_INDEXES = weakref.WeakKeyDictionary()
+
+
+def label_index(carrier):
+    """The carrier position of each member label: a `FinSet`'s own index, or
+    a laid-out carrier's, built from `carrier_labels` on the first call and
+    kept while the carrier lives."""
+    if isinstance(carrier, FinSet):
+        return carrier._index
+    if carrier not in _RUN_INDEXES:
+        _RUN_INDEXES[carrier] = {label: i for i, label in enumerate(carrier_labels(carrier))}
+    return _RUN_INDEXES[carrier]
+
+
+def label_representative(q, label):
+    """The class name of a member label of q's carrier, laid out or not."""
+    return q.quotient.elements[q._classes[label_index(q.carrier)[label]]]
+
+
+def label_pairs(carrier, pairs):
+    """The carrier positions of related labels, for `quotient`: one lookup in
+    `label_index` per label.  A label outside the carrier raises ValueError
+    naming it."""
+    pos = label_index(carrier)
+    for a, b in pairs:
+        try:
+            yield pos[a], pos[b]
+        except KeyError as exc:
+            raise ValueError(f"related label {exc.args[0]!r} is not in the carrier") from None
 
 
 def label_relations(base, related, morphisms=None):
@@ -345,7 +389,9 @@ def label_components(quotients, targets, rule):
     for key, q in quotients.items():
         target = targets[key]
         if isinstance(target, QuotientSet):
-            out[key] = label_induced_map(q, target.quotient, lambda x, k=key, t=target: t.representative(rule(k, x)))
+            out[key] = label_induced_map(
+                q, target.quotient, lambda x, k=key, t=target: label_representative(t, rule(k, x))
+            )
         else:
             out[key] = label_induced_map(q, target, lambda x, k=key: rule(k, x))
     return out
@@ -406,8 +452,8 @@ def subst_assoc_rule(h, g, f, gf):
             grouped = tuple(blocks[q] for q in srcs)
             xb = tuple(x for b in grouped for x in b)
             moved_vs = tuple(f.right_act[(blocks[q], gbar[q])](vs[q]) for q in srcs)
-            omegas.append(gf.quotients[(xb, zs[j])].representative(
-                (len(srcs), yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
+            omegas.append(label_representative(
+                gf.quotients[(xb, zs[j])], (len(srcs), yblocks[j], grouped, us[j], moved_vs, sym_x.cat.id_of(xb))
             ))
             new_blocks.append(xb)
         glued = sym_x.cat.comp[(sym_x.block_perm_mor(blocks, sigma), hmor)]
@@ -420,7 +466,7 @@ def tau_rule(ext):
     """Substitution -> the Kleisli composite of the extension ext with g."""
     def rule(key, elem):
         m, ys, blocks, gamma, vs, h = elem
-        return ys, (ext.quotients[(key[0], ys)].representative((blocks, vs, h)), gamma)
+        return ys, (label_representative(ext.quotients[(key[0], ys)], (blocks, vs, h)), gamma)
 
     return rule
 
@@ -472,8 +518,27 @@ def day_assoc_rule(mon, c23):
         (c, b3), (xi, r, h) = pair
         (b1, b2), (s, t, k) = xi
         d = mon.ob(b2, b3)
-        eta = c23.quotients[d].representative(((b2, b3), (t, r, base.id_of(d))))
+        eta = label_representative(c23.quotients[d], ((b2, b3), (t, r, base.id_of(d))))
         return (b1, d), (s, eta, base.comp[(mon.mor(k, base.id_of(b3)), h)])
+
+    return rule
+
+
+def kan_monoidal_rule(mf, kp, kq):
+    """F*(p (x) q) -> F*(p) (x) F*(q), kp = F*(p) and kq = F*(q): u moves
+    along F(h), the inverted constraint splits it, and each half names its
+    class."""
+    f = mf.functor
+    inverted = {key: cell.inverse() for key, cell in mf.constraint.items()}
+
+    def rule(b, pair):
+        a, (u, xi) = pair
+        (a1, a2), (s, t, h) = xi  # h: a -> a1 (x) a2 in the source base
+        moved = f.on_mor[h].components[b](u)  # now in F(a1 (x) a2)(b)
+        (b1, b2), (u1, u2, k) = inverted[(a1, a2)].components[b](moved)
+        alpha = kp.quotients[b1].representative((a1, (u1, s)))
+        beta = kq.quotients[b2].representative((a2, (u2, t)))
+        return (b1, b2), (alpha, beta, k)
 
     return rule
 

@@ -5,7 +5,8 @@ applied to every member of every class.
 Each cell's components must equal, map for map, those that its label rule
 induces through `label_induced_map`: on every substitution reference case,
 `Ass o Ass` at arity 4 and two bounded searches with nullary values (runs of
-no block, and empty blocks), and on every Day case.
+no block, and empty blocks), on every Day case, and on every case of the
+Kan extension's monoidal comparison, whose Day target is laid out.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from integrands import (
     day_symmetry_rule,
     day_unit_left_rule,
     day_unit_right_rule,
+    kan_monoidal_rule,
     label_components,
     subst_assoc_rule,
     subst_left_unit_rule,
@@ -26,6 +28,7 @@ from integrands import (
     yoneda_comparison_rule,
 )
 from profcalc.day import (
+    _kan_monoidal_comparison,
     _yoneda_comparison,
     day_assoc_iso,
     day_convolve,
@@ -35,7 +38,7 @@ from profcalc.day import (
     day_unit_right_iso,
 )
 from profcalc.fincat import memo_scope
-from profcalc.presheaf import psh_coproduct, psh_terminal_map
+from profcalc.presheaf import kan_extend, psh_coproduct, psh_terminal_map
 from profcalc.prof import kleisli_compose, tau
 from profcalc.symmon import (
     SymSeqCell,
@@ -50,6 +53,7 @@ from profcalc.symmon import (
     subst_whisker_outer,
     tau_comparison,
 )
+from tests.test_day import KAN_MONOIDAL_CASES
 from tests.test_induced_actions import DAY_CASES, _day_case
 from tests.test_symmon import RUN_CASES as SUBST_CASES
 
@@ -106,3 +110,11 @@ def test_day_cells_match_their_label_rules(name):
         _same(day_assoc_iso(mon, f1, f2, f1), day_assoc_rule(mon, day_convolve(mon, f2, f1)))
         if mon.symmetry:
             _same(day_symmetry_iso(mon, f1, f2), day_symmetry_rule(mon))
+
+
+@pytest.mark.parametrize("name", sorted(KAN_MONOIDAL_CASES))
+def test_kan_monoidal_comparison_matches_its_label_rule(name):
+    mf, p, q = KAN_MONOIDAL_CASES[name]()
+    with memo_scope():
+        kp, kq = kan_extend(mf.functor, p), kan_extend(mf.functor, q)
+        _same(_kan_monoidal_comparison(mf, p, q), kan_monoidal_rule(mf, kp, kq))

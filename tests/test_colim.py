@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from integrands import (
-    as_dict, coyoneda_iso, fubini_iso, label_coend, label_induced_map, label_relations, opposite,
-    product_label_relations, reference_extend_along_generators,
+    as_dict, carrier_labels, coyoneda_iso, fubini_iso, label_coend, label_index, label_induced_map, label_pairs,
+    label_relations, label_representative, opposite, product_label_relations, reference_extend_along_generators,
 )
 from profcalc.colim import (
-    EMPTY_QUOTIENT, QuotientSet, RunCarrier, bifunctor_violations, coend, induced_components, label_pairs, layout,
-    quotient,
+    EMPTY_QUOTIENT, QuotientSet, RunCarrier, bifunctor_violations, coend, induced_components, layout, quotient,
 )
 from profcalc.fincat import FinCat, FinFn, FinSet, NonInvertible, label_key, product
 from profcalc.presheaf import yoneda
@@ -213,7 +212,7 @@ def test_layout_positions_are_carrier_indices(shapes):
         sets = [s for f in factors for s in (f if isinstance(f, tuple) else [f])]
         assert [len(axis) for axis in axes[key]] == [len(s) for s in sets]
         digits += [(key, ks) for ks in itertools.product(*(range(len(s)) for s in sets))]
-    assert list(carrier.elements) == expected
+    assert list(carrier_labels(carrier)) == expected
     assert list(axes) == list(runs)
     for index, (key, ks) in enumerate(digits):
         assert sum(axis[k] for axis, k in zip(axes[key], ks)) == index
@@ -225,24 +224,25 @@ def test_layout_positions_are_carrier_indices(shapes):
 def test_layout_decodes_and_encodes_every_position(shapes, key_lengths):
     """Over random runs -- groups of sets among the factors, empty runs, keys
     of several lengths -- the carrier decodes each position into the label
-    that the product lists there and encodes it back, and encodes nothing
-    else: a label with a digit outside its set, or a wrong shape, is no member."""
+    that the product lists there, as it does decoding every position at once,
+    and the labels are distinct; a label with a digit outside its set, or a
+    wrong shape, is no member."""
     runs = {
         ("r", i, *range(n)): (*factors, homs)
         for i, ((factors, homs), n) in enumerate(zip(shapes, key_lengths + [0] * len(shapes)))
     }
     carrier = layout(runs)
+    labels, index = carrier_labels(carrier), label_index(carrier)
     for i in range(len(carrier)):
-        label = carrier[i]
-        assert carrier._index[label] == i and label in carrier
-        assert carrier.elements[i - len(carrier)] == label
-    assert tuple(carrier) == carrier[:]
+        label, = carrier.labels([i])
+        assert labels[i] == label and index[label] == i
+    assert len(index) == len(carrier)
     for key, factors in runs.items():
-        assert (*key, *(("stray",) if f.__class__ is tuple else "stray" for f in factors)) not in carrier
-        assert (*key, *factors[:-1]) not in carrier
-    assert "r" not in carrier and 0 not in carrier._index
+        assert (*key, *(("stray",) if f.__class__ is tuple else "stray" for f in factors)) not in index
+        assert (*key, *factors[:-1]) not in index
+    assert "r" not in index and 0 not in index
     with pytest.raises(IndexError):
-        carrier[len(carrier)]
+        carrier.labels([len(carrier)])
 
 
 @pytest.mark.parametrize("factors", [(), ((),), ((), ())])
@@ -436,11 +436,9 @@ def test_fubini_arrow_arrow_double_brute_force():
     # the composite outer-one-way . inverse(outer-other-way) equals the direct
     # comparison induced by re-tagging the joint carriers
     direct = {}
-    for ((pair), w) in joint.carrier:
+    for ((pair), w) in carrier_labels(joint.carrier):
         a1, b1 = pair
-        direct[joint.representative((pair, w))] = joint_t.representative(
-            ((b1, a1), w)
-        )
+        direct[label_representative(joint, (pair, w))] = label_representative(joint_t, ((b1, a1), w))
     composite = fn.inverse().then(
         FinFn(joint.quotient, joint_t.quotient, direct).then(fn_t)
     )
@@ -686,7 +684,8 @@ def _relations_passed_to_quotient(monkeypatch, build):
 
     def recording(carrier, pairs):
         pairs = list(pairs)
-        calls.append([(carrier.elements[a], carrier.elements[b]) for a, b in pairs])
+        labels = carrier_labels(carrier)
+        calls.append([(labels[a], labels[b]) for a, b in pairs])
         return real(carrier, pairs)
 
     monkeypatch.setattr(colim, "quotient", recording)

@@ -182,7 +182,7 @@ def test_double_coend_matches_iterated_computation():
         assert len(joint.quotient) == len(conv.values[a])
 
 
-def test_kan_monoidal_via_monoid_hom():
+def _kan_monoidal_via_monoid_hom():
     mon2 = z_monoidal(2)
     mon4 = monoidal_from_monoid(
         discrete(4), lambda a, b: f"d{(int(a[1:]) + int(b[1:])) % 4}", "d0", True
@@ -197,11 +197,10 @@ def test_kan_monoidal_via_monoid_hom():
     mf = monoidal_from_strict_functor(mon2, mon4, g)
     p = psh_sizes(mon2.base, {"d0": 1, "d1": 2})
     q = psh_sizes(mon2.base, {"d0": 2, "d1": 1})
-    report = check_kan_monoidal(mf, p, q)
-    assert report.ok
+    return mf, p, q
 
 
-def test_kan_monoidal_representable_arguments():
+def _kan_monoidal_representable_arguments():
     mon = z_monoidal(2)
     g = Functor(
         mon.base,
@@ -210,11 +209,10 @@ def test_kan_monoidal_representable_arguments():
         {m: m for m in mon.base.morphisms()},
     )
     mf = monoidal_from_strict_functor(mon, mon, g)
-    report = check_kan_monoidal(mf, yoneda(mon.base, "d1"), yoneda(mon.base, "d1"))
-    assert report.ok
+    return mf, yoneda(mon.base, "d1"), yoneda(mon.base, "d1")
 
 
-def test_kan_monoidal_group_base():
+def _kan_monoidal_group_base():
     bz2 = one_object_group_monoidal(2)
     obj = next(iter(bz2.base.objects))
     ident = Functor(
@@ -226,5 +224,24 @@ def test_kan_monoidal_group_base():
     mf = monoidal_from_strict_functor(bz2, bz2, ident)
     p = yoneda(bz2.base, obj)
     q, _, _ = psh_coproduct(p, p)
-    report = check_kan_monoidal(mf, p, q)
-    assert report.ok
+    return mf, p, q
+
+
+# (mf, p, q) for check_kan_monoidal, built on first use
+KAN_MONOIDAL_CASES = {
+    "monoid hom": _kan_monoidal_via_monoid_hom,
+    "representable arguments": _kan_monoidal_representable_arguments,
+    "group base": _kan_monoidal_group_base,
+}
+
+
+def test_kan_monoidal_via_monoid_hom():
+    assert check_kan_monoidal(*KAN_MONOIDAL_CASES["monoid hom"]()).ok
+
+
+def test_kan_monoidal_representable_arguments():
+    assert check_kan_monoidal(*KAN_MONOIDAL_CASES["representable arguments"]()).ok
+
+
+def test_kan_monoidal_group_base():
+    assert check_kan_monoidal(*KAN_MONOIDAL_CASES["group base"]()).ok

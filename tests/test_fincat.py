@@ -445,6 +445,33 @@ def test_generators_close_to_every_morphism(name):
     assert cat.generators() is gens  # cached on the instance
 
 
+def _functors_by_all_pairs(source, target):
+    """(object map, morphism map) of every functor source -> target, in
+    `all_functors` order: each map of objects, then each choice of morphisms
+    between their images, identities to identities, kept when it preserves
+    the composite of every composable pair."""
+    out, pairs = [], list(source.composable_pairs())
+    for images in itertools.product(target.objects, repeat=len(source.objects)):
+        obj_map = dict(zip(source.objects, images))
+        choices = [
+            [target.id_of(obj_map[source.src(m)])] if source.is_identity(m)
+            else list(target.hom[(obj_map[source.src(m)], obj_map[source.tgt(m)])])
+            for m in source.morphisms()
+        ]
+        for combo in itertools.product(*choices):
+            mor_map = dict(zip(source.morphisms(), combo))
+            if all(mor_map[source.comp[(g, f)]] == target.comp[(mor_map[g], mor_map[f])] for g, f in pairs):
+                out.append((obj_map, mor_map))
+    return out
+
+
+def test_all_functors_match_an_all_pairs_scan_on_the_seed_library():
+    # all_functors checks composition on generator pairs only (`functor_violations`)
+    for s, t in itertools.product(sorted(SEEDS), repeat=2):
+        found = [(fun.obj_map, fun.mor_map) for fun in all_functors(SEEDS[s], SEEDS[t])]
+        assert found == _functors_by_all_pairs(SEEDS[s], SEEDS[t]), (s, t)
+
+
 def test_generators_of_a_chain_are_its_covering_relations():
     from profcalc.seeds import chain
 

@@ -13,10 +13,8 @@ import functools
 
 import pytest
 
-from integrands import as_dict, label_induced_map
-from profcalc.colim import (
-    coend_relations, induced_actions, induced_map, label_pairs, layout, precompose_image, quotient,
-)
+from integrands import as_dict, carrier_labels, label_induced_map, label_pairs, label_representative
+from profcalc.colim import coend_relations, induced_actions, induced_map, layout, precompose_image, quotient
 from profcalc.day import _day_relations, day_convolve, one_object_group_monoidal
 from profcalc.fincat import FinSet
 from profcalc.presheaf import kan_extend, psh_coproduct, pvf_coproduct, yoneda, yoneda_embedding
@@ -94,7 +92,7 @@ def _day_restriction_reference(conv, base, m):
 
     def rule(pair):
         (b1, b2), (s, t, h) = pair
-        return conv.quotients[a0].representative(((b1, b2), (s, t, base.comp[(h, m)])))
+        return label_representative(conv.quotients[a0], ((b1, b2), (s, t, base.comp[(h, m)])))
 
     return label_induced_map(conv.quotients[a1], conv.values[a0], rule)
 
@@ -157,12 +155,12 @@ def test_day_convolve_by_position_matches_the_label_rule(name):
             b1, b2 = bb
             return FinSet.product(f1.values[b1], f2.values[b2], base.hom[(a, mon.ob(b1, b2))])
 
-        assert q.carrier == FinSet.sigma(mon.tensor.source.objects, diagonal)
-        elems = q.carrier.elements
+        elems = carrier_labels(q.carrier)
+        assert elems == FinSet.sigma(mon.tensor.source.objects, diagonal).elements
         runs = {(bb,): ((f1.values[bb[0]], f2.values[bb[1]], base.hom[(a, mon.ob(*bb))]),)
                 for bb in mon.tensor.source.objects}
         carrier = layout(runs)
-        assert carrier == q.carrier
+        assert carrier_labels(carrier) == elems
         positions = list(coend_relations(_day_relations(mon, f1, f2, runs, carrier.axes)))
         labels = list(_day_label_relations(mon, f1, f2, a))
         assert [(elems[i], elems[j]) for i, j in positions] == labels
@@ -208,9 +206,7 @@ def test_subst_compose_actions_match_all_morphism_reference(name):
 
             def left(elem, mor=mor, z=z):
                 m, ys, blocks, gamma, vs, h = elem
-                return gf.quotients[(mor[0], z)].representative(
-                    (m, ys, blocks, gamma, vs, sym_x.comp[(h, mor)])
-                )
+                return label_representative(gf.quotients[(mor[0], z)], (m, ys, blocks, gamma, vs, sym_x.comp[(h, mor)]))
 
             expected = label_induced_map(gf.quotients[(mor[1], z)], gf.values[(mor[0], z)], left)
             assert gf.left_act[(mor, z)] == expected, (mor, z)
@@ -220,9 +216,8 @@ def test_subst_compose_actions_match_all_morphism_reference(name):
 
             def right(elem, xs=xs, zm=zm, z1=z1):
                 m, ys, blocks, gamma, vs, h = elem
-                return gf.quotients[(xs, z1)].representative(
-                    (m, ys, blocks, g.right_act[(ys, zm)](gamma), vs, h)
-                )
+                moved = g.right_act[(ys, zm)](gamma)
+                return label_representative(gf.quotients[(xs, z1)], (m, ys, blocks, moved, vs, h))
 
             expected = label_induced_map(gf.quotients[(xs, z0)], gf.values[(xs, z1)], right)
             assert gf.right_act[(xs, zm)] == expected, (xs, zm)
@@ -238,9 +233,7 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
 
             def left(elem, rho=rho, ys=ys):
                 blocks, vs, h = elem
-                return ext.quotients[(rho[0], ys)].representative(
-                    (blocks, vs, sym_x.cat.comp[(h, rho)])
-                )
+                return label_representative(ext.quotients[(rho[0], ys)], (blocks, vs, sym_x.cat.comp[(h, rho)]))
 
             expected = label_induced_map(ext.quotients[(rho[1], ys)], ext.values[(rho[0], ys)], left)
             assert ext.left_act[(rho, ys)] == expected, (rho, ys)
@@ -257,9 +250,7 @@ def test_subst_extension_actions_match_all_morphism_reference(name):
                     f.right_act[(blocks[inv[j]], gbar[inv[j]])](vs[inv[j]]) for j in range(m)
                 )
                 mover = sym_x.block_perm_mor(blocks, sigma)
-                return ext.quotients[(xs, ys1)].representative(
-                    (new_blocks, new_vs, sym_x.cat.comp[(mover, h)])
-                )
+                return label_representative(ext.quotients[(xs, ys1)], (new_blocks, new_vs, sym_x.cat.comp[(mover, h)]))
 
             expected = label_induced_map(ext.quotients[(xs, ys0)], ext.values[(xs, ys1)], right)
             assert ext.right_act[(xs, phi)] == expected, (xs, phi)

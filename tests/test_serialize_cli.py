@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -9,7 +10,7 @@ from profcalc.colim import coend, quotient
 from profcalc.fincat import FinCat, FinFn, FinSet, NatTrans, identity_functor
 from profcalc.presheaf import PshMap, psh_coproduct, psh_terminal, yoneda
 from profcalc.prof import Profunctor, prof_identity
-from profcalc.day import one_object_group_monoidal, monoidal_from_monoid
+from profcalc.day import check_kan_monoidal, one_object_group_monoidal, monoidal_from_monoid
 from profcalc.seeds import (
     all_functors, arrow_category, chain, discrete, fork, parallel_pair, sym3_category, terminal_category,
 )
@@ -18,6 +19,7 @@ from profcalc.symmon import (
     associative_operad, check_operad, check_tau_compatibility, free_sym_cat, representable_seq, seq_coproduct,
     subst_compose, subst_identity, unit_operad,
 )
+from tests.test_day import KAN_MONOIDAL_CASES
 from tests.test_suite_golden import SUITES as GOLDEN_SUITES
 
 
@@ -619,34 +621,54 @@ def test_suite_runs_instances_in_order_only(capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
-def test_no_engine_path_encodes_a_label_into_a_laid_out_carrier(tmp_path, monkeypatch, capsys):
-    """A laid-out carrier builds its label index whole, by decoding every
-    member, on the first lookup; that is cheap only while no engine path
-    looks a label up.  Under an index that refuses, the suites, the operad
-    check, the tau comparison and the coend, Day and substitution commands
-    all still pass."""
-    looked_up = []
+def test_suites_and_indented_dumps_leave_no_cyclic_garbage():
+    """Closures that refer to themselves or to each other would keep their
+    call's data alive until the cyclic collector ran; with it disabled, a
+    pass of every suite and an indented dump leave it nothing to free."""
+    gc.collect()
+    gc.disable()
+    try:
+        for suite, (seed, instances, _) in GOLDEN_SUITES.items():
+            run_suite(suite, SuiteConfig(seed=seed, instances=instances))
+        serialize.dumps(associative_operad(3).seq, indent=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
-    def refuse(carrier):
-        looked_up.append(carrier)
-        raise AssertionError(f"label lookup in {carrier!r}")
 
-    monkeypatch.setattr(colim.RunCarrier, "_index", property(refuse))
+def test_no_engine_path_encodes_a_label_into_a_laid_out_carrier(tmp_path, capsys):
+    """A laid-out carrier has no label index, item access, iteration,
+    equality or hash: it decodes positions only when asked.  So every engine
+    path into one reads positions off its runs, and the suites, the operad
+    check, the tau comparison, the Kan extension's monoidal comparison and
+    the coend, Day, Kan and substitution commands all pass."""
+    carrier = colim.RunCarrier
+    for name in ("_index", "elements", "__getitem__", "__iter__", "__contains__"):
+        assert not hasattr(carrier, name), name
+    assert (carrier.__eq__, carrier.__hash__) == (object.__eq__, object.__hash__)
     for suite, (seed, instances, _) in GOLDEN_SUITES.items():
         assert run_suite(suite, SuiteConfig(seed=seed, instances=instances))["passed"], suite
     assert check_operad(associative_operad(4)).ok
     sym = free_sym_cat(discrete(1), 3)
     two, one = (representable_seq(sym, discrete(1), {"d0": ys}) for ys in [("d0", "d0"), ("d0",)])
     assert check_tau_compatibility(two, seq_coproduct(two, one)).ok  # an operad-suite pair
+    for name, case in KAN_MONOIDAL_CASES.items():
+        assert check_kan_monoidal(*case()).ok, name
     ident = _write(tmp_path, "identS3.json", prof_identity(sym3_category()))
     mon = one_object_group_monoidal(4)
     y = yoneda(mon.base, mon.unit)
     m, yy = _write(tmp_path, "mon4.json", mon), _write(tmp_path, "yy4.json", psh_coproduct(y, y)[0])
+    ident3 = _write(tmp_path, "ident3.json", prof_identity(chain(3)))
+    y3 = _write(tmp_path, "y3.json", yoneda(chain(3), "1"))
     ass = _write(tmp_path, "ass3.json", associative_operad(3).seq)
-    for argv in (["coend", ident], ["day", m, yy, yy], ["subst", ass, ass, "--show-witnesses"]):
+    commands = (
+        ["coend", ident], ["day", m, yy, yy, "--show-witnesses"], ["kan", ident3, y3],
+        ["subst", ass, ass, "--show-witnesses"],
+    )
+    for argv in commands:
         assert main(argv) == 0, argv
-    assert "witnesses at" in capsys.readouterr().err
-    assert looked_up == []
+    err = capsys.readouterr().err
+    assert "witnesses at '*Z4'" in err and "witnesses at (('d0', 'd0'), 'd0')" in err  # Day's and substitution's
 
 
 def _comp_row_cut(d):
